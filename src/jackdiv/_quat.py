@@ -9,6 +9,8 @@ All helpers are batched over a leading sample axis.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 
@@ -51,13 +53,23 @@ def haar_batch(rng: np.random.Generator, count: int, m: int):
     return v1, v2
 
 
-def dedupe_pairs(eigs: np.ndarray, rel_tol: float = 1e-9):
+def dedupe_pairs(eigs: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
     """Collapse the doubled spectrum of an embedded quaternion Hermitian matrix.
 
     ``eigs`` has shape (..., 2m) in ascending order (eigvalsh convention).
-    Returns (values (..., m) descending, max pairing mismatch).
+    Returns the values (..., m) descending.  Warns (RuntimeWarning) when two
+    eigenvalues of a pair differ by more than ``rel_tol`` relative to the
+    largest magnitude in their spectrum: the input was then not the embedding
+    of a quaternion Hermitian matrix to working precision.
     """
     desc = eigs[..., ::-1]
     scale = np.maximum(np.abs(desc).max(axis=-1, keepdims=True), 1e-300)
     mismatch = float((np.abs(desc[..., 0::2] - desc[..., 1::2]) / scale).max())
-    return np.ascontiguousarray(desc[..., 0::2]), mismatch
+    if mismatch > rel_tol:
+        warnings.warn(
+            f"quaternion eigenvalue pairs differ by {mismatch:.3g} relative "
+            f"(tolerance {rel_tol:g}); the spectrum is not doubled",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return np.ascontiguousarray(desc[..., 0::2])

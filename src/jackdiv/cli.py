@@ -15,6 +15,7 @@ never changes computed values: evaluation order is fixed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -60,6 +61,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _fmt(x: float) -> str:
+    if not math.isfinite(x):
+        raise DomainError(f"result is not finite ({x!r})")
     return "%.17g" % x
 
 
@@ -127,22 +130,27 @@ def _emit(lines: list[str], output: str | None):
         sys.stdout.write(text)
 
 
+_TRUNCATION_FLAGS = ("max_degree", "rel_tol", "stall_window")
+
+
 def _truncation(args) -> SeriesTruncation:
-    return SeriesTruncation(
-        max_degree=args.max_degree, rel_tol=args.rel_tol, stall_window=args.stall_window
-    )
+    """The truncation flags given, with SeriesTruncation defaults for the rest."""
+    given = {name: getattr(args, name) for name in _TRUNCATION_FLAGS}
+    return SeriesTruncation(**{name: v for name, v in given.items() if v is not None})
 
 
-def _add_common(sp, trunc=False, model=False):
-    sp.add_argument("--beta", type=int, default=1, help="division algebra dimension (1, 2, 4 or 8)")
+def _add_common(sp, trunc=False, model=False, beta=True):
+    if beta:
+        sp.add_argument("--beta", type=int, default=1,
+                        help="division algebra dimension (1, 2, 4 or 8)")
     sp.add_argument("--config", help="key=value file mirroring the long flags")
     sp.add_argument("--threads", type=int, default=int(os.environ.get("JACKDIV_THREADS", "1")),
                     help="accepted for interface parity; never changes values")
     sp.add_argument("--output", help="write output to this path instead of stdout")
     if trunc:
-        sp.add_argument("--max-degree", type=int, default=40)
-        sp.add_argument("--rel-tol", type=float, default=1e-10)
-        sp.add_argument("--stall-window", type=int, default=3)
+        sp.add_argument("--max-degree", type=int, help=f"default {SeriesTruncation.max_degree}")
+        sp.add_argument("--rel-tol", type=float, help=f"default {SeriesTruncation.rel_tol:g}")
+        sp.add_argument("--stall-window", type=int, help=f"default {SeriesTruncation.stall_window}")
     if model:
         sp.add_argument("--m", type=int, default=2)
         sp.add_argument("--n", type=float, required=False)
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rel-max", type=float, default=0.05)
 
     p = sub.add_parser("figures", help="emit the distribution-function CSVs")
-    _add_common(p)
+    _add_common(p, beta=False)
     p.add_argument("figure", choices=sorted(_FIGURES))
     p.add_argument("--grid", help="start:stop:points (default per figure)")
 
@@ -282,9 +290,10 @@ def _curve(args, evaluate, label: str) -> int:
 
 
 def _custom_truncation(args):
-    default = (40, 1e-10, 3)
-    given = (args.max_degree, args.rel_tol, args.stall_window)
-    return _truncation(args) if given != default else None
+    """SeriesTruncation when any truncation flag is given, else None (the
+    library then sizes the degree budget itself)."""
+    given = any(getattr(args, name) is not None for name in _TRUNCATION_FLAGS)
+    return _truncation(args) if given else None
 
 
 def _cmd_cdf_max(args) -> int:
@@ -378,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args, argv)
         return _COMMANDS[args.command](args)
-    except (DomainError, UnsupportedParameterError, OSError) as exc:
+    except (DomainError, UnsupportedParameterError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

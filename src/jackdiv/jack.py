@@ -2,10 +2,19 @@
 
 The evaluator runs a per-variable recurrence: the value on ``n`` variables is
 a sum over horizontal-strip predecessors of the value on ``n - 1`` variables
-times a power of the new variable and a rational coefficient.  Coefficients
-depend only on (partition, predecessor, alpha), are computed in exact rational
-arithmetic for moderate weights, and are memoized in a :class:`JackTable` so
-a whole series evaluation prices each coefficient once.
+times a power of the new variable and a rational coefficient.  One stage
+kernel, :func:`_recurrence_stage`, computes a stage for any list of shapes:
+:class:`ChatEvaluator` runs it over every partition of each degree, and
+:func:`jack_C` / :func:`jack_C_batch` over the subshapes of one partition.
+
+A shape kappa of length exactly ``n`` can only come from predecessors mu with
+mu_n = 0, since the other n - 1 variables carry at most n - 1 parts; these are
+kappa's *closed* strips.  A stage on more variables than len(kappa) also reads
+the *open* strips (mu_n > 0).  Coefficients depend only on (partition,
+predecessor, alpha), are computed in exact rational arithmetic for moderate
+weights, and are memoized in a :class:`JackTable` split the same way, so a
+whole series evaluation prices each coefficient once and never prices a strip
+no stage reads.
 
 Internally everything is carried in the normalization ``chat = C / k!`` which
 keeps magnitudes representable at high degree; the public functions convert to
@@ -85,8 +94,13 @@ def _conjugate_counts(parts: tuple[int, ...]) -> list[int]:
     return cols
 
 
-def _interlacing_predecessors(parts: tuple[int, ...]):
-    """All mu with kappa_{i+1} <= mu_i <= kappa_i (horizontal strips kappa/mu)."""
+def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
+    """All mu with kappa_{i+1} <= mu_i <= kappa_i (horizontal strips kappa/mu).
+
+    With ``closed``, only those with mu_n = 0 (n = len(kappa)).  Either way
+    the order is reverse-lexicographic, so the closed list is a subsequence of
+    the full one.
+    """
     n = len(parts)
     out = []
 
@@ -98,7 +112,8 @@ def _interlacing_predecessors(parts: tuple[int, ...]):
             out.append(tuple(t))
             return
         lo = parts[i + 1] if i + 1 < n else 0
-        for v in range(parts[i], lo - 1, -1):
+        hi = 0 if closed and i == n - 1 else parts[i]
+        for v in range(hi, lo - 1, -1):
             rec(i + 1, prefix + (v,))
 
     rec(0, ())
@@ -160,6 +175,12 @@ def _hook_cell_data(parts: tuple[int, ...], beta: int):
 class JackTable:
     """Memoized recurrence coefficients for one division algebra.
 
+    Each partition kappa has up to two entries: its closed strips (mu_n = 0,
+    n = len(kappa)), all that the stage on exactly len(kappa) variables reads,
+    and its full strips, read by every later stage.  The full entry reuses the
+    closed entry's tuples and prices only the open strips (mu_n > 0), so no
+    pair is priced twice.
+
     Entries are immutable once computed; lookups after the first return the
     identical float objects, and insertion is lock-protected so concurrent
     evaluations from several threads see a consistent cache.  Coefficients of
@@ -170,28 +191,41 @@ class JackTable:
 
     def __init__(self, algebra: DivisionAlgebra):
         self.algebra = algebra
-        self._strips: dict[tuple[int, ...], tuple] = {}
+        self._closed: dict[tuple[int, ...], tuple] = {}
+        self._full: dict[tuple[int, ...], tuple] = {}
         self._lock = threading.Lock()
 
-    def strips(self, kappa: tuple[int, ...]):
-        """Tuple of (mu, s, g) over horizontal-strip predecessors of kappa."""
-        hit = self._strips.get(kappa)
+    def strips(self, kappa: tuple[int, ...], closed: bool = False):
+        """Tuple of (mu, s, g) over horizontal-strip predecessors of kappa;
+        with ``closed``, over those with mu_n = 0 (n = len(kappa)) only."""
+        cache = self._closed if closed else self._full
+        hit = cache.get(kappa)
         if hit is not None:
             return hit
+        if closed:
+            entries = self._price(kappa, _interlacing_predecessors(kappa, closed))
+        else:
+            # merged in enumeration order, so batched sums add the terms in
+            # the same order whichever entry they read
+            n = len(kappa)
+            shut = iter(self.strips(kappa, closed=True))
+            preds = _interlacing_predecessors(kappa)
+            opened = iter(self._price(kappa, [mu for mu in preds if len(mu) == n]))
+            entries = tuple(next(opened) if len(mu) == n else next(shut) for mu in preds)
+        with self._lock:
+            cache.setdefault(kappa, entries)
+        return cache[kappa]
+
+    def _price(self, kappa: tuple[int, ...], preds) -> tuple:
         k = sum(kappa)
-        preds = _interlacing_predecessors(kappa)
         if k <= RATIONAL_DEGREE_CUTOFF:
             alpha = self.algebra.alpha
-            entries = tuple(
+            return tuple(
                 (mu, k - sum(mu), float(_strip_coefficient(kappa, mu, alpha)))
                 for mu in preds
             )
-        else:
-            g, s = self._float_coefficients(kappa, preds)
-            entries = tuple((mu, int(si), gi) for mu, si, gi in zip(preds, s, g))
-        with self._lock:
-            self._strips.setdefault(kappa, entries)
-        return self._strips[kappa]
+        g, s = self._float_coefficients(kappa, preds)
+        return tuple((mu, int(si), gi) for mu, si, gi in zip(preds, s, g))
 
     def _float_coefficients(self, kappa, preds):
         """Hook-product coefficients for every predecessor at once."""
@@ -235,6 +269,28 @@ def get_table(algebra: DivisionAlgebra) -> JackTable:
     return table
 
 
+def _recurrence_stage(table: JackTable, shapes, n: int, prev: dict, xn, batched: bool) -> dict:
+    """Values on the first ``n`` variables of each shape (length <= n).
+
+    chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g, with ``prev``
+    holding chat_mu on the first n - 1 variables for every mu the shapes read.
+    A shape of length n reads its closed strips only.  ``xn`` is a float, or
+    a (batch,) array when ``batched``.
+    """
+    cur = {}
+    for kappa in shapes:
+        terms = [prev[mu] * (xn**s * g) if s else prev[mu] * g
+                 for mu, s, g in table.strips(kappa, len(kappa) == n)]
+        if batched:
+            acc = np.zeros_like(xn)
+            for t in terms:
+                acc += t
+            cur[kappa] = acc
+        else:
+            cur[kappa] = math.fsum(terms)
+    return cur
+
+
 class ChatEvaluator:
     """Degree-incremental table of chat_kappa = C_kappa / k! for one spectrum.
 
@@ -258,9 +314,9 @@ class ChatEvaluator:
         self.m = len(self._x)
         self.table = table
         self.max_first_part = max_first_part
-        # stage[n] holds values on the first n variables
+        # stage[n] holds values on the first n variables; degree 0 is done
         self._stage: list[dict] = [{(): one} for _ in range(self.m + 1)]
-        self._done = -1
+        self._done = 0
 
     def degree_values(self, k: int) -> dict:
         """chat values for every partition of weight k (length <= m)."""
@@ -280,28 +336,9 @@ class ChatEvaluator:
     def _advance(self):
         k = self._done + 1
         for n in range(1, self.m + 1):
-            xn = self._x[n - 1]
-            prev = self._stage[n - 1]
-            cur = self._stage[n]
-            for p in enumerate_partitions(k, n, self.max_first_part):
-                kappa = p.parts
-                if not kappa:
-                    continue
-                terms = []
-                for mu, s, g in self.table.strips(kappa):
-                    if len(mu) > n - 1:
-                        continue
-                    v = prev.get(mu)
-                    if v is None:
-                        continue
-                    terms.append(v * (xn**s * g) if s else v * g)
-                if self._batched:
-                    acc = np.zeros_like(xn)
-                    for t in terms:
-                        acc += t
-                    cur[kappa] = acc
-                else:
-                    cur[kappa] = math.fsum(terms)
+            shapes = [p.parts for p in enumerate_partitions(k, n, self.max_first_part)]
+            self._stage[n].update(_recurrence_stage(
+                self.table, shapes, n, self._stage[n - 1], self._x[n - 1], self._batched))
         self._done = k
 
 
@@ -324,38 +361,18 @@ def _subshapes(kappa: tuple[int, ...]):
 
 
 def _chat_restricted(kappa: tuple[int, ...], x, table: JackTable):
-    """chat_kappa via the recurrence restricted to subshapes of kappa."""
+    """chat_kappa (len(kappa) <= m) via the recurrence restricted to
+    subshapes of kappa."""
     arr = np.asarray(x, dtype=float)
     batched = arr.ndim == 2
     xs = [np.ascontiguousarray(arr[:, j]) for j in range(arr.shape[1])] if batched else [float(v) for v in arr]
-    m = len(xs)
-    subs = _subshapes(kappa)
     one = np.ones(arr.shape[0]) if batched else 1.0
-    prev = {(): one}
-    for n in range(1, m + 1):
-        xn = xs[n - 1]
-        cur = {(): one}
-        for mu_shape in subs:
-            if not mu_shape or len(mu_shape) > n:
-                continue
-            terms = []
-            for mu, s, g in table.strips(mu_shape):
-                v = prev.get(mu)
-                if v is None:
-                    continue
-                terms.append(v * (xn**s * g) if s else v * g)
-            if not terms:
-                continue
-            if batched:
-                acc = np.zeros_like(xn)
-                for t in terms:
-                    acc += t
-                cur[mu_shape] = acc
-            else:
-                cur[mu_shape] = math.fsum(terms)
-        prev = cur
-    missing = np.zeros(arr.shape[0]) if batched else 0.0
-    return prev.get(kappa, missing)
+    subs = _subshapes(kappa)[1:]  # the empty shape comes first; its value is one
+    stage = {(): one}
+    for n, xn in enumerate(xs, start=1):
+        shapes = [mu for mu in subs if len(mu) <= n]
+        stage = {(): one, **_recurrence_stage(table, shapes, n, stage, xn, batched)}
+    return stage[kappa]
 
 
 def _log_nu(p: Partition, algebra: DivisionAlgebra) -> float:

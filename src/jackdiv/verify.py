@@ -170,8 +170,7 @@ def _conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
         y2 = np.concatenate([y, y])
         inner = np.einsum("bji,j,bjk->bik", e.conj(), y2, e)
         a = np.sqrt(x2)[None, :, None] * inner * np.sqrt(x2)[None, None, :]
-        vals, _ = _quat.dedupe_pairs(np.linalg.eigvalsh(a))
-        return vals
+        return _quat.dedupe_pairs(np.linalg.eigvalsh(a))
     inner = np.einsum("bji,j,bjk->bik", h.conj(), y, h)
     a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
     return np.linalg.eigvalsh(a)[:, ::-1]
@@ -332,7 +331,11 @@ def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None =
 
 
 def _logdet_h(x: np.ndarray) -> np.ndarray:
+    """log det of each matrix in a batch of Hermitian positive-definite ones;
+    DomainError when a determinant's sign has real part <= 0."""
     sign, val = np.linalg.slogdet(x)
+    if np.any(np.real(sign) <= 0):
+        raise DomainError("log-determinant of a matrix that is not positive definite")
     return np.real(val)
 
 

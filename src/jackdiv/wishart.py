@@ -132,7 +132,7 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
         s = np.einsum("bij,bik->bjk", g.conj(), g)
         eigs = np.linalg.eigvalsh(s)
         if model.beta == 4:
-            vals, _ = _quat.dedupe_pairs(eigs)
+            vals = _quat.dedupe_pairs(eigs)
         else:
             vals = eigs[:, ::-1]
         out[done : done + b] = vals

@@ -5,6 +5,7 @@ import pytest
 
 from jackdiv.cli import main
 from jackdiv.core import DivisionAlgebra, Partition
+from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.jack import jack_C
 from jackdiv.wishart import WishartModel, cdf_lambda_max
 
@@ -40,6 +41,13 @@ class TestEvaluationCommands:
         want = cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(2)), 5.0)
         assert float(out.strip()) == pytest.approx(want, rel=1e-12)
 
+    def test_explicit_default_truncation_flag_is_honored(self, capsys):
+        code, out, _ = run(capsys, "cdf-max", "--beta", "1", "--m", "2", "--n", "4",
+                           "--sigma", "1,2", "--x", "5.0", "--max-degree", "40")
+        assert code == 0
+        model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(1))
+        assert float(out.strip()) == cdf_lambda_max(model, 5.0, SeriesTruncation(max_degree=40))
+
     def test_density(self, capsys):
         code, out, _ = run(capsys, "density", "--beta", "1", "--m", "2", "--n", "4",
                            "--sigma", "1,2", "--eigs", "3.0,1.0")
@@ -55,6 +63,21 @@ class TestDiagnostics:
         assert err.startswith("error:")
         assert "positive integer" in err
         assert err.count("\n") == 1  # single-line diagnostic
+
+    @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
+    def test_far_tail_refused_in_one_line(self, capsys, beta, x):
+        # beta 8 overflows to inf, beta 4 raises OverflowError in the series
+        code, out, err = run(capsys, "cdf-max", "--beta", beta, "--m", "2", "--n", "4",
+                             "--sigma", "1,2", "--x", x)
+        assert code == 2
+        assert out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "Traceback" not in err
+
+    def test_figures_has_no_beta_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["figures", "fig1", "--beta", "2"])
+        assert exc.value.code == 2
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

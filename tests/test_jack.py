@@ -6,8 +6,10 @@ import pytest
 
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
 from jackdiv.jack import (
+    RATIONAL_DEGREE_CUTOFF,
     JackTable,
     SpectralArgument,
+    _interlacing_predecessors,
     get_table,
     jack_C,
     jack_C_at_identity,
@@ -140,9 +142,9 @@ class TestOracle:
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_small_weight_linear_system(self, alg):
         rng = np.random.default_rng(23)
-        for m in (1, 2, 3):
+        for m in (1, 2, 3, 4):
             x = rng.uniform(0.2, 1.8, size=m)
-            for k in range(1, 5):
+            for k in range(1, 7):
                 for p in enumerate_partitions(k, m):
                     got = jack_C(p, x, alg)
                     want = jack_C_oracle(p, x, alg)
@@ -158,15 +160,35 @@ class TestOracle:
                     assert closed == pytest.approx(direct, rel=1e-10)
 
 
+class TestStripSplit:
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_closed_strips_are_the_last_part_zero_subset(self, alg):
+        table = get_table(alg)
+        for k in range(1, 31):
+            for p in enumerate_partitions(k, 4):
+                kappa = p.parts
+                preds = _interlacing_predecessors(kappa)
+                every = table.strips(kappa)
+                assert [mu for mu, _, _ in every] == preds
+                closed = table.strips(kappa, closed=True)
+                assert closed == tuple(e for e in every if len(e[0]) < len(kappa))
+                if k > RATIONAL_DEGREE_CUTOFF:
+                    # float path: pricing a subset of the strips in one batch
+                    # gives the same bits as pricing them all together
+                    assert every == table._price(kappa, preds)
+
+
 class TestBatchAndTable:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(31)
-        X = rng.uniform(0.0, 2.0, size=(40, 3))
+        X = rng.uniform(0.0, 2.0, size=(40, 4))
         alg = DivisionAlgebra(1)
-        p = Partition((2, 1))
-        batch = jack_C_batch(p, X, alg)
-        for row, value in zip(X, batch):
-            assert value == pytest.approx(jack_C(p, row, alg), rel=1e-12)
+        for parts in [(2, 1), (2, 2, 1), (3, 1, 1, 1), (4, 2, 2)]:
+            p = Partition(parts)
+            for m in range(len(parts), 5):
+                batch = jack_C_batch(p, X[:, :m], alg)
+                for row, value in zip(X[:, :m], batch):
+                    assert value == pytest.approx(jack_C(p, row, alg), rel=1e-12)
 
     def test_table_entries_immutable_and_shared(self):
         alg = DivisionAlgebra(2)

@@ -10,6 +10,7 @@ from jackdiv.verify import (
     ConeSampler,
     VerificationReport,
     _haar_batch,
+    _logdet_h,
     _rng,
     default_suite,
     haar_sample,
@@ -264,6 +265,12 @@ class TestDomainEnforcement:
         with pytest.raises(UnsupportedParameterError, match="positive integer"):
             verify_incomplete("gamma_upper", 2, B1, 2.7, lambda_eigs=(1.0, 0.5),
                               omega_eigs=(1.0, 0.5), n_samples=100, seed=1)
+
+    def test_logdet_rejects_non_positive_definite(self):
+        assert _logdet_h(np.array([np.diag([2.0, 3.0])])) == pytest.approx([math.log(6.0)])
+        batch = np.array([np.eye(2), np.diag([1.0, -2.0])])
+        with pytest.raises(DomainError, match="positive definite"):
+            _logdet_h(batch)
 
     def test_inverse_laplace_requires_termination(self):
         with pytest.raises(UnsupportedParameterError, match="terminating"):

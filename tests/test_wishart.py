@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from jackdiv import _quat
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.wishart import (
@@ -51,6 +52,7 @@ class TestSampling:
         d, _ = stats.kstest(eigs, "gamma", args=(3.0, 0.0, 1.0))
         assert d < 0.01
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_quaternion_spectrum_deduplicated(self):
         model = WishartModel(2, 4, (1.0, 2.0), B4)
         eigs = sample_wishart_eigs(model, 17, 4000)
@@ -59,6 +61,11 @@ class TestSampling:
         assert np.all(eigs > 0)
         # mean trace is n * tr(Sigma)
         assert eigs.sum(axis=1).mean() == pytest.approx(12.0, rel=0.05)
+
+    def test_quaternion_pairing_mismatch_warns(self):
+        with pytest.warns(RuntimeWarning, match="pairs differ"):
+            vals = _quat.dedupe_pairs(np.array([[0.5, 0.5, 2.0, 2.5]]))
+        assert np.array_equal(vals, [[2.5, 0.5]])
 
     def test_stream_interface(self):
         model = WishartModel(2, 5, (1.0, 1.0), B1)
