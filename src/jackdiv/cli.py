@@ -87,7 +87,6 @@ _CONVERTERS = {
     "rel_tol": float,
     "stall_window": int,
     "seed": int,
-    "samples": int,
     "threads": int,
     "output": str,
     "z_max": float,
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigs", help="ordered eigenvalues, descending")
 
     p = sub.add_parser("verify", help="run Monte Carlo identity checks")
-    _add_common(p)
+    _add_common(p, beta=False)
     p.add_argument("identity", nargs="?", default="all",
                    help="'all' or a substring filter on case labels")
     p.add_argument("--quick", action="store_true", help="reduced sample budgets")

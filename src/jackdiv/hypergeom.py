@@ -6,6 +6,10 @@ Truncation policy: stop once ``stall_window`` consecutive degree sums are each
 below ``rel_tol`` times the accumulated value; non-convergence within
 ``max_degree`` is reported, never silently ignored.
 
+:func:`_run_series` is the one adaptive degree loop and holds that stop rule;
+:func:`pfq`, :func:`pfq_two` and :func:`pfq_positive_m2` each hand it the sum
+of one degree's terms.  :func:`pfq_batch` sums to a fixed degree instead.
+
 Matrix arguments are accepted only as eigenvalue vectors here; adapters from
 numeric matrices live next to the samplers that need them.
 """
@@ -251,6 +255,13 @@ def truncated_pfq_restricted(
     return pfq(spec, x, trunc=trunc, max_first_part=max_first_part)
 
 
+def _scaled(res: SeriesResult, scale: float) -> SeriesResult:
+    """``res`` with its value multiplied by ``scale``; truncation metadata kept."""
+    value = scale * res.value
+    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged,
+                        math.log(value) if value > 0 else None)
+
+
 def kummer_1f1(
     a: float,
     c: float,
@@ -269,15 +280,7 @@ def kummer_1f1(
     rhs_spec = HypergeomSpec((c - a,), (c,), algebra, sx.m)
     lhs = pfq(lhs_spec, sx, trunc)
     inner = pfq(rhs_spec, sx.scaled(-1.0), trunc)
-    scale = math.exp(sx.trace)
-    rhs = SeriesResult(
-        scale * inner.value,
-        inner.degrees_used,
-        inner.last_term_ratio,
-        inner.converged,
-        (math.log(scale * inner.value) if scale * inner.value > 0 else None),
-    )
-    return lhs, rhs
+    return lhs, _scaled(inner, math.exp(sx.trace))
 
 
 def euler_2f1(
@@ -307,15 +310,10 @@ def euler_2f1(
             "Pfaff-transformed series does not converge here"
         )
     logdet = math.fsum(math.log1p(-lam) for lam in sx.eigenvalues)
-    inner1 = pfq(HypergeomSpec((c - a, b), (c,), algebra, sx.m), u, trunc)
-    v1 = math.exp(-b * logdet) * inner1.value
-    pfaff = SeriesResult(v1, inner1.degrees_used, inner1.last_term_ratio, inner1.converged,
-                         math.log(v1) if v1 > 0 else None)
-
-    inner2 = pfq(HypergeomSpec((c - a, c - b), (c,), algebra, sx.m), sx, trunc)
-    v2 = math.exp((c - a - b) * logdet) * inner2.value
-    euler = SeriesResult(v2, inner2.degrees_used, inner2.last_term_ratio, inner2.converged,
-                         math.log(v2) if v2 > 0 else None)
+    pfaff = _scaled(pfq(HypergeomSpec((c - a, b), (c,), algebra, sx.m), u, trunc),
+                    math.exp(-b * logdet))
+    euler = _scaled(pfq(HypergeomSpec((c - a, c - b), (c,), algebra, sx.m), sx, trunc),
+                    math.exp((c - a - b) * logdet))
     return direct, pfaff, euler
 
 
@@ -340,7 +338,8 @@ def pfq_batch(
     With ``y_eigs`` set, evaluates the two-argument series with that fixed
     second argument instead.  Used by the Monte Carlo harness, where
     per-sample adaptive truncation would break vectorization; callers check
-    ``max_last_ratio``.
+    ``max_last_ratio``.  The loop is its own rather than :func:`_run_series`:
+    it has no stop rule and sums arrays, not floats.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.m:
@@ -401,6 +400,7 @@ def pfq_positive_m2(
     ``log_value`` is always finite.  Raises when a shifted parameter is not
     positive (use :func:`pfq` there instead).
     """
+    trunc = SeriesTruncation(max_degree, rel_tol, stall_window)
     beta = algebra.beta
     alpha = float(algebra.alpha)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
@@ -424,10 +424,14 @@ def pfq_positive_m2(
         base = par - (row - 1) * beta / 2
         return gammaln(base + kvec) - gammaln(base)
 
-    sums: list[float] = []
-    converged = False
-    k = 0
-    while k <= max_degree:
+    # The last degree's term array stays alive until the next one replaces it.
+    # Freed at each return, it lets the allocator hand the heap top back to the
+    # system and fault it in again every degree: on far tails (about a thousand
+    # degrees) that is 4x the page faults and 10-20% more time.
+    terms = None
+
+    def term_of_degree(k: int) -> float:
+        nonlocal terms
         k1 = np.arange((k + 1) // 2, k + 1, dtype=int)
         k2 = k - k1
         logcoef = np.zeros(len(k1))
@@ -471,21 +475,6 @@ def pfq_positive_m2(
             )
             terms = np.exp(logterm)
             dsum = float(np.add.reduceat(terms, offsets).sum()) if len(terms) else 0.0
+        return dsum
 
-        sums.append(dsum)
-        total = math.fsum(sums)
-        if k + 1 > stall_window and total != 0.0:
-            if all(abs(s) <= rel_tol * abs(total) for s in sums[-stall_window:]):
-                converged = True
-                break
-        k += 1
-
-    total = math.fsum(sums)
-    last_ratio = abs(sums[-1]) / abs(total) if total != 0.0 else abs(sums[-1])
-    return SeriesResult(
-        total if total < math.inf else math.inf,
-        len(sums) - 1,
-        last_ratio,
-        converged,
-        math.log(total) if total > 0 else None,
-    )
+    return _run_series(trunc, term_of_degree, max_degree)

@@ -11,6 +11,11 @@ the integrand exactly and only the polynomial factor carries variance; general
 parameters fall back to importance weights with finite-variance guards.
 Everything is seed-deterministic: estimates depend only on the identity, its
 parameters, the seed and the sample count.
+
+Every check draws its samples through :func:`_sample_values`, the one chunked
+sampler: it calls the check's ``draw(count)`` closure over chunks of at most
+``_CHUNK`` rows, so memory stays bounded and the random stream is consumed in
+the same order whatever the sample count.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .hypergeom import (
     pfq_two,
     truncated_pfq_restricted,
 )
-from .jack import get_table, jack_C, jack_C_at_identity, jack_C_batch
+from .jack import jack_C, jack_C_at_identity, jack_C_batch
 from .special import (
     WeightedGammaQuery,
     mv_beta_ln,
@@ -122,6 +127,20 @@ def _report(identity_id, params, analytic, values, z_max, rel_max) -> Verificati
     )
 
 
+def _sample_values(n_samples: int, draw) -> np.ndarray:
+    """``draw(count)`` over consecutive chunks of at most ``_CHUNK`` samples,
+    concatenated in draw order."""
+    if n_samples <= 0:
+        raise DomainError(f"n_samples must be positive, got {n_samples}")
+    chunks = []
+    done = 0
+    while done < n_samples:
+        count = min(_CHUNK, n_samples - done)
+        chunks.append(draw(count))
+        done += count
+    return np.concatenate(chunks)
+
+
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
@@ -159,21 +178,23 @@ def haar_sample(m: int, algebra: DivisionAlgebra, seed: int):
     return h[0]
 
 
+def _complex_form(algebra, h, x, y):
+    """A group batch and two diagonals as complex matrices: for beta = 4 the
+    complex embedding of the quaternion pair ``h``, with each diagonal entry
+    doubled to match; otherwise the inputs unchanged."""
+    if algebra.beta != 4:
+        return h, x, y
+    return _quat.embed(*h), np.concatenate([x, x]), np.concatenate([y, y])
+
+
 def _conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
     """Spectra of X H* Y H for diagonal X, Y over a batch of group elements."""
-    x = np.asarray(x_eigs, dtype=float)
-    y = np.asarray(y_eigs, dtype=float)
-    if algebra.beta == 4:
-        h1, h2 = h
-        e = _quat.embed(h1, h2)
-        x2 = np.concatenate([x, x])
-        y2 = np.concatenate([y, y])
-        inner = np.einsum("bji,j,bjk->bik", e.conj(), y2, e)
-        a = np.sqrt(x2)[None, :, None] * inner * np.sqrt(x2)[None, None, :]
-        return _quat.dedupe_pairs(np.linalg.eigvalsh(a))
-    inner = np.einsum("bji,j,bjk->bik", h.conj(), y, h)
+    e, x, y = _complex_form(algebra, h, np.asarray(x_eigs, dtype=float),
+                            np.asarray(y_eigs, dtype=float))
+    inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
     a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
-    return np.linalg.eigvalsh(a)[:, ::-1]
+    vals = np.linalg.eigvalsh(a)
+    return _quat.dedupe_pairs(vals) if algebra.beta == 4 else vals[:, ::-1]
 
 
 def verify_split_integral(
@@ -198,16 +219,12 @@ def verify_split_integral(
         else 1.0
     )
     rng = _rng(seed)
-    chunks = []
-    table = get_table(algebra)
-    done = 0
-    while done < n_samples:
-        b = min(_CHUNK, n_samples - done)
-        h = _haar_batch(m, algebra, rng, b)
-        spectra = _conjugated_spectra(x_eigs, y_eigs, algebra, h)
-        chunks.append(jack_C_batch(kappa, spectra, algebra, table))
-        done += b
-    values = np.concatenate(chunks)
+
+    def draw(count):
+        h = _haar_batch(m, algebra, rng, count)
+        return jack_C_batch(kappa, _conjugated_spectra(x_eigs, y_eigs, algebra, h), algebra)
+
+    values = _sample_values(n_samples, draw)
     params = ("split", kappa.parts, tuple(x_eigs), tuple(y_eigs), m, algebra.beta, n_samples, seed)
     return _report(f"split-m{m}-b{algebra.beta}-k{''.join(map(str, kappa.parts))}",
                    params, analytic, values, z_max, rel_max)
@@ -392,17 +409,14 @@ def verify_laplace_jack(
     sampler = ConeSampler(m, algebra, a0, tuple(z))
     log_w0 = sampler.log_norm()
     rng = _rng(seed)
-    table = get_table(algebra)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        x, logdet = sampler.sample(rng, bsz)
+
+    def draw(count):
+        x, logdet = sampler.sample(rng, count)
         spectra = _eigs_times_diag(x, r, logdet_x=logdet if np.all(r > 0) else None)
-        cvals = jack_C_batch(kappa, spectra, algebra, table)
-        chunks.append(np.exp(log_w0 + (a - a0) * logdet) * cvals)
-        done += bsz
-    values = np.concatenate(chunks)
+        cvals = jack_C_batch(kappa, spectra, algebra)
+        return np.exp(log_w0 + (a - a0) * logdet) * cvals
+
+    values = _sample_values(n_samples, draw)
     params = ("laplace_jack", a, kappa.parts, tuple(r), tuple(z), m, beta, n_samples, seed, a0)
     return _report(
         f"laplace-jack-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}",
@@ -447,21 +461,15 @@ def verify_beta_jack(
     a2 = b if b > c + 0.25 else c + 0.75
     log_w0 = mv_beta_ln(m, algebra, a1, a2)
     rng = _rng(seed)
-    table = get_table(algebra)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        u = _matrix_beta1(m, algebra, a1, a2, rng, bsz)
-        if inverse_arg:
-            spectra = _eigs_times_diag(np.linalg.inv(u), r)
-        else:
-            spectra = _eigs_times_diag(u, r)
-        cvals = jack_C_batch(kappa, spectra, algebra, table)
+
+    def draw(count):
+        u = _matrix_beta1(m, algebra, a1, a2, rng, count)
+        spectra = _eigs_times_diag(np.linalg.inv(u) if inverse_arg else u, r)
+        cvals = jack_C_batch(kappa, spectra, algebra)
         logw = (a - a1) * _logdet_h(u) + (b - a2) * _logdet_h(np.eye(m)[None] - u)
-        chunks.append(np.exp(log_w0 + logw) * cvals)
-        done += bsz
-    values = np.concatenate(chunks)
+        return np.exp(log_w0 + logw) * cvals
+
+    values = _sample_values(n_samples, draw)
     params = ("beta_jack", a, b, kappa.parts, tuple(r), m, beta, inverse_arg, n_samples, seed)
     tag = "inv" if inverse_arg else "fwd"
     return _report(
@@ -553,9 +561,11 @@ def verify_radial_kernel(
         raise DomainError("the sampler needs a > (m-1)*beta/2; tighter domains are "
                           "exercised by verify_laplace_jack")
     rng = _rng(seed)
-    table = get_table(algebra)
-    chunks = []
-    done = 0
+
+    def jack_values(x):
+        spectra = _eigs_times_diag(np.linalg.inv(x) if inverse_arg else x, u)
+        return jack_C_batch(kappa, spectra, algebra)
+
     if f_id == "pareto":
         q0 = beta * (a * m + eta) - a * m
         if q0 <= 0.25:
@@ -568,39 +578,27 @@ def verify_radial_kernel(
             - mv_gamma_ln(m, algebra, a)
         )
         sampler = ConeSampler(m, algebra, a, tuple(np.ones(m)))
-        while done < n_samples:
-            bsz = min(_CHUNK, n_samples - done)
-            s, _ = sampler.sample(rng, bsz)
-            g = rng.gamma(q0, size=bsz)
+
+        def draw(count):
+            s, _ = sampler.sample(rng, count)
+            g = rng.gamma(q0, size=count)
             scale = eta / (2.0 * g)
             x = s * scale[:, None, None] / np.sqrt(np.outer(z, z))[None]
-            spectra = (
-                _eigs_times_diag(np.linalg.inv(x), u)
-                if inverse_arg
-                else _eigs_times_diag(x, u)
-            )
-            cvals = jack_C_batch(kappa, spectra, algebra, table)
-            chunks.append(math.exp(-log_c0) * cvals)
-            done += bsz
+            return math.exp(-log_c0) * jack_values(x)
     else:
         sampler = ConeSampler(m, algebra, a, tuple(z))
         log_w0 = sampler.log_norm()
-        while done < n_samples:
-            bsz = min(_CHUNK, n_samples - done)
-            x, _ = sampler.sample(rng, bsz)
-            spectra = (
-                _eigs_times_diag(np.linalg.inv(x), u)
-                if inverse_arg
-                else _eigs_times_diag(x, u)
-            )
-            cvals = jack_C_batch(kappa, spectra, algebra, table)
+
+        def draw(count):
+            x, _ = sampler.sample(rng, count)
+            cvals = jack_values(x)
             w = np.exp(log_w0)
             if f_id == "exp_power":
                 tr_xz = np.einsum("bii->b", x * z[None, None, :]).real
                 w = w * tr_xz**j_power
-            chunks.append(w * cvals)
-            done += bsz
-    values = np.concatenate(chunks)
+            return w * cvals
+
+    values = _sample_values(n_samples, draw)
     params = ("radial_kernel", f_id, a, kappa.parts, tuple(u), tuple(z), m, beta,
               inverse_arg, eta, j_power, n_samples, seed)
     tag = "inv" if inverse_arg else "fwd"
@@ -652,21 +650,16 @@ def verify_beta2_jack(
     a2 = b if b > c + 0.25 else c + 0.75
     log_w0 = mv_beta_ln(m, algebra, a1, a2)
     rng = _rng(seed)
-    table = get_table(algebra)
     eye = np.eye(m)[None]
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        x = _matrix_beta2(m, algebra, a1, a2, rng, bsz)
-        spectra = (
-            _eigs_times_diag(np.linalg.inv(x), r) if variant == "r1" else _eigs_times_diag(x, r)
-        )
-        cvals = jack_C_batch(kappa, spectra, algebra, table)
+
+    def draw(count):
+        x = _matrix_beta2(m, algebra, a1, a2, rng, count)
+        spectra = _eigs_times_diag(np.linalg.inv(x) if variant == "r1" else x, r)
+        cvals = jack_C_batch(kappa, spectra, algebra)
         logw = (a - a1) * _logdet_h(x) + ((a1 + a2) - (a + b)) * _logdet_h(eye + x)
-        chunks.append(np.exp(log_w0 + logw) * cvals)
-        done += bsz
-    values = np.concatenate(chunks)
+        return np.exp(log_w0 + logw) * cvals
+
+    values = _sample_values(n_samples, draw)
     params = ("beta2_jack", variant, a, b, kappa.parts, tuple(r), m, beta, n_samples, seed)
     return _report(
         f"beta2-{variant}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}-b{b:g}",
@@ -713,15 +706,12 @@ def verify_incomplete(
         series = pfq(HypergeomSpec((a,), (a + c + 1,), algebra, m), -marg)
         analytic = math.exp(mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(om).sum())) * series.value
         log_w0 = mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(om).sum())
-        chunks = []
-        done = 0
-        while done < n_samples:
-            bsz = min(_CHUNK, n_samples - done)
-            u = _matrix_beta1(m, algebra, a, c + 1, rng, bsz)
+
+        def draw(count):
+            u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
             tr = np.einsum("bii->b", u * marg[None, None, :]).real
-            chunks.append(np.exp(log_w0) * np.exp(-tr))
-            done += bsz
-        values = np.concatenate(chunks)
+            return np.exp(log_w0) * np.exp(-tr)
+
         identity = f"incgamma-lower-m{m}-b{beta}-a{a:g}"
         params = (kind, a, tuple(lam), tuple(om), m, beta, n_samples, seed)
 
@@ -740,16 +730,12 @@ def verify_incomplete(
         log_w0 = mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(xi).sum())
         root = np.sqrt(xi)
         eye = np.eye(m)[None]
-        chunks = []
-        done = 0
-        while done < n_samples:
-            bsz = min(_CHUNK, n_samples - done)
-            u = _matrix_beta1(m, algebra, a, c + 1, rng, bsz)
+
+        def draw(count):
+            u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
             y = root[None, :, None] * u * root[None, None, :]
-            logw = (b - c - 1) * _logdet_h(eye - y)
-            chunks.append(np.exp(log_w0 + logw))
-            done += bsz
-        values = np.concatenate(chunks)
+            return np.exp(log_w0 + (b - c - 1) * _logdet_h(eye - y))
+
         identity = f"incbeta-m{m}-b{beta}-a{a:g}-b{b:g}"
         params = (kind, a, b, tuple(xi), m, beta, n_samples, seed)
 
@@ -777,15 +763,11 @@ def verify_incomplete(
         )
         sampler = ConeSampler(m, algebra, c + 1, tuple(marg))
         eye = np.eye(m)[None]
-        chunks = []
-        done = 0
-        while done < n_samples:
-            bsz = min(_CHUNK, n_samples - done)
-            xr, _ = sampler.sample(rng, bsz)
-            logw = r * _logdet_h(eye + xr)
-            chunks.append(np.exp(log_w0 + logw))
-            done += bsz
-        values = np.concatenate(chunks)
+
+        def draw(count):
+            xr, _ = sampler.sample(rng, count)
+            return np.exp(log_w0 + r * _logdet_h(eye + xr))
+
         identity = f"incgamma-upper-m{m}-b{beta}-a{a:g}"
         params = (kind, a, tuple(lam), tuple(om), m, beta, n_samples, seed)
 
@@ -794,7 +776,7 @@ def verify_incomplete(
             f"kind must be gamma_lower, beta or gamma_upper, got {kind!r}"
         )
 
-    return _report(identity, params, analytic, values, z_max, rel_max)
+    return _report(identity, params, analytic, _sample_values(n_samples, draw), z_max, rel_max)
 
 
 # ---------------------------------------------------------------------------
@@ -868,14 +850,10 @@ def verify_laplace_hypergeom(
     sampler = ConeSampler(m, algebra, a, tuple(z))
     log_w0 = sampler.log_norm()
     rng = _rng(seed)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        x, _ = sampler.sample(rng, bsz)
-        spectra = (
-            _eigs_times_diag(np.linalg.inv(x), u) if inverse_arg else _eigs_times_diag(x, u)
-        )
+
+    def draw(count):
+        x, _ = sampler.sample(rng, count)
+        spectra = _eigs_times_diag(np.linalg.inv(x) if inverse_arg else x, u)
         if not upper and not lower and not two_arg:
             fvals = np.exp(spectra.sum(axis=1))
         elif int_term is not None:
@@ -889,9 +867,9 @@ def verify_laplace_hypergeom(
                 degree = min(200, degree * 2)
                 ev = pfq_batch(int_spec, spectra, degree, y_eigs=y)
             fvals = ev.values
-        chunks.append(np.exp(log_w0) * fvals)
-        done += bsz
-    values = np.concatenate(chunks)
+        return np.exp(log_w0) * fvals
+
+    values = _sample_values(n_samples, draw)
     params = ("laplace_hypergeom", upper, lower, a, tuple(u), tuple(z), m, beta,
               inverse_arg, n_samples, seed)
     tag = "inv" if inverse_arg else "fwd"
@@ -922,15 +900,12 @@ def verify_euler_1f1_integral(
     series = pfq(HypergeomSpec((a,), (cpar,), algebra, m), x)
     analytic = series.value
     rng = _rng(seed)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        u = _matrix_beta1(m, algebra, a, cpar - a, rng, bsz)
-        tr = np.einsum("bii->b", u * x[None, None, :]).real
-        chunks.append(np.exp(tr))
-        done += bsz
-    values = np.concatenate(chunks)
+
+    def draw(count):
+        u = _matrix_beta1(m, algebra, a, cpar - a, rng, count)
+        return np.exp(np.einsum("bii->b", u * x[None, None, :]).real)
+
+    values = _sample_values(n_samples, draw)
     params = ("euler_1f1", a, cpar, tuple(x), m, beta, n_samples, seed)
     return _report(f"euler-1f1-m{m}-b{beta}", params, analytic, values, z_max, rel_max)
 
@@ -965,17 +940,15 @@ def verify_stiefel_0f1(
     ).value
     root = np.sqrt(xx)
     rng = _rng(seed)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        h = _haar_batch(n, algebra, rng, bsz)
+
+    def draw(count):
+        h = _haar_batch(n, algebra, rng, count)
         diag = np.einsum("bii->bi", h[:, :m, :m])
         # trace in the algebra means the real part for the complex case
         tr = (root[None, :] * diag).sum(axis=1).real
-        chunks.append(np.exp(beta * tr))
-        done += bsz
-    values = np.concatenate(chunks)
+        return np.exp(beta * tr)
+
+    values = _sample_values(n_samples, draw)
     params = ("stiefel", tuple(xx), m, n, algebra.beta, n_samples, seed)
     return _report(f"stiefel-0f1-m{m}-n{n}-b{beta}", params, analytic, values, z_max, rel_max)
 
@@ -996,21 +969,14 @@ def verify_two_matrix_0f0(
     y = np.asarray(y_eigs, dtype=float)
     analytic = pfq_two(HypergeomSpec((), (), algebra, m), x, y).value
     rng = _rng(seed)
-    chunks = []
-    done = 0
-    while done < n_samples:
-        bsz = min(_CHUNK, n_samples - done)
-        h = _haar_batch(m, algebra, rng, bsz)
-        if algebra.beta == 4:
-            e = _quat.embed(h[0], h[1])
-            x2 = np.concatenate([x, x])
-            y2 = np.concatenate([y, y])
-            tr = 0.5 * np.einsum("i,bij,j,bij->b", x2, e, y2, e.conj()).real
-        else:
-            tr = np.einsum("i,bij,j,bij->b", x, h, y, h.conj()).real
-        chunks.append(np.exp(tr))
-        done += bsz
-    values = np.concatenate(chunks)
+
+    def draw(count):
+        e, x2, y2 = _complex_form(algebra, _haar_batch(m, algebra, rng, count), x, y)
+        tr = np.einsum("i,bij,j,bij->b", x2, e, y2, e.conj()).real
+        # the embedding counts each quaternion trace twice
+        return np.exp(0.5 * tr if algebra.beta == 4 else tr)
+
+    values = _sample_values(n_samples, draw)
     params = ("two_matrix_0f0", tuple(x), tuple(y), m, algebra.beta, n_samples, seed)
     return _report(f"two-matrix-0f0-m{m}-b{algebra.beta}", params, analytic, values, z_max, rel_max)
 

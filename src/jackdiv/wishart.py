@@ -200,24 +200,30 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: Division
     return res.log_value, res.converged
 
 
-def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray,
-                                trunc: SeriesTruncation | None) -> float:
-    """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, using the
-    exponentially-weighted positive series (the numerically stable form)."""
+def _cdf_prefactor(model: WishartModel, t: np.ndarray) -> tuple[float, float, float]:
+    """(c1, q, log prefactor) of P(S < Omega) = prefactor * 1F1(beta n / 2; q;
+    -(beta/2) t) for the spectrum t of Omega Sigma^{-1}, with c1 = q - beta n / 2."""
     m, n, beta = model.m, model.n, model.beta
     alg = model.algebra
     c1 = (m - 1) * beta / 2 + 1
     q = (n + m - 1) * beta / 2 + 1
-    arg = (beta / 2.0) * t
     log_pref = (
         mv_gamma_ln(m, alg, c1)
         - mv_gamma_ln(m, alg, q)
         - (beta * m * n / 2) * math.log(2.0 / beta)
         + (beta * n / 2) * float(np.log(t).sum())
-        - float(arg.sum())
     )
-    log_series, _ = _log_1f1_positive(c1, q, arg, alg, trunc)
-    return math.exp(log_pref + log_series)
+    return c1, q, log_pref
+
+
+def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray,
+                                trunc: SeriesTruncation | None) -> float:
+    """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, using the
+    exponentially-weighted positive series (the numerically stable form)."""
+    c1, q, log_pref = _cdf_prefactor(model, t)
+    arg = (model.beta / 2.0) * t
+    log_series, _ = _log_1f1_positive(c1, q, arg, model.algebra, trunc)
+    return math.exp(log_pref - float(arg.sum()) + log_series)
 
 
 def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation | None = None) -> float:
@@ -250,19 +256,11 @@ def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None
     t = x / np.asarray(model.sigma_eigs)
     if transformed:
         return _cdf_via_transformed_series(model, t, trunc)
-    m, n, beta = model.m, model.n, model.beta
-    alg = model.algebra
-    c1 = (m - 1) * beta / 2 + 1
-    q = (n + m - 1) * beta / 2 + 1
-    log_pref = (
-        mv_gamma_ln(m, alg, c1)
-        - mv_gamma_ln(m, alg, q)
-        - (beta * m * n / 2) * math.log(2.0 / beta)
-        + (beta * n / 2) * float(np.log(t).sum())
-    )
-    arg = -(beta / 2.0) * t
+    _, q, log_pref = _cdf_prefactor(model, t)
+    beta = model.beta
     use = trunc or SeriesTruncation(max_degree=100, rel_tol=1e-12)
-    res = pfq(HypergeomSpec((beta * n / 2,), (q,), alg, m), arg, use)
+    res = pfq(HypergeomSpec((beta * model.n / 2,), (q,), model.algebra, model.m),
+              -(beta / 2.0) * t, use)
     if not res.converged:
         warnings.warn(
             f"untransformed series not converged at degree {res.degrees_used}",

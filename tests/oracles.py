@@ -19,16 +19,23 @@ from jackdiv.core import DivisionAlgebra, Partition, conjugate, dominance_leq, h
 
 
 def brute_force_partitions(k: int, max_parts: int, max_first_part: int | None = None):
-    """Generate-and-filter enumeration of partitions of k (exponential; small k)."""
+    """Generate-and-filter enumeration of partitions of k.
+
+    Every composition of k with at most ``max_parts`` parts is one subset of
+    the k - 1 cut points between k unit boxes; the non-increasing ones within
+    ``max_first_part`` are the partitions.  At most 2^(k-1) candidates, so
+    small k only.
+    """
     if k == 0:
         return [()]
     cap = k if max_first_part is None else min(k, max_first_part)
-    found = set()
-    for cuts in itertools.product(range(cap, 0, -1), repeat=max_parts):
-        for length in range(1, max_parts + 1):
-            t = cuts[:length]
-            if sum(t) == k and all(t[i] >= t[i + 1] for i in range(length - 1)):
-                found.add(t)
+    found = []
+    for n_cuts in range(min(max_parts, k)):
+        for cuts in itertools.combinations(range(1, k), n_cuts):
+            ends = (0,) + cuts + (k,)
+            t = tuple(ends[i + 1] - ends[i] for i in range(n_cuts + 1))
+            if t[0] <= cap and all(t[i] >= t[i + 1] for i in range(n_cuts)):
+                found.append(t)
     return sorted(found, key=lambda t: tuple(-v for v in t))
 
 

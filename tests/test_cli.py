@@ -79,11 +79,24 @@ class TestDiagnostics:
             main(["figures", "fig1", "--beta", "2"])
         assert exc.value.code == 2
 
+    def test_verify_has_no_beta_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "two-matrix-0f0/b1", "--quick", "--beta", "2"])
+        assert exc.value.code == 2
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("nonsense=1\n")
         code, _, err = run(capsys, "gamma", "--a", "2.0", "--config", str(cfg))
         assert code == 2 and "unknown config key" in err
+
+    def test_samples_config_key_rejected(self, tmp_path, capsys):
+        # no subcommand has a --samples flag, so the key would be ignored
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples=10\n")
+        code, out, err = run(capsys, "verify", "two-matrix-0f0/b1", "--quick",
+                             "--config", str(cfg))
+        assert code == 2 and out == "" and "unknown config key 'samples'" in err
 
 
 class TestFigures:

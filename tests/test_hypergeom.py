@@ -153,6 +153,16 @@ class TestKummerEuler:
         with pytest.raises(DomainError, match="unit ball"):
             euler_2f1(1.0, 1.0, 2.0, (0.5,), B1)
 
+    def test_nonpositive_values_have_no_log(self):
+        # 1F1(5/2; 2; -6) < 0 because Gamma(c - a) < 0 there
+        lhs, rhs = kummer_1f1(2.5, 2.0, (-6.0,), B1)
+        assert rhs.value < 0 and rhs.log_value is None
+        assert rhs.value == pytest.approx(lhs.value, rel=1e-9)
+        # 2F1(2, -3; 1; 1/3) = 1 - 2 + 1 - 4/27, and both transforms terminate
+        for r in euler_2f1(2.0, -3.0, 1.0, (1.0 / 3.0,), B1):
+            assert r.value == pytest.approx(-4.0 / 27.0, rel=1e-12)
+            assert r.log_value is None
+
 
 class TestRestricted:
     def test_r_zero_keeps_only_empty(self):
@@ -233,6 +243,15 @@ class TestHighDegreeEngine:
     def test_rejects_nonpositive_shifts(self):
         with pytest.raises(DomainError):
             pfq_positive_m2((1.5,), (13.0,), (10.0, 5.0), DivisionAlgebra(8))
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(stall_window=0), "stall_window"),
+        (dict(rel_tol=0.0), "rel_tol"),
+        (dict(max_degree=-1), "max_degree"),
+    ])
+    def test_rejects_invalid_truncation(self, kwargs, name):
+        with pytest.raises(DomainError, match=name):
+            pfq_positive_m2((2.0,), (4.0,), (1.0, 0.5), B1, **kwargs)
 
 
 class TestBatch:

@@ -7,11 +7,13 @@ from scipy import integrate, stats
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
 from jackdiv.special import mv_beta, mv_gamma
 from jackdiv.verify import (
+    _CHUNK,
     ConeSampler,
     VerificationReport,
     _haar_batch,
     _logdet_h,
     _rng,
+    _sample_values,
     default_suite,
     haar_sample,
     verify_beta_jack,
@@ -111,6 +113,25 @@ class TestReport:
     def test_exact_zero_variance(self):
         r = VerificationReport("a", 3.0, 3.0, 0.0, 10)
         assert r.z_score == 0.0 and r.passed
+
+
+class TestSampleValues:
+    def test_chunks_concatenated_in_draw_order(self):
+        counts = []
+
+        def draw(count):
+            start = sum(counts)
+            counts.append(count)
+            return np.arange(start, start + count, dtype=float)
+
+        values = _sample_values(45_000, draw)
+        assert counts == [20_000, 20_000, 5_000]
+        assert np.array_equal(values, np.arange(45_000.0))
+
+    def test_one_call_below_chunk(self):
+        counts = []
+        values = _sample_values(_CHUNK - 1, lambda count: counts.append(count) or np.ones(count))
+        assert counts == [_CHUNK - 1] and values.size == _CHUNK - 1
 
 
 class TestDeterminism:
@@ -271,6 +292,13 @@ class TestDomainEnforcement:
         batch = np.array([np.eye(2), np.diag([1.0, -2.0])])
         with pytest.raises(DomainError, match="positive definite"):
             _logdet_h(batch)
+
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_nonpositive_sample_count(self, n_samples):
+        with pytest.raises(DomainError, match="n_samples"):
+            verify_two_matrix_0f0((0.5, 0.2), (0.3, 0.1), 2, B1, n_samples, 3)
+        with pytest.raises(DomainError, match="n_samples"):
+            _sample_values(n_samples, np.ones)
 
     def test_inverse_laplace_requires_termination(self):
         with pytest.raises(UnsupportedParameterError, match="terminating"):
