@@ -115,7 +115,10 @@ def _apply_config(args: argparse.Namespace, argv: list[str]):
             key = key.strip().replace("-", "_")
             if key not in _CONVERTERS:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in explicit or not hasattr(args, key):
+            if not hasattr(args, key):
+                raise DomainError(
+                    f"{path}:{lineno}: config key {key!r} does not apply to {args.command}")
+            if key in explicit:
                 continue
             setattr(args, key, _CONVERTERS[key](value.strip()))
 

@@ -8,7 +8,10 @@ below ``rel_tol`` times the accumulated value; non-convergence within
 
 :func:`_run_series` is the one adaptive degree loop and holds that stop rule;
 :func:`pfq`, :func:`pfq_two` and :func:`pfq_positive_m2` each hand it the sum
-of one degree's terms.  :func:`pfq_batch` sums to a fixed degree instead.
+of one degree's terms, and it keeps their ``math.fsum`` as a running sum, so
+the loop costs O(1) per degree.  :func:`pfq_batch` sums to a fixed degree
+instead.  :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work
+per partition, every term scaled by exp(-trace) so that nothing overflows.
 
 Matrix arguments are accepted only as eigenvalue vectors here; adapters from
 numeric matrices live next to the samplers that need them.
@@ -17,6 +20,8 @@ numeric matrices live next to the samplers that need them.
 from __future__ import annotations
 
 import math
+import sys
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,33 +138,76 @@ def _convergence_check(spec: HypergeomSpec, norm: float, terminating: int | None
         )
 
 
+class _RunningSum:
+    """Exact running sum, read out bit for bit as ``math.fsum`` of the addends.
+
+    Keeps the Shewchuk partials that ``math.fsum`` builds, updated one addend
+    at a time.  They never overlap, so there are at most a few dozen, and
+    reading the total after every addend costs O(1) each instead of
+    re-summing the whole list.  Non-finite addends and intermediate overflow
+    behave as in ``math.fsum``.
+    """
+
+    def __init__(self):
+        self._partials: list[float] = []
+        self._special = 0.0  # sum of the non-finite addends
+        self._inf = 0.0  # sum of the infinite ones: nan when both signs occur
+
+    def add(self, x: float):
+        x = xsave = float(x)
+        partials = []
+        for y in self._partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo != 0.0:
+                partials.append(lo)
+            x = hi
+        if x != 0.0:
+            if not math.isfinite(x):
+                if math.isfinite(xsave):
+                    raise OverflowError("intermediate overflow in fsum")
+                if math.isinf(xsave):
+                    self._inf += xsave
+                self._special += xsave
+                partials = []
+            else:
+                partials.append(x)
+        self._partials = partials
+
+    def total(self) -> float:
+        if self._special != 0.0:  # also true when it is nan
+            if math.isnan(self._inf):
+                raise ValueError("-inf + inf in fsum")
+            return self._special
+        return math.fsum(self._partials)
+
+
 def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False):
     """Shared degree loop: term_of_degree(k) -> float sum of that degree.
 
     When ``exact_finite`` the series is a finite sum by construction; every
-    degree up to ``hard_cap`` is accumulated and the result is exact.
+    degree up to ``hard_cap`` is accumulated and the result is exact.  The
+    total is ``math.fsum`` of the degree sums, kept as a running sum.
     """
-    sums: list[float] = []
-    converged = False
-    k = 0
-    while k <= hard_cap:
-        sums.append(term_of_degree(k))
+    running = _RunningSum()
+    recent = deque(maxlen=trunc.stall_window)
+    converged = exact_finite
+    for k in range(hard_cap + 1):
+        dsum = term_of_degree(k)
+        running.add(dsum)
+        recent.append(dsum)
         if not exact_finite:
-            total = math.fsum(sums)
-            w = trunc.stall_window
-            if k + 1 > w and total != 0.0:
-                recent = sums[-w:]
+            total = running.total()
+            if k + 1 > trunc.stall_window and total != 0.0:
                 if all(abs(s) <= trunc.rel_tol * abs(total) for s in recent):
                     converged = True
                     break
-        k += 1
-    total = math.fsum(sums)
-    last_ratio = abs(sums[-1]) / abs(total) if total != 0.0 else abs(sums[-1])
-    degrees = len(sums) - 1
-    if exact_finite:
-        converged = True
+    total = running.total()
+    last_ratio = abs(dsum) / abs(total) if total != 0.0 else abs(dsum)
     log_value = math.log(total) if total > 0.0 else None
-    return SeriesResult(total, degrees, last_ratio, converged, log_value)
+    return SeriesResult(total, k, last_ratio, converged, log_value)
 
 
 def pfq(
@@ -373,15 +421,51 @@ def pfq_batch(
 #
 # The generic evaluator prices strip coefficients per (partition, predecessor)
 # pair, which is wasteful once thousands of degrees are needed (far tails of
-# eigenvalue distribution functions).  For m = 2 the strip coefficient has a
-# closed form in log space, so each degree costs a handful of vector ops.
+# eigenvalue distribution functions).  For m = 2 the strip sum has a closed
+# form.  With g = 1/alpha = beta/2, n = k1 - k2 and r = t2/t1 <= 1,
+#
+#   chat_(k1,k2)(t1, t2) = t1^k1 t2^k2 * Gamma(g) (g + n) c_n(r)
+#                          / (Gamma(g + k1 + 1) k2!),
+#   c_n(r) = sum_{i=0}^{n} a_{n-i} a_i r^i,   a_i = (g)_i / i!,
+#
+# which is the sum over the interlacing mu1 = k2 + j of the per-pair strip
+# coefficients (substitute j = mu1 - k2 in their product form).  The row
+# polynomials c_n come from one convolution, and the Pochhammer ratio splits
+# into a row-1 factor of k1 and a row-2 factor of k2, so every table is a
+# vector indexed by a part size or by n, built once per call and regrown by
+# doubling only when a degree outruns it.  Each degree is then three slices,
+# one exp and one sum over its floor(k/2) + 1 partitions: O(1) work per
+# partition, where pricing every (kappa, mu1) pair costs O(k) per partition.
+#
+# Every term carries the factor exp(-(t1 + t2)).  For 0 < a <= c the
+# Pochhammer ratio is at most 1, so the scaled terms sum to at most
+# 0F0 * exp(-tr) = 1 and no degree sum overflows, however far the tail.
 # ---------------------------------------------------------------------------
 
 
-def _log_phi_table(alpha: float, n_max: int) -> np.ndarray:
-    """log of prod_{t=0}^{n-1} (1 + alpha t) for n = 0..n_max."""
-    n = np.arange(n_max + 1, dtype=float)
-    return n * math.log(alpha) + gammaln(1.0 / alpha + n) - gammaln(1.0 / alpha)
+def _m2_log_tables(upper, lower, t1: float, t2: float, beta: int, size: int):
+    """(row1, row2, rows_n) for degrees 0..size: the logs of the three factors
+    of a scaled term, the parts of log chat and of the Pochhammer ratio that
+    depend on k1 only (with -tr), on k2 only, and on n = k1 - k2 only."""
+    g = beta / 2.0
+    i = np.arange(size + 1, dtype=float)
+    poch1 = np.zeros(size + 1)
+    poch2 = np.zeros(size + 1)
+    for par, sign in [(a, 1.0) for a in upper] + [(b, -1.0) for b in lower]:
+        poch1 += sign * (gammaln(par + i) - gammaln(par))
+        poch2 += sign * (gammaln(par - g + i) - gammaln(par - g))
+    row1 = i * math.log(t1) - (t1 + t2) + poch1 + gammaln(g) - gammaln(g + 1.0 + i)
+    if t2 > 0.0:
+        row2 = i * math.log(t2) + poch2 - gammaln(1.0 + i)
+    else:  # only k2 = 0 survives
+        row2 = np.full(size + 1, -math.inf)
+        row2[0] = 0.0
+    a = np.exp(gammaln(g + i) - gammaln(g) - gammaln(1.0 + i))
+    c = np.convolve(a, a * (t2 / t1) ** i)[: size + 1]
+    return row1, row2, np.log(g + i) + np.log(c)
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def pfq_positive_m2(
@@ -396,13 +480,16 @@ def pfq_positive_m2(
     """One-argument series for m = 2 with nonnegative eigenvalues and positive
     shifted parameters, stable to very high degree.
 
-    All terms are positive, so the accumulated value is exact to rounding and
-    ``log_value`` is always finite.  Raises when a shifted parameter is not
-    positive (use :func:`pfq` there instead).
+    Costs O(1) per partition (see the comment block above).  Degree sums are
+    scaled by exp(-(t1 + t2)), so for 0 < a <= c they never overflow, and all
+    terms are positive, so ``log_value`` is finite and exact to rounding;
+    ``value`` is ``inf`` once the function itself leaves the float range.
+    The stop rule and the returned truncation metadata are those of
+    :func:`_run_series`.  Raises when a shifted parameter is not positive
+    (use :func:`pfq` there instead).
     """
     trunc = SeriesTruncation(max_degree, rel_tol, stall_window)
     beta = algebra.beta
-    alpha = float(algebra.alpha)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
         raise DomainError("the high-degree engine requires nonnegative eigenvalues")
@@ -416,65 +503,27 @@ def pfq_positive_m2(
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
 
-    logphi = _log_phi_table(alpha, max_degree + 2)
-    logt1 = math.log(t1)
-    logt2 = math.log(t2) if t2 > 0 else -math.inf
-
-    def row_logpoch(par: float, kvec: np.ndarray, row: int) -> np.ndarray:
-        base = par - (row - 1) * beta / 2
-        return gammaln(base + kvec) - gammaln(base)
-
-    # The last degree's term array stays alive until the next one replaces it.
-    # Freed at each return, it lets the allocator hand the heap top back to the
-    # system and fault it in again every degree: on far tails (about a thousand
-    # degrees) that is 4x the page faults and 10-20% more time.
-    terms = None
+    tables = ()
 
     def term_of_degree(k: int) -> float:
-        nonlocal terms
-        k1 = np.arange((k + 1) // 2, k + 1, dtype=int)
-        k2 = k - k1
-        logcoef = np.zeros(len(k1))
-        for par in upper:
-            logcoef += row_logpoch(par, k1.astype(float), 1)
-            logcoef += row_logpoch(par, k2.astype(float), 2)
-        for par in lower:
-            logcoef -= row_logpoch(par, k1.astype(float), 1)
-            logcoef -= row_logpoch(par, k2.astype(float), 2)
+        nonlocal tables
+        if not tables or k >= len(tables[0]):
+            tables = _m2_log_tables(upper, lower, t1, t2, beta, min(max_degree, max(64, 2 * k)))
+        row1, row2, rows_n = tables
+        h = k // 2  # k2 = 0..h, so k1 = k..k - h and n = k, k - 2, ...
+        logs = row1[k - h : k + 1][::-1] + row2[: h + 1] + rows_n[k::-2]
+        return float(np.exp(logs).sum())
 
-        if t2 == 0.0:
-            # only mu1 = k1 = k with k2 = 0 contributes
-            chat = np.where(k2 == 0, np.exp(k1 * logt1 - gammaln(k1 + 1.0)), 0.0)
-            dsum = float(np.dot(np.exp(logcoef), chat))
-        else:
-            # flatten (kappa, mu1) pairs; segments are contiguous per kappa
-            counts = k1 - k2 + 1
-            offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            idx = np.repeat(np.arange(len(k1)), counts)
-            mu1 = np.concatenate([np.arange(b, a + 1) for a, b in zip(k1, k2)]) if len(k1) else np.array([], dtype=int)
-            K1 = k1[idx]
-            K2 = k2[idx]
-            logg = (
-                K2 * math.log(alpha)
-                + gammaln(mu1 + 1.0)
-                - gammaln(mu1 - K2 + 1.0)
-                - gammaln(K2 + 1.0)
-                - gammaln(K1 - mu1 + 1.0)
-                + logphi[mu1 - K2]
-                - logphi[K1 + 1]
-                + logphi[K1 - K2 + 1]
-                - logphi[K1 - K2]
-                + logphi[K1 - mu1]
-            )
-            logterm = (
-                mu1 * logt1
-                - gammaln(mu1 + 1.0)
-                + np.where(k - mu1 > 0, (k - mu1) * logt2, 0.0)
-                + logg
-                + logcoef[idx]
-            )
-            terms = np.exp(logterm)
-            dsum = float(np.add.reduceat(terms, offsets).sum()) if len(terms) else 0.0
-        return dsum
-
-    return _run_series(trunc, term_of_degree, max_degree)
+    res = _run_series(trunc, term_of_degree, max_degree)
+    if res.log_value is None:
+        raise DomainError(
+            f"every term up to degree {res.degrees_used} underflows after scaling by "
+            f"exp(-{t1 + t2:g}); max_degree is far below the trace"
+        )
+    tr = t1 + t2
+    log_value = res.log_value + tr
+    if tr < _LOG_FLOAT_MAX:
+        value = res.value * math.exp(tr)
+    else:
+        value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)

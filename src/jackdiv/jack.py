@@ -11,10 +11,10 @@ A shape kappa of length exactly ``n`` can only come from predecessors mu with
 mu_n = 0, since the other n - 1 variables carry at most n - 1 parts; these are
 kappa's *closed* strips.  A stage on more variables than len(kappa) also reads
 the *open* strips (mu_n > 0).  Coefficients depend only on (partition,
-predecessor, alpha), are computed in exact rational arithmetic for moderate
-weights, and are memoized in a :class:`JackTable` split the same way, so a
-whole series evaluation prices each coefficient once and never prices a strip
-no stage reads.
+predecessor, alpha), are computed exactly (integer hook products, rounded
+once) for moderate weights, and are memoized in a :class:`JackTable` split
+the same way, so a whole series evaluation prices each coefficient once and
+never prices a strip no stage reads.
 
 Internally everything is carried in the normalization ``chat = C / k!`` which
 keeps magnitudes representable at high degree; the public functions convert to
@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -39,8 +38,9 @@ from .core import (
     hook_product,
 )
 
-# Exact rational strip coefficients are used up to this weight; beyond it the
-# same products are formed in floating point (relative error ~1e-13).
+# Exact strip coefficients (integer hook products, one correctly rounded
+# division) are used up to this weight; beyond it the same products are formed
+# in floating point (relative error ~1e-13).
 RATIONAL_DEGREE_CUTOFF = 20
 
 
@@ -120,38 +120,36 @@ def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
     return out
 
 
-def _strip_coefficient(kappa: tuple[int, ...], mu: tuple[int, ...], alpha):
-    """Coefficient g in chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g.
+def _strip_coefficient(kappa: tuple[int, ...], mu: tuple[int, ...], beta: int) -> float:
+    """Coefficient g in chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g,
+    correctly rounded.
 
     g = alpha^s * prod_{cells of mu} h~_mu / prod_{cells of kappa} h~_kappa,
     where at a cell in column j the hook h~ is the lower hook when kappa and
-    mu have equal column length there and the upper hook otherwise.  Works for
-    Fraction or float ``alpha``.
+    mu have equal column length there and the upper hook otherwise.  With
+    alpha = 2/beta each hook is an integer H over beta: beta (leg + 1) + 2 arm
+    (lower) or beta leg + 2 (arm + 1) (upper).  mu has s cells fewer than
+    kappa, so g = 2^s prod H_mu / prod H_kappa, and int / int true division
+    rounds that rational correctly.
     """
     s = sum(kappa) - sum(mu)
     kc = _conjugate_counts(kappa)
     mc = _conjugate_counts(mu)
     mc += [0] * (len(kc) - len(mc))
 
-    g = alpha**s
+    def hooks(parts, counts) -> int:
+        prod = 1
+        for i, row in enumerate(parts, start=1):
+            for j in range(1, row + 1):
+                arm = row - j
+                leg = counts[j - 1] - i
+                if kc[j - 1] == mc[j - 1]:
+                    prod *= beta * (leg + 1) + 2 * arm
+                else:
+                    prod *= beta * leg + 2 * (arm + 1)
+        return prod
 
-    for i, row in enumerate(mu, start=1):
-        for j in range(1, row + 1):
-            arm = row - j
-            leg = mc[j - 1] - i
-            if kc[j - 1] == mc[j - 1]:
-                g *= leg + 1 + alpha * arm
-            else:
-                g *= leg + alpha * (arm + 1)
-    for i, row in enumerate(kappa, start=1):
-        for j in range(1, row + 1):
-            arm = row - j
-            leg = kc[j - 1] - i
-            if kc[j - 1] == mc[j - 1]:
-                g /= leg + 1 + alpha * arm
-            else:
-                g /= leg + alpha * (arm + 1)
-    return g
+    return 2**s * hooks(mu, mc) / hooks(kappa, kc)
 
 
 @lru_cache(maxsize=200_000)
@@ -184,7 +182,7 @@ class JackTable:
     Entries are immutable once computed; lookups after the first return the
     identical float objects, and insertion is lock-protected so concurrent
     evaluations from several threads see a consistent cache.  Coefficients of
-    weight up to RATIONAL_DEGREE_CUTOFF are priced in exact rationals; higher
+    weight up to RATIONAL_DEGREE_CUTOFF are priced exactly; higher
     weights use vectorized float hook products (paired, so relative error
     stays near rounding level).
     """
@@ -219,11 +217,8 @@ class JackTable:
     def _price(self, kappa: tuple[int, ...], preds) -> tuple:
         k = sum(kappa)
         if k <= RATIONAL_DEGREE_CUTOFF:
-            alpha = self.algebra.alpha
-            return tuple(
-                (mu, k - sum(mu), float(_strip_coefficient(kappa, mu, alpha)))
-                for mu in preds
-            )
+            beta = self.algebra.beta
+            return tuple((mu, k - sum(mu), _strip_coefficient(kappa, mu, beta)) for mu in preds)
         g, s = self._float_coefficients(kappa, preds)
         return tuple((mu, int(si), gi) for mu, si, gi in zip(preds, s, g))
 

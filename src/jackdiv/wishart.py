@@ -32,6 +32,11 @@ from .hypergeom import (
 from .special import mv_gamma_ln
 
 
+# Largest excess over 1 of a computed CDF that is taken as rounding and
+# returned as 1.0; a larger one raises DomainError.
+CDF_ROUNDING = 1e-10
+
+
 class ConvergenceWarning(UserWarning):
     """A truncated series did not meet its convergence target."""
 
@@ -223,7 +228,13 @@ def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray,
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
     log_series, _ = _log_1f1_positive(c1, q, arg, model.algebra, trunc)
-    return math.exp(log_pref - float(arg.sum()) + log_series)
+    log_cdf = log_pref - float(arg.sum()) + log_series
+    if log_cdf > 0.0:
+        if log_cdf > math.log1p(CDF_ROUNDING):
+            raise DomainError(f"distribution function evaluates to exp({log_cdf:.6g}), "
+                              f"above 1 by more than the rounding allowance {CDF_ROUNDING:g}")
+        return 1.0
+    return math.exp(log_cdf)
 
 
 def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation | None = None) -> float:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jackdiv import cli
 from jackdiv.cli import main
 from jackdiv.core import DivisionAlgebra, Partition
 from jackdiv.hypergeom import SeriesTruncation
@@ -65,8 +66,22 @@ class TestDiagnostics:
         assert err.count("\n") == 1  # single-line diagnostic
 
     @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
-    def test_far_tail_refused_in_one_line(self, capsys, beta, x):
-        # beta 8 overflows to inf, beta 4 raises OverflowError in the series
+    def test_far_tail_prints_value(self, capsys, beta, x):
+        # once inf (beta 8) and an OverflowError inside the series (beta 4)
+        code, out, err = run(capsys, "cdf-max", "--beta", beta, "--m", "2", "--n", "4",
+                             "--sigma", "1,2", "--x", x)
+        assert code == 0 and "error" not in err
+        assert 1.0 - 1e-10 <= float(out.strip()) <= 1.0
+
+    @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
+    def test_far_tail_refused_in_one_line(self, capsys, monkeypatch, beta, x):
+        # a library returning inf or raising OverflowError is still refused
+        def failing(model, x, trunc=None):
+            if model.beta == 8:
+                return math.inf
+            raise OverflowError("intermediate overflow in fsum")
+
+        monkeypatch.setattr(cli, "cdf_lambda_max", failing)
         code, out, err = run(capsys, "cdf-max", "--beta", beta, "--m", "2", "--n", "4",
                              "--sigma", "1,2", "--x", x)
         assert code == 2
@@ -89,6 +104,16 @@ class TestDiagnostics:
         cfg.write_text("nonsense=1\n")
         code, _, err = run(capsys, "gamma", "--a", "2.0", "--config", str(cfg))
         assert code == 2 and "unknown config key" in err
+
+    def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=2\n")
+        code, out, err = run(capsys, "verify", "two-matrix-0f0/b1", "--quick",
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "config key 'beta' does not apply to verify" in errors[0]
 
     def test_samples_config_key_rejected(self, tmp_path, capsys):
         # no subcommand has a --samples flag, so the key would be ignored

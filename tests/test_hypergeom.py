@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
 from jackdiv.hypergeom import (
     HypergeomSpec,
+    _run_series,
+    _RunningSum,
     SeriesTruncation,
     euler_2f1,
     kummer_1f1,
@@ -16,7 +19,7 @@ from jackdiv.hypergeom import (
     truncated_pfq_restricted,
 )
 
-from oracles import scalar_pfq
+from oracles import pfq_positive_m2_per_pair, scalar_pfq
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 B1 = DivisionAlgebra(1)
@@ -236,6 +239,30 @@ class TestHighDegreeEngine:
         assert res.converged
         assert res.log_value == pytest.approx(78.860635, abs=1e-4)
 
+    # the fig1 series (n = 4), 1F1(beta/2 + 1; 5 beta/2 + 1; t), at t2 = 0,
+    # at t1 = t2, and out to about 300 degrees
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("t", [(3.0, 1.5), (5.0, 0.0), (7.0, 7.0), (40.0, 20.0),
+                                   (130.0, 65.0)])
+    def test_matches_per_pair_sum(self, beta, t):
+        up, lo = (beta / 2 + 1,), (5 * beta / 2 + 1,)
+        res = pfq_positive_m2(up, lo, t, DivisionAlgebra(beta))
+        assert res.converged
+        want = pfq_positive_m2_per_pair(up, lo, t, beta, res.degrees_used)
+        assert res.value == pytest.approx(want, rel=1e-13, abs=0)
+        assert res.log_value == pytest.approx(math.log(want), rel=1e-13, abs=0)
+
+    def test_log_value_finite_beyond_float_range(self):
+        # the series of cdf_lambda_max at x = 400 (beta 8, n = 4, sigma = (1, 2)),
+        # where the CDF is 1 to 20 digits: log value = trace - log prefactor
+        res = pfq_positive_m2((5.0,), (21.0,), (1600.0, 800.0), DivisionAlgebra(8))
+        assert res.converged and res.value == math.inf
+        assert res.log_value == pytest.approx(2244.8314925621535, abs=1e-9)
+
+    def test_degree_cap_far_below_trace_raises(self):
+        with pytest.raises(DomainError, match="underflows"):
+            pfq_positive_m2((5.0,), (21.0,), (1600.0, 800.0), DivisionAlgebra(8), max_degree=40)
+
     def test_rejects_negative_eigenvalues(self):
         with pytest.raises(DomainError):
             pfq_positive_m2((2.0,), (4.0,), (1.0, -0.5), B1)
@@ -252,6 +279,65 @@ class TestHighDegreeEngine:
     def test_rejects_invalid_truncation(self, kwargs, name):
         with pytest.raises(DomainError, match=name):
             pfq_positive_m2((2.0,), (4.0,), (1.0, 0.5), B1, **kwargs)
+
+
+def _cancelling(rng, n):
+    """n floats over 40 decades whose pairs nearly cancel."""
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+    y = -x * (1.0 + rng.standard_normal(n) * 1e-15)
+    seq = np.concatenate([x, y])
+    rng.shuffle(seq)
+    return [float(v) for v in seq]
+
+
+class TestRunningSum:
+    def test_every_prefix_is_fsum_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            seq = _cancelling(rng, int(rng.integers(1, 40)))
+            running = _RunningSum()
+            for i, v in enumerate(seq):
+                running.add(v)
+                assert running.total() == math.fsum(seq[: i + 1])
+
+    def test_series_total_is_fsum_of_degree_sums(self):
+        rng = np.random.default_rng(12)
+        seq = _cancelling(rng, 30)
+        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
+        assert res.value == math.fsum(seq) and res.degrees_used == len(seq) - 1
+        # with the stop rule: three sums below rel_tol end it; the total is
+        # fsum of exactly the sums read
+        seen = []
+        decaying = [1.0, -0.5, 0.25, 1e-30, -1e-31, 1e-32, 1.0]
+
+        def term(k):
+            seen.append(decaying[k])
+            return decaying[k]
+
+        res = _run_series(SeriesTruncation(max_degree=6), term, 6)
+        assert res.converged and res.degrees_used == 5 and seen == decaying[:6]
+        assert res.value == math.fsum(seen)
+
+    @pytest.mark.parametrize("seq", [
+        [1.0, math.inf, 2.0],
+        [1.0, -math.inf, -1e308],
+        [1e-300, math.nan],
+    ], ids=["inf", "-inf", "nan"])
+    def test_non_finite_like_fsum(self, seq):
+        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
+        want = math.fsum(seq)
+        assert res.value == want or (math.isnan(want) and math.isnan(res.value))
+
+    @pytest.mark.parametrize("seq, error", [
+        ([1e308, 1e308], OverflowError),
+        ([1.0, -math.inf, 1e308, 1e308], OverflowError),
+        ([1.0, math.inf, -math.inf], ValueError),
+    ])
+    def test_errors_like_fsum(self, seq, error):
+        with pytest.raises(error) as want:
+            math.fsum(seq)
+        with pytest.raises(error, match=re.escape(str(want.value))):
+            _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
 
 
 class TestBatch:

@@ -10,6 +10,7 @@ from jackdiv.jack import (
     JackTable,
     SpectralArgument,
     _interlacing_predecessors,
+    _strip_coefficient,
     get_table,
     jack_C,
     jack_C_at_identity,
@@ -17,7 +18,7 @@ from jackdiv.jack import (
     jack_J,
 )
 
-from oracles import jack_C_oracle, laplace_beltrami_fd, schur_value
+from oracles import jack_C_oracle, laplace_beltrami_fd, schur_value, strip_coefficient_fraction
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 
@@ -158,6 +159,16 @@ class TestOracle:
                     closed = jack_C_at_identity(p, m, alg)
                     direct = jack_C(p, np.ones(m), alg)
                     assert closed == pytest.approx(direct, rel=1e-10)
+
+
+class TestStripCoefficient:
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_integer_hooks_round_like_exact_fraction(self, alg):
+        for k in range(1, 13):
+            for p in enumerate_partitions(k, 4):
+                for mu in _interlacing_predecessors(p.parts):
+                    want = float(strip_coefficient_fraction(p.parts, mu, alg))
+                    assert _strip_coefficient(p.parts, mu, alg.beta) == want
 
 
 class TestStripSplit:

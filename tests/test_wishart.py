@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from jackdiv import _quat
+from jackdiv import _quat, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.wishart import (
@@ -146,6 +146,32 @@ class TestLambdaMax:
     def test_domain(self):
         with pytest.raises(DomainError):
             cdf_lambda_max(WishartModel(1, 2, (1.0,), B1), 0.0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_far_tail_finite_bounded_monotone(self, beta):
+        # every value finite and in [0, 1], no drop beyond rounding, out to
+        # x = 1000 (about 7000 degrees at beta = 8)
+        model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta))
+        grid = np.concatenate([np.geomspace(0.05, 20.0, 24), np.geomspace(25.0, 1000.0, 24)])
+        vals = [cdf_lambda_max(model, float(x)) for x in grid]
+        assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals)
+        assert all(b >= a - 1e-11 for a, b in zip(vals, vals[1:]))
+        assert vals[-1] >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("excess, outcome", [
+        (0.0, 1.0), (5e-11, 1.0), (1e-9, DomainError), (800.0, DomainError),
+    ])
+    def test_excess_over_one(self, monkeypatch, excess, outcome):
+        # log CDF = log prefactor - trace + log series, forced to `excess`
+        model = WishartModel(2, 4, (1.0, 2.0), B1)
+        trace = 0.5 * (1.0 + 0.5)
+        monkeypatch.setattr(wishart, "_cdf_prefactor", lambda model, t: (0.0, 0.0, trace))
+        monkeypatch.setattr(wishart, "_log_1f1_positive", lambda *args: (excess, True))
+        if outcome is DomainError:
+            with pytest.raises(DomainError, match="above 1"):
+                cdf_lambda_max(model, 1.0)
+        else:
+            assert cdf_lambda_max(model, 1.0) == outcome
 
 
 class TestLambdaMin:
