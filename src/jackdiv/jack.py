@@ -11,10 +11,11 @@ A shape kappa of length exactly ``n`` can only come from predecessors mu with
 mu_n = 0, since the other n - 1 variables carry at most n - 1 parts; these are
 kappa's *closed* strips.  A stage on more variables than len(kappa) also reads
 the *open* strips (mu_n > 0).  Coefficients depend only on (partition,
-predecessor, alpha), are computed exactly (integer hook products, rounded
-once) for moderate weights, and are memoized in a :class:`JackTable` split
-the same way, so a whole series evaluation prices each coefficient once and
-never prices a strip no stage reads.
+predecessor, alpha).  Each is a product over the cells of kappa of hook
+ratios that pair a cell of mu with the same cell of kappa, so every factor
+is at most one and no weight overflows.  They are memoized in a
+:class:`JackTable` split the same way, so a whole series evaluation prices
+each coefficient once and never prices a strip no stage reads.
 
 Internally everything is carried in the normalization ``chat = C / k!`` which
 keeps magnitudes representable at high degree; the public functions convert to
@@ -37,12 +38,6 @@ from .core import (
     enumerate_partitions,
     hook_product,
 )
-
-# Exact strip coefficients (integer hook products, one correctly rounded
-# division) are used up to this weight; beyond it the same products are formed
-# in floating point (relative error ~1e-13).
-RATIONAL_DEGREE_CUTOFF = 20
-
 
 @dataclass(frozen=True)
 class SpectralArgument:
@@ -84,16 +79,6 @@ def as_spectrum(x) -> SpectralArgument:
     return SpectralArgument(tuple(np.asarray(x, dtype=float).ravel()))
 
 
-def _conjugate_counts(parts: tuple[int, ...]) -> list[int]:
-    if not parts:
-        return []
-    cols = [0] * parts[0]
-    for p in parts:
-        for j in range(p):
-            cols[j] += 1
-    return cols
-
-
 def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
     """All mu with kappa_{i+1} <= mu_i <= kappa_i (horizontal strips kappa/mu).
 
@@ -120,56 +105,6 @@ def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
     return out
 
 
-def _strip_coefficient(kappa: tuple[int, ...], mu: tuple[int, ...], beta: int) -> float:
-    """Coefficient g in chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g,
-    correctly rounded.
-
-    g = alpha^s * prod_{cells of mu} h~_mu / prod_{cells of kappa} h~_kappa,
-    where at a cell in column j the hook h~ is the lower hook when kappa and
-    mu have equal column length there and the upper hook otherwise.  With
-    alpha = 2/beta each hook is an integer H over beta: beta (leg + 1) + 2 arm
-    (lower) or beta leg + 2 (arm + 1) (upper).  mu has s cells fewer than
-    kappa, so g = 2^s prod H_mu / prod H_kappa, and int / int true division
-    rounds that rational correctly.
-    """
-    s = sum(kappa) - sum(mu)
-    kc = _conjugate_counts(kappa)
-    mc = _conjugate_counts(mu)
-    mc += [0] * (len(kc) - len(mc))
-
-    def hooks(parts, counts) -> int:
-        prod = 1
-        for i, row in enumerate(parts, start=1):
-            for j in range(1, row + 1):
-                arm = row - j
-                leg = counts[j - 1] - i
-                if kc[j - 1] == mc[j - 1]:
-                    prod *= beta * (leg + 1) + 2 * arm
-                else:
-                    prod *= beta * leg + 2 * (arm + 1)
-        return prod
-
-    return 2**s * hooks(mu, mc) / hooks(kappa, kc)
-
-
-@lru_cache(maxsize=200_000)
-def _hook_cell_data(parts: tuple[int, ...], beta: int):
-    """Per-cell hook values and column indices of a partition (float alpha).
-
-    Returns (conjugate counts (int array, length parts[0]), upper hooks,
-    lower hooks, 0-based cell column indices); cells in row-major order.
-    """
-    alpha = 2.0 / beta
-    conj = np.asarray(_conjugate_counts(parts), dtype=np.int64)
-    cols = np.concatenate([np.arange(row) for row in parts]) if parts else np.zeros(0, dtype=np.int64)
-    rows = np.concatenate([np.full(row, i) for i, row in enumerate(parts)]) if parts else cols
-    arms = np.asarray(parts, dtype=np.int64)[rows] - cols - 1
-    legs = conj[cols] - rows - 1
-    upper = legs + alpha * (arms + 1)
-    lower = legs + 1 + alpha * arms
-    return conj, upper, lower, cols
-
-
 class JackTable:
     """Memoized recurrence coefficients for one division algebra.
 
@@ -181,10 +116,10 @@ class JackTable:
 
     Entries are immutable once computed; lookups after the first return the
     identical float objects, and insertion is lock-protected so concurrent
-    evaluations from several threads see a consistent cache.  Coefficients of
-    weight up to RATIONAL_DEGREE_CUTOFF are priced exactly; higher
-    weights use vectorized float hook products (paired, so relative error
-    stays near rounding level).
+    evaluations from several threads see a consistent cache.  One kernel,
+    :meth:`_price`, prices every coefficient at every weight as a product of
+    paired hook ratios, each at most one, so relative error stays near
+    rounding level and nothing overflows.
     """
 
     def __init__(self, algebra: DivisionAlgebra):
@@ -215,40 +150,40 @@ class JackTable:
         return cache[kappa]
 
     def _price(self, kappa: tuple[int, ...], preds) -> tuple:
-        k = sum(kappa)
-        if k <= RATIONAL_DEGREE_CUTOFF:
-            beta = self.algebra.beta
-            return tuple((mu, k - sum(mu), _strip_coefficient(kappa, mu, beta)) for mu in preds)
-        g, s = self._float_coefficients(kappa, preds)
-        return tuple((mu, int(si), gi) for mu, si, gi in zip(preds, s, g))
+        """(mu, s, g) for every mu in ``preds``, priced in one vectorized pass.
 
-    def _float_coefficients(self, kappa, preds):
-        """Hook-product coefficients for every predecessor at once."""
-        beta = self.algebra.beta
-        alpha = 2.0 / beta
-        k = sum(kappa)
-        kc, k_up, k_lo, k_cols = _hook_cell_data(kappa, beta)
-        width = len(kc)
-        nrows = len(kappa)
-        mmat = np.zeros((len(preds), nrows), dtype=np.int64)
+        g = prod_{c in mu} h~_mu(c) / h~_kappa(c) * prod_{c in kappa/mu} alpha / h~_kappa(c),
+        where in a column with equal lengths in kappa and mu the hook h~ is
+        the lower hook leg + 1 + alpha arm, and elsewhere the upper hook
+        leg + alpha (arm + 1).  Pairing each cell of mu with the same cell of
+        kappa makes every factor at most one, so the product never overflows
+        and loses nothing to underflow until g itself is below the normal
+        range.  Each row's product is independent of which other rows share
+        the batch.
+        """
+        alpha = 2.0 / self.algebra.beta
+        mmat = np.zeros((len(preds), len(kappa)), dtype=np.int64)
         for r, mu in enumerate(preds):
             mmat[r, : len(mu)] = mu
-        cols = np.arange(width, dtype=np.int64)
-        # column counts of each predecessor, padded to kappa's width
-        mc = (mmat[:, :, None] > cols[None, None, :]).sum(axis=1)
-        match = mc == kc[None, :]
-        # predecessor cells: (pair, row, column) tensor masked to the diagram
-        exists = mmat[:, :, None] > cols[None, None, :]
-        arms = mmat[:, :, None] - cols[None, None, :] - 1
-        legs = mc[:, None, :] - np.arange(1, nrows + 1)[None, :, None]
-        upper = legs + alpha * (arms + 1)
-        lower = legs + 1 + alpha * arms
-        chosen = np.where(match[:, None, :], lower, upper)
-        num = np.where(exists, chosen, 1.0).prod(axis=(1, 2))
-        # cells of kappa, selected per pair by the column-match flags
-        den = np.where(match[:, k_cols], k_lo[None, :], k_up[None, :]).prod(axis=1)
-        s = k - mmat.sum(axis=1)
-        return alpha**s * num / den, s
+        kmat = np.asarray(kappa, dtype=np.int64)
+        cols = np.arange(kappa[0], dtype=np.int64)
+        rows = np.arange(len(kappa), dtype=np.int64)[:, None]
+        in_kappa = kmat[:, None] > cols
+        in_mu = mmat[:, :, None] > cols
+        kc = in_kappa.sum(axis=0)
+        mc = in_mu.sum(axis=1)
+        lower = (mc == kc)[:, None, :]
+
+        def hooks(arm, leg):
+            return np.where(lower, leg + 1 + alpha * arm, leg + alpha * (arm + 1))
+
+        k_hooks = hooks(kmat[:, None] - cols - 1, kc - rows - 1)
+        mu_hooks = hooks(mmat[:, :, None] - cols - 1, mc[:, None, :] - rows - 1)
+        factors = np.divide(np.where(in_mu, mu_hooks, alpha), k_hooks,
+                            out=np.ones(mu_hooks.shape), where=in_kappa)
+        g = factors.prod(axis=(1, 2))
+        s = sum(kappa) - mmat.sum(axis=1)
+        return tuple(zip(preds, s.tolist(), g.tolist()))
 
 
 _TABLES: dict[int, JackTable] = {}

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import integrate
@@ -1007,92 +1008,81 @@ def default_suite(quick: bool = False, seed: int = 20260811,
     P_ = Partition
     cases = []
 
-    def add(label, fn):
-        cases.append((label, fn))
+    def add(label, fn, *args, **kw):
+        cases.append((label, partial(fn, *args, seed=_case_seed(seed, label),
+                                     z_max=z_max, rel_max=rel_max, **kw)))
 
-    kwargs = dict(z_max=z_max, rel_max=rel_max)
-    s = lambda label: _case_seed(seed, label)
+    add("split/m2/b1/k21", verify_split_integral,
+        P_((2, 1)), (1.0, 2.0), (3.0, 1.0), 2, REAL, n_haar)
+    add("split/m2/b2/k2", verify_split_integral,
+        P_((2,)), (1.0, 2.0), (3.0, 1.0), 2, COMPLEX, n_haar)
+    add("split/m2/b4/k21", verify_split_integral,
+        P_((2, 1)), (1.0, 2.0), (3.0, 1.0), 2, QUATERNION, n_haar)
+    add("split/m3/b1/k3", verify_split_integral,
+        P_((3,)), (1.0, 2.0, 0.5), (2.0, 1.0, 1.0), 3, REAL, n_haar)
 
-    add("split/m2/b1/k21", lambda: verify_split_integral(
-        P_((2, 1)), (1.0, 2.0), (3.0, 1.0), 2, REAL, n_haar, s("split/m2/b1/k21"), **kwargs))
-    add("split/m2/b2/k2", lambda: verify_split_integral(
-        P_((2,)), (1.0, 2.0), (3.0, 1.0), 2, COMPLEX, n_haar, s("split/m2/b2/k2"), **kwargs))
-    add("split/m2/b4/k21", lambda: verify_split_integral(
-        P_((2, 1)), (1.0, 2.0), (3.0, 1.0), 2, QUATERNION, n_haar, s("split/m2/b4/k21"), **kwargs))
-    add("split/m3/b1/k3", lambda: verify_split_integral(
-        P_((3,)), (1.0, 2.0, 0.5), (2.0, 1.0, 1.0), 3, REAL, n_haar, s("split/m3/b1/k3"), **kwargs))
+    add("laplace-jack/m1/b1", verify_laplace_jack,
+        1.3, P_((2,)), (0.8,), (1.2,), 1, REAL, n_cone)
+    add("laplace-jack/m2/b1/std", verify_laplace_jack,
+        1.7, P_((2,)), (1.0, 0.5), (1.0, 1.0), 2, REAL, n_cone)
+    add("laplace-jack/m2/b1/corrected", verify_laplace_jack,
+        0.25, P_((1, 1)), (1.0, 0.5), (1.0, 1.0), 2, REAL, n_big)
+    add("laplace-jack/m2/b2/corrected", verify_laplace_jack,
+        0.9, P_((2, 1)), (1.0, 0.5), (1.5, 1.0), 2, COMPLEX, n_big)
 
-    add("laplace-jack/m1/b1", lambda: verify_laplace_jack(
-        1.3, P_((2,)), (0.8,), (1.2,), 1, REAL, n_cone, s("laplace-jack/m1/b1"), **kwargs))
-    add("laplace-jack/m2/b1/std", lambda: verify_laplace_jack(
-        1.7, P_((2,)), (1.0, 0.5), (1.0, 1.0), 2, REAL, n_cone, s("laplace-jack/m2/b1/std"), **kwargs))
-    add("laplace-jack/m2/b1/corrected", lambda: verify_laplace_jack(
-        0.25, P_((1, 1)), (1.0, 0.5), (1.0, 1.0), 2, REAL, n_big, s("laplace-jack/m2/b1/corrected"), **kwargs))
-    add("laplace-jack/m2/b2/corrected", lambda: verify_laplace_jack(
-        0.9, P_((2, 1)), (1.0, 0.5), (1.5, 1.0), 2, COMPLEX, n_big, s("laplace-jack/m2/b2/corrected"), **kwargs))
+    add("beta-jack/fwd/m2/b2", verify_beta_jack,
+        2.0, 3.0, P_((1, 1)), (1.0, 0.7), 2, COMPLEX, False, n_cone)
+    add("beta-jack/fwd/m2/b1/corrected", verify_beta_jack,
+        0.3, 2.0, P_((1, 1)), (1.0, 0.7), 2, REAL, False, n_big)
+    add("beta-jack/inv/m2/b1", verify_beta_jack,
+        4.6, 2.0, P_((2,)), (1.0, 0.7), 2, REAL, True, n_cone)
 
-    add("beta-jack/fwd/m2/b2", lambda: verify_beta_jack(
-        2.0, 3.0, P_((1, 1)), (1.0, 0.7), 2, COMPLEX, False, n_cone, s("beta-jack/fwd/m2/b2"), **kwargs))
-    add("beta-jack/fwd/m2/b1/corrected", lambda: verify_beta_jack(
-        0.3, 2.0, P_((1, 1)), (1.0, 0.7), 2, REAL, False, n_big, s("beta-jack/fwd/m2/b1/corrected"), **kwargs))
-    add("beta-jack/inv/m2/b1", lambda: verify_beta_jack(
-        4.6, 2.0, P_((2,)), (1.0, 0.7), 2, REAL, True, n_cone, s("beta-jack/inv/m2/b1"), **kwargs))
+    add("radial/exp/inv", verify_radial_kernel,
+        "exp", 3.3, P_((1,)), (0.8, 0.4), (1.0, 1.3), 2, REAL, True, n_cone)
+    add("radial/exp-power/fwd", verify_radial_kernel,
+        "exp_power", 1.4, P_((2,)), (0.8, 0.4), (1.0, 1.3), 2, REAL, False, n_cone, j_power=1)
+    add("radial/pareto/inv", verify_radial_kernel,
+        "pareto", 3.2, P_((1,)), (0.8, 0.4), (1.0, 1.3), 2, REAL, True, n_cone, eta=4.0)
 
-    add("radial/exp/inv", lambda: verify_radial_kernel(
-        "exp", 3.3, P_((1,)), (0.8, 0.4), (1.0, 1.3), 2, REAL, True, n_cone, s("radial/exp/inv"), **kwargs))
-    add("radial/exp-power/fwd", lambda: verify_radial_kernel(
-        "exp_power", 1.4, P_((2,)), (0.8, 0.4), (1.0, 1.3), 2, REAL, False, n_cone,
-        s("radial/exp-power/fwd"), j_power=1, **kwargs))
-    add("radial/pareto/inv", lambda: verify_radial_kernel(
-        "pareto", 3.2, P_((1,)), (0.8, 0.4), (1.0, 1.3), 2, REAL, True, n_cone,
-        s("radial/pareto/inv"), eta=4.0, **kwargs))
+    add("beta2/r1/m2/b1", verify_beta2_jack,
+        5.6, 1.8, P_((1, 1)), (1.0, 0.6), 2, REAL, "r1", n_cone)
+    add("beta2/r1/m2/b1/corrected", verify_beta2_jack,
+        5.3, 0.3, P_((1, 1)), (1.0, 0.6), 2, REAL, "r1", n_big)
+    add("beta2/r2/m2/b2", verify_beta2_jack,
+        2.0, 6.1, P_((2,)), (1.0, 0.6), 2, COMPLEX, "r2", n_cone)
 
-    add("beta2/r1/m2/b1", lambda: verify_beta2_jack(
-        5.6, 1.8, P_((1, 1)), (1.0, 0.6), 2, REAL, "r1", n_cone, s("beta2/r1/m2/b1"), **kwargs))
-    add("beta2/r1/m2/b1/corrected", lambda: verify_beta2_jack(
-        5.3, 0.3, P_((1, 1)), (1.0, 0.6), 2, REAL, "r1", n_big, s("beta2/r1/m2/b1/corrected"), **kwargs))
-    add("beta2/r2/m2/b2", lambda: verify_beta2_jack(
-        2.0, 6.1, P_((2,)), (1.0, 0.6), 2, COMPLEX, "r2", n_cone, s("beta2/r2/m2/b2"), **kwargs))
+    add("incomplete/gamma-lower", verify_incomplete,
+        "gamma_lower", 2, REAL, 1.5, lambda_eigs=(1.0, 0.5), omega_eigs=(1.2, 0.8), n_samples=n_cone)
+    add("incomplete/beta", verify_incomplete,
+        "beta", 2, REAL, 1.4, b=2.2, xi_eigs=(0.55, 0.3), n_samples=n_cone)
+    add("incomplete/gamma-upper", verify_incomplete,
+        "gamma_upper", 2, REAL, 3.5, lambda_eigs=(1.0, 0.7), omega_eigs=(1.0, 0.6), n_samples=n_cone)
 
-    add("incomplete/gamma-lower", lambda: verify_incomplete(
-        "gamma_lower", 2, REAL, 1.5, lambda_eigs=(1.0, 0.5), omega_eigs=(1.2, 0.8),
-        n_samples=n_cone, seed=s("incomplete/gamma-lower"), **kwargs))
-    add("incomplete/beta", lambda: verify_incomplete(
-        "beta", 2, REAL, 1.4, b=2.2, xi_eigs=(0.55, 0.3),
-        n_samples=n_cone, seed=s("incomplete/beta"), **kwargs))
-    add("incomplete/gamma-upper", lambda: verify_incomplete(
-        "gamma_upper", 2, REAL, 3.5, lambda_eigs=(1.0, 0.7), omega_eigs=(1.0, 0.6),
-        n_samples=n_cone, seed=s("incomplete/gamma-upper"), **kwargs))
+    add("laplace-hg/0f0-to-1f0", verify_laplace_hypergeom,
+        (), (), 1.8, (0.25, 0.1), (1.3, 1.1), 2, REAL, n_samples=n_cone)
+    add("laplace-hg/1f1-to-2f1", verify_laplace_hypergeom,
+        (0.9,), (2.3,), 2.1, (0.3, 0.15), (1.4, 1.2), 2, COMPLEX, n_samples=n_haar)
+    add("laplace-hg/inv-terminating", verify_laplace_hypergeom,
+        (-2.0,), (2.7,), 3.6, (-0.4, -0.2), (1.0, 0.8), 2, REAL, inverse_arg=True, n_samples=n_cone)
+    add("laplace-hg/two-arg-0f0", verify_laplace_hypergeom,
+        (), (), 1.9, (0.3, 0.12), (1.5, 1.2), 2, COMPLEX, y_eigs=(0.7, 0.3), n_samples=n_haar // 2)
 
-    add("laplace-hg/0f0-to-1f0", lambda: verify_laplace_hypergeom(
-        (), (), 1.8, (0.25, 0.1), (1.3, 1.1), 2, REAL,
-        n_samples=n_cone, seed=s("laplace-hg/0f0-to-1f0"), **kwargs))
-    add("laplace-hg/1f1-to-2f1", lambda: verify_laplace_hypergeom(
-        (0.9,), (2.3,), 2.1, (0.3, 0.15), (1.4, 1.2), 2, COMPLEX,
-        n_samples=n_haar, seed=s("laplace-hg/1f1-to-2f1"), **kwargs))
-    add("laplace-hg/inv-terminating", lambda: verify_laplace_hypergeom(
-        (-2.0,), (2.7,), 3.6, (-0.4, -0.2), (1.0, 0.8), 2, REAL, inverse_arg=True,
-        n_samples=n_cone, seed=s("laplace-hg/inv-terminating"), **kwargs))
-    add("laplace-hg/two-arg-0f0", lambda: verify_laplace_hypergeom(
-        (), (), 1.9, (0.3, 0.12), (1.5, 1.2), 2, COMPLEX, y_eigs=(0.7, 0.3),
-        n_samples=n_haar // 2, seed=s("laplace-hg/two-arg-0f0"), **kwargs))
+    add("euler-integral/1f1", verify_euler_1f1_integral,
+        1.6, 3.4, (0.8, 0.3), 2, REAL, n_cone)
 
-    add("euler-integral/1f1", lambda: verify_euler_1f1_integral(
-        1.6, 3.4, (0.8, 0.3), 2, REAL, n_cone, s("euler-integral/1f1"), **kwargs))
+    add("stiefel/m1/b1", verify_stiefel_0f1,
+        (0.81,), 1, 2, REAL, n_haar)
+    add("stiefel/m2/b1", verify_stiefel_0f1,
+        (0.9, 0.4), 2, 4, REAL, n_haar)
+    add("stiefel/m2/b2", verify_stiefel_0f1,
+        (0.9, 0.4), 2, 4, COMPLEX, n_haar)
 
-    add("stiefel/m1/b1", lambda: verify_stiefel_0f1(
-        (0.81,), 1, 2, REAL, n_haar, s("stiefel/m1/b1"), **kwargs))
-    add("stiefel/m2/b1", lambda: verify_stiefel_0f1(
-        (0.9, 0.4), 2, 4, REAL, n_haar, s("stiefel/m2/b1"), **kwargs))
-    add("stiefel/m2/b2", lambda: verify_stiefel_0f1(
-        (0.9, 0.4), 2, 4, COMPLEX, n_haar, s("stiefel/m2/b2"), **kwargs))
-
-    add("two-matrix-0f0/b1", lambda: verify_two_matrix_0f0(
-        (0.5, 0.2), (0.3, 0.1), 2, REAL, n_haar, s("two-matrix-0f0/b1"), **kwargs))
-    add("two-matrix-0f0/b2", lambda: verify_two_matrix_0f0(
-        (0.5, 0.2), (0.3, 0.1), 2, COMPLEX, n_haar, s("two-matrix-0f0/b2"), **kwargs))
-    add("two-matrix-0f0/b4", lambda: verify_two_matrix_0f0(
-        (0.5, 0.2), (0.3, 0.1), 2, QUATERNION, n_haar, s("two-matrix-0f0/b4"), **kwargs))
+    add("two-matrix-0f0/b1", verify_two_matrix_0f0,
+        (0.5, 0.2), (0.3, 0.1), 2, REAL, n_haar)
+    add("two-matrix-0f0/b2", verify_two_matrix_0f0,
+        (0.5, 0.2), (0.3, 0.1), 2, COMPLEX, n_haar)
+    add("two-matrix-0f0/b4", verify_two_matrix_0f0,
+        (0.5, 0.2), (0.3, 0.1), 2, QUATERNION, n_haar)
 
     return cases
 

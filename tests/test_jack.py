@@ -1,16 +1,17 @@
 import math
+import sys
 import threading
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
 from jackdiv.jack import (
-    RATIONAL_DEGREE_CUTOFF,
+    ChatEvaluator,
     JackTable,
     SpectralArgument,
     _interlacing_predecessors,
-    _strip_coefficient,
     get_table,
     jack_C,
     jack_C_at_identity,
@@ -145,11 +146,11 @@ class TestOracle:
         rng = np.random.default_rng(23)
         for m in (1, 2, 3, 4):
             x = rng.uniform(0.2, 1.8, size=m)
-            for k in range(1, 7):
+            for k in range(1, 9):
                 for p in enumerate_partitions(k, m):
                     got = jack_C(p, x, alg)
                     want = jack_C_oracle(p, x, alg)
-                    assert got == pytest.approx(want, rel=1e-10)
+                    assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_identity_against_recurrence(self, alg):
@@ -164,11 +165,35 @@ class TestOracle:
 class TestStripCoefficient:
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_integer_hooks_round_like_exact_fraction(self, alg):
+        # every hook is an integer over beta, held exactly in a float, so the
+        # paired ratios leave only a few roundings per cell
+        table = JackTable(alg)
         for k in range(1, 13):
             for p in enumerate_partitions(k, 4):
-                for mu in _interlacing_predecessors(p.parts):
+                for mu, _, g in table.strips(p.parts):
                     want = float(strip_coefficient_fraction(p.parts, mu, alg))
-                    assert _strip_coefficient(p.parts, mu, alg.beta) == want
+                    assert g == pytest.approx(want, rel=4e-15)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_high_weight_finite_and_accurate(self, alg):
+        # hook products of these shapes overflow when numerator and
+        # denominator are formed apart; below the normal range the oracle
+        # itself underflows, hence the absolute floor
+        table = JackTable(alg)
+        rng = np.random.default_rng(37)
+        for kappa in [(160,), (200,), (300,), (150, 6, 4), (190, 6, 4), (290, 6, 4)]:
+            strips = table.strips(kappa)
+            assert all(math.isfinite(g) for _, _, g in strips)
+            for i in rng.choice(len(strips), size=20, replace=False):
+                mu, _, g = strips[i]
+                want = float(strip_coefficient_fraction(kappa, mu, alg))
+                assert g == pytest.approx(want, rel=1e-13, abs=sys.float_info.min)
+
+    def test_high_weight_sums_to_trace_power(self):
+        k = 160
+        chat = ChatEvaluator((2.0, 1.0), JackTable(DivisionAlgebra(1))).degree_values(k)
+        want = float(Fraction(3**k, math.factorial(k)))
+        assert math.fsum(chat.values()) == pytest.approx(want, rel=1e-13)
 
 
 class TestStripSplit:
@@ -183,10 +208,9 @@ class TestStripSplit:
                 assert [mu for mu, _, _ in every] == preds
                 closed = table.strips(kappa, closed=True)
                 assert closed == tuple(e for e in every if len(e[0]) < len(kappa))
-                if k > RATIONAL_DEGREE_CUTOFF:
-                    # float path: pricing a subset of the strips in one batch
-                    # gives the same bits as pricing them all together
-                    assert every == table._price(kappa, preds)
+                # pricing a subset of the strips in one batch gives the same
+                # bits as pricing them all together
+                assert every == table._price(kappa, preds)
 
 
 class TestBatchAndTable:
