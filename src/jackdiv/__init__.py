@@ -62,16 +62,13 @@ from .hypergeom import (
     kummer_1f1,
     pfq,
     pfq_two,
-    truncated_pfq_restricted,
 )
 from .wishart import (
-    EigenSample,
     WishartModel,
     cdf_lambda_max,
     cdf_lambda_min,
     cdf_wishart_region,
     joint_eigen_density,
-    sample_wishart,
     sample_wishart_eigs,
 )
 

@@ -8,20 +8,21 @@ below ``rel_tol`` times the accumulated value; non-convergence within
 
 :func:`_run_series` is the one adaptive degree loop and holds that stop rule;
 :func:`pfq`, :func:`pfq_two` and :func:`pfq_positive_m2` each hand it the sum
-of one degree's terms, and it keeps their ``math.fsum`` as a running sum, so
-the loop costs O(1) per degree.  :func:`pfq_batch` sums to a fixed degree
-instead.  :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work
-per partition, every term scaled by exp(-trace) so that nothing overflows.
+of one degree's terms.  The stop rule reads a plain float running total, and
+the returned value is ``math.fsum`` of the degree sums.  :func:`_degree_terms`
+is the one term formula; :func:`pfq` and :func:`pfq_two` ``fsum`` its terms,
+and :func:`pfq_batch` adds them as arrays to a fixed degree.
+``pfq(..., max_first_part=r)`` is the first-part-restricted exact sum.
+:func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
+partition, every term scaled by exp(-trace) so that nothing overflows.
 
-Matrix arguments are accepted only as eigenvalue vectors here; adapters from
-numeric matrices live next to the samplers that need them.
+Matrix arguments are accepted only as eigenvalue vectors.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,76 +139,65 @@ def _convergence_check(spec: HypergeomSpec, norm: float, terminating: int | None
         )
 
 
-class _RunningSum:
-    """Exact running sum, read out bit for bit as ``math.fsum`` of the addends.
-
-    Keeps the Shewchuk partials that ``math.fsum`` builds, updated one addend
-    at a time.  They never overlap, so there are at most a few dozen, and
-    reading the total after every addend costs O(1) each instead of
-    re-summing the whole list.  Non-finite addends and intermediate overflow
-    behave as in ``math.fsum``.
-    """
-
-    def __init__(self):
-        self._partials: list[float] = []
-        self._special = 0.0  # sum of the non-finite addends
-        self._inf = 0.0  # sum of the infinite ones: nan when both signs occur
-
-    def add(self, x: float):
-        x = xsave = float(x)
-        partials = []
-        for y in self._partials:
-            if abs(x) < abs(y):
-                x, y = y, x
-            hi = x + y
-            lo = y - (hi - x)
-            if lo != 0.0:
-                partials.append(lo)
-            x = hi
-        if x != 0.0:
-            if not math.isfinite(x):
-                if math.isfinite(xsave):
-                    raise OverflowError("intermediate overflow in fsum")
-                if math.isinf(xsave):
-                    self._inf += xsave
-                self._special += xsave
-                partials = []
-            else:
-                partials.append(x)
-        self._partials = partials
-
-    def total(self) -> float:
-        if self._special != 0.0:  # also true when it is nan
-            if math.isnan(self._inf):
-                raise ValueError("-inf + inf in fsum")
-            return self._special
-        return math.fsum(self._partials)
-
-
 def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False):
     """Shared degree loop: term_of_degree(k) -> float sum of that degree.
 
-    When ``exact_finite`` the series is a finite sum by construction; every
-    degree up to ``hard_cap`` is accumulated and the result is exact.  The
-    total is ``math.fsum`` of the degree sums, kept as a running sum.
+    The stop rule reads a plain float running total; the returned total is
+    ``math.fsum`` of the degree sums.  When ``exact_finite`` the series is a
+    finite sum by construction and every degree up to ``hard_cap`` is summed.
     """
-    running = _RunningSum()
-    recent = deque(maxlen=trunc.stall_window)
+    sums = []
+    running = 0.0
     converged = exact_finite
     for k in range(hard_cap + 1):
         dsum = term_of_degree(k)
-        running.add(dsum)
-        recent.append(dsum)
-        if not exact_finite:
-            total = running.total()
-            if k + 1 > trunc.stall_window and total != 0.0:
-                if all(abs(s) <= trunc.rel_tol * abs(total) for s in recent):
-                    converged = True
-                    break
-    total = running.total()
+        sums.append(dsum)
+        running += dsum
+        if not exact_finite and k + 1 > trunc.stall_window and running != 0.0:
+            if all(abs(s) <= trunc.rel_tol * abs(running) for s in sums[-trunc.stall_window:]):
+                converged = True
+                break
+    total = math.fsum(sums)
     last_ratio = abs(dsum) / abs(total) if total != 0.0 else abs(dsum)
     log_value = math.log(total) if total > 0.0 else None
     return SeriesResult(total, k, last_ratio, converged, log_value)
+
+
+def _degree_terms(spec: HypergeomSpec, xvals: dict, yvals: dict | None = None):
+    """poch(kappa) chat_kappa(x), times chat_kappa(y) / chat_kappa(I) when
+    ``yvals`` is given, for every partition of one degree.  ``xvals`` and
+    ``yvals`` are that degree's chat values; those of x may be arrays (a
+    batch of spectra), and the coefficient multiplies them last."""
+    for kap, v in xvals.items():
+        coef = _poch_ratio(spec, kap)
+        if yvals is not None:
+            ci = math.exp(log_chat_identity(kap, spec.m, spec.algebra)) if kap else 1.0
+            coef *= yvals[kap] / ci
+        yield coef * v
+
+
+def _series(spec, x_eigs, y_eigs, norm, trunc, max_first_part) -> SeriesResult:
+    """Sum of :func:`_degree_terms` degree by degree, with the convergence
+    domain and the first-part restriction shared by :func:`pfq` and
+    :func:`pfq_two`; ``norm`` is the spectral radius the domain is judged on."""
+    trunc = trunc or DEFAULT_TRUNCATION
+    terminating = _termination_bound(spec)
+    _convergence_check(spec, norm, terminating)
+    r_cap = max_first_part
+    if terminating is not None:
+        r_cap = terminating if r_cap is None else min(r_cap, terminating)
+    exact_finite = r_cap is not None
+    hard_cap = spec.m * r_cap if exact_finite else trunc.max_degree
+
+    table = get_table(spec.algebra)
+    dpx = ChatEvaluator(x_eigs, table, max_first_part=r_cap)
+    dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, max_first_part=r_cap)
+
+    def term_of_degree(k: int) -> float:
+        yvals = None if dpy is None else dpy.degree_values(k)
+        return math.fsum(_degree_terms(spec, dpx.degree_values(k), yvals))
+
+    return _run_series(trunc, term_of_degree, hard_cap, exact_finite)
 
 
 def pfq(
@@ -221,29 +211,15 @@ def pfq(
     ``x`` is the eigenvalue vector of the argument.  Convergence domains are
     enforced up front: for p = q+1 the spectral radius must be below 1, and
     for p > q+1 the series must terminate.  ``max_first_part`` restricts the
-    partitions to first part <= r, which makes the sum exact and finite.
+    partitions to first part <= r, which makes the sum exact and finite
+    (degree at most m * r), so the result is always reported converged.
     """
-    trunc = trunc or DEFAULT_TRUNCATION
-    spec_x = as_spectrum(x)
-    if spec_x.m != spec.m:
-        raise DomainError(f"argument has {spec_x.m} eigenvalues but spec.m = {spec.m}")
-    terminating = _termination_bound(spec)
-    _convergence_check(spec, spec_x.max_abs, terminating)
-
-    r_cap = max_first_part
-    if terminating is not None:
-        r_cap = terminating if r_cap is None else min(r_cap, terminating)
-    exact_finite = r_cap is not None
-    hard_cap = spec.m * r_cap if exact_finite else trunc.max_degree
-
-    table = get_table(spec.algebra)
-    dp = ChatEvaluator(spec_x.eigenvalues, table, max_first_part=r_cap)
-
-    def term_of_degree(k: int) -> float:
-        vals = dp.degree_values(k)
-        return math.fsum(_poch_ratio(spec, kap) * v for kap, v in vals.items())
-
-    return _run_series(trunc, term_of_degree, hard_cap, exact_finite)
+    if max_first_part is not None and max_first_part < 0:
+        raise DomainError(f"max_first_part must be >= 0, got {max_first_part}")
+    sx = as_spectrum(x)
+    if sx.m != spec.m:
+        raise DomainError(f"argument has {sx.m} eigenvalues but spec.m = {spec.m}")
+    return _series(spec, sx.eigenvalues, None, sx.max_abs, trunc, max_first_part)
 
 
 def pfq_two(
@@ -257,50 +233,13 @@ def pfq_two(
     Each term carries the product of Jack values of both spectra divided by
     the value at the identity (computed by closed form, never by recurrence).
     """
-    trunc = trunc or DEFAULT_TRUNCATION
     sx = as_spectrum(x)
     sy = as_spectrum(y)
     if sx.m != sy.m:
         raise DomainError(f"arguments have different sizes: {sx.m} vs {sy.m}")
     if sx.m != spec.m:
         raise DomainError(f"arguments have {sx.m} eigenvalues but spec.m = {spec.m}")
-    terminating = _termination_bound(spec)
-    _convergence_check(spec, sx.max_abs * sy.max_abs, terminating)
-
-    exact_finite = terminating is not None
-    hard_cap = spec.m * terminating if exact_finite else trunc.max_degree
-    table = get_table(spec.algebra)
-    dpx = ChatEvaluator(sx.eigenvalues, table, max_first_part=terminating)
-    dpy = ChatEvaluator(sy.eigenvalues, table, max_first_part=terminating)
-    m = spec.m
-    alg = spec.algebra
-
-    def term_of_degree(k: int) -> float:
-        vx = dpx.degree_values(k)
-        vy = dpy.degree_values(k)
-        terms = []
-        for kap, v in vx.items():
-            ci = math.exp(log_chat_identity(kap, m, alg)) if kap else 1.0
-            terms.append(_poch_ratio(spec, kap) * v * vy[kap] / ci)
-        return math.fsum(terms)
-
-    return _run_series(trunc, term_of_degree, hard_cap, exact_finite)
-
-
-def truncated_pfq_restricted(
-    spec: HypergeomSpec,
-    x,
-    max_first_part: int,
-    trunc: SeriesTruncation | None = None,
-) -> SeriesResult:
-    """Series restricted to partitions with first part <= ``max_first_part``.
-
-    The restriction makes the sum finite (degree at most m * r), so the result
-    is exact and always reported converged.
-    """
-    if max_first_part < 0:
-        raise DomainError(f"max_first_part must be >= 0, got {max_first_part}")
-    return pfq(spec, x, trunc=trunc, max_first_part=max_first_part)
+    return _series(spec, sx.eigenvalues, sy.eigenvalues, sx.max_abs * sy.max_abs, trunc, None)
 
 
 def _scaled(res: SeriesResult, scale: float) -> SeriesResult:
@@ -387,7 +326,7 @@ def pfq_batch(
     second argument instead.  Used by the Monte Carlo harness, where
     per-sample adaptive truncation would break vectorization; callers check
     ``max_last_ratio``.  The loop is its own rather than :func:`_run_series`:
-    it has no stop rule and sums arrays, not floats.
+    it has no stop rule and sums arrays, which ``math.fsum`` cannot.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.m:
@@ -400,17 +339,9 @@ def pfq_batch(
     total = np.zeros(X.shape[0])
     last = np.zeros(X.shape[0])
     for k in range(degree + 1):
-        vals = dp.degree_values(k)
-        yvals = dpy.degree_values(k) if dpy is not None else None
-        dsum = np.zeros(X.shape[0])
-        for kap, v in vals.items():
-            coef = _poch_ratio(spec, kap)
-            if yvals is not None:
-                ci = math.exp(log_chat_identity(kap, spec.m, spec.algebra)) if kap else 1.0
-                coef *= yvals[kap] / ci
-            dsum += coef * v
-        total += dsum
-        last = dsum
+        yvals = None if dpy is None else dpy.degree_values(k)
+        last = sum(_degree_terms(spec, dp.degree_values(k), yvals), np.zeros(X.shape[0]))
+        total += last
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(total != 0.0, np.abs(last) / np.abs(total), np.abs(last))
     return BatchSeriesResult(total, degree, float(ratios.max()))
@@ -473,9 +404,7 @@ def pfq_positive_m2(
     lower: tuple[float, ...],
     t,
     algebra: DivisionAlgebra,
-    rel_tol: float = 1e-12,
-    max_degree: int = 4000,
-    stall_window: int = 3,
+    trunc: SeriesTruncation,
 ) -> SeriesResult:
     """One-argument series for m = 2 with nonnegative eigenvalues and positive
     shifted parameters, stable to very high degree.
@@ -484,11 +413,10 @@ def pfq_positive_m2(
     scaled by exp(-(t1 + t2)), so for 0 < a <= c they never overflow, and all
     terms are positive, so ``log_value`` is finite and exact to rounding;
     ``value`` is ``inf`` once the function itself leaves the float range.
-    The stop rule and the returned truncation metadata are those of
-    :func:`_run_series`.  Raises when a shifted parameter is not positive
-    (use :func:`pfq` there instead).
+    ``trunc`` sets the stop rule and the degree cap, applied by
+    :func:`_run_series` as for every other series.  Raises when a shifted
+    parameter is not positive (use :func:`pfq` there instead).
     """
-    trunc = SeriesTruncation(max_degree, rel_tol, stall_window)
     beta = algebra.beta
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
@@ -508,13 +436,13 @@ def pfq_positive_m2(
     def term_of_degree(k: int) -> float:
         nonlocal tables
         if not tables or k >= len(tables[0]):
-            tables = _m2_log_tables(upper, lower, t1, t2, beta, min(max_degree, max(64, 2 * k)))
+            tables = _m2_log_tables(upper, lower, t1, t2, beta, min(trunc.max_degree, max(64, 2 * k)))
         row1, row2, rows_n = tables
         h = k // 2  # k2 = 0..h, so k1 = k..k - h and n = k, k - 2, ...
         logs = row1[k - h : k + 1][::-1] + row2[: h + 1] + rows_n[k::-2]
         return float(np.exp(logs).sum())
 
-    res = _run_series(trunc, term_of_degree, max_degree)
+    res = _run_series(trunc, term_of_degree, trunc.max_degree)
     if res.log_value is None:
         raise DomainError(
             f"every term up to degree {res.degrees_used} underflows after scaling by "

@@ -24,6 +24,7 @@ the ``C`` (trace-power) and ``J`` (monic-monomial) normalizations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -86,23 +87,11 @@ def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
     the order is reverse-lexicographic, so the closed list is a subsequence of
     the full one.
     """
-    n = len(parts)
-    out = []
-
-    def rec(i, prefix):
-        if i == n:
-            t = prefix
-            while t and t[-1] == 0:
-                t = t[:-1]
-            out.append(tuple(t))
-            return
-        lo = parts[i + 1] if i + 1 < n else 0
-        hi = 0 if closed and i == n - 1 else parts[i]
-        for v in range(hi, lo - 1, -1):
-            rec(i + 1, prefix + (v,))
-
-    rec(0, ())
-    return out
+    ranges = [range(k, lo - 1, -1) for k, lo in zip(parts, parts[1:] + (0,))]
+    if closed:
+        ranges[-1] = (0,)
+    # mu is nonincreasing, so its zeros are the trailing ones
+    return [mu[: len(mu) - mu.count(0)] for mu in itertools.product(*ranges)]
 
 
 class JackTable:

@@ -4,8 +4,7 @@ All gammas are computed in log space from products of scalar log-gammas and
 exponentiated at the end; ratios that appear in series coefficients should be
 assembled from the ``*_ln`` variants.  Domain conditions are enforced exactly
 as stated (the tight ones, shifted by the extreme parts of the weight
-partition); an ``unchecked`` escape hatch skips them for analytic-continuation
-experiments and is off by default.
+partition).
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ def _signed_loggamma(a: float) -> tuple[float, float]:
     return float(gammaln(a)), float(gammasgn(a))
 
 
-def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float, unchecked: bool = False) -> float:
+def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float) -> float:
     """log of the multivariate gamma for an m-dimensional argument.
 
     Requires ``a > (m - 1) * beta / 2``; the two equivalent product orderings
@@ -37,7 +36,7 @@ def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float, unchecked: bool = Fa
         raise DomainError(f"m must be >= 1, got {m}")
     beta = algebra.beta
     bound = (m - 1) * beta / 2
-    if not unchecked and not a > bound:
+    if not a > bound:
         raise DomainError(
             f"multivariate gamma requires a > (m-1)*beta/2 = {bound}, got a = {a}"
         )
@@ -47,9 +46,9 @@ def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float, unchecked: bool = Fa
     return math.fsum(terms)
 
 
-def mv_gamma(m: int, algebra: DivisionAlgebra, a: float, unchecked: bool = False) -> float:
+def mv_gamma(m: int, algebra: DivisionAlgebra, a: float) -> float:
     """Multivariate gamma; see :func:`mv_gamma_ln` for the domain condition."""
-    return math.exp(mv_gamma_ln(m, algebra, a, unchecked=unchecked))
+    return math.exp(mv_gamma_ln(m, algebra, a))
 
 
 def gen_pochhammer(a: float, p: Partition, algebra: DivisionAlgebra) -> float:
@@ -108,10 +107,9 @@ class WeightedGammaQuery:
             )
 
 
-def mv_gamma_weighted_ln(q: WeightedGammaQuery, unchecked: bool = False) -> float:
+def mv_gamma_weighted_ln(q: WeightedGammaQuery) -> float:
     """log of the weighted multivariate gamma, via the gamma-product form."""
-    if not unchecked:
-        q.check()
+    q.check()
     beta = q.algebra.beta
     terms = [q.m * (q.m - 1) * beta / 4 * math.log(math.pi)]
     for i in range(1, q.m + 1):
@@ -130,32 +128,26 @@ def mv_gamma_weighted_ln(q: WeightedGammaQuery, unchecked: bool = False) -> floa
     return math.fsum(terms)
 
 
-def mv_gamma_weighted(q: WeightedGammaQuery, unchecked: bool = False) -> float:
+def mv_gamma_weighted(q: WeightedGammaQuery) -> float:
     """Weighted multivariate gamma.
 
     For ``sign=+1`` this equals ``[a]_kappa * Gamma_m[a]``; for ``sign=-1`` it
     equals ``(-1)^k Gamma_m[a] / [-a + (m-1)*beta/2 + 1]_kappa`` on the stated
     domain, both to machine precision.
     """
-    return math.exp(mv_gamma_weighted_ln(q, unchecked=unchecked))
+    return math.exp(mv_gamma_weighted_ln(q))
 
 
-def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float, unchecked: bool = False) -> float:
+def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
     """log multivariate beta: log Gamma_m[a] + log Gamma_m[b] - log Gamma_m[a+b]."""
-    beta = algebra.beta
-    bound = (m - 1) * beta / 2
-    if not unchecked:
-        if not a > bound:
-            raise DomainError(f"multivariate beta requires a > (m-1)*beta/2 = {bound}, got a = {a}")
-        if not b > bound:
-            raise DomainError(f"multivariate beta requires b > (m-1)*beta/2 = {bound}, got b = {b}")
-    return (
-        mv_gamma_ln(m, algebra, a, unchecked=True)
-        + mv_gamma_ln(m, algebra, b, unchecked=True)
-        - mv_gamma_ln(m, algebra, a + b, unchecked=True)
-    )
+    bound = (m - 1) * algebra.beta / 2
+    if not a > bound:
+        raise DomainError(f"multivariate beta requires a > (m-1)*beta/2 = {bound}, got a = {a}")
+    if not b > bound:
+        raise DomainError(f"multivariate beta requires b > (m-1)*beta/2 = {bound}, got b = {b}")
+    return mv_gamma_ln(m, algebra, a) + mv_gamma_ln(m, algebra, b) - mv_gamma_ln(m, algebra, a + b)
 
 
-def mv_beta(m: int, algebra: DivisionAlgebra, a: float, b: float, unchecked: bool = False) -> float:
+def mv_beta(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
     """Multivariate beta function, symmetric in (a, b)."""
-    return math.exp(mv_beta_ln(m, algebra, a, b, unchecked=unchecked))
+    return math.exp(mv_beta_ln(m, algebra, a, b))

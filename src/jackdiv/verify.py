@@ -36,7 +36,6 @@ from .hypergeom import (
     pfq,
     pfq_batch,
     pfq_two,
-    truncated_pfq_restricted,
 )
 from .jack import jack_C, jack_C_at_identity, jack_C_batch
 from .special import (
@@ -164,19 +163,6 @@ def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, coun
     if beta == 4:
         return _quat.haar_batch(rng, count, m)
     raise UnsupportedParameterError("Haar sampling supports beta in {1, 2, 4}")
-
-
-def haar_sample(m: int, algebra: DivisionAlgebra, seed: int):
-    """One Haar-distributed element of the compact group for beta in {1, 2, 4}.
-
-    Returns an (m, m) array for beta in {1, 2}; for beta = 4 the complex
-    (2m, 2m) embedding of the quaternion matrix.
-    """
-    rng = _rng(seed)
-    h = _haar_batch(m, algebra, rng, 1)
-    if algebra.beta == 4:
-        return _quat.embed(h[0][0], h[1][0])
-    return h[0]
 
 
 def _complex_form(algebra, h, x, y):
@@ -752,7 +738,7 @@ def verify_incomplete(
             )
         r = int(round(r))
         marg = om * lam
-        s = truncated_pfq_restricted(HypergeomSpec((), (), algebra, m), marg, r)
+        s = pfq(HypergeomSpec((), (), algebra, m), marg, max_first_part=r)
         analytic = math.exp(
             mv_gamma_ln(m, algebra, a) - a * float(np.log(lam).sum()) - float(marg.sum())
         ) * s.value

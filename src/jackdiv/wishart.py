@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .hypergeom import (
     pfq,
     pfq_positive_m2,
     pfq_two,
-    truncated_pfq_restricted,
 )
 from .special import mv_gamma_ln
 
@@ -82,18 +80,6 @@ class WishartModel:
         return self.algebra.beta
 
 
-@dataclass(frozen=True)
-class EigenSample:
-    """One sampled eigenvalue spectrum, sorted descending.
-
-    ``has_ties`` flags exactly equal consecutive eigenvalues (probability-zero
-    event; indicates a degenerate draw or pairing trouble at beta = 4).
-    """
-
-    eigenvalues: tuple[float, ...]
-    has_ties: bool = False
-
-
 def _gaussian_data_matrix(model: WishartModel, rng: np.random.Generator, count: int):
     """(count, n, m) data matrices with the beta-scaled variance convention,
     already scaled by sigma^(1/2); beta = 4 returns the complex embedding."""
@@ -145,32 +131,6 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     return out
 
 
-def sample_wishart(model: WishartModel, seed: int, count: int) -> Iterator[EigenSample]:
-    """Stream of :class:`EigenSample`; see :func:`sample_wishart_eigs`."""
-    eigs = sample_wishart_eigs(model, seed, count)
-    for row in eigs:
-        ties = bool(np.any(np.diff(row) == 0.0))
-        yield EigenSample(tuple(row), ties)
-
-
-def spectral_from_matrix(mat: np.ndarray, algebra: DivisionAlgebra) -> np.ndarray:
-    """Eigenvalues (descending) of a numeric symmetric/Hermitian matrix.
-
-    The series engines accept eigenvalue vectors only; this adapter covers
-    beta = 1 (symmetric) and beta = 2 (Hermitian) inputs.
-    """
-    if algebra.beta not in (1, 2):
-        raise UnsupportedParameterError(
-            "matrix adapter supports beta in {1, 2}; pass eigenvalues directly"
-        )
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {mat.shape}")
-    if not np.allclose(mat, mat.conj().T, rtol=1e-10, atol=1e-12):
-        raise DomainError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(mat)[::-1]
-
-
 def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: DivisionAlgebra,
                       trunc: SeriesTruncation | None) -> tuple[float, bool]:
     """log of 1F1(a_up; c_lo; t) for t >= 0, choosing an engine by size.
@@ -181,17 +141,15 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: Division
     m = len(t)
     tr = float(np.sum(t))
     beta = algebra.beta
-    shifted_ok = all(
+    m2 = m == 2 and all(
         par - (i - 1) * beta / 2 > 0 for par in (a_up, c_lo) for i in range(1, m + 1)
     )
-    if m == 2 and shifted_ok:
-        rel = trunc.rel_tol if trunc is not None else 1e-12
-        cap = trunc.max_degree if trunc is not None else max(400, int(tr + 14 * math.sqrt(tr + 1) + 60))
-        res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, rel_tol=rel, max_degree=cap)
+    if trunc is None:
+        floor, pad = (400, 60) if m2 else (DEFAULT_TRUNCATION.max_degree, 40)
+        trunc = SeriesTruncation(max(floor, int(tr + 14 * math.sqrt(tr + 1) + pad)), rel_tol=1e-12)
+    if m2:
+        res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
     else:
-        if trunc is None:
-            cap = max(DEFAULT_TRUNCATION.max_degree, int(tr + 14 * math.sqrt(tr + 1) + 40))
-            trunc = SeriesTruncation(max_degree=cap, rel_tol=1e-12)
         res = pfq(HypergeomSpec((a_up,), (c_lo,), algebra, m), t, trunc)
     if not res.converged:
         warnings.warn(
@@ -305,7 +263,7 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
     beta = model.beta
     u = (beta / 2.0) * y / np.asarray(model.sigma_eigs)
     spec = HypergeomSpec((), (), model.algebra, model.m)
-    s = truncated_pfq_restricted(spec, u, r)
+    s = pfq(spec, u, max_first_part=r)
     return 1.0 - math.exp(-float(u.sum())) * s.value
 
 

@@ -197,6 +197,28 @@ class TestStripCoefficient:
 
 
 class TestStripSplit:
+    def test_predecessors_match_brute_force(self):
+        # every mu inside kappa (weight >= |kappa| - kappa_1, since the strip
+        # kappa/mu has at most kappa_1 boxes) with kappa_{i+1} <= mu_i <= kappa_i,
+        # sorted reverse-lexicographically; closed keeps those with mu_n = 0
+        for k in range(1, 21):
+            for p in enumerate_partitions(k, 4):
+                kappa = p.parts
+                n = len(kappa)
+
+                def padded(mu):
+                    return mu + (0,) * (n - len(mu))
+
+                want = sorted(
+                    (q.parts for w in range(k - kappa[0], k + 1)
+                     for q in enumerate_partitions(w, n, kappa[0])
+                     if all(lo <= v <= hi for lo, v, hi
+                            in zip(kappa[1:] + (0,), padded(q.parts), kappa))),
+                    key=padded, reverse=True)
+                assert _interlacing_predecessors(kappa) == want
+                closed = [mu for mu in want if len(mu) < n]
+                assert _interlacing_predecessors(kappa, closed=True) == closed
+
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_closed_strips_are_the_last_part_zero_subset(self, alg):
         table = get_table(alg)

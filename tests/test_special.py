@@ -37,10 +37,6 @@ class TestMvGamma:
         with pytest.raises(DomainError, match=r"\(m-1\)\*beta/2"):
             mv_gamma(3, DivisionAlgebra(2), 2.0)
 
-    def test_unchecked_escape_hatch(self):
-        val = mv_gamma_ln(3, DivisionAlgebra(2), 2.5, unchecked=True)
-        assert math.isfinite(val)
-
     def test_product_orderings_bit_identical(self):
         # both gamma-shift orderings produce the same multiset of summands
         for alg in ALGEBRAS:

@@ -10,16 +10,13 @@ from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.wishart import (
     ConvergenceWarning,
-    EigenSample,
     WishartModel,
     cdf_lambda_max,
     cdf_lambda_min,
     cdf_wishart_region,
     joint_eigen_density,
     min_eig_sum_bound,
-    sample_wishart,
     sample_wishart_eigs,
-    spectral_from_matrix,
 )
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
@@ -67,11 +64,11 @@ class TestSampling:
             vals = _quat.dedupe_pairs(np.array([[0.5, 0.5, 2.0, 2.5]]))
         assert np.array_equal(vals, [[2.5, 0.5]])
 
-    def test_stream_interface(self):
+    def test_rows_have_no_ties(self):
         model = WishartModel(2, 5, (1.0, 1.0), B1)
-        samples = list(sample_wishart(model, 19, 8))
-        assert len(samples) == 8
-        assert all(isinstance(s, EigenSample) and not s.has_ties for s in samples)
+        eigs = sample_wishart_eigs(model, 19, 8)
+        assert eigs.shape == (8, 2)
+        assert not np.any(np.diff(eigs, axis=1) == 0.0)
 
     def test_octonion_sampling_rejected(self):
         with pytest.raises(UnsupportedParameterError, match="analytic"):
@@ -146,6 +143,23 @@ class TestLambdaMax:
     def test_domain(self):
         with pytest.raises(DomainError):
             cdf_lambda_max(WishartModel(1, 2, (1.0,), B1), 0.0)
+
+    def test_stall_window_reaches_m2_engine(self, monkeypatch):
+        # the user's truncation reaches the m = 2 engine whole, so a longer
+        # stall window sums more degrees
+        seen = []
+        engine = wishart.pfq_positive_m2
+
+        def spy(*args):
+            res = engine(*args)
+            seen.append(res.degrees_used)
+            return res
+
+        monkeypatch.setattr(wishart, "pfq_positive_m2", spy)
+        model = WishartModel(2, 4, (1.0, 2.0), B1)
+        for s in (1, 3, 12):
+            cdf_lambda_max(model, 10.0, SeriesTruncation(400, 1e-12, stall_window=s))
+        assert seen == [31, 33, 42]
 
     @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     def test_far_tail_finite_bounded_monotone(self, beta):
@@ -251,22 +265,3 @@ class TestJointDensity:
         w = dens / np.exp(logq)
         est, se = w.mean(), w.std(ddof=1) / math.sqrt(n)
         assert abs(est - 1.0) <= max(3 * se, 0.03)
-
-
-class TestMatrixAdapter:
-    def test_real_symmetric(self):
-        mat = np.array([[2.0, 0.3], [0.3, 1.0]])
-        eigs = spectral_from_matrix(mat, B1)
-        assert eigs[0] >= eigs[1]
-        assert eigs.sum() == pytest.approx(3.0, rel=1e-12)
-
-    def test_hermitian(self):
-        mat = np.array([[1.0, 0.2 + 0.1j], [0.2 - 0.1j, 0.5]])
-        eigs = spectral_from_matrix(mat, B2)
-        assert eigs.sum() == pytest.approx(1.5, rel=1e-12)
-
-    def test_rejects_non_hermitian_and_beta4(self):
-        with pytest.raises(DomainError):
-            spectral_from_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]), B1)
-        with pytest.raises(UnsupportedParameterError):
-            spectral_from_matrix(np.eye(2), B4)
