@@ -135,10 +135,11 @@ def _emit(lines: list[str], output: str | None):
 _TRUNCATION_FLAGS = ("max_degree", "rel_tol", "stall_window")
 
 
-def _truncation(args) -> SeriesTruncation:
-    """The truncation flags given, with SeriesTruncation defaults for the rest."""
-    given = {name: getattr(args, name) for name in _TRUNCATION_FLAGS}
-    return SeriesTruncation(**{name: v for name, v in given.items() if v is not None})
+def _truncation(args) -> SeriesTruncation | None:
+    """The truncation flags given, with SeriesTruncation defaults for the rest;
+    None when no flag is given, so the library picks its own degree budget."""
+    given = {name: getattr(args, name) for name in _TRUNCATION_FLAGS if getattr(args, name) is not None}
+    return SeriesTruncation(**given) if given else None
 
 
 def _add_common(sp, trunc=False, model=False, beta=True):
@@ -291,16 +292,9 @@ def _curve(args, evaluate, label: str) -> int:
     return 0
 
 
-def _custom_truncation(args):
-    """SeriesTruncation when any truncation flag is given, else None (the
-    library then sizes the degree budget itself)."""
-    given = any(getattr(args, name) is not None for name in _TRUNCATION_FLAGS)
-    return _truncation(args) if given else None
-
-
 def _cmd_cdf_max(args) -> int:
     model = _model(args)
-    trunc = _custom_truncation(args)
+    trunc = _truncation(args)
     if args.grid:
         return _curve(args, lambda x: cdf_lambda_max(model, x, trunc), "cdf_lambda_max")
     if args.x is None:
@@ -322,7 +316,7 @@ def _cmd_cdf_min(args) -> int:
 def _cmd_cdf_region(args) -> int:
     _require(args, "omega")
     model = _model(args)
-    trunc = _custom_truncation(args)
+    trunc = _truncation(args)
     _emit([_fmt(cdf_wishart_region(model, _parse_floats(args.omega), trunc))], args.output)
     return 0
 
@@ -330,7 +324,7 @@ def _cmd_cdf_region(args) -> int:
 def _cmd_density(args) -> int:
     _require(args, "eigs")
     model = _model(args)
-    _emit([_fmt(joint_eigen_density(model, _parse_floats(args.eigs)))], args.output)
+    _emit([_fmt(joint_eigen_density(model, _parse_floats(args.eigs), _truncation(args)))], args.output)
     return 0
 
 

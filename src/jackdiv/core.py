@@ -3,9 +3,10 @@
 Everything downstream (Jack polynomials, hypergeometric series, Wishart
 eigenvalue laws) is indexed by integer partitions and parameterized by the
 real dimension ``beta`` of a normed division algebra, beta in {1, 2, 4, 8},
-with the companion parameter ``alpha = 2/beta``.  Hook-length bookkeeping is
-done in exact rational arithmetic so that normalization constants carry no
-rounding error into the series kernels.
+with the companion parameter ``alpha = 2/beta``.  :func:`hook_product` keeps
+hook lengths as exact rationals; they feed only the normalization constant
+(``jack._log_nu``).  The series kernels price strip coefficients from paired
+float hooks (``jack.JackTable._price``).
 """
 
 from __future__ import annotations
@@ -104,9 +105,6 @@ class Partition:
         """Young-diagram cells (i, j), 1-based, row-major order."""
         return [(i + 1, j + 1) for i, p in enumerate(self.parts) for j in range(p)]
 
-    def contains(self, other: "Partition") -> bool:
-        return all(other.part(i) <= self.part(i) for i in range(1, other.length + 1))
-
     def __str__(self):
         return format_partition(self)
 
@@ -135,17 +133,21 @@ def parse_partition(text: str) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _partition_tuples(k: int, max_parts: int, max_first_part: int) -> tuple[tuple[int, ...], ...]:
+def _partition_tuples(k: int, bound: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Partitions of ``k`` inside the shape ``bound``, in reverse-lexicographic
+    order: part i is at most ``bound[i]`` and there are at most ``len(bound)``
+    parts."""
     if k == 0:
         return ((),)
-    if max_parts <= 0 or max_first_part <= 0:
+    if not bound:
         return ()
     out = []
-    for first in range(min(k, max_first_part), 0, -1):
-        if first * max_parts < k:
+    for first in range(min(k, bound[0]), 0, -1):
+        rest = tuple(min(b, first) for b in bound[1:])
+        if first + sum(rest) < k:
             break
-        for rest in _partition_tuples(k - first, max_parts - 1, first):
-            out.append((first,) + rest)
+        for tail in _partition_tuples(k - first, rest):
+            out.append((first,) + tail)
     return tuple(out)
 
 
@@ -161,7 +163,7 @@ def enumerate_partitions(k: int, max_parts: int, max_first_part: int | None = No
     if max_parts < 1:
         raise DomainError(f"max_parts must be >= 1, got {max_parts}")
     cap = k if max_first_part is None else min(k, max_first_part)
-    return [Partition(t) for t in _partition_tuples(k, max_parts, cap)]
+    return [Partition(t) for t in _partition_tuples(k, (cap,) * max_parts)]
 
 
 def conjugate(p: Partition) -> Partition:
@@ -213,10 +215,6 @@ class HookData:
         for u, l in zip(self.upper, self.lower):
             nu *= u * l
         object.__setattr__(self, "nu", nu)
-
-    @property
-    def nu_float(self) -> float:
-        return float(self.nu)
 
 
 def hook_product(p: Partition, algebra: DivisionAlgebra) -> HookData:

@@ -190,8 +190,9 @@ def _series(spec, x_eigs, y_eigs, norm, trunc, max_first_part) -> SeriesResult:
     hard_cap = spec.m * r_cap if exact_finite else trunc.max_degree
 
     table = get_table(spec.algebra)
-    dpx = ChatEvaluator(x_eigs, table, max_first_part=r_cap)
-    dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, max_first_part=r_cap)
+    within = None if r_cap is None else (r_cap,) * spec.m
+    dpx = ChatEvaluator(x_eigs, table, within)
+    dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, within)
 
     def term_of_degree(k: int) -> float:
         yvals = None if dpy is None else dpy.degree_values(k)
@@ -332,10 +333,11 @@ def pfq_batch(
     if X.ndim != 2 or X.shape[1] != spec.m:
         raise DomainError(f"X must be (batch, {spec.m})")
     table = get_table(spec.algebra)
-    dp = ChatEvaluator(X, table, max_first_part=max_first_part)
+    within = None if max_first_part is None else (max_first_part,) * spec.m
+    dp = ChatEvaluator(X, table, within)
     dpy = None
     if y_eigs is not None:
-        dpy = ChatEvaluator(np.asarray(y_eigs, dtype=float), table, max_first_part=max_first_part)
+        dpy = ChatEvaluator(np.asarray(y_eigs, dtype=float), table, within)
     total = np.zeros(X.shape[0])
     last = np.zeros(X.shape[0])
     for k in range(degree + 1):

@@ -1,4 +1,6 @@
+import argparse
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from jackdiv.cli import main
 from jackdiv.core import DivisionAlgebra, Partition
 from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.jack import jack_C
-from jackdiv.wishart import WishartModel, cdf_lambda_max
+from jackdiv.wishart import ConvergenceWarning, WishartModel, cdf_lambda_max
 
 
 def run(capsys, *argv):
@@ -54,6 +56,35 @@ class TestEvaluationCommands:
                            "--sigma", "1,2", "--eigs", "3.0,1.0")
         assert code == 0
         assert float(out.strip()) > 0
+
+
+# one invocation per subcommand that declares the truncation flags
+TRUNCATED_COMMANDS = {
+    "pfq": ["--beta", "1", "--eigs", "0.5,0.3"],
+    "cdf-max": ["--beta", "1", "--m", "2", "--n", "4", "--sigma", "1,2", "--x", "5"],
+    "cdf-region": ["--beta", "1", "--m", "2", "--n", "4", "--sigma", "1,2", "--omega", "3,5"],
+    "density": ["--beta", "1", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--eigs", "6,3,1"],
+}
+
+
+class TestTruncationFlags:
+    def test_every_command_with_the_flags_is_covered(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declaring = {name for name, sp in sub.choices.items()
+                     if "--max-degree" in sp._option_string_actions}
+        assert declaring == set(TRUNCATED_COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(TRUNCATED_COMMANDS))
+    def test_max_degree_changes_the_value(self, capsys, command):
+        argv = [command, *TRUNCATED_COMMANDS[command]]
+        code, full, _ = run(capsys, *argv)
+        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConvergenceWarning)
+            code, cut, _ = run(capsys, *argv, "--max-degree", "2")
+        assert code == 0
+        assert float(cut) != float(full)
 
 
 class TestDiagnostics:

@@ -9,6 +9,7 @@ from jackdiv.core import (
     DomainError,
     Partition,
     UnsupportedParameterError,
+    _partition_tuples,
     conjugate,
     dominance_leq,
     enumerate_partitions,
@@ -85,6 +86,18 @@ class TestEnumeration:
     def test_first_part_restriction(self):
         ours = [p.parts for p in enumerate_partitions(6, 3, 2)]
         assert ours == list(brute_force_partitions(6, 3, 2))
+
+    def test_bounded_by_a_shape_matches_brute_force(self):
+        # partitions of k with at most n parts inside kappa, order included
+        brute = {(k, n): brute_force_partitions(k, n) for k in range(13) for n in range(1, 5)}
+        for w in range(13):
+            for p in enumerate_partitions(w, 4):
+                kappa = p.parts
+                for n in range(1, 5):
+                    for k in range(w + 1):
+                        want = [q for q in brute[k, n] if len(q) <= len(kappa)
+                                and all(v <= b for v, b in zip(q, kappa))]
+                        assert list(_partition_tuples(k, kappa[:n])) == want, (kappa, n, k)
 
     def test_reverse_lex_order_is_deterministic(self):
         a = [p.parts for p in enumerate_partitions(9, 4)]

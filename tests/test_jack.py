@@ -247,6 +247,23 @@ class TestBatchAndTable:
                 for row, value in zip(X[:, :m], batch):
                     assert value == pytest.approx(jack_C(p, row, alg), rel=1e-12)
 
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_restriction_never_changes_a_value(self, alg):
+        # jack_C runs the evaluator bounded by kappa; the unbounded one must
+        # give the same bits, scalar and batched
+        rng = np.random.default_rng(41)
+        table = get_table(alg)
+        for m in range(1, 5):
+            x = tuple(sorted(rng.uniform(-1.0, 2.0, size=m), reverse=True))
+            X = rng.uniform(-1.0, 2.0, size=(6, m))
+            scalar, batched = ChatEvaluator(x, table), ChatEvaluator(X, table)
+            for k in range(11):
+                chat, chat_rows = scalar.degree_values(k), batched.degree_values(k)
+                for p in enumerate_partitions(k, m):
+                    assert jack_C(p, x, alg) == chat[p.parts] * math.factorial(k)
+                    assert np.array_equal(jack_C_batch(p, X, alg),
+                                          chat_rows[p.parts] * math.factorial(k))
+
     def test_table_entries_immutable_and_shared(self):
         alg = DivisionAlgebra(2)
         t1 = get_table(alg)
