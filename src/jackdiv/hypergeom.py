@@ -6,12 +6,13 @@ Truncation policy: stop once ``stall_window`` consecutive degree sums are each
 below ``rel_tol`` times the accumulated value; non-convergence within
 ``max_degree`` is reported, never silently ignored.
 
-:func:`_run_series` is the one adaptive degree loop and holds that stop rule;
-:func:`pfq`, :func:`pfq_two` and :func:`pfq_positive_m2` each hand it the sum
-of one degree's terms.  The stop rule reads a plain float running total, and
-the returned value is ``math.fsum`` of the degree sums.  :func:`_degree_terms`
-is the one term formula; :func:`pfq` and :func:`pfq_two` ``fsum`` its terms,
-and :func:`pfq_batch` adds them as arrays to a fixed degree.
+:func:`_series` is the one driver of :func:`pfq`, :func:`pfq_two` and
+:func:`pfq_batch`, and :func:`_degree_terms` the one term formula.  For one
+spectrum, each degree's terms are ``math.fsum``-ed for :func:`_run_series`,
+the adaptive degree loop that holds the stop rule (and also serves
+:func:`pfq_positive_m2`); it reads a plain float running total and returns
+``math.fsum`` of the degree sums.  A batch of spectra adds them as arrays,
+which ``fsum`` cannot, in :func:`_run_batch`, under the same stop rule.
 ``pfq(..., max_first_part=r)`` is the first-part-restricted exact sum.
 :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
 partition, every term scaled by exp(-trace) so that nothing overflows.
@@ -54,9 +55,10 @@ DEFAULT_TRUNCATION = SeriesTruncation()
 
 @dataclass
 class SeriesResult:
-    """Value and truncation metadata of one series evaluation."""
+    """Value and truncation metadata of one series evaluation; ``value`` is an
+    array, one entry per row, for a batch (:func:`pfq_batch`)."""
 
-    value: float
+    value: float | np.ndarray
     degrees_used: int
     last_term_ratio: float
     converged: bool
@@ -176,10 +178,33 @@ def _degree_terms(spec: HypergeomSpec, xvals: dict, yvals: dict | None = None):
         yield coef * v
 
 
+def _run_batch(trunc, terms_of_degree, hard_cap, exact_finite, rows):
+    """The stop rule of :func:`_run_series` on a batch of ``rows`` series:
+    terms_of_degree(k) yields arrays, and the loop stops once every row meets
+    the rule.  Degree sums are added as arrays, which ``math.fsum`` cannot."""
+    total = np.zeros(rows)
+    recent = []
+    converged = exact_finite
+    for k in range(hard_cap + 1):
+        dsum = sum(terms_of_degree(k), np.zeros(rows))
+        total += dsum
+        recent = (recent + [dsum])[-trunc.stall_window:]
+        if not exact_finite and k + 1 > trunc.stall_window:
+            small = np.abs(recent) <= trunc.rel_tol * np.abs(total)
+            if np.all(small.all(axis=0) & (total != 0.0)):
+                converged = True
+                break
+    ratios = np.abs(dsum) / np.where(total != 0.0, np.abs(total), 1.0)
+    return SeriesResult(total, k, float(ratios.max(initial=0.0)), converged)
+
+
 def _series(spec, x_eigs, y_eigs, norm, trunc, max_first_part) -> SeriesResult:
     """Sum of :func:`_degree_terms` degree by degree, with the convergence
-    domain and the first-part restriction shared by :func:`pfq` and
-    :func:`pfq_two`; ``norm`` is the spectral radius the domain is judged on."""
+    domain and the first-part restriction shared by :func:`pfq`,
+    :func:`pfq_two` and :func:`pfq_batch`; ``norm`` is the spectral radius the
+    domain is judged on.  ``x_eigs`` is one spectrum, whose degree sums are
+    ``math.fsum``-ed for :func:`_run_series`, or a (batch, m) array, whose
+    value is an array with one entry per row (:func:`_run_batch`)."""
     trunc = trunc or DEFAULT_TRUNCATION
     terminating = _termination_bound(spec)
     _convergence_check(spec, norm, terminating)
@@ -194,11 +219,13 @@ def _series(spec, x_eigs, y_eigs, norm, trunc, max_first_part) -> SeriesResult:
     dpx = ChatEvaluator(x_eigs, table, within)
     dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, within)
 
-    def term_of_degree(k: int) -> float:
+    def terms_of_degree(k: int):
         yvals = None if dpy is None else dpy.degree_values(k)
-        return math.fsum(_degree_terms(spec, dpx.degree_values(k), yvals))
+        return _degree_terms(spec, dpx.degree_values(k), yvals)
 
-    return _run_series(trunc, term_of_degree, hard_cap, exact_finite)
+    if np.ndim(x_eigs) == 2:
+        return _run_batch(trunc, terms_of_degree, hard_cap, exact_finite, len(x_eigs))
+    return _run_series(trunc, lambda k: math.fsum(terms_of_degree(k)), hard_cap, exact_finite)
 
 
 def pfq(
@@ -241,6 +268,36 @@ def pfq_two(
     if sx.m != spec.m:
         raise DomainError(f"arguments have {sx.m} eigenvalues but spec.m = {spec.m}")
     return _series(spec, sx.eigenvalues, sy.eigenvalues, sx.max_abs * sy.max_abs, trunc, None)
+
+
+def pfq_batch(
+    spec: HypergeomSpec,
+    X,
+    trunc: SeriesTruncation | None = None,
+    y_eigs=None,
+) -> SeriesResult:
+    """The series of :func:`pfq` on every row of the (batch, m) array ``X``,
+    or that of :func:`pfq_two` with the fixed second argument ``y_eigs``.
+
+    Truncation, termination and the convergence domain are those of
+    :func:`pfq`, judged on the largest |eigenvalue| of the whole batch; the
+    loop stops once every row has converged.  ``value`` is an array with one
+    entry per row, ``last_term_ratio`` the worst row's, and ``log_value`` is
+    None.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != spec.m:
+        raise DomainError(f"X must be (batch, {spec.m}), got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise DomainError("eigenvalues must be finite")
+    norm = float(np.abs(X).max(initial=0.0))
+    y = None
+    if y_eigs is not None:
+        sy = as_spectrum(y_eigs)
+        if sy.m != spec.m:
+            raise DomainError(f"y_eigs has {sy.m} eigenvalues but spec.m = {spec.m}")
+        y, norm = sy.eigenvalues, norm * sy.max_abs
+    return _series(spec, X, y, norm, trunc, None)
 
 
 def _scaled(res: SeriesResult, scale: float) -> SeriesResult:
@@ -303,50 +360,6 @@ def euler_2f1(
     euler = _scaled(pfq(HypergeomSpec((c - a, c - b), (c,), algebra, sx.m), sx, trunc),
                     math.exp((c - a - b) * logdet))
     return direct, pfaff, euler
-
-
-@dataclass
-class BatchSeriesResult:
-    """Fixed-degree vectorized series values plus a convergence diagnostic."""
-
-    values: np.ndarray
-    degrees_used: int
-    max_last_ratio: float
-
-
-def pfq_batch(
-    spec: HypergeomSpec,
-    X: np.ndarray,
-    degree: int,
-    max_first_part: int | None = None,
-    y_eigs=None,
-) -> BatchSeriesResult:
-    """Evaluate the series on every row of ``X`` to a fixed degree.
-
-    With ``y_eigs`` set, evaluates the two-argument series with that fixed
-    second argument instead.  Used by the Monte Carlo harness, where
-    per-sample adaptive truncation would break vectorization; callers check
-    ``max_last_ratio``.  The loop is its own rather than :func:`_run_series`:
-    it has no stop rule and sums arrays, which ``math.fsum`` cannot.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != spec.m:
-        raise DomainError(f"X must be (batch, {spec.m})")
-    table = get_table(spec.algebra)
-    within = None if max_first_part is None else (max_first_part,) * spec.m
-    dp = ChatEvaluator(X, table, within)
-    dpy = None
-    if y_eigs is not None:
-        dpy = ChatEvaluator(np.asarray(y_eigs, dtype=float), table, within)
-    total = np.zeros(X.shape[0])
-    last = np.zeros(X.shape[0])
-    for k in range(degree + 1):
-        yvals = None if dpy is None else dpy.degree_values(k)
-        last = sum(_degree_terms(spec, dp.degree_values(k), yvals), np.zeros(X.shape[0]))
-        total += last
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(total != 0.0, np.abs(last) / np.abs(total), np.abs(last))
-    return BatchSeriesResult(total, degree, float(ratios.max()))
 
 
 # ---------------------------------------------------------------------------

@@ -132,22 +132,19 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
 
 
 def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: DivisionAlgebra,
-                      trunc: SeriesTruncation | None) -> tuple[float, bool]:
-    """log of 1F1(a_up; c_lo; t) for t >= 0, choosing an engine by size.
+                      trunc: SeriesTruncation | None) -> float:
+    """log of 1F1(a_up; c_lo; t) for t >= 0, by :func:`pfq_positive_m2` at
+    m = 2 (every Wishart model's parameters lie in its domain), else by :func:`pfq`.
 
     With ``trunc=None`` the degree budget is set from the trace so far tails
     converge; a user truncation is honored as given.
     """
     m = len(t)
     tr = float(np.sum(t))
-    beta = algebra.beta
-    m2 = m == 2 and all(
-        par - (i - 1) * beta / 2 > 0 for par in (a_up, c_lo) for i in range(1, m + 1)
-    )
     if trunc is None:
-        floor, pad = (400, 60) if m2 else (DEFAULT_TRUNCATION.max_degree, 40)
+        floor, pad = (400, 60) if m == 2 else (DEFAULT_TRUNCATION.max_degree, 40)
         trunc = SeriesTruncation(max(floor, int(tr + 14 * math.sqrt(tr + 1) + pad)), rel_tol=1e-12)
-    if m2:
+    if m == 2:
         res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
     else:
         res = pfq(HypergeomSpec((a_up,), (c_lo,), algebra, m), t, trunc)
@@ -160,7 +157,7 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: Division
         )
     if res.log_value is None:
         raise DomainError("confluent series produced a nonpositive value")
-    return res.log_value, res.converged
+    return res.log_value
 
 
 def _cdf_prefactor(model: WishartModel, t: np.ndarray) -> tuple[float, float, float]:
@@ -185,7 +182,7 @@ def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray,
     exponentially-weighted positive series (the numerically stable form)."""
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
-    log_series, _ = _log_1f1_positive(c1, q, arg, model.algebra, trunc)
+    log_series = _log_1f1_positive(c1, q, arg, model.algebra, trunc)
     log_cdf = log_pref - float(arg.sum()) + log_series
     if log_cdf > 0.0:
         if log_cdf > math.log1p(CDF_ROUNDING):

@@ -34,11 +34,12 @@ class TestSpecValidation:
             HypergeomSpec((), (2.0,), DivisionAlgebra(2), 3)
         HypergeomSpec((), (2.0,), DivisionAlgebra(2), 2)  # fine with m = 2
 
-    def test_truncation_validation(self):
-        with pytest.raises(DomainError):
-            SeriesTruncation(max_degree=-1)
-        with pytest.raises(DomainError):
-            SeriesTruncation(rel_tol=0.0)
+    @pytest.mark.parametrize("name, value", [
+        ("stall_window", 0), ("rel_tol", 0.0), ("max_degree", -1),
+    ])
+    def test_truncation_validation(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            SeriesTruncation(**{name: value})
 
 
 class TestClosedForms:
@@ -276,15 +277,6 @@ class TestHighDegreeEngine:
         with pytest.raises(DomainError):
             pfq_positive_m2((1.5,), (13.0,), (10.0, 5.0), DivisionAlgebra(8), DEEP)
 
-    @pytest.mark.parametrize("kwargs, name", [
-        (dict(stall_window=0), "stall_window"),
-        (dict(rel_tol=0.0), "rel_tol"),
-        (dict(max_degree=-1), "max_degree"),
-    ])
-    def test_rejects_invalid_truncation(self, kwargs, name):
-        with pytest.raises(DomainError, match=name):
-            pfq_positive_m2((2.0,), (4.0,), (1.0, 0.5), B1, SeriesTruncation(**kwargs))
-
 
 def _cancelling(rng, n):
     """n floats over 40 decades whose pairs nearly cancel."""
@@ -341,9 +333,9 @@ class TestBatch:
         rng = np.random.default_rng(2)
         X = rng.uniform(0.0, 0.8, size=(25, 2))
         spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
-        batch = pfq_batch(spec, X, degree=30)
-        assert batch.max_last_ratio < 1e-9
-        for row, val in zip(X, batch.values):
+        batch = pfq_batch(spec, X, SeriesTruncation(max_degree=30, rel_tol=1e-14))
+        assert batch.last_term_ratio < 1e-9
+        for row, val in zip(X, batch.value):
             ref = pfq(spec, row, SeriesTruncation(max_degree=30, rel_tol=1e-14))
             assert val == pytest.approx(ref.value, rel=1e-11)
 
@@ -352,7 +344,44 @@ class TestBatch:
         X = rng.uniform(0.0, 0.6, size=(10, 2))
         y = (0.7, 0.3)
         spec = HypergeomSpec((), (), B1, 2)
-        batch = pfq_batch(spec, X, degree=30, y_eigs=y)
-        for row, val in zip(X, batch.values):
+        batch = pfq_batch(spec, X, SeriesTruncation(max_degree=30, rel_tol=1e-14), y_eigs=y)
+        for row, val in zip(X, batch.value):
             ref = pfq_two(spec, row, y, SeriesTruncation(max_degree=30, rel_tol=1e-14))
             assert val == pytest.approx(ref.value, rel=1e-10)
+
+    def test_terminating_batch_is_the_finite_sum(self):
+        # a = -2 ends every first part at 2, so the sum stops at degree m * 2
+        rng = np.random.default_rng(5)
+        X = rng.uniform(-3.0, 3.0, size=(12, 3))
+        spec = HypergeomSpec((-2.0, 1.5), (0.7,), DivisionAlgebra(4), 3)
+        batch = pfq_batch(spec, X)
+        assert batch.converged and batch.degrees_used == 6
+        for row, val in zip(X, batch.value):
+            ref = pfq(spec, row)
+            assert ref.converged and ref.degrees_used == 6
+            assert val == pytest.approx(ref.value, rel=1e-13, abs=1e-13)
+
+    def test_domain_is_judged_on_the_whole_batch(self):
+        spec = HypergeomSpec((1.3, 0.4), (2.9,), B1, 2)
+        X = np.array([[0.5, 0.2], [0.3, -1.0]])
+        with pytest.raises(DomainError, match="< 1"):
+            pfq(spec, X[1])
+        with pytest.raises(DomainError, match="< 1"):
+            pfq_batch(spec, X)
+        # with two arguments the radius is max |X| times max |y|, as in pfq_two
+        with pytest.raises(DomainError, match="< 1"):
+            pfq_two(spec, X[0], (2.5, 1.0))
+        with pytest.raises(DomainError, match="< 1"):
+            pfq_batch(spec, X[:1], y_eigs=(2.5, 1.0))
+
+    @pytest.mark.parametrize("x, trunc", [
+        ((0.6, -0.3), None),
+        ((12.0, 6.0), None),  # does not converge by degree 40
+        ((1.5, 0.5), SeriesTruncation(max_degree=60, rel_tol=1e-13, stall_window=2)),
+    ])
+    def test_one_row_stops_where_pfq_does(self, x, trunc):
+        spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
+        ref = pfq(spec, x, trunc)
+        batch = pfq_batch(spec, np.array([x]), trunc)
+        assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
+        assert batch.value[0] == pytest.approx(ref.value, rel=1e-14, abs=0)

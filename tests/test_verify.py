@@ -303,6 +303,13 @@ class TestDomainEnforcement:
         with pytest.raises(DomainError, match="n_samples"):
             _sample_values(n_samples, np.ones)
 
+    def test_laplace_integrand_that_does_not_converge_raises(self):
+        # the sampled spectra have traces of 20 to 46, so the integrand 1F1
+        # has not converged by the default cap of degree 40
+        with pytest.raises(DomainError, match="not converged at degree 40"):
+            verify_laplace_hypergeom((0.9,), (2.3,), 20.0, (0.9, 0.8), (1.05, 1.05), 2, B1,
+                                     n_samples=200, seed=1)
+
     def test_inverse_laplace_requires_termination(self):
         with pytest.raises(UnsupportedParameterError, match="terminating"):
             verify_laplace_hypergeom((), (), 3.0, (-0.3, -0.1), (1.0, 1.0), 2, B1,
