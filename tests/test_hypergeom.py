@@ -34,12 +34,10 @@ class TestSpecValidation:
             HypergeomSpec((), (2.0,), DivisionAlgebra(2), 3)
         HypergeomSpec((), (2.0,), DivisionAlgebra(2), 2)  # fine with m = 2
 
-    @pytest.mark.parametrize("name, value", [
-        ("stall_window", 0), ("rel_tol", 0.0), ("max_degree", -1),
-    ])
-    def test_truncation_validation(self, name, value):
-        with pytest.raises(DomainError, match=name):
-            SeriesTruncation(**{name: value})
+    def test_truncation_validation(self):
+        for name, value in [("stall_window", 0), ("rel_tol", 0.0), ("max_degree", -1)]:
+            with pytest.raises(DomainError, match=name):
+                SeriesTruncation(**{name: value})
 
 
 class TestClosedForms:
@@ -276,6 +274,15 @@ class TestHighDegreeEngine:
     def test_rejects_nonpositive_shifts(self):
         with pytest.raises(DomainError):
             pfq_positive_m2((1.5,), (13.0,), (10.0, 5.0), DivisionAlgebra(8), DEEP)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(stall_window=0), "stall_window"),
+        (dict(rel_tol=0.0), "rel_tol"),
+        (dict(max_degree=-1), "max_degree"),
+    ])
+    def test_rejects_invalid_truncation(self, kwargs, name):
+        with pytest.raises(DomainError, match=name):
+            pfq_positive_m2((2.0,), (4.0,), (1.0, 0.5), B1, SeriesTruncation(**kwargs))
 
 
 def _cancelling(rng, n):
