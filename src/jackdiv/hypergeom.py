@@ -270,20 +270,15 @@ def pfq_two(
     return _series(spec, sx.eigenvalues, sy.eigenvalues, sx.max_abs * sy.max_abs, trunc, None)
 
 
-def pfq_batch(
-    spec: HypergeomSpec,
-    X,
-    trunc: SeriesTruncation | None = None,
-    y_eigs=None,
-) -> SeriesResult:
+def pfq_batch(spec: HypergeomSpec, X, y_eigs=None) -> SeriesResult:
     """The series of :func:`pfq` on every row of the (batch, m) array ``X``,
     or that of :func:`pfq_two` with the fixed second argument ``y_eigs``.
 
-    Truncation, termination and the convergence domain are those of
-    :func:`pfq`, judged on the largest |eigenvalue| of the whole batch; the
-    loop stops once every row has converged.  ``value`` is an array with one
-    entry per row, ``last_term_ratio`` the worst row's, and ``log_value`` is
-    None.
+    Truncation (the default), termination and the convergence domain are
+    those of :func:`pfq`, judged on the largest |eigenvalue| of the whole
+    batch; the loop stops once every row has converged.  ``value`` is an
+    array with one entry per row, ``last_term_ratio`` the worst row's, and
+    ``log_value`` is None.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.m:
@@ -297,7 +292,7 @@ def pfq_batch(
         if sy.m != spec.m:
             raise DomainError(f"y_eigs has {sy.m} eigenvalues but spec.m = {spec.m}")
         y, norm = sy.eigenvalues, norm * sy.max_abs
-    return _series(spec, X, y, norm, trunc, None)
+    return _series(spec, X, y, norm, None, None)
 
 
 def _scaled(res: SeriesResult, scale: float) -> SeriesResult:

@@ -30,7 +30,7 @@ from scipy import integrate
 
 from . import _quat
 from .core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
-from .hypergeom import HypergeomSpec, pfq, pfq_batch, pfq_two
+from .hypergeom import HypergeomSpec, SeriesResult, pfq, pfq_batch, pfq_two
 from .jack import jack_C, jack_C_at_identity, jack_C_batch
 from .special import (
     WeightedGammaQuery,
@@ -743,6 +743,14 @@ def verify_incomplete(
 # ---------------------------------------------------------------------------
 
 
+def _converged(res: SeriesResult, side: str):
+    """``res.value``; DomainError naming the degree if the series did not converge."""
+    if not res.converged:
+        raise DomainError(f"{side} series not converged at degree {res.degrees_used} "
+                          f"(last term ratio {res.last_term_ratio:.2e})")
+    return res.value
+
+
 def verify_laplace_hypergeom(
     upper,
     lower,
@@ -764,8 +772,8 @@ def verify_laplace_hypergeom(
     Forward argument (XU) appends ``a`` to the upper parameters; inverse
     argument (X^{-1}U, with U negative semidefinite) appends the reflected
     parameter to the lower list with argument -UZ.  The sampled integrand is
-    truncated by the default rule of the analytic side; DomainError when it
-    does not converge.
+    truncated by the default rule of the analytic side; DomainError when
+    either side does not converge.
     """
     beta = algebra.beta
     c = (m - 1) * beta / 2
@@ -803,7 +811,8 @@ def verify_laplace_hypergeom(
         rhs = pfq_two(rhs_spec, rhs_arg, np.asarray(y_eigs, dtype=float))
     else:
         rhs = pfq(rhs_spec, rhs_arg)
-    analytic = math.exp(mv_gamma_ln(m, algebra, a) - a * float(np.log(z).sum())) * rhs.value
+    analytic = (math.exp(mv_gamma_ln(m, algebra, a) - a * float(np.log(z).sum()))
+                * _converged(rhs, "analytic"))
 
     int_spec = HypergeomSpec(upper, lower, algebra, m)
     sampler = ConeSampler(m, algebra, a, tuple(z))
@@ -816,11 +825,7 @@ def verify_laplace_hypergeom(
         if not upper and not lower and not two_arg:
             fvals = np.exp(spectra.sum(axis=1))
         else:
-            ev = pfq_batch(int_spec, spectra, y_eigs=y_eigs)
-            if not ev.converged:
-                raise DomainError(f"integrand series not converged at degree {ev.degrees_used} "
-                                  f"(last term ratio {ev.last_term_ratio:.2e})")
-            fvals = ev.value
+            fvals = _converged(pfq_batch(int_spec, spectra, y_eigs=y_eigs), "integrand")
         return np.exp(log_w0) * fvals
 
     values = _sample_values(n_samples, draw)

@@ -8,6 +8,7 @@ from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_part
 from jackdiv.hypergeom import (
     HypergeomSpec,
     _run_series,
+    _series,
     SeriesTruncation,
     euler_2f1,
     kummer_1f1,
@@ -340,10 +341,10 @@ class TestBatch:
         rng = np.random.default_rng(2)
         X = rng.uniform(0.0, 0.8, size=(25, 2))
         spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
-        batch = pfq_batch(spec, X, SeriesTruncation(max_degree=30, rel_tol=1e-14))
+        batch = pfq_batch(spec, X)
         assert batch.last_term_ratio < 1e-9
         for row, val in zip(X, batch.value):
-            ref = pfq(spec, row, SeriesTruncation(max_degree=30, rel_tol=1e-14))
+            ref = pfq(spec, row)
             assert val == pytest.approx(ref.value, rel=1e-11)
 
     def test_two_argument_batch(self):
@@ -351,9 +352,9 @@ class TestBatch:
         X = rng.uniform(0.0, 0.6, size=(10, 2))
         y = (0.7, 0.3)
         spec = HypergeomSpec((), (), B1, 2)
-        batch = pfq_batch(spec, X, SeriesTruncation(max_degree=30, rel_tol=1e-14), y_eigs=y)
+        batch = pfq_batch(spec, X, y_eigs=y)
         for row, val in zip(X, batch.value):
-            ref = pfq_two(spec, row, y, SeriesTruncation(max_degree=30, rel_tol=1e-14))
+            ref = pfq_two(spec, row, y)
             assert val == pytest.approx(ref.value, rel=1e-10)
 
     def test_terminating_batch_is_the_finite_sum(self):
@@ -381,14 +382,19 @@ class TestBatch:
         with pytest.raises(DomainError, match="< 1"):
             pfq_batch(spec, X[:1], y_eigs=(2.5, 1.0))
 
-    @pytest.mark.parametrize("x, trunc", [
-        ((0.6, -0.3), None),
-        ((12.0, 6.0), None),  # does not converge by degree 40
-        ((1.5, 0.5), SeriesTruncation(max_degree=60, rel_tol=1e-13, stall_window=2)),
-    ])
-    def test_one_row_stops_where_pfq_does(self, x, trunc):
+    # the second row does not converge by degree 40
+    @pytest.mark.parametrize("x", [(0.6, -0.3), (12.0, 6.0)])
+    def test_one_row_stops_where_pfq_does(self, x):
         spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
-        ref = pfq(spec, x, trunc)
-        batch = pfq_batch(spec, np.array([x]), trunc)
+        ref = pfq(spec, x)
+        batch = pfq_batch(spec, np.array([x]))
+        assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
+        assert batch.value[0] == pytest.approx(ref.value, rel=1e-14, abs=0)
+
+    def test_batch_loop_keeps_a_custom_truncation(self):
+        spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
+        trunc = SeriesTruncation(max_degree=60, rel_tol=1e-13, stall_window=2)
+        ref = pfq(spec, (1.5, 0.5), trunc)
+        batch = _series(spec, np.array([[1.5, 0.5]]), None, 1.5, trunc, None)
         assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
         assert batch.value[0] == pytest.approx(ref.value, rel=1e-14, abs=0)

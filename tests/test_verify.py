@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from jackdiv import _quat
+from jackdiv import _quat, verify
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
 from jackdiv.special import mv_beta, mv_gamma
 from jackdiv.verify import (
@@ -303,11 +304,22 @@ class TestDomainEnforcement:
         with pytest.raises(DomainError, match="n_samples"):
             _sample_values(n_samples, np.ones)
 
-    def test_laplace_integrand_that_does_not_converge_raises(self):
-        # the sampled spectra have traces of 20 to 46, so the integrand 1F1
-        # has not converged by the default cap of degree 40
-        with pytest.raises(DomainError, match="not converged at degree 40"):
+    def test_laplace_analytic_side_that_does_not_converge_raises(self):
+        # the analytic 2F1(0.9, 20; 2.3) at largest eigenvalue 0.86 has not
+        # converged by the default cap of degree 40; nothing is sampled
+        with pytest.raises(DomainError, match="analytic series not converged at degree 40"):
             verify_laplace_hypergeom((0.9,), (2.3,), 20.0, (0.9, 0.8), (1.05, 1.05), 2, B1,
+                                     n_samples=200, seed=1)
+
+    def test_laplace_integrand_that_does_not_converge_raises(self, monkeypatch):
+        real = verify.pfq_batch
+
+        def unconverged(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(verify, "pfq_batch", unconverged)
+        with pytest.raises(DomainError, match="integrand series not converged at degree"):
+            verify_laplace_hypergeom((0.9,), (2.3,), 3.0, (0.3, 0.2), (1.05, 1.05), 2, B1,
                                      n_samples=200, seed=1)
 
     def test_inverse_laplace_requires_termination(self):
