@@ -12,10 +12,11 @@ parameters fall back to importance weights with finite-variance guards.
 Everything is seed-deterministic: estimates depend only on the identity, its
 parameters, the seed and the sample count.
 
-Every check draws its samples through :func:`_sample_values`, the one chunked
-sampler: it calls the check's ``draw(count)`` closure over chunks of at most
-``_CHUNK`` rows, so memory stays bounded and the random stream is consumed in
-the same order whatever the sample count.
+Every check draws its samples through :func:`jackdiv.wishart._sample_values`,
+the one chunked sampler, which Wishart sampling shares: it calls the check's
+``draw(count)`` closure over chunks of at most ``_CHUNK`` rows, so memory
+stays bounded and the random stream is consumed in the same order whatever
+the sample count.  Cone draws come from :class:`jackdiv.wishart.ConeSampler`.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from .special import (
     mv_gamma_ln,
     mv_gamma_weighted_ln,
 )
+from .wishart import ConeSampler, _sample_values
 
 DEFAULT_Z_MAX = 3.0
 DEFAULT_REL_MAX = 0.05
-
-_CHUNK = 20_000
 
 
 @dataclass
@@ -119,20 +119,6 @@ def _report(identity_id, params, analytic, values, z_max, rel_max) -> Verificati
         rel_max=rel_max,
         param_digest=_digest(*params),
     )
-
-
-def _sample_values(n_samples: int, draw) -> np.ndarray:
-    """``draw(count)`` over consecutive chunks of at most ``_CHUNK`` samples,
-    concatenated in draw order."""
-    if n_samples <= 0:
-        raise DomainError(f"n_samples must be positive, got {n_samples}")
-    chunks = []
-    done = 0
-    while done < n_samples:
-        count = min(_CHUNK, n_samples - done)
-        chunks.append(draw(count))
-        done += count
-    return np.concatenate(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -212,75 +198,22 @@ def verify_split_integral(
 
 
 # ---------------------------------------------------------------------------
-# Cone sampling (triangular construction) and matrix-beta sampling
+# Matrix-beta sampling from cone draws
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConeSampler:
-    """Matrix-gamma sampler on the positive-definite cone, beta in {1, 2}.
-
-    Draws X with density etr(-X Z0) |X|^(a0 - (m-1)beta/2 - 1) |Z0|^a0 /
-    Gamma_m[a0] via the triangular-factor construction: X = Z0^(-1/2) T* T
-    Z0^(-1/2) with chi-squared diagonal and Gaussian off-diagonal entries.
-    """
-
-    m: int
-    algebra: DivisionAlgebra
-    shape_a0: float
-    scale_eigs: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.algebra.beta not in (1, 2):
-            raise UnsupportedParameterError("cone sampling supports beta in {1, 2}")
-        beta = self.algebra.beta
-        if not self.shape_a0 > (self.m - 1) * beta / 2:
-            raise DomainError(
-                f"proposal shape must exceed (m-1)*beta/2 = {(self.m - 1) * beta / 2}, "
-                f"got {self.shape_a0}"
-            )
-        if len(self.scale_eigs) != self.m or any(z <= 0 for z in self.scale_eigs):
-            raise DomainError("scale eigenvalues must be m positive reals")
-
-    def sample(self, rng: np.random.Generator, count: int):
-        """Returns (X, logdet_X) with X of shape (count, m, m)."""
-        m, beta = self.m, self.algebra.beta
-        shapes = self.shape_a0 - np.arange(m) * beta / 2.0
-        diag = np.sqrt(rng.gamma(shapes, size=(count, m)))
-        if beta == 1:
-            t = np.zeros((count, m, m))
-        else:
-            t = np.zeros((count, m, m), dtype=complex)
-        iu = np.triu_indices(m, k=1)
-        n_off = len(iu[0])
-        if n_off:
-            off = rng.standard_normal((count, n_off)) * math.sqrt(0.5)
-            if beta == 2:
-                off = off + 1j * rng.standard_normal((count, n_off)) * math.sqrt(0.5)
-            t[:, iu[0], iu[1]] = off
-        t[:, np.arange(m), np.arange(m)] = diag
-        x = np.einsum("bji,bjk->bik", t.conj(), t)
-        z = np.asarray(self.scale_eigs)
-        inv_root = 1.0 / np.sqrt(z)
-        x = x * inv_root[None, :, None] * inv_root[None, None, :]
-        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in z)
-        return x, logdet
-
-    def log_norm(self) -> float:
-        """log of Gamma_m[a0] |Z0|^{-a0}, the proposal's inverse density scale."""
-        return mv_gamma_ln(self.m, self.algebra, self.shape_a0) - self.shape_a0 * math.fsum(
-            math.log(v) for v in self.scale_eigs
-        )
-
-
-def _matrix_gamma(m, algebra, a0, z_eigs, rng, count):
-    return ConeSampler(m, algebra, a0, tuple(z_eigs)).sample(rng, count)
+def _cone_beta(algebra: DivisionAlgebra) -> int:
+    """beta of a check that reads its cone draws as m x m matrices: the
+    quaternion sampler returns embeddings, so 1 or 2."""
+    if algebra.beta not in (1, 2):
+        raise UnsupportedParameterError("cone sampling checks support beta in {1, 2}")
+    return algebra.beta
 
 
 def _matrix_beta1(m, algebra, a1, a2, rng, count):
     """Matrix beta type I draws U in (0, I) with parameters (a1, a2)."""
-    a, _ = _matrix_gamma(m, algebra, a1, np.ones(m), rng, count)
-    b, _ = _matrix_gamma(m, algebra, a2, np.ones(m), rng, count)
+    a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
+    b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
     ell = np.linalg.cholesky(a + b)
     w = np.linalg.solve(ell, a)
     u = np.linalg.solve(ell, np.conj(np.transpose(w, (0, 2, 1))))
@@ -295,8 +228,8 @@ def _matrix_beta2(m, algebra, a1, a2, rng, count):
     denominator draw: a triangular factor changes the law here (the exponent
     couples to tr(XB), which only the Hermitian root preserves).
     """
-    a, _ = _matrix_gamma(m, algebra, a1, np.ones(m), rng, count)
-    b, _ = _matrix_gamma(m, algebra, a2, np.ones(m), rng, count)
+    a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
+    b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
     w, q = np.linalg.eigh(b)
     inv_root = np.einsum("bik,bk,bjk->bij", q, w**-0.5, q.conj())
     x = inv_root @ a @ inv_root
@@ -370,7 +303,7 @@ def verify_laplace_jack(
     m-th part of kappa; below the classical bound the proposal shape shifts
     and the determinant weight carries the difference.
     """
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     k_m = kappa.part(m)
     r = np.asarray(r_eigs, dtype=float)
@@ -415,7 +348,7 @@ def verify_beta_jack(
 ) -> VerificationReport:
     """Beta-type integral over 0 < X < I with a C_kappa(XR) factor, or the
     inverse-argument variant C_kappa(R X^{-1})."""
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     k_m = kappa.part(m)
     r = np.asarray(r_eigs, dtype=float)
@@ -497,7 +430,7 @@ def verify_radial_kernel(
     ``inverse_arg=True`` is the C_kappa(X^{-1} U) form (domain a > c + k_1);
     ``inverse_arg=False`` uses C_kappa(X U) (domain a > c - k_m).
     """
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     k = kappa.weight
     if inverse_arg:
@@ -591,7 +524,7 @@ def verify_beta2_jack(
 ) -> VerificationReport:
     """Type-II beta integral |X|^(a-c-1) |I+X|^-(a+b) with C_kappa(R X) (r2)
     or C_kappa(R X^{-1}) (r1), against the weighted-gamma closed form."""
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     if variant == "r1":
         sign_a, sign_b = -1, +1
@@ -650,7 +583,7 @@ def verify_incomplete(
 
     ``kind``: ``gamma_lower``, ``beta`` or ``gamma_upper``.
     """
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     rng = _rng(seed)
 
@@ -775,7 +708,7 @@ def verify_laplace_hypergeom(
     truncated by the default rule of the analytic side; DomainError when
     either side does not converge.
     """
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     upper = tuple(float(v) for v in upper)
     lower = tuple(float(v) for v in lower)
@@ -851,7 +784,7 @@ def verify_euler_1f1_integral(
 ) -> VerificationReport:
     """Euler-type integral representation of the confluent series: the
     beta-weighted average of etr(XY) over 0 < Y < I equals 1F1(a; c; X)."""
-    beta = algebra.beta
+    beta = _cone_beta(algebra)
     c = (m - 1) * beta / 2
     if not (cpar > a + c and a > c):
         raise DomainError(f"requires c > a + (m-1)*beta/2 and a > (m-1)*beta/2 = {c}")

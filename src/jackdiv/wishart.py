@@ -1,12 +1,16 @@
 """Central Wishart sampling and eigenvalue distribution functions.
 
-Sampling follows the beta-scaled Gaussian convention in which every real
-component of the n x m data matrix has variance 1/beta, so the analytic
-distribution functions below hold without rescaling.  Most numerical
-libraries use the unscaled convention; divide samples by beta to compare.
+The Wishart law here is beta-scaled: S has density proportional to
+etr(-(beta/2) Sigma^{-1} S) |S|^(beta n/2 - (m-1)beta/2 - 1), so the
+analytic distribution functions below hold without rescaling.  Libraries
+whose Gaussian entries have unit-variance real components draw beta S
+instead; divide their samples by beta to compare.
 
-Sampling covers beta in {1, 2, 4} (quaternions via the complex embedding);
-beta = 8 is supported on the analytic paths only.
+Sampling draws S by the triangular (Bartlett) construction of
+:class:`ConeSampler` with a0 = beta n / 2 and Z0 = (beta/2) Sigma^{-1}: a
+chi diagonal and Gaussian off-diagonals, as Dumitriu and Edelman build the
+beta-Laguerre ensembles.  It covers beta in {1, 2, 4} (quaternions via the
+complex embedding); beta = 8 is supported on the analytic paths only.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .special import mv_gamma_ln
 # Largest excess over 1 of a computed CDF that is taken as rounding and
 # returned as 1.0; a larger one raises DomainError.
 CDF_ROUNDING = 1e-10
+
+# Largest number of draws a sampler makes in one batch: bounds memory, and the
+# random stream is consumed in the same order whatever the total count.
+_CHUNK = 20_000
 
 
 class ConvergenceWarning(UserWarning):
@@ -80,55 +88,102 @@ class WishartModel:
         return self.algebra.beta
 
 
-def _gaussian_data_matrix(model: WishartModel, rng: np.random.Generator, count: int):
-    """(count, n, m) data matrices with the beta-scaled variance convention,
-    already scaled by sigma^(1/2); beta = 4 returns the complex embedding."""
-    m, n, beta = model.m, int(model.n), model.beta
-    root_sigma = np.sqrt(np.asarray(model.sigma_eigs))
-    if beta == 1:
-        g = rng.standard_normal((count, n, m))
-        return g * root_sigma
-    if beta == 2:
-        g = (rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m)))
-        return g * (root_sigma / math.sqrt(2.0))
-    if beta == 4:
-        z1, z2 = _quat.gaussian_pair(rng, (count, n, m), 0.5)
-        z1 *= root_sigma
-        z2 *= root_sigma
-        return _quat.embed(z1, z2)
-    raise UnsupportedParameterError(
-        "sampling is unavailable for beta = 8 (octonion); analytic paths only"
-    )
+@dataclass(frozen=True)
+class ConeSampler:
+    """Matrix-gamma sampler on the positive-definite cone, beta in {1, 2, 4}.
+
+    Draws X with density etr(-X Z0) |X|^(a0 - (m-1)beta/2 - 1) |Z0|^a0 /
+    Gamma_m[a0] via the triangular-factor construction: X = Z0^(-1/2) T* T
+    Z0^(-1/2) with chi-squared diagonal and Gaussian off-diagonal entries.
+    At beta = 4, X is returned as its (2m, 2m) complex embedding.
+    """
+
+    m: int
+    algebra: DivisionAlgebra
+    shape_a0: float
+    scale_eigs: tuple[float, ...]
+
+    def __post_init__(self):
+        beta = self.algebra.beta
+        if beta == 8:
+            raise UnsupportedParameterError(
+                "sampling is unavailable for beta = 8 (octonion); analytic paths only"
+            )
+        if not self.shape_a0 > (self.m - 1) * beta / 2:
+            raise DomainError(
+                f"proposal shape must exceed (m-1)*beta/2 = {(self.m - 1) * beta / 2}, "
+                f"got {self.shape_a0}"
+            )
+        if len(self.scale_eigs) != self.m or any(z <= 0 for z in self.scale_eigs):
+            raise DomainError("scale eigenvalues must be m positive reals")
+
+    def sample(self, rng: np.random.Generator, count: int):
+        """Returns (X, logdet_X) with X of shape (count, m, m), or (count, 2m,
+        2m) at beta = 4; logdet_X is the determinant over the algebra."""
+        m, beta = self.m, self.algebra.beta
+        shapes = self.shape_a0 - np.arange(m) * beta / 2.0
+        diag = np.sqrt(rng.gamma(shapes, size=(count, m)))
+        t = np.zeros((count, m, m), dtype=float if beta == 1 else complex)
+        t_j = np.zeros_like(t)  # j component of a quaternion T
+        iu = np.triu_indices(m, k=1)
+        n_off = len(iu[0])
+        if n_off:
+            if beta == 4:
+                off, off_j = _quat.gaussian_pair(rng, (count, n_off), math.sqrt(0.5))
+                t_j[:, iu[0], iu[1]] = off_j
+            else:
+                off = rng.standard_normal((count, n_off)) * math.sqrt(0.5)
+                if beta == 2:
+                    off = off + 1j * rng.standard_normal((count, n_off)) * math.sqrt(0.5)
+            t[:, iu[0], iu[1]] = off
+        t[:, np.arange(m), np.arange(m)] = diag
+        z = np.asarray(self.scale_eigs)
+        inv_root = 1.0 / np.sqrt(z)
+        if beta == 4:
+            t = _quat.embed(t, t_j)
+            inv_root = np.tile(inv_root, 2)
+        x = np.einsum("bji,bjk->bik", t.conj(), t)
+        x = x * inv_root[None, :, None] * inv_root[None, None, :]
+        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in z)
+        return x, logdet
+
+    def log_norm(self) -> float:
+        """log of Gamma_m[a0] |Z0|^{-a0}, the proposal's inverse density scale."""
+        return mv_gamma_ln(self.m, self.algebra, self.shape_a0) - self.shape_a0 * math.fsum(
+            math.log(v) for v in self.scale_eigs
+        )
+
+
+def _sample_values(n_samples: int, draw) -> np.ndarray:
+    """``draw(count)`` over consecutive chunks of at most ``_CHUNK`` samples,
+    concatenated in draw order."""
+    if n_samples <= 0:
+        raise DomainError(f"n_samples must be positive, got {n_samples}")
+    chunks = []
+    done = 0
+    while done < n_samples:
+        count = min(_CHUNK, n_samples - done)
+        chunks.append(draw(count))
+        done += count
+    return np.concatenate(chunks)
 
 
 def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarray:
     """Eigenvalue spectra of ``count`` Wishart draws, shape (count, m), each
     row sorted descending.  Reproducible given the seed."""
-    if model.beta == 8:
-        raise UnsupportedParameterError(
-            "sampling is unavailable for beta = 8 (octonion); analytic paths only"
-        )
     n = model.n
     if abs(n - round(n)) > 1e-12:
         raise DomainError(f"sampling requires integer degrees of freedom, got n = {n}")
-    if int(round(n)) < model.m:
-        raise DomainError(f"sampling requires n >= m, got n = {n}, m = {model.m}")
+    beta = model.beta
+    sampler = ConeSampler(model.m, model.algebra, beta * round(n) / 2,
+                          tuple(beta / (2 * s) for s in model.sigma_eigs))
     rng = np.random.default_rng(np.random.PCG64(seed))
-    out = np.empty((count, model.m))
-    block = 65536
-    done = 0
-    while done < count:
-        b = min(block, count - done)
-        g = _gaussian_data_matrix(model, rng, b)
-        s = np.einsum("bij,bik->bjk", g.conj(), g)
-        eigs = np.linalg.eigvalsh(s)
-        if model.beta == 4:
-            vals = _quat.dedupe_pairs(eigs)
-        else:
-            vals = eigs[:, ::-1]
-        out[done : done + b] = vals
-        done += b
-    return out
+
+    def draw(chunk):
+        eigs = np.linalg.eigvalsh(sampler.sample(rng, chunk)[0])
+        return _quat.dedupe_pairs(eigs) if beta == 4 else eigs[:, ::-1]
+
+    return _sample_values(count, draw)
 
 
 def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: DivisionAlgebra,
@@ -147,7 +202,12 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: Division
     if m == 2:
         res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
     else:
-        res = pfq(HypergeomSpec((a_up,), (c_lo,), algebra, m), t, trunc)
+        try:
+            res = pfq(HypergeomSpec((a_up,), (c_lo,), algebra, m), t, trunc)
+        except OverflowError:
+            # raw powers of t in the generic series overflow at a large trace
+            raise DomainError(f"confluent series at trace {tr:g} overflows: the generic "
+                              f"series is not scale-safe there") from None
     if not res.converged:
         warnings.warn(
             f"confluent series not converged at degree {res.degrees_used} "

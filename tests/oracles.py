@@ -274,3 +274,24 @@ def laplace_beltrami_fd(fun, x, beta: float, h: float = 1e-4) -> float:
             if j != i:
                 total += beta * x[i] ** 2 / (x[i] - x[j]) * deriv
     return total
+
+
+def gaussian_wishart_eigs(m: int, n: int, sigma_eigs, beta: int, rng: np.random.Generator,
+                          count: int) -> np.ndarray:
+    """Eigenvalues, descending, of ``count`` beta-scaled Wishart draws built
+    from the definition: S = G* G for an n x m Gaussian G whose real
+    components have variance 1/beta, with column j scaled by sigma_j^(1/2).
+
+    At beta = 4, G is carried by its complex 2x2-block embedding, whose
+    spectrum repeats each eigenvalue of S.
+    """
+    comps = rng.standard_normal((beta, count, n, m)) * np.sqrt(np.asarray(sigma_eigs) / beta)
+    if beta == 1:
+        g = comps[0]
+    elif beta == 2:
+        g = comps[0] + 1j * comps[1]
+    else:
+        z1, z2 = comps[0] + 1j * comps[1], comps[2] + 1j * comps[3]
+        g = np.block([[z1, z2], [-z2.conj(), z1.conj()]])
+    eigs = np.linalg.eigvalsh(np.swapaxes(g.conj(), -1, -2) @ g)[:, ::-1]
+    return eigs[:, ::2] if beta == 4 else eigs

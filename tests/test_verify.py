@@ -9,13 +9,10 @@ from jackdiv import _quat, verify
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
 from jackdiv.special import mv_beta, mv_gamma
 from jackdiv.verify import (
-    _CHUNK,
-    ConeSampler,
     VerificationReport,
     _haar_batch,
     _logdet_h,
     _rng,
-    _sample_values,
     default_suite,
     verify_beta_jack,
     verify_incomplete,
@@ -27,10 +24,11 @@ from jackdiv.verify import (
     verify_beta2_jack,
     verify_two_matrix_0f0,
 )
+from jackdiv.wishart import _CHUNK, ConeSampler, _sample_values
 
 from oracles import scalar_pfq
 
-B1, B2, B4 = DivisionAlgebra(1), DivisionAlgebra(2), DivisionAlgebra(4)
+B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
 
 class TestHaar:
@@ -72,19 +70,22 @@ class TestHaar:
 
 
 class TestConeSampler:
+    # At beta = 4 the sample is the complex embedding, whose trace and
+    # log-determinant are twice the quaternion ones.
+
     def test_shape_validation(self):
         with pytest.raises(DomainError):
             ConeSampler(3, B2, 1.5, (1.0, 1.0, 1.0))
-        with pytest.raises(UnsupportedParameterError):
-            ConeSampler(2, B4, 4.0, (1.0, 1.0))
+        with pytest.raises(UnsupportedParameterError, match="analytic"):
+            ConeSampler(2, B8, 4.0, (1.0, 1.0))
 
-    @pytest.mark.parametrize("beta", [1, 2])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_trace_and_det_moments(self, beta):
         alg = DivisionAlgebra(beta)
         a = 2.3
         sampler = ConeSampler(2, alg, a, (1.0, 1.0))
         x, logdet = sampler.sample(_rng(3), 200_000)
-        tr = np.einsum("bii->b", x).real
+        tr = np.einsum("bii->b", x).real / (2 if beta == 4 else 1)
         assert tr.mean() == pytest.approx(2 * a, rel=0.01)
         # E |X|^s = Gamma_m(a+s)/Gamma_m(a)
         ds = np.exp(logdet)
@@ -92,10 +93,11 @@ class TestConeSampler:
         assert ds.mean() == pytest.approx(want, rel=0.01)
 
     def test_logdet_matches_direct(self):
-        sampler = ConeSampler(3, B2, 3.0, (1.0, 2.0, 0.5))
-        x, logdet = sampler.sample(_rng(5), 100)
-        direct = np.linalg.slogdet(x)[1]
-        assert np.abs(direct - logdet).max() < 1e-9
+        for alg, a, halve in ((B2, 3.0, 1), (B4, 5.0, 2)):
+            sampler = ConeSampler(3, alg, a, (1.0, 2.0, 0.5))
+            x, logdet = sampler.sample(_rng(5), 100)
+            direct = np.linalg.slogdet(x)[1] / halve
+            assert np.abs(direct - logdet).max() < 1e-9
 
 
 class TestReport:
@@ -290,6 +292,14 @@ class TestDomainEnforcement:
         with pytest.raises(UnsupportedParameterError, match="positive integer"):
             verify_incomplete("gamma_upper", 2, B1, 2.7, lambda_eigs=(1.0, 0.5),
                               omega_eigs=(1.0, 0.5), n_samples=100, seed=1)
+
+    def test_cone_checks_reject_quaternion(self):
+        # the cone sampler returns quaternion draws as complex embeddings,
+        # which the checks would read as 2m x 2m matrices
+        with pytest.raises(UnsupportedParameterError, match="beta in"):
+            verify_laplace_jack(1.3, Partition((2,)), (0.8,), (1.2,), 1, B4, 100, 1)
+        with pytest.raises(UnsupportedParameterError, match="beta in"):
+            verify_beta_jack(2.0, 3.0, Partition((1,)), (1.0,), 1, B4, False, 100, 1)
 
     def test_logdet_rejects_non_positive_definite(self):
         assert _logdet_h(np.array([np.diag([2.0, 3.0])])) == pytest.approx([math.log(6.0)])

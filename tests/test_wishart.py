@@ -19,6 +19,8 @@ from jackdiv.wishart import (
     sample_wishart_eigs,
 )
 
+from oracles import gaussian_wishart_eigs
+
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
 
@@ -84,6 +86,23 @@ class TestSampling:
         with pytest.raises(DomainError, match="integer"):
             sample_wishart_eigs(WishartModel(2, 4.5, (1.0, 1.0), B1), 1, 10)
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_nonpositive_count_rejected(self, count):
+        with pytest.raises(DomainError, match=f"must be positive, got {count}"):
+            sample_wishart_eigs(WishartModel(2, 4, (1.0, 1.0), B1), 1, count)
+
+    @pytest.mark.parametrize("m, n, sigma", [(2, 4, (1.0, 2.0)), (3, 6, (1.0, 2.0, 3.0))])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_law_matches_gaussian_data_matrix(self, m, n, sigma, beta):
+        # two-sample KS per eigenvalue column against draws built from the
+        # data-matrix definition, which shares no code with the sampler
+        model = WishartModel(m, n, sigma, DivisionAlgebra(beta))
+        eigs = sample_wishart_eigs(model, 37, 20_000)
+        ref = gaussian_wishart_eigs(m, n, sigma, beta, np.random.default_rng(53), 20_000)
+        for col in range(m):
+            _, p = stats.ks_2samp(eigs[:, col], ref[:, col])
+            assert p > 1e-3, (col, p)
+
 
 class TestRegionCdf:
     def test_scalar_reduction(self):
@@ -143,6 +162,14 @@ class TestLambdaMax:
     def test_domain(self):
         with pytest.raises(DomainError):
             cdf_lambda_max(WishartModel(1, 2, (1.0,), B1), 0.0)
+
+    @pytest.mark.parametrize("beta, x", [(8, 60.0), (4, 120.0), (2, 200.0)])
+    def test_generic_series_overflow_is_domain_error(self, beta, x):
+        # m = 1 takes the generic series, whose raw powers of the trace
+        # (beta/2) x / sigma overflow before the terms decay
+        model = WishartModel(1, 1, (2.0,), DivisionAlgebra(beta))
+        with pytest.raises(DomainError, match=f"trace {beta * x / 4:g} .*not scale-safe"):
+            cdf_lambda_max(model, x)
 
     def test_stall_window_reaches_m2_engine(self, monkeypatch):
         # the user's truncation reaches the m = 2 engine whole, so a longer
