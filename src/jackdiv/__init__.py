@@ -19,12 +19,10 @@ cli
 """
 
 from .core import (
-    ALL_ALGEBRAS,
     COMPLEX,
     OCTONION,
     QUATERNION,
     REAL,
-    SAMPLEABLE_ALGEBRAS,
     DivisionAlgebra,
     DomainError,
     Partition,

@@ -53,22 +53,27 @@ def haar_batch(rng: np.random.Generator, count: int, m: int):
     return v1, v2
 
 
-def dedupe_pairs(eigs: np.ndarray, rel_tol: float = 1e-9) -> np.ndarray:
+# Largest relative gap between the two eigenvalues of an embedded pair that
+# dedupe_pairs takes as rounding.
+PAIR_REL_TOL = 1e-9
+
+
+def dedupe_pairs(eigs: np.ndarray) -> np.ndarray:
     """Collapse the doubled spectrum of an embedded quaternion Hermitian matrix.
 
     ``eigs`` has shape (..., 2m) in ascending order (eigvalsh convention).
     Returns the values (..., m) descending.  Warns (RuntimeWarning) when two
-    eigenvalues of a pair differ by more than ``rel_tol`` relative to the
+    eigenvalues of a pair differ by more than ``PAIR_REL_TOL`` relative to the
     largest magnitude in their spectrum: the input was then not the embedding
     of a quaternion Hermitian matrix to working precision.
     """
     desc = eigs[..., ::-1]
     scale = np.maximum(np.abs(desc).max(axis=-1, keepdims=True), 1e-300)
     mismatch = float((np.abs(desc[..., 0::2] - desc[..., 1::2]) / scale).max())
-    if mismatch > rel_tol:
+    if mismatch > PAIR_REL_TOL:
         warnings.warn(
             f"quaternion eigenvalue pairs differ by {mismatch:.3g} relative "
-            f"(tolerance {rel_tol:g}); the spectrum is not doubled",
+            f"(tolerance {PAIR_REL_TOL:g}); the spectrum is not doubled",
             RuntimeWarning,
             stacklevel=2,
         )

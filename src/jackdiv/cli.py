@@ -6,17 +6,18 @@ and emit figure CSVs (figures).  All randomness is seeded; the seed in use is
 printed to stderr.  CSV output uses a header row, comma separators and 17
 significant digits, and is byte-stable for a fixed configuration and seed.
 
-A config file of key=value lines (via --config) mirrors the long flags;
-explicit command-line flags win over the file.  --threads (or the
-JACKDIV_THREADS environment variable) is accepted for interface parity and
-never changes computed values: evaluation order is fixed.
+A config file of key=value lines (via --config) sets the subcommand's flags
+that take a value: the key is the flag's name without the leading dashes,
+with '-' or '_' between words, and the value is converted as the flag
+converts it.  Explicit command-line flags win over the file.  --threads is
+accepted for interface parity and never changes computed values: evaluation
+order is fixed.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .core import DivisionAlgebra, DomainError, UnsupportedParameterError, parse
 from .hypergeom import HypergeomSpec, SeriesTruncation, pfq, pfq_two
 from .jack import SpectralArgument, jack_C, jack_J
 from .special import WeightedGammaQuery, mv_gamma, mv_gamma_ln, mv_gamma_weighted
-from .verify import run_suite
+from .verify import DEFAULT_REL_MAX, DEFAULT_Z_MAX, run_suite
 from .wishart import (
     WishartModel,
     cdf_lambda_max,
@@ -66,40 +67,23 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-_CONVERTERS = {
-    "beta": int,
-    "m": int,
-    "n": float,
-    "a": float,
-    "b": float,
-    "x": float,
-    "y": float,
-    "sign": str,
-    "kappa": str,
-    "eigs": str,
-    "eigs2": str,
-    "upper": str,
-    "lower": str,
-    "sigma": str,
-    "omega": str,
-    "grid": str,
-    "max_degree": int,
-    "rel_tol": float,
-    "stall_window": int,
-    "seed": int,
-    "threads": int,
-    "output": str,
-    "z_max": float,
-    "rel_max": float,
-    "normalization": str,
-}
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]):
+    """Overlay key=value config entries under explicit command-line flags.
 
-
-def _apply_config(args: argparse.Namespace, argv: list[str]):
-    """Overlay key=value config entries under explicit command-line flags."""
+    The keys are the dests of the subcommands' flags that take a value (not
+    --config, not a switch); each value is converted by its flag's ``type``.
+    """
     path = getattr(args, "config", None)
     if not path:
         return
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    known, own = set(), {}
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if action.option_strings and action.nargs != 0 and action.dest != "config":
+                known.add(action.dest)
+                if name == args.command:
+                    own[action.dest] = action
     explicit = set()
     for tok in argv:
         if tok.startswith("--"):
@@ -113,14 +97,22 @@ def _apply_config(args: argparse.Namespace, argv: list[str]):
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = line.split("=", 1)
             key = key.strip().replace("-", "_")
-            if key not in _CONVERTERS:
+            if key not in known:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            if not hasattr(args, key):
+            if key not in own:
                 raise DomainError(
                     f"{path}:{lineno}: config key {key!r} does not apply to {args.command}")
             if key in explicit:
                 continue
-            setattr(args, key, _CONVERTERS[key](value.strip()))
+            action, value = own[key], value.strip()
+            try:
+                converted = (action.type or str)(value)
+                if action.choices and converted not in action.choices:
+                    raise ValueError(value)
+            except ValueError:
+                raise DomainError(
+                    f"{path}:{lineno}: invalid value {value!r} for config key {key!r}") from None
+            setattr(args, key, converted)
 
 
 def _emit(lines: list[str], output: str | None):
@@ -146,8 +138,8 @@ def _add_common(sp, trunc=False, model=False, beta=True):
     if beta:
         sp.add_argument("--beta", type=int, default=1,
                         help="division algebra dimension (1, 2, 4 or 8)")
-    sp.add_argument("--config", help="key=value file mirroring the long flags")
-    sp.add_argument("--threads", type=int, default=int(os.environ.get("JACKDIV_THREADS", "1")),
+    sp.add_argument("--config", help="key=value file setting this subcommand's valued flags")
+    sp.add_argument("--threads", type=int, default=1,
                     help="accepted for interface parity; never changes values")
     sp.add_argument("--output", help="write output to this path instead of stdout")
     if trunc:
@@ -215,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'all' or a substring filter on case labels")
     p.add_argument("--quick", action="store_true", help="reduced sample budgets")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--z-max", type=float, default=3.0)
-    p.add_argument("--rel-max", type=float, default=0.05)
+    p.add_argument("--z-max", type=float, default=DEFAULT_Z_MAX)
+    p.add_argument("--rel-max", type=float, default=DEFAULT_REL_MAX)
 
     p = sub.add_parser("figures", help="emit the distribution-function CSVs")
     _add_common(p, beta=False)
@@ -381,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return _COMMANDS[args.command](args)
     except (DomainError, UnsupportedParameterError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,6 @@ class UnsupportedParameterError(ValueError):
 
 _VALID_BETAS = (1, 2, 4, 8)
 
-_ALGEBRA_NAMES = {1: "real", 2: "complex", 4: "quaternion", 8: "octonion"}
-
 
 @dataclass(frozen=True)
 class DivisionAlgebra:
@@ -51,10 +49,6 @@ class DivisionAlgebra:
     def alpha(self) -> Fraction:
         return Fraction(2, self.beta)
 
-    @property
-    def name(self) -> str:
-        return _ALGEBRA_NAMES[self.beta]
-
     def __repr__(self):
         return f"DivisionAlgebra(beta={self.beta})"
 
@@ -63,9 +57,6 @@ REAL = DivisionAlgebra(1)
 COMPLEX = DivisionAlgebra(2)
 QUATERNION = DivisionAlgebra(4)
 OCTONION = DivisionAlgebra(8)
-
-ALL_ALGEBRAS = (REAL, COMPLEX, QUATERNION, OCTONION)
-SAMPLEABLE_ALGEBRAS = (REAL, COMPLEX, QUATERNION)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 Each ``verify_*`` function estimates one side of an identity by sampling
 (Haar matrices, cone matrices via the triangular construction, or matrix-beta
 draws), computes the other side analytically, and returns a
-:class:`VerificationReport` with the z-score and relative error against the
-configured thresholds.
+:class:`VerificationReport` with the z-score and relative error, judged
+against the default thresholds ``DEFAULT_Z_MAX`` and ``DEFAULT_REL_MAX``.
+The suite applies other thresholds: :func:`run_suite` judges each report
+once more against the ``z_max`` and ``rel_max`` it is given.
 
 Samplers are chosen so that for the exponential kernels the proposal matches
 the integrand exactly and only the polynomial factor carries variance; general
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -31,7 +33,7 @@ from scipy import integrate
 
 from . import _quat
 from .core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
-from .hypergeom import HypergeomSpec, SeriesResult, pfq, pfq_batch, pfq_two
+from .hypergeom import HypergeomSpec, SeriesResult, _termination_bound, pfq, pfq_batch, pfq_two
 from .jack import jack_C, jack_C_at_identity, jack_C_batch
 from .special import (
     WeightedGammaQuery,
@@ -107,7 +109,7 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _report(identity_id, params, analytic, values, z_max, rel_max) -> VerificationReport:
+def _report(identity_id, params, analytic, values) -> VerificationReport:
     est, se = _mean_se(values)
     return VerificationReport(
         identity_id=identity_id,
@@ -115,8 +117,6 @@ def _report(identity_id, params, analytic, values, z_max, rel_max) -> Verificati
         estimate=est,
         std_error=se,
         n_samples=values.size,
-        z_max=z_max,
-        rel_max=rel_max,
         param_digest=_digest(*params),
     )
 
@@ -172,8 +172,6 @@ def verify_split_integral(
     algebra: DivisionAlgebra,
     n_samples: int,
     seed: int,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Haar average of C_kappa(X H* Y H) against C(X) C(Y) / C(I)."""
     if any(v < 0 for v in x_eigs) or any(v < 0 for v in y_eigs):
@@ -194,7 +192,7 @@ def verify_split_integral(
     values = _sample_values(n_samples, draw)
     params = ("split", kappa.parts, tuple(x_eigs), tuple(y_eigs), m, algebra.beta, n_samples, seed)
     return _report(f"split-m{m}-b{algebra.beta}-k{''.join(map(str, kappa.parts))}",
-                   params, analytic, values, z_max, rel_max)
+                   params, analytic, values)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +292,6 @@ def verify_laplace_jack(
     algebra: DivisionAlgebra,
     n_samples: int,
     seed: int,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Cone integral of etr(-XZ) |X|^(a-c-1) C_kappa(XR) against its closed form.
 
@@ -329,7 +325,7 @@ def verify_laplace_jack(
     params = ("laplace_jack", a, kappa.parts, tuple(r), tuple(z), m, beta, n_samples, seed, a0)
     return _report(
         f"laplace-jack-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}",
-        params, analytic, values, z_max, rel_max,
+        params, analytic, values,
     )
 
 
@@ -343,8 +339,6 @@ def verify_beta_jack(
     inverse_arg: bool = False,
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Beta-type integral over 0 < X < I with a C_kappa(XR) factor, or the
     inverse-argument variant C_kappa(R X^{-1})."""
@@ -375,7 +369,7 @@ def verify_beta_jack(
     tag = "inv" if inverse_arg else "fwd"
     return _report(
         f"beta-jack-{tag}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}-b{b:g}",
-        params, analytic, values, z_max, rel_max,
+        params, analytic, values,
     )
 
 
@@ -421,8 +415,6 @@ def verify_radial_kernel(
     seed: int = 0,
     eta: float = 3.0,
     j_power: int = 1,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Cone integral of f(tr XZ) |X|^(a-c-1) C_kappa(X^{+-1} U) against the
     closed form whose constant is the kernel's scalar moment (by quadrature).
@@ -505,7 +497,7 @@ def verify_radial_kernel(
     tag = "inv" if inverse_arg else "fwd"
     return _report(
         f"radial-{f_id}-{tag}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}",
-        params, analytic, values, z_max, rel_max,
+        params, analytic, values,
     )
 
 
@@ -519,8 +511,6 @@ def verify_beta2_jack(
     variant: str = "r2",
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Type-II beta integral |X|^(a-c-1) |I+X|^-(a+b) with C_kappa(R X) (r2)
     or C_kappa(R X^{-1}) (r1), against the weighted-gamma closed form."""
@@ -555,7 +545,7 @@ def verify_beta2_jack(
     params = ("beta2_jack", variant, a, b, kappa.parts, tuple(r), m, beta, n_samples, seed)
     return _report(
         f"beta2-{variant}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}-b{b:g}",
-        params, analytic, values, z_max, rel_max,
+        params, analytic, values,
     )
 
 
@@ -575,8 +565,6 @@ def verify_incomplete(
     xi_eigs=None,
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Region integrals over {0 < X < Omega}, {0 < Y < Xi} or {X > Omega}
     against their confluent/Gauss/finite-sum closed forms.
@@ -668,7 +656,7 @@ def verify_incomplete(
             f"kind must be gamma_lower, beta or gamma_upper, got {kind!r}"
         )
 
-    return _report(identity, params, analytic, _sample_values(n_samples, draw), z_max, rel_max)
+    return _report(identity, params, analytic, _sample_values(n_samples, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +684,6 @@ def verify_laplace_hypergeom(
     inverse_arg: bool = False,
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Cone Laplace transform of a hypergeometric integrand against the
     parameter-shifted series on the other side.
@@ -724,13 +710,14 @@ def verify_laplace_hypergeom(
         raise DomainError("p = q forward-argument integrands need all z eigenvalues > 1")
 
     two_arg = y_eigs is not None
+    int_spec = HypergeomSpec(upper, lower, algebra, m)
     if inverse_arg:
         if np.any(u > 0):
             raise DomainError("inverse-argument transforms need U <= 0")
         # The inverse-argument transform is exact only when the integrand
         # series terminates; otherwise it carries a complementary Bessel-type
         # term (visible already at m = 1) and is formal.
-        if not any(v <= 1e-12 and abs(v - round(v)) < 1e-9 for v in upper):
+        if _termination_bound(int_spec) is None:
             raise UnsupportedParameterError(
                 "inverse-argument transforms are verified only for terminating "
                 "integrands (some upper parameter a nonpositive integer)"
@@ -747,7 +734,6 @@ def verify_laplace_hypergeom(
     analytic = (math.exp(mv_gamma_ln(m, algebra, a) - a * float(np.log(z).sum()))
                 * _converged(rhs, "analytic"))
 
-    int_spec = HypergeomSpec(upper, lower, algebra, m)
     sampler = ConeSampler(m, algebra, a, tuple(z))
     log_w0 = sampler.log_norm()
     rng = _rng(seed)
@@ -767,7 +753,7 @@ def verify_laplace_hypergeom(
     tag = "inv" if inverse_arg else "fwd"
     return _report(
         f"laplace-{len(upper)}f{len(lower)}-{tag}-m{m}-b{beta}",
-        params, analytic, values, z_max, rel_max,
+        params, analytic, values,
     )
 
 
@@ -779,8 +765,6 @@ def verify_euler_1f1_integral(
     algebra: DivisionAlgebra,
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Euler-type integral representation of the confluent series: the
     beta-weighted average of etr(XY) over 0 < Y < I equals 1F1(a; c; X)."""
@@ -799,7 +783,7 @@ def verify_euler_1f1_integral(
 
     values = _sample_values(n_samples, draw)
     params = ("euler_1f1", a, cpar, tuple(x), m, beta, n_samples, seed)
-    return _report(f"euler-1f1-m{m}-b{beta}", params, analytic, values, z_max, rel_max)
+    return _report(f"euler-1f1-m{m}-b{beta}", params, analytic, values)
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +798,6 @@ def verify_stiefel_0f1(
     algebra: DivisionAlgebra,
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Average of etr(beta X H1) over the first m columns of a Haar matrix
     against 0F1(beta n / 2; beta^2 X X* / 4); beta in {1, 2}."""
@@ -842,7 +824,7 @@ def verify_stiefel_0f1(
 
     values = _sample_values(n_samples, draw)
     params = ("stiefel", tuple(xx), m, n, algebra.beta, n_samples, seed)
-    return _report(f"stiefel-0f1-m{m}-n{n}-b{beta}", params, analytic, values, z_max, rel_max)
+    return _report(f"stiefel-0f1-m{m}-n{n}-b{beta}", params, analytic, values)
 
 
 def verify_two_matrix_0f0(
@@ -852,8 +834,6 @@ def verify_two_matrix_0f0(
     algebra: DivisionAlgebra,
     n_samples: int = 100_000,
     seed: int = 0,
-    z_max: float = DEFAULT_Z_MAX,
-    rel_max: float = DEFAULT_REL_MAX,
 ) -> VerificationReport:
     """Haar average of etr(X H Y H*) against the two-argument exponential
     series; beta in {1, 2, 4}."""
@@ -870,7 +850,7 @@ def verify_two_matrix_0f0(
 
     values = _sample_values(n_samples, draw)
     params = ("two_matrix_0f0", tuple(x), tuple(y), m, algebra.beta, n_samples, seed)
-    return _report(f"two-matrix-0f0-m{m}-b{algebra.beta}", params, analytic, values, z_max, rel_max)
+    return _report(f"two-matrix-0f0-m{m}-b{algebra.beta}", params, analytic, values)
 
 
 # ---------------------------------------------------------------------------
@@ -882,12 +862,12 @@ def _case_seed(base: int, label: str) -> int:
     return base + (zlib.crc32(label.encode()) & 0xFFFF)
 
 
-def default_suite(quick: bool = False, seed: int = 20260811,
-                  z_max: float = DEFAULT_Z_MAX, rel_max: float = DEFAULT_REL_MAX):
+def default_suite(quick: bool = False, seed: int = 20260811):
     """The curated identity list behind ``jackdiv verify all``.
 
     Returns (label, thunk) pairs; each thunk runs one Monte Carlo check and
-    returns its report.  ``quick`` divides the sample budgets by five.
+    returns its report, judged at the default thresholds (:func:`run_suite`
+    applies the caller's).  ``quick`` divides the sample budgets by five.
     """
     from .core import COMPLEX, QUATERNION, REAL
 
@@ -900,8 +880,7 @@ def default_suite(quick: bool = False, seed: int = 20260811,
     cases = []
 
     def add(label, fn, *args, **kw):
-        cases.append((label, partial(fn, *args, seed=_case_seed(seed, label),
-                                     z_max=z_max, rel_max=rel_max, **kw)))
+        cases.append((label, partial(fn, *args, seed=_case_seed(seed, label), **kw)))
 
     add("split/m2/b1/k21", verify_split_integral,
         P_((2, 1)), (1.0, 2.0), (3.0, 1.0), 2, REAL, n_haar)
@@ -981,10 +960,11 @@ def default_suite(quick: bool = False, seed: int = 20260811,
 def run_suite(quick: bool = False, seed: int = 20260811, only: str | None = None,
               z_max: float = DEFAULT_Z_MAX, rel_max: float = DEFAULT_REL_MAX):
     """Run the default suite (optionally filtered by substring) and return
-    the reports in declaration order."""
+    the reports in declaration order, each judged once more against
+    ``z_max`` and ``rel_max`` (the checks judge at the defaults)."""
     reports = []
-    for label, thunk in default_suite(quick=quick, seed=seed, z_max=z_max, rel_max=rel_max):
+    for label, thunk in default_suite(quick=quick, seed=seed):
         if only and only not in label:
             continue
-        reports.append(thunk())
+        reports.append(replace(thunk(), z_max=z_max, rel_max=rel_max))
     return reports

@@ -26,6 +26,7 @@ from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from .hypergeom import (
     DEFAULT_TRUNCATION,
     HypergeomSpec,
+    SeriesResult,
     SeriesTruncation,
     pfq,
     pfq_positive_m2,
@@ -34,8 +35,9 @@ from .hypergeom import (
 from .special import mv_gamma_ln
 
 
-# Largest excess over 1 of a computed CDF that is taken as rounding and
-# returned as 1.0; a larger one raises DomainError.
+# Largest excess over 1 (or shortfall below 0) of a computed CDF that is
+# taken as rounding and returned as 1.0 (or 0.0); a larger one raises
+# DomainError.
 CDF_ROUNDING = 1e-10
 
 # Largest number of draws a sampler makes in one batch: bounds memory, and the
@@ -45,6 +47,15 @@ _CHUNK = 20_000
 
 class ConvergenceWarning(UserWarning):
     """A truncated series did not meet its convergence target."""
+
+
+def _warn_unconverged(res: SeriesResult, what: str, stacklevel: int = 3):
+    """ConvergenceWarning naming the degree when ``res`` did not converge;
+    ``stacklevel`` counts from the caller, as in :func:`warnings.warn`."""
+    if not res.converged:
+        warnings.warn(f"{what} series not converged at degree {res.degrees_used} "
+                      f"(last term ratio {res.last_term_ratio:.2e})",
+                      ConvergenceWarning, stacklevel=stacklevel + 1)
 
 
 # Constant of the spectral-decomposition volume element, per algebra.
@@ -208,13 +219,7 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: Division
             # raw powers of t in the generic series overflow at a large trace
             raise DomainError(f"confluent series at trace {tr:g} overflows: the generic "
                               f"series is not scale-safe there") from None
-    if not res.converged:
-        warnings.warn(
-            f"confluent series not converged at degree {res.degrees_used} "
-            f"(last term ratio {res.last_term_ratio:.2e})",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
+    _warn_unconverged(res, "confluent")
     if res.log_value is None:
         raise DomainError("confluent series produced a nonpositive value")
     return res.log_value
@@ -287,12 +292,7 @@ def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None
     use = trunc or SeriesTruncation(max_degree=100, rel_tol=1e-12)
     res = pfq(HypergeomSpec((beta * model.n / 2,), (q,), model.algebra, model.m),
               -(beta / 2.0) * t, use)
-    if not res.converged:
-        warnings.warn(
-            f"untransformed series not converged at degree {res.degrees_used}",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
+    _warn_unconverged(res, "untransformed", stacklevel=2)
     return math.exp(log_pref) * res.value
 
 
@@ -321,7 +321,14 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
     u = (beta / 2.0) * y / np.asarray(model.sigma_eigs)
     spec = HypergeomSpec((), (), model.algebra, model.m)
     s = pfq(spec, u, max_first_part=r)
-    return 1.0 - math.exp(-float(u.sum())) * s.value
+    cdf = 1.0 - math.exp(-float(u.sum())) * s.value
+    if cdf < 0.0:
+        # 1 - e^{-tr} s cancels near y = 0
+        if cdf < -CDF_ROUNDING:
+            raise DomainError(f"distribution function evaluates to {cdf:.6g}, below 0 "
+                              f"by more than the rounding allowance {CDF_ROUNDING:g}")
+        return 0.0
+    return cdf
 
 
 def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | None = None) -> float:
@@ -359,11 +366,6 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
         spec = HypergeomSpec((), (), alg, m)
         use = trunc or SeriesTruncation(max_degree=max(60, int(4 * (beta / 2) * lam.sum() / sigma.min())), rel_tol=1e-11)
         res = pfq_two(spec, -(beta / 2.0) / sigma, lam, use)
-        if not res.converged:
-            warnings.warn(
-                f"eigenvalue coupling series not converged at degree {res.degrees_used}",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
+        _warn_unconverged(res, "eigenvalue coupling", stacklevel=2)
         coupling = res.value
     return math.exp(log_const + log_shape + log_vand) * coupling

@@ -136,6 +136,24 @@ class TestDiagnostics:
         code, _, err = run(capsys, "gamma", "--a", "2.0", "--config", str(cfg))
         assert code == 2 and "unknown config key" in err
 
+    def test_config_key_of_no_subcommand_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("b=1\n")
+        code, out, err = run(capsys, "gamma", "--a", "2.0", "--config", str(cfg))
+        assert code == 2 and out == "" and "unknown config key 'b'" in err
+
+    @pytest.mark.parametrize("command, line", [
+        (["gamma", "--a", "2.0"], "m=abc"),
+        (["jack", "--kappa", "[1]", "--eigs", "1,2"], "normalization=c"),
+    ])
+    def test_invalid_config_value_rejected_in_one_line(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        key, value = line.split("=")
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"invalid value {value!r} for config key {key!r}" in err
+
     def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta=2\n")
@@ -189,6 +207,17 @@ class TestConfigFile:
         assert float(out.strip()) == pytest.approx(math.pi * 2.0, rel=1e-13)
 
 
+    def test_pfq_config_matches_flags(self, tmp_path, capsys):
+        flags = ["--beta", "2", "--upper", "0.7", "--lower", "2.5,1.5",
+                 "--eigs", "0.4,0.1", "--max-degree", "12"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta=2\nupper=0.7\nlower=2.5,1.5\neigs=0.4,0.1\nmax_degree=12\n")
+        code, by_flags, _ = run(capsys, "pfq", *flags)
+        assert code == 0
+        code, by_config, _ = run(capsys, "pfq", "--config", str(cfg))
+        assert code == 0 and by_config == by_flags
+
+
 class TestVerifyCommand:
     def test_filtered_run_and_exit_code(self, tmp_path, capsys):
         out_path = tmp_path / "rep.csv"
@@ -210,3 +239,8 @@ class TestVerifyCommand:
         run(capsys, "verify", "two-matrix-0f0/b1", "--quick", "--threads", "8",
             "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_environment_variable_is_not_read(self, capsys, monkeypatch):
+        monkeypatch.setenv("JACKDIV_THREADS", "abc")
+        code, out, _ = run(capsys, "gamma", "--a", "2")
+        assert code == 0 and float(out) == 1.0

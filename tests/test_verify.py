@@ -14,6 +14,7 @@ from jackdiv.verify import (
     _logdet_h,
     _rng,
     default_suite,
+    run_suite,
     verify_beta_jack,
     verify_incomplete,
     verify_laplace_hypergeom,
@@ -339,6 +340,12 @@ class TestDomainEnforcement:
 
 
 class TestSuite:
+    def test_run_suite_applies_the_thresholds(self):
+        default, = run_suite(quick=True, only="two-matrix-0f0/b1")
+        strict, = run_suite(quick=True, only="two-matrix-0f0/b1", z_max=1e-9)
+        assert default.passed and not strict.passed
+        assert strict.to_line()[:-1] == default.to_line()[:-1]
+
     def test_labels_unique_and_runnable(self):
         cases = default_suite(quick=True)
         labels = [label for label, _ in cases]

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,6 +241,24 @@ class TestLambdaMin:
         vals = [cdf_lambda_min(model, float(y)) for y in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
         assert all(-1e-9 <= v <= 1.0 + 1e-6 for v in vals)
+
+    def test_never_below_zero_near_origin(self):
+        # 1 - e^{-tr} s cancels there; rounding below 0 is returned as 0
+        model = WishartModel(2, 7, (1.0, 2.0), B8)
+        vals = [cdf_lambda_min(model, float(y)) for y in np.linspace(0.0, 1.0, 101)[1:]]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert cdf_lambda_min(model, 0.33) == 0.0
+
+    def test_shortfall_below_zero_beyond_rounding_raises(self, monkeypatch):
+        real_pfq = wishart.pfq
+
+        def inflated(spec, u, max_first_part):
+            res = real_pfq(spec, u, max_first_part=max_first_part)
+            return replace(res, value=2.0 * res.value)
+
+        monkeypatch.setattr(wishart, "pfq", inflated)
+        with pytest.raises(DomainError, match="below 0"):
+            cdf_lambda_min(WishartModel(2, 7, (1.0, 2.0), B1), 0.5)
 
     def test_min_cdf_dominates_max_cdf(self):
         model = WishartModel(2, 7, (1.0, 2.0), B2)
