@@ -4,9 +4,11 @@ Everything downstream (Jack polynomials, hypergeometric series, Wishart
 eigenvalue laws) is indexed by integer partitions and parameterized by the
 real dimension ``beta`` of a normed division algebra, beta in {1, 2, 4, 8},
 with the companion parameter ``alpha = 2/beta``.  :func:`hook_product` keeps
-hook lengths as exact rationals; they feed only the normalization constant
-(``jack._log_nu``).  The series kernels price strip coefficients from paired
-float hooks (``jack.JackTable._price``).
+hook lengths as exact rationals, the reference that the exact Jack oracle of
+the tests reads; the library no longer calls it.  The normalization constant
+(``jack._log_nu``) takes the same hooks in floats, which are exact because
+alpha is a power of two, and the series kernels price strip coefficients from
+paired float hooks (``jack.JackTable._price``).
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ which ``fsum`` cannot, in :func:`_run_batch`, under the same stop rule.
 ``pfq(..., max_first_part=r)`` is the first-part-restricted exact sum.
 :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
 partition, every term scaled by exp(-trace) so that nothing overflows.
+:func:`ray_series` is the confluent series along a ray tau * s at any m: it
+runs the Jack recurrence once per (spec, unit-trace direction), keeps the
+degree sums in a bounded process-wide memo, and sums each tau in log space
+with the same scaling by exp(-tau).
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -24,6 +28,8 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -409,6 +415,35 @@ def _m2_log_tables(upper, lower, t1: float, t2: float, beta: int, size: int):
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _check_positive_shifts(params, beta: int, m: int, engine: str):
+    """Raise unless every shifted parameter par - (i-1) beta/2, rows i <= m,
+    is positive, so that every Pochhammer ratio, hence every term, is."""
+    for par in params:
+        for i in range(1, m + 1):
+            if not par - (i - 1) * beta / 2 > 0:
+                raise DomainError(
+                    f"parameter {par} has nonpositive shift at row {i}; outside the "
+                    f"positive-series domain of {engine}"
+                )
+
+
+def _unscaled(res: SeriesResult, tr: float) -> SeriesResult:
+    """A series summed with every term scaled by exp(-tr), brought back to
+    scale: ``log_value`` gains tr, and ``value`` is ``inf`` once the function
+    leaves the float range."""
+    if res.log_value is None:
+        raise DomainError(
+            f"every term up to degree {res.degrees_used} underflows after scaling by "
+            f"exp(-{tr:g}); max_degree is far below the trace"
+        )
+    log_value = res.log_value + tr
+    if tr < _LOG_FLOAT_MAX:
+        value = res.value * math.exp(tr)
+    else:
+        value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)
+
+
 def pfq_positive_m2(
     upper: tuple[float, ...],
     lower: tuple[float, ...],
@@ -431,13 +466,7 @@ def pfq_positive_m2(
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
         raise DomainError("the high-degree engine requires nonnegative eigenvalues")
-    for par in tuple(upper) + tuple(lower):
-        for i in (1, 2):
-            if not par - (i - 1) * beta / 2 > 0:
-                raise DomainError(
-                    f"parameter {par} has nonpositive shift at row {i}; outside the "
-                    "positive-series domain of the high-degree engine"
-                )
+    _check_positive_shifts(tuple(upper) + tuple(lower), beta, 2, "the high-degree engine")
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
 
@@ -452,16 +481,94 @@ def pfq_positive_m2(
         logs = row1[k - h : k + 1][::-1] + row2[: h + 1] + rows_n[k::-2]
         return float(np.exp(logs).sum())
 
-    res = _run_series(trunc, term_of_degree, trunc.max_degree)
-    if res.log_value is None:
-        raise DomainError(
-            f"every term up to degree {res.degrees_used} underflows after scaling by "
-            f"exp(-{t1 + t2:g}); max_degree is far below the trace"
-        )
-    tr = t1 + t2
-    log_value = res.log_value + tr
-    if tr < _LOG_FLOAT_MAX:
-        value = res.value * math.exp(tr)
-    else:
-        value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
-    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)
+    return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), t1 + t2)
+
+
+# ---------------------------------------------------------------------------
+# Memoized confluent series along a ray.
+#
+# Jack polynomials are homogeneous, C_kappa(tau s) = tau^|kappa| C_kappa(s), so
+# on the ray tau * s of a unit-trace direction s every degree sum of the series
+# is D_k tau^k, with D_k = sum_{|kappa| = k} poch(kappa) chat_kappa(s) fixed by
+# the direction alone.  One RaySeries per (spec, direction) runs the Jack
+# recurrence on s once, extends its D_k as later calls need more degrees, and
+# evaluates each tau from them in O(degrees).  Each term is
+# exp(log D_k + k log tau - tau): for 0 < a <= c the Pochhammer ratio is at
+# most 1, so the scaled terms sum to at most 0F0(tau s) exp(-tau) = 1 and
+# nothing overflows on the tau side, as in pfq_positive_m2.  chat = C / k! on
+# the unit-trace direction is at most 1/k!, so D_k leaves the normal float
+# range near weight 170; a degree the stop rule needs past that point raises
+# DomainError instead of summing zeros.
+# ---------------------------------------------------------------------------
+
+# Most rays kept; the least recently used is dropped beyond it.
+_RAY_CAPACITY = 32
+_RAYS: OrderedDict = OrderedDict()
+_RAYS_LOCK = threading.Lock()
+
+
+class RaySeries:
+    """The confluent series of ``spec`` = (a; c), 0 < a <= c, on the ray
+    tau * s of one unit-trace direction s (nonnegative, sorted descending).
+
+    Degree sums D_k are computed once each, in order, under a lock, so every
+    caller sees the same floats whatever the order of its calls and however
+    many threads share the ray.
+    """
+
+    def __init__(self, spec: HypergeomSpec, direction: tuple[float, ...]):
+        if spec.p != 1 or spec.q != 1:
+            raise DomainError("a ray series is confluent: one upper and one lower parameter")
+        (a,), (c,) = spec.upper, spec.lower
+        if not a <= c:
+            raise DomainError(f"a ray series needs a <= c, got a = {a}, c = {c}")
+        _check_positive_shifts((a, c), spec.algebra.beta, spec.m, "the ray series")
+        self.spec = spec
+        self._evaluator = ChatEvaluator(direction, get_table(spec.algebra))
+        self._sums: list[float] = []
+        self._lock = threading.Lock()
+
+    def degree_sum(self, k: int) -> float:
+        """D_k, the degree-k sum of the series at the unit-trace direction."""
+        if k >= len(self._sums):
+            with self._lock:
+                for j in range(len(self._sums), k + 1):
+                    self._sums.append(math.fsum(_degree_terms(self.spec, self._evaluator.degree_values(j))))
+        return self._sums[k]
+
+    def evaluate(self, tau: float, trunc: SeriesTruncation) -> SeriesResult:
+        """The series at tau * s, tau > 0, under ``trunc``'s stop rule and
+        degree cap, as :func:`pfq` there.  Raises DomainError when a degree
+        the stop rule needs has D_k below the normal float range."""
+        log_tau = math.log(tau)
+
+        def term_of_degree(k: int) -> float:
+            d = self.degree_sum(k)
+            if not d >= sys.float_info.min:
+                raise DomainError(
+                    f"confluent series at trace {tau:g} needs degree {k}, whose "
+                    f"coefficient {d:g} underflows: the generic series is not scale-safe there")
+            return math.exp(math.log(d) + k * log_tau - tau)
+
+        return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), tau)
+
+
+def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
+    """The memoized :class:`RaySeries` of ``spec`` along ``direction``.
+
+    ``direction`` is scaled to unit trace and sorted here, so every call with
+    the same vector (bit for bit, in any order) shares one series; pass one
+    computed from the model alone, not from the point on the ray.
+    """
+    s = as_spectrum(direction).eigenvalues
+    if len(s) != spec.m or s[-1] < 0.0 or s[0] == 0.0:
+        raise DomainError(f"a ray direction needs {spec.m} nonnegative entries, "
+                          f"not all zero; got {s}")
+    tr = math.fsum(s)
+    key = (spec, tuple(v / tr for v in s))
+    with _RAYS_LOCK:
+        ray = _RAYS.pop(key, None) or RaySeries(*key)
+        _RAYS[key] = ray
+        if len(_RAYS) > _RAY_CAPACITY:
+            _RAYS.popitem(last=False)
+    return ray

@@ -41,9 +41,9 @@ from .core import (
     DomainError,
     Partition,
     _partition_tuples,
+    conjugate,
     # unused here, but the benchmark's tracer rebinds jack.enumerate_partitions
     enumerate_partitions,  # noqa: F401
-    hook_product,
 )
 
 @dataclass(frozen=True)
@@ -268,11 +268,17 @@ class ChatEvaluator:
 
 
 def _log_nu(p: Partition, algebra: DivisionAlgebra) -> float:
-    """log of the hook product nu_kappa; 0 for the empty partition."""
-    if not p.parts:
-        return 0.0
-    hooks = hook_product(p, algebra)
-    return math.fsum(math.log(float(u)) + math.log(float(l)) for u, l in zip(hooks.upper, hooks.lower))
+    """log of the hook product nu_kappa; 0 for the empty partition.
+
+    The hooks of :func:`core.hook_product`, upper leg + alpha (arm + 1) and
+    lower leg + 1 + alpha arm, taken in floats: alpha = 2/beta is a power of
+    two, so each is exact and equals the float of the exact rational.
+    """
+    alpha = 2.0 / algebra.beta
+    cols = conjugate(p).parts
+    return math.fsum(math.log(leg + alpha * (arm + 1)) + math.log(leg + 1 + alpha * arm)
+                     for i, ki in enumerate(p.parts) for j in range(ki)
+                     for arm, leg in [(ki - j - 1, cols[j] - i - 1)])
 
 
 def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None):

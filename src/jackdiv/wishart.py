@@ -11,6 +11,12 @@ Sampling draws S by the triangular (Bartlett) construction of
 chi diagonal and Gaussian off-diagonals, as Dumitriu and Edelman build the
 beta-Laguerre ensembles.  It covers beta in {1, 2, 4} (quaternions via the
 complex embedding); beta = 8 is supported on the analytic paths only.
+
+The largest-eigenvalue and region distribution functions are confluent
+series at (beta/2) t, t the spectrum of Omega Sigma^{-1}.  At m = 2 they run
+on :func:`hypergeom.pfq_positive_m2`; at any other m on the memoized
+:func:`hypergeom.ray_series` of a direction fixed by the model, so every x of
+one model shares one Jack recurrence.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .hypergeom import (
     pfq,
     pfq_positive_m2,
     pfq_two,
+    ray_series,
 )
 from .special import mv_gamma_ln
 
@@ -197,10 +204,16 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     return _sample_values(count, draw)
 
 
-def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: DivisionAlgebra,
+def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebra: DivisionAlgebra,
                       trunc: SeriesTruncation | None) -> float:
-    """log of 1F1(a_up; c_lo; t) for t >= 0, by :func:`pfq_positive_m2` at
-    m = 2 (every Wishart model's parameters lie in its domain), else by :func:`pfq`.
+    """log of 1F1(a_up; c_lo; t) for t >= 0.
+
+    At m = 2 this is :func:`pfq_positive_m2` on t itself (every Wishart
+    model's parameters lie in its domain).  Otherwise t must lie on the ray of
+    ``direction``, a vector the caller computes from the model alone, and the
+    value is the memoized :func:`ray_series` of that direction at the trace of
+    t, so every point of one model shares one Jack recurrence.  A degree the
+    series needs past weight ~170 raises DomainError.
 
     With ``trunc=None`` the degree budget is set from the trace so far tails
     converge; a user truncation is honored as given.
@@ -213,15 +226,8 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, algebra: Division
     if m == 2:
         res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
     else:
-        try:
-            res = pfq(HypergeomSpec((a_up,), (c_lo,), algebra, m), t, trunc)
-        except OverflowError:
-            # raw powers of t in the generic series overflow at a large trace
-            raise DomainError(f"confluent series at trace {tr:g} overflows: the generic "
-                              f"series is not scale-safe there") from None
+        res = ray_series(HypergeomSpec((a_up,), (c_lo,), algebra, m), direction).evaluate(tr, trunc)
     _warn_unconverged(res, "confluent")
-    if res.log_value is None:
-        raise DomainError("confluent series produced a nonpositive value")
     return res.log_value
 
 
@@ -241,13 +247,14 @@ def _cdf_prefactor(model: WishartModel, t: np.ndarray) -> tuple[float, float, fl
     return c1, q, log_pref
 
 
-def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray,
+def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray, direction,
                                 trunc: SeriesTruncation | None) -> float:
     """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, using the
-    exponentially-weighted positive series (the numerically stable form)."""
+    exponentially-weighted positive series (the numerically stable form);
+    t lies on the ray of ``direction`` (see :func:`_log_1f1_positive`)."""
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
-    log_series = _log_1f1_positive(c1, q, arg, model.algebra, trunc)
+    log_series = _log_1f1_positive(c1, q, arg, direction, model.algebra, trunc)
     log_cdf = log_pref - float(arg.sum()) + log_series
     if log_cdf > 0.0:
         if log_cdf > math.log1p(CDF_ROUNDING):
@@ -270,7 +277,7 @@ def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation 
     if np.any(omega <= 0):
         raise DomainError("region boundary must be positive definite")
     t = omega / np.asarray(model.sigma_eigs)
-    return _cdf_via_transformed_series(model, t, trunc)
+    return _cdf_via_transformed_series(model, t, t, trunc)
 
 
 def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None = None,
@@ -286,7 +293,7 @@ def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None
         raise DomainError(f"x must be positive, got {x}")
     t = x / np.asarray(model.sigma_eigs)
     if transformed:
-        return _cdf_via_transformed_series(model, t, trunc)
+        return _cdf_via_transformed_series(model, t, 1.0 / np.asarray(model.sigma_eigs), trunc)
     _, q, log_pref = _cdf_prefactor(model, t)
     beta = model.beta
     use = trunc or SeriesTruncation(max_degree=100, rel_tol=1e-12)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jackdiv import cli
+from jackdiv import cli, hypergeom
 from jackdiv.cli import main
 from jackdiv.core import DivisionAlgebra, Partition
 from jackdiv.hypergeom import SeriesTruncation
@@ -50,6 +50,21 @@ class TestEvaluationCommands:
         assert code == 0
         model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(1))
         assert float(out.strip()) == cdf_lambda_max(model, 5.0, SeriesTruncation(max_degree=40))
+
+    def test_m3_grid_prints_each_point_as_a_fresh_single_point(self, capsys):
+        # a grid shares one memoized series along the model's ray; each row
+        # must still be the bytes --x prints from an empty memo
+        model = ["--m", "3", "--n", "6", "--sigma", "1,2,3", "--beta", "1"]
+        hypergeom._RAYS.clear()
+        code, out, _ = run(capsys, "cdf-max", *model, "--grid", "0.5:6:12")
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert len(rows) == 12
+        for row in rows:
+            x, value = row.split(",")
+            hypergeom._RAYS.clear()
+            code, single, _ = run(capsys, "cdf-max", *model, "--x", x)
+            assert code == 0 and single == value + "\n"
 
     def test_density(self, capsys):
         code, out, _ = run(capsys, "density", "--beta", "1", "--m", "2", "--n", "4",

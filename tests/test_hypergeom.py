@@ -1,9 +1,12 @@
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from jackdiv import hypergeom
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
 from jackdiv.hypergeom import (
     HypergeomSpec,
@@ -16,6 +19,7 @@ from jackdiv.hypergeom import (
     pfq_batch,
     pfq_positive_m2,
     pfq_two,
+    ray_series,
 )
 
 from oracles import pfq_positive_m2_per_pair, scalar_pfq
@@ -398,3 +402,95 @@ class TestBatch:
         batch = _series(spec, np.array([[1.5, 0.5]]), None, 1.5, trunc, None)
         assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
         assert batch.value[0] == pytest.approx(ref.value, rel=1e-14, abs=0)
+
+
+@pytest.fixture
+def empty_rays():
+    """An empty ray memo, so a test builds its rays from scratch."""
+    hypergeom._RAYS.clear()
+    yield
+    hypergeom._RAYS.clear()
+
+
+def _wishart_ray(beta, m=3, n=6, sigma=(1.0, 2.0, 3.0)):
+    """(spec, direction) of the lambda_max series of a Wishart model: the
+    argument at x is x (beta/2) / sigma, on the ray of 1 / sigma."""
+    spec = HypergeomSpec(((m - 1) * beta / 2 + 1,), ((n + m - 1) * beta / 2 + 1,),
+                         DivisionAlgebra(beta), m)
+    return spec, 1.0 / np.asarray(sigma)
+
+
+class TestRaySeries:
+    TRUNC = SeriesTruncation(max_degree=200, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("spec, direction, taus", [
+        (*_wishart_ray(1), [0.5 * x * 11 / 6 for x in range(1, 7)]),
+        (*_wishart_ray(2), [x * 11 / 6 for x in range(1, 7)]),
+        (HypergeomSpec((1.0,), (2.5,), DivisionAlgebra(4), 1), (1.0,), [0.5, 5.0, 30.0]),
+        (HypergeomSpec((4.0,), (9.0,), DivisionAlgebra(2), 4), (4.0, 3.0, 2.0, 1.0), [1.0, 4.0]),
+    ], ids=["m3-b1", "m3-b2", "m1-b4", "m4-b2"])
+    def test_matches_pointwise_pfq(self, empty_rays, spec, direction, taus):
+        ray = ray_series(spec, direction)
+        unit = np.asarray(direction) / math.fsum(direction)
+        for tau in taus:
+            got = ray.evaluate(tau, self.TRUNC)
+            want = pfq(spec, tau * unit, self.TRUNC)
+            assert got.converged and want.converged
+            assert got.value == pytest.approx(want.value, rel=1e-13, abs=0)
+            assert got.log_value == pytest.approx(math.log(want.value), rel=1e-13, abs=1e-15)
+
+    def test_same_bits_in_any_order_and_after_eviction(self, empty_rays):
+        spec, direction = _wishart_ray(1)
+        taus = [0.25 * x * 11 / 6 for x in range(1, 17)]
+        first = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value for t in taus]
+        hypergeom._RAYS.clear()
+        backwards = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value
+                     for t in reversed(taus)]
+        assert backwards[::-1] == first
+        # the direction is keyed up to scale and order
+        assert ray_series(spec, 2.0 * direction[::-1]) is ray_series(spec, direction)
+        for i in range(hypergeom._RAY_CAPACITY):
+            ray_series(spec, (1.0, 1.0 + i, 2.0))
+        assert len(hypergeom._RAYS) == hypergeom._RAY_CAPACITY
+        rebuilt = ray_series(spec, direction)
+        assert rebuilt.degree_sum(0) == 1.0 and len(rebuilt._sums) == 1
+        assert [rebuilt.evaluate(t, self.TRUNC).log_value for t in taus] == first
+
+    def test_threads_sharing_a_fresh_ray_get_the_serial_bits(self, empty_rays):
+        spec, direction = _wishart_ray(2)
+        taus = [x * 11 / 6 for x in range(1, 11)]
+        serial = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value for t in taus]
+        hypergeom._RAYS.clear()
+
+        def run(order):
+            ray = ray_series(spec, direction)
+            return {i: ray.evaluate(taus[i], self.TRUNC).log_value for i in order}
+
+        orders = [range(10), range(9, -1, -1), range(0, 10, 2), range(1, 10, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert all(v == serial[i] for i, v in got.items())
+
+    def test_underflowing_degree_raises(self, empty_rays):
+        # D_k = 1 / (k + 1)! at m = 1 leaves the normal range at k = 170
+        ray = ray_series(HypergeomSpec((1.0,), (2.0,), DivisionAlgebra(2), 1), (1.0,))
+        with pytest.raises(DomainError, match="trace 100 needs degree 170, .*not scale-safe"):
+            ray.evaluate(100.0, SeriesTruncation(max_degree=400, rel_tol=1e-12))
+        assert ray.evaluate(60.0, SeriesTruncation(max_degree=400, rel_tol=1e-12)).converged
+
+    @pytest.mark.parametrize("spec, direction", [
+        (HypergeomSpec((3.0,), (2.0,), B1, 2), (1.0, 1.0)),
+        (HypergeomSpec((1.0,), (4.0,), DivisionAlgebra(4), 2), (1.0, 1.0)),
+        (HypergeomSpec((1.0, 2.0), (4.0,), B1, 2), (1.0, 1.0)),
+        (HypergeomSpec((1.0,), (4.0,), B1, 2), (1.0, -1.0)),
+        (HypergeomSpec((1.0,), (4.0,), B1, 2), (1.0, 1.0, 1.0)),
+    ], ids=["a-above-c", "nonpositive-shift", "not-confluent", "negative-direction", "wrong-length"])
+    def test_rejects_outside_its_domain(self, empty_rays, spec, direction):
+        with pytest.raises(DomainError):
+            ray_series(spec, direction)

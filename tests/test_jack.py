@@ -6,12 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
+from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions, hook_product
 from jackdiv.jack import (
     ChatEvaluator,
     JackTable,
     SpectralArgument,
     _interlacing_predecessors,
+    _log_nu,
     get_table,
     jack_C,
     jack_C_at_identity,
@@ -160,6 +161,18 @@ class TestOracle:
                     closed = jack_C_at_identity(p, m, alg)
                     direct = jack_C(p, np.ones(m), alg)
                     assert closed == pytest.approx(direct, rel=1e-10)
+
+
+class TestHookProduct:
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_float_hooks_match_exact_hooks_bit_for_bit(self, alg):
+        for k in range(1, 21):
+            for p in enumerate_partitions(k, 5):
+                hooks = hook_product(p, alg)
+                exact = math.fsum(math.log(float(u)) + math.log(float(l))
+                                  for u, l in zip(hooks.upper, hooks.lower))
+                assert _log_nu(p, alg) == exact, p.parts
+        assert _log_nu(Partition(()), alg) == 0.0
 
 
 class TestStripCoefficient:

@@ -2,13 +2,15 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from jackdiv import _quat, wishart
+from jackdiv import _quat, hypergeom, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from jackdiv.hypergeom import SeriesTruncation
+from jackdiv.hypergeom import RaySeries, SeriesTruncation
+from jackdiv.jack import ChatEvaluator
 from jackdiv.wishart import (
     ConvergenceWarning,
     WishartModel,
@@ -199,6 +201,57 @@ class TestLambdaMax:
         assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a - 1e-11 for a, b in zip(vals, vals[1:]))
         assert vals[-1] >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 3.5, 7])
+    def test_m1_is_the_regularized_incomplete_gamma(self, beta, n):
+        # (beta/2) S / sigma is Gamma(beta n / 2); the series is exact to the
+        # trace ~90 past which it needs weights above 170 (see the test below)
+        model = WishartModel(1, n, (2.0,), DivisionAlgebra(beta))
+        for tau in np.geomspace(0.01, 90.0, 25):
+            x = float(4.0 * tau / beta)
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(beta * n / 2, 0, beta * x / 4, regularized=True))
+            assert abs(cdf_lambda_max(model, x) - want) <= 1e-12 * want
+
+    def test_m3_points_of_one_model_share_one_series(self, monkeypatch):
+        # once x = 10 has run, x = 1..9 and a repeat of 10 need no degree
+        # of the Jack recurrence the ray has not already summed
+        hypergeom._RAYS.clear()
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B1)
+        cdf_lambda_max(model, 10.0)
+        calls = []
+        advance = ChatEvaluator._advance
+
+        def spy(self):
+            calls.append(self)
+            advance(self)
+
+        monkeypatch.setattr(ChatEvaluator, "_advance", spy)
+        for x in range(1, 11):
+            cdf_lambda_max(model, float(x))
+        assert calls == []
+
+    def test_m3_truncation_warns(self):
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B1)
+        with pytest.warns(ConvergenceWarning, match="degree 10"):
+            cdf_lambda_max(model, 10.0, SeriesTruncation(max_degree=10))
+
+    def test_stall_window_reaches_ray_series(self, monkeypatch):
+        # as at m = 2, a longer stall window sums more degrees at m = 3
+        seen = []
+        evaluate = RaySeries.evaluate
+
+        def spy(self, tau, trunc):
+            res = evaluate(self, tau, trunc)
+            seen.append(res.degrees_used)
+            return res
+
+        monkeypatch.setattr(RaySeries, "evaluate", spy)
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B1)
+        for s in (1, 3, 12):
+            cdf_lambda_max(model, 10.0, SeriesTruncation(400, 1e-12, stall_window=s))
+        assert seen == [32, 34, 43]
 
     @pytest.mark.parametrize("excess, outcome", [
         (0.0, 1.0), (5e-11, 1.0), (1e-9, DomainError), (800.0, DomainError),
