@@ -7,8 +7,9 @@ with the companion parameter ``alpha = 2/beta``.  :func:`hook_product` keeps
 hook lengths as exact rationals, the reference that the exact Jack oracle of
 the tests reads; the library no longer calls it.  The normalization constant
 (``jack._log_nu``) takes the same hooks in floats, which are exact because
-alpha is a power of two, and the series kernels price strip coefficients from
-paired float hooks (``jack.JackTable._price``).
+alpha is a power of two, and the series kernels price strip coefficients as
+products of paired float hook ratios, grouped into row-pair tables
+(``jack.JackTable._coefficients``).
 """
 
 from __future__ import annotations

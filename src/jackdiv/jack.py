@@ -15,9 +15,19 @@ kappa's *closed* strips.  A stage on more variables than len(kappa) also reads
 the *open* strips (mu_n > 0).  Coefficients depend only on (partition,
 predecessor, alpha).  Each is a product over the cells of kappa of hook
 ratios that pair a cell of mu with the same cell of kappa, so every factor
-is at most one and no weight overflows.  They are memoized in a
-:class:`JackTable` split the same way, so a whole series evaluation prices
-each coefficient once and never prices a strip no stage reads.
+is at most one and no weight overflows.  Grouped by rows, that product
+factors over pairs of rows r <= i of kappa,
+
+    g(kappa, mu) = prod_{r <= i} H_{r,i}(mu_r, mu_i),
+
+because the cells of row r in the columns (kappa_{i+1}, kappa_i] see only
+mu_r (their arms) and whether the column ends above or below mu_i (their
+legs); :class:`JackTable` gives the factors and the proof.  So all the
+strips of one shape are one broadcast product of n(n + 1)/2 small tables
+over the ranges of (mu_r, mu_i), not one hook tensor per strip.  They are
+memoized in a :class:`JackTable` split into closed and full entries, so a
+whole series evaluation prices each coefficient once and never prices a
+strip no stage reads.
 
 Internally everything is carried in the normalization ``chat = C / k!``; the
 public functions convert to the ``C`` (trace-power) and ``J`` (monic-monomial)
@@ -32,7 +42,7 @@ import itertools
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -95,9 +105,50 @@ def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
     """
     ranges = [range(k, lo - 1, -1) for k, lo in zip(parts, parts[1:] + (0,))]
     if closed:
-        ranges[-1] = (0,)
-    # mu is nonincreasing, so its zeros are the trailing ones
-    return [mu[: len(mu) - mu.count(0)] for mu in itertools.product(*ranges)]
+        return list(itertools.product(*ranges[:-1]))
+    # mu_i >= kappa_{i+1} > 0 above the last row, so only mu_n can be zero
+    return [mu if mu[-1] else mu[:-1] for mu in itertools.product(*ranges)]
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
+def _diagonal_factor(alpha: float, w: int) -> np.ndarray:
+    """H_{i,i} of a row of width w = kappa_i - kappa_{i+1}, over mu_i from
+    kappa_i down to kappa_{i+1}.
+
+    Shifted by kappa_{i+1}, with t = mu_i - kappa_{i+1}, the entry is the
+    running product over the columns j = 1..w of (1 + alpha (t - j)) /
+    (1 + alpha (w - j)) for j <= t and 1 / (w - j + 1) beyond: every factor
+    depends on t, so each entry is its own O(w) product, paid once per width.
+    """
+    t = np.arange(w, -1, -1, dtype=float)[:, None]
+    j = np.arange(1, w + 1, dtype=float)
+    factors = np.where(j <= t, (1 + alpha * (t - j)) / (1 + alpha * (w - j)), 1 / (w - j + 1))
+    return _read_only(np.cumprod(factors, axis=1)[:, -1])
+
+
+def _row_pair_factor(alpha: float, d: int, top: int, low: int, w: int) -> np.ndarray:
+    """H_{r,i} for rows d = i - r > 0 apart, over mu_r (rows) from kappa_r
+    down to kappa_{r+1} and mu_i (columns) from kappa_i down to kappa_{i+1}.
+
+    Everything is shifted by kappa_{i+1}: top = kappa_r - kappa_{i+1},
+    low = kappa_{r+1} - kappa_{i+1}, w = kappa_i - kappa_{i+1}, and the
+    columns are j = 1..w.  Along mu_i the entry is a prefix product of the
+    lower factors (j <= mu_i) times a suffix product of the upper ones.
+    """
+    j = np.arange(1, w + 1, dtype=float)
+    arm = alpha * (np.arange(top, low - 1, -1, dtype=float)[:, None] - j)
+    top_arm = alpha * (top - j)
+    # prefix, suffix = runs[0], runs[1]: prefix[:, b] takes the columns j <= b
+    # and suffix[:, b] those j > b, each a product of factors at most one
+    runs = np.ones((2, len(arm), w + 1))
+    np.cumprod((arm + (d + 1)) / (top_arm + (d + 1)), axis=1, out=runs[0, :, 1:])
+    upper = (arm + (d - 1 + alpha)) / (top_arm + (d + alpha))
+    np.cumprod(upper[:, ::-1], axis=1, out=runs[1, :, w - 1 :: -1])
+    return _read_only((runs[0] * runs[1])[:, ::-1])
 
 
 class JackTable:
@@ -105,23 +156,63 @@ class JackTable:
 
     Each partition kappa has up to two entries: its closed strips (mu_n = 0,
     n = len(kappa)), all that the stage on exactly len(kappa) variables reads,
-    and its full strips, read by every later stage.  The full entry reuses the
-    closed entry's tuples and prices only the open strips (mu_n > 0), so no
-    pair is priced twice.
+    and its full strips, read by every later stage.  Entries are immutable
+    once computed; lookups after the first return the identical float
+    objects, and insertion is lock-protected so concurrent evaluations from
+    several threads see a consistent cache.
 
-    Entries are immutable once computed; lookups after the first return the
-    identical float objects, and insertion is lock-protected so concurrent
-    evaluations from several threads see a consistent cache.  One kernel,
-    :meth:`_price`, prices every coefficient at every weight as a product of
-    paired hook ratios, each at most one, so relative error stays near
-    rounding level and nothing overflows.
+    The coefficient g(kappa, mu) = alpha^s prod_{c in mu} h~_mu(c) /
+    prod_{c in kappa} h~_kappa(c), where a cell takes its lower hook
+    leg + 1 + alpha arm in a column where kappa and mu have equal length, and
+    its upper hook leg + alpha (arm + 1) elsewhere.  It factors over pairs of
+    rows r <= i (0-based, d = i - r):
+
+        g(kappa, mu) = prod_{r <= i} H_{r,i}(mu_r, mu_i),
+
+    H_{r,i} being a product over the columns j in (kappa_{i+1}, kappa_i] of
+
+    - (d + 1 + alpha (mu_r - j)) / (d + 1 + alpha (kappa_r - j)) for j <= mu_i,
+    - (d - 1 + alpha (mu_r - j + 1)) / (d + alpha (kappa_r - j + 1)) for
+      j > mu_i and d > 0,
+    - 1 / (kappa_i - j + 1) for j > mu_i and d = 0.
+
+    Proof.  Every column j of kappa lies in exactly one range
+    (kappa_{i+1}, kappa_i], and there it holds the cells (r, j), r <= i, so
+    it has length i + 1 in kappa.  As kappa/mu is a horizontal strip, it has
+    length i + 1 in mu when j <= mu_i (lower hooks) and i when j > mu_i
+    (upper hooks; cell (i, j) is then in kappa/mu).  A cell (r, j) in mu has
+    arm mu_r - j in mu and kappa_r - j in kappa, and leg d in kappa; its leg
+    in mu is d where the column lengths agree and d - 1 where they do not.
+    Those ratios are the first two factors.  The strip cell (i, j) gives
+    alpha / (alpha (kappa_i - j + 1)), the third.  So the product over i and
+    r <= i takes every cell of kappa once.  Each factor is at most one.
+
+    So a shape's strips are the broadcast product of n(n + 1)/2 small tables
+    over the ranges of (mu_r, mu_i), raveled in reverse-lexicographic order
+    (:meth:`_coefficients`); the closed strips take the mu_n = 0 slice
+    of the same tables, so they are the full entry's mu_n = 0 values bit for
+    bit.  In mu_i, H_{r,i} for r < i is a prefix product of the lower factors
+    times a suffix product of the upper ones, O(1) per entry.  It depends on
+    kappa only through d and the parts kappa_r, kappa_{r+1}, kappa_i relative
+    to kappa_{i+1}, and the diagonal H_{i,i} (O(w) per entry) only on the
+    width w = kappa_i - kappa_{i+1}, so many shapes share them: the table
+    keeps both (:func:`_row_pair_factor`, :func:`_diagonal_factor`) as
+    read-only arrays in bounded LRU memos of its own.  Every running product
+    only falls towards the value it ends at, so relative error stays near
+    rounding level, nothing overflows, and nothing underflows unless g itself
+    leaves the normal range.  Each mu is stored once per table and shared by
+    the entries that name it.
     """
 
     def __init__(self, algebra: DivisionAlgebra):
         self.algebra = algebra
         self._closed: dict[tuple[int, ...], tuple] = {}
         self._full: dict[tuple[int, ...], tuple] = {}
+        self._mus: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._lock = threading.Lock()
+        alpha = 2.0 / algebra.beta
+        self._diagonal = lru_cache(maxsize=1024)(partial(_diagonal_factor, alpha))
+        self._row_pair = lru_cache(maxsize=4096)(partial(_row_pair_factor, alpha))
 
     def strips(self, kappa: tuple[int, ...], closed: bool = False):
         """Tuple of (mu, s, g) over horizontal-strip predecessors of kappa;
@@ -130,55 +221,44 @@ class JackTable:
         hit = cache.get(kappa)
         if hit is not None:
             return hit
-        if closed:
-            entries = self._price(kappa, _interlacing_predecessors(kappa, closed))
-        else:
-            # merged in enumeration order, so batched sums add the terms in
-            # the same order whichever entry they read
-            n = len(kappa)
-            shut = iter(self.strips(kappa, closed=True))
-            preds = _interlacing_predecessors(kappa)
-            opened = iter(self._price(kappa, [mu for mu in preds if len(mu) == n]))
-            entries = tuple(next(opened) if len(mu) == n else next(shut) for mu in preds)
+        preds = _interlacing_predecessors(kappa, closed)
+        # one tuple per distinct mu, shared by every entry that names it
+        preds = list(map(self._mus.setdefault, preds, preds))
+        total = sum(kappa)
+        entries = tuple(zip(preds, [total - w for w in map(sum, preds)],
+                            self._coefficients(kappa, closed)))
         with self._lock:
             cache.setdefault(kappa, entries)
         return cache[kappa]
 
-    def _price(self, kappa: tuple[int, ...], preds) -> tuple:
-        """(mu, s, g) for every mu in ``preds``, priced in one vectorized pass.
-
-        g = prod_{c in mu} h~_mu(c) / h~_kappa(c) * prod_{c in kappa/mu} alpha / h~_kappa(c),
-        where in a column with equal lengths in kappa and mu the hook h~ is
-        the lower hook leg + 1 + alpha arm, and elsewhere the upper hook
-        leg + alpha (arm + 1).  Pairing each cell of mu with the same cell of
-        kappa makes every factor at most one, so the product never overflows
-        and loses nothing to underflow until g itself is below the normal
-        range.  Each row's product is independent of which other rows share
-        the batch.
-        """
-        alpha = 2.0 / self.algebra.beta
-        mmat = np.zeros((len(preds), len(kappa)), dtype=np.int64)
-        for r, mu in enumerate(preds):
-            mmat[r, : len(mu)] = mu
-        kmat = np.asarray(kappa, dtype=np.int64)
-        cols = np.arange(kappa[0], dtype=np.int64)
-        rows = np.arange(len(kappa), dtype=np.int64)[:, None]
-        in_kappa = kmat[:, None] > cols
-        in_mu = mmat[:, :, None] > cols
-        kc = in_kappa.sum(axis=0)
-        mc = in_mu.sum(axis=1)
-        lower = (mc == kc)[:, None, :]
-
-        def hooks(arm, leg):
-            return np.where(lower, leg + 1 + alpha * arm, leg + alpha * (arm + 1))
-
-        k_hooks = hooks(kmat[:, None] - cols - 1, kc - rows - 1)
-        mu_hooks = hooks(mmat[:, :, None] - cols - 1, mc[:, None, :] - rows - 1)
-        factors = np.divide(np.where(in_mu, mu_hooks, alpha), k_hooks,
-                            out=np.ones(mu_hooks.shape), where=in_kappa)
-        g = factors.prod(axis=(1, 2))
-        s = sum(kappa) - mmat.sum(axis=1)
-        return tuple(zip(preds, s.tolist(), g.tolist()))
+    def _coefficients(self, kappa: tuple[int, ...], closed: bool) -> list:
+        """g for every mu of ``_interlacing_predecessors(kappa, closed)``, in
+        that order: the broadcast product of the row-pair factors
+        H_{r,i}(mu_r, mu_i) over r <= i."""
+        n = len(kappa)
+        below = kappa[1:] + (0,)
+        sizes = [k - lo + 1 for k, lo in zip(kappa, below)]
+        if closed:
+            sizes[-1] = 1
+        g = 1.0
+        # row by row, columns ascending: the order of the cell-by-cell
+        # product, so one-row shapes keep its bits
+        for r in range(n):
+            for i in range(n - 1, r - 1, -1):
+                w = kappa[i] - below[i]
+                if not w:
+                    continue
+                # mu_i runs down from kappa_i; the closed strips keep mu_n = 0 alone
+                pick = slice(-1, None) if closed and i == n - 1 else slice(None)
+                shape = [1] * n
+                shape[i] = sizes[i]
+                if i == r:
+                    table = self._diagonal(w)[pick]
+                else:
+                    shape[r] = sizes[r]
+                    table = self._row_pair(i - r, kappa[r] - below[i], below[r] - below[i], w)[:, pick]
+                g = g * table.reshape(shape)
+        return g.ravel().tolist()
 
 
 _TABLES: dict[int, JackTable] = {}
@@ -287,22 +367,42 @@ def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None):
     return ChatEvaluator(x, table or get_table(algebra), within=p.parts).value(p.parts)
 
 
+# the largest k whose k! fits a double
+_MAX_C_WEIGHT = 170
+
+
+def _factorial_of(p: Partition) -> int:
+    """k! = |p|! for the C normalization, C = chat * k!; refused past weight
+    170, where k! leaves the float range."""
+    if p.weight > _MAX_C_WEIGHT:
+        raise DomainError(
+            f"C_kappa at weight {p.weight} is out of reach: it is carried as chat * k!, "
+            f"and k! leaves the float range past weight {_MAX_C_WEIGHT}")
+    return math.factorial(p.weight)
+
+
 def jack_C(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = None) -> float:
     """Jack polynomial in the normalization where partitions of k sum to (tr x)^k.
 
     Returns 0 when the partition is longer than the spectrum.  Homogeneous of
     degree ``p.weight``; invariant (bit-identical) under permutations of the
-    eigenvalues.
+    eigenvalues.  The value is chat * k!, so a weight above 170 raises
+    :class:`DomainError`; up to 170, chat can still underflow to 0.0 (for
+    example (170,) at x = 0.5, whose C is 0.5^170), until the recurrence
+    carries the C normalization itself.
     """
-    return _chat(p, as_spectrum(x).eigenvalues, algebra, table) * math.factorial(p.weight)
+    kfact = _factorial_of(p)
+    return _chat(p, as_spectrum(x).eigenvalues, algebra, table) * kfact
 
 
 def jack_C_batch(p: Partition, X: np.ndarray, algebra: DivisionAlgebra, table: JackTable | None = None) -> np.ndarray:
-    """Vectorized :func:`jack_C` over the rows of a (batch, m) spectrum array."""
+    """Vectorized :func:`jack_C` over the rows of a (batch, m) spectrum array,
+    with the same weight reach."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DomainError("jack_C_batch expects a (batch, m) array")
-    return _chat(p, X, algebra, table) * math.factorial(p.weight)
+    kfact = _factorial_of(p)
+    return _chat(p, X, algebra, table) * kfact
 
 
 def jack_J(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = None) -> float:

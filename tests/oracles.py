@@ -13,6 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from scipy.special import gammaln
 
@@ -221,6 +222,43 @@ def strip_coefficient_fraction(kappa, mu, algebra: DivisionAlgebra) -> Fraction:
     return alpha ** (sum(kappa) - sum(mu)) * strip_hooks(mu, mc) / strip_hooks(kappa, kc)
 
 
+def strip_coefficients_per_cell(kappa, preds, algebra: DivisionAlgebra) -> tuple:
+    """(mu, s, g) for every mu in ``preds``, in floats, one paired hook ratio
+    per cell of kappa in one vectorized pass.
+
+    g = prod_{c in mu} h~_mu(c) / h~_kappa(c) * prod_{c in kappa/mu} alpha / h~_kappa(c),
+    where in a column with equal lengths in kappa and mu the hook h~ is the
+    lower hook leg + 1 + alpha arm, and elsewhere the upper hook
+    leg + alpha (arm + 1).  Every factor is at most one, so the product never
+    overflows and loses nothing to underflow until g itself is below the
+    normal range.  This is the unfactorized form of ``jack.JackTable``'s
+    row-pair product: O(rows x kappa_1) work per strip.
+    """
+    alpha = 2.0 / algebra.beta
+    mmat = np.zeros((len(preds), len(kappa)), dtype=np.int64)
+    for r, mu in enumerate(preds):
+        mmat[r, : len(mu)] = mu
+    kmat = np.asarray(kappa, dtype=np.int64)
+    cols = np.arange(kappa[0], dtype=np.int64)
+    rows = np.arange(len(kappa), dtype=np.int64)[:, None]
+    in_kappa = kmat[:, None] > cols
+    in_mu = mmat[:, :, None] > cols
+    kc = in_kappa.sum(axis=0)
+    mc = in_mu.sum(axis=1)
+    lower = (mc == kc)[:, None, :]
+
+    def hooks(arm, leg):
+        return np.where(lower, leg + 1 + alpha * arm, leg + alpha * (arm + 1))
+
+    k_hooks = hooks(kmat[:, None] - cols - 1, kc - rows - 1)
+    mu_hooks = hooks(mmat[:, :, None] - cols - 1, mc[:, None, :] - rows - 1)
+    factors = np.divide(np.where(in_mu, mu_hooks, alpha), k_hooks,
+                        out=np.ones(mu_hooks.shape), where=in_kappa)
+    g = factors.prod(axis=(1, 2))
+    s = sum(kappa) - mmat.sum(axis=1)
+    return tuple(zip(preds, s.tolist(), g.tolist()))
+
+
 def pfq_positive_m2_per_pair(upper, lower, t, beta: int, degree: int) -> float:
     """The m = 2 positive series summed through ``degree`` by pricing every
     (kappa, mu1) strip pair of every degree in log space, then summing in
@@ -255,6 +293,25 @@ def pfq_positive_m2_per_pair(upper, lower, t, beta: int, degree: int) -> float:
             terms.extend(np.exp(mu1 * logt1 + power2 + logg + coef))
         sums.append(math.fsum(terms))
     return math.fsum(sums)
+
+
+def khatri_lambda_max_cdf(m: int, n: int, x: float) -> float:
+    """P(lambda_max <= x) of the complex (beta = 2) Wishart with identity
+    scale, m x m and n >= m degrees of freedom, by Khatri's determinant
+
+        det[gamma(n - m + i + j - 1, x)]_{i,j=1..m} / prod_{k=1..m} Gamma(n-k+1) Gamma(m-k+1),
+
+    gamma being the lower incomplete gamma function, in mpmath at 30 digits.
+    The eigenvalue density it integrates is proportional to
+    prod lambda_i^(n-m) e^(-lambda_i) times the squared Vandermonde, the
+    beta = 2 law of this library (real components of variance 1/beta).
+    """
+    with mpmath.workdps(30):
+        mat = mpmath.matrix([[mpmath.gammainc(n - m + i + j - 1, 0, x) for j in range(1, m + 1)]
+                             for i in range(1, m + 1)])
+        norm = mpmath.fprod(mpmath.gamma(n - k + 1) * mpmath.gamma(m - k + 1)
+                            for k in range(1, m + 1))
+        return float(mpmath.det(mat) / norm)
 
 
 def laplace_beltrami_fd(fun, x, beta: float, h: float = 1e-4) -> float:

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,13 @@ from jackdiv.jack import (
     jack_J,
 )
 
-from oracles import jack_C_oracle, laplace_beltrami_fd, schur_value, strip_coefficient_fraction
+from oracles import (
+    jack_C_oracle,
+    laplace_beltrami_fd,
+    schur_value,
+    strip_coefficient_fraction,
+    strip_coefficients_per_cell,
+)
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 
@@ -55,6 +62,19 @@ class TestExamples:
         # (m-i+1)-shifted rising factorial form at the all-ones vector
         assert jack_J(Partition((2,)), (1.0, 1.0), DivisionAlgebra(1)) == pytest.approx(8.0, rel=1e-13)
         assert jack_C_at_identity(Partition((1,)), 3, DivisionAlgebra(2)) == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("k", [171, 250])
+    def test_weight_past_170_is_domain_error(self, k):
+        p, alg = Partition((k,)), DivisionAlgebra(2)
+        with pytest.raises(DomainError, match=f"weight {k} .*past weight 170"):
+            jack_C(p, (1.0,), alg)
+        with pytest.raises(DomainError, match=f"weight {k} .*past weight 170"):
+            jack_C_batch(p, np.ones((3, 1)), alg)
+
+    def test_weight_170_is_in_reach(self):
+        p, alg = Partition((170,)), DivisionAlgebra(2)
+        assert jack_C(p, (1.0,), alg) == pytest.approx(1.0, rel=1e-13)
+        assert jack_C_batch(p, np.ones((2, 1)), alg) == pytest.approx([1.0, 1.0], rel=1e-13)
 
     def test_k2_linear_system_value(self):
         # beta=1 value forced by the defining conditions at weight 2
@@ -202,6 +222,58 @@ class TestStripCoefficient:
                 want = float(strip_coefficient_fraction(kappa, mu, alg))
                 assert g == pytest.approx(want, rel=1e-13, abs=sys.float_info.min)
 
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_row_pair_product_matches_per_cell_formula(self, alg):
+        table = JackTable(alg)
+        for k in range(1, 21):
+            for p in enumerate_partitions(k, 4):
+                for closed in (False, True):
+                    got = table.strips(p.parts, closed)
+                    want = strip_coefficients_per_cell(
+                        p.parts, _interlacing_predecessors(p.parts, closed), alg)
+                    assert [e[:2] for e in got] == [e[:2] for e in want]
+                    for (_, _, g), (_, _, ref) in zip(got, want):
+                        assert abs(g - ref) <= 4e-15 * ref
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_every_high_weight_strip_matches_per_cell_formula(self, alg):
+        # far below the normal range the reference and the running products
+        # round differently, but only a reference below it may be zero
+        table = JackTable(alg)
+        for kappa in [(300,), (290, 6, 4)]:
+            for closed in (False, True):
+                got = table.strips(kappa, closed)
+                want = strip_coefficients_per_cell(
+                    kappa, _interlacing_predecessors(kappa, closed), alg)
+                assert [e[:2] for e in got] == [e[:2] for e in want]
+                for (_, _, g), (_, _, ref) in zip(got, want):
+                    if ref >= sys.float_info.min:
+                        assert abs(g - ref) <= 1e-14 * ref
+                    else:
+                        assert abs(g - ref) <= sys.float_info.min
+
+    def test_threads_sharing_a_fresh_table_get_the_serial_bits(self):
+        alg = DivisionAlgebra(4)
+        shapes = [p.parts for p in enumerate_partitions(40, 4)]
+        serial = {(kappa, closed): JackTable(alg).strips(kappa, closed)
+                  for kappa in shapes for closed in (True, False)}
+        table = JackTable(alg)
+
+        def run(order):
+            return {(kappa, closed): table.strips(kappa, closed)
+                    for kappa in order for closed in (True, False)}
+
+        orders = [shapes, shapes[::-1], shapes[::2] + shapes[1::2], shapes[1::2] + shapes[::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert got == serial
+
     def test_high_weight_sums_to_trace_power(self):
         k = 160
         chat = ChatEvaluator((2.0, 1.0), JackTable(DivisionAlgebra(1))).degree_values(k)
@@ -243,9 +315,11 @@ class TestStripSplit:
                 assert [mu for mu, _, _ in every] == preds
                 closed = table.strips(kappa, closed=True)
                 assert closed == tuple(e for e in every if len(e[0]) < len(kappa))
-                # pricing a subset of the strips in one batch gives the same
-                # bits as pricing them all together
-                assert every == table._price(kappa, preds)
+                # the mu_n = 0 slice of the row-pair tables gives the same
+                # bits as the full product, cold or memoized, in either order
+                fresh = JackTable(alg)
+                assert fresh.strips(kappa, closed=True) == closed
+                assert fresh.strips(kappa) == every
 
 
 class TestBatchAndTable:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from jackdiv import _quat, hypergeom, wishart
+from jackdiv import _quat, hypergeom, jack, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from jackdiv.hypergeom import RaySeries, SeriesTruncation
 from jackdiv.jack import ChatEvaluator
@@ -22,7 +22,7 @@ from jackdiv.wishart import (
     sample_wishart_eigs,
 )
 
-from oracles import gaussian_wishart_eigs
+from oracles import gaussian_wishart_eigs, khatri_lambda_max_cdf
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
@@ -267,6 +267,30 @@ class TestLambdaMax:
                 cdf_lambda_max(model, 1.0)
         else:
             assert cdf_lambda_max(model, 1.0) == outcome
+
+
+class TestKhatriDeterminant:
+    """beta = 2, identity scale: the m >= 3 series against an oracle that
+    shares no code with it."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def release_b2_table(self):
+        # x = 20 at m = 3 fills the shared beta = 2 table to degree ~115
+        # (millions of strips); give that memory back to later tests
+        yield
+        jack._TABLES.pop(2, None)
+        hypergeom._RAYS.clear()
+
+    @pytest.mark.parametrize("m, n, xs", [
+        (3, 3, (0.5, 1, 2, 4, 8, 12, 16, 20)),
+        (3, 6, (0.5, 1, 2, 4, 8, 12, 16, 20)),
+        (4, 7, (0.5, 1, 2, 4)),
+    ])
+    def test_lambda_max_is_khatris_determinant(self, m, n, xs):
+        model = WishartModel(m, n, (1.0,) * m, B2)
+        for x in xs:
+            want = khatri_lambda_max_cdf(m, n, x)
+            assert abs(cdf_lambda_max(model, float(x)) - want) <= 1e-12 * want
 
 
 class TestLambdaMin:
