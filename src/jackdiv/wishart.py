@@ -9,8 +9,10 @@ instead; divide their samples by beta to compare.
 Sampling draws S by the triangular (Bartlett) construction of
 :class:`ConeSampler` with a0 = beta n / 2 and Z0 = (beta/2) Sigma^{-1}: a
 chi diagonal and Gaussian off-diagonals, as Dumitriu and Edelman build the
-beta-Laguerre ensembles.  It covers beta in {1, 2, 4} (quaternions via the
-complex embedding); beta = 8 is supported on the analytic paths only.
+beta-Laguerre ensembles.  It covers beta in {1, 2, 4}; beta = 8 is
+supported on the analytic paths only.  At m = 2 the spectra come in closed
+form from that factor, with no matrix formed and no quaternion embedding; at
+any other m from ``eigvalsh`` of S (at beta = 4 of its complex embedding).
 
 The largest-eigenvalue and region distribution functions are confluent
 series at (beta/2) t, t the spectrum of Omega Sigma^{-1}.  At m = 2 they run
@@ -114,6 +116,7 @@ class ConeSampler:
     Gamma_m[a0] via the triangular-factor construction: X = Z0^(-1/2) T* T
     Z0^(-1/2) with chi-squared diagonal and Gaussian off-diagonal entries.
     At beta = 4, X is returned as its (2m, 2m) complex embedding.
+    :meth:`bartlett` draws the factor T alone, for callers that need no X.
     """
 
     m: int
@@ -135,29 +138,41 @@ class ConeSampler:
         if len(self.scale_eigs) != self.m or any(z <= 0 for z in self.scale_eigs):
             raise DomainError("scale eigenvalues must be m positive reals")
 
+    def bartlett(self, rng: np.random.Generator, count: int):
+        """Triangular factors T of ``count`` draws, as (diag, off, off_j).
+
+        ``diag`` (count, m) is the chi diagonal; ``off`` (count, m(m-1)/2) is
+        the strict upper triangle in ``np.triu_indices`` order, real at beta =
+        1 and complex otherwise; ``off_j`` is its j component at beta = 4 and
+        None otherwise.  :meth:`sample` draws through this method, so both
+        consume the random stream alike.
+        """
+        m, beta = self.m, self.algebra.beta
+        shapes = self.shape_a0 - np.arange(m) * beta / 2.0
+        diag = np.sqrt(rng.gamma(shapes, size=(count, m)))
+        shape = (count, m * (m - 1) // 2)  # at m = 1 an empty draw, which takes nothing
+        if beta == 4:
+            off, off_j = _quat.gaussian_pair(rng, shape, math.sqrt(0.5))
+            return diag, off, off_j
+        off = rng.standard_normal(shape) * math.sqrt(0.5)
+        if beta == 2:
+            off = off + 1j * rng.standard_normal(shape) * math.sqrt(0.5)
+        return diag, off, None
+
     def sample(self, rng: np.random.Generator, count: int):
         """Returns (X, logdet_X) with X of shape (count, m, m), or (count, 2m,
         2m) at beta = 4; logdet_X is the determinant over the algebra."""
         m, beta = self.m, self.algebra.beta
-        shapes = self.shape_a0 - np.arange(m) * beta / 2.0
-        diag = np.sqrt(rng.gamma(shapes, size=(count, m)))
-        t = np.zeros((count, m, m), dtype=float if beta == 1 else complex)
-        t_j = np.zeros_like(t)  # j component of a quaternion T
+        diag, off, off_j = self.bartlett(rng, count)
         iu = np.triu_indices(m, k=1)
-        n_off = len(iu[0])
-        if n_off:
-            if beta == 4:
-                off, off_j = _quat.gaussian_pair(rng, (count, n_off), math.sqrt(0.5))
-                t_j[:, iu[0], iu[1]] = off_j
-            else:
-                off = rng.standard_normal((count, n_off)) * math.sqrt(0.5)
-                if beta == 2:
-                    off = off + 1j * rng.standard_normal((count, n_off)) * math.sqrt(0.5)
-            t[:, iu[0], iu[1]] = off
+        t = np.zeros((count, m, m), dtype=off.dtype)
+        t[:, iu[0], iu[1]] = off
         t[:, np.arange(m), np.arange(m)] = diag
         z = np.asarray(self.scale_eigs)
         inv_root = 1.0 / np.sqrt(z)
         if beta == 4:
+            t_j = np.zeros_like(t)
+            t_j[:, iu[0], iu[1]] = off_j
             t = _quat.embed(t, t_j)
             inv_root = np.tile(inv_root, 2)
         x = np.einsum("bji,bjk->bik", t.conj(), t)
@@ -186,9 +201,38 @@ def _sample_values(n_samples: int, draw) -> np.ndarray:
     return np.concatenate(chunks)
 
 
+def _m2_spectra(diag: np.ndarray, t12_sq: np.ndarray, scale_eigs) -> np.ndarray:
+    """Spectra (count, 2), each row descending, of X = Z^(-1/2) T* T Z^(-1/2)
+    for T = [[t11, t12], [0, t22]] given as ``diag`` (count, 2) and |t12|^2,
+    with Z = diag(scale_eigs).
+
+    Closed form, with no X formed: X11 = t11^2/z1, X22 = (|t12|^2 + t22^2)/z2,
+    |X12|^2 = t11^2 |t12|^2/(z1 z2).  lambda_max adds two nonnegative terms,
+    and lambda_min = det X / lambda_max, det X = (t11 t22)^2/(z1 z2), avoids
+    the cancellation of the minus root, so both keep their relative accuracy
+    at any conditioning.  lambda_min is clipped to lambda_max, which det X /
+    lambda_max can pass by an ulp at equal roots.
+    """
+    z1, z2 = scale_eigs
+    t11_sq, t22_sq = diag[:, 0] ** 2, diag[:, 1] ** 2
+    x11 = t11_sq / z1
+    x22 = (t12_sq + t22_sq) / z2
+    half_gap = (x11 - x22) / 2
+    lam_max = (x11 + x22) / 2 + np.sqrt(half_gap ** 2 + t11_sq * t12_sq / (z1 * z2))
+    lam_min = np.minimum(t11_sq * t22_sq / (z1 * z2) / lam_max, lam_max)
+    return np.stack([lam_max, lam_min], axis=1)
+
+
 def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarray:
     """Eigenvalue spectra of ``count`` Wishart draws, shape (count, m), each
-    row sorted descending.  Reproducible given the seed."""
+    row sorted descending.  Reproducible given the seed.
+
+    At m = 2 the spectra come in closed form from the triangular factor
+    (:func:`_m2_spectra`), with no matrix formed and, at beta = 4, no complex
+    embedding; at any other m from ``eigvalsh`` of the drawn X (its doubled
+    spectrum deduplicated at beta = 4).  Both paths consume the same random
+    stream.
+    """
     n = model.n
     if abs(n - round(n)) > 1e-12:
         raise DomainError(f"sampling requires integer degrees of freedom, got n = {n}")
@@ -198,6 +242,10 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     def draw(chunk):
+        if model.m == 2:
+            diag, off, off_j = sampler.bartlett(rng, chunk)
+            t12_sq = sum(c.real ** 2 + c.imag ** 2 for c in (off, off_j) if c is not None)
+            return _m2_spectra(diag, t12_sq[:, 0], sampler.scale_eigs)
         eigs = np.linalg.eigvalsh(sampler.sample(rng, chunk)[0])
         return _quat.dedupe_pairs(eigs) if beta == 4 else eigs[:, ::-1]
 

@@ -56,13 +56,15 @@ class TestSampling:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_quaternion_spectrum_deduplicated(self):
-        model = WishartModel(2, 4, (1.0, 2.0), B4)
-        eigs = sample_wishart_eigs(model, 17, 4000)
-        assert eigs.shape == (4000, 2)
-        assert np.all(eigs[:, 0] >= eigs[:, 1])
-        assert np.all(eigs > 0)
-        # mean trace is n * tr(Sigma)
-        assert eigs.sum(axis=1).mean() == pytest.approx(12.0, rel=0.05)
+        # m = 2 takes the closed form; m = 3 goes through the embedding and
+        # dedupe_pairs, whose pair check must not fire on real draws
+        for m, n, sigma in [(2, 4, (1.0, 2.0)), (3, 6, (1.0, 2.0, 3.0))]:
+            eigs = sample_wishart_eigs(WishartModel(m, n, sigma, B4), 17, 4000)
+            assert eigs.shape == (4000, m)
+            assert np.all(np.diff(eigs, axis=1) <= 0)
+            assert np.all(eigs > 0)
+            # mean trace is n * tr(Sigma)
+            assert eigs.sum(axis=1).mean() == pytest.approx(n * sum(sigma), rel=0.05)
 
     def test_quaternion_pairing_mismatch_warns(self):
         with pytest.warns(RuntimeWarning, match="pairs differ"):
@@ -74,6 +76,24 @@ class TestSampling:
         eigs = sample_wishart_eigs(model, 19, 8)
         assert eigs.shape == (8, 2)
         assert not np.any(np.diff(eigs, axis=1) == 0.0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_m2_rows_ordered_and_positive(self, beta):
+        eigs = sample_wishart_eigs(WishartModel(2, 3, (1.0, 1.0), DivisionAlgebra(beta)), 41, 100_000)
+        assert np.all(eigs[:, 0] >= eigs[:, 1])
+        assert np.all(eigs[:, 1] > 0)
+
+    def test_m2_equal_roots_keep_row_order(self):
+        # zero off-diagonal and t11^2/z1 == t22^2/z2: both roots are
+        # t11^2/z1, and det X / lambda_max rounds one ulp above it here
+        t11, z1, z2 = 0.1, 0.1, 0.6
+        t22 = math.sqrt(t11 ** 2 / z1 * z2)
+        assert t11 ** 2 / z1 == t22 ** 2 / z2
+        root = t11 ** 2 / z1
+        assert t11 ** 2 * t22 ** 2 / (z1 * z2) / root > root
+        eigs = wishart._m2_spectra(np.array([[t11, t22]]), np.array([0.0]), (z1, z2))
+        assert eigs[0, 0] == root
+        assert root >= eigs[0, 1] > 0
 
     def test_octonion_sampling_rejected(self):
         with pytest.raises(UnsupportedParameterError, match="analytic"):
@@ -105,6 +125,51 @@ class TestSampling:
         for col in range(m):
             _, p = stats.ks_2samp(eigs[:, col], ref[:, col])
             assert p > 1e-3, (col, p)
+
+
+def _wishart_factor_stream(model, seed):
+    """The sampler and random stream ``sample_wishart_eigs`` draws from."""
+    beta = model.beta
+    sampler = wishart.ConeSampler(model.m, model.algebra, beta * model.n / 2,
+                                  tuple(beta / (2 * s) for s in model.sigma_eigs))
+    return sampler, np.random.default_rng(np.random.PCG64(seed))
+
+
+class TestM2ClosedForm:
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_matches_eigvalsh_of_the_same_draws(self, beta):
+        model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta))
+        eigs = sample_wishart_eigs(model, 43, 5000)
+        sampler, rng = _wishart_factor_stream(model, 43)
+        ref = np.linalg.eigvalsh(sampler.sample(rng, 5000)[0])
+        ref = _quat.dedupe_pairs(ref) if beta == 4 else ref[:, ::-1]
+        # eigvalsh is backward stable: errors of a few ulps of lambda_max
+        assert np.all(np.abs(eigs - ref) <= 16 * self.EPS * ref[:, :1])
+
+    @pytest.mark.parametrize("sigma", [(1.0, 1e-8), (1e8, 1.0)])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_ill_conditioned_lambda_min_against_mpmath(self, beta, sigma):
+        model = WishartModel(2, 5, sigma, DivisionAlgebra(beta))
+        eigs = sample_wishart_eigs(model, 47, 2000)
+        sampler, rng = _wishart_factor_stream(model, 47)
+        diag, off, off_j = sampler.bartlett(rng, 2000)
+        t12 = [off[:, 0]] if off_j is None else [off[:, 0], off_j[:, 0]]
+        comps = [f(c) for c in t12 for f in (np.real, np.imag)]
+        z1, z2 = sampler.scale_eigs
+        det = (diag[:, 0] * diag[:, 1]) ** 2 / (z1 * z2)
+        assert np.all(np.abs(eigs[:, 0] * eigs[:, 1] - det) <= 4 * self.EPS * det)
+        with mpmath.workdps(50):
+            for row in range(0, 2000, 50):
+                t11, t22 = (mpmath.mpf(float(v)) for v in diag[row])
+                t12_sq = mpmath.fsum(mpmath.mpf(float(c[row])) ** 2 for c in comps)
+                x11, x22 = t11 ** 2 / z1, (t12_sq + t22 ** 2) / z2
+                x12_sq = t11 ** 2 * t12_sq / (z1 * z2)
+                # smaller root of l^2 - (x11 + x22) l + x11 x22 - |x12|^2
+                root = (x11 + x22 - mpmath.sqrt((x11 - x22) ** 2 + 4 * x12_sq)) / 2
+                assert abs(eigs[row, 1] - root) <= 1e-13 * root, row
+                assert eigs[row, 1] < 1e-6 * eigs[row, 0]
 
 
 class TestRegionCdf:
