@@ -334,16 +334,22 @@ class ChatEvaluator:
         k = self._done + 1
         for n in range(1, self.m + 1):
             prev, cur, xn = self._stage[n - 1], self._stage[n], self._x[n - 1]
+            if not self._batched:
+                for kappa in self._shapes(k, n):
+                    cur[kappa] = math.fsum([prev[mu] * (xn**s * g) if s else prev[mu] * g
+                                            for mu, s, g in self.table.strips(kappa, len(kappa) == n)])
+                continue
+            powers = {}  # xn**s, shared by every strip of this stage and degree
             for kappa in self._shapes(k, n):
-                terms = [prev[mu] * (xn**s * g) if s else prev[mu] * g
-                         for mu, s, g in self.table.strips(kappa, len(kappa) == n)]
-                if self._batched:
-                    acc = np.zeros_like(xn)
-                    for t in terms:
-                        acc += t
-                    cur[kappa] = acc
-                else:
-                    cur[kappa] = math.fsum(terms)
+                acc = np.zeros_like(xn)
+                for mu, s, g in self.table.strips(kappa, len(kappa) == n):
+                    if s:
+                        if s not in powers:
+                            powers[s] = xn**s
+                        acc += prev[mu] * (powers[s] * g)
+                    else:
+                        acc += prev[mu] * g
+                cur[kappa] = acc
         self._done = k
 
 

@@ -19,6 +19,13 @@ the one chunked sampler, which Wishart sampling shares: it calls the check's
 ``draw(count)`` closure over chunks of at most ``_CHUNK`` rows, so memory
 stays bounded and the random stream is consumed in the same order whatever
 the sample count.  Cone draws come from :class:`jackdiv.wishart.ConeSampler`.
+
+At m = 2 no check calls batched LAPACK: Haar draws (the Q of a Gaussian QR),
+eigenvalues, inverses, log-determinants and the matrix-beta conjugations
+(Cholesky whitening, Hermitian inverse root) are closed forms on the three
+entries of each matrix, from :mod:`jackdiv._mat2`.  They consume the random
+stream as numpy's path does and agree with it to rounding; every other m
+runs numpy's path.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from functools import partial
 import numpy as np
 from scipy import integrate
 
-from . import _quat
+from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
 from .hypergeom import HypergeomSpec, SeriesResult, _termination_bound, pfq, pfq_batch, pfq_two
 from .jack import jack_C, jack_C_at_identity, jack_C_batch
@@ -127,15 +134,23 @@ def _report(identity_id, params, analytic, values) -> VerificationReport:
 
 
 def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, count: int):
+    """Haar-distributed group elements (count, m, m): the Q of a Gaussian
+    matrix's QR factorization with R's diagonal made positive, in closed form
+    at m = 2 (:func:`jackdiv._mat2.unitary_factor`); at beta = 4 the
+    quaternion pair of :func:`jackdiv._quat.haar_batch`."""
     beta = algebra.beta
     if beta == 1:
         g = rng.standard_normal((count, m, m))
+        if m == 2:
+            return _mat2.unitary_factor(g)
         qm, r = np.linalg.qr(g)
         d = np.sign(np.einsum("bii->bi", r))
         d[d == 0] = 1.0
         return qm * d[:, None, :]
     if beta == 2:
         g = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+        if m == 2:
+            return _mat2.unitary_factor(g)
         qm, r = np.linalg.qr(g)
         d = np.einsum("bii->bi", r)
         ph = d / np.abs(d)
@@ -155,13 +170,39 @@ def _complex_form(algebra, h, x, y):
 
 
 def _conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
-    """Spectra of X H* Y H for diagonal X, Y over a batch of group elements."""
+    """Spectra (descending) of X H* Y H for nonnegative diagonal X, Y over a
+    batch of group elements; in closed form at m = 2."""
+    if len(x_eigs) == 2:
+        return _conjugated_spectra_m2(np.asarray(x_eigs, dtype=float),
+                                      np.asarray(y_eigs, dtype=float), algebra, h)
     e, x, y = _complex_form(algebra, h, np.asarray(x_eigs, dtype=float),
                             np.asarray(y_eigs, dtype=float))
     inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
     a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
     vals = np.linalg.eigvalsh(a)
     return _quat.dedupe_pairs(vals) if algebra.beta == 4 else vals[:, ::-1]
+
+
+def _conjugated_spectra_m2(x, y, algebra, h) -> np.ndarray:
+    """:func:`_conjugated_spectra` at m = 2 from the entries of the Hermitian
+    X^(1/2) H* Y H X^(1/2): its diagonal is x_i sum_j y_j |h_ji|^2 and its
+    off-diagonal sqrt(x_1 x_2) sum_j y_j conj(h_j1) h_j2, a quaternion at beta
+    = 4, whose spectrum is that of a complex matrix with the same diagonal
+    and |off-diagonal|."""
+    if algebra.beta == 4:
+        v1, v2 = h
+        col_sq = [y[0] * (_mat2.abs_sq(v1[:, 0, k]) + _mat2.abs_sq(v2[:, 0, k]))
+                  + y[1] * (_mat2.abs_sq(v1[:, 1, k]) + _mat2.abs_sq(v2[:, 1, k])) for k in (0, 1)]
+        p1, p2 = _quat._qdot(v1[:, :, 0], v2[:, :, 0], y * v1[:, :, 1], y * v2[:, :, 1])
+        inner_sq = _mat2.abs_sq(p1) + _mat2.abs_sq(p2)
+    else:
+        col_sq = [y[0] * _mat2.abs_sq(h[:, 0, k]) + y[1] * _mat2.abs_sq(h[:, 1, k]) for k in (0, 1)]
+        inner_sq = _mat2.abs_sq(y[0] * h[:, 0, 0].conj() * h[:, 0, 1]
+                                + y[1] * h[:, 1, 0].conj() * h[:, 1, 1])
+    a11, a22 = x[0] * col_sq[0], x[1] * col_sq[1]
+    off_sq = x[0] * x[1] * inner_sq
+    lam_max, lam_min = _mat2.spectra(a11, a22, off_sq, a11 * a22 - off_sq)
+    return np.stack([lam_max, lam_min], axis=1)
 
 
 def verify_split_integral(
@@ -209,9 +250,12 @@ def _cone_beta(algebra: DivisionAlgebra) -> int:
 
 
 def _matrix_beta1(m, algebra, a1, a2, rng, count):
-    """Matrix beta type I draws U in (0, I) with parameters (a1, a2)."""
+    """Matrix beta type I draws U = L^-1 A L^-H in (0, I) with parameters
+    (a1, a2), for cone draws A, B and the Cholesky factor L of A + B."""
     a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
     b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
+    if m == 2:
+        return _mat2.cholesky_whiten(a, a + b)
     ell = np.linalg.cholesky(a + b)
     w = np.linalg.solve(ell, a)
     u = np.linalg.solve(ell, np.conj(np.transpose(w, (0, 2, 1))))
@@ -228,6 +272,8 @@ def _matrix_beta2(m, algebra, a1, a2, rng, count):
     """
     a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
     b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
+    if m == 2:
+        return _mat2.congruence(_mat2.inv_sqrt(b), a)
     w, q = np.linalg.eigh(b)
     inv_root = np.einsum("bik,bk,bjk->bij", q, w**-0.5, q.conj())
     x = inv_root @ a @ inv_root
@@ -246,7 +292,7 @@ def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None =
     if np.all(d >= 0):
         root = np.sqrt(d)
         a = root[None, :, None] * x * root[None, None, :]
-        vals = np.linalg.eigvalsh(a)[:, ::-1]
+        vals = _eigvalsh(a)[:, ::-1]
         if logdet_x is not None and np.all(d > 0):
             total = logdet_x + math.fsum(math.log(v) for v in d)
             lead = np.log(vals[:, :-1]).sum(axis=1)
@@ -255,13 +301,29 @@ def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None =
     if np.all(d <= 0):
         root = np.sqrt(-d)
         a = root[None, :, None] * x * root[None, None, :]
-        return -np.linalg.eigvalsh(a)
+        return -_eigvalsh(a)
     raise DomainError("diagonal factor must not mix signs")
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a positive semidefinite batch, in closed form
+    at m = 2."""
+    return _mat2.eigvalsh(a) if a.shape[-1] == 2 else np.linalg.eigvalsh(a)
+
+
+def _inv_h(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv`` of a Hermitian batch, adj / det at m = 2."""
+    return _mat2.inv(x) if x.shape[-1] == 2 else np.linalg.inv(x)
 
 
 def _logdet_h(x: np.ndarray) -> np.ndarray:
     """log det of each matrix in a batch of Hermitian positive-definite ones;
-    DomainError when a determinant's sign has real part <= 0."""
+    DomainError when a determinant (at m != 2 its sign's real part) is <= 0."""
+    if x.shape[-1] == 2:
+        det = _mat2.det(x)
+        if np.any(det <= 0):
+            raise DomainError("log-determinant of a matrix that is not positive definite")
+        return np.log(det)
     sign, val = np.linalg.slogdet(x)
     if np.any(np.real(sign) <= 0):
         raise DomainError("log-determinant of a matrix that is not positive definite")
@@ -359,7 +421,7 @@ def verify_beta_jack(
 
     def draw(count):
         u = _matrix_beta1(m, algebra, a1, a2, rng, count)
-        spectra = _eigs_times_diag(np.linalg.inv(u) if inverse_arg else u, r)
+        spectra = _eigs_times_diag(_inv_h(u) if inverse_arg else u, r)
         cvals = jack_C_batch(kappa, spectra, algebra)
         logw = (a - a1) * _logdet_h(u) + (b - a2) * _logdet_h(np.eye(m)[None] - u)
         return np.exp(log_w0 + logw) * cvals
@@ -456,7 +518,7 @@ def verify_radial_kernel(
     rng = _rng(seed)
 
     def jack_values(x):
-        spectra = _eigs_times_diag(np.linalg.inv(x) if inverse_arg else x, u)
+        spectra = _eigs_times_diag(_inv_h(x) if inverse_arg else x, u)
         return jack_C_batch(kappa, spectra, algebra)
 
     if f_id == "pareto":
@@ -536,7 +598,7 @@ def verify_beta2_jack(
 
     def draw(count):
         x = _matrix_beta2(m, algebra, a1, a2, rng, count)
-        spectra = _eigs_times_diag(np.linalg.inv(x) if variant == "r1" else x, r)
+        spectra = _eigs_times_diag(_inv_h(x) if variant == "r1" else x, r)
         cvals = jack_C_batch(kappa, spectra, algebra)
         logw = (a - a1) * _logdet_h(x) + ((a1 + a2) - (a + b)) * _logdet_h(eye + x)
         return np.exp(log_w0 + logw) * cvals
@@ -740,7 +802,7 @@ def verify_laplace_hypergeom(
 
     def draw(count):
         x, _ = sampler.sample(rng, count)
-        spectra = _eigs_times_diag(np.linalg.inv(x) if inverse_arg else x, u)
+        spectra = _eigs_times_diag(_inv_h(x) if inverse_arg else x, u)
         if not upper and not lower and not two_arg:
             fvals = np.exp(spectra.sum(axis=1))
         else:

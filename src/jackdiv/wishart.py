@@ -10,9 +10,10 @@ Sampling draws S by the triangular (Bartlett) construction of
 :class:`ConeSampler` with a0 = beta n / 2 and Z0 = (beta/2) Sigma^{-1}: a
 chi diagonal and Gaussian off-diagonals, as Dumitriu and Edelman build the
 beta-Laguerre ensembles.  It covers beta in {1, 2, 4}; beta = 8 is
-supported on the analytic paths only.  At m = 2 the spectra come in closed
-form from that factor, with no matrix formed and no quaternion embedding; at
-any other m from ``eigvalsh`` of S (at beta = 4 of its complex embedding).
+supported on the analytic paths only.  At m = 1 and 2 the spectra come in
+closed form from that factor, with no matrix formed and no quaternion
+embedding; at any other m from ``eigvalsh`` of S (at beta = 4 of its complex
+embedding).
 
 The largest-eigenvalue and region distribution functions are confluent
 series at (beta/2) t, t the spectrum of Omega Sigma^{-1}.  At m = 2 they run
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quat
+from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from .hypergeom import (
     DEFAULT_TRUNCATION,
@@ -115,8 +116,11 @@ class ConeSampler:
     Draws X with density etr(-X Z0) |X|^(a0 - (m-1)beta/2 - 1) |Z0|^a0 /
     Gamma_m[a0] via the triangular-factor construction: X = Z0^(-1/2) T* T
     Z0^(-1/2) with chi-squared diagonal and Gaussian off-diagonal entries.
-    At beta = 4, X is returned as its (2m, 2m) complex embedding.
-    :meth:`bartlett` draws the factor T alone, for callers that need no X.
+    At beta = 4, X is returned as its (2m, 2m) complex embedding.  At m = 2
+    (beta = 1, 2) X is built from its three entries, X11 = t11^2/z1, X22 =
+    (|t12|^2 + t22^2)/z2 and X12 = t11 t12/sqrt(z1 z2), with no product of
+    factors formed.  :meth:`bartlett` draws the factor T alone, for callers
+    that need no X.
     """
 
     m: int
@@ -164,12 +168,18 @@ class ConeSampler:
         2m) at beta = 4; logdet_X is the determinant over the algebra."""
         m, beta = self.m, self.algebra.beta
         diag, off, off_j = self.bartlett(rng, count)
+        z = np.asarray(self.scale_eigs)
+        inv_root = 1.0 / np.sqrt(z)
+        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in z)
+        if m == 2 and beta != 4:
+            (t11, t22), t12, (r1, r2) = diag.T, off[:, 0], inv_root
+            x = _mat2.assemble(t11 * t11 * r1 * r1, (_mat2.abs_sq(t12) + t22 * t22) * r2 * r2,
+                               t11 * t12 * r1 * r2)
+            return x, logdet
         iu = np.triu_indices(m, k=1)
         t = np.zeros((count, m, m), dtype=off.dtype)
         t[:, iu[0], iu[1]] = off
         t[:, np.arange(m), np.arange(m)] = diag
-        z = np.asarray(self.scale_eigs)
-        inv_root = 1.0 / np.sqrt(z)
         if beta == 4:
             t_j = np.zeros_like(t)
             t_j[:, iu[0], iu[1]] = off_j
@@ -177,7 +187,6 @@ class ConeSampler:
             inv_root = np.tile(inv_root, 2)
         x = np.einsum("bji,bjk->bik", t.conj(), t)
         x = x * inv_root[None, :, None] * inv_root[None, None, :]
-        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in z)
         return x, logdet
 
     def log_norm(self) -> float:
@@ -207,19 +216,14 @@ def _m2_spectra(diag: np.ndarray, t12_sq: np.ndarray, scale_eigs) -> np.ndarray:
     with Z = diag(scale_eigs).
 
     Closed form, with no X formed: X11 = t11^2/z1, X22 = (|t12|^2 + t22^2)/z2,
-    |X12|^2 = t11^2 |t12|^2/(z1 z2).  lambda_max adds two nonnegative terms,
-    and lambda_min = det X / lambda_max, det X = (t11 t22)^2/(z1 z2), avoids
-    the cancellation of the minus root, so both keep their relative accuracy
-    at any conditioning.  lambda_min is clipped to lambda_max, which det X /
-    lambda_max can pass by an ulp at equal roots.
+    |X12|^2 = t11^2 |t12|^2/(z1 z2), and :func:`jackdiv._mat2.spectra` with
+    det X = (t11 t22)^2/(z1 z2) exact to rounding, so both eigenvalues keep
+    their relative accuracy at any conditioning.
     """
     z1, z2 = scale_eigs
     t11_sq, t22_sq = diag[:, 0] ** 2, diag[:, 1] ** 2
-    x11 = t11_sq / z1
-    x22 = (t12_sq + t22_sq) / z2
-    half_gap = (x11 - x22) / 2
-    lam_max = (x11 + x22) / 2 + np.sqrt(half_gap ** 2 + t11_sq * t12_sq / (z1 * z2))
-    lam_min = np.minimum(t11_sq * t22_sq / (z1 * z2) / lam_max, lam_max)
+    lam_max, lam_min = _mat2.spectra(t11_sq / z1, (t12_sq + t22_sq) / z2,
+                                     t11_sq * t12_sq / (z1 * z2), t11_sq * t22_sq / (z1 * z2))
     return np.stack([lam_max, lam_min], axis=1)
 
 
@@ -227,11 +231,11 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     """Eigenvalue spectra of ``count`` Wishart draws, shape (count, m), each
     row sorted descending.  Reproducible given the seed.
 
-    At m = 2 the spectra come in closed form from the triangular factor
-    (:func:`_m2_spectra`), with no matrix formed and, at beta = 4, no complex
-    embedding; at any other m from ``eigvalsh`` of the drawn X (its doubled
-    spectrum deduplicated at beta = 4).  Both paths consume the same random
-    stream.
+    At m = 1 the spectrum is t11^2/z1 and at m = 2 it comes in closed form
+    from the triangular factor (:func:`_m2_spectra`), with no matrix formed
+    and, at beta = 4, no complex embedding; at any other m from ``eigvalsh``
+    of the drawn X (its doubled spectrum deduplicated at beta = 4).  Every
+    path consumes the same random stream.
     """
     n = model.n
     if abs(n - round(n)) > 1e-12:
@@ -242,9 +246,11 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     rng = np.random.default_rng(np.random.PCG64(seed))
 
     def draw(chunk):
+        if model.m == 1:
+            return sampler.bartlett(rng, chunk)[0] ** 2 / sampler.scale_eigs[0]
         if model.m == 2:
             diag, off, off_j = sampler.bartlett(rng, chunk)
-            t12_sq = sum(c.real ** 2 + c.imag ** 2 for c in (off, off_j) if c is not None)
+            t12_sq = sum(_mat2.abs_sq(c) for c in (off, off_j) if c is not None)
             return _m2_spectra(diag, t12_sq[:, 0], sampler.scale_eigs)
         eigs = np.linalg.eigvalsh(sampler.sample(rng, chunk)[0])
         return _quat.dedupe_pairs(eigs) if beta == 4 else eigs[:, ::-1]

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from jackdiv import _quat, verify
+from jackdiv import _mat2, _quat, verify
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
 from jackdiv.special import mv_beta, mv_gamma
 from jackdiv.verify import (
     VerificationReport,
+    _conjugated_spectra,
+    _eigs_times_diag,
     _haar_batch,
     _logdet_h,
+    _matrix_beta1,
+    _matrix_beta2,
     _rng,
     default_suite,
     run_suite,
@@ -99,6 +103,188 @@ class TestConeSampler:
             x, logdet = sampler.sample(_rng(5), 100)
             direct = np.linalg.slogdet(x)[1] / halve
             assert np.abs(direct - logdet).max() < 1e-9
+
+
+EPS = np.finfo(float).eps
+
+
+def _hermitian_batch(beta, max_cond, count, seed):
+    """Positive-definite (count, 2, 2) batch, real at beta = 1 and complex at
+    beta = 2, with norms spread over 1e-3..1e3 and condition numbers
+    log-uniform on [1, max_cond]."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((count, 2, 2))
+    if beta == 2:
+        g = g + 1j * rng.standard_normal((count, 2, 2))
+    q = np.linalg.qr(g)[0]
+    lam_min = 10.0 ** -rng.uniform(0.0, math.log10(max_cond), count)
+    lam = np.stack([np.ones(count), lam_min], axis=1) * 10.0 ** rng.uniform(-3, 3, count)[:, None]
+    a = np.einsum("bij,bj,bkj->bik", q, lam, q.conj())
+    return 0.5 * (a + _herm(a))
+
+
+def _herm(a):
+    return np.conj(np.transpose(a, (0, 2, 1)))
+
+
+def _rows_max(a):
+    return np.abs(a).max(axis=(1, 2))
+
+
+# Each closed form against the LAPACK call it replaces, at beta = 1 and 2, on
+# well-conditioned batches and on condition numbers up to 1e12.  Both sides
+# are backward stable, so they agree to a few ulps of the size of their
+# forward error: |A| for eigenvalues and determinants, cond(A) |A^-1| for
+# inverses and cond |result| for the factorizations.
+KERNEL_CASES = [(beta, cond) for beta in (1, 2) for cond in (10.0, 1e12)]
+
+
+class TestM2Kernels:
+    @pytest.fixture(params=KERNEL_CASES, ids=lambda c: f"b{c[0]}-cond{c[1]:g}")
+    def batch(self, request):
+        beta, cond = request.param
+        return _hermitian_batch(beta, cond, 4000, 7 * beta + int(math.log10(cond)))
+
+    def test_eigvalsh(self, batch):
+        ref = np.linalg.eigvalsh(batch)
+        got = _mat2.eigvalsh(batch)
+        assert np.all(np.abs(got - ref) <= 16 * EPS * ref[:, 1:])
+
+    def test_det_against_slogdet(self, batch):
+        sign, logdet = np.linalg.slogdet(batch)
+        w = np.linalg.eigvalsh(batch)
+        assert np.all(np.abs(_mat2.det(batch) - sign.real * np.exp(logdet)) <= 16 * EPS * w[:, 1] ** 2)
+        assert np.all(np.abs(_logdet_h(batch) - logdet) <= 16 * EPS * w[:, 1] / w[:, 0])
+
+    def test_inv(self, batch):
+        w = np.linalg.eigvalsh(batch)
+        got = _mat2.inv(batch)
+        assert np.all(_rows_max(got - np.linalg.inv(batch)) <= 16 * EPS * w[:, 1] / w[:, 0] ** 2)
+        assert np.array_equal(got, _herm(got))
+
+    def test_cholesky_whiten_against_cholesky_and_solve(self, batch):
+        beta = 1 if batch.dtype == float else 2
+        a, s = batch, batch + _hermitian_batch(beta, 1e3, len(batch), 99)
+        ell = np.linalg.cholesky(s)
+        w = np.linalg.solve(ell, a)
+        ref = np.linalg.solve(ell, _herm(w))
+        ref = 0.5 * (ref + _herm(ref))
+        ws = np.linalg.eigvalsh(s)
+        got = _mat2.cholesky_whiten(a, s)
+        assert np.all(_rows_max(got - ref) <= 16 * EPS * ws[:, 1] / ws[:, 0] * _rows_max(ref))
+
+    def test_inv_sqrt_against_eigh(self, batch):
+        w, q = np.linalg.eigh(batch)
+        ref = np.einsum("bik,bk,bjk->bij", q, w ** -0.5, q.conj())
+        got = _mat2.inv_sqrt(batch)
+        assert np.all(_rows_max(got - ref) <= 16 * EPS * w[:, 1] / w[:, 0] * w[:, 0] ** -0.5)
+        assert np.array_equal(got, _herm(got))
+
+    def test_congruence_against_matmul(self, batch):
+        m = _hermitian_batch(1, 1e3, len(batch), 5) + 0.5j * np.eye(2)
+        ref = m @ batch @ _herm(m)
+        scale = np.linalg.norm(m, 2, axis=(1, 2)) ** 2 * np.linalg.norm(batch, 2, axis=(1, 2))
+        assert np.all(_rows_max(_mat2.congruence(m, batch) - ref) <= 16 * EPS * scale)
+
+    def test_degenerate_inputs_raise_no_warning(self):
+        # RuntimeWarning is an error under the test configuration
+        zero = np.zeros((1, 2, 2))
+        assert np.array_equal(_mat2.eigvalsh(zero), [[0.0, 0.0]])
+        assert np.array_equal(_eigs_times_diag(np.eye(2)[None], (0.0, 0.0)), [[0.0, 0.0]])
+        parallel = np.array([[[1.0, 2.0], [0.0, 0.0]]])
+        q = _mat2.unitary_factor(parallel)
+        assert np.abs(q[0].T @ q[0] - np.eye(2)).max() <= 2 * EPS
+        for kernel in (_mat2.inv_sqrt, lambda b: _mat2.cholesky_whiten(b, b)):
+            with pytest.raises(DomainError, match="positive definite"):
+                kernel(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        with pytest.raises(DomainError, match="singular"):
+            _mat2.inv(np.array([[[1.0, 1.0], [1.0, 1.0]]]))
+
+    def test_logdet_rejects_indefinite_with_positive_diagonal(self):
+        with pytest.raises(DomainError, match="positive definite"):
+            _logdet_h(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
+
+
+def _numpy_cone_draw(sampler, rng, count):
+    """X from ``sampler.bartlett`` by the product of factors, as
+    ``ConeSampler.sample`` builds it at m != 2."""
+    diag, off, _ = sampler.bartlett(rng, count)
+    t = np.zeros((count, 2, 2), dtype=off.dtype)
+    t[:, 0, 1] = off[:, 0]
+    t[:, [0, 1], [0, 1]] = diag
+    inv_root = 1.0 / np.sqrt(np.asarray(sampler.scale_eigs))
+    return np.einsum("bji,bjk->bik", t.conj(), t) * inv_root[None, :, None] * inv_root[None, None, :]
+
+
+def _same_state(r1, r2):
+    return r1.bit_generator.state == r2.bit_generator.state
+
+
+@pytest.mark.parametrize("alg", [B1, B2], ids=["b1", "b2"])
+class TestM2Samplers:
+    # Each m = 2 sampler against the numpy construction on the same draws,
+    # leaving the generator where the numpy path leaves it.
+
+    def test_cone_sample(self, alg):
+        sampler = ConeSampler(2, alg, 1.7, (1.0, 1.3))
+        r1, r2 = _rng(11), _rng(11)
+        x, logdet = sampler.sample(r1, 3000)
+        ref = _numpy_cone_draw(sampler, r2, 3000)
+        assert _same_state(r1, r2)
+        assert x.dtype == ref.dtype
+        assert np.all(_rows_max(x - ref) <= 4 * EPS * _rows_max(ref))
+        assert np.allclose(logdet, np.linalg.slogdet(ref)[1], rtol=0.0, atol=1e-9)
+
+    def test_matrix_beta1(self, alg):
+        r1, r2 = _rng(12), _rng(12)
+        u = _matrix_beta1(2, alg, 1.4, 2.1, r1, 3000)
+        a, _ = ConeSampler(2, alg, 1.4, (1.0, 1.0)).sample(r2, 3000)
+        b, _ = ConeSampler(2, alg, 2.1, (1.0, 1.0)).sample(r2, 3000)
+        assert _same_state(r1, r2)
+        ell = np.linalg.cholesky(a + b)
+        ref = np.linalg.solve(ell, _herm(np.linalg.solve(ell, a)))
+        ws = np.linalg.eigvalsh(a + b)
+        assert np.all(_rows_max(u - 0.5 * (ref + _herm(ref))) <= 16 * EPS * ws[:, 1] / ws[:, 0])
+
+    def test_matrix_beta2(self, alg):
+        r1, r2 = _rng(13), _rng(13)
+        x = _matrix_beta2(2, alg, 1.4, 2.1, r1, 3000)
+        a, _ = ConeSampler(2, alg, 1.4, (1.0, 1.0)).sample(r2, 3000)
+        b, _ = ConeSampler(2, alg, 2.1, (1.0, 1.0)).sample(r2, 3000)
+        assert _same_state(r1, r2)
+        w, q = np.linalg.eigh(b)
+        root = np.einsum("bik,bk,bjk->bij", q, w ** -0.5, q.conj())
+        ref = root @ a @ root
+        assert np.all(_rows_max(x - ref) <= 16 * EPS * w[:, 1] / w[:, 0] * _rows_max(ref))
+
+    def test_haar(self, alg):
+        r1, r2 = _rng(14), _rng(14)
+        h = _haar_batch(2, alg, r1, 3000)
+        g = r2.standard_normal((3000, 2, 2))
+        if alg.beta == 2:
+            g = g + 1j * r2.standard_normal((3000, 2, 2))
+        assert _same_state(r1, r2)
+        q, r = np.linalg.qr(g)
+        d = np.einsum("bii->bi", r)
+        ref = q * (d / np.abs(d))[:, None, :]
+        sv = np.linalg.svd(g, compute_uv=False)
+        assert np.all(_rows_max(h - ref) <= 16 * EPS * sv[:, 0] / sv[:, 1])
+        # and unitary to rounding
+        assert _rows_max(np.einsum("bji,bjk->bik", h.conj(), h) - np.eye(2)).max() <= 8 * EPS
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_m2_split_spectra_match_embedding_eigvalsh(beta):
+    alg = DivisionAlgebra(beta)
+    x_eigs, y_eigs = (1.0, 2.0), (3.0, 0.5)
+    h = _haar_batch(2, alg, _rng(15), 3000)
+    e = _quat.embed(*h) if beta == 4 else h
+    x, y = (np.tile(v, 2) if beta == 4 else np.asarray(v) for v in (x_eigs, y_eigs))
+    inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
+    vals = np.linalg.eigvalsh(np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :])
+    ref = _quat.dedupe_pairs(vals) if beta == 4 else vals[:, ::-1]
+    got = _conjugated_spectra(x_eigs, y_eigs, alg, h)
+    assert np.all(np.abs(got - ref) <= 16 * EPS * ref[:, :1])
 
 
 class TestReport:

@@ -135,6 +135,20 @@ def _wishart_factor_stream(model, seed):
     return sampler, np.random.default_rng(np.random.PCG64(seed))
 
 
+class TestM1ClosedForm:
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_matches_eigvalsh_of_the_same_draws(self, beta):
+        # the spectrum t11^2/z1 against eigvalsh of the drawn X (of its
+        # embedding at beta = 4) on the same random stream
+        model = WishartModel(1, 3, (2.0,), DivisionAlgebra(beta))
+        eigs = sample_wishart_eigs(model, 31, 5000)
+        sampler, rng = _wishart_factor_stream(model, 31)
+        ref = np.linalg.eigvalsh(sampler.sample(rng, 5000)[0])
+        ref = _quat.dedupe_pairs(ref) if beta == 4 else ref
+        assert eigs.shape == (5000, 1)
+        assert np.all(np.abs(eigs - ref) <= 4 * np.finfo(float).eps * ref)
+
+
 class TestM2ClosedForm:
     EPS = np.finfo(float).eps
 
