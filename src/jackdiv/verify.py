@@ -14,11 +14,13 @@ parameters fall back to importance weights with finite-variance guards.
 Everything is seed-deterministic: estimates depend only on the identity, its
 parameters, the seed and the sample count.
 
-Every check draws its samples through :func:`jackdiv.wishart._sample_values`,
-the one chunked sampler, which Wishart sampling shares: it calls the check's
-``draw(count)`` closure over chunks of at most ``_CHUNK`` rows, so memory
-stays bounded and the random stream is consumed in the same order whatever
-the sample count.  Cone draws come from :class:`jackdiv.wishart.ConeSampler`.
+Each check is its analytic side plus one ``draw(rng, count)`` function that
+returns ``count`` samples of the integrand.  :func:`_report`, the one driver,
+seeds the generator, calls ``draw`` through the chunk loop that Wishart
+sampling shares (:func:`jackdiv.wishart._sample_values`: at most ``_CHUNK``
+rows at a time, so memory stays bounded and the random stream is consumed in
+the same order whatever the sample count) and judges the sample mean.  Cone
+draws come from :class:`jackdiv.wishart.ConeSampler`.
 
 At m = 2 no check calls batched LAPACK: Haar draws (the Q of a Gaussian QR),
 eigenvalues, inverses, log-determinants and the matrix-beta conjugations
@@ -48,7 +50,7 @@ from .special import (
     mv_gamma_ln,
     mv_gamma_weighted_ln,
 )
-from .wishart import ConeSampler, _sample_values
+from .wishart import ConeSampler, _rng, _sample_values
 
 DEFAULT_Z_MAX = 3.0
 DEFAULT_REL_MAX = 0.05
@@ -103,8 +105,8 @@ def _digest(*params) -> str:
     return "%08x" % zlib.crc32(repr(params).encode())
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.PCG64(seed))
+def _tag(kappa: Partition) -> str:
+    return "".join(map(str, kappa.parts))
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -116,7 +118,10 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _report(identity_id, params, analytic, values) -> VerificationReport:
+def _report(identity_id, params, analytic, n_samples, seed, draw) -> VerificationReport:
+    """The one Monte Carlo driver: ``draw(rng, count)`` over chunks, from the
+    generator of ``seed``, its mean judged against ``analytic``."""
+    values = _sample_values(n_samples, partial(draw, _rng(seed)))
     est, se = _mean_se(values)
     return VerificationReport(
         identity_id=identity_id,
@@ -139,25 +144,19 @@ def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, coun
     at m = 2 (:func:`jackdiv._mat2.unitary_factor`); at beta = 4 the
     quaternion pair of :func:`jackdiv._quat.haar_batch`."""
     beta = algebra.beta
-    if beta == 1:
-        g = rng.standard_normal((count, m, m))
-        if m == 2:
-            return _mat2.unitary_factor(g)
-        qm, r = np.linalg.qr(g)
-        d = np.sign(np.einsum("bii->bi", r))
-        d[d == 0] = 1.0
-        return qm * d[:, None, :]
-    if beta == 2:
-        g = rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
-        if m == 2:
-            return _mat2.unitary_factor(g)
-        qm, r = np.linalg.qr(g)
-        d = np.einsum("bii->bi", r)
-        ph = d / np.abs(d)
-        return qm * ph[:, None, :]
     if beta == 4:
         return _quat.haar_batch(rng, count, m)
-    raise UnsupportedParameterError("Haar sampling supports beta in {1, 2, 4}")
+    if beta not in (1, 2):
+        raise UnsupportedParameterError("Haar sampling supports beta in {1, 2, 4}")
+    g = rng.standard_normal((count, m, m))
+    if beta == 2:
+        g = g + 1j * rng.standard_normal((count, m, m))
+    if m == 2:
+        return _mat2.unitary_factor(g)
+    qm, r = np.linalg.qr(g)
+    d = np.einsum("bii->bi", r)
+    d = np.where(d == 0, 1.0, d)  # phase d/|d|: exactly +-1 for real d
+    return qm * (d / np.abs(d))[:, None, :]
 
 
 def _complex_form(algebra, h, x, y):
@@ -224,16 +223,14 @@ def verify_split_integral(
         if kappa.weight
         else 1.0
     )
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         h = _haar_batch(m, algebra, rng, count)
         return jack_C_batch(kappa, _conjugated_spectra(x_eigs, y_eigs, algebra, h), algebra)
 
-    values = _sample_values(n_samples, draw)
     params = ("split", kappa.parts, tuple(x_eigs), tuple(y_eigs), m, algebra.beta, n_samples, seed)
-    return _report(f"split-m{m}-b{algebra.beta}-k{''.join(map(str, kappa.parts))}",
-                   params, analytic, values)
+    return _report(f"split-m{m}-b{algebra.beta}-k{_tag(kappa)}",
+                   params, analytic, n_samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -241,12 +238,12 @@ def verify_split_integral(
 # ---------------------------------------------------------------------------
 
 
-def _cone_beta(algebra: DivisionAlgebra) -> int:
-    """beta of a check that reads its cone draws as m x m matrices: the
-    quaternion sampler returns embeddings, so 1 or 2."""
+def _cone_beta(algebra: DivisionAlgebra, m: int) -> tuple[int, float]:
+    """(beta, c = (m-1) beta/2) of a check that reads its cone draws as m x m
+    matrices: the quaternion sampler returns embeddings, so beta is 1 or 2."""
     if algebra.beta not in (1, 2):
         raise UnsupportedParameterError("cone sampling checks support beta in {1, 2}")
-    return algebra.beta
+    return algebra.beta, (m - 1) * algebra.beta / 2
 
 
 def _matrix_beta1(m, algebra, a1, a2, rng, count):
@@ -330,6 +327,13 @@ def _logdet_h(x: np.ndarray) -> np.ndarray:
     return np.real(val)
 
 
+def _jack_values(kappa, algebra, x, d, inverse=False, logdet_x=None) -> np.ndarray:
+    """C_kappa of the spectra of X^(+-1) diag(d) over a batch of X, the Jack
+    integrand of the cone and matrix-beta checks; ``logdet_x`` as in :func:`_eigs_times_diag`."""
+    spectra = _eigs_times_diag(_inv_h(x) if inverse else x, d, logdet_x=logdet_x)
+    return jack_C_batch(kappa, spectra, algebra)
+
+
 def _auto_proposal_shape(a: float, c: float, k_extreme: int) -> float:
     """Proposal shape for |X|^(a - a0) reweighting with a C_kappa factor whose
     boundary decay contributes 2*k_extreme; keeps the second moment finite."""
@@ -361,8 +365,7 @@ def verify_laplace_jack(
     m-th part of kappa; below the classical bound the proposal shape shifts
     and the determinant weight carries the difference.
     """
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
+    beta, c = _cone_beta(algebra, m)
     k_m = kappa.part(m)
     r = np.asarray(r_eigs, dtype=float)
     z = np.asarray(z_eigs, dtype=float)
@@ -375,20 +378,15 @@ def verify_laplace_jack(
     a0 = _auto_proposal_shape(a, c, k_m)
     sampler = ConeSampler(m, algebra, a0, tuple(z))
     log_w0 = sampler.log_norm()
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         x, logdet = sampler.sample(rng, count)
-        spectra = _eigs_times_diag(x, r, logdet_x=logdet if np.all(r > 0) else None)
-        cvals = jack_C_batch(kappa, spectra, algebra)
+        cvals = _jack_values(kappa, algebra, x, r, logdet_x=logdet)
         return np.exp(log_w0 + (a - a0) * logdet) * cvals
 
-    values = _sample_values(n_samples, draw)
     params = ("laplace_jack", a, kappa.parts, tuple(r), tuple(z), m, beta, n_samples, seed, a0)
-    return _report(
-        f"laplace-jack-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}",
-        params, analytic, values,
-    )
+    return _report(f"laplace-jack-m{m}-b{beta}-k{_tag(kappa)}-a{a:g}",
+                   params, analytic, n_samples, seed, draw)
 
 
 def verify_beta_jack(
@@ -404,8 +402,7 @@ def verify_beta_jack(
 ) -> VerificationReport:
     """Beta-type integral over 0 < X < I with a C_kappa(XR) factor, or the
     inverse-argument variant C_kappa(R X^{-1})."""
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
+    beta, c = _cone_beta(algebra, m)
     k_m = kappa.part(m)
     r = np.asarray(r_eigs, dtype=float)
 
@@ -417,22 +414,17 @@ def verify_beta_jack(
     a1 = _auto_proposal_shape(a, c, k_m)
     a2 = b if b > c + 0.25 else c + 0.75
     log_w0 = mv_beta_ln(m, algebra, a1, a2)
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         u = _matrix_beta1(m, algebra, a1, a2, rng, count)
-        spectra = _eigs_times_diag(_inv_h(u) if inverse_arg else u, r)
-        cvals = jack_C_batch(kappa, spectra, algebra)
+        cvals = _jack_values(kappa, algebra, u, r, inverse=inverse_arg)
         logw = (a - a1) * _logdet_h(u) + (b - a2) * _logdet_h(np.eye(m)[None] - u)
         return np.exp(log_w0 + logw) * cvals
 
-    values = _sample_values(n_samples, draw)
     params = ("beta_jack", a, b, kappa.parts, tuple(r), m, beta, inverse_arg, n_samples, seed)
     tag = "inv" if inverse_arg else "fwd"
-    return _report(
-        f"beta-jack-{tag}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}-b{b:g}",
-        params, analytic, values,
-    )
+    return _report(f"beta-jack-{tag}-m{m}-b{beta}-k{_tag(kappa)}-a{a:g}-b{b:g}",
+                   params, analytic, n_samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +476,7 @@ def verify_radial_kernel(
     ``inverse_arg=True`` is the C_kappa(X^{-1} U) form (domain a > c + k_1);
     ``inverse_arg=False`` uses C_kappa(X U) (domain a > c - k_m).
     """
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
+    beta, c = _cone_beta(algebra, m)
     k = kappa.weight
     if inverse_arg:
         if not a > c + kappa.part(1):
@@ -515,11 +506,6 @@ def verify_radial_kernel(
     if not a > c:
         raise DomainError("the sampler needs a > (m-1)*beta/2; tighter domains are "
                           "exercised by verify_laplace_jack")
-    rng = _rng(seed)
-
-    def jack_values(x):
-        spectra = _eigs_times_diag(_inv_h(x) if inverse_arg else x, u)
-        return jack_C_batch(kappa, spectra, algebra)
 
     if f_id == "pareto":
         q0 = beta * (a * m + eta) - a * m
@@ -534,33 +520,30 @@ def verify_radial_kernel(
         )
         sampler = ConeSampler(m, algebra, a, tuple(np.ones(m)))
 
-        def draw(count):
+        def draw(rng, count):
             s, _ = sampler.sample(rng, count)
             g = rng.gamma(q0, size=count)
             scale = eta / (2.0 * g)
             x = s * scale[:, None, None] / np.sqrt(np.outer(z, z))[None]
-            return math.exp(-log_c0) * jack_values(x)
+            return math.exp(-log_c0) * _jack_values(kappa, algebra, x, u, inverse=inverse_arg)
     else:
         sampler = ConeSampler(m, algebra, a, tuple(z))
         log_w0 = sampler.log_norm()
 
-        def draw(count):
+        def draw(rng, count):
             x, _ = sampler.sample(rng, count)
-            cvals = jack_values(x)
+            cvals = _jack_values(kappa, algebra, x, u, inverse=inverse_arg)
             w = np.exp(log_w0)
             if f_id == "exp_power":
                 tr_xz = np.einsum("bii->b", x * z[None, None, :]).real
                 w = w * tr_xz**j_power
             return w * cvals
 
-    values = _sample_values(n_samples, draw)
     params = ("radial_kernel", f_id, a, kappa.parts, tuple(u), tuple(z), m, beta,
               inverse_arg, eta, j_power, n_samples, seed)
     tag = "inv" if inverse_arg else "fwd"
-    return _report(
-        f"radial-{f_id}-{tag}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}",
-        params, analytic, values,
-    )
+    return _report(f"radial-{f_id}-{tag}-m{m}-b{beta}-k{_tag(kappa)}",
+                   params, analytic, n_samples, seed, draw)
 
 
 def verify_beta2_jack(
@@ -576,8 +559,7 @@ def verify_beta2_jack(
 ) -> VerificationReport:
     """Type-II beta integral |X|^(a-c-1) |I+X|^-(a+b) with C_kappa(R X) (r2)
     or C_kappa(R X^{-1}) (r1), against the weighted-gamma closed form."""
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
+    beta, c = _cone_beta(algebra, m)
     if variant == "r1":
         sign_a, sign_b = -1, +1
     elif variant == "r2":
@@ -593,22 +575,17 @@ def verify_beta2_jack(
     a1 = a if a > c + 0.25 else c + 0.75
     a2 = b if b > c + 0.25 else c + 0.75
     log_w0 = mv_beta_ln(m, algebra, a1, a2)
-    rng = _rng(seed)
     eye = np.eye(m)[None]
 
-    def draw(count):
+    def draw(rng, count):
         x = _matrix_beta2(m, algebra, a1, a2, rng, count)
-        spectra = _eigs_times_diag(_inv_h(x) if variant == "r1" else x, r)
-        cvals = jack_C_batch(kappa, spectra, algebra)
+        cvals = _jack_values(kappa, algebra, x, r, inverse=variant == "r1")
         logw = (a - a1) * _logdet_h(x) + ((a1 + a2) - (a + b)) * _logdet_h(eye + x)
         return np.exp(log_w0 + logw) * cvals
 
-    values = _sample_values(n_samples, draw)
     params = ("beta2_jack", variant, a, b, kappa.parts, tuple(r), m, beta, n_samples, seed)
-    return _report(
-        f"beta2-{variant}-m{m}-b{beta}-k{''.join(map(str, kappa.parts))}-a{a:g}-b{b:g}",
-        params, analytic, values,
-    )
+    return _report(f"beta2-{variant}-m{m}-b{beta}-k{_tag(kappa)}-a{a:g}-b{b:g}",
+                   params, analytic, n_samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -633,9 +610,7 @@ def verify_incomplete(
 
     ``kind``: ``gamma_lower``, ``beta`` or ``gamma_upper``.
     """
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
-    rng = _rng(seed)
+    beta, c = _cone_beta(algebra, m)
 
     if kind == "gamma_lower":
         lam = np.asarray(lambda_eigs, dtype=float)
@@ -646,10 +621,10 @@ def verify_incomplete(
             raise DomainError(f"sampler requires a > (m-1)*beta/2 = {c}")
         marg = om * lam
         series = pfq(HypergeomSpec((a,), (a + c + 1,), algebra, m), -marg)
-        analytic = math.exp(mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(om).sum())) * series.value
         log_w0 = mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(om).sum())
+        analytic = math.exp(log_w0) * series.value
 
-        def draw(count):
+        def draw(rng, count):
             u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
             tr = np.einsum("bii->b", u * marg[None, None, :]).real
             return np.exp(log_w0) * np.exp(-tr)
@@ -668,12 +643,12 @@ def verify_incomplete(
         if not b > c:
             raise DomainError(f"requires b > (m-1)*beta/2 = {c}")
         series = pfq(HypergeomSpec((a, -b + c + 1), (a + c + 1,), algebra, m), xi)
-        analytic = math.exp(mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(xi).sum())) * series.value
         log_w0 = mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(xi).sum())
+        analytic = math.exp(log_w0) * series.value
         root = np.sqrt(xi)
         eye = np.eye(m)[None]
 
-        def draw(count):
+        def draw(rng, count):
             u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
             y = root[None, :, None] * u * root[None, None, :]
             return np.exp(log_w0 + (b - c - 1) * _logdet_h(eye - y))
@@ -706,7 +681,7 @@ def verify_incomplete(
         sampler = ConeSampler(m, algebra, c + 1, tuple(marg))
         eye = np.eye(m)[None]
 
-        def draw(count):
+        def draw(rng, count):
             xr, _ = sampler.sample(rng, count)
             return np.exp(log_w0 + r * _logdet_h(eye + xr))
 
@@ -718,7 +693,7 @@ def verify_incomplete(
             f"kind must be gamma_lower, beta or gamma_upper, got {kind!r}"
         )
 
-    return _report(identity, params, analytic, _sample_values(n_samples, draw))
+    return _report(identity, params, analytic, n_samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +731,7 @@ def verify_laplace_hypergeom(
     truncated by the default rule of the analytic side; DomainError when
     either side does not converge.
     """
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
+    beta, c = _cone_beta(algebra, m)
     upper = tuple(float(v) for v in upper)
     lower = tuple(float(v) for v in lower)
     if len(upper) > len(lower):
@@ -798,9 +772,8 @@ def verify_laplace_hypergeom(
 
     sampler = ConeSampler(m, algebra, a, tuple(z))
     log_w0 = sampler.log_norm()
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         x, _ = sampler.sample(rng, count)
         spectra = _eigs_times_diag(_inv_h(x) if inverse_arg else x, u)
         if not upper and not lower and not two_arg:
@@ -809,14 +782,11 @@ def verify_laplace_hypergeom(
             fvals = _converged(pfq_batch(int_spec, spectra, y_eigs=y_eigs), "integrand")
         return np.exp(log_w0) * fvals
 
-    values = _sample_values(n_samples, draw)
     params = ("laplace_hypergeom", upper, lower, a, tuple(u), tuple(z), m, beta,
               inverse_arg, n_samples, seed)
     tag = "inv" if inverse_arg else "fwd"
-    return _report(
-        f"laplace-{len(upper)}f{len(lower)}-{tag}-m{m}-b{beta}",
-        params, analytic, values,
-    )
+    return _report(f"laplace-{len(upper)}f{len(lower)}-{tag}-m{m}-b{beta}",
+                   params, analytic, n_samples, seed, draw)
 
 
 def verify_euler_1f1_integral(
@@ -830,22 +800,19 @@ def verify_euler_1f1_integral(
 ) -> VerificationReport:
     """Euler-type integral representation of the confluent series: the
     beta-weighted average of etr(XY) over 0 < Y < I equals 1F1(a; c; X)."""
-    beta = _cone_beta(algebra)
-    c = (m - 1) * beta / 2
+    beta, c = _cone_beta(algebra, m)
     if not (cpar > a + c and a > c):
         raise DomainError(f"requires c > a + (m-1)*beta/2 and a > (m-1)*beta/2 = {c}")
     x = np.asarray(x_eigs, dtype=float)
     series = pfq(HypergeomSpec((a,), (cpar,), algebra, m), x)
     analytic = series.value
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         u = _matrix_beta1(m, algebra, a, cpar - a, rng, count)
         return np.exp(np.einsum("bii->b", u * x[None, None, :]).real)
 
-    values = _sample_values(n_samples, draw)
     params = ("euler_1f1", a, cpar, tuple(x), m, beta, n_samples, seed)
-    return _report(f"euler-1f1-m{m}-b{beta}", params, analytic, values)
+    return _report(f"euler-1f1-m{m}-b{beta}", params, analytic, n_samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------
@@ -875,18 +842,16 @@ def verify_stiefel_0f1(
         HypergeomSpec((), (beta * n / 2.0,), algebra, m), (beta**2 / 4.0) * xx
     ).value
     root = np.sqrt(xx)
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         h = _haar_batch(n, algebra, rng, count)
         diag = np.einsum("bii->bi", h[:, :m, :m])
         # trace in the algebra means the real part for the complex case
         tr = (root[None, :] * diag).sum(axis=1).real
         return np.exp(beta * tr)
 
-    values = _sample_values(n_samples, draw)
     params = ("stiefel", tuple(xx), m, n, algebra.beta, n_samples, seed)
-    return _report(f"stiefel-0f1-m{m}-n{n}-b{beta}", params, analytic, values)
+    return _report(f"stiefel-0f1-m{m}-n{n}-b{beta}", params, analytic, n_samples, seed, draw)
 
 
 def verify_two_matrix_0f0(
@@ -902,17 +867,15 @@ def verify_two_matrix_0f0(
     x = np.asarray(x_eigs, dtype=float)
     y = np.asarray(y_eigs, dtype=float)
     analytic = pfq_two(HypergeomSpec((), (), algebra, m), x, y).value
-    rng = _rng(seed)
 
-    def draw(count):
+    def draw(rng, count):
         e, x2, y2 = _complex_form(algebra, _haar_batch(m, algebra, rng, count), x, y)
         tr = np.einsum("i,bij,j,bij->b", x2, e, y2, e.conj()).real
         # the embedding counts each quaternion trace twice
         return np.exp(0.5 * tr if algebra.beta == 4 else tr)
 
-    values = _sample_values(n_samples, draw)
     params = ("two_matrix_0f0", tuple(x), tuple(y), m, algebra.beta, n_samples, seed)
-    return _report(f"two-matrix-0f0-m{m}-b{algebra.beta}", params, analytic, values)
+    return _report(f"two-matrix-0f0-m{m}-b{algebra.beta}", params, analytic, n_samples, seed, draw)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,11 @@ class ConeSampler:
         )
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator every sampler draws from: PCG64 seeded with ``seed``."""
+    return np.random.default_rng(np.random.PCG64(seed))
+
+
 def _sample_values(n_samples: int, draw) -> np.ndarray:
     """``draw(count)`` over consecutive chunks of at most ``_CHUNK`` samples,
     concatenated in draw order."""
@@ -243,7 +248,7 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     beta = model.beta
     sampler = ConeSampler(model.m, model.algebra, beta * round(n) / 2,
                           tuple(beta / (2 * s) for s in model.sigma_eigs))
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = _rng(seed)
 
     def draw(chunk):
         if model.m == 1:

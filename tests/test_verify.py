@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from jackdiv.verify import (
     _logdet_h,
     _matrix_beta1,
     _matrix_beta2,
+    _mean_se,
     _rng,
     default_suite,
     run_suite,
@@ -273,6 +275,58 @@ class TestM2Samplers:
         assert _rows_max(np.einsum("bji,bjk->bik", h.conj(), h) - np.eye(2)).max() <= 8 * EPS
 
 
+@pytest.mark.parametrize("alg", [B1, B2], ids=["b1", "b2"])
+def test_haar_m3_is_the_q_of_a_positive_diagonal_qr(alg):
+    # at m != 2 H comes from numpy's QR with each column's phase moved into
+    # R: redrawn from the same seed, G = H R with R upper triangular and its
+    # diagonal real and positive
+    r1, r2 = _rng(16), _rng(16)
+    h = _haar_batch(3, alg, r1, 3000)
+    g = r2.standard_normal((3000, 3, 3))
+    if alg.beta == 2:
+        g = g + 1j * r2.standard_normal((3000, 3, 3))
+    assert _same_state(r1, r2)
+    r = np.einsum("bji,bjk->bik", h.conj(), g)
+    tol = 16 * EPS * _rows_max(g)
+    assert np.all(_rows_max(np.tril(r, -1)) <= tol)
+    diag = np.einsum("bii->bi", r)
+    assert np.all(np.abs(diag.imag).max(axis=1) <= tol)
+    assert np.all(diag.real > 0)
+
+
+def _max_mean_z(x, target):
+    """Largest |z| of the entrywise sample means of a Hermitian batch
+    against target * I: real parts on and above the diagonal, imaginary
+    parts above it."""
+    m = x.shape[-1]
+    cols = [x.real[:, i, j] - (target if i == j else 0.0) for i in range(m) for j in range(i, m)]
+    if np.iscomplexobj(x):
+        cols += [x.imag[:, i, j] for i in range(m) for j in range(i + 1, m)]
+    return max(abs(est) / se for est, se in map(_mean_se, cols))
+
+
+@pytest.mark.parametrize("alg", [B1, B2], ids=["b1", "b2"])
+class TestMatrixBetaM3:
+    # The numpy path (m != 2) of the matrix-beta samplers against their means
+    # at c = (m-1) beta/2: a1/(a1+a2) I for type I, a1/(a2 - c - 1) I for type II.
+    N = 40_000
+
+    def test_matrix_beta1(self, alg):
+        c = alg.beta
+        a1, a2 = c + 1.2, c + 4
+        u = _matrix_beta1(3, alg, a1, a2, _rng(17), self.N)
+        w = np.linalg.eigvalsh(u)
+        assert np.all((w > 0) & (w < 1))
+        assert _max_mean_z(u, a1 / (a1 + a2)) <= 5
+
+    def test_matrix_beta2(self, alg):
+        c = alg.beta
+        a1, a2 = c + 1.2, c + 4
+        x = _matrix_beta2(3, alg, a1, a2, _rng(18), self.N)
+        assert np.all(np.linalg.eigvalsh(x) > 0)
+        assert _max_mean_z(x, a1 / (a2 - c - 1)) <= 5
+
+
 @pytest.mark.parametrize("beta", [1, 2, 4])
 def test_m2_split_spectra_match_embedding_eigvalsh(beta):
     alg = DivisionAlgebra(beta)
@@ -341,6 +395,24 @@ class TestDeterminism:
         r1, r2 = mk(101), mk(909090)
         comb = math.hypot(r1.std_error, r2.std_error)
         assert abs(r1.estimate - r2.estimate) <= 6 * comb
+
+
+class TestRealTightDomain:
+    # The suite's beta = 1 cases below the classical bound use kappa = (1, 1),
+    # whose integrand has zero variance; with kappa = (2, 1) the weight and
+    # the Jack factor both vary, so these checks can fail.
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_laplace_jack(self, seed):
+        r = verify_laplace_jack(0.25, Partition((2, 1)), (1.0, 0.5), (1.0, 1.0), 2, B1,
+                                200_000, seed)
+        assert r.passed and r.std_error / abs(r.estimate) > 1e-6
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_beta_jack(self, seed):
+        r = verify_beta_jack(0.3, 2.0, Partition((2, 1)), (1.0, 0.7), 2, B1, False,
+                             200_000, seed)
+        assert r.passed and r.std_error / abs(r.estimate) > 1e-6
 
 
 class TestEmptyWeightReductions:
@@ -543,3 +615,13 @@ class TestSuite:
             assert r.passed
             ids.add(r.identity_id)
         assert len(ids) == 2
+
+    def test_thunks_pickle(self):
+        # each case is a partial of a module-level check, so the suite can be
+        # shipped to worker processes as it is
+        cases = default_suite(quick=True)
+        restored = [pickle.loads(pickle.dumps(thunk)) for _, thunk in cases]
+        for (_, thunk), back in zip(cases, restored):
+            assert (back.func, back.args, back.keywords) == (thunk.func, thunk.args, thunk.keywords)
+        for (_, thunk), back in zip(cases[:2], restored):
+            assert back().to_line() == thunk().to_line()
