@@ -13,7 +13,7 @@ the adaptive degree loop that holds the stop rule (and also serves
 :func:`pfq_positive_m2`); it reads a plain float running total and returns
 ``math.fsum`` of the degree sums.  A batch of spectra adds them as arrays,
 which ``fsum`` cannot, in :func:`_run_batch`, under the same stop rule.
-``pfq(..., max_first_part=r)`` is the first-part-restricted exact sum.
+:func:`_exp_split` is the exponential series split at a first part r, exactly.
 :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
 partition, every term scaled by exp(-trace) so that nothing overflows.
 :func:`ray_series` is the confluent series along a ray tau * s at any m: it
@@ -31,6 +31,7 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -204,24 +205,21 @@ def _run_batch(trunc, terms_of_degree, hard_cap, exact_finite, rows):
     return SeriesResult(total, k, float(ratios.max(initial=0.0)), converged)
 
 
-def _series(spec, x_eigs, y_eigs, norm, trunc, max_first_part) -> SeriesResult:
+def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     """Sum of :func:`_degree_terms` degree by degree, with the convergence
-    domain and the first-part restriction shared by :func:`pfq`,
-    :func:`pfq_two` and :func:`pfq_batch`; ``norm`` is the spectral radius the
-    domain is judged on.  ``x_eigs`` is one spectrum, whose degree sums are
-    ``math.fsum``-ed for :func:`_run_series`, or a (batch, m) array, whose
-    value is an array with one entry per row (:func:`_run_batch`)."""
+    domain and termination shared by :func:`pfq`, :func:`pfq_two` and
+    :func:`pfq_batch`; ``norm`` is the spectral radius the domain is judged
+    on.  ``x_eigs`` is one spectrum, whose degree sums are ``math.fsum``-ed
+    for :func:`_run_series`, or a (batch, m) array, whose value is an array
+    with one entry per row (:func:`_run_batch`)."""
     trunc = trunc or DEFAULT_TRUNCATION
-    terminating = _termination_bound(spec)
-    _convergence_check(spec, norm, terminating)
-    r_cap = max_first_part
-    if terminating is not None:
-        r_cap = terminating if r_cap is None else min(r_cap, terminating)
+    r_cap = _termination_bound(spec)
+    _convergence_check(spec, norm, r_cap)
     exact_finite = r_cap is not None
     hard_cap = spec.m * r_cap if exact_finite else trunc.max_degree
 
     table = get_table(spec.algebra)
-    within = None if r_cap is None else (r_cap,) * spec.m
+    within = (r_cap,) * spec.m if exact_finite else None
     dpx = ChatEvaluator(x_eigs, table, within)
     dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, within)
 
@@ -234,26 +232,17 @@ def _series(spec, x_eigs, y_eigs, norm, trunc, max_first_part) -> SeriesResult:
     return _run_series(trunc, lambda k: math.fsum(terms_of_degree(k)), hard_cap, exact_finite)
 
 
-def pfq(
-    spec: HypergeomSpec,
-    x,
-    trunc: SeriesTruncation | None = None,
-    max_first_part: int | None = None,
-) -> SeriesResult:
+def pfq(spec: HypergeomSpec, x, trunc: SeriesTruncation | None = None) -> SeriesResult:
     """Hypergeometric function of one matrix argument, as a truncated series.
 
     ``x`` is the eigenvalue vector of the argument.  Convergence domains are
     enforced up front: for p = q+1 the spectral radius must be below 1, and
-    for p > q+1 the series must terminate.  ``max_first_part`` restricts the
-    partitions to first part <= r, which makes the sum exact and finite
-    (degree at most m * r), so the result is always reported converged.
+    for p > q+1 the series must terminate.
     """
-    if max_first_part is not None and max_first_part < 0:
-        raise DomainError(f"max_first_part must be >= 0, got {max_first_part}")
     sx = as_spectrum(x)
     if sx.m != spec.m:
         raise DomainError(f"argument has {sx.m} eigenvalues but spec.m = {spec.m}")
-    return _series(spec, sx.eigenvalues, None, sx.max_abs, trunc, max_first_part)
+    return _series(spec, sx.eigenvalues, None, sx.max_abs, trunc)
 
 
 def pfq_two(
@@ -273,7 +262,7 @@ def pfq_two(
         raise DomainError(f"arguments have different sizes: {sx.m} vs {sy.m}")
     if sx.m != spec.m:
         raise DomainError(f"arguments have {sx.m} eigenvalues but spec.m = {spec.m}")
-    return _series(spec, sx.eigenvalues, sy.eigenvalues, sx.max_abs * sy.max_abs, trunc, None)
+    return _series(spec, sx.eigenvalues, sy.eigenvalues, sx.max_abs * sy.max_abs, trunc)
 
 
 def pfq_batch(spec: HypergeomSpec, X, y_eigs=None) -> SeriesResult:
@@ -298,7 +287,31 @@ def pfq_batch(spec: HypergeomSpec, X, y_eigs=None) -> SeriesResult:
         if sy.m != spec.m:
             raise DomainError(f"y_eigs has {sy.m} eigenvalues but spec.m = {spec.m}")
         y, norm = sy.eigenvalues, norm * sy.max_abs
-    return _series(spec, X, y, norm, None, None)
+    return _series(spec, X, y, norm, None)
+
+
+class _BeyondFirstPart(ChatEvaluator):
+    """An unbounded :class:`ChatEvaluator` whose last stage, which no other
+    stage reads, fills only the partitions with first part above ``r``."""
+
+    def __init__(self, x, table, r: int):
+        super().__init__(x, table)
+        self._r = r
+
+    def _shapes(self, k: int, n: int):
+        shapes = super()._shapes(k, n)
+        return shapes if n < self.m else tuple(kap for kap in shapes if sum(kap[:1]) > self._r)
+
+
+@lru_cache(maxsize=32)
+def _exp_split(algebra: DivisionAlgebra, r: int, v: tuple[float, ...], above: bool):
+    """One side of etr(v) = sum_kappa chat_kappa(v) split at first part r: over
+    k = 0..m r, ``math.fsum`` of chat_kappa(v) over |kappa| = k, kappa_1 > r if
+    ``above``, else kappa_1 <= r.  For v > 0 both are positive and add up to
+    (tr v)^k / k!.  ``v`` is sorted descending; the last 32 sides are kept."""
+    table = get_table(algebra)
+    evaluator = _BeyondFirstPart(v, table, r) if above else ChatEvaluator(v, table, (r,) * len(v))
+    return tuple(math.fsum(evaluator.degree_values(k).values()) for k in range(len(v) * r + 1))
 
 
 def _scaled(res: SeriesResult, scale: float) -> SeriesResult:

@@ -42,8 +42,8 @@ from scipy import integrate
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
-from .hypergeom import HypergeomSpec, SeriesResult, _termination_bound, pfq, pfq_batch, pfq_two
-from .jack import jack_C, jack_C_at_identity, jack_C_batch
+from .hypergeom import HypergeomSpec, SeriesResult, _exp_split, _termination_bound, pfq, pfq_batch, pfq_two
+from .jack import as_spectrum, jack_C, jack_C_at_identity, jack_C_batch
 from .special import (
     WeightedGammaQuery,
     mv_beta_ln,
@@ -668,10 +668,8 @@ def verify_incomplete(
             )
         r = int(round(r))
         marg = om * lam
-        s = pfq(HypergeomSpec((), (), algebra, m), marg, max_first_part=r)
-        analytic = math.exp(
-            mv_gamma_ln(m, algebra, a) - a * float(np.log(lam).sum()) - float(marg.sum())
-        ) * s.value
+        below = math.fsum(_exp_split(algebra, r, as_spectrum(marg).eigenvalues, False))
+        analytic = math.exp(mv_gamma_ln(m, algebra, a) - a * float(np.log(lam).sum()) - float(marg.sum())) * below
         log_w0 = (
             a * float(np.log(om).sum())
             - float(marg.sum())

@@ -19,7 +19,9 @@ The largest-eigenvalue and region distribution functions are confluent
 series at (beta/2) t, t the spectrum of Omega Sigma^{-1}.  At m = 2 they run
 on :func:`hypergeom.pfq_positive_m2`; at any other m on the memoized
 :func:`hypergeom.ray_series` of a direction fixed by the model, so every x of
-one model shares one Jack recurrence.
+one model shares one Jack recurrence.  The smallest-eigenvalue law sums positive
+terms, the exponential series past first part r (one coefficient vector per
+model) and an incomplete gamma tail, so it keeps its relative accuracy near 0.
 """
 
 from __future__ import annotations
@@ -29,25 +31,18 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammainc
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from .hypergeom import (
-    DEFAULT_TRUNCATION,
-    HypergeomSpec,
-    SeriesResult,
-    SeriesTruncation,
-    pfq,
-    pfq_positive_m2,
-    pfq_two,
-    ray_series,
-)
+from .hypergeom import (DEFAULT_TRUNCATION, HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split,
+                        pfq, pfq_positive_m2, pfq_two, ray_series)
+from .jack import as_spectrum
 from .special import mv_gamma_ln
 
 
-# Largest excess over 1 (or shortfall below 0) of a computed CDF that is
-# taken as rounding and returned as 1.0 (or 0.0); a larger one raises
-# DomainError.
+# Largest excess over 1 of a computed CDF that is taken as rounding and
+# returned as 1.0; a larger one raises DomainError.
 CDF_ROUNDING = 1e-10
 
 # Largest number of draws a sampler makes in one batch: bounds memory, and the
@@ -315,12 +310,15 @@ def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray, direction,
     arg = (model.beta / 2.0) * t
     log_series = _log_1f1_positive(c1, q, arg, direction, model.algebra, trunc)
     log_cdf = log_pref - float(arg.sum()) + log_series
-    if log_cdf > 0.0:
-        if log_cdf > math.log1p(CDF_ROUNDING):
-            raise DomainError(f"distribution function evaluates to exp({log_cdf:.6g}), "
-                              f"above 1 by more than the rounding allowance {CDF_ROUNDING:g}")
-        return 1.0
-    return math.exp(log_cdf)
+    return _at_most_one(math.exp(min(log_cdf, 0.0)), log_cdf)
+
+
+def _at_most_one(cdf: float, log_cdf: float) -> float:
+    """``cdf``, of log ``log_cdf``, as 1.0 when it exceeds 1 by at most CDF_ROUNDING; DomainError beyond."""
+    if log_cdf > math.log1p(CDF_ROUNDING):
+        raise DomainError(f"distribution function evaluates to exp({log_cdf:.6g}), "
+                          f"above 1 by more than the rounding allowance {CDF_ROUNDING:g}")
+    return min(cdf, 1.0)
 
 
 def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation | None = None) -> float:
@@ -378,23 +376,35 @@ def min_eig_sum_bound(model: WishartModel) -> int:
 def cdf_lambda_min(model: WishartModel, y: float) -> float:
     """P(smallest eigenvalue < y), an exact finite sum (no truncation error).
 
-    Available only when r = (n-m+1)*beta/2 - 1 is a positive integer.
+    Available only when r = (n-m+1)*beta/2 - 1 is a positive integer.  With
+    v = (beta/2) Sigma^{-1} and tau = y tr v, 1 - e^{-tau} sum_{kappa_1 <= r}
+    chat_kappa(y v) is summed as e^{-tau} sum_{k=r+1}^{m r} E_k y^k + P(m r +
+    1, tau), E_k the sum of chat_kappa(v) over |kappa| = k, kappa_1 > r
+    (:func:`hypergeom._exp_split`) and P the regularized lower incomplete gamma:
+    positive terms, each taken in log space, so the relative error stays near
+    m r |log y| roundings at every y.  Past m r ~ 250 the E_k can leave the
+    float range, which raises DomainError.
     """
     if not y > 0:
         raise DomainError(f"y must be positive, got {y}")
     r = min_eig_sum_bound(model)
-    beta = model.beta
-    u = (beta / 2.0) * y / np.asarray(model.sigma_eigs)
-    spec = HypergeomSpec((), (), model.algebra, model.m)
-    s = pfq(spec, u, max_first_part=r)
-    cdf = 1.0 - math.exp(-float(u.sum())) * s.value
-    if cdf < 0.0:
-        # 1 - e^{-tr} s cancels near y = 0
-        if cdf < -CDF_ROUNDING:
-            raise DomainError(f"distribution function evaluates to {cdf:.6g}, below 0 "
-                              f"by more than the rounding allowance {CDF_ROUNDING:g}")
-        return 0.0
-    return cdf
+    degree = model.m * r
+    v = as_spectrum((model.beta / 2.0) / np.asarray(model.sigma_eigs))
+    # E_k of v 2^j at trace ~ (m r / e)^(1/2), where the largest power the
+    # recurrence forms and the smallest E_k are about reciprocal; y 2^-j is exact
+    j = round(math.log2(math.sqrt(degree / math.e) / v.trace))
+    try:
+        coefs = _exp_split(model.algebra, r, v.scaled(2.0 ** j).eigenvalues, True)[r + 1:]
+    except OverflowError:  # a power x^s inside the recurrence
+        coefs = (math.inf,)
+    if not all(np.finfo(float).tiny <= e < math.inf for e in coefs):
+        raise DomainError(f"smallest-eigenvalue sum of degree m r = {degree} leaves the float range")
+    tau = y * v.trace
+    y_scaled = math.ldexp(y, -j)  # 0 only where y v underflows, and then every term does
+    log_y = math.log(y_scaled) if y_scaled > 0.0 else -math.inf
+    cdf = math.fsum([math.exp(math.log(e) + k * log_y - tau) for k, e in enumerate(coefs, r + 1)]
+                    + [float(gammainc(degree + 1, tau))])
+    return _at_most_one(cdf, math.log(max(cdf, 1.0)))
 
 
 def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | None = None) -> float:

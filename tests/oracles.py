@@ -9,6 +9,7 @@ point.  This never touches the production recurrence and is exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -312,6 +313,69 @@ def khatri_lambda_max_cdf(m: int, n: int, x: float) -> float:
         norm = mpmath.fprod(mpmath.gamma(n - k + 1) * mpmath.gamma(m - k + 1)
                             for k in range(1, m + 1))
         return float(mpmath.det(mat) / norm)
+
+
+def khatri_lambda_min_cdf(m: int, n: int, y: float) -> float:
+    """P(lambda_min <= y) of the beta = 2, identity-scale Wishart of
+    :func:`khatri_lambda_max_cdf`, by Khatri's determinant
+
+        1 - det[Gamma(n - m + i + j - 1, y)]_{i,j=1..m} / prod_{k=1..m} Gamma(n-k+1) Gamma(m-k+1),
+
+    Gamma(a, y) being the upper incomplete gamma function.  The difference
+    loses about m (n - m + 1) log10(1/y) digits near y = 0, so the
+    determinant is taken at 40 digits more than that.
+    """
+    lost = max(0, math.ceil(m * (n - m + 1) * math.log10(1.0 / y)))
+    with mpmath.workdps(40 + lost):
+        mat = mpmath.matrix([[mpmath.gammainc(n - m + i + j - 1, y) for j in range(1, m + 1)]
+                             for i in range(1, m + 1)])
+        norm = mpmath.fprod(mpmath.gamma(n - k + 1) * mpmath.gamma(m - k + 1)
+                            for k in range(1, m + 1))
+        return float(1 - mpmath.det(mat) / norm)
+
+
+def m2_chat(k1: int, k2: int, t1, t2, beta: int):
+    """chat_(k1, k2)(t1, t2), t1 >= t2 > 0, in mpmath from the m = 2 closed form
+    of the Jack sum (no recurrence): with g = beta/2, n = k1 - k2 and
+    a_i = (g)_i / i!,
+
+        t1^k1 t2^k2 Gamma(g) (g + n) sum_{i=0}^{n} a_{n-i} a_i (t2/t1)^i / (Gamma(g + k1 + 1) k2!).
+    """
+    g = mpmath.mpf(beta) / 2
+    n = k1 - k2
+    a = [mpmath.rf(g, i) / mpmath.factorial(i) for i in range(n + 1)]
+    c = mpmath.fsum(a[n - i] * a[i] * (t2 / t1) ** i for i in range(n + 1))
+    return (t1 ** k1 * t2 ** k2 * mpmath.gamma(g) * (g + n) * c
+            / (mpmath.gamma(g + k1 + 1) * mpmath.factorial(k2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _m2_lambda_min_coefficients(n: int, sigma_eigs: tuple[float, ...], beta: int):
+    """(r, tr v, E) for :func:`m2_lambda_min_cdf`: E[k - r - 1] is the sum of
+    chat_kappa(v) over |kappa| = k with kappa_1 > r, k = r+1..2r, at 40 digits."""
+    r = round((n - 1) * beta / 2 - 1)
+    with mpmath.workdps(40):
+        t1, t2 = sorted((mpmath.mpf(beta) / 2 / mpmath.mpf(s) for s in sigma_eigs), reverse=True)
+        coefs = [mpmath.fsum(m2_chat(k1, k - k1, t1, t2, beta) for k1 in range(r + 1, k + 1))
+                 for k in range(r + 1, 2 * r + 1)]
+        return r, t1 + t2, coefs
+
+
+def m2_lambda_min_cdf(n: int, sigma_eigs, beta: int, y: float) -> float:
+    """P(lambda_min < y) at m = 2 in mpmath at 40 digits, as the positive sum
+
+        e^{-tau} sum_{k=r+1}^{2r} y^k sum_{kappa_1 > r, |kappa| = k} chat_kappa(v) + P(2r + 1, tau)
+
+    over v = (beta/2) Sigma^{-1}, tau = y tr v, r = (n - 1) beta/2 - 1, with
+    chat from :func:`m2_chat` and P mpmath's regularized lower incomplete
+    gamma: no term is shared with the library's recurrence.
+    """
+    r, trace, coefs = _m2_lambda_min_coefficients(n, tuple(float(s) for s in sigma_eigs), beta)
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        tau = y * trace
+        terms = mpmath.fsum(e * y ** k for k, e in enumerate(coefs, r + 1))
+        return float(mpmath.exp(-tau) * terms + mpmath.gammainc(2 * r + 1, 0, tau, regularized=True))
 
 
 def laplace_beltrami_fd(fun, x, beta: float, h: float = 1e-4) -> float:

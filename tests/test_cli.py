@@ -12,6 +12,8 @@ from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.jack import jack_C
 from jackdiv.wishart import ConvergenceWarning, WishartModel, cdf_lambda_max
 
+from oracles import m2_lambda_min_cdf
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -43,6 +45,14 @@ class TestEvaluationCommands:
         assert code == 0
         want = cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(2)), 5.0)
         assert float(out.strip()) == pytest.approx(want, rel=1e-12)
+
+    def test_cdf_min_keeps_a_tiny_value(self, capsys):
+        # 3.25e-21, where 1 - e^{-tau} sum_{kappa_1 <= r} cancels to 0
+        code, out, _ = run(capsys, "cdf-min", "--beta", "8", "--m", "2", "--n", "7",
+                           "--sigma", "1,2", "--y", "0.33")
+        assert code == 0
+        want = m2_lambda_min_cdf(7, (1.0, 2.0), 8, 0.33)
+        assert float(out.strip()) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_explicit_default_truncation_flag_is_honored(self, capsys):
         code, out, _ = run(capsys, "cdf-max", "--beta", "1", "--m", "2", "--n", "4",

@@ -10,6 +10,7 @@ from jackdiv import hypergeom
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
 from jackdiv.hypergeom import (
     HypergeomSpec,
+    _exp_split,
     _run_series,
     _series,
     SeriesTruncation,
@@ -172,35 +173,54 @@ class TestKummerEuler:
 
 
 class TestRestricted:
-    def test_r_zero_keeps_only_empty(self):
-        res = pfq(HypergeomSpec((), (), B1, 2), (0.4, 0.2), max_first_part=0)
-        assert res.value == 1.0 and res.converged
+    """The exponential series split at first part r (``_exp_split``)."""
 
-    def test_negative_r_rejected(self):
-        with pytest.raises(DomainError, match="max_first_part"):
-            pfq(HypergeomSpec((), (), B1, 2), (0.4, 0.2), max_first_part=-1)
+    def test_r_zero_keeps_only_empty(self):
+        assert _exp_split(B1, 0, (0.4, 0.2), False) == (1.0,)
+        assert _exp_split(B1, 0, (0.4, 0.2), True) == (0.0,)
 
     def test_scalar_truncated_exponential(self):
-        res = pfq(HypergeomSpec((), (), B1, 1), (0.9,), max_first_part=2)
-        assert res.value == pytest.approx(1 + 0.9 + 0.81 / 2, rel=1e-14)
+        below = _exp_split(B1, 2, (0.9,), False)
+        assert math.fsum(below) == pytest.approx(1 + 0.9 + 0.81 / 2, rel=1e-14)
+        assert _exp_split(B1, 2, (0.9,), True) == (0.0, 0.0, 0.0)
 
     def test_term_count_m2_r2(self):
         count = sum(len(enumerate_partitions(k, 2, 2)) for k in range(0, 5))
         assert count == 6  # enumeration oracle over k = 0..4, parts <= 2, first part <= 2
+        for above in (False, True):
+            assert len(_exp_split(B1, 2, (0.4, 0.2), above)) == 5  # degrees 0..m r
 
     def test_exactness_no_truncation_error(self):
-        # restricted sum equals the brute-force restricted accumulation
+        # both sides equal the brute-force accumulation over their partitions,
+        # and each degree's sides make up (tr x)^k / k!
         from jackdiv.jack import jack_C
 
-        x = np.array([0.7, 0.4])
+        x = (0.7, 0.4)
         alg = DivisionAlgebra(4)
-        res = pfq(HypergeomSpec((), (), alg, 2), x, max_first_part=3)
-        brute = math.fsum(
-            jack_C(p, x, alg) / math.factorial(k)
-            for k in range(0, 7)
-            for p in enumerate_partitions(k, 2, 3)
-        )
-        assert res.value == pytest.approx(brute, rel=1e-14)
+        below, above = (_exp_split(alg, 3, x, side) for side in (False, True))
+        for k in range(0, 7):
+            terms = [(p.part(1), jack_C(p, x, alg) / math.factorial(k)) for p in enumerate_partitions(k, 2)]
+            want_below = math.fsum(c for first, c in terms if first <= 3)
+            want_above = math.fsum(c for first, c in terms if first > 3)
+            assert below[k] == pytest.approx(want_below, rel=1e-14, abs=0.0)
+            assert above[k] == pytest.approx(want_above, rel=1e-14, abs=0.0)
+            assert below[k] + above[k] == pytest.approx(1.1 ** k / math.factorial(k), rel=1e-14)
+
+    def test_above_at_m3_matches_the_unbounded_recurrence(self):
+        # the last stage alone is cut to kappa_1 > r; the stages under it are whole
+        from jackdiv.jack import ChatEvaluator, get_table
+
+        x, alg = (0.9, 0.5, 0.2), DivisionAlgebra(2)
+        full = ChatEvaluator(x, get_table(alg))
+        want = [math.fsum(c for kap, c in full.degree_values(k).items() if kap and kap[0] > 2)
+                for k in range(7)]
+        assert _exp_split(alg, 2, x, True) == tuple(want)
+
+    def test_memo_is_bounded(self):
+        capacity = _exp_split.cache_info().maxsize
+        for i in range(capacity + 8):
+            _exp_split(B1, 1, (1.0 + i, 0.5), True)
+        assert _exp_split.cache_info().currsize <= capacity == 32
 
 
 class TestSeriesBehavior:
@@ -399,7 +419,7 @@ class TestBatch:
         spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
         trunc = SeriesTruncation(max_degree=60, rel_tol=1e-13, stall_window=2)
         ref = pfq(spec, (1.5, 0.5), trunc)
-        batch = _series(spec, np.array([[1.5, 0.5]]), None, 1.5, trunc, None)
+        batch = _series(spec, np.array([[1.5, 0.5]]), None, 1.5, trunc)
         assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
         assert batch.value[0] == pytest.approx(ref.value, rel=1e-14, abs=0)
 

@@ -1,11 +1,10 @@
 import math
 import warnings
-from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from jackdiv import _quat, hypergeom, jack, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
@@ -22,7 +21,7 @@ from jackdiv.wishart import (
     sample_wishart_eigs,
 )
 
-from oracles import gaussian_wishart_eigs, khatri_lambda_max_cdf
+from oracles import gaussian_wishart_eigs, khatri_lambda_max_cdf, khatri_lambda_min_cdf, m2_lambda_min_cdf
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
@@ -371,6 +370,13 @@ class TestKhatriDeterminant:
             want = khatri_lambda_max_cdf(m, n, x)
             assert abs(cdf_lambda_max(model, float(x)) - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (3, 6), (4, 7)])
+    def test_lambda_min_is_khatris_determinant(self, m, n):
+        model = WishartModel(m, n, (1.0,) * m, B2)
+        for y in (0.01, 0.1, 0.5, 1, 2, 5, 10, 20):
+            want = khatri_lambda_min_cdf(m, n, y)
+            assert abs(cdf_lambda_min(model, float(y)) - want) <= 1e-13 * want
+
 
 class TestLambdaMin:
     def test_scalar_reduction(self):
@@ -396,25 +402,48 @@ class TestLambdaMin:
         grid = np.linspace(0.05, 16.0, 50)
         vals = [cdf_lambda_min(model, float(y)) for y in grid]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert all(-1e-9 <= v <= 1.0 + 1e-6 for v in vals)
+        assert all(0.0 <= v <= 1.0 for v in vals)
 
     def test_never_below_zero_near_origin(self):
-        # 1 - e^{-tr} s cancels there; rounding below 0 is returned as 0
+        # 1 - e^{-tau} sum_{kappa_1 <= r} would cancel there; the positive form keeps
+        # the tiny values to rounding
         model = WishartModel(2, 7, (1.0, 2.0), B8)
         vals = [cdf_lambda_min(model, float(y)) for y in np.linspace(0.0, 1.0, 101)[1:]]
         assert all(0.0 <= v <= 1.0 for v in vals)
-        assert cdf_lambda_min(model, 0.33) == 0.0
+        want = m2_lambda_min_cdf(7, (1.0, 2.0), 8, 0.33)
+        assert want == pytest.approx(3.2536737e-21, rel=1e-7)
+        assert cdf_lambda_min(model, 0.33) == pytest.approx(want, rel=1e-13, abs=0.0)
+        # y v underflows: every term is 0
+        assert cdf_lambda_min(WishartModel(2, 7, (1e6, 2e6), B2), 5e-324) == 0.0
 
-    def test_shortfall_below_zero_beyond_rounding_raises(self, monkeypatch):
-        real_pfq = wishart.pfq
+    def test_past_the_float_range_is_a_domain_error(self):
+        # m r = 790: the recurrence's powers overflow before any E_k is formed
+        with pytest.raises(DomainError, match="float range"):
+            cdf_lambda_min(WishartModel(2, 100, (1.0, 2.0), B8), 100.0)
 
-        def inflated(spec, u, max_first_part):
-            res = real_pfq(spec, u, max_first_part=max_first_part)
-            return replace(res, value=2.0 * res.value)
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_fig2_grid_matches_independent_sum(self, beta):
+        # m = 2 chat from its closed form in mpmath, summed at 40 digits
+        model = WishartModel(2, 7, (1.0, 2.0), DivisionAlgebra(beta))
+        for y in np.linspace(0.0, 16.0, 96)[1:]:
+            want = m2_lambda_min_cdf(7, (1.0, 2.0), beta, float(y))
+            assert abs(cdf_lambda_min(model, float(y)) - want) <= 1e-13 * want
 
-        monkeypatch.setattr(wishart, "pfq", inflated)
-        with pytest.raises(DomainError, match="below 0"):
-            cdf_lambda_min(WishartModel(2, 7, (1.0, 2.0), B1), 0.5)
+    @pytest.mark.parametrize("excess, outcome", [(5e-11, 1.0), (1e-9, DomainError)])
+    def test_excess_over_one(self, monkeypatch, excess, outcome):
+        # the positive form's terms scaled so the sum exceeds 1 by `excess`
+        model = WishartModel(2, 7, (1.0, 2.0), B1)  # r = 2, m r = 4
+        y, tau = 20.0, 15.0  # tau = y (beta/2) tr Sigma^{-1}
+        tail = special.gammainc(5, tau)
+        factor = (1.0 + excess - tail) / (cdf_lambda_min(model, y) - tail)
+        real = wishart._exp_split
+
+        monkeypatch.setattr(wishart, "_exp_split", lambda *args: tuple(factor * e for e in real(*args)))
+        if outcome is DomainError:
+            with pytest.raises(DomainError, match="above 1"):
+                cdf_lambda_min(model, y)
+        else:
+            assert cdf_lambda_min(model, y) == outcome
 
     def test_min_cdf_dominates_max_cdf(self):
         model = WishartModel(2, 7, (1.0, 2.0), B2)
