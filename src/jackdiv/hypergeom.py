@@ -116,20 +116,39 @@ def _termination_bound(spec: HypergeomSpec) -> int | None:
     return best
 
 
+@lru_cache(maxsize=64)
+def _poch_memo(spec: HypergeomSpec) -> dict:
+    """The Pochhammer ratios of ``spec`` found so far, by partition; the
+    memos of the last 64 specs are kept."""
+    return {(): 1.0}
+
+
 def _poch_ratio(spec: HypergeomSpec, kappa: tuple[int, ...]) -> float:
-    """prod_i [a_i]_kappa / prod_j [b_j]_kappa with factor-level pairing."""
+    """prod_i [a_i]_kappa / prod_j [b_j]_kappa with factor-level pairing.
+
+    The cells are taken row by row, each row left to right, one factor
+    prod_a (a - shift + t) / prod_b (b - shift + t) per cell, so the ratio of
+    kappa is that of kappa less its last cell times one factor: the same
+    products in the same order as a loop over every cell.  Each ratio is
+    memoized per spec (:func:`_poch_memo`), so a series pays one factor per
+    partition.
+    """
+    memo = _poch_memo(spec)
+    shorter = []
+    while kappa not in memo:
+        shorter.append(kappa)
+        kappa = kappa[:-1] + (kappa[-1] - 1,) if kappa[-1] > 1 else kappa[:-1]
+    acc = memo[kappa]
     beta = spec.algebra.beta
-    acc = 1.0
-    for i, ki in enumerate(kappa, start=1):
-        shift = (i - 1) * beta / 2
-        for t in range(ki):
-            num = 1.0
-            for a in spec.upper:
-                num *= a - shift + t
-            den = 1.0
-            for b in spec.lower:
-                den *= b - shift + t
-            acc *= num / den
+    for kap in reversed(shorter):
+        shift, t = (len(kap) - 1) * beta / 2, kap[-1] - 1
+        num = 1.0
+        for a in spec.upper:
+            num *= a - shift + t
+        den = 1.0
+        for b in spec.lower:
+            den *= b - shift + t
+        acc = memo[kap] = acc * (num / den)
     return acc
 
 

@@ -24,10 +24,19 @@ because the cells of row r in the columns (kappa_{i+1}, kappa_i] see only
 mu_r (their arms) and whether the column ends above or below mu_i (their
 legs); :class:`JackTable` gives the factors and the proof.  So all the
 strips of one shape are one broadcast product of n(n + 1)/2 small tables
-over the ranges of (mu_r, mu_i), not one hook tensor per strip.  They are
-memoized in a :class:`JackTable` split into closed and full entries, so a
-whole series evaluation prices each coefficient once and never prices a
-strip no stage reads.
+over the ranges of (mu_r, mu_i), not one hook tensor per strip.
+
+Storage.  The strips of kappa fill a box, mu_i from kappa_i down to
+kappa_{i+1}, so mu and s = |kappa| - |mu| are given by a position in the box
+and only g is stored: one read-only float array per shape, raveled in the
+reverse-lexicographic order of mu, 8 bytes per strip.  A :class:`JackTable`
+memoizes these arrays, split into closed and full entries, so a whole series
+evaluation prices each coefficient once and never prices a strip no stage
+reads.  For one spectrum, :class:`ChatEvaluator` keeps the stages on one
+and two variables as dense arrays indexed by parts, so the predecessors of
+kappa there are one block of the previous stage, taken by reversed slices
+in the same order as g; its other stages, and a batch's, are dicts keyed by
+partition, read mu by mu in that order.
 
 Internally everything is carried in the normalization ``chat = C / k!``; the
 public functions convert to the ``C`` (trace-power) and ``J`` (monic-monomial)
@@ -101,7 +110,7 @@ def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
 
     With ``closed``, only those with mu_n = 0 (n = len(kappa)).  Either way
     the order is reverse-lexicographic, so the closed list is a subsequence of
-    the full one.
+    the full one: the order of :meth:`JackTable.strips`' entries.
     """
     ranges = [range(k, lo - 1, -1) for k, lo in zip(parts, parts[1:] + (0,))]
     if closed:
@@ -130,17 +139,20 @@ def _diagonal_factor(alpha: float, w: int) -> np.ndarray:
     return _read_only(np.cumprod(factors, axis=1)[:, -1])
 
 
-def _row_pair_factor(alpha: float, d: int, top: int, low: int, w: int) -> np.ndarray:
+def _row_pair_factor(alpha: float, d: int, top: int, w: int) -> np.ndarray:
     """H_{r,i} for rows d = i - r > 0 apart, over mu_r (rows) from kappa_r
-    down to kappa_{r+1} and mu_i (columns) from kappa_i down to kappa_{i+1}.
+    down to kappa_i and mu_i (columns) from kappa_i down to kappa_{i+1}.
 
     Everything is shifted by kappa_{i+1}: top = kappa_r - kappa_{i+1},
-    low = kappa_{r+1} - kappa_{i+1}, w = kappa_i - kappa_{i+1}, and the
-    columns are j = 1..w.  Along mu_i the entry is a prefix product of the
-    lower factors (j <= mu_i) times a suffix product of the upper ones.
+    w = kappa_i - kappa_{i+1}, and the columns are j = 1..w.  A shape reads
+    the first kappa_r - kappa_{r+1} + 1 rows (mu_r down to kappa_{r+1} >=
+    kappa_i); each row is its own running product, so the rows a shape reads
+    do not depend on how many are built.  Along mu_i the entry is a prefix
+    product of the lower factors (j <= mu_i) times a suffix product of the
+    upper ones.
     """
     j = np.arange(1, w + 1, dtype=float)
-    arm = alpha * (np.arange(top, low - 1, -1, dtype=float)[:, None] - j)
+    arm = alpha * (np.arange(top, w - 1, -1, dtype=float)[:, None] - j)
     top_arm = alpha * (top - j)
     # prefix, suffix = runs[0], runs[1]: prefix[:, b] takes the columns j <= b
     # and suffix[:, b] those j > b, each a product of factors at most one
@@ -156,10 +168,14 @@ class JackTable:
 
     Each partition kappa has up to two entries: its closed strips (mu_n = 0,
     n = len(kappa)), all that the stage on exactly len(kappa) variables reads,
-    and its full strips, read by every later stage.  Entries are immutable
-    once computed; lookups after the first return the identical float
-    objects, and insertion is lock-protected so concurrent evaluations from
-    several threads see a consistent cache.
+    and its full strips, read by every later stage.  An entry is one
+    read-only float64 array of g over the strips, raveled in
+    reverse-lexicographic order of mu: mu_i runs from kappa_i down to
+    kappa_{i+1} (to 0 alone for i = n in a closed entry), with the last part
+    fastest.  mu and s are that position, so neither is stored.  Lookups
+    after the first return the identical array, and insertion is
+    lock-protected so concurrent evaluations from several threads see a
+    consistent cache.
 
     The coefficient g(kappa, mu) = alpha^s prod_{c in mu} h~_mu(c) /
     prod_{c in kappa} h~_kappa(c), where a cell takes its lower hook
@@ -192,55 +208,50 @@ class JackTable:
     (:meth:`_coefficients`); the closed strips take the mu_n = 0 slice
     of the same tables, so they are the full entry's mu_n = 0 values bit for
     bit.  In mu_i, H_{r,i} for r < i is a prefix product of the lower factors
-    times a suffix product of the upper ones, O(1) per entry.  It depends on
-    kappa only through d and the parts kappa_r, kappa_{r+1}, kappa_i relative
-    to kappa_{i+1}, and the diagonal H_{i,i} (O(w) per entry) only on the
-    width w = kappa_i - kappa_{i+1}, so many shapes share them: the table
-    keeps both (:func:`_row_pair_factor`, :func:`_diagonal_factor`) as
-    read-only arrays in bounded LRU memos of its own.  Every running product
-    only falls towards the value it ends at, so relative error stays near
-    rounding level, nothing overflows, and nothing underflows unless g itself
-    leaves the normal range.  Each mu is stored once per table and shared by
-    the entries that name it.
+    times a suffix product of the upper ones, O(1) per entry.  Built for mu_r
+    from kappa_r down to kappa_i, of which a shape reads the rows down to
+    kappa_{r+1}, it depends on kappa only through d and the parts kappa_r and
+    kappa_i relative to kappa_{i+1}, and the diagonal H_{i,i} (O(w) per
+    entry) only on the width w = kappa_i - kappa_{i+1}, so many shapes share
+    them: the table keeps both (:func:`_row_pair_factor`,
+    :func:`_diagonal_factor`) as read-only arrays in bounded LRU memos of its
+    own.  Every running product only falls towards the value it ends at, so
+    relative error stays near rounding level, nothing overflows, and nothing
+    underflows unless g itself leaves the normal range.
     """
 
     def __init__(self, algebra: DivisionAlgebra):
         self.algebra = algebra
-        self._closed: dict[tuple[int, ...], tuple] = {}
-        self._full: dict[tuple[int, ...], tuple] = {}
-        self._mus: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._closed: dict[tuple[int, ...], np.ndarray] = {}
+        self._full: dict[tuple[int, ...], np.ndarray] = {}
         self._lock = threading.Lock()
         alpha = 2.0 / algebra.beta
         self._diagonal = lru_cache(maxsize=1024)(partial(_diagonal_factor, alpha))
         self._row_pair = lru_cache(maxsize=4096)(partial(_row_pair_factor, alpha))
 
-    def strips(self, kappa: tuple[int, ...], closed: bool = False):
-        """Tuple of (mu, s, g) over horizontal-strip predecessors of kappa;
-        with ``closed``, over those with mu_n = 0 (n = len(kappa)) only."""
+    def strips(self, kappa: tuple[int, ...], closed: bool = False) -> np.ndarray:
+        """Read-only array of g over the horizontal-strip predecessors of
+        kappa, in reverse-lexicographic order of mu; with ``closed``, over
+        those with mu_n = 0 (n = len(kappa)) only."""
         cache = self._closed if closed else self._full
         hit = cache.get(kappa)
         if hit is not None:
             return hit
-        preds = _interlacing_predecessors(kappa, closed)
-        # one tuple per distinct mu, shared by every entry that names it
-        preds = list(map(self._mus.setdefault, preds, preds))
-        total = sum(kappa)
-        entries = tuple(zip(preds, [total - w for w in map(sum, preds)],
-                            self._coefficients(kappa, closed)))
+        g = self._coefficients(kappa, closed)
         with self._lock:
-            cache.setdefault(kappa, entries)
-        return cache[kappa]
+            return cache.setdefault(kappa, g)
 
-    def _coefficients(self, kappa: tuple[int, ...], closed: bool) -> list:
-        """g for every mu of ``_interlacing_predecessors(kappa, closed)``, in
-        that order: the broadcast product of the row-pair factors
+    def _coefficients(self, kappa: tuple[int, ...], closed: bool) -> np.ndarray:
+        """g over the box of strips of kappa (mu_n = 0 alone when ``closed``),
+        raveled: the broadcast product of the row-pair factors
         H_{r,i}(mu_r, mu_i) over r <= i."""
         n = len(kappa)
         below = kappa[1:] + (0,)
         sizes = [k - lo + 1 for k, lo in zip(kappa, below)]
         if closed:
             sizes[-1] = 1
-        g = 1.0
+        g = np.ones(math.prod(sizes))
+        box = g.reshape(sizes)
         # row by row, columns ascending: the order of the cell-by-cell
         # product, so one-row shapes keep its bits
         for r in range(n):
@@ -256,9 +267,9 @@ class JackTable:
                     table = self._diagonal(w)[pick]
                 else:
                     shape[r] = sizes[r]
-                    table = self._row_pair(i - r, kappa[r] - below[i], below[r] - below[i], w)[:, pick]
-                g = g * table.reshape(shape)
-        return g.ravel().tolist()
+                    table = self._row_pair(i - r, kappa[r] - below[i], w)[: sizes[r], pick]
+                box *= table.reshape(shape)
+        return _read_only(g)
 
 
 _TABLES: dict[int, JackTable] = {}
@@ -274,6 +285,24 @@ def get_table(algebra: DivisionAlgebra) -> JackTable:
     return table
 
 
+@lru_cache(maxsize=4096)
+def _strip_block(kappa: tuple[int, ...], closed: bool, depth: int):
+    """Where the strips of kappa sit in a dense stage on ``depth`` variables:
+    (index, s0).  ``index`` takes mu_i from kappa_i down to kappa_{i+1} by a
+    reversed slice on axis i (no axis for mu_n = 0 when ``closed``) and
+    part 0 on the axes beyond, so the block it picks is in the order of the
+    table's entry; s is s0 plus the sum of the positions along the block's
+    axes."""
+    index = [slice(hi, lo - 1 if lo else None, -1) for hi, lo in zip(kappa, kappa[1:] + (0,))]
+    if closed:
+        index.pop()
+    return tuple(index) + (0,) * (depth - len(index)), kappa[-1] if closed else 0
+
+
+# the most variables a dense stage of one spectrum holds (see ChatEvaluator)
+_DENSE_DEPTH = 2
+
+
 class ChatEvaluator:
     """Degree-incremental table of chat_kappa = C_kappa / k! for one spectrum.
 
@@ -283,6 +312,18 @@ class ChatEvaluator:
     no bound every partition with at most m parts is.  Degrees are filled in
     increasing order and each degree's values are cached.  Values are not
     scale-safe past weight ~170 (see the module docstring).
+
+    Stage n holds the values on the first n variables.  For one spectrum,
+    stages 1 and 2 below the top stage m are dense float arrays indexed by
+    parts: axis i has size ``within[i] + 1`` (1 past a ``within`` shorter
+    than the stage), or without a bound ``cap // (i + 1) + 1`` for a weight
+    capacity ``cap`` that doubles as degrees outgrow it.  Entries that are
+    not partitions are never read.  Such a box holds about two cells per
+    partition inside the bound, or, unbounded, at most about 2! 2^2 = 8 per
+    partition up to the degree reached (the parts in any order, then the
+    doubling): 64 bytes at most, below a dict entry.  On n variables the box grows like n! 2^n,
+    and a batch would multiply every cell by its rows, so the other stages,
+    and every stage of a batch, are dicts keyed by partition.
     """
 
     def __init__(self, x, table: JackTable, within: tuple[int, ...] | None = None):
@@ -300,9 +341,33 @@ class ChatEvaluator:
         self.m = len(self._x)
         self.table = table
         self.within = within
-        # stage[n] holds values on the first n variables; degree 0 is done
-        self._stage: list[dict] = [{(): one} for _ in range(self.m + 1)]
+        # degree 0 is done: the empty partition is one on every stage
+        self._stage: list = [{(): one} for _ in range(self.m + 1)]
+        self._dense = 0 if self._batched else min(self.m - 1, _DENSE_DEPTH)
+        if not self._batched:
+            self._stage[0] = np.ones(())
+        self._cap = None  # weight that the dense stages hold; None before they exist
+        self._reserve(0)
         self._done = 0
+
+    def _reserve(self, k: int):
+        """Size the dense stages to hold every partition of weight k: once for
+        a bound, else by doubling the capacity when k outgrows it."""
+        if not self._dense or (self._cap is not None and (self.within is not None or k <= self._cap)):
+            return
+        if self.within is None:
+            self._cap = max(k, 2 * (self._cap or 0))
+            sizes = [self._cap // (i + 1) + 1 for i in range(self._dense)]
+        else:
+            self._cap = sum(self.within)
+            sizes = [self.within[i] + 1 if i < len(self.within) else 1 for i in range(self._dense)]
+        for n in range(1, self._dense + 1):
+            stage, old = np.zeros(sizes[:n]), self._stage[n]
+            if isinstance(old, dict):
+                stage[(0,) * n] = 1.0  # the empty partition
+            else:
+                stage[tuple(map(slice, old.shape))] = old
+            self._stage[n] = stage
 
     def _shapes(self, k: int, n: int):
         """Partitions of k with at most n parts inside ``within``."""
@@ -330,27 +395,63 @@ class ChatEvaluator:
 
         chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g over the
         strips of kappa; a shape of length n reads its closed strips only.
+        For one spectrum the terms of a shape are summed by ``math.fsum``; a
+        batch adds them row by row, in the order of the strips.
         """
         k = self._done + 1
-        for n in range(1, self.m + 1):
-            prev, cur, xn = self._stage[n - 1], self._stage[n], self._x[n - 1]
-            if not self._batched:
-                for kappa in self._shapes(k, n):
-                    cur[kappa] = math.fsum([prev[mu] * (xn**s * g) if s else prev[mu] * g
-                                            for mu, s, g in self.table.strips(kappa, len(kappa) == n)])
-                continue
-            powers = {}  # xn**s, shared by every strip of this stage and degree
-            for kappa in self._shapes(k, n):
-                acc = np.zeros_like(xn)
-                for mu, s, g in self.table.strips(kappa, len(kappa) == n):
-                    if s:
-                        if s not in powers:
-                            powers[s] = xn**s
-                        acc += prev[mu] * (powers[s] * g)
-                    else:
-                        acc += prev[mu] * g
-                cur[kappa] = acc
+        self._reserve(k)
+        # one spectrum's products overflow to inf without a warning, as the
+        # Python floats its terms were formed from always did
+        with np.errstate(**({} if self._batched else {"over": "ignore", "invalid": "ignore"})):
+            for n in range(1, self.m + 1):
+                self._fill(k, n)
         self._done = k
+
+    def _fill(self, k: int, n: int):
+        """Degree k on the first n variables, from stage n - 1."""
+        prev, cur, xn = self._stage[n - 1], self._stage[n], self._x[n - 1]
+        if isinstance(prev, dict):
+            powers = {}  # xn**s, shared by every strip of this stage and degree
+        else:
+            # Python powers, up to the most boxes a strip holds (kappa_1)
+            reach = min(k, self.within[0]) if self.within else k
+            powers = np.array([xn**s for s in range(reach + 1)])
+        for kappa in self._shapes(k, n):
+            closed = len(kappa) == n
+            g = self.table.strips(kappa, closed)
+            if isinstance(prev, dict):
+                value = _strip_sum(prev, k, kappa, closed, g, xn, powers)
+            else:
+                # the block of stage n - 1 that holds the strips, against x_n^s:
+                # s = s0 + the sum of the positions, so every axis steps one power
+                index, s0 = _strip_block(kappa, closed, n - 1)
+                block = prev[index]
+                pw = np.ndarray(block.shape, float, powers, s0 * powers.itemsize,
+                                (powers.itemsize,) * block.ndim)
+                value = math.fsum((block * (pw * g.reshape(block.shape))).ravel().tolist())
+            if isinstance(cur, dict):
+                cur[kappa] = value
+            else:
+                cur[kappa + (0,) * (n - len(kappa))] = value
+
+
+def _strip_sum(prev: dict, k: int, kappa: tuple[int, ...], closed: bool, g: np.ndarray, xn, powers: dict):
+    """sum_mu prev[mu] x_n^s g over the strips of kappa, s = k - |mu|: by
+    ``math.fsum`` for one spectrum, row by row in the order of the strips
+    for a batch."""
+    mus = _interlacing_predecessors(kappa, closed)
+    strips = zip(mus, [k - sum(mu) for mu in mus], g.tolist())
+    if not isinstance(xn, np.ndarray):
+        return math.fsum([prev[mu] * (xn**s * gt) if s else prev[mu] * gt for mu, s, gt in strips])
+    acc = np.zeros_like(xn)
+    for mu, s, gt in strips:
+        if s:
+            if s not in powers:
+                powers[s] = xn**s
+            acc += prev[mu] * (powers[s] * gt)
+        else:
+            acc += prev[mu] * gt
+    return acc
 
 
 def _log_nu(p: Partition, algebra: DivisionAlgebra) -> float:

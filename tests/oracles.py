@@ -202,6 +202,24 @@ def scalar_pfq(upper, lower, z: float, terms: int = 300, tol: float = 1e-16) -> 
     return total
 
 
+def poch_ratio_by_cells(spec, kappa: tuple[int, ...]) -> float:
+    """prod_i [a_i]_kappa / prod_j [b_j]_kappa of a ``hypergeom.HypergeomSpec``,
+    one factor per cell of kappa, row by row, each row left to right."""
+    beta = spec.algebra.beta
+    acc = 1.0
+    for i, ki in enumerate(kappa, start=1):
+        shift = (i - 1) * beta / 2
+        for t in range(ki):
+            num = 1.0
+            for a in spec.upper:
+                num *= a - shift + t
+            den = 1.0
+            for b in spec.lower:
+                den *= b - shift + t
+            acc *= num / den
+    return acc
+
+
 def strip_coefficient_fraction(kappa, mu, algebra: DivisionAlgebra) -> Fraction:
     """Strip coefficient g of kappa over mu in exact rationals, from the hook
     definition: alpha^s times the strip hooks of mu over those of kappa, where

@@ -23,7 +23,7 @@ from jackdiv.hypergeom import (
     ray_series,
 )
 
-from oracles import pfq_positive_m2_per_pair, scalar_pfq
+from oracles import pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 B1 = DivisionAlgebra(1)
@@ -317,6 +317,22 @@ def _cancelling(rng, n):
     seq = np.concatenate([x, y])
     rng.shuffle(seq)
     return [float(v) for v in seq]
+
+
+class TestPochRatio:
+    @pytest.mark.parametrize("spec", [
+        HypergeomSpec((0.7,), (1.9,), DivisionAlgebra(1), 3),
+        HypergeomSpec((1.5, -0.3), (2.5,), DivisionAlgebra(2), 4),
+        HypergeomSpec((-3.0,), (2.2,), DivisionAlgebra(4), 3),
+        HypergeomSpec((2.5, 0.25), (3.5, 4.75), DivisionAlgebra(8), 2),
+    ], ids=["1f1-b1", "2f1-b2", "terminating-b4", "2f2-b8"])
+    def test_prefix_memo_matches_the_cell_loop_bit_for_bit(self, spec):
+        hypergeom._poch_memo.cache_clear()
+        shapes = [p.parts for k in range(31) for p in enumerate_partitions(k, spec.m)]
+        # heaviest first, so a cold call walks a whole chain of shorter shapes
+        for kappa in shapes[::-1] + shapes:
+            got = hypergeom._poch_ratio(spec, kappa)
+            assert got.hex() == poch_ratio_by_cells(spec, kappa).hex(), kappa
 
 
 class TestRunningSum:

@@ -354,7 +354,8 @@ class TestKhatriDeterminant:
     @pytest.fixture(autouse=True, scope="class")
     def release_b2_table(self):
         # x = 20 at m = 3 fills the shared beta = 2 table to degree ~115
-        # (millions of strips); give that memory back to later tests
+        # (about 17M strips, one float each: ~140 MB); give that memory back
+        # to later tests
         yield
         jack._TABLES.pop(2, None)
         hypergeom._RAYS.clear()
@@ -369,6 +370,13 @@ class TestKhatriDeterminant:
         for x in xs:
             want = khatri_lambda_max_cdf(m, n, x)
             assert abs(cdf_lambda_max(model, float(x)) - want) <= 1e-12 * want
+
+    def test_table_keeps_eight_bytes_a_strip(self):
+        # the x = 20 point at m = 3 reaches degree ~115: about 17M strips,
+        # each one float in the beta = 2 table
+        cdf_lambda_max(WishartModel(3, 3, (1.0,) * 3, B2), 20.0)
+        table = jack.get_table(B2)
+        assert sum(g.nbytes for g in [*table._closed.values(), *table._full.values()]) < 200e6
 
     @pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (3, 6), (4, 7)])
     def test_lambda_min_is_khatris_determinant(self, m, n):
