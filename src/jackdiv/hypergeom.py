@@ -204,15 +204,15 @@ def _degree_terms(spec: HypergeomSpec, xvals: dict, yvals: dict | None = None):
         yield coef * v
 
 
-def _run_batch(trunc, terms_of_degree, hard_cap, exact_finite, rows):
+def _run_batch(trunc, sum_of_degree, hard_cap, exact_finite, rows):
     """The stop rule of :func:`_run_series` on a batch of ``rows`` series:
-    terms_of_degree(k) yields arrays, and the loop stops once every row meets
+    sum_of_degree(k) is an array, and the loop stops once every row meets
     the rule.  Degree sums are added as arrays, which ``math.fsum`` cannot."""
     total = np.zeros(rows)
     recent = []
     converged = exact_finite
     for k in range(hard_cap + 1):
-        dsum = sum(terms_of_degree(k), np.zeros(rows))
+        dsum = sum_of_degree(k)
         total += dsum
         recent = (recent + [dsum])[-trunc.stall_window:]
         if not exact_finite and k + 1 > trunc.stall_window:
@@ -228,12 +228,16 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     """Sum of :func:`_degree_terms` degree by degree, with the convergence
     domain and termination shared by :func:`pfq`, :func:`pfq_two` and
     :func:`pfq_batch`; ``norm`` is the spectral radius the domain is judged
-    on.  ``x_eigs`` is one spectrum, whose degree sums are ``math.fsum``-ed
-    for :func:`_run_series`, or a (batch, m) array, whose value is an array
-    with one entry per row (:func:`_run_batch`)."""
+    on (at 0 every term past degree 0 vanishes).  ``x_eigs`` is one spectrum,
+    whose degree sums are ``math.fsum``-ed for :func:`_run_series`, or a
+    (batch, m) array, whose value is an array with one entry per row
+    (:func:`_run_batch`).  A degree sum outside the float range raises."""
     trunc = trunc or DEFAULT_TRUNCATION
     r_cap = _termination_bound(spec)
     _convergence_check(spec, norm, r_cap)
+    batched = np.ndim(x_eigs) == 2
+    if norm == 0.0:
+        return SeriesResult(np.ones(len(x_eigs)) if batched else 1.0, 0, 0.0, True, None if batched else 0.0)
     exact_finite = r_cap is not None
     hard_cap = spec.m * r_cap if exact_finite else trunc.max_degree
 
@@ -242,13 +246,19 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     dpx = ChatEvaluator(x_eigs, table, within)
     dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, within)
 
-    def terms_of_degree(k: int):
-        yvals = None if dpy is None else dpy.degree_values(k)
-        return _degree_terms(spec, dpx.degree_values(k), yvals)
+    def sum_of_degree(k: int):
+        try:  # a power x^s overflows, or chat_kappa(I) underflows to 0
+            terms = _degree_terms(spec, dpx.degree_values(k), None if dpy is None else dpy.degree_values(k))
+            dsum = sum(terms, np.zeros(len(x_eigs))) if batched else math.fsum(terms)
+        except (OverflowError, ZeroDivisionError):
+            dsum = math.inf
+        if not np.all(np.isfinite(dsum)):
+            raise DomainError(f"series terms of degree {k} leave the float range")
+        return dsum
 
-    if np.ndim(x_eigs) == 2:
-        return _run_batch(trunc, terms_of_degree, hard_cap, exact_finite, len(x_eigs))
-    return _run_series(trunc, lambda k: math.fsum(terms_of_degree(k)), hard_cap, exact_finite)
+    if batched:
+        return _run_batch(trunc, sum_of_degree, hard_cap, exact_finite, len(x_eigs))
+    return _run_series(trunc, sum_of_degree, hard_cap, exact_finite)
 
 
 def pfq(spec: HypergeomSpec, x, trunc: SeriesTruncation | None = None) -> SeriesResult:

@@ -15,13 +15,14 @@ closed form from that factor, with no matrix formed and no quaternion
 embedding; at any other m from ``eigvalsh`` of S (at beta = 4 of its complex
 embedding).
 
-The largest-eigenvalue and region distribution functions are confluent
-series at (beta/2) t, t the spectrum of Omega Sigma^{-1}.  At m = 2 they run
-on :func:`hypergeom.pfq_positive_m2`; at any other m on the memoized
-:func:`hypergeom.ray_series` of a direction fixed by the model, so every x of
-one model shares one Jack recurrence.  The smallest-eigenvalue law sums positive
-terms, the exponential series past first part r (one coefficient vector per
-model) and an incomplete gamma tail, so it keeps its relative accuracy near 0.
+Every series summed here has nonnegative terms.  The largest-eigenvalue and
+region distribution functions are confluent series at (beta/2) t, t the
+spectrum of Omega Sigma^{-1}, on :func:`hypergeom.pfq_positive_m2` at m = 2
+and elsewhere on the memoized :func:`hypergeom.ray_series` of a direction
+fixed by the model, so every x of one model shares one Jack recurrence.  The
+smallest-eigenvalue law adds the exponential series past first part r and an
+incomplete gamma tail; the joint density shifts its coupling 0F0 to a
+nonnegative argument.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from scipy.special import gammainc
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from .hypergeom import (DEFAULT_TRUNCATION, HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split,
-                        pfq, pfq_positive_m2, pfq_two, ray_series)
+                        pfq_positive_m2, pfq_two, ray_series)
 from .jack import as_spectrum
 from .special import mv_gamma_ln
 
@@ -301,11 +302,10 @@ def _cdf_prefactor(model: WishartModel, t: np.ndarray) -> tuple[float, float, fl
     return c1, q, log_pref
 
 
-def _cdf_via_transformed_series(model: WishartModel, t: np.ndarray, direction,
-                                trunc: SeriesTruncation | None) -> float:
-    """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, using the
-    exponentially-weighted positive series (the numerically stable form);
-    t lies on the ray of ``direction`` (see :func:`_log_1f1_positive`)."""
+def _cdf_positive_series(model: WishartModel, t: np.ndarray, direction,
+                         trunc: SeriesTruncation | None) -> float:
+    """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, which lies on the
+    ray of ``direction`` (see :func:`_log_1f1_positive`)."""
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
     log_series = _log_1f1_positive(c1, q, arg, direction, model.algebra, trunc)
@@ -334,30 +334,16 @@ def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation 
     if np.any(omega <= 0):
         raise DomainError("region boundary must be positive definite")
     t = omega / np.asarray(model.sigma_eigs)
-    return _cdf_via_transformed_series(model, t, t, trunc)
+    return _cdf_positive_series(model, t, t, trunc)
 
 
-def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None = None,
-                   transformed: bool = True) -> float:
-    """P(largest eigenvalue < x).
-
-    The default path multiplies a decaying exponential prefactor into a
-    positive-term confluent series; ``transformed=False`` evaluates the raw
-    alternating form instead (kept for the equivalence check, usable only
-    while the untransformed series still converges acceptably).
-    """
+def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None = None) -> float:
+    """P(largest eigenvalue < x): a decaying exponential prefactor times a
+    confluent series of positive terms (the Kummer form)."""
     if not x > 0:
         raise DomainError(f"x must be positive, got {x}")
     t = x / np.asarray(model.sigma_eigs)
-    if transformed:
-        return _cdf_via_transformed_series(model, t, 1.0 / np.asarray(model.sigma_eigs), trunc)
-    _, q, log_pref = _cdf_prefactor(model, t)
-    beta = model.beta
-    use = trunc or SeriesTruncation(max_degree=100, rel_tol=1e-12)
-    res = pfq(HypergeomSpec((beta * model.n / 2,), (q,), model.algebra, model.m),
-              -(beta / 2.0) * t, use)
-    _warn_unconverged(res, "untransformed", stacklevel=2)
-    return math.exp(log_pref) * res.value
+    return _cdf_positive_series(model, t, 1.0 / np.asarray(model.sigma_eigs), trunc)
 
 
 def min_eig_sum_bound(model: WishartModel) -> int:
@@ -407,14 +393,33 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
     return _at_most_one(cdf, math.log(max(cdf, 1.0)))
 
 
+def _log_eigen_prefactor(model: WishartModel, lam: np.ndarray) -> float:
+    """log of the joint eigenvalue density over its coupling 0F0(-(beta/2)
+    Sigma^{-1}, Lambda), for distinct eigenvalues ``lam``."""
+    m, n, beta = model.m, model.n, model.beta
+    log_const = (
+        (m * m * beta / 2 + _SPECTRAL_RHO[beta] * m) * math.log(math.pi)
+        - (beta * m * n / 2) * math.log(2.0 / beta)
+        - mv_gamma_ln(m, model.algebra, beta * n / 2)
+        - mv_gamma_ln(m, model.algebra, beta * m / 2)
+        - (beta * n / 2) * float(np.log(model.sigma_eigs).sum())
+    )
+    upper, lower = np.triu_indices(m, k=1)
+    return (log_const + (beta * (n - m + 1) / 2 - 1) * float(np.log(lam).sum())
+            + beta * float(np.log(lam[upper] - lam[lower]).sum()))
+
+
 def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | None = None) -> float:
     """Joint density of the ordered eigenvalue spectrum.
 
     Input must be sorted descending and positive; coincident eigenvalues give
-    density zero through the vanishing spread factor.
+    density zero through the vanishing spread factor.  The coupling 0F0(X,
+    Lambda), X = -(beta/2) Sigma^{-1}, is etr(-c Lambda) 0F0(X + cI, Lambda) at
+    c = (beta/2) / min(sigma) (the Haar-integral form of 0F0): a series of
+    nonnegative terms, which is 1 at Sigma proportional to I.
     """
     lam = np.asarray(lambdas, dtype=float)
-    m, n, beta = model.m, model.n, model.beta
+    m, beta = model.m, model.beta
     if lam.shape != (m,):
         raise DomainError(f"expected {m} eigenvalues, got shape {lam.shape}")
     if np.any(lam <= 0):
@@ -423,25 +428,9 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
         raise DomainError("eigenvalues must be sorted descending")
     if np.any(np.diff(lam) == 0.0):
         return 0.0
-    alg = model.algebra
     sigma = np.asarray(model.sigma_eigs)
-    rho = _SPECTRAL_RHO[beta] * m
-    log_const = (
-        (m * m * beta / 2 + rho) * math.log(math.pi)
-        - (beta * m * n / 2) * math.log(2.0 / beta)
-        - mv_gamma_ln(m, alg, beta * n / 2)
-        - mv_gamma_ln(m, alg, beta * m / 2)
-        - (beta * n / 2) * float(np.log(sigma).sum())
-    )
-    log_shape = (beta * (n - m + 1) / 2 - 1) * float(np.log(lam).sum())
-    diffs = lam[:, None] - lam[None, :]
-    log_vand = beta * float(np.log(diffs[np.triu_indices(m, k=1)]).sum())
-    if np.allclose(sigma, sigma[0], rtol=1e-14, atol=0.0):
-        coupling = math.exp(-beta / (2 * sigma[0]) * float(lam.sum()))
-    else:
-        spec = HypergeomSpec((), (), alg, m)
-        use = trunc or SeriesTruncation(max_degree=max(60, int(4 * (beta / 2) * lam.sum() / sigma.min())), rel_tol=1e-11)
-        res = pfq_two(spec, -(beta / 2.0) / sigma, lam, use)
-        _warn_unconverged(res, "eigenvalue coupling", stacklevel=2)
-        coupling = res.value
-    return math.exp(log_const + log_shape + log_vand) * coupling
+    shift = (beta / 2.0) / sigma.min()
+    use = trunc or SeriesTruncation(max_degree=max(60, int(4 * shift * lam.sum())), rel_tol=1e-11)
+    res = pfq_two(HypergeomSpec((), (), model.algebra, m), shift - (beta / 2.0) / sigma, lam, use)
+    _warn_unconverged(res, "eigenvalue coupling", stacklevel=2)
+    return math.exp(_log_eigen_prefactor(model, lam) - shift * float(lam.sum()) + res.log_value)

@@ -18,7 +18,9 @@ import mpmath
 import numpy as np
 from scipy.special import gammaln
 
+from jackdiv import wishart
 from jackdiv.core import DivisionAlgebra, Partition, conjugate, dominance_leq, hook_product
+from jackdiv.hypergeom import HypergeomSpec, SeriesTruncation, pfq
 
 
 def brute_force_partitions(k: int, max_parts: int, max_first_part: int | None = None):
@@ -394,6 +396,98 @@ def m2_lambda_min_cdf(n: int, sigma_eigs, beta: int, y: float) -> float:
         tau = y * trace
         terms = mpmath.fsum(e * y ** k for k, e in enumerate(coefs, r + 1))
         return float(mpmath.exp(-tau) * terms + mpmath.gammainc(2 * r + 1, 0, tau, regularized=True))
+
+
+def hciz_0f0(x, y):
+    """0F0(X, Y) at beta = 2 by the Harish-Chandra-Itzykson-Zuber determinant
+
+        prod_{j<m} j! det[e^{x_i y_j}] / (Delta(x) Delta(y)),
+
+    Delta(x) = prod_{i<j} (x_i - x_j), as an mpmath number at 40 digits; the
+    entries of x, and those of y, must be distinct."""
+    m = len(x)
+    with mpmath.workdps(40):
+        x, y = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+        det = mpmath.det(mpmath.matrix([[mpmath.exp(xi * yj) for yj in y] for xi in x]))
+        vand = mpmath.fprod(v[i] - v[j] for v in (x, y) for i in range(m) for j in range(i + 1, m))
+        return +(mpmath.fprod(mpmath.factorial(j) for j in range(1, m)) * det / vand)
+
+
+def m2_0f0(x, y, beta: int):
+    """0F0(X, Y) at m = 2 and any beta in closed form, as an mpmath number at
+    40 digits:
+
+        e^{tr X tr Y / 2} 0F1(; (beta + 1)/2; z^2/4),  z = (x1 - x2)(y1 - y2)/2,
+
+    the Haar average of e^{z c} over the cosine c of twice the angle between
+    the two eigenbases, whose density is proportional to (1 - c^2)^((beta - 1)/2)."""
+    with mpmath.workdps(40):
+        (x1, x2), (y1, y2) = ([mpmath.mpf(v) for v in p] for p in (x, y))
+        z = (x1 - x2) * (y1 - y2) / 2
+        return +(mpmath.exp((x1 + x2) * (y1 + y2) / 2)
+                 * mpmath.hyp0f1(mpmath.mpf(beta + 1) / 2, z * z / 4))
+
+
+def complex_wishart_eigen_density(n: int, sigma_eigs, lam) -> float:
+    """Joint density of the ordered eigenvalues of a complex (beta = 2)
+    Wishart matrix with density proportional to etr(-Sigma^{-1} S), by James
+    (1964):
+
+        pi^{m(m-1)} det(Sigma)^{-n} / (G_m(m) G_m(n))
+        * prod lam_i^{n-m} prod_{i<j} (lam_i - lam_j)^2 0F0(-Sigma^{-1}, Lambda),
+
+    G_m(a) = pi^{m(m-1)/2} prod_{i<m} Gamma(a - i), in mpmath at 40 digits,
+    with the coupling from :func:`hciz_0f0`: no code shared with the
+    library's series."""
+    m = len(lam)
+    with mpmath.workdps(40):
+        sig, lm = [mpmath.mpf(v) for v in sigma_eigs], [mpmath.mpf(v) for v in lam]
+
+        def gamma_m(a):
+            return mpmath.pi ** (m * (m - 1) / mpmath.mpf(2)) * mpmath.fprod(
+                mpmath.gamma(a - i) for i in range(m))
+
+        const = mpmath.pi ** (m * (m - 1)) / (gamma_m(m) * gamma_m(n) * mpmath.fprod(sig) ** n)
+        shape = mpmath.fprod(v ** (n - m) for v in lm)
+        vand = mpmath.fprod((lm[i] - lm[j]) ** 2 for i in range(m) for j in range(i + 1, m))
+        return float(const * shape * vand * hciz_0f0([-1 / v for v in sig], lm))
+
+
+def m2_eigen_density(n: float, sigma_eigs, lam, beta: int) -> float:
+    """Joint density of the ordered eigenvalues l1 > l2 of the beta-scaled
+    2 x 2 Wishart law, density proportional to etr(-(beta/2) Sigma^{-1} S)
+    |S|^(beta n/2 - beta/2 - 1), in mpmath at 40 digits:
+
+        K (l1 l2)^(beta (n-1)/2 - 1) (l1 - l2)^beta 0F0(-(beta/2) Sigma^{-1}, Lambda),
+        K = pi^[beta = 1] (beta/2)^(beta n)
+            / (Gamma(beta n/2) Gamma(beta (n-1)/2) Gamma(beta) Gamma(beta/2) (s1 s2)^(beta n/2)),
+
+    with the coupling from :func:`m2_0f0`.  At beta = 1 and 2, K is the
+    constant of the real (Muirhead 1982, Thm 3.2.18) and complex (James 1964)
+    laws."""
+    with mpmath.workdps(40):
+        b, n = mpmath.mpf(beta), mpmath.mpf(n)
+        (s1, s2), (l1, l2) = ([mpmath.mpf(v) for v in p] for p in (sigma_eigs, lam))
+        k = ((mpmath.pi if beta == 1 else 1) * (b / 2) ** (b * n)
+             / (mpmath.gamma(b * n / 2) * mpmath.gamma(b * (n - 1) / 2) * mpmath.gamma(b)
+                * mpmath.gamma(b / 2) * (s1 * s2) ** (b * n / 2)))
+        coupling = m2_0f0((-b / (2 * s1), -b / (2 * s2)), (l1, l2), beta)
+        return float(k * (l1 * l2) ** (b * (n - 1) / 2 - 1) * (l1 - l2) ** b * coupling)
+
+
+def lambda_max_cdf_alternating(model, x: float) -> float:
+    """P(lambda_max < x) by the raw alternating form prefactor * 1F1(beta n/2;
+    q; -(beta/2) t), t = x / sigma, summed by ``pfq`` to degree 100 at most:
+    the Kummer partner of the library's positive series, usable only while
+    the alternating series still converges.  The prefactor and q are the
+    library's ``wishart._cdf_prefactor``."""
+    t = x / np.asarray(model.sigma_eigs)
+    _, q, log_pref = wishart._cdf_prefactor(model, t)
+    beta = model.beta
+    res = pfq(HypergeomSpec((beta * model.n / 2,), (q,), model.algebra, model.m),
+              -(beta / 2.0) * t, SeriesTruncation(max_degree=100, rel_tol=1e-12))
+    assert res.converged, f"alternating series not converged at degree {res.degrees_used}"
+    return math.exp(log_pref) * res.value
 
 
 def laplace_beltrami_fd(fun, x, beta: float, h: float = 1e-4) -> float:

@@ -121,6 +121,17 @@ class TestDiagnostics:
         assert "positive integer" in err
         assert err.count("\n") == 1  # single-line diagnostic
 
+    @pytest.mark.parametrize("command, degree", [
+        # the power 600^s overflows inside the recurrence
+        (["density", "--beta", "1", "--m", "2", "--n", "6", "--sigma", "1,2", "--eigs", "600,100"], 111),
+        # chat_kappa(I) underflows to 0 at weight 181
+        (["pfq", "--beta", "8", "--eigs", "3.996,0.5", "--eigs2", "45,40", "--max-degree", "800"], 181),
+    ], ids=["power-overflow", "identity-underflow"])
+    def test_series_past_the_float_range_in_one_line(self, capsys, command, degree):
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == ""
+        assert err == f"error: series terms of degree {degree} leave the float range\n"
+
     @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
     def test_far_tail_prints_value(self, capsys, beta, x):
         # once inf (beta 8) and an OverflowError inside the series (beta 4)

@@ -23,7 +23,7 @@ from jackdiv.hypergeom import (
     ray_series,
 )
 
-from oracles import pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
+from oracles import hciz_0f0, m2_0f0, pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 B1 = DivisionAlgebra(1)
@@ -120,6 +120,47 @@ class TestTwoArguments:
     def test_norm_product_rule(self):
         with pytest.raises(DomainError):
             pfq_two(HypergeomSpec((1.0, 1.5), (2.0,), B1, 2), (1.2, 0.4), (0.9, 0.2))
+
+
+class TestZeroArgument:
+    @pytest.mark.parametrize("alg", ALGEBRAS)
+    def test_one_at_degree_zero(self, alg):
+        spec = HypergeomSpec((1.5,), (2.5,), alg, 3)
+        for res in (pfq(spec, (0.0, 0.0, 0.0)), pfq_two(spec, (0.0, 0.0, 0.0), (4.0, 2.0, 1.0)),
+                    pfq_two(spec, (4.0, 2.0, 1.0), (0.0, 0.0, 0.0))):
+            assert (res.value, res.degrees_used, res.converged, res.log_value) == (1.0, 0, True, 0.0)
+        batch = pfq_batch(spec, np.zeros((4, 3)), y_eigs=(4.0, 2.0, 1.0))
+        assert batch.value.tolist() == [1.0] * 4 and batch.degrees_used == 0
+
+
+class TestCouplingOracles:
+    """0F0(X, Y) against closed forms that share no code with the series."""
+
+    DEEP = SeriesTruncation(max_degree=200, rel_tol=1e-15)
+
+    @pytest.mark.parametrize("x, y", [
+        ((0.5, 0.0), (6.0, 1.5)),
+        ((0.0, 0.5, 2.0 / 3.0), (22.4, 8.3, 2.5)),
+        ((0.9, 0.6, 0.25, 0.0), (5.0, 3.0, 2.0, 0.5)),
+    ])
+    def test_hciz_determinant_at_beta_2(self, x, y):
+        res = pfq_two(HypergeomSpec((), (), DivisionAlgebra(2), len(x)), x, y, self.DEEP)
+        assert res.converged
+        assert res.value == pytest.approx(float(hciz_0f0(x, y)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS)
+    @pytest.mark.parametrize("x, y", [((0.5, 0.2), (3.0, 1.0)), ((2.0, 0.0), (10.0, 2.0)),
+                                      ((1.0, 0.5), (7.0, 6.0))])
+    def test_m2_closed_form_at_every_beta(self, alg, x, y):
+        res = pfq_two(HypergeomSpec((), (), alg, 2), x, y, self.DEEP)
+        assert res.converged
+        assert res.value == pytest.approx(float(m2_0f0(x, y, alg.beta)), rel=1e-13, abs=0)
+
+    def test_identity_underflow_is_a_domain_error(self):
+        # chat_kappa(I) at weight 181 is below the float range at beta = 8
+        with pytest.raises(DomainError, match="degree 181 leave the float range"):
+            pfq_two(HypergeomSpec((), (), DivisionAlgebra(8), 2), (3.996, 0.5), (45.0, 40.0),
+                    SeriesTruncation(max_degree=800, rel_tol=1e-11))
 
 
 class TestKummerEuler:

@@ -21,7 +21,8 @@ from jackdiv.wishart import (
     sample_wishart_eigs,
 )
 
-from oracles import gaussian_wishart_eigs, khatri_lambda_max_cdf, khatri_lambda_min_cdf, m2_lambda_min_cdf
+from oracles import (complex_wishart_eigen_density, gaussian_wishart_eigs, khatri_lambda_max_cdf,
+                     khatri_lambda_min_cdf, lambda_max_cdf_alternating, m2_eigen_density, m2_lambda_min_cdf)
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
@@ -230,15 +231,9 @@ class TestLambdaMax:
     def test_transformed_matches_raw_where_raw_converges(self):
         model = WishartModel(2, 4, (1.0, 2.0), B2)
         for x in (0.5, 1.5, 3.0):
-            a = cdf_lambda_max(model, x, transformed=True)
-            b = cdf_lambda_max(model, x, transformed=False)
+            a = cdf_lambda_max(model, x)
+            b = lambda_max_cdf_alternating(model, x)
             assert a == pytest.approx(b, rel=1e-6)
-
-    def test_raw_form_flags_non_convergence(self):
-        model = WishartModel(2, 4, (1.0, 2.0), B4)
-        with pytest.warns(ConvergenceWarning):
-            cdf_lambda_max(model, 20.0, trunc=SeriesTruncation(max_degree=10),
-                           transformed=False)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -504,3 +499,39 @@ class TestJointDensity:
         w = dens / np.exp(logq)
         est, se = w.mean(), w.std(ddof=1) / math.sqrt(n)
         assert abs(est - 1.0) <= max(3 * se, 0.03)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("m, n, lam", [(2, 5, (3.0, 1.0)), (3, 6, (20.0, 8.0, 2.0))])
+    def test_scalar_scale_is_the_closed_form(self, beta, m, n, lam):
+        # at Sigma = s I the shifted coupling argument is 0: the series is 1 at
+        # degree 0 and the density the prefactor times exp(-beta tr(Lambda) / (2 s))
+        for s in (0.3, 1.5):
+            model = WishartModel(m, n, (s,) * m, DivisionAlgebra(beta))
+            want = math.exp(wishart._log_eigen_prefactor(model, np.asarray(lam)) - beta * sum(lam) / (2 * s))
+            assert joint_eigen_density(model, lam) == pytest.approx(want, rel=1e-15, abs=0)
+
+    def test_matches_hciz_on_its_own_draws(self):
+        # beta = 2: the density against James's formula with the HCIZ
+        # determinant for its coupling, on draws from the model itself
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B2)
+        for lam in sample_wishart_eigs(model, 7, 50):
+            got = joint_eigen_density(model, tuple(lam))
+            want = complex_wishart_eigen_density(6, (1.0, 2.0, 3.0), lam)
+            assert got > 0.0 and got == pytest.approx(want, rel=1e-11, abs=0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("sigma, lam", [((1.0, 2.0), (10.0, 2.0)), ((1.0, 2.0), (30.0, 25.0)),
+                                            ((0.5, 3.0), (6.0, 0.4))])
+    def test_m2_matches_the_closed_form(self, beta, sigma, lam):
+        # at beta = 8, sigma = (1, 2), lam = (10, 2) the alternating series was
+        # off by a factor of 2.7e16
+        model = WishartModel(2, 5, sigma, DivisionAlgebra(beta))
+        want = m2_eigen_density(5, sigma, lam, beta)
+        assert joint_eigen_density(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
+
+    def test_past_the_float_range_is_a_domain_error(self):
+        # the power 600^s inside the recurrence overflows at s = 111, a degree
+        # the series needs
+        model = WishartModel(2, 6, (1.0, 2.0), B1)
+        with pytest.raises(DomainError, match="degree 111 leave the float range"):
+            joint_eigen_density(model, (600.0, 100.0))
