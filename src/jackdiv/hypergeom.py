@@ -15,11 +15,13 @@ the adaptive degree loop that holds the stop rule (and also serves
 which ``fsum`` cannot, in :func:`_run_batch`, under the same stop rule.
 :func:`_exp_split` is the exponential series split at a first part r, exactly.
 :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
-partition, every term scaled by exp(-trace) so that nothing overflows.
-:func:`ray_series` is the confluent series along a ray tau * s at any m: it
-runs the Jack recurrence once per (spec, unit-trace direction), keeps the
-degree sums in a bounded process-wide memo, and sums each tau in log space
-with the same scaling by exp(-tau).
+partition, every term scaled by exp(-trace) so that nothing overflows, and
+its log degree sums kept per (parameters, beta, t2/t1), so each further point
+of one model costs one exp per degree.  :func:`ray_series` is the confluent
+series along a ray tau * s at any m: it runs the Jack recurrence once per
+(spec, unit-trace direction) and sums each tau in log space with the same
+scaling by exp(-tau).  Both keep their tables in one bounded process-wide
+memo (:func:`_memoized`).
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -34,6 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .core import DivisionAlgebra, DomainError
@@ -123,7 +126,7 @@ def _poch_memo(spec: HypergeomSpec) -> dict:
     return {(): 1.0}
 
 
-def _poch_ratio(spec: HypergeomSpec, kappa: tuple[int, ...]) -> float:
+def _poch_ratio(spec: HypergeomSpec, kappa: tuple[int, ...], memo: dict | None = None) -> float:
     """prod_i [a_i]_kappa / prod_j [b_j]_kappa with factor-level pairing.
 
     The cells are taken row by row, each row left to right, one factor
@@ -131,9 +134,10 @@ def _poch_ratio(spec: HypergeomSpec, kappa: tuple[int, ...]) -> float:
     kappa is that of kappa less its last cell times one factor: the same
     products in the same order as a loop over every cell.  Each ratio is
     memoized per spec (:func:`_poch_memo`), so a series pays one factor per
-    partition.
+    partition; a caller pricing many partitions passes that ``memo`` itself.
     """
-    memo = _poch_memo(spec)
+    if memo is None:
+        memo = _poch_memo(spec)
     shorter = []
     while kappa not in memo:
         shorter.append(kappa)
@@ -196,8 +200,9 @@ def _degree_terms(spec: HypergeomSpec, xvals: dict, yvals: dict | None = None):
     ``yvals`` is given, for every partition of one degree.  ``xvals`` and
     ``yvals`` are that degree's chat values; those of x may be arrays (a
     batch of spectra), and the coefficient multiplies them last."""
+    memo = _poch_memo(spec)
     for kap, v in xvals.items():
-        coef = _poch_ratio(spec, kap)
+        coef = _poch_ratio(spec, kap, memo)
         if yvals is not None:
             ci = math.exp(log_chat_identity(kap, spec.m, spec.algebra)) if kap else 1.0
             coef *= yvals[kap] / ci
@@ -406,6 +411,28 @@ def euler_2f1(
 
 
 # ---------------------------------------------------------------------------
+# One process-wide memo of series along a ray: the m = 2 engine's tables and
+# the RaySeries of ray_series share it.
+# ---------------------------------------------------------------------------
+
+# Most rays kept; the least recently used is dropped beyond it.
+_RAY_CAPACITY = 32
+_RAYS: OrderedDict = OrderedDict()
+_RAYS_LOCK = threading.Lock()
+
+
+def _memoized(key, build):
+    """The entry of ``key`` in the ray memo, made by ``build()`` on a miss;
+    the least recently used entry beyond ``_RAY_CAPACITY`` is dropped."""
+    with _RAYS_LOCK:
+        entry = _RAYS.pop(key, None) or build()
+        _RAYS[key] = entry
+        if len(_RAYS) > _RAY_CAPACITY:
+            _RAYS.popitem(last=False)
+    return entry
+
+
+# ---------------------------------------------------------------------------
 # High-degree positive-term engine for two eigenvalues.
 #
 # The generic evaluator prices strip coefficients per (partition, predecessor)
@@ -421,21 +448,34 @@ def euler_2f1(
 # coefficients (substitute j = mu1 - k2 in their product form).  The row
 # polynomials c_n come from one convolution, and the Pochhammer ratio splits
 # into a row-1 factor of k1 and a row-2 factor of k2, so every table is a
-# vector indexed by a part size or by n, built once per call and regrown by
-# doubling only when a degree outruns it.  Each degree is then three slices,
-# one exp and one sum over its floor(k/2) + 1 partitions: O(1) work per
-# partition, where pricing every (kappa, mu1) pair costs O(k) per partition.
+# vector indexed by a part size or by n: O(1) work per partition, where
+# pricing every (kappa, mu1) pair costs O(k) per partition.
+#
+# The series is homogeneous: at t = t1 (1, r) the degree-k sum is D_k t1^k,
+# with D_k the sum at (1, r).  So the tables depend on (parameters, beta, r)
+# alone and live in the ray memo, and each t1 costs one slice and one exp a
+# chunk of degrees.  log D_k is a log-sum-exp over k2 = 0..floor(k/2) of the
+# three rows at (1, r), taken for a block of _M2_BLOCK degrees at once from
+# strided views of the rows; blocks start at multiples of _M2_BLOCK, so log D_k
+# depends on k alone, never on which points ran first.  The rows are regrown
+# by doubling, the blocks appended as the stop rule reaches them.
 #
 # Every term carries the factor exp(-(t1 + t2)).  For 0 < a <= c the
 # Pochhammer ratio is at most 1, so the scaled terms sum to at most
 # 0F0 * exp(-tr) = 1 and no degree sum overflows, however far the tail.
 # ---------------------------------------------------------------------------
 
+# Degrees per block of log D_k, and per chunk of terms at one t1.
+_M2_BLOCK = 64
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
-def _m2_log_tables(upper, lower, t1: float, t2: float, beta: int, size: int):
-    """(row1, row2, rows_n) for degrees 0..size: the logs of the three factors
-    of a scaled term, the parts of log chat and of the Pochhammer ratio that
-    depend on k1 only (with -tr), on k2 only, and on n = k1 - k2 only."""
+
+def _m2_log_tables(upper, lower, r: float, beta: int, size: int):
+    """(row1, row2, rows_n) for degrees 0..size at t = (1, r): the logs of the
+    three factors of a term of D_k, the parts of log chat and of the
+    Pochhammer ratio that depend on k1 only, on k2 only, and on n = k1 - k2
+    only."""
     g = beta / 2.0
     i = np.arange(size + 1, dtype=float)
     poch1 = np.zeros(size + 1)
@@ -443,18 +483,74 @@ def _m2_log_tables(upper, lower, t1: float, t2: float, beta: int, size: int):
     for par, sign in [(a, 1.0) for a in upper] + [(b, -1.0) for b in lower]:
         poch1 += sign * (gammaln(par + i) - gammaln(par))
         poch2 += sign * (gammaln(par - g + i) - gammaln(par - g))
-    row1 = i * math.log(t1) - (t1 + t2) + poch1 + gammaln(g) - gammaln(g + 1.0 + i)
-    if t2 > 0.0:
-        row2 = i * math.log(t2) + poch2 - gammaln(1.0 + i)
+    row1 = poch1 + gammaln(g) - gammaln(g + 1.0 + i)
+    if r > 0.0:
+        row2 = i * math.log(r) + poch2 - gammaln(1.0 + i)
     else:  # only k2 = 0 survives
         row2 = np.full(size + 1, -math.inf)
         row2[0] = 0.0
     a = np.exp(gammaln(g + i) - gammaln(g) - gammaln(1.0 + i))
-    c = np.convolve(a, a * (t2 / t1) ** i)[: size + 1]
+    c = np.convolve(a, a * r ** i)[: size + 1]
     return row1, row2, np.log(g + i) + np.log(c)
 
 
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+class _M2Series:
+    """log D_k of the m = 2 positive series of (upper; lower) at t = (1, r),
+    one block of degrees at a time, under a lock: every caller reads the
+    same floats whatever the order of its calls and its thread."""
+
+    def __init__(self, upper, lower, r: float, beta: int):
+        self._params = (upper, lower, r, beta)
+        self._rows = None
+        self._log_d = np.empty(0)
+        self._lock = threading.Lock()
+
+    def _log_degree_sums(self, end: int) -> np.ndarray:
+        """log D_k for at least k = 0..end - 1, end a multiple of _M2_BLOCK."""
+        log_d = self._log_d
+        if len(log_d) < end:
+            with self._lock:
+                while len(self._log_d) < end:
+                    self._log_d = np.concatenate([self._log_d, self._block(len(self._log_d))])
+                log_d = self._log_d
+        return log_d
+
+    def _block(self, k0: int) -> np.ndarray:
+        """log D_k for k = k0..k0 + _M2_BLOCK - 1: a (degree, k2) array of the
+        rows' sums, k2 = 0..h, read through strided views.  row1 and rows_n
+        carry _M2_BLOCK leading -inf, so a k2 past floor(k/2) (n < 0) adds
+        -inf and contributes 0."""
+        b = _M2_BLOCK
+        if self._rows is None or len(self._rows[1]) < k0 + b:
+            row1, row2, rows_n = _m2_log_tables(*self._params, 2 * (k0 + b))
+            pad = np.full(b, -math.inf)
+            self._rows = np.concatenate([pad, row1]), row2, np.concatenate([pad, rows_n])
+        row1, row2, rows_n = self._rows
+        h = (k0 + b - 1) // 2
+        s1, sn = b + k0 - h, b + k0 - 2 * h  # where k1 = k0 - h and n = k0 - 2h sit
+        logs = sliding_window_view(row1, h + 1)[s1 : s1 + b, ::-1] + row2[: h + 1]
+        logs += sliding_window_view(rows_n, 2 * h + 1)[sn : sn + b, ::-2]
+        top = logs.max(axis=1)
+        logs -= top[:, None]
+        # a term below the normal range adds nothing to a sum whose largest
+        # term is 1, and exp is slowest there
+        normal = logs > _LOG_FLOAT_MIN
+        return top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))
+
+    def evaluate(self, t1: float, t2: float, trunc: SeriesTruncation) -> SeriesResult:
+        """The series at (t1, t2) = t1 (1, r), summed as in
+        :func:`pfq_positive_m2`."""
+        log_t1, tr = math.log(t1), t1 + t2
+        terms = []
+
+        def term_of_degree(k: int) -> float:
+            if k == len(terms):  # k is a multiple of _M2_BLOCK
+                end = k + _M2_BLOCK
+                log_d = self._log_degree_sums(end)[k:end]
+                terms.extend(np.exp(log_d + np.arange(k, end, dtype=float) * log_t1 - tr).tolist())
+            return terms[k]
+
+        return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), tr)
 
 
 def _check_positive_shifts(params, beta: int, m: int, engine: str):
@@ -496,34 +592,27 @@ def pfq_positive_m2(
     """One-argument series for m = 2 with nonnegative eigenvalues and positive
     shifted parameters, stable to very high degree.
 
-    Costs O(1) per partition (see the comment block above).  Degree sums are
-    scaled by exp(-(t1 + t2)), so for 0 < a <= c they never overflow, and all
-    terms are positive, so ``log_value`` is finite and exact to rounding;
-    ``value`` is ``inf`` once the function itself leaves the float range.
-    ``trunc`` sets the stop rule and the degree cap, applied by
-    :func:`_run_series` as for every other series.  Raises when a shifted
-    parameter is not positive (use :func:`pfq` there instead).
+    Costs O(1) per partition, once per (upper, lower, beta, t2/t1): the degree
+    sums at t = (1, t2/t1) are kept in the ray memo, and each t1 is one exp
+    per degree (see the comment block above).  Degree sums are scaled by
+    exp(-(t1 + t2)), so for 0 < a <= c they never overflow, and all terms are
+    positive, so ``log_value`` is finite and exact to rounding; ``value`` is
+    ``inf`` once the function itself leaves the float range.  ``trunc`` sets
+    the stop rule and the degree cap, applied by :func:`_run_series` as for
+    every other series.  Raises when a shifted parameter is not positive (use
+    :func:`pfq` there instead).
     """
     beta = algebra.beta
+    upper, lower = tuple(upper), tuple(lower)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
         raise DomainError("the high-degree engine requires nonnegative eigenvalues")
-    _check_positive_shifts(tuple(upper) + tuple(lower), beta, 2, "the high-degree engine")
+    _check_positive_shifts(upper + lower, beta, 2, "the high-degree engine")
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
-
-    tables = ()
-
-    def term_of_degree(k: int) -> float:
-        nonlocal tables
-        if not tables or k >= len(tables[0]):
-            tables = _m2_log_tables(upper, lower, t1, t2, beta, min(trunc.max_degree, max(64, 2 * k)))
-        row1, row2, rows_n = tables
-        h = k // 2  # k2 = 0..h, so k1 = k..k - h and n = k, k - 2, ...
-        logs = row1[k - h : k + 1][::-1] + row2[: h + 1] + rows_n[k::-2]
-        return float(np.exp(logs).sum())
-
-    return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), t1 + t2)
+    r = t2 / t1
+    series = _memoized((upper, lower, r, beta), lambda: _M2Series(upper, lower, r, beta))
+    return series.evaluate(t1, t2, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +631,6 @@ def pfq_positive_m2(
 # range near weight 170; a degree the stop rule needs past that point raises
 # DomainError instead of summing zeros.
 # ---------------------------------------------------------------------------
-
-# Most rays kept; the least recently used is dropped beyond it.
-_RAY_CAPACITY = 32
-_RAYS: OrderedDict = OrderedDict()
-_RAYS_LOCK = threading.Lock()
 
 
 class RaySeries:
@@ -608,9 +692,4 @@ def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
                           f"not all zero; got {s}")
     tr = math.fsum(s)
     key = (spec, tuple(v / tr for v in s))
-    with _RAYS_LOCK:
-        ray = _RAYS.pop(key, None) or RaySeries(*key)
-        _RAYS[key] = ray
-        if len(_RAYS) > _RAY_CAPACITY:
-            _RAYS.popitem(last=False)
-    return ray
+    return _memoized(key, lambda: RaySeries(*key))

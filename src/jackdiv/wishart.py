@@ -19,7 +19,9 @@ Every series summed here has nonnegative terms.  The largest-eigenvalue and
 region distribution functions are confluent series at (beta/2) t, t the
 spectrum of Omega Sigma^{-1}, on :func:`hypergeom.pfq_positive_m2` at m = 2
 and elsewhere on the memoized :func:`hypergeom.ray_series` of a direction
-fixed by the model, so every x of one model shares one Jack recurrence.  The
+fixed by the model.  Both memoize the series' degree sums along the ray of t,
+so every x of one model shares one table (at m = 2) or one Jack recurrence
+(elsewhere).  The
 smallest-eigenvalue law adds the exponential series past first part r and an
 incomplete gamma tail; the joint density shifts its coupling 0F0 to a
 nonnegative argument.
@@ -264,7 +266,8 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebr
     """log of 1F1(a_up; c_lo; t) for t >= 0.
 
     At m = 2 this is :func:`pfq_positive_m2` on t itself (every Wishart
-    model's parameters lie in its domain).  Otherwise t must lie on the ray of
+    model's parameters lie in its domain), whose table is kept per t2/t1, so
+    the points of one model share it.  Otherwise t must lie on the ray of
     ``direction``, a vector the caller computes from the model alone, and the
     value is the memoized :func:`ray_series` of that direction at the trace of
     t, so every point of one model shares one Jack recurrence.  A degree the

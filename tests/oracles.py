@@ -363,10 +363,45 @@ def m2_chat(k1: int, k2: int, t1, t2, beta: int):
     """
     g = mpmath.mpf(beta) / 2
     n = k1 - k2
-    a = [mpmath.rf(g, i) / mpmath.factorial(i) for i in range(n + 1)]
-    c = mpmath.fsum(a[n - i] * a[i] * (t2 / t1) ** i for i in range(n + 1))
+    c = _m2_row_poly(n, t2 / t1, beta, mpmath.mp.prec)
     return (t1 ** k1 * t2 ** k2 * mpmath.gamma(g) * (g + n) * c
             / (mpmath.gamma(g + k1 + 1) * mpmath.factorial(k2)))
+
+
+@functools.lru_cache(maxsize=None)
+def _m2_row_poly(n: int, r, beta: int, prec: int):
+    """c_n(r) of :func:`m2_chat` at ``prec`` bits, kept so that a sum over
+    many partitions of one (r, beta) pays O(n) once per n."""
+    with mpmath.workprec(prec):
+        g = mpmath.mpf(beta) / 2
+        a = [mpmath.rf(g, i) / mpmath.factorial(i) for i in range(n + 1)]
+        return mpmath.fsum(a[n - i] * a[i] * r ** i for i in range(n + 1))
+
+
+def m2_confluent(a: float, c: float, t, beta: int) -> float:
+    """1F1(a; c; t) at m = 2, t1 >= t2 > 0, as an mpmath sum at 40 digits of
+    [a]_kappa / [c]_kappa chat_kappa(t) over kappa = (k1, k2), with chat from
+    :func:`m2_chat` and [a]_kappa = (a)_k1 (a - beta/2)_k2: no term is shared
+    with the library's series.  Degrees are added until one past the trace
+    adds less than 1e-30 of the sum (past the trace the degree sums fall off
+    faster than geometrically)."""
+    with mpmath.workdps(40):
+        g = mpmath.mpf(beta) / 2
+        t1, t2 = sorted((mpmath.mpf(v) for v in t), reverse=True)
+        a, c = mpmath.mpf(a), mpmath.mpf(c)
+        # ratios[i][k] = (a - i g)_k / (c - i g)_k, the factor of row i + 1 at part k
+        ratios = [[mpmath.mpf(1)], [mpmath.mpf(1)]]
+        total, k = mpmath.mpf(0), 0
+        while True:
+            for ratio, shift in zip(ratios, (0, g)):
+                j = len(ratio) - 1
+                ratio.append(ratio[-1] * (a - shift + j) / (c - shift + j))
+            dsum = mpmath.fsum(ratios[0][k - k2] * ratios[1][k2] * m2_chat(k - k2, k2, t1, t2, beta)
+                               for k2 in range(k // 2 + 1))
+            total += dsum
+            if k > t1 + t2 and dsum < 1e-30 * total:
+                return float(total)
+            k += 1
 
 
 @functools.lru_cache(maxsize=None)

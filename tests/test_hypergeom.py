@@ -23,7 +23,7 @@ from jackdiv.hypergeom import (
     ray_series,
 )
 
-from oracles import hciz_0f0, m2_0f0, pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
+from oracles import hciz_0f0, m2_0f0, m2_confluent, pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 B1 = DivisionAlgebra(1)
@@ -321,6 +321,19 @@ class TestHighDegreeEngine:
         assert res.value == pytest.approx(want, rel=1e-13, abs=0)
         assert res.log_value == pytest.approx(math.log(want), rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_matches_closed_form_chat_at_40_digits(self, beta):
+        # fig1's series against an mpmath sum of the closed-form chat, which
+        # shares no code with the engine.  The error follows the size of the
+        # log terms, which grows with the trace (beta/2) x 3/2: the worst
+        # measured over these x is 2.0e-14, 7.1e-14, 2.2e-13 and 4.7e-13 at
+        # beta = 1, 2, 4 and 8.
+        up, lo = (beta / 2 + 1,), (5 * beta / 2 + 1,)
+        for x in (1.0, 4.0, 9.0, 16.0, 24.0):
+            t = (beta / 2 * x, beta / 4 * x)
+            got = pfq_positive_m2(up, lo, t, DivisionAlgebra(beta), DEEP).value
+            assert got == pytest.approx(m2_confluent(up[0], lo[0], t, beta), rel=1e-13 * beta, abs=0)
+
     def test_log_value_finite_beyond_float_range(self):
         # the series of cdf_lambda_max at x = 400 (beta 8, n = 4, sigma = (1, 2)),
         # where the CDF is 1 to 20 digits: log value = trace - log prefactor
@@ -571,3 +584,66 @@ class TestRaySeries:
     def test_rejects_outside_its_domain(self, empty_rays, spec, direction):
         with pytest.raises(DomainError):
             ray_series(spec, direction)
+
+
+class TestM2Memo:
+    """The m = 2 engine keeps log D_k per (upper, lower, beta, t2/t1) in the
+    ray memo; fig1's models have t2/t1 = 1/2 at every x."""
+
+    XS = [float(x) for x in np.linspace(0.0, 24.0, 96)[1:]]
+
+    @staticmethod
+    def _run(beta, xs):
+        up, lo, alg = (beta / 2 + 1,), (5 * beta / 2 + 1,), DivisionAlgebra(beta)
+        return {x: pfq_positive_m2(up, lo, (beta / 2 * x, beta / 4 * x), alg, DEEP) for x in xs}
+
+    @pytest.mark.parametrize("beta", [1, 8])
+    def test_same_bits_forwards_backwards_and_after_a_far_tail(self, empty_rays, beta):
+        forwards = self._run(beta, self.XS + [400.0])
+        hypergeom._RAYS.clear()
+        backwards = self._run(beta, self.XS[::-1] + [400.0])
+        hypergeom._RAYS.clear()
+        after_tail = self._run(beta, [400.0] + self.XS)
+        assert forwards == backwards == after_tail
+
+    def test_second_pass_builds_no_table(self, empty_rays, monkeypatch):
+        sizes = []
+        build = hypergeom._m2_log_tables
+
+        def spy(*args):
+            sizes.append(args[-1])
+            return build(*args)
+
+        monkeypatch.setattr(hypergeom, "_m2_log_tables", spy)
+        first = self._run(4, self.XS + [200.0])
+        # one table for the whole model, its rows regrown by doubling
+        assert len(hypergeom._RAYS) == 1
+        assert sizes and all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
+        sizes.clear()
+        assert self._run(4, self.XS + [200.0]) == first
+        assert sizes == []
+
+    def test_threads_sharing_a_fresh_table_get_the_serial_bits(self, empty_rays):
+        xs = self.XS[::8] + [200.0, 400.0]
+        serial = self._run(2, xs)
+        hypergeom._RAYS.clear()
+        orders = [xs, xs[::-1], xs[::2], xs[1::2]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(lambda order: self._run(2, order), orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert all(res == serial[x] for x, res in got.items())
+
+    def test_memo_stays_at_ray_capacity(self, empty_rays):
+        up, lo, alg = (3.0,), (11.0,), DivisionAlgebra(4)
+        first = pfq_positive_m2(up, lo, (3.0, 1.5), alg, DEEP)
+        ray_series(*_wishart_ray(2))
+        for i in range(hypergeom._RAY_CAPACITY):
+            pfq_positive_m2(up, lo, (3.0, 1.0 + i / 64), alg, DEEP)
+        assert len(hypergeom._RAYS) == hypergeom._RAY_CAPACITY
+        # evicted, rebuilt, and the same floats
+        assert pfq_positive_m2(up, lo, (3.0, 1.5), alg, DEEP) == first
