@@ -7,12 +7,15 @@ below ``rel_tol`` times the accumulated value; non-convergence within
 ``max_degree`` is reported, never silently ignored.
 
 :func:`_series` is the one driver of :func:`pfq`, :func:`pfq_two` and
-:func:`pfq_batch`, and :func:`_degree_terms` the one term formula.  For one
-spectrum, each degree's terms are ``math.fsum``-ed for :func:`_run_series`,
-the adaptive degree loop that holds the stop rule (and also serves
-:func:`pfq_positive_m2`); it reads a plain float running total and returns
-``math.fsum`` of the degree sums.  A batch of spectra adds them as arrays,
-which ``fsum`` cannot, in :func:`_run_batch`, under the same stop rule.
+:func:`pfq_batch`, and :func:`_degree_terms` the one term formula.
+:func:`pfq_two` keeps the Jack values of its first argument, which a model
+fixes, across calls, and neither argument fills a partition longer than the
+smaller rank, whose terms are 0.  For one spectrum, each degree's terms are
+``math.fsum``-ed for :func:`_run_series`, the adaptive degree loop that holds
+the stop rule (and also serves :func:`pfq_positive_m2`); it reads a plain
+float running total and returns ``math.fsum`` of the degree sums.  A batch of
+spectra adds them as arrays, which ``fsum`` cannot, in :func:`_run_batch`,
+under the same stop rule.
 :func:`_exp_split` is the exponential series split at a first part r, exactly.
 :func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
 partition, every term scaled by exp(-trace) so that nothing overflows, and
@@ -20,8 +23,9 @@ its log degree sums kept per (parameters, beta, t2/t1), so each further point
 of one model costs one exp per degree.  :func:`ray_series` is the confluent
 series along a ray tau * s at any m: it runs the Jack recurrence once per
 (spec, unit-trace direction) and sums each tau in log space with the same
-scaling by exp(-tau).  Both keep their tables in one bounded process-wide
-memo (:func:`_memoized`).
+scaling by exp(-tau).  Rays, m = 2 tables and first arguments of
+:func:`pfq_two` each have their own bounded process-wide store
+(:func:`_memoized`), so one kind never evicts another.
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -40,7 +44,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .core import DivisionAlgebra, DomainError
-from .jack import ChatEvaluator, as_spectrum, get_table, log_chat_identity
+from .jack import ChatEvaluator, _rank, as_spectrum, get_table, log_chat_identity
 
 
 @dataclass(frozen=True)
@@ -186,7 +190,9 @@ def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False):
         sums.append(dsum)
         running += dsum
         if not exact_finite and k + 1 > trunc.stall_window and running != 0.0:
-            if all(abs(s) <= trunc.rel_tol * abs(running) for s in sums[-trunc.stall_window:]):
+            # the newest sum first: the window passes only if it does
+            small = trunc.rel_tol * abs(running)
+            if abs(dsum) <= small and all(abs(s) <= small for s in sums[-trunc.stall_window:]):
                 converged = True
                 break
     total = math.fsum(sums)
@@ -248,8 +254,17 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
 
     table = get_table(spec.algebra)
     within = (r_cap,) * spec.m if exact_finite else None
-    dpx = ChatEvaluator(x_eigs, table, within)
-    dpy = None if y_eigs is None else ChatEvaluator(y_eigs, table, within)
+    if y_eigs is None:
+        dpx, dpy = ChatEvaluator(x_eigs, table, within), None
+    else:
+        # a term vanishes once kappa is longer than either rank
+        parts = min(spec.m if batched else _rank(x_eigs), _rank(y_eigs))
+        dpy = ChatEvaluator(y_eigs, table, within, parts)
+        if batched:
+            dpx = ChatEvaluator(x_eigs, table, within, parts)
+        else:
+            key = (spec.algebra, x_eigs, within, parts)
+            dpx = _memoized(_FIRST_ARGUMENTS, key, lambda: _FirstArgument(x_eigs, table, within, parts))
 
     def sum_of_degree(k: int):
         try:  # a power x^s overflows, or chat_kappa(I) underflows to 0
@@ -289,6 +304,11 @@ def pfq_two(
 
     Each term carries the product of Jack values of both spectra divided by
     the value at the identity (computed by closed form, never by recurrence).
+    Pass first the argument you hold fixed: the Jack values of ``x`` are
+    memoized per (algebra, x) across calls (:class:`_FirstArgument`), and
+    only those of ``y`` are computed afresh.  Both stop at the partitions
+    with as many parts as the smaller rank of x and y, since C_kappa of
+    either argument is 0 past its own rank.
     """
     sx = as_spectrum(x)
     sy = as_spectrum(y)
@@ -411,25 +431,59 @@ def euler_2f1(
 
 
 # ---------------------------------------------------------------------------
-# One process-wide memo of series along a ray: the m = 2 engine's tables and
-# the RaySeries of ray_series share it.
+# Process-wide memos, one bounded store each, so that entries of one kind never
+# evict another's: the RaySeries of ray_series, the m = 2 engine's tables and
+# pfq_two's first arguments.
 # ---------------------------------------------------------------------------
 
-# Most rays kept; the least recently used is dropped beyond it.
+
+class _Store(OrderedDict):
+    """A memo that keeps at most ``capacity`` entries, dropping the least
+    recently used beyond it (:func:`_memoized`)."""
+
+    def __init__(self, capacity: int):
+        super().__init__()
+        self.capacity = capacity
+
+
 _RAY_CAPACITY = 32
-_RAYS: OrderedDict = OrderedDict()
-_RAYS_LOCK = threading.Lock()
+_RAYS = _Store(_RAY_CAPACITY)
+_M2_TABLES = _Store(_RAY_CAPACITY)
+# a model fixes one first argument; a small store bounds what one-shot ones keep
+_FIRST_ARGUMENTS = _Store(8)
+_MEMO_LOCK = threading.Lock()
 
 
-def _memoized(key, build):
-    """The entry of ``key`` in the ray memo, made by ``build()`` on a miss;
-    the least recently used entry beyond ``_RAY_CAPACITY`` is dropped."""
-    with _RAYS_LOCK:
-        entry = _RAYS.pop(key, None) or build()
-        _RAYS[key] = entry
-        if len(_RAYS) > _RAY_CAPACITY:
-            _RAYS.popitem(last=False)
+def _memoized(store: _Store, key, build):
+    """The entry of ``key`` in ``store``, made by ``build()`` on a miss; the
+    least recently used entry beyond the store's capacity is dropped."""
+    with _MEMO_LOCK:
+        entry = store.pop(key, None) or build()
+        store[key] = entry
+        if len(store) > store.capacity:
+            store.popitem(last=False)
     return entry
+
+
+class _FirstArgument:
+    """The chat values of one first argument of :func:`pfq_two`, by degree.
+
+    Degrees are filled in order under a lock, as :class:`RaySeries` fills
+    its sums, so every call reads the same floats whatever the order of its
+    calls and its thread.
+    """
+
+    def __init__(self, x, table, within, parts: int):
+        self._evaluator = ChatEvaluator(x, table, within, parts)
+        self._degrees: list[dict] = []
+        self._lock = threading.Lock()
+
+    def degree_values(self, k: int) -> dict:
+        if k >= len(self._degrees):
+            with self._lock:
+                for j in range(len(self._degrees), k + 1):
+                    self._degrees.append(self._evaluator.degree_values(j))
+        return self._degrees[k]
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +507,9 @@ def _memoized(key, build):
 #
 # The series is homogeneous: at t = t1 (1, r) the degree-k sum is D_k t1^k,
 # with D_k the sum at (1, r).  So the tables depend on (parameters, beta, r)
-# alone and live in the ray memo, and each t1 costs one slice and one exp a
-# chunk of degrees.  log D_k is a log-sum-exp over k2 = 0..floor(k/2) of the
-# three rows at (1, r), taken for a block of _M2_BLOCK degrees at once from
+# alone and live in a memo of their own, and each t1 costs one slice and one
+# exp a chunk of degrees.  log D_k is a log-sum-exp over k2 = 0..floor(k/2) of
+# the three rows at (1, r), taken for a block of _M2_BLOCK degrees at once from
 # strided views of the rows; blocks start at multiples of _M2_BLOCK, so log D_k
 # depends on k alone, never on which points ran first.  The rows are regrown
 # by doubling, the blocks appended as the stop rule reaches them.
@@ -593,7 +647,7 @@ def pfq_positive_m2(
     shifted parameters, stable to very high degree.
 
     Costs O(1) per partition, once per (upper, lower, beta, t2/t1): the degree
-    sums at t = (1, t2/t1) are kept in the ray memo, and each t1 is one exp
+    sums at t = (1, t2/t1) are kept in a bounded memo, and each t1 is one exp
     per degree (see the comment block above).  Degree sums are scaled by
     exp(-(t1 + t2)), so for 0 < a <= c they never overflow, and all terms are
     positive, so ``log_value`` is finite and exact to rounding; ``value`` is
@@ -611,7 +665,7 @@ def pfq_positive_m2(
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
     r = t2 / t1
-    series = _memoized((upper, lower, r, beta), lambda: _M2Series(upper, lower, r, beta))
+    series = _memoized(_M2_TABLES, (upper, lower, r, beta), lambda: _M2Series(upper, lower, r, beta))
     return series.evaluate(t1, t2, trunc)
 
 
@@ -692,4 +746,4 @@ def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
                           f"not all zero; got {s}")
     tr = math.fsum(s)
     key = (spec, tuple(v / tr for v in s))
-    return _memoized(key, lambda: RaySeries(*key))
+    return _memoized(_RAYS, key, lambda: RaySeries(*key))

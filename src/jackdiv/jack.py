@@ -7,7 +7,10 @@ coefficient.  It fills one degree at a time over every partition inside an
 optional bounding shape ``within``.  The series use the rectangle
 ``(r,) * m`` for a first-part cap, and :func:`jack_C` bounds it by kappa
 itself, so only kappa's subshapes are evaluated.  The strips of a shape
-inside ``within`` are inside it too, so a bound never changes a value.
+inside ``within`` are inside it too, so a bound never changes a value.  The
+same holds for length: chat_kappa(x) = 0 when kappa has more parts than x
+has nonzero entries (Muirhead 1982, ch. 7), so for one spectrum no stage
+fills a partition longer than that rank.
 
 A shape kappa of length exactly ``n`` can only come from predecessors mu with
 mu_n = 0, since the other n - 1 variables carry at most n - 1 parts; these are
@@ -103,6 +106,11 @@ def as_spectrum(x) -> SpectralArgument:
     if isinstance(x, SpectralArgument):
         return x
     return SpectralArgument(tuple(np.asarray(x, dtype=float).ravel()))
+
+
+def _rank(x) -> int:
+    """The number of nonzero entries of the spectrum ``x``."""
+    return sum(v != 0.0 for v in x)
 
 
 def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
@@ -313,6 +321,14 @@ class ChatEvaluator:
     increasing order and each degree's values are cached.  Values are not
     scale-safe past weight ~170 (see the module docstring).
 
+    Partitions longer than the rank of x are never filled, at any stage:
+    chat_kappa(x) = 0 when kappa has more parts than x has nonzero entries,
+    and a stage reads only predecessors mu inside kappa, so the values kept
+    are the same bits.  The rank is the number of nonzero entries of one
+    spectrum, and m for a batch.  ``_parts``, for
+    :func:`hypergeom.pfq_two`, lowers it to the smaller rank of two
+    arguments, so that both evaluators hold the same partitions.
+
     Stage n holds the values on the first n variables.  For one spectrum,
     stages 1 and 2 below the top stage m are dense float arrays indexed by
     parts: axis i has size ``within[i] + 1`` (1 past a ``within`` shorter
@@ -326,7 +342,8 @@ class ChatEvaluator:
     and every stage of a batch, are dicts keyed by partition.
     """
 
-    def __init__(self, x, table: JackTable, within: tuple[int, ...] | None = None):
+    def __init__(self, x, table: JackTable, within: tuple[int, ...] | None = None,
+                 _parts: int | None = None):
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 1:
             self._batched = False
@@ -341,6 +358,8 @@ class ChatEvaluator:
         self.m = len(self._x)
         self.table = table
         self.within = within
+        # the most parts a partition with a nonzero value has
+        self.parts = _parts if _parts is not None else self.m if self._batched else _rank(self._x)
         # degree 0 is done: the empty partition is one on every stage
         self._stage: list = [{(): one} for _ in range(self.m + 1)]
         self._dense = 0 if self._batched else min(self.m - 1, _DENSE_DEPTH)
@@ -370,12 +389,14 @@ class ChatEvaluator:
             self._stage[n] = stage
 
     def _shapes(self, k: int, n: int):
-        """Partitions of k with at most n parts inside ``within``."""
+        """Partitions of k with at most n parts, and at most the rank's,
+        inside ``within``."""
+        n = min(n, self.parts)
         return _partition_tuples(k, (k,) * n if self.within is None else self.within[:n])
 
     def degree_values(self, k: int) -> dict:
-        """chat values for every partition of weight k (length <= m) inside
-        ``within``."""
+        """chat values for every partition of weight k inside ``within``
+        with at most as many parts as the rank of x; the longer ones are 0."""
         while self._done < k:
             self._advance()
         top = self._stage[self.m]
@@ -383,8 +404,8 @@ class ChatEvaluator:
 
     def value(self, kappa: tuple[int, ...]):
         """chat_kappa for kappa inside ``within``; zero when kappa has more
-        than m parts."""
-        if len(kappa) > self.m:
+        parts than the rank of x."""
+        if len(kappa) > self.parts:
             return np.zeros_like(self._x[0]) if self._batched else 0.0
         while self._done < sum(kappa):
             self._advance()

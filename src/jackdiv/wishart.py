@@ -30,6 +30,7 @@ nonnegative argument.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -386,7 +387,7 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
         coefs = _exp_split(model.algebra, r, v.scaled(2.0 ** j).eigenvalues, True)[r + 1:]
     except OverflowError:  # a power x^s inside the recurrence
         coefs = (math.inf,)
-    if not all(np.finfo(float).tiny <= e < math.inf for e in coefs):
+    if not all(sys.float_info.min <= e < math.inf for e in coefs):
         raise DomainError(f"smallest-eigenvalue sum of degree m r = {degree} leaves the float range")
     tau = y * v.trace
     y_scaled = math.ldexp(y, -j)  # 0 only where y v underflows, and then every term does

@@ -5,13 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from jackdiv import cli, hypergeom
+from jackdiv import cli
 from jackdiv.cli import main
 from jackdiv.core import DivisionAlgebra, Partition
 from jackdiv.hypergeom import SeriesTruncation
 from jackdiv.jack import jack_C
 from jackdiv.wishart import ConvergenceWarning, WishartModel, cdf_lambda_max
 
+from memos import clear_memos
 from oracles import m2_lambda_min_cdf
 
 
@@ -65,14 +66,14 @@ class TestEvaluationCommands:
         # a grid shares one memoized series along the model's ray; each row
         # must still be the bytes --x prints from an empty memo
         model = ["--m", "3", "--n", "6", "--sigma", "1,2,3", "--beta", "1"]
-        hypergeom._RAYS.clear()
+        clear_memos()
         code, out, _ = run(capsys, "cdf-max", *model, "--grid", "0.5:6:12")
         assert code == 0
         rows = out.splitlines()[1:]
         assert len(rows) == 12
         for row in rows:
             x, value = row.split(",")
-            hypergeom._RAYS.clear()
+            clear_memos()
             code, single, _ = run(capsys, "cdf-max", *model, "--x", x)
             assert code == 0 and single == value + "\n"
 

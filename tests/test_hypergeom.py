@@ -22,7 +22,9 @@ from jackdiv.hypergeom import (
     pfq_two,
     ray_series,
 )
+from jackdiv.jack import ChatEvaluator
 
+from memos import clear_memos
 from oracles import hciz_0f0, m2_0f0, m2_confluent, pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
@@ -155,6 +157,21 @@ class TestCouplingOracles:
         res = pfq_two(HypergeomSpec((), (), alg, 2), x, y, self.DEEP)
         assert res.converged
         assert res.value == pytest.approx(float(m2_0f0(x, y, alg.beta)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("x, y", [
+        ((6.0, 1.5), (0.5, 0.0)),
+        ((22.4, 8.3, 2.5), (0.5, 0.0, -1.0 / 3.0)),
+        ((5.0, 3.0, 2.0, 0.5), (0.9, 0.4, 0.0, -0.25)),
+    ])
+    def test_zero_in_y_only(self, x, y):
+        # the first argument has full rank; the second has a zero, sorted
+        # between a positive and a negative entry at m >= 3, so its rank
+        # bounds the partitions of both
+        for alg in ALGEBRAS if len(x) == 2 else [DivisionAlgebra(2)]:
+            res = pfq_two(HypergeomSpec((), (), alg, len(x)), x, y, self.DEEP)
+            want = m2_0f0(x, y, alg.beta) if len(x) == 2 else hciz_0f0(x, y)
+            assert res.converged
+            assert res.value == pytest.approx(float(want), rel=1e-13, abs=0)
 
     def test_identity_underflow_is_a_domain_error(self):
         # chat_kappa(I) at weight 181 is below the float range at beta = 8
@@ -408,6 +425,47 @@ class TestRunningSum:
         assert res.converged and res.degrees_used == 5 and seen == decaying[:6]
         assert res.value == math.fsum(seen)
 
+    @staticmethod
+    def _window_rule(trunc, seq):
+        """(stop degree, total, converged) under the stop rule as first
+        written: every sum of the last window, in order, against rel_tol
+        times the running total."""
+        sums, running = [], 0.0
+        for k, dsum in enumerate(seq):
+            sums.append(dsum)
+            running += dsum
+            if k + 1 > trunc.stall_window and running != 0.0:
+                if all(abs(s) <= trunc.rel_tol * abs(running) for s in sums[-trunc.stall_window:]):
+                    return k, math.fsum(sums), True
+        return len(seq) - 1, math.fsum(sums), False
+
+    def test_stop_rule_is_the_window_rule(self):
+        # testing the newest sum first must stop every series where the
+        # window rule does, with the same total
+        rng = np.random.default_rng(72)
+        stops = set()
+        for trial in range(600):
+            n = int(rng.integers(1, 60))
+            kind = trial % 3
+            if kind == 0:  # decaying, signs mixed
+                seq = np.cumprod(rng.uniform(0.05, 1.2, n)) * rng.choice([-1.0, 1.0], n)
+            elif kind == 1:  # pairs that nearly or exactly cancel
+                seq = np.array(_cancelling(rng, n // 2 + 1))
+                seq[rng.random(len(seq)) < 0.2] = 0.0
+            else:  # runs of exact zeros
+                seq = rng.standard_normal(n) * 10.0 ** rng.integers(-18, 3, n)
+                seq[rng.random(n) < 0.5] = 0.0
+            seq = [float(v) for v in seq]
+            trunc = SeriesTruncation(len(seq) - 1, float(rng.choice([1e-12, 1e-6, 1e-2, 0.5])),
+                                     int(rng.choice([1, 2, 3, 5])))
+            res = _run_series(trunc, lambda k: seq[k], len(seq) - 1)
+            k, total, converged = self._window_rule(trunc, seq)
+            assert (res.degrees_used, res.converged) == (k, converged)
+            assert res.value == total or (math.isnan(total) and math.isnan(res.value))
+            stops.add((converged, k < len(seq) - 1))
+        # the sequences reach every outcome: early stops, late stops, no stop
+        assert stops == {(True, True), (True, False), (False, False)}
+
     @pytest.mark.parametrize("seq", [
         [1.0, math.inf, 2.0],
         [1.0, -math.inf, -1e308],
@@ -495,11 +553,11 @@ class TestBatch:
 
 
 @pytest.fixture
-def empty_rays():
-    """An empty ray memo, so a test builds its rays from scratch."""
-    hypergeom._RAYS.clear()
+def empty_memos():
+    """Empty series memos, so a test builds its rays and tables from scratch."""
+    clear_memos()
     yield
-    hypergeom._RAYS.clear()
+    clear_memos()
 
 
 def _wishart_ray(beta, m=3, n=6, sigma=(1.0, 2.0, 3.0)):
@@ -519,7 +577,7 @@ class TestRaySeries:
         (HypergeomSpec((1.0,), (2.5,), DivisionAlgebra(4), 1), (1.0,), [0.5, 5.0, 30.0]),
         (HypergeomSpec((4.0,), (9.0,), DivisionAlgebra(2), 4), (4.0, 3.0, 2.0, 1.0), [1.0, 4.0]),
     ], ids=["m3-b1", "m3-b2", "m1-b4", "m4-b2"])
-    def test_matches_pointwise_pfq(self, empty_rays, spec, direction, taus):
+    def test_matches_pointwise_pfq(self, empty_memos, spec, direction, taus):
         ray = ray_series(spec, direction)
         unit = np.asarray(direction) / math.fsum(direction)
         for tau in taus:
@@ -529,11 +587,11 @@ class TestRaySeries:
             assert got.value == pytest.approx(want.value, rel=1e-13, abs=0)
             assert got.log_value == pytest.approx(math.log(want.value), rel=1e-13, abs=1e-15)
 
-    def test_same_bits_in_any_order_and_after_eviction(self, empty_rays):
+    def test_same_bits_in_any_order_and_after_eviction(self, empty_memos):
         spec, direction = _wishart_ray(1)
         taus = [0.25 * x * 11 / 6 for x in range(1, 17)]
         first = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value for t in taus]
-        hypergeom._RAYS.clear()
+        clear_memos()
         backwards = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value
                      for t in reversed(taus)]
         assert backwards[::-1] == first
@@ -546,11 +604,11 @@ class TestRaySeries:
         assert rebuilt.degree_sum(0) == 1.0 and len(rebuilt._sums) == 1
         assert [rebuilt.evaluate(t, self.TRUNC).log_value for t in taus] == first
 
-    def test_threads_sharing_a_fresh_ray_get_the_serial_bits(self, empty_rays):
+    def test_threads_sharing_a_fresh_ray_get_the_serial_bits(self, empty_memos):
         spec, direction = _wishart_ray(2)
         taus = [x * 11 / 6 for x in range(1, 11)]
         serial = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value for t in taus]
-        hypergeom._RAYS.clear()
+        clear_memos()
 
         def run(order):
             ray = ray_series(spec, direction)
@@ -567,7 +625,7 @@ class TestRaySeries:
         for got in results:
             assert all(v == serial[i] for i, v in got.items())
 
-    def test_underflowing_degree_raises(self, empty_rays):
+    def test_underflowing_degree_raises(self, empty_memos):
         # D_k = 1 / (k + 1)! at m = 1 leaves the normal range at k = 170
         ray = ray_series(HypergeomSpec((1.0,), (2.0,), DivisionAlgebra(2), 1), (1.0,))
         with pytest.raises(DomainError, match="trace 100 needs degree 170, .*not scale-safe"):
@@ -581,7 +639,7 @@ class TestRaySeries:
         (HypergeomSpec((1.0,), (4.0,), B1, 2), (1.0, -1.0)),
         (HypergeomSpec((1.0,), (4.0,), B1, 2), (1.0, 1.0, 1.0)),
     ], ids=["a-above-c", "nonpositive-shift", "not-confluent", "negative-direction", "wrong-length"])
-    def test_rejects_outside_its_domain(self, empty_rays, spec, direction):
+    def test_rejects_outside_its_domain(self, empty_memos, spec, direction):
         with pytest.raises(DomainError):
             ray_series(spec, direction)
 
@@ -598,15 +656,15 @@ class TestM2Memo:
         return {x: pfq_positive_m2(up, lo, (beta / 2 * x, beta / 4 * x), alg, DEEP) for x in xs}
 
     @pytest.mark.parametrize("beta", [1, 8])
-    def test_same_bits_forwards_backwards_and_after_a_far_tail(self, empty_rays, beta):
+    def test_same_bits_forwards_backwards_and_after_a_far_tail(self, empty_memos, beta):
         forwards = self._run(beta, self.XS + [400.0])
-        hypergeom._RAYS.clear()
+        clear_memos()
         backwards = self._run(beta, self.XS[::-1] + [400.0])
-        hypergeom._RAYS.clear()
+        clear_memos()
         after_tail = self._run(beta, [400.0] + self.XS)
         assert forwards == backwards == after_tail
 
-    def test_second_pass_builds_no_table(self, empty_rays, monkeypatch):
+    def test_second_pass_builds_no_table(self, empty_memos, monkeypatch):
         sizes = []
         build = hypergeom._m2_log_tables
 
@@ -617,16 +675,16 @@ class TestM2Memo:
         monkeypatch.setattr(hypergeom, "_m2_log_tables", spy)
         first = self._run(4, self.XS + [200.0])
         # one table for the whole model, its rows regrown by doubling
-        assert len(hypergeom._RAYS) == 1
+        assert len(hypergeom._M2_TABLES) == 1 and len(hypergeom._RAYS) == 0
         assert sizes and all(b >= 2 * a for a, b in zip(sizes, sizes[1:]))
         sizes.clear()
         assert self._run(4, self.XS + [200.0]) == first
         assert sizes == []
 
-    def test_threads_sharing_a_fresh_table_get_the_serial_bits(self, empty_rays):
+    def test_threads_sharing_a_fresh_table_get_the_serial_bits(self, empty_memos):
         xs = self.XS[::8] + [200.0, 400.0]
         serial = self._run(2, xs)
-        hypergeom._RAYS.clear()
+        clear_memos()
         orders = [xs, xs[::-1], xs[::2], xs[1::2]]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -638,12 +696,51 @@ class TestM2Memo:
         for got in results:
             assert all(res == serial[x] for x, res in got.items())
 
-    def test_memo_stays_at_ray_capacity(self, empty_rays):
+    def test_memo_stays_at_ray_capacity(self, empty_memos):
         up, lo, alg = (3.0,), (11.0,), DivisionAlgebra(4)
         first = pfq_positive_m2(up, lo, (3.0, 1.5), alg, DEEP)
-        ray_series(*_wishart_ray(2))
+        ray = ray_series(*_wishart_ray(2))
         for i in range(hypergeom._RAY_CAPACITY):
             pfq_positive_m2(up, lo, (3.0, 1.0 + i / 64), alg, DEEP)
-        assert len(hypergeom._RAYS) == hypergeom._RAY_CAPACITY
+        assert len(hypergeom._M2_TABLES) == hypergeom._RAY_CAPACITY
+        # the tables live in a store of their own and evict no ray
+        assert len(hypergeom._RAYS) == 1 and ray_series(*_wishart_ray(2)) is ray
         # evicted, rebuilt, and the same floats
         assert pfq_positive_m2(up, lo, (3.0, 1.5), alg, DEEP) == first
+
+
+class TestFirstArgumentMemo:
+    """pfq_two keeps the Jack values of its first argument per (algebra, x,
+    bound, rank), in a small store of its own."""
+
+    SPEC = HypergeomSpec((), (), DivisionAlgebra(2), 3)
+    X = (1.0, 0.5, 0.0)
+    YS = [(20.0, 8.0, 2.0), (9.0, 3.0, 1.0), (4.0, 2.5, 0.5)]
+
+    def test_later_calls_fill_only_the_second_argument(self, empty_memos, monkeypatch):
+        fresh = []
+        for y in self.YS:
+            clear_memos()
+            fresh.append(pfq_two(self.SPEC, self.X, y).value)
+        clear_memos()
+        pfq_two(self.SPEC, self.X, self.YS[0])
+        (entry,) = hypergeom._FIRST_ARGUMENTS.values()
+        advanced = []
+        advance = ChatEvaluator._advance
+
+        def spy(self):
+            advanced.append(self)
+            advance(self)
+
+        monkeypatch.setattr(ChatEvaluator, "_advance", spy)
+        # YS[0] needs the most degrees, so x has every one the others need
+        shared = [pfq_two(self.SPEC, self.X, y).value for y in self.YS]
+        assert advanced and all(ev is not entry._evaluator for ev in advanced)
+        assert [v.hex() for v in shared] == [v.hex() for v in fresh]
+
+    def test_store_is_bounded_and_evicts_no_ray(self, empty_memos):
+        ray = ray_series(*_wishart_ray(2))
+        for i in range(3 * hypergeom._FIRST_ARGUMENTS.capacity):
+            pfq_two(self.SPEC, (1.0 + i, 0.5, 0.0), self.YS[1])
+        assert len(hypergeom._FIRST_ARGUMENTS) == hypergeom._FIRST_ARGUMENTS.capacity
+        assert list(hypergeom._RAYS.values()) == [ray]

@@ -174,6 +174,31 @@ class TestOracle:
                     assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_rank_deficient_spectra(self, alg):
+        # 1 to m - 1 exact zeros, sorted between positive and negative
+        # entries: no partition longer than the rank is filled, jack_C gives
+        # 0.0 for those, and the values kept match the linear system
+        rng = np.random.default_rng(29)
+        table = get_table(alg)
+        for m in (2, 3, 4):
+            for zeros in range(1, m):
+                rank = m - zeros
+                signs = [(-1.0) ** i for i in range(rank)] if m > 2 else [rng.choice([-1.0, 1.0])]
+                x = np.concatenate([np.multiply(signs, rng.uniform(0.2, 1.8, size=rank)), np.zeros(zeros)])
+                rng.shuffle(x)
+                evaluator = ChatEvaluator(tuple(sorted(x, reverse=True)), table)
+                for k in range(1, 7):
+                    assert set(evaluator.degree_values(k)) == {p.parts for p in enumerate_partitions(k, rank)}
+                    scale = np.abs(x).sum() ** k
+                    for p in enumerate_partitions(k, m):
+                        got = jack_C(p, x, alg)
+                        if p.length > rank:
+                            assert got.hex() == "0x0.0p+0"
+                            assert jack_C_oracle(p, x, alg) == 0.0
+                        else:
+                            assert got == pytest.approx(jack_C_oracle(p, x, alg), rel=1e-13, abs=1e-14 * scale)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_identity_against_recurrence(self, alg):
         for m in (1, 3, 5):
             for k in range(1, 7):

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from jackdiv.wishart import (
     sample_wishart_eigs,
 )
 
+from memos import clear_memos
 from oracles import (complex_wishart_eigen_density, gaussian_wishart_eigs, khatri_lambda_max_cdf,
                      khatri_lambda_min_cdf, lambda_max_cdf_alternating, m2_eigen_density, m2_lambda_min_cdf)
 
@@ -212,6 +215,20 @@ class TestRegionCdf:
         with pytest.raises(DomainError):
             cdf_wishart_region(model, (1.0, -1.0))
 
+    def test_m2_regions_evict_no_ray(self):
+        # each Omega at m = 2 makes a table of its own t2/t1; those tables
+        # have their own store, so an m = 3 model keeps its ray
+        clear_memos()
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B2)
+        cdf_lambda_max(model, 4.0)
+        (ray,) = hypergeom._RAYS.values()
+        m2 = WishartModel(2, 4, (1.0, 2.0), B2)
+        for omega in np.random.default_rng(73).uniform(0.5, 4.0, size=(40, 2)):
+            cdf_wishart_region(m2, omega)
+        assert len(hypergeom._M2_TABLES) == hypergeom._RAY_CAPACITY
+        cdf_lambda_max(model, 5.0)
+        assert list(hypergeom._RAYS.values()) == [ray]
+
 
 class TestLambdaMax:
     def test_scalar_reduction(self):
@@ -290,7 +307,7 @@ class TestLambdaMax:
     def test_m3_points_of_one_model_share_one_series(self, monkeypatch):
         # once x = 10 has run, x = 1..9 and a repeat of 10 need no degree
         # of the Jack recurrence the ray has not already summed
-        hypergeom._RAYS.clear()
+        clear_memos()
         model = WishartModel(3, 6, (1.0, 2.0, 3.0), B1)
         cdf_lambda_max(model, 10.0)
         calls = []
@@ -353,7 +370,7 @@ class TestKhatriDeterminant:
         # to later tests
         yield
         jack._TABLES.pop(2, None)
-        hypergeom._RAYS.clear()
+        clear_memos()
 
     @pytest.mark.parametrize("m, n, xs", [
         (3, 3, (0.5, 1, 2, 4, 8, 12, 16, 20)),
@@ -518,6 +535,32 @@ class TestJointDensity:
             got = joint_eigen_density(model, tuple(lam))
             want = complex_wishart_eigen_density(6, (1.0, 2.0, 3.0), lam)
             assert got > 0.0 and got == pytest.approx(want, rel=1e-11, abs=0)
+
+    def test_same_bits_in_any_order_and_from_threads(self):
+        # the coupling's first argument is fixed by the model and memoized:
+        # no value may depend on which point filled it, or in which thread
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B2)
+        lams = [tuple(lam) for lam in sample_wishart_eigs(model, 11, 12)]
+        clear_memos()
+        forwards = [joint_eigen_density(model, lam).hex() for lam in lams]
+        clear_memos()
+        backwards = [joint_eigen_density(model, lam).hex() for lam in lams[::-1]]
+        assert backwards[::-1] == forwards
+        clear_memos()
+
+        def run(order):
+            return {i: joint_eigen_density(model, lams[i]).hex() for i in order}
+
+        orders = [range(12), range(11, -1, -1), range(0, 12, 2), range(1, 12, 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(run, orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert all(v == forwards[i] for i, v in got.items())
 
     @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     @pytest.mark.parametrize("sigma, lam", [((1.0, 2.0), (10.0, 2.0)), ((1.0, 2.0), (30.0, 25.0)),
