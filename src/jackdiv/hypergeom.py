@@ -8,8 +8,7 @@ below ``rel_tol`` times the accumulated value; non-convergence within
 
 :func:`_series` is the one driver of :func:`pfq`, :func:`pfq_two` and
 :func:`pfq_batch`, and :func:`_degree_terms` the one term formula.
-:func:`pfq_two` keeps the Jack values of its first argument, which a model
-fixes, across calls, and neither argument fills a partition longer than the
+In :func:`pfq_two` neither argument fills a partition longer than the
 smaller rank, whose terms are 0.  For one spectrum, each degree's terms are
 ``math.fsum``-ed for :func:`_run_series`, the adaptive degree loop that holds
 the stop rule (and also serves :func:`pfq_positive_m2`); it reads a plain
@@ -23,9 +22,8 @@ its log degree sums kept per (parameters, beta, t2/t1), so each further point
 of one model costs one exp per degree.  :func:`ray_series` is the confluent
 series along a ray tau * s at any m: it runs the Jack recurrence once per
 (spec, unit-trace direction) and sums each tau in log space with the same
-scaling by exp(-tau).  Rays, m = 2 tables and first arguments of
-:func:`pfq_two` each have their own bounded process-wide store
-(:func:`_memoized`), so one kind never evicts another.
+scaling by exp(-tau).  Rays and m = 2 tables each have their own bounded
+process-wide store (:func:`_memoized`), so one kind never evicts the other.
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -259,12 +257,8 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     else:
         # a term vanishes once kappa is longer than either rank
         parts = min(spec.m if batched else _rank(x_eigs), _rank(y_eigs))
+        dpx = ChatEvaluator(x_eigs, table, within, parts)
         dpy = ChatEvaluator(y_eigs, table, within, parts)
-        if batched:
-            dpx = ChatEvaluator(x_eigs, table, within, parts)
-        else:
-            key = (spec.algebra, x_eigs, within, parts)
-            dpx = _memoized(_FIRST_ARGUMENTS, key, lambda: _FirstArgument(x_eigs, table, within, parts))
 
     def sum_of_degree(k: int):
         try:  # a power x^s overflows, or chat_kappa(I) underflows to 0
@@ -304,11 +298,9 @@ def pfq_two(
 
     Each term carries the product of Jack values of both spectra divided by
     the value at the identity (computed by closed form, never by recurrence).
-    Pass first the argument you hold fixed: the Jack values of ``x`` are
-    memoized per (algebra, x) across calls (:class:`_FirstArgument`), and
-    only those of ``y`` are computed afresh.  Both stop at the partitions
-    with as many parts as the smaller rank of x and y, since C_kappa of
-    either argument is 0 past its own rank.
+    Neither spectrum's Jack values are filled past the partitions with as
+    many parts as the smaller rank of x and y, since C_kappa of either
+    argument is 0 past its own rank.
     """
     sx = as_spectrum(x)
     sy = as_spectrum(y)
@@ -432,8 +424,7 @@ def euler_2f1(
 
 # ---------------------------------------------------------------------------
 # Process-wide memos, one bounded store each, so that entries of one kind never
-# evict another's: the RaySeries of ray_series, the m = 2 engine's tables and
-# pfq_two's first arguments.
+# evict the other's: the RaySeries of ray_series and the m = 2 engine's tables.
 # ---------------------------------------------------------------------------
 
 
@@ -449,8 +440,6 @@ class _Store(OrderedDict):
 _RAY_CAPACITY = 32
 _RAYS = _Store(_RAY_CAPACITY)
 _M2_TABLES = _Store(_RAY_CAPACITY)
-# a model fixes one first argument; a small store bounds what one-shot ones keep
-_FIRST_ARGUMENTS = _Store(8)
 _MEMO_LOCK = threading.Lock()
 
 
@@ -463,27 +452,6 @@ def _memoized(store: _Store, key, build):
         if len(store) > store.capacity:
             store.popitem(last=False)
     return entry
-
-
-class _FirstArgument:
-    """The chat values of one first argument of :func:`pfq_two`, by degree.
-
-    Degrees are filled in order under a lock, as :class:`RaySeries` fills
-    its sums, so every call reads the same floats whatever the order of its
-    calls and its thread.
-    """
-
-    def __init__(self, x, table, within, parts: int):
-        self._evaluator = ChatEvaluator(x, table, within, parts)
-        self._degrees: list[dict] = []
-        self._lock = threading.Lock()
-
-    def degree_values(self, k: int) -> dict:
-        if k >= len(self._degrees):
-            with self._lock:
-                for j in range(len(self._degrees), k + 1):
-                    self._degrees.append(self._evaluator.degree_values(j))
-        return self._degrees[k]
 
 
 # ---------------------------------------------------------------------------

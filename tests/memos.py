@@ -6,5 +6,5 @@ from jackdiv import hypergeom
 
 def clear_memos():
     """Empty every store of :func:`jackdiv.hypergeom._memoized`."""
-    for store in (hypergeom._RAYS, hypergeom._M2_TABLES, hypergeom._FIRST_ARGUMENTS):
+    for store in (hypergeom._RAYS, hypergeom._M2_TABLES):
         store.clear()

@@ -22,7 +22,6 @@ from jackdiv.hypergeom import (
     pfq_two,
     ray_series,
 )
-from jackdiv.jack import ChatEvaluator
 
 from memos import clear_memos
 from oracles import hciz_0f0, m2_0f0, m2_confluent, pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
@@ -707,40 +706,3 @@ class TestM2Memo:
         assert len(hypergeom._RAYS) == 1 and ray_series(*_wishart_ray(2)) is ray
         # evicted, rebuilt, and the same floats
         assert pfq_positive_m2(up, lo, (3.0, 1.5), alg, DEEP) == first
-
-
-class TestFirstArgumentMemo:
-    """pfq_two keeps the Jack values of its first argument per (algebra, x,
-    bound, rank), in a small store of its own."""
-
-    SPEC = HypergeomSpec((), (), DivisionAlgebra(2), 3)
-    X = (1.0, 0.5, 0.0)
-    YS = [(20.0, 8.0, 2.0), (9.0, 3.0, 1.0), (4.0, 2.5, 0.5)]
-
-    def test_later_calls_fill_only_the_second_argument(self, empty_memos, monkeypatch):
-        fresh = []
-        for y in self.YS:
-            clear_memos()
-            fresh.append(pfq_two(self.SPEC, self.X, y).value)
-        clear_memos()
-        pfq_two(self.SPEC, self.X, self.YS[0])
-        (entry,) = hypergeom._FIRST_ARGUMENTS.values()
-        advanced = []
-        advance = ChatEvaluator._advance
-
-        def spy(self):
-            advanced.append(self)
-            advance(self)
-
-        monkeypatch.setattr(ChatEvaluator, "_advance", spy)
-        # YS[0] needs the most degrees, so x has every one the others need
-        shared = [pfq_two(self.SPEC, self.X, y).value for y in self.YS]
-        assert advanced and all(ev is not entry._evaluator for ev in advanced)
-        assert [v.hex() for v in shared] == [v.hex() for v in fresh]
-
-    def test_store_is_bounded_and_evicts_no_ray(self, empty_memos):
-        ray = ray_series(*_wishart_ray(2))
-        for i in range(3 * hypergeom._FIRST_ARGUMENTS.capacity):
-            pfq_two(self.SPEC, (1.0 + i, 0.5, 0.0), self.YS[1])
-        assert len(hypergeom._FIRST_ARGUMENTS) == hypergeom._FIRST_ARGUMENTS.capacity
-        assert list(hypergeom._RAYS.values()) == [ray]
