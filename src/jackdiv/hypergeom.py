@@ -39,10 +39,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import gammaln
 
 from .core import DivisionAlgebra, DomainError
 from .jack import ChatEvaluator, _rank, as_spectrum, get_table, log_chat_identity
+from .special import lgamma_run
 
 
 @dataclass(frozen=True)
@@ -173,18 +173,24 @@ def _convergence_check(spec: HypergeomSpec, norm: float, terminating: int | None
         )
 
 
-def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False):
+def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False, nonnegative=False):
     """Shared degree loop: term_of_degree(k) -> float sum of that degree.
 
     The stop rule reads a plain float running total; the returned total is
     ``math.fsum`` of the degree sums.  When ``exact_finite`` the series is a
     finite sum by construction and every degree up to ``hard_cap`` is summed.
+    When ``nonnegative`` every term is >= 0 and every degree sum > 0, so a
+    sum of exactly 0 after one the stop rule could not yet ignore is an
+    underflow, not convergence, and raises DomainError naming the degree.
     """
     sums = []
     running = 0.0
     converged = exact_finite
     for k in range(hard_cap + 1):
         dsum = term_of_degree(k)
+        if nonnegative and dsum == 0.0 and k > 0 and sums[-1] > trunc.rel_tol * running:
+            raise DomainError(f"series terms of degree {k} underflow to 0 after a degree sum of "
+                              f"{sums[-1]:g}: the series is not scale-safe there")
         sums.append(dsum)
         running += dsum
         if not exact_finite and k + 1 > trunc.stall_window and running != 0.0:
@@ -272,7 +278,10 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
 
     if batched:
         return _run_batch(trunc, sum_of_degree, hard_cap, exact_finite, len(x_eigs))
-    return _run_series(trunc, sum_of_degree, hard_cap, exact_finite)
+    # nonnegative arguments and positive shifted parameters: every term is >= 0
+    nonnegative = (not exact_finite and min(x_eigs) >= 0.0 and (y_eigs is None or min(y_eigs) >= 0.0)
+                   and _positive_shifts(spec.upper + spec.lower, spec.algebra.beta, spec.m))
+    return _run_series(trunc, sum_of_degree, hard_cap, exact_finite, nonnegative)
 
 
 def pfq(spec: HypergeomSpec, x, trunc: SeriesTruncation | None = None) -> SeriesResult:
@@ -493,6 +502,48 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
+class _Scratch:
+    """Working arrays that every m = 2 table fills a block at a time: a float
+    and a bool array of at least the cells asked for, regrown by doubling.
+    One pair serves the whole process, under ``lock``, so that a block reuses
+    memory already touched instead of mapping fresh pages (a new array per
+    block took 775 to 1,230 minor page faults in one far-tail evaluation)."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self._values = np.empty(0)
+        self._mask = np.empty(0, dtype=bool)
+
+    def arrays(self, cells: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first ``cells`` entries of each array; hold ``lock`` while using them."""
+        if len(self._values) < cells:
+            grown = max(cells, 2 * len(self._values))
+            self._values, self._mask = np.empty(grown), np.empty(grown, dtype=bool)
+        return self._values[:cells], self._mask[:cells]
+
+
+_M2_SCRATCH = _Scratch()
+
+
+def _lgamma_at(starts, size: int) -> list[np.ndarray]:
+    """log Gamma(s + i), i = 0..size, for each s of ``starts``: starts with
+    the same fractional part, a whole number apart, read one
+    :func:`special.lgamma_run` from the least of them."""
+    classes = {}
+    for s in starts:
+        classes.setdefault(s % 1.0, []).append(s)
+    runs = {}
+    for frac, members in classes.items():
+        least = min(members)
+        runs[frac] = least, lgamma_run(least, size + int(max(members) - least))
+    out = []
+    for s in starts:
+        least, run = runs[s % 1.0]
+        offset = int(s - least)
+        out.append(run[offset : offset + size + 1])
+    return out
+
+
 def _m2_log_tables(upper, lower, r: float, beta: int, size: int):
     """(row1, row2, rows_n) for degrees 0..size at t = (1, r): the logs of the
     three factors of a term of D_k, the parts of log chat and of the
@@ -500,18 +551,22 @@ def _m2_log_tables(upper, lower, r: float, beta: int, size: int):
     only."""
     g = beta / 2.0
     i = np.arange(size + 1, dtype=float)
+    params = [(a, 1.0) for a in upper] + [(b, -1.0) for b in lower]
+    # log Gamma(start + i) of each parameter on rows 1 and 2, of g and of 1
+    runs = _lgamma_at([par for par, _ in params] + [par - g for par, _ in params] + [g, 1.0], size + 1)
     poch1 = np.zeros(size + 1)
     poch2 = np.zeros(size + 1)
-    for par, sign in [(a, 1.0) for a in upper] + [(b, -1.0) for b in lower]:
-        poch1 += sign * (gammaln(par + i) - gammaln(par))
-        poch2 += sign * (gammaln(par - g + i) - gammaln(par - g))
-    row1 = poch1 + gammaln(g) - gammaln(g + 1.0 + i)
+    for (_, sign), run1, run2 in zip(params, runs, runs[len(params):]):
+        poch1 += sign * (run1[:-1] - run1[0])
+        poch2 += sign * (run2[:-1] - run2[0])
+    log_gamma_g, log_fact = runs[-2], runs[-1][:-1]
+    row1 = poch1 + log_gamma_g[0] - log_gamma_g[1:]
     if r > 0.0:
-        row2 = i * math.log(r) + poch2 - gammaln(1.0 + i)
+        row2 = i * math.log(r) + poch2 - log_fact
     else:  # only k2 = 0 survives
         row2 = np.full(size + 1, -math.inf)
         row2[0] = 0.0
-    a = np.exp(gammaln(g + i) - gammaln(g) - gammaln(1.0 + i))
+    a = np.exp(log_gamma_g[:-1] - log_gamma_g[0] - log_fact)
     c = np.convolve(a, a * r ** i)[: size + 1]
     return row1, row2, np.log(g + i) + np.log(c)
 
@@ -541,7 +596,8 @@ class _M2Series:
         """log D_k for k = k0..k0 + _M2_BLOCK - 1: a (degree, k2) array of the
         rows' sums, k2 = 0..h, read through strided views.  row1 and rows_n
         carry _M2_BLOCK leading -inf, so a k2 past floor(k/2) (n < 0) adds
-        -inf and contributes 0."""
+        -inf and contributes 0.  The array and its mask of normal terms are
+        the process-wide :data:`_M2_SCRATCH`."""
         b = _M2_BLOCK
         if self._rows is None or len(self._rows[1]) < k0 + b:
             row1, row2, rows_n = _m2_log_tables(*self._params, 2 * (k0 + b))
@@ -550,14 +606,16 @@ class _M2Series:
         row1, row2, rows_n = self._rows
         h = (k0 + b - 1) // 2
         s1, sn = b + k0 - h, b + k0 - 2 * h  # where k1 = k0 - h and n = k0 - 2h sit
-        logs = sliding_window_view(row1, h + 1)[s1 : s1 + b, ::-1] + row2[: h + 1]
-        logs += sliding_window_view(rows_n, 2 * h + 1)[sn : sn + b, ::-2]
-        top = logs.max(axis=1)
-        logs -= top[:, None]
-        # a term below the normal range adds nothing to a sum whose largest
-        # term is 1, and exp is slowest there
-        normal = logs > _LOG_FLOAT_MIN
-        return top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))
+        with _M2_SCRATCH.lock:
+            logs, normal = (a.reshape(b, h + 1) for a in _M2_SCRATCH.arrays(b * (h + 1)))
+            np.add(sliding_window_view(row1, h + 1)[s1 : s1 + b, ::-1], row2[: h + 1], out=logs)
+            logs += sliding_window_view(rows_n, 2 * h + 1)[sn : sn + b, ::-2]
+            top = logs.max(axis=1)
+            logs -= top[:, None]
+            # a term below the normal range adds nothing to a sum whose largest
+            # term is 1, and exp is slowest there
+            np.greater(logs, _LOG_FLOAT_MIN, out=normal)
+            return top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))
 
     def evaluate(self, t1: float, t2: float, trunc: SeriesTruncation) -> SeriesResult:
         """The series at (t1, t2) = t1 (1, r), summed as in
@@ -573,6 +631,13 @@ class _M2Series:
             return terms[k]
 
         return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), tr)
+
+
+def _positive_shifts(params, beta: int, m: int) -> bool:
+    """Whether every shifted parameter par - (i-1) beta/2, rows i <= m, is
+    positive (the last row's is the smallest), so that every Pochhammer
+    ratio is."""
+    return all(par - (m - 1) * beta / 2 > 0 for par in params)
 
 
 def _check_positive_shifts(params, beta: int, m: int, engine: str):

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
@@ -432,28 +431,25 @@ def verify_beta_jack(
 # ---------------------------------------------------------------------------
 
 
-def _kernel(f_id: str, beta: float, a: float, m: int, eta: float, j_power: int):
-    """Scalar kernel f and its quadrature-friendly callable."""
-    if f_id == "exp":
-        return lambda y: np.exp(-y)
-    if f_id == "exp_power":
-        return lambda y: np.exp(-y) * y**j_power
-    if f_id == "pareto":
-        expo = beta * (a * m + eta)
-        return lambda y: (1.0 + 2.0 * y / eta) ** (-expo)
-    raise UnsupportedParameterError(f"unknown kernel {f_id!r}; use exp, exp_power or pareto")
-
-
-def _scalar_moment(f, power: float) -> float:
-    """integral of f(z) z^(power-1) over (0, inf) by adaptive quadrature."""
+def _log_radial_moment(f_id: str, beta: float, a: float, m: int, eta: float, j_power: int,
+                       power: float) -> float:
+    """log of the kernel's scalar moment, the integral of f(z) z^(power-1)
+    over (0, inf), in closed form: Gamma(power) for f = e^-z,
+    Gamma(power + j) for f = e^-z z^j, and (eta/2)^power B(power, e - power)
+    for f = (1 + 2z/eta)^-e, e = beta (a m + eta)."""
+    if f_id not in ("exp", "exp_power", "pareto"):
+        raise UnsupportedParameterError(f"unknown kernel {f_id!r}; use exp, exp_power or pareto")
     if power <= 0:
         raise DomainError(f"kernel moment diverges at 0: exponent {power}")
-    val, err = integrate.quad(
-        lambda z: f(z) * z ** (power - 1.0), 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400
-    )
-    if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
-        raise DomainError(f"kernel moment quadrature failed: value {val}, error {err}")
-    return val
+    if f_id == "exp":
+        return math.lgamma(power)
+    if f_id == "exp_power":
+        return math.lgamma(power + j_power)
+    expo = beta * (a * m + eta)
+    if not expo > power:
+        raise DomainError(f"kernel moment diverges at infinity: decay {expo} <= exponent {power}")
+    return (power * math.log(eta / 2.0) + math.lgamma(power) + math.lgamma(expo - power)
+            - math.lgamma(expo))
 
 
 def verify_radial_kernel(
@@ -471,7 +467,8 @@ def verify_radial_kernel(
     j_power: int = 1,
 ) -> VerificationReport:
     """Cone integral of f(tr XZ) |X|^(a-c-1) C_kappa(X^{+-1} U) against the
-    closed form whose constant is the kernel's scalar moment (by quadrature).
+    closed form whose constant is the kernel's scalar moment, itself a Gamma
+    or Beta function (:func:`_log_radial_moment`).
 
     ``inverse_arg=True`` is the C_kappa(X^{-1} U) form (domain a > c + k_1);
     ``inverse_arg=False`` uses C_kappa(X U) (domain a > c - k_m).
@@ -493,14 +490,12 @@ def verify_radial_kernel(
     if np.any(z <= 0) or np.any(u < 0):
         raise DomainError("u_eigs must be nonnegative and z_eigs positive")
 
-    f = _kernel(f_id, beta, a, m, eta, j_power)
-    moment = _scalar_moment(f, moment_power)
+    log_moment = _log_radial_moment(f_id, beta, a, m, eta, j_power, moment_power)
     log_gw = mv_gamma_weighted_ln(WeightedGammaQuery(a, m, algebra, kappa, sign))
     arg = u * z if inverse_arg else u / z
     analytic = (
-        math.exp(log_gw - math.lgamma(moment_power) - a * float(np.log(z).sum()))
+        math.exp(log_gw - math.lgamma(moment_power) + log_moment - a * float(np.log(z).sum()))
         * jack_C(kappa, arg, algebra)
-        * moment
     )
 
     if not a > c:

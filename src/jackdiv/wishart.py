@@ -35,14 +35,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
+from numpy.random import PCG64, default_rng
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from .hypergeom import (DEFAULT_TRUNCATION, HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split,
                         pfq_positive_m2, pfq_two, ray_series)
 from .jack import as_spectrum
-from .special import mv_gamma_ln
+from .special import gamma_lower_regularized, mv_gamma_ln
 
 
 # Largest excess over 1 of a computed CDF that is taken as rounding and
@@ -197,7 +197,7 @@ class ConeSampler:
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator every sampler draws from: PCG64 seeded with ``seed``."""
-    return np.random.default_rng(np.random.PCG64(seed))
+    return default_rng(PCG64(seed))
 
 
 def _sample_values(n_samples: int, draw) -> np.ndarray:
@@ -370,7 +370,8 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
     v = (beta/2) Sigma^{-1} and tau = y tr v, 1 - e^{-tau} sum_{kappa_1 <= r}
     chat_kappa(y v) is summed as e^{-tau} sum_{k=r+1}^{m r} E_k y^k + P(m r +
     1, tau), E_k the sum of chat_kappa(v) over |kappa| = k, kappa_1 > r
-    (:func:`hypergeom._exp_split`) and P the regularized lower incomplete gamma:
+    (:func:`hypergeom._exp_split`) and P the regularized lower incomplete gamma
+    (:func:`special.gamma_lower_regularized`, itself a sum of positive terms):
     positive terms, each taken in log space, so the relative error stays near
     m r |log y| roundings at every y.  Past m r ~ 250 the E_k can leave the
     float range, which raises DomainError.
@@ -393,7 +394,7 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
     y_scaled = math.ldexp(y, -j)  # 0 only where y v underflows, and then every term does
     log_y = math.log(y_scaled) if y_scaled > 0.0 else -math.inf
     cdf = math.fsum([math.exp(math.log(e) + k * log_y - tau) for k, e in enumerate(coefs, r + 1)]
-                    + [float(gammainc(degree + 1, tau))])
+                    + [gamma_lower_regularized(degree + 1, tau)])
     return _at_most_one(cdf, math.log(max(cdf, 1.0)))
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
+from scipy import integrate
 from scipy.special import gammaln
 
 from jackdiv import wishart
@@ -563,3 +564,26 @@ def gaussian_wishart_eigs(m: int, n: int, sigma_eigs, beta: int, rng: np.random.
         g = np.block([[z1, z2], [-z2.conj(), z1.conj()]])
     eigs = np.linalg.eigvalsh(np.swapaxes(g.conj(), -1, -2) @ g)[:, ::-1]
     return eigs[:, ::2] if beta == 4 else eigs
+
+
+def radial_kernel(f_id: str, beta: float, a: float, m: int, eta: float, j_power: int):
+    """The scalar kernel f of ``verify_radial_kernel``, as a callable."""
+    if f_id == "exp":
+        return lambda y: np.exp(-y)
+    if f_id == "exp_power":
+        return lambda y: np.exp(-y) * y**j_power
+    if f_id == "pareto":
+        expo = beta * (a * m + eta)
+        return lambda y: (1.0 + 2.0 * y / eta) ** (-expo)
+    raise ValueError(f"unknown kernel {f_id!r}")
+
+
+def scalar_moment(f, power: float) -> float:
+    """The integral of f(z) z^(power-1) over (0, inf) by adaptive quadrature,
+    with its error estimate checked."""
+    val, err = integrate.quad(
+        lambda z: f(z) * z ** (power - 1.0), 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400
+    )
+    if not math.isfinite(val) or err > 1e-6 * max(1.0, abs(val)):
+        raise ValueError(f"kernel moment quadrature failed: value {val}, error {err}")
+    return val

@@ -55,3 +55,15 @@ def test_summary_of_canned_pairs():
 def test_failed_counts_sum_each_side():
     pairs = _pairs([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], failed=[(0, 2), (1, 0), (0, 3)])
     assert bench_pairs.failed_counts(pairs) == [1, 5]
+
+
+def test_sides_alternate_which_goes_first():
+    assert bench_pairs.alternating(3) == [("parent", "change"), ("change", "parent"), ("parent", "change")]
+
+
+def test_traced_medians_are_per_side_and_per_metric():
+    # three traced pairs: one perturbed run per side must not decide the median
+    pairs = _pairs([0.30, 0.31, 0.90], [0.20, 0.95, 0.21])
+    medians = bench_pairs.traced_medians(pairs)
+    assert medians["parent"] == {"cold_s": 0.31, "hits": 0.31}
+    assert medians["change"] == {"cold_s": 0.21, "hits": 0.21}

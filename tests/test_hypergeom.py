@@ -487,6 +487,53 @@ class TestRunningSum:
             _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
 
 
+class TestUnderflowIsNotConvergence:
+    """A nonnegative series whose degree sum drops to exactly 0 after one the
+    stop rule could not ignore has underflowed: it raises, naming the
+    degree, where the stall rule read the zeros as convergence."""
+
+    def test_zero_after_a_significant_sum_raises(self):
+        seq = [1.0, 0.5, 0.25, 0.0, 0.0, 0.0]
+        with pytest.raises(DomainError, match="degree 3 underflow to 0 after a degree sum of 0.25"):
+            _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, nonnegative=True)
+        # the same sums without the promise of nonnegative terms stop as before
+        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1)
+        assert res.converged and res.degrees_used == 5 and res.value == 1.75
+
+    def test_zero_after_a_negligible_sum_is_convergence(self):
+        seq = [1.0, 1e-200, 0.0, 0.0, 0.0]
+        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, nonnegative=True)
+        assert res.converged and res.value == 1.0
+
+    def test_tiny_argument_underflows_harmlessly(self):
+        # degree 2 of 0F0 at x = (1e-200, 1e-200) is below the float range
+        spec = HypergeomSpec((), (), B1, 2)
+        res = pfq(spec, (1e-200, 1e-200))
+        assert res.converged and res.value == 1.0
+
+    @pytest.mark.parametrize("x", [(1.0, -1.0), (2.5, 0.0, -2.5)], ids=["m2", "m3"])
+    def test_traceless_argument(self, x):
+        # 0F0(x) = etr(x) = 1: every degree sum (tr x)^k / k! vanishes, from
+        # terms of both signs, so the rule does not apply
+        spec = HypergeomSpec((), (), B1, len(x))
+        res = pfq(spec, x)
+        assert res.converged and res.value == pytest.approx(1.0, rel=1e-14)
+
+    def test_terminating_and_batched_series_do_not_trip_it(self):
+        spec = HypergeomSpec((-2.0,), (3.5,), ALGEBRAS[1], 2)
+        assert pfq(spec, (0.4, 0.2)).converged
+        X = np.array([[1.0, -1.0], [1e-200, 1e-200], [0.3, 0.1]])
+        batch = pfq_batch(HypergeomSpec((), (), B1, 2), X)
+        assert batch.converged and batch.value[1] == 1.0
+
+    def test_pfq_two_at_the_density_reproduction(self):
+        # the density's coupling at beta = 8, sigma = (1, 1000), Lambda = (45, 40)
+        spec = HypergeomSpec((), (), DivisionAlgebra(8), 2)
+        x = (4.0 - 4.0 / 1000.0, 0.0)
+        with pytest.raises(DomainError, match="degree 178 underflow"):
+            pfq_two(spec, x, (45.0, 40.0), SeriesTruncation(max_degree=400, rel_tol=1e-11))
+
+
 class TestBatch:
     def test_matches_scalar_evaluations(self):
         rng = np.random.default_rng(2)

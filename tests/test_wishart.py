@@ -575,3 +575,15 @@ class TestJointDensity:
         model = WishartModel(2, 6, (1.0, 2.0), B1)
         with pytest.raises(DomainError, match="degree 111 leave the float range"):
             joint_eigen_density(model, (600.0, 100.0))
+
+    def test_underflowing_jack_values_are_a_domain_error(self):
+        # chat_(k)(3.996, 0) underflows to 0 from k = 178, while the degree
+        # sums are still about 1e74: summing zeros from there returned
+        # 2.73e-88 where the 40-digit closed form gives 5.08e-88
+        model = WishartModel(2, 5, (1.0, 1000.0), DivisionAlgebra(8))
+        assert m2_eigen_density(5, (1.0, 1000.0), (45.0, 40.0), 8) == pytest.approx(5.0787e-88, rel=1e-4)
+        with pytest.raises(DomainError, match="degree 178 underflow to 0"):
+            joint_eigen_density(model, (45.0, 40.0))
+        # a point of the same model whose series ends in the float range
+        want = m2_eigen_density(5, (1.0, 1000.0), (4.0, 3.0), 8)
+        assert joint_eigen_density(model, (4.0, 3.0)) == pytest.approx(want, rel=1e-11, abs=0)

@@ -10,13 +10,16 @@ leaves nothing behind in it.  The change is the working tree as it is.  For
 each workload of ``BENCHMARK.json`` the script runs ten pairs of
 ``perfbench/run.py --seconds 10 --trace 0``, pair i at seed
 ``first_seed + i``: even pairs run the parent first, odd pairs the change
-first, so a drift in host speed falls on both sides.  It then runs one
-``--trace 1`` run per side of the ``--traced`` workload at the first seed.
+first, so a drift in host speed falls on both sides.  It then runs three
+``--trace 1`` pairs of the ``--traced`` workload at the first seed, again
+alternating which side goes first, so that no single perturbed run decides
+the per-layer story.
 
 The file keeps every run's summary line (the last line of standard output)
 as printed and, per end-to-end metric of ``BENCHMARK.json``, each side's
 quartiles (linear interpolation), the number of pairs the change won and
-the ratio of the medians, change over parent.
+the ratio of the medians, change over parent; and, per metric of the traced
+runs, each side's median.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+TRACED_PAIRS = 3
 SECONDS = 10
 
 
@@ -69,6 +73,22 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             "median_ratio": median_ratio(parent, change),
         }
     return summary
+
+
+def traced_medians(pairs: list[dict]) -> dict:
+    """Per side, the median of each metric over the traced runs of ``pairs``
+    (the per-layer metrics and the tracing overhead of ``--trace 1``)."""
+    medians = {}
+    for side in ("parent", "change"):
+        runs = [json.loads(p[side])["metrics"] for p in pairs]
+        medians[side] = {name: statistics.median(m[name]["value"] for m in runs) for name in runs[0]}
+    return medians
+
+
+def alternating(count: int) -> list[tuple[str, str]]:
+    """The order of the two sides in each of ``count`` pairs: the parent
+    first in even pairs, the change first in odd ones."""
+    return [("parent", "change") if i % 2 == 0 else ("change", "parent") for i in range(count)]
 
 
 def failed_counts(pairs: list[dict]) -> list[int]:
@@ -118,28 +138,31 @@ def main() -> int:
         workloads = {}
         for name in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for i, seed in enumerate(seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for seed, order in zip(seeds, alternating(PAIRS)):
                 lines = {side: summary_line(roots[side], name, seed, 0) for side in order}
                 pairs.append({"seed": seed, "first": order[0], "parent": lines["parent"], "change": lines["change"]})
             workloads[name] = {"pairs": pairs, "summary": summarize(pairs, bench["end_to_end"]),
                                "failed_parent_change": failed_counts(pairs)}
-        traced = {side: summary_line(roots[side], args.traced, args.first_seed, 1)
-                  for side in ("parent", "change")}
+        traced = []
+        for order in alternating(TRACED_PAIRS):
+            lines = {side: summary_line(roots[side], args.traced, args.first_seed, 1) for side in order}
+            traced.append({"first": order[0], "parent": lines["parent"], "change": lines["change"]})
     record = {
         "description": (
             f"perfbench/run.py summary lines (the last line of standard output, kept as printed) of "
             f"{PAIRS} alternating parent/change pairs per workload, --seconds {SECONDS} "
             f"--trace 0, seeds {seeds[0]}-{seeds[-1]}, on a {os.cpu_count()}-CPU host, written by "
             f"tools/bench_pairs.py; even pairs ran the parent first, odd pairs the change first. "
-            f"traced: one --trace 1 {args.traced} run per side at seed {seeds[0]}. summary: per "
-            f"metric, each side's quartiles (linear interpolation), the number of pairs the change "
-            f"won and the ratio of the medians, change over parent."),
+            f"traced: {TRACED_PAIRS} alternating --trace 1 {args.traced} pairs at seed {seeds[0]}, "
+            f"and traced_medians each side's median of every traced metric. summary: per metric, "
+            f"each side's quartiles (linear interpolation), the number of pairs the change won and "
+            f"the ratio of the medians, change over parent."),
         "parent": commit_of(args.parent),
         "change": "working tree",
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {SECONDS} --trace 0",
         "workloads": workloads,
         "traced": traced,
+        "traced_medians": traced_medians(traced),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, data in workloads.items():
