@@ -23,7 +23,8 @@ of one model costs one exp per degree.  :func:`ray_series` is the confluent
 series along a ray tau * s at any m: it runs the Jack recurrence once per
 (spec, unit-trace direction) and sums each tau in log space with the same
 scaling by exp(-tau).  Rays and m = 2 tables each have their own bounded
-process-wide store (:func:`_memoized`), so one kind never evicts the other.
+process-wide ``lru_cache`` (``_ray`` and ``_m2_series``), so one kind never
+evicts the other.
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -33,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -432,44 +432,14 @@ def euler_2f1(
 
 
 # ---------------------------------------------------------------------------
-# Process-wide memos, one bounded store each, so that entries of one kind never
-# evict the other's: the RaySeries of ray_series and the m = 2 engine's tables.
-# ---------------------------------------------------------------------------
-
-
-class _Store(OrderedDict):
-    """A memo that keeps at most ``capacity`` entries, dropping the least
-    recently used beyond it (:func:`_memoized`)."""
-
-    def __init__(self, capacity: int):
-        super().__init__()
-        self.capacity = capacity
-
-
-_RAY_CAPACITY = 32
-_RAYS = _Store(_RAY_CAPACITY)
-_M2_TABLES = _Store(_RAY_CAPACITY)
-_MEMO_LOCK = threading.Lock()
-
-
-def _memoized(store: _Store, key, build):
-    """The entry of ``key`` in ``store``, made by ``build()`` on a miss; the
-    least recently used entry beyond the store's capacity is dropped."""
-    with _MEMO_LOCK:
-        entry = store.pop(key, None) or build()
-        store[key] = entry
-        if len(store) > store.capacity:
-            store.popitem(last=False)
-    return entry
-
-
-# ---------------------------------------------------------------------------
 # High-degree positive-term engine for two eigenvalues.
 #
-# The generic evaluator prices strip coefficients per (partition, predecessor)
-# pair, which is wasteful once thousands of degrees are needed (far tails of
-# eigenvalue distribution functions).  For m = 2 the strip sum has a closed
-# form.  With g = 1/alpha = beta/2, n = k1 - k2 and r = t2/t1 <= 1,
+# The generic evaluator (ChatEvaluator) prices the strips of each shape in one
+# broadcast and sums them, so its work per shape grows with the shape's
+# strips, and it carries chat = C/k!, whose values underflow past weight ~170;
+# far tails of eigenvalue distribution functions need thousands of degrees.
+# For m = 2 the strip sum has a closed form.  With g = 1/alpha = beta/2,
+# n = k1 - k2 and r = t2/t1 <= 1,
 #
 #   chat_(k1,k2)(t1, t2) = t1^k1 t2^k2 * Gamma(g) (g + n) c_n(r)
 #                          / (Gamma(g + k1 + 1) k2!),
@@ -479,17 +449,18 @@ def _memoized(store: _Store, key, build):
 # coefficients (substitute j = mu1 - k2 in their product form).  The row
 # polynomials c_n come from one convolution, and the Pochhammer ratio splits
 # into a row-1 factor of k1 and a row-2 factor of k2, so every table is a
-# vector indexed by a part size or by n: O(1) work per partition, where
-# pricing every (kappa, mu1) pair costs O(k) per partition.
+# vector indexed by a part size or by n: O(1) work per partition, where the
+# recurrence sums O(k) strips per partition.
 #
 # The series is homogeneous: at t = t1 (1, r) the degree-k sum is D_k t1^k,
 # with D_k the sum at (1, r).  So the tables depend on (parameters, beta, r)
-# alone and live in a memo of their own, and each t1 costs one slice and one
-# exp a chunk of degrees.  log D_k is a log-sum-exp over k2 = 0..floor(k/2) of
-# the three rows at (1, r), taken for a block of _M2_BLOCK degrees at once from
-# strided views of the rows; blocks start at multiples of _M2_BLOCK, so log D_k
-# depends on k alone, never on which points ran first.  The rows are regrown
-# by doubling, the blocks appended as the stop rule reaches them.
+# alone and live in a memo of their own (_m2_series), and each t1 costs one
+# slice and one exp a chunk of degrees.  log D_k is a log-sum-exp over
+# k2 = 0..floor(k/2) of the three rows at (1, r), taken for a block of
+# _M2_BLOCK degrees at once from strided views of the rows; blocks start at
+# multiples of _M2_BLOCK, so log D_k depends on k alone, never on which points
+# ran first.  The rows are regrown by doubling, the blocks appended as the
+# stop rule reaches them.
 #
 # Every term carries the factor exp(-(t1 + t2)).  For 0 < a <= c the
 # Pochhammer ratio is at most 1, so the scaled terms sum to at most
@@ -498,6 +469,10 @@ def _memoized(store: _Store, key, build):
 
 # Degrees per block of log D_k, and per chunk of terms at one t1.
 _M2_BLOCK = 64
+# Entries kept by each process-wide series memo, of m = 2 tables
+# (_m2_series) and of rays (_ray): one cache each, so neither kind evicts the
+# other.
+_RAY_CAPACITY = 32
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
@@ -574,7 +549,11 @@ def _m2_log_tables(upper, lower, r: float, beta: int, size: int):
 class _M2Series:
     """log D_k of the m = 2 positive series of (upper; lower) at t = (1, r),
     one block of degrees at a time, under a lock: every caller reads the
-    same floats whatever the order of its calls and its thread."""
+    same floats whatever the order of its calls and its thread.
+
+    The process keeps the last _RAY_CAPACITY series in ``_m2_series``, an
+    ``lru_cache``, which guards only its own table: two threads that miss one
+    key at once may each build a series, and both fill the same floats."""
 
     def __init__(self, upper, lower, r: float, beta: int):
         self._params = (upper, lower, r, beta)
@@ -633,23 +612,20 @@ class _M2Series:
         return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), tr)
 
 
-def _positive_shifts(params, beta: int, m: int) -> bool:
+# The memoized _M2Series of (upper, lower, r, beta).
+_m2_series = lru_cache(maxsize=_RAY_CAPACITY)(_M2Series)
+
+
+def _positive_shifts(params, beta: int, m: int, engine: str | None = None) -> bool:
     """Whether every shifted parameter par - (i-1) beta/2, rows i <= m, is
     positive (the last row's is the smallest), so that every Pochhammer
-    ratio is."""
-    return all(par - (m - 1) * beta / 2 > 0 for par in params)
-
-
-def _check_positive_shifts(params, beta: int, m: int, engine: str):
-    """Raise unless every shifted parameter par - (i-1) beta/2, rows i <= m,
-    is positive, so that every Pochhammer ratio, hence every term, is."""
-    for par in params:
-        for i in range(1, m + 1):
-            if not par - (i - 1) * beta / 2 > 0:
-                raise DomainError(
-                    f"parameter {par} has nonpositive shift at row {i}; outside the "
-                    f"positive-series domain of {engine}"
-                )
+    ratio, hence every term of a series at a nonnegative argument, is.  With
+    ``engine`` a parameter that fails raises DomainError naming it."""
+    failing = [par for par in params if not par - (m - 1) * beta / 2 > 0]
+    if failing and engine is not None:
+        raise DomainError(f"parameter {failing[0]} has nonpositive shift at row {m}; "
+                          f"outside the positive-series domain of {engine}")
+    return not failing
 
 
 def _unscaled(res: SeriesResult, tr: float) -> SeriesResult:
@@ -689,17 +665,14 @@ def pfq_positive_m2(
     every other series.  Raises when a shifted parameter is not positive (use
     :func:`pfq` there instead).
     """
-    beta = algebra.beta
     upper, lower = tuple(upper), tuple(lower)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
         raise DomainError("the high-degree engine requires nonnegative eigenvalues")
-    _check_positive_shifts(upper + lower, beta, 2, "the high-degree engine")
+    _positive_shifts(upper + lower, algebra.beta, 2, "the high-degree engine")
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
-    r = t2 / t1
-    series = _memoized(_M2_TABLES, (upper, lower, r, beta), lambda: _M2Series(upper, lower, r, beta))
-    return series.evaluate(t1, t2, trunc)
+    return _m2_series(upper, lower, t2 / t1, algebra.beta).evaluate(t1, t2, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +699,10 @@ class RaySeries:
 
     Degree sums D_k are computed once each, in order, under a lock, so every
     caller sees the same floats whatever the order of its calls and however
-    many threads share the ray.
+    many threads share the ray.  The process keeps the last _RAY_CAPACITY
+    rays in ``_ray``, an ``lru_cache``, which guards only its own table: two
+    threads that miss one key at once may each build a ray, and both fill
+    the same floats.
     """
 
     def __init__(self, spec: HypergeomSpec, direction: tuple[float, ...]):
@@ -735,7 +711,7 @@ class RaySeries:
         (a,), (c,) = spec.upper, spec.lower
         if not a <= c:
             raise DomainError(f"a ray series needs a <= c, got a = {a}, c = {c}")
-        _check_positive_shifts((a, c), spec.algebra.beta, spec.m, "the ray series")
+        _positive_shifts((a, c), spec.algebra.beta, spec.m, "the ray series")
         self.spec = spec
         self._evaluator = ChatEvaluator(direction, get_table(spec.algebra))
         self._sums: list[float] = []
@@ -778,5 +754,8 @@ def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
         raise DomainError(f"a ray direction needs {spec.m} nonnegative entries, "
                           f"not all zero; got {s}")
     tr = math.fsum(s)
-    key = (spec, tuple(v / tr for v in s))
-    return _memoized(_RAYS, key, lambda: RaySeries(*key))
+    return _ray(spec, tuple(v / tr for v in s))
+
+
+# The memoized RaySeries of (spec, unit-trace sorted direction).
+_ray = lru_cache(maxsize=_RAY_CAPACITY)(RaySeries)

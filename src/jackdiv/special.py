@@ -13,7 +13,6 @@ partition).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,33 +58,9 @@ def lgamma_run(start: float, size: int) -> np.ndarray:
 
 
 # A term of either incomplete gamma series below this fraction of its first
-# term, 1, is left out: from there on the terms fall at least geometrically, so
-# all that is left out is within about 2^-52 of the sum.
-_GAMMA_SERIES_TINY = 2.0 ** -54
-# The coefficients and constants of gamma_lower_regularized, one entry per order.
-_GAMMA_SERIES = {}
-
-
-def _gamma_series_side(a: int, upper: bool):
-    """(bounds, runs) of the polynomial sum_k b_k z^k, 0 < z <= 1, that
-    :func:`gamma_lower_regularized` evaluates at order ``a``: below (z = x/a)
-    b_k = prod_{j<=k} a/(a + j), above (z = a/x) b_k = prod_{j<=k} (a - j)/a,
-    up to the first b_k <= _GAMMA_SERIES_TINY.  Coefficients are grouped four
-    at a time; ``runs[j]`` holds groups 0..j, highest first, for Horner's rule
-    in z^4, and holds every term above _GAMMA_SERIES_TINY once z <= ``bounds[j]``."""
-    coefs = [1.0]
-    while coefs[-1] > _GAMMA_SERIES_TINY:
-        k = len(coefs)
-        coefs.append(coefs[-1] * (a - k) / a if upper else coefs[-1] * a / (a + k))
-    coefs += [0.0] * (-len(coefs) % 4)
-    groups = [tuple(coefs[i:i + 4]) for i in range(0, len(coefs), 4)]
-    runs = [tuple(reversed(groups[:j + 1])) for j in range(len(groups))]
-    # past group j every term is at most b_k z^k, k = 4j + 4: negligible for
-    # z up to (_GAMMA_SERIES_TINY / b_k)^(1/k)
-    bounds = [(_GAMMA_SERIES_TINY / b) ** (1.0 / k) if b > 0.0 else math.inf
-              for k, b in ((4 * j + 4, coefs[4 * j + 4] if 4 * j + 4 < len(coefs) else 0.0)
-                           for j in range(len(groups)))]
-    return bounds, runs
+# term, 1, ends the sum: from there on the terms fall at least geometrically,
+# so all that is left out is within about 2^-52 of the sum.
+_GAMMA_TERM_TINY = 2.0 ** -54
 
 
 def _log_poisson_mode(a: int) -> float:
@@ -100,51 +75,43 @@ def _log_poisson_mode(a: int) -> float:
     return -0.5 * math.log(2.0 * math.pi * a) - mu
 
 
-def _gamma_series(order: int):
-    """float(order), the two sides of :func:`_gamma_series_side` and
-    :func:`_log_poisson_mode`, built once per order."""
-    series = _GAMMA_SERIES.get(order)
-    if series is None:
-        series = _GAMMA_SERIES[order] = (float(order), _gamma_series_side(order, False),
-                                         _gamma_series_side(order, True), _log_poisson_mode(order))
-    return series
-
-
 def gamma_lower_regularized(order: int, x: float) -> float:
     """P(order, x), the regularized lower incomplete gamma at a positive
     integer order, for x >= 0: the Poisson probability of at least ``order``
     events at mean x (0 at x = 0, 1 at x = inf).
 
-    Every sum has positive terms.  With a = order, below x = a it is the
-    series x^a e^-x / a! sum_k x^k a! / (a + k)!; from there on it is 1 minus
-    the Poisson head e^-x sum_{k<a} x^k / k!, summed from its largest term
-    x^(a-1) e^-x / (a-1)! down, which is below 1/2 there so nothing cancels.
-    Both sums are polynomials in z = x/a or a/x <= 1 with coefficients fixed
-    by the order (:func:`_gamma_series_side`), evaluated four terms a step by
-    Horner's rule up to the last term above 2^-54 of the first.  Both are
-    scaled by x^a e^-x / a! (the head once more by a/x), taken as
-    exp(a log(x/a) - (x - a)) a^a e^-a / a! with log(x/a) = log1p((x - a)/a)
-    within a factor 2 of a, where x - a is exact: its error is then about
-    |x - a| roundings, as the function's own condition number, not
-    a |log x| + x.
+    Every sum has positive terms, added from the first, 1, until a term is
+    at most 2^-54 of it.  With a = order, below x = a it is x^a e^-x / a!
+    times sum_k x^k a! / (a + k)!, whose terms fall by x / (a + k); from
+    there on it is 1 minus the Poisson head e^-x sum_{k<a} x^k / k!, summed
+    from its largest term x^(a-1) e^-x / (a-1)! down, its terms falling by
+    (a - k) / x, which is below 1/2 there so nothing cancels.  The lead
+    factor x^a e^-x / a! is exp(a log(x/a) - (x - a)) a^a e^-a / a! with
+    log(x/a) = log1p((x - a)/a) within a factor 2 of a, where x - a is
+    exact: its error is then about |x - a| roundings, as the function's own
+    condition number, not a |log x| + x.
     """
-    a, below, above, log_mode = _GAMMA_SERIES.get(order) or _gamma_series(order)
-    lower = x < a
-    z = x / a if lower else a / x
-    if z == 0.0:  # x = 0, or x = inf
-        return 0.0 if lower else 1.0
-    bounds, runs = below if lower else above
-    z2 = z * z
-    z4 = z2 * z2
-    s = 0.0
-    for c0, c1, c2, c3 in runs[bisect_left(bounds, z)]:
-        s = s * z4 + ((c0 + c1 * z) + (c2 + c3 * z) * z2)
-    h = x - a
-    if lower:
-        log_ratio = math.log1p(h / a) if x >= 0.5 * a else math.log(z)
-        return math.exp(a * log_ratio - h + log_mode) * s
+    a, h = float(order), x - order
+    if x < a:
+        if x == 0.0:
+            return 0.0
+        s = term = k = 1.0
+        while term > _GAMMA_TERM_TINY:
+            term *= x / (a + k)
+            s += term
+            k += 1.0
+        log_ratio = math.log1p(h / a) if x >= 0.5 * a else math.log(x / a)
+        return math.exp(a * log_ratio - h + _log_poisson_mode(order)) * s
+    if x == math.inf:
+        return 1.0
+    s = term = k = 1.0
+    while term > _GAMMA_TERM_TINY and k < a:
+        term *= (a - k) / x
+        s += term
+        k += 1.0
+    z = a / x
     log_ratio = math.log1p(h / a) if x <= 2.0 * a else -math.log(z)
-    return 1.0 - math.exp(a * log_ratio - h + log_mode) * z * s
+    return 1.0 - math.exp(a * log_ratio - h + _log_poisson_mode(order)) * z * s
 
 
 def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float) -> float:

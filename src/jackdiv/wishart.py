@@ -93,8 +93,10 @@ class WishartModel:
             raise DomainError(
                 f"sigma_eigs must have length m = {self.m}, got {len(self.sigma_eigs)}"
             )
-        if any(s <= 0 for s in self.sigma_eigs):
-            raise DomainError(f"scale eigenvalues must be positive, got {self.sigma_eigs}")
+        if not all(0 < s < math.inf for s in self.sigma_eigs):
+            raise DomainError("scale eigenvalues sigma_eigs must be positive and finite")
+        if not math.isfinite(self.n):
+            raise DomainError("degrees of freedom n must be finite")
         # Normalizability of the density: beta*n/2 must clear the gamma bound
         # (m-1)*beta/2, i.e. n > m - 1.  This is weaker than the rank bound
         # n >= (m-1)*beta, which only sampling needs to approach.
@@ -335,8 +337,8 @@ def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation 
     omega = np.asarray(omega_eigs, dtype=float)
     if omega.shape != (model.m,):
         raise DomainError(f"omega_eigs must have length m = {model.m}")
-    if np.any(omega <= 0):
-        raise DomainError("region boundary must be positive definite")
+    if not np.all((omega > 0) & (omega < math.inf)):
+        raise DomainError("region boundary omega_eigs must be positive definite and finite")
     t = omega / np.asarray(model.sigma_eigs)
     return _cdf_positive_series(model, t, t, trunc)
 
@@ -344,8 +346,8 @@ def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation 
 def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None = None) -> float:
     """P(largest eigenvalue < x): a decaying exponential prefactor times a
     confluent series of positive terms (the Kummer form)."""
-    if not x > 0:
-        raise DomainError(f"x must be positive, got {x}")
+    if not 0 < x < math.inf:
+        raise DomainError("x must be positive and finite")
     t = x / np.asarray(model.sigma_eigs)
     return _cdf_positive_series(model, t, 1.0 / np.asarray(model.sigma_eigs), trunc)
 
@@ -376,8 +378,8 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
     m r |log y| roundings at every y.  Past m r ~ 250 the E_k can leave the
     float range, which raises DomainError.
     """
-    if not y > 0:
-        raise DomainError(f"y must be positive, got {y}")
+    if not 0 < y < math.inf:
+        raise DomainError("y must be positive and finite")
     r = min_eig_sum_bound(model)
     degree = model.m * r
     v = as_spectrum((model.beta / 2.0) / np.asarray(model.sigma_eigs))
@@ -427,8 +429,8 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
     m, beta = model.m, model.beta
     if lam.shape != (m,):
         raise DomainError(f"expected {m} eigenvalues, got shape {lam.shape}")
-    if np.any(lam <= 0):
-        raise DomainError("eigenvalues must be positive")
+    if not np.all((lam > 0) & (lam < math.inf)):
+        raise DomainError("eigenvalues lambdas must be positive and finite")
     if np.any(np.diff(lam) > 0):
         raise DomainError("eigenvalues must be sorted descending")
     if np.any(np.diff(lam) == 0.0):

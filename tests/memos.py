@@ -5,6 +5,6 @@ from jackdiv import hypergeom
 
 
 def clear_memos():
-    """Empty every store of :func:`jackdiv.hypergeom._memoized`."""
-    for store in (hypergeom._RAYS, hypergeom._M2_TABLES):
-        store.clear()
+    """Empty the ray and m = 2 table caches of :mod:`jackdiv.hypergeom`."""
+    hypergeom._ray.cache_clear()
+    hypergeom._m2_series.cache_clear()

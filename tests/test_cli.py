@@ -133,6 +133,27 @@ class TestDiagnostics:
         assert code == 2 and out == ""
         assert err == f"error: series terms of degree {degree} leave the float range\n"
 
+    @pytest.mark.parametrize("command, flags, name", [
+        ("cdf-max", ["--sigma", "1,nan", "--x", "3"], "sigma_eigs must be positive and"),
+        ("cdf-max", ["--n", "inf", "--x", "3"], "n must be"),
+        ("cdf-max", ["--x", "inf"], "x must be positive and"),
+        ("cdf-max", ["--m", "3", "--sigma", "1,2,3", "--x", "inf"], "x must be positive and"),
+        ("cdf-min", ["--y", "inf"], "y must be positive and"),
+        ("cdf-min", ["--y", "nan"], "y must be positive and"),
+        ("cdf-region", ["--omega", "nan,1"], "omega_eigs must be positive definite and"),
+        ("cdf-region", ["--omega", "inf,1"], "omega_eigs must be positive definite and"),
+        ("density", ["--eigs", "nan,1"], "lambdas must be positive and"),
+        ("density", ["--eigs", "inf,1"], "lambdas must be positive and"),
+    ])
+    def test_non_finite_input_refused_in_one_line(self, capsys, command, flags, name):
+        # later flags override the model's
+        code, out, err = run(capsys, command, "--beta", "2", "--m", "2", "--n", "7", "--sigma", "1,2",
+                             *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert err.endswith(f" {name} finite\n")
+        assert "nan" not in err and "Overflow" not in err
+
     @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
     def test_far_tail_prints_value(self, capsys, beta, x):
         # once inf (beta 8) and an OverflowError inside the series (beta 4)

@@ -10,7 +10,7 @@ from scipy import integrate, special, stats
 
 from jackdiv import _quat, hypergeom, jack, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from jackdiv.hypergeom import RaySeries, SeriesTruncation
+from jackdiv.hypergeom import HypergeomSpec, RaySeries, SeriesTruncation
 from jackdiv.jack import ChatEvaluator
 from jackdiv.wishart import (
     ConvergenceWarning,
@@ -41,6 +41,31 @@ class TestModel:
 
     def test_octonion_analytic_model_allowed(self):
         WishartModel(2, 4, (1.0, 2.0), B8)
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite sigma, n, x, y, Omega or Lambda is a DomainError
+    naming it, never a nan, an OverflowError or a ValueError."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_model(self, bad):
+        with pytest.raises(DomainError, match="sigma_eigs must be positive and finite"):
+            WishartModel(2, 4, (1.0, bad), B2)
+        with pytest.raises(DomainError, match=" n must be finite"):
+            WishartModel(2, bad, (1.0, 2.0), B2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_points(self, bad, m):
+        model = WishartModel(m, m + 4, tuple(float(i) for i in range(1, m + 1)), B2)
+        with pytest.raises(DomainError, match="x must be positive and finite"):
+            cdf_lambda_max(model, bad)
+        with pytest.raises(DomainError, match="y must be positive and finite"):
+            cdf_lambda_min(model, bad)
+        with pytest.raises(DomainError, match="omega_eigs must be positive definite and finite"):
+            cdf_wishart_region(model, (1.0,) * (m - 1) + (bad,))
+        with pytest.raises(DomainError, match="lambdas must be positive and finite"):
+            joint_eigen_density(model, (bad,) + tuple(float(m - i) for i in range(1, m)))
 
 
 class TestSampling:
@@ -221,13 +246,17 @@ class TestRegionCdf:
         clear_memos()
         model = WishartModel(3, 6, (1.0, 2.0, 3.0), B2)
         cdf_lambda_max(model, 4.0)
-        (ray,) = hypergeom._RAYS.values()
+        # the series of cdf_lambda_max: (c1; q) = (3; 9) on the ray of 1 / sigma
+        spec, direction = HypergeomSpec((3.0,), (9.0,), B2, 3), 1.0 / np.asarray(model.sigma_eigs)
+        ray = hypergeom.ray_series(spec, direction)
+        assert hypergeom._ray.cache_info().currsize == 1
         m2 = WishartModel(2, 4, (1.0, 2.0), B2)
         for omega in np.random.default_rng(73).uniform(0.5, 4.0, size=(40, 2)):
             cdf_wishart_region(m2, omega)
-        assert len(hypergeom._M2_TABLES) == hypergeom._RAY_CAPACITY
+        assert hypergeom._m2_series.cache_info().currsize == hypergeom._RAY_CAPACITY
         cdf_lambda_max(model, 5.0)
-        assert list(hypergeom._RAYS.values()) == [ray]
+        assert hypergeom._ray.cache_info().currsize == 1
+        assert hypergeom.ray_series(spec, direction) is ray
 
 
 class TestLambdaMax:

@@ -8,6 +8,8 @@ directory), and the change is the working tree as it is.  On both sides the
 script runs, each in a fresh process:
 
 - ``jackdiv figures fig1`` and ``jackdiv figures fig2``;
+- ``jackdiv cdf-min`` on a grid at m = 3 (``M3_CDF_MIN``), the smallest-
+  eigenvalue path that neither figure nor perfbench reaches;
 - ``jackdiv verify all --quick --seed S`` at each of perfbench's
   ``VERIFY_SUITE_SEEDS``;
 - every operation of perfbench's ``figures`` and ``cdf_m3`` workloads at
@@ -50,6 +52,9 @@ for workload in ("figures", "cdf_m3"):
             value = f"{type(exc).__name__}: {exc}"
         print(workload, op.key, value)
 """
+
+# the m >= 3 smallest-eigenvalue law, 9 points
+M3_CDF_MIN = ["cdf-min", "--beta", "2", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--grid", "0:8:9"]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
@@ -116,6 +121,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     """The argument list of each output, by name."""
     cli = ["-m", "jackdiv.cli"]
     runs = {f"figures {fig}": cli + ["figures", fig] for fig in ("fig1", "fig2")}
+    runs["cdf-min m3"] = cli + M3_CDF_MIN
     runs.update({f"verify seed {s}": cli + ["verify", "all", "--quick", "--seed", str(s)] for s in seeds})
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
     return runs
