@@ -11,20 +11,21 @@ below ``rel_tol`` times the accumulated value; non-convergence within
 In :func:`pfq_two` neither argument fills a partition longer than the
 smaller rank, whose terms are 0.  For one spectrum, each degree's terms are
 ``math.fsum``-ed for :func:`_run_series`, the adaptive degree loop that holds
-the stop rule (and also serves :func:`pfq_positive_m2`); it reads a plain
+the stop rule (and also serves :class:`RaySeries`); it reads a plain
 float running total and returns ``math.fsum`` of the degree sums.  A batch of
 spectra adds them as arrays, which ``fsum`` cannot, in :func:`_run_batch`,
 under the same stop rule.
 :func:`_exp_split` is the exponential series split at a first part r, exactly.
-:func:`pfq_positive_m2` is the m = 2 engine for far tails: O(1) work per
-partition, every term scaled by exp(-trace) so that nothing overflows, and
-its log degree sums kept per (parameters, beta, t2/t1), so each further point
-of one model costs one exp per degree.  :func:`ray_series` is the confluent
-series along a ray tau * s at any m: it runs the Jack recurrence once per
-(spec, unit-trace direction) and sums each tau in log space with the same
-scaling by exp(-tau).  Rays and m = 2 tables each have their own bounded
-process-wide ``lru_cache`` (``_ray`` and ``_m2_series``), so one kind never
-evicts the other.
+:class:`RaySeries` is the one memoized positive confluent series on a ray:
+it keeps the log degree sums log D_k at one base point, extended in order by
+a source function, and sums every point of the ray from them with each term
+scaled by exp(-trace), so that nothing overflows and each further point
+costs one exp per degree.  It has two sources, each with its own bounded
+process-wide ``lru_cache``, so one kind never evicts the other:
+:func:`ray_series` (``_ray``) runs the Jack recurrence once per (spec,
+unit-trace direction) at any m, and :func:`pfq_positive_m2` (``_m2_series``),
+the m = 2 engine for far tails, fills closed-form tables with O(1) work per
+partition once per (parameters, beta, t2/t1).
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -56,8 +57,8 @@ class SeriesTruncation:
     def __post_init__(self):
         if self.max_degree < 0:
             raise DomainError(f"max_degree must be >= 0, got {self.max_degree}")
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not 0 < self.rel_tol < 1:
+            raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.stall_window < 1:
             raise DomainError(f"stall_window must be >= 1, got {self.stall_window}")
 
@@ -91,6 +92,9 @@ class HypergeomSpec:
         object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
         if self.m < 1:
             raise DomainError(f"m must be >= 1, got {self.m}")
+        for name, params in (("upper", self.upper), ("lower", self.lower)):
+            if not all(math.isfinite(par) for par in params):
+                raise DomainError(f"{name} parameters must be finite")
         beta = self.algebra.beta
         for b in self.lower:
             for j in range(1, self.m + 1):
@@ -432,7 +436,96 @@ def euler_2f1(
 
 
 # ---------------------------------------------------------------------------
-# High-degree positive-term engine for two eigenvalues.
+# Memoized positive confluent series on a ray.
+#
+# Jack polynomials are homogeneous, C_kappa(t s) = t^|kappa| C_kappa(s), so on
+# the ray t * s of a base point s every degree sum of a one-argument series is
+# D_k t^k, with D_k the degree-k sum at s, fixed by s alone.  One RaySeries
+# keeps log D_k, extended in order by a source function as later calls need
+# more degrees, and evaluates each point of the ray from them in O(degrees).
+# Each term is exp(log D_k + k log t - tr), tr the trace of the point: for
+# 0 < a <= c the Pochhammer ratio is at most 1, so the scaled terms sum to at
+# most 0F0 exp(-tr) = 1 and no degree sum overflows, however far the tail.
+#
+# There are two sources, each with its own bounded process-wide lru_cache of
+# series, so one kind never evicts the other:
+# - the Jack recurrence on a unit-trace direction s at any m (_ray, read by
+#   ray_series), where t = tr = tau.  chat = C / k! on s is at most 1/k!, so
+#   D_k leaves the normal float range near weight 170; its log is then -inf,
+#   and a degree the stop rule needs past that point raises DomainError
+#   instead of summing zeros;
+# - the closed-form m = 2 tables at s = (1, r) (_m2_series, read by
+#   pfq_positive_m2), where t = t1 and tr = t1 + t2, stable to thousands of
+#   degrees.
+# ---------------------------------------------------------------------------
+
+# Entries kept by each process-wide series memo, _ray and _m2_series.
+_RAY_CAPACITY = 32
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_MIN = math.log(sys.float_info.min)
+
+
+class RaySeries:
+    """A positive confluent series on the ray of one base point, from its
+    log degree sums log D_k there: ``log_degree_sums(k)`` is the list of
+    log D_k, log D_{k+1}, ... (at least one) for the first degree k not yet
+    kept.
+
+    The sums are kept in order, under a lock, so every caller sees the same
+    floats whatever the order of its calls and however many threads share
+    the series.  The process keeps the last _RAY_CAPACITY series of each
+    source in an ``lru_cache``, which guards only its own table: two threads
+    that miss one key at once may each build a series, and both fill the
+    same floats.
+    """
+
+    def __init__(self, log_degree_sums):
+        self._source = log_degree_sums
+        self._log_d: list[float] = []
+        self._lock = threading.Lock()
+
+    def log_degree_sum(self, k: int) -> float:
+        """log D_k; -inf where D_k is below the normal float range."""
+        if k >= len(self._log_d):
+            with self._lock:
+                while k >= len(self._log_d):
+                    self._log_d.extend(self._source(len(self._log_d)))
+        return self._log_d[k]
+
+    def evaluate(self, lead: float, tr: float, trunc: SeriesTruncation) -> SeriesResult:
+        """The series at ``lead`` times the base point, whose trace is ``tr``,
+        under ``trunc``'s stop rule and degree cap, as :func:`pfq` there.
+
+        Every term is scaled by exp(-tr) and the sum scaled back, so
+        ``log_value`` is finite and exact to rounding, and ``value`` is
+        ``inf`` once the function itself leaves the float range.  Raises
+        DomainError when a degree the stop rule needs has log D_k = -inf, or
+        when every term summed underflows."""
+        log_lead, log_d = math.log(lead), self._log_d
+
+        def term_of_degree(k: int) -> float:
+            if k >= len(log_d):  # the store only grows: an entry once read is final
+                self.log_degree_sum(k)
+            term = math.exp(log_d[k] + k * log_lead - tr)
+            if not term and log_d[k] == -math.inf:
+                raise DomainError(f"confluent series at trace {tr:g} needs degree {k}, whose coefficient "
+                                  f"underflows: the generic series is not scale-safe there")
+            return term
+
+        res = _run_series(trunc, term_of_degree, trunc.max_degree)
+        if res.log_value is None:
+            raise DomainError(f"every term up to degree {res.degrees_used} underflows after scaling by "
+                              f"exp(-{tr:g}); max_degree is far below the trace")
+        log_value = res.log_value + tr
+        if tr < _LOG_FLOAT_MAX:
+            value = res.value * math.exp(tr)
+        else:
+            value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+        return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)
+
+
+# ---------------------------------------------------------------------------
+# The m = 2 source: closed-form tables of log D_k.
 #
 # The generic evaluator (ChatEvaluator) prices the strips of each shape in one
 # broadcast and sums them, so its work per shape grows with the shape's
@@ -452,29 +545,17 @@ def euler_2f1(
 # vector indexed by a part size or by n: O(1) work per partition, where the
 # recurrence sums O(k) strips per partition.
 #
-# The series is homogeneous: at t = t1 (1, r) the degree-k sum is D_k t1^k,
-# with D_k the sum at (1, r).  So the tables depend on (parameters, beta, r)
-# alone and live in a memo of their own (_m2_series), and each t1 costs one
-# slice and one exp a chunk of degrees.  log D_k is a log-sum-exp over
-# k2 = 0..floor(k/2) of the three rows at (1, r), taken for a block of
-# _M2_BLOCK degrees at once from strided views of the rows; blocks start at
-# multiples of _M2_BLOCK, so log D_k depends on k alone, never on which points
-# ran first.  The rows are regrown by doubling, the blocks appended as the
-# stop rule reaches them.
-#
-# Every term carries the factor exp(-(t1 + t2)).  For 0 < a <= c the
-# Pochhammer ratio is at most 1, so the scaled terms sum to at most
-# 0F0 * exp(-tr) = 1 and no degree sum overflows, however far the tail.
+# The tables depend on (parameters, beta, r) alone: the base point of the
+# RaySeries is (1, r) and its lead t1, so each further t1 of one model costs
+# one exp per degree.  log D_k is a log-sum-exp over k2 = 0..floor(k/2) of the
+# three rows at (1, r), taken for a block of _M2_BLOCK degrees at once from
+# strided views of the rows; blocks start at multiples of _M2_BLOCK, so
+# log D_k depends on k alone, never on which points ran first.  The rows are
+# regrown by doubling, the blocks appended as the stop rule reaches them.
 # ---------------------------------------------------------------------------
 
-# Degrees per block of log D_k, and per chunk of terms at one t1.
+# Degrees per block of log D_k.
 _M2_BLOCK = 64
-# Entries kept by each process-wide series memo, of m = 2 tables
-# (_m2_series) and of rays (_ray): one cache each, so neither kind evicts the
-# other.
-_RAY_CAPACITY = 32
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
 class _Scratch:
@@ -546,43 +627,25 @@ def _m2_log_tables(upper, lower, r: float, beta: int, size: int):
     return row1, row2, np.log(g + i) + np.log(c)
 
 
-class _M2Series:
-    """log D_k of the m = 2 positive series of (upper; lower) at t = (1, r),
-    one block of degrees at a time, under a lock: every caller reads the
-    same floats whatever the order of its calls and its thread.
+@lru_cache(maxsize=_RAY_CAPACITY)
+def _m2_series(upper, lower, r: float, beta: int) -> RaySeries:
+    """The RaySeries of the m = 2 positive series of (upper; lower) at
+    (1, r), filled from the m = 2 tables one block of degrees at a time."""
+    rows = None
 
-    The process keeps the last _RAY_CAPACITY series in ``_m2_series``, an
-    ``lru_cache``, which guards only its own table: two threads that miss one
-    key at once may each build a series, and both fill the same floats."""
-
-    def __init__(self, upper, lower, r: float, beta: int):
-        self._params = (upper, lower, r, beta)
-        self._rows = None
-        self._log_d = np.empty(0)
-        self._lock = threading.Lock()
-
-    def _log_degree_sums(self, end: int) -> np.ndarray:
-        """log D_k for at least k = 0..end - 1, end a multiple of _M2_BLOCK."""
-        log_d = self._log_d
-        if len(log_d) < end:
-            with self._lock:
-                while len(self._log_d) < end:
-                    self._log_d = np.concatenate([self._log_d, self._block(len(self._log_d))])
-                log_d = self._log_d
-        return log_d
-
-    def _block(self, k0: int) -> np.ndarray:
+    def block(k0: int) -> list[float]:
         """log D_k for k = k0..k0 + _M2_BLOCK - 1: a (degree, k2) array of the
         rows' sums, k2 = 0..h, read through strided views.  row1 and rows_n
         carry _M2_BLOCK leading -inf, so a k2 past floor(k/2) (n < 0) adds
         -inf and contributes 0.  The array and its mask of normal terms are
         the process-wide :data:`_M2_SCRATCH`."""
+        nonlocal rows
         b = _M2_BLOCK
-        if self._rows is None or len(self._rows[1]) < k0 + b:
-            row1, row2, rows_n = _m2_log_tables(*self._params, 2 * (k0 + b))
+        if rows is None or len(rows[1]) < k0 + b:
+            row1, row2, rows_n = _m2_log_tables(upper, lower, r, beta, 2 * (k0 + b))
             pad = np.full(b, -math.inf)
-            self._rows = np.concatenate([pad, row1]), row2, np.concatenate([pad, rows_n])
-        row1, row2, rows_n = self._rows
+            rows = np.concatenate([pad, row1]), row2, np.concatenate([pad, rows_n])
+        row1, row2, rows_n = rows
         h = (k0 + b - 1) // 2
         s1, sn = b + k0 - h, b + k0 - 2 * h  # where k1 = k0 - h and n = k0 - 2h sit
         with _M2_SCRATCH.lock:
@@ -594,26 +657,9 @@ class _M2Series:
             # a term below the normal range adds nothing to a sum whose largest
             # term is 1, and exp is slowest there
             np.greater(logs, _LOG_FLOAT_MIN, out=normal)
-            return top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))
+            return (top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))).tolist()
 
-    def evaluate(self, t1: float, t2: float, trunc: SeriesTruncation) -> SeriesResult:
-        """The series at (t1, t2) = t1 (1, r), summed as in
-        :func:`pfq_positive_m2`."""
-        log_t1, tr = math.log(t1), t1 + t2
-        terms = []
-
-        def term_of_degree(k: int) -> float:
-            if k == len(terms):  # k is a multiple of _M2_BLOCK
-                end = k + _M2_BLOCK
-                log_d = self._log_degree_sums(end)[k:end]
-                terms.extend(np.exp(log_d + np.arange(k, end, dtype=float) * log_t1 - tr).tolist())
-            return terms[k]
-
-        return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), tr)
-
-
-# The memoized _M2Series of (upper, lower, r, beta).
-_m2_series = lru_cache(maxsize=_RAY_CAPACITY)(_M2Series)
+    return RaySeries(block)
 
 
 def _positive_shifts(params, beta: int, m: int, engine: str | None = None) -> bool:
@@ -628,23 +674,6 @@ def _positive_shifts(params, beta: int, m: int, engine: str | None = None) -> bo
     return not failing
 
 
-def _unscaled(res: SeriesResult, tr: float) -> SeriesResult:
-    """A series summed with every term scaled by exp(-tr), brought back to
-    scale: ``log_value`` gains tr, and ``value`` is ``inf`` once the function
-    leaves the float range."""
-    if res.log_value is None:
-        raise DomainError(
-            f"every term up to degree {res.degrees_used} underflows after scaling by "
-            f"exp(-{tr:g}); max_degree is far below the trace"
-        )
-    log_value = res.log_value + tr
-    if tr < _LOG_FLOAT_MAX:
-        value = res.value * math.exp(tr)
-    else:
-        value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
-    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)
-
-
 def pfq_positive_m2(
     upper: tuple[float, ...],
     lower: tuple[float, ...],
@@ -655,15 +684,13 @@ def pfq_positive_m2(
     """One-argument series for m = 2 with nonnegative eigenvalues and positive
     shifted parameters, stable to very high degree.
 
-    Costs O(1) per partition, once per (upper, lower, beta, t2/t1): the degree
-    sums at t = (1, t2/t1) are kept in a bounded memo, and each t1 is one exp
-    per degree (see the comment block above).  Degree sums are scaled by
-    exp(-(t1 + t2)), so for 0 < a <= c they never overflow, and all terms are
-    positive, so ``log_value`` is finite and exact to rounding; ``value`` is
-    ``inf`` once the function itself leaves the float range.  ``trunc`` sets
-    the stop rule and the degree cap, applied by :func:`_run_series` as for
-    every other series.  Raises when a shifted parameter is not positive (use
-    :func:`pfq` there instead).
+    Costs O(1) per partition, once per (upper, lower, beta, t2/t1): the log
+    degree sums at t = (1, t2/t1) are kept in a bounded memo of
+    :class:`RaySeries` (see the comment blocks above), and each t1 is one exp
+    per degree, evaluated by :meth:`RaySeries.evaluate` with lead t1 and
+    trace t1 + t2.  ``trunc`` sets the stop rule and the degree cap, applied
+    by :func:`_run_series` as for every other series.  Raises when a shifted
+    parameter is not positive (use :func:`pfq` there instead).
     """
     upper, lower = tuple(upper), tuple(lower)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
@@ -672,78 +699,38 @@ def pfq_positive_m2(
     _positive_shifts(upper + lower, algebra.beta, 2, "the high-degree engine")
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
-    return _m2_series(upper, lower, t2 / t1, algebra.beta).evaluate(t1, t2, trunc)
+    return _m2_series(upper, lower, t2 / t1, algebra.beta).evaluate(t1, t1 + t2, trunc)
 
 
 # ---------------------------------------------------------------------------
-# Memoized confluent series along a ray.
-#
-# Jack polynomials are homogeneous, C_kappa(tau s) = tau^|kappa| C_kappa(s), so
-# on the ray tau * s of a unit-trace direction s every degree sum of the series
-# is D_k tau^k, with D_k = sum_{|kappa| = k} poch(kappa) chat_kappa(s) fixed by
-# the direction alone.  One RaySeries per (spec, direction) runs the Jack
-# recurrence on s once, extends its D_k as later calls need more degrees, and
-# evaluates each tau from them in O(degrees).  Each term is
-# exp(log D_k + k log tau - tau): for 0 < a <= c the Pochhammer ratio is at
-# most 1, so the scaled terms sum to at most 0F0(tau s) exp(-tau) = 1 and
-# nothing overflows on the tau side, as in pfq_positive_m2.  chat = C / k! on
-# the unit-trace direction is at most 1/k!, so D_k leaves the normal float
-# range near weight 170; a degree the stop rule needs past that point raises
-# DomainError instead of summing zeros.
+# The Jack source, at any m.
 # ---------------------------------------------------------------------------
 
 
-class RaySeries:
-    """The confluent series of ``spec`` = (a; c), 0 < a <= c, on the ray
-    tau * s of one unit-trace direction s (nonnegative, sorted descending).
+@lru_cache(maxsize=_RAY_CAPACITY)
+def _ray(spec: HypergeomSpec, direction: tuple[float, ...]) -> RaySeries:
+    """The RaySeries of ``spec`` = (a; c), 0 < a <= c, on the ray of one
+    unit-trace direction s (nonnegative, sorted descending): log D_k is the
+    log of the ``math.fsum`` of the degree-k terms of the Jack recurrence on
+    s, run once per series, and -inf below ``sys.float_info.min``."""
+    if spec.p != 1 or spec.q != 1:
+        raise DomainError("a ray series is confluent: one upper and one lower parameter")
+    (a,), (c,) = spec.upper, spec.lower
+    if not a <= c:
+        raise DomainError(f"a ray series needs a <= c, got a = {a}, c = {c}")
+    _positive_shifts((a, c), spec.algebra.beta, spec.m, "the ray series")
+    evaluator = ChatEvaluator(direction, get_table(spec.algebra))
 
-    Degree sums D_k are computed once each, in order, under a lock, so every
-    caller sees the same floats whatever the order of its calls and however
-    many threads share the ray.  The process keeps the last _RAY_CAPACITY
-    rays in ``_ray``, an ``lru_cache``, which guards only its own table: two
-    threads that miss one key at once may each build a ray, and both fill
-    the same floats.
-    """
+    def log_degree_sums(k: int) -> list[float]:
+        d = math.fsum(_degree_terms(spec, evaluator.degree_values(k)))
+        return [math.log(d) if d >= sys.float_info.min else -math.inf]
 
-    def __init__(self, spec: HypergeomSpec, direction: tuple[float, ...]):
-        if spec.p != 1 or spec.q != 1:
-            raise DomainError("a ray series is confluent: one upper and one lower parameter")
-        (a,), (c,) = spec.upper, spec.lower
-        if not a <= c:
-            raise DomainError(f"a ray series needs a <= c, got a = {a}, c = {c}")
-        _positive_shifts((a, c), spec.algebra.beta, spec.m, "the ray series")
-        self.spec = spec
-        self._evaluator = ChatEvaluator(direction, get_table(spec.algebra))
-        self._sums: list[float] = []
-        self._lock = threading.Lock()
-
-    def degree_sum(self, k: int) -> float:
-        """D_k, the degree-k sum of the series at the unit-trace direction."""
-        if k >= len(self._sums):
-            with self._lock:
-                for j in range(len(self._sums), k + 1):
-                    self._sums.append(math.fsum(_degree_terms(self.spec, self._evaluator.degree_values(j))))
-        return self._sums[k]
-
-    def evaluate(self, tau: float, trunc: SeriesTruncation) -> SeriesResult:
-        """The series at tau * s, tau > 0, under ``trunc``'s stop rule and
-        degree cap, as :func:`pfq` there.  Raises DomainError when a degree
-        the stop rule needs has D_k below the normal float range."""
-        log_tau = math.log(tau)
-
-        def term_of_degree(k: int) -> float:
-            d = self.degree_sum(k)
-            if not d >= sys.float_info.min:
-                raise DomainError(
-                    f"confluent series at trace {tau:g} needs degree {k}, whose "
-                    f"coefficient {d:g} underflows: the generic series is not scale-safe there")
-            return math.exp(math.log(d) + k * log_tau - tau)
-
-        return _unscaled(_run_series(trunc, term_of_degree, trunc.max_degree), tau)
+    return RaySeries(log_degree_sums)
 
 
 def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
-    """The memoized :class:`RaySeries` of ``spec`` along ``direction``.
+    """The memoized :class:`RaySeries` of ``spec`` along ``direction``, from
+    the Jack recurrence; its value at tau * s is ``evaluate(tau, tau, trunc)``.
 
     ``direction`` is scaled to unit trace and sorted here, so every call with
     the same vector (bit for bit, in any order) shares one series; pass one
@@ -755,7 +742,3 @@ def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
                           f"not all zero; got {s}")
     tr = math.fsum(s)
     return _ray(spec, tuple(v / tr for v in s))
-
-
-# The memoized RaySeries of (spec, unit-trace sorted direction).
-_ray = lru_cache(maxsize=_RAY_CAPACITY)(RaySeries)

@@ -287,7 +287,7 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebr
     if m == 2:
         res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
     else:
-        res = ray_series(HypergeomSpec((a_up,), (c_lo,), algebra, m), direction).evaluate(tr, trunc)
+        res = ray_series(HypergeomSpec((a_up,), (c_lo,), algebra, m), direction).evaluate(tr, tr, trunc)
     _warn_unconverged(res, "confluent")
     return res.log_value
 

@@ -1,7 +1,9 @@
-"""The arithmetic of tools/bench_pairs.py on canned perfbench summary lines."""
+"""The arithmetic of tools/bench_pairs.py on canned perfbench summary lines,
+and the environment its runs get."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,22 @@ def test_traced_medians_are_per_side_and_per_metric():
     medians = bench_pairs.traced_medians(pairs)
     assert medians["parent"] == {"cold_s": 0.31, "hits": 0.31}
     assert medians["change"] == {"cold_s": 0.21, "hits": 0.21}
+
+
+def test_both_sides_share_one_bytecode_cache_outside_their_roots(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        calls.append((Path(cwd), env))
+        return subprocess.CompletedProcess(cmd, 0, stdout=_line(1.0, 1) + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    roots = [tmp_path / "parent", bench_pairs.ROOT]
+    env = bench_pairs.perfbench_env(tmp_path)
+    for root in roots:
+        assert json.loads(bench_pairs.summary_line(root, "figures", 1, 0, env))["failed"] == 0
+    prefixes = {run_env["PYTHONPYCACHEPREFIX"] for _, run_env in calls}
+    assert [cwd for cwd, _ in calls] == roots and len(prefixes) == 1
+    prefix = Path(prefixes.pop())
+    assert prefix.parent == tmp_path
+    assert not any(prefix.is_relative_to(root) for root in roots)

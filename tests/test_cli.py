@@ -154,6 +154,19 @@ class TestDiagnostics:
         assert err.endswith(f" {name} finite\n")
         assert "nan" not in err and "Overflow" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        # rel_tol >= 1 once stopped every series after the stall window
+        (["cdf-max", "--m", "2", "--n", "4", "--x", "3", "--rel-tol", "inf"], "rel_tol must be in (0, 1)"),
+        (["cdf-max", "--m", "2", "--n", "4", "--x", "3", "--rel-tol", "2"], "rel_tol must be in (0, 1)"),
+        (["pfq", "--upper", "1", "--lower", "2", "--eigs", "0.5", "--rel-tol", "1"], "rel_tol must be in (0, 1)"),
+        (["pfq", "--upper", "nan", "--lower", "1", "--eigs", "0.5"], "upper parameters must be finite"),
+        (["pfq", "--upper", "1", "--lower", "inf", "--eigs", "0.5"], "lower parameters must be finite"),
+    ])
+    def test_bad_series_parameter_refused_in_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
     def test_far_tail_prints_value(self, capsys, beta, x):
         # once inf (beta 8) and an OverflowError inside the series (beta 4)

@@ -42,9 +42,18 @@ class TestSpecValidation:
         HypergeomSpec((), (2.0,), DivisionAlgebra(2), 2)  # fine with m = 2
 
     def test_truncation_validation(self):
-        for name, value in [("stall_window", 0), ("rel_tol", 0.0), ("max_degree", -1)]:
+        for name, value in [("stall_window", 0), ("rel_tol", 0.0), ("rel_tol", 1.0), ("rel_tol", math.inf),
+                            ("max_degree", -1)]:
             with pytest.raises(DomainError, match=name):
                 SeriesTruncation(**{name: value})
+
+    @pytest.mark.parametrize("upper, lower, name", [
+        ((math.nan,), (1.0,), "upper"), ((1.0, math.inf), (2.0,), "upper"),
+        ((1.0,), (math.inf,), "lower"), ((1.0,), (2.0, -math.inf), "lower"), ((), (math.nan,), "lower"),
+    ])
+    def test_non_finite_parameter_rejected(self, upper, lower, name):
+        with pytest.raises(DomainError, match=f"{name} parameters must be finite"):
+            HypergeomSpec(upper, lower, B1, 2)
 
 
 class TestClosedForms:
@@ -618,7 +627,7 @@ class TestRaySeries:
         ray = ray_series(spec, direction)
         unit = np.asarray(direction) / math.fsum(direction)
         for tau in taus:
-            got = ray.evaluate(tau, self.TRUNC)
+            got = ray.evaluate(tau, tau, self.TRUNC)
             want = pfq(spec, tau * unit, self.TRUNC)
             assert got.converged and want.converged
             assert got.value == pytest.approx(want.value, rel=1e-13, abs=0)
@@ -627,9 +636,9 @@ class TestRaySeries:
     def test_same_bits_in_any_order_and_after_eviction(self, empty_memos):
         spec, direction = _wishart_ray(1)
         taus = [0.25 * x * 11 / 6 for x in range(1, 17)]
-        first = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value for t in taus]
+        first = [ray_series(spec, direction).evaluate(t, t, self.TRUNC).log_value for t in taus]
         clear_memos()
-        backwards = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value
+        backwards = [ray_series(spec, direction).evaluate(t, t, self.TRUNC).log_value
                      for t in reversed(taus)]
         assert backwards[::-1] == first
         # the direction is keyed up to scale and order
@@ -638,18 +647,18 @@ class TestRaySeries:
             ray_series(spec, (1.0, 1.0 + i, 2.0))
         assert hypergeom._ray.cache_info().currsize == hypergeom._RAY_CAPACITY
         rebuilt = ray_series(spec, direction)
-        assert rebuilt.degree_sum(0) == 1.0 and len(rebuilt._sums) == 1
-        assert [rebuilt.evaluate(t, self.TRUNC).log_value for t in taus] == first
+        assert rebuilt.log_degree_sum(0) == 0.0 and len(rebuilt._log_d) == 1
+        assert [rebuilt.evaluate(t, t, self.TRUNC).log_value for t in taus] == first
 
     def test_threads_sharing_a_fresh_ray_get_the_serial_bits(self, empty_memos):
         spec, direction = _wishart_ray(2)
         taus = [x * 11 / 6 for x in range(1, 11)]
-        serial = [ray_series(spec, direction).evaluate(t, self.TRUNC).log_value for t in taus]
+        serial = [ray_series(spec, direction).evaluate(t, t, self.TRUNC).log_value for t in taus]
         clear_memos()
 
         def run(order):
             ray = ray_series(spec, direction)
-            return {i: ray.evaluate(taus[i], self.TRUNC).log_value for i in order}
+            return {i: ray.evaluate(taus[i], taus[i], self.TRUNC).log_value for i in order}
 
         orders = [range(10), range(9, -1, -1), range(0, 10, 2), range(1, 10, 2)]
         interval = sys.getswitchinterval()
@@ -662,12 +671,28 @@ class TestRaySeries:
         for got in results:
             assert all(v == serial[i] for i, v in got.items())
 
+    def test_jack_and_m2_sources_agree(self, empty_memos):
+        # fig1's beta = 1 model on the ray of (2, 1): the Jack recurrence and
+        # the m = 2 tables fill one RaySeries each, summed by one evaluate
+        spec = HypergeomSpec((1.5,), (3.5,), B1, 2)
+        trunc = SeriesTruncation(max_degree=400, rel_tol=1e-12)
+        ray = ray_series(spec, (2.0, 1.0))
+        for tau in (0.5, 3.0, 12.0, 30.0, 60.0):
+            t = (2.0 * tau / 3.0, tau / 3.0)
+            want = pfq(spec, t, trunc).value
+            for got in (ray.evaluate(tau, tau, trunc), pfq_positive_m2((1.5,), (3.5,), t, B1, trunc)):
+                assert got.converged
+                assert got.value == pytest.approx(want, rel=1e-13, abs=0)
+        assert isinstance(ray, hypergeom.RaySeries)
+        assert isinstance(hypergeom._m2_series((1.5,), (3.5,), 0.5, 1), hypergeom.RaySeries)
+        assert hypergeom._m2_series.cache_info().currsize == hypergeom._ray.cache_info().currsize == 1
+
     def test_underflowing_degree_raises(self, empty_memos):
         # D_k = 1 / (k + 1)! at m = 1 leaves the normal range at k = 170
         ray = ray_series(HypergeomSpec((1.0,), (2.0,), DivisionAlgebra(2), 1), (1.0,))
         with pytest.raises(DomainError, match="trace 100 needs degree 170, .*not scale-safe"):
-            ray.evaluate(100.0, SeriesTruncation(max_degree=400, rel_tol=1e-12))
-        assert ray.evaluate(60.0, SeriesTruncation(max_degree=400, rel_tol=1e-12)).converged
+            ray.evaluate(100.0, 100.0, SeriesTruncation(max_degree=400, rel_tol=1e-12))
+        assert ray.evaluate(60.0, 60.0, SeriesTruncation(max_degree=400, rel_tol=1e-12)).converged
 
     @pytest.mark.parametrize("spec, direction", [
         (HypergeomSpec((3.0,), (2.0,), B1, 2), (1.0, 1.0)),

@@ -361,8 +361,8 @@ class TestLambdaMax:
         seen = []
         evaluate = RaySeries.evaluate
 
-        def spy(self, tau, trunc):
-            res = evaluate(self, tau, trunc)
+        def spy(self, lead, tr, trunc):
+            res = evaluate(self, lead, tr, trunc)
             seen.append(res.degrees_used)
             return res
 

@@ -6,7 +6,13 @@
 Run it from the repository root.  The parent's committed files are exported
 with ``git archive`` into a temporary directory (under ``--workdir`` if
 given), so nothing is registered in the repository and an interrupted run
-leaves nothing behind in it.  The change is the working tree as it is.  For
+leaves nothing behind in it.  The change is the working tree as it is.  Every
+run of both sides reads and writes its bytecode under one fresh
+``PYTHONPYCACHEPREFIX`` in that temporary directory, so a ``__pycache__`` left
+in the working tree gives the change no head start.  Under
+``PYTHONDONTWRITEBYTECODE`` nothing is written there, so both sides compile
+every module they import, numpy's too, on every run, and ``setup_s`` counts
+that compilation.  For
 each workload of ``BENCHMARK.json`` the script runs ten pairs of
 ``perfbench/run.py --seconds 10 --trace 0``, pair i at seed
 ``first_seed + i``: even pairs run the parent first, odd pairs the change
@@ -110,11 +116,18 @@ def commit_of(ref: str) -> str:
                           text=True, check=True).stdout.strip()
 
 
-def summary_line(root: Path, workload: str, seed: int, trace: int) -> str:
+def perfbench_env(tmp: Path) -> dict[str, str]:
+    """The environment of every perfbench run of both sides: this process's,
+    with the bytecode cache in one fresh directory under ``tmp``, so both
+    sides start from the same cache state."""
+    return {**os.environ, "PYTHONPYCACHEPREFIX": str(tmp / "pycache")}
+
+
+def summary_line(root: Path, workload: str, seed: int, trace: int, env: dict[str, str]) -> str:
     """The last line of standard output of one perfbench run in ``root``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    run = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
     if run.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited with {run.returncode}:\n{run.stderr[-3000:]}")
     line = run.stdout.strip().splitlines()[-1]
@@ -134,18 +147,19 @@ def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         roots = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
+        env = perfbench_env(Path(tmp))
         seeds = range(args.first_seed, args.first_seed + PAIRS)
         workloads = {}
         for name in (w["name"] for w in bench["workloads"]):
             pairs = []
             for seed, order in zip(seeds, alternating(PAIRS)):
-                lines = {side: summary_line(roots[side], name, seed, 0) for side in order}
+                lines = {side: summary_line(roots[side], name, seed, 0, env) for side in order}
                 pairs.append({"seed": seed, "first": order[0], "parent": lines["parent"], "change": lines["change"]})
             workloads[name] = {"pairs": pairs, "summary": summarize(pairs, bench["end_to_end"]),
                                "failed_parent_change": failed_counts(pairs)}
         traced = []
         for order in alternating(TRACED_PAIRS):
-            lines = {side: summary_line(roots[side], args.traced, args.first_seed, 1) for side in order}
+            lines = {side: summary_line(roots[side], args.traced, args.first_seed, 1, env) for side in order}
             traced.append({"first": order[0], "parent": lines["parent"], "change": lines["change"]})
     record = {
         "description": (
