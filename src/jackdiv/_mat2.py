@@ -1,25 +1,29 @@
-"""Closed forms for batches of 2 x 2 matrices.
+"""Batched Hermitian matrix kernels, with closed forms at m = 2.
 
-A batch is a (count, 2, 2) array, real or complex; a Hermitian one is read
-through its three entries a11, a22 (real) and a12.  Each kernel stands in
-for one batched LAPACK call at m = 2 and returns what that call returns, to
-rounding:
+A batch is a (count, m, m) array, real or complex.  Each public kernel
+serves every m: at m = 2 it runs a closed form on the three entries a11,
+a22 (real) and a12 of each matrix, and at any other m the numpy expression
+it stands for, so the choice between the two is made here alone.  The
+closed forms return what the LAPACK call returns, to rounding:
 
 - :func:`eigvalsh`: lambda_max = mean + sqrt(half_gap^2 + |a12|^2) adds two
   nonnegative terms, and lambda_min = det / lambda_max avoids the
   cancellation of the minus root (:func:`spectra`);
-- :func:`det`: a11 a22 - |a12|^2;
+- :func:`logdet`: the log of a11 a22 - |a12|^2 (:func:`det`);
 - :func:`inv`: adj A / det A;
-- :func:`congruence`: M A M^H, for the matmul products of a conjugation;
 - :func:`cholesky_whiten`: L^-1 A L^-H for the Cholesky factor L of S;
-- :func:`inv_sqrt`: the Hermitian root B^(-1/2) = (adj B + s I) / (s t),
-  s = sqrt(det B), t = sqrt(tr B + 2 s);
+- :func:`inv_sqrt_whiten`: B^(-1/2) A B^(-1/2), the congruence
+  (:func:`congruence`) by the Hermitian root B^(-1/2) = (adj B + s I) / (s t),
+  s = sqrt(det B), t = sqrt(tr B + 2 s) (:func:`inv_sqrt`);
 - :func:`unitary_factor`: the Q of G = QR with R's diagonal positive, as
   q1 = g1 / |g1| and q2 the unit vector orthogonal to q1, phased so that
-  q2^H g2 > 0.
+  q2^H g2 > 0;
+- :func:`conjugated_spectra`: the spectra of X H* Y H over group elements H,
+  from the entries of X^(1/2) H* Y H X^(1/2), the beta = 4 quaternion pair
+  included.
 
-No kernel takes a square root or a logarithm of a value that rounding can
-push below zero, so none emits a RuntimeWarning; a matrix that must be
+No closed form takes a square root or a logarithm of a value that rounding
+can push below zero, so none emits a RuntimeWarning; a matrix that must be
 positive definite and is not raises DomainError, as LAPACK would raise
 LinAlgError.
 """
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _quat
 from .core import DomainError
 
 
@@ -37,7 +42,7 @@ def abs_sq(z: np.ndarray) -> np.ndarray:
 
 
 def entries(a: np.ndarray):
-    """(a11, a22, a12) of a Hermitian batch; the diagonal as reals."""
+    """(a11, a22, a12) of a 2 x 2 Hermitian batch; the diagonal as reals."""
     return a[:, 0, 0].real, a[:, 1, 1].real, a[:, 0, 1]
 
 
@@ -53,8 +58,8 @@ def assemble(a11: np.ndarray, a22: np.ndarray, a12: np.ndarray) -> np.ndarray:
 
 
 def spectra(a11, a22, off_sq, det):
-    """(lambda_max, lambda_min) of the positive semidefinite matrices with
-    diagonal a11, a22, |a12|^2 = ``off_sq`` and determinant ``det``.
+    """(lambda_max, lambda_min) of the 2 x 2 positive semidefinite matrices
+    with diagonal a11, a22, |a12|^2 = ``off_sq`` and determinant ``det``.
 
     lambda_min = det / lambda_max keeps its relative accuracy at any
     conditioning when ``det`` is known to full precision; it is clipped to
@@ -68,23 +73,37 @@ def spectra(a11, a22, off_sq, det):
 
 
 def det(a: np.ndarray) -> np.ndarray:
-    """Determinants a11 a22 - |a12|^2 of a Hermitian batch, as reals."""
+    """Determinants a11 a22 - |a12|^2 of a 2 x 2 Hermitian batch, as reals."""
     a11, a22, a12 = entries(a)
     return a11 * a22 - abs_sq(a12)
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues (count, 2) of a positive semidefinite batch, ascending as
+    """Eigenvalues (count, m) of a positive semidefinite batch, ascending as
     ``np.linalg.eigvalsh`` returns them."""
+    if a.shape[-1] != 2:
+        return np.linalg.eigvalsh(a)
     a11, a22, a12 = entries(a)
     off_sq = abs_sq(a12)
     lam_max, lam_min = spectra(a11, a22, off_sq, a11 * a22 - off_sq)
     return np.stack([lam_min, lam_max], axis=1)
 
 
+def logdet(a: np.ndarray) -> np.ndarray:
+    """log det of each matrix in a Hermitian positive-definite batch;
+    DomainError when a determinant (at m != 2 its sign's real part) is <= 0."""
+    two = a.shape[-1] == 2
+    sign, val = (det(a), None) if two else np.linalg.slogdet(a)
+    if np.any(np.real(sign) <= 0):
+        raise DomainError("log-determinant of a matrix that is not positive definite")
+    return np.log(sign) if two else np.real(val)
+
+
 def inv(a: np.ndarray) -> np.ndarray:
-    """Inverses adj A / det A of a Hermitian batch; DomainError when one is
-    singular."""
+    """Inverses of a Hermitian batch, adj A / det A at m = 2; DomainError
+    when one of those is singular."""
+    if a.shape[-1] != 2:
+        return np.linalg.inv(a)
     a11, a22, a12 = entries(a)
     d = det(a)
     if np.any(d == 0):
@@ -106,7 +125,12 @@ def _congruence(m11, m12, m21, m22, a11, a22, a12) -> np.ndarray:
 
 def cholesky_whiten(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     """L^-1 A L^-H for the lower Cholesky factor L of each S (S = L L^H);
-    DomainError when an S is not positive definite."""
+    DomainError when a 2 x 2 S is not positive definite."""
+    if a.shape[-1] != 2:
+        ell = np.linalg.cholesky(s)
+        w = np.linalg.solve(ell, a)
+        u = np.linalg.solve(ell, np.conj(np.transpose(w, (0, 2, 1))))
+        return 0.5 * (u + np.conj(np.transpose(u, (0, 2, 1))))
     s11, s22, s12 = entries(s)
     if np.any(s11 <= 0):
         raise DomainError("Cholesky factor of a matrix that is not positive definite")
@@ -124,7 +148,7 @@ def cholesky_whiten(a: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 def inv_sqrt(b: np.ndarray) -> np.ndarray:
     """The Hermitian inverse square roots (adj B + s I) / (s t), s = sqrt(det
-    B), t = sqrt(tr B + 2 s), of a batch; DomainError when a B is not
+    B), t = sqrt(tr B + 2 s), of a 2 x 2 batch; DomainError when a B is not
     positive definite."""
     b11, b22, b12 = entries(b)
     d = det(b)
@@ -136,19 +160,36 @@ def inv_sqrt(b: np.ndarray) -> np.ndarray:
 
 
 def congruence(m: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """M A M^H over a batch, for any 2 x 2 M and Hermitian A."""
+    """M A M^H over a 2 x 2 batch, for any M and Hermitian A."""
     return _congruence(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], *entries(a))
+
+
+def inv_sqrt_whiten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """B^(-1/2) A B^(-1/2) for the Hermitian inverse square root of each
+    positive-definite B, from ``eigh`` at m != 2."""
+    if a.shape[-1] == 2:
+        return congruence(inv_sqrt(b), a)
+    w, q = np.linalg.eigh(b)
+    inv_root = np.einsum("bik,bk,bjk->bij", q, w**-0.5, q.conj())
+    x = inv_root @ a @ inv_root
+    return 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
 
 
 def unitary_factor(g: np.ndarray) -> np.ndarray:
     """Q of the QR factorization G = QR whose R has a positive diagonal, for
-    a batch of full-rank G.
+    a batch of full-rank G; at m != 2 numpy's QR with each column's phase
+    moved into R.
 
-    q1 = g1 / |g1|; in two dimensions the unit vectors orthogonal to q1 are
-    the phases of w = (-conj q1[1], conj q1[0]), and the one with w^H g2 > 0
-    is q2 = w (w^H g2) / |w^H g2|.  Q is unitary to rounding however close
-    g1 and g2 are to parallel.
+    At m = 2, q1 = g1 / |g1|; in two dimensions the unit vectors orthogonal
+    to q1 are the phases of w = (-conj q1[1], conj q1[0]), and the one with
+    w^H g2 > 0 is q2 = w (w^H g2) / |w^H g2|.  Q is unitary to rounding
+    however close g1 and g2 are to parallel.
     """
+    if g.shape[-1] != 2:
+        qm, r = np.linalg.qr(g)
+        d = np.einsum("bii->bi", r)
+        d = np.where(d == 0, 1.0, d)  # phase d/|d|: exactly +-1 for real d
+        return qm * (d / np.abs(d))[:, None, :]
     g1, g2 = g[:, :, 0], g[:, :, 1]
     q1 = g1 / np.sqrt(abs_sq(g1[:, 0]) + abs_sq(g1[:, 1]))[:, None]
     w0, w1 = -q1[:, 1].conj(), q1[:, 0].conj()
@@ -160,3 +201,47 @@ def unitary_factor(g: np.ndarray) -> np.ndarray:
     q[:, 0, 1] = w0 * phase
     q[:, 1, 1] = w1 * phase
     return q
+
+
+def complex_form(algebra, h, x, y):
+    """A group batch and two diagonals as complex matrices: for beta = 4 the
+    complex embedding of the quaternion pair ``h``, with each diagonal entry
+    doubled to match; otherwise the inputs unchanged."""
+    if algebra.beta != 4:
+        return h, x, y
+    return _quat.embed(*h), np.concatenate([x, x]), np.concatenate([y, y])
+
+
+def conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
+    """Spectra (descending) of X H* Y H for nonnegative diagonal X, Y over a
+    batch of group elements (quaternion pairs at beta = 4)."""
+    x, y = np.asarray(x_eigs, dtype=float), np.asarray(y_eigs, dtype=float)
+    if len(x) == 2:
+        return _conjugated_spectra_m2(x, y, algebra, h)
+    e, x, y = complex_form(algebra, h, x, y)
+    inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
+    a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
+    vals = np.linalg.eigvalsh(a)
+    return _quat.dedupe_pairs(vals) if algebra.beta == 4 else vals[:, ::-1]
+
+
+def _conjugated_spectra_m2(x, y, algebra, h) -> np.ndarray:
+    """:func:`conjugated_spectra` at m = 2 from the entries of the Hermitian
+    X^(1/2) H* Y H X^(1/2): its diagonal is x_i sum_j y_j |h_ji|^2 and its
+    off-diagonal sqrt(x_1 x_2) sum_j y_j conj(h_j1) h_j2, a quaternion at beta
+    = 4, whose spectrum is that of a complex matrix with the same diagonal
+    and |off-diagonal|."""
+    if algebra.beta == 4:
+        v1, v2 = h
+        col_sq = [y[0] * (abs_sq(v1[:, 0, k]) + abs_sq(v2[:, 0, k]))
+                  + y[1] * (abs_sq(v1[:, 1, k]) + abs_sq(v2[:, 1, k])) for k in (0, 1)]
+        p1, p2 = _quat._qdot(v1[:, :, 0], v2[:, :, 0], y * v1[:, :, 1], y * v2[:, :, 1])
+        inner_sq = abs_sq(p1) + abs_sq(p2)
+    else:
+        col_sq = [y[0] * abs_sq(h[:, 0, k]) + y[1] * abs_sq(h[:, 1, k]) for k in (0, 1)]
+        inner_sq = abs_sq(y[0] * h[:, 0, 0].conj() * h[:, 0, 1]
+                          + y[1] * h[:, 1, 0].conj() * h[:, 1, 1])
+    a11, a22 = x[0] * col_sq[0], x[1] * col_sq[1]
+    off_sq = x[0] * x[1] * inner_sq
+    lam_max, lam_min = spectra(a11, a22, off_sq, a11 * a22 - off_sq)
+    return np.stack([lam_max, lam_min], axis=1)

@@ -9,9 +9,8 @@ significant digits, and is byte-stable for a fixed configuration and seed.
 A config file of key=value lines (via --config) sets the subcommand's flags
 that take a value: the key is the flag's name without the leading dashes,
 with '-' or '_' between words, and the value is converted as the flag
-converts it.  Explicit command-line flags win over the file.  --threads is
-accepted for interface parity and never changes computed values: evaluation
-order is fixed.
+converts it.  Explicit command-line flags win over the file.  verify accepts
+--threads, which never changes computed values: evaluation order is fixed.
 """
 
 from __future__ import annotations
@@ -139,8 +138,6 @@ def _add_common(sp, trunc=False, model=False, beta=True):
         sp.add_argument("--beta", type=int, default=1,
                         help="division algebra dimension (1, 2, 4 or 8)")
     sp.add_argument("--config", help="key=value file setting this subcommand's valued flags")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="accepted for interface parity; never changes values")
     sp.add_argument("--output", help="write output to this path instead of stdout")
     if trunc:
         sp.add_argument("--max-degree", type=int, help=f"default {SeriesTruncation.max_degree}")
@@ -209,6 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--z-max", type=float, default=DEFAULT_Z_MAX)
     p.add_argument("--rel-max", type=float, default=DEFAULT_REL_MAX)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for interface parity; never changes values")
 
     p = sub.add_parser("figures", help="emit the distribution-function CSVs")
     _add_common(p, beta=False)

@@ -489,10 +489,25 @@ def _log_nu(p: Partition, algebra: DivisionAlgebra) -> float:
                      for arm, leg in [(ki - j - 1, cols[j] - i - 1)])
 
 
-def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None):
-    """chat_p at the spectrum ``x``, or at each row of a (batch, m) array;
-    zero when p has more parts than the spectrum."""
-    return ChatEvaluator(x, table or get_table(algebra), within=p.parts).value(p.parts)
+def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, scale=None):
+    """chat_p at the spectrum ``x``, or at each row of a (batch, m) array,
+    times ``scale()`` when that is given and a value is not zero; zero when p
+    has more parts than the spectrum.
+
+    DomainError naming the weight when a value leaves the float range, by an
+    overflow of the recurrence's powers or of the scale.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = ChatEvaluator(x, table or get_table(algebra), within=p.parts).value(p.parts)
+            if scale is not None and np.any(value):
+                value = value * scale()
+    except OverflowError:
+        value = math.inf
+    if not np.all(np.isfinite(value)):
+        raise DomainError(f"the Jack polynomial of weight {p.weight} leaves the float range "
+                          "at this argument")
+    return value
 
 
 # the largest k whose k! fits a double
@@ -517,10 +532,11 @@ def jack_C(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = 
     eigenvalues.  The value is chat * k!, so a weight above 170 raises
     :class:`DomainError`; up to 170, chat can still underflow to 0.0 (for
     example (170,) at x = 0.5, whose C is 0.5^170), until the recurrence
-    carries the C normalization itself.
+    carries the C normalization itself.  A value past the float range raises
+    :class:`DomainError`.
     """
     kfact = _factorial_of(p)
-    return _chat(p, as_spectrum(x).eigenvalues, algebra, table) * kfact
+    return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: kfact)
 
 
 def jack_C_batch(p: Partition, X: np.ndarray, algebra: DivisionAlgebra, table: JackTable | None = None) -> np.ndarray:
@@ -530,15 +546,15 @@ def jack_C_batch(p: Partition, X: np.ndarray, algebra: DivisionAlgebra, table: J
     if X.ndim != 2:
         raise DomainError("jack_C_batch expects a (batch, m) array")
     kfact = _factorial_of(p)
-    return _chat(p, X, algebra, table) * kfact
+    return _chat(p, X, algebra, table, lambda: kfact)
 
 
 def jack_J(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = None) -> float:
     """Jack polynomial in the monic normalization (coefficient k! on the
-    bottom monomial); related to :func:`jack_C` by the hook-product constant."""
-    chat = _chat(p, as_spectrum(x).eigenvalues, algebra, table)
+    bottom monomial); related to :func:`jack_C` by the hook-product constant.
+    A value past the float range raises :class:`DomainError`."""
     log_scale = _log_nu(p, algebra) - p.weight * math.log(float(algebra.alpha))
-    return chat * math.exp(log_scale) if chat else chat
+    return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: math.exp(log_scale))
 
 
 @lru_cache(maxsize=None)

@@ -135,9 +135,20 @@ def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float) -> float:
     return math.fsum(terms)
 
 
+def _exp_in_range(log_value: float, what: str, log_form: str) -> float:
+    """exp(log_value); DomainError naming ``what`` and the log form to use
+    instead when the value leaves the float range."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"{what} leaves the float range; use {log_form} for its logarithm") from None
+
+
 def mv_gamma(m: int, algebra: DivisionAlgebra, a: float) -> float:
-    """Multivariate gamma; see :func:`mv_gamma_ln` for the domain condition."""
-    return math.exp(mv_gamma_ln(m, algebra, a))
+    """Multivariate gamma; see :func:`mv_gamma_ln` for the domain condition.
+    DomainError when the value leaves the float range."""
+    return _exp_in_range(mv_gamma_ln(m, algebra, a), f"multivariate gamma at a = {a!r}",
+                         "mv_gamma_ln or jackdiv gamma --log")
 
 
 def gen_pochhammer(a: float, p: Partition, algebra: DivisionAlgebra) -> float:
@@ -222,9 +233,11 @@ def mv_gamma_weighted(q: WeightedGammaQuery) -> float:
 
     For ``sign=+1`` this equals ``[a]_kappa * Gamma_m[a]``; for ``sign=-1`` it
     equals ``(-1)^k Gamma_m[a] / [-a + (m-1)*beta/2 + 1]_kappa`` on the stated
-    domain, both to machine precision.
+    domain, both to machine precision.  DomainError when the value leaves the
+    float range.
     """
-    return math.exp(mv_gamma_weighted_ln(q))
+    return _exp_in_range(mv_gamma_weighted_ln(q), f"weighted multivariate gamma at a = {q.a!r}",
+                         "mv_gamma_weighted_ln or jackdiv gamma --log")
 
 
 def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
@@ -238,5 +251,7 @@ def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
 
 
 def mv_beta(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
-    """Multivariate beta function, symmetric in (a, b)."""
-    return math.exp(mv_beta_ln(m, algebra, a, b))
+    """Multivariate beta function, symmetric in (a, b); DomainError when the
+    value leaves the float range."""
+    return _exp_in_range(mv_beta_ln(m, algebra, a, b), f"multivariate beta at a = {a!r}, b = {b!r}",
+                         "mv_beta_ln")

@@ -22,12 +22,11 @@ rows at a time, so memory stays bounded and the random stream is consumed in
 the same order whatever the sample count) and judges the sample mean.  Cone
 draws come from :class:`jackdiv.wishart.ConeSampler`.
 
-At m = 2 no check calls batched LAPACK: Haar draws (the Q of a Gaussian QR),
-eigenvalues, inverses, log-determinants and the matrix-beta conjugations
-(Cholesky whitening, Hermitian inverse root) are closed forms on the three
-entries of each matrix, from :mod:`jackdiv._mat2`.  They consume the random
-stream as numpy's path does and agree with it to rounding; every other m
-runs numpy's path.
+Every matrix step (the Q of a Gaussian QR for Haar draws, eigenvalues,
+inverses, log-determinants and the matrix-beta conjugations by a Cholesky
+factor or a Hermitian inverse root) is one kernel of :mod:`jackdiv._mat2`,
+which runs a closed form on the three entries of each matrix at m = 2 and
+numpy's LAPACK path at every other m.
 """
 
 from __future__ import annotations
@@ -139,9 +138,9 @@ def _report(identity_id, params, analytic, n_samples, seed, draw) -> Verificatio
 
 def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, count: int):
     """Haar-distributed group elements (count, m, m): the Q of a Gaussian
-    matrix's QR factorization with R's diagonal made positive, in closed form
-    at m = 2 (:func:`jackdiv._mat2.unitary_factor`); at beta = 4 the
-    quaternion pair of :func:`jackdiv._quat.haar_batch`."""
+    matrix's QR factorization with R's diagonal made positive
+    (:func:`jackdiv._mat2.unitary_factor`); at beta = 4 the quaternion pair
+    of :func:`jackdiv._quat.haar_batch`."""
     beta = algebra.beta
     if beta == 4:
         return _quat.haar_batch(rng, count, m)
@@ -150,57 +149,7 @@ def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, coun
     g = rng.standard_normal((count, m, m))
     if beta == 2:
         g = g + 1j * rng.standard_normal((count, m, m))
-    if m == 2:
-        return _mat2.unitary_factor(g)
-    qm, r = np.linalg.qr(g)
-    d = np.einsum("bii->bi", r)
-    d = np.where(d == 0, 1.0, d)  # phase d/|d|: exactly +-1 for real d
-    return qm * (d / np.abs(d))[:, None, :]
-
-
-def _complex_form(algebra, h, x, y):
-    """A group batch and two diagonals as complex matrices: for beta = 4 the
-    complex embedding of the quaternion pair ``h``, with each diagonal entry
-    doubled to match; otherwise the inputs unchanged."""
-    if algebra.beta != 4:
-        return h, x, y
-    return _quat.embed(*h), np.concatenate([x, x]), np.concatenate([y, y])
-
-
-def _conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
-    """Spectra (descending) of X H* Y H for nonnegative diagonal X, Y over a
-    batch of group elements; in closed form at m = 2."""
-    if len(x_eigs) == 2:
-        return _conjugated_spectra_m2(np.asarray(x_eigs, dtype=float),
-                                      np.asarray(y_eigs, dtype=float), algebra, h)
-    e, x, y = _complex_form(algebra, h, np.asarray(x_eigs, dtype=float),
-                            np.asarray(y_eigs, dtype=float))
-    inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
-    a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
-    vals = np.linalg.eigvalsh(a)
-    return _quat.dedupe_pairs(vals) if algebra.beta == 4 else vals[:, ::-1]
-
-
-def _conjugated_spectra_m2(x, y, algebra, h) -> np.ndarray:
-    """:func:`_conjugated_spectra` at m = 2 from the entries of the Hermitian
-    X^(1/2) H* Y H X^(1/2): its diagonal is x_i sum_j y_j |h_ji|^2 and its
-    off-diagonal sqrt(x_1 x_2) sum_j y_j conj(h_j1) h_j2, a quaternion at beta
-    = 4, whose spectrum is that of a complex matrix with the same diagonal
-    and |off-diagonal|."""
-    if algebra.beta == 4:
-        v1, v2 = h
-        col_sq = [y[0] * (_mat2.abs_sq(v1[:, 0, k]) + _mat2.abs_sq(v2[:, 0, k]))
-                  + y[1] * (_mat2.abs_sq(v1[:, 1, k]) + _mat2.abs_sq(v2[:, 1, k])) for k in (0, 1)]
-        p1, p2 = _quat._qdot(v1[:, :, 0], v2[:, :, 0], y * v1[:, :, 1], y * v2[:, :, 1])
-        inner_sq = _mat2.abs_sq(p1) + _mat2.abs_sq(p2)
-    else:
-        col_sq = [y[0] * _mat2.abs_sq(h[:, 0, k]) + y[1] * _mat2.abs_sq(h[:, 1, k]) for k in (0, 1)]
-        inner_sq = _mat2.abs_sq(y[0] * h[:, 0, 0].conj() * h[:, 0, 1]
-                                + y[1] * h[:, 1, 0].conj() * h[:, 1, 1])
-    a11, a22 = x[0] * col_sq[0], x[1] * col_sq[1]
-    off_sq = x[0] * x[1] * inner_sq
-    lam_max, lam_min = _mat2.spectra(a11, a22, off_sq, a11 * a22 - off_sq)
-    return np.stack([lam_max, lam_min], axis=1)
+    return _mat2.unitary_factor(g)
 
 
 def verify_split_integral(
@@ -225,7 +174,7 @@ def verify_split_integral(
 
     def draw(rng, count):
         h = _haar_batch(m, algebra, rng, count)
-        return jack_C_batch(kappa, _conjugated_spectra(x_eigs, y_eigs, algebra, h), algebra)
+        return jack_C_batch(kappa, _mat2.conjugated_spectra(x_eigs, y_eigs, algebra, h), algebra)
 
     params = ("split", kappa.parts, tuple(x_eigs), tuple(y_eigs), m, algebra.beta, n_samples, seed)
     return _report(f"split-m{m}-b{algebra.beta}-k{_tag(kappa)}",
@@ -250,12 +199,7 @@ def _matrix_beta1(m, algebra, a1, a2, rng, count):
     (a1, a2), for cone draws A, B and the Cholesky factor L of A + B."""
     a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
     b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
-    if m == 2:
-        return _mat2.cholesky_whiten(a, a + b)
-    ell = np.linalg.cholesky(a + b)
-    w = np.linalg.solve(ell, a)
-    u = np.linalg.solve(ell, np.conj(np.transpose(w, (0, 2, 1))))
-    return 0.5 * (u + np.conj(np.transpose(u, (0, 2, 1))))
+    return _mat2.cholesky_whiten(a, a + b)
 
 
 def _matrix_beta2(m, algebra, a1, a2, rng, count):
@@ -268,12 +212,7 @@ def _matrix_beta2(m, algebra, a1, a2, rng, count):
     """
     a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
     b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
-    if m == 2:
-        return _mat2.congruence(_mat2.inv_sqrt(b), a)
-    w, q = np.linalg.eigh(b)
-    inv_root = np.einsum("bik,bk,bjk->bij", q, w**-0.5, q.conj())
-    x = inv_root @ a @ inv_root
-    return 0.5 * (x + np.conj(np.transpose(x, (0, 2, 1))))
+    return _mat2.inv_sqrt_whiten(a, b)
 
 
 def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None = None) -> np.ndarray:
@@ -288,7 +227,7 @@ def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None =
     if np.all(d >= 0):
         root = np.sqrt(d)
         a = root[None, :, None] * x * root[None, None, :]
-        vals = _eigvalsh(a)[:, ::-1]
+        vals = _mat2.eigvalsh(a)[:, ::-1]
         if logdet_x is not None and np.all(d > 0):
             total = logdet_x + math.fsum(math.log(v) for v in d)
             lead = np.log(vals[:, :-1]).sum(axis=1)
@@ -297,39 +236,14 @@ def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None =
     if np.all(d <= 0):
         root = np.sqrt(-d)
         a = root[None, :, None] * x * root[None, None, :]
-        return -_eigvalsh(a)
+        return -_mat2.eigvalsh(a)
     raise DomainError("diagonal factor must not mix signs")
-
-
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh`` of a positive semidefinite batch, in closed form
-    at m = 2."""
-    return _mat2.eigvalsh(a) if a.shape[-1] == 2 else np.linalg.eigvalsh(a)
-
-
-def _inv_h(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.inv`` of a Hermitian batch, adj / det at m = 2."""
-    return _mat2.inv(x) if x.shape[-1] == 2 else np.linalg.inv(x)
-
-
-def _logdet_h(x: np.ndarray) -> np.ndarray:
-    """log det of each matrix in a batch of Hermitian positive-definite ones;
-    DomainError when a determinant (at m != 2 its sign's real part) is <= 0."""
-    if x.shape[-1] == 2:
-        det = _mat2.det(x)
-        if np.any(det <= 0):
-            raise DomainError("log-determinant of a matrix that is not positive definite")
-        return np.log(det)
-    sign, val = np.linalg.slogdet(x)
-    if np.any(np.real(sign) <= 0):
-        raise DomainError("log-determinant of a matrix that is not positive definite")
-    return np.real(val)
 
 
 def _jack_values(kappa, algebra, x, d, inverse=False, logdet_x=None) -> np.ndarray:
     """C_kappa of the spectra of X^(+-1) diag(d) over a batch of X, the Jack
     integrand of the cone and matrix-beta checks; ``logdet_x`` as in :func:`_eigs_times_diag`."""
-    spectra = _eigs_times_diag(_inv_h(x) if inverse else x, d, logdet_x=logdet_x)
+    spectra = _eigs_times_diag(_mat2.inv(x) if inverse else x, d, logdet_x=logdet_x)
     return jack_C_batch(kappa, spectra, algebra)
 
 
@@ -417,7 +331,7 @@ def verify_beta_jack(
     def draw(rng, count):
         u = _matrix_beta1(m, algebra, a1, a2, rng, count)
         cvals = _jack_values(kappa, algebra, u, r, inverse=inverse_arg)
-        logw = (a - a1) * _logdet_h(u) + (b - a2) * _logdet_h(np.eye(m)[None] - u)
+        logw = (a - a1) * _mat2.logdet(u) + (b - a2) * _mat2.logdet(np.eye(m)[None] - u)
         return np.exp(log_w0 + logw) * cvals
 
     params = ("beta_jack", a, b, kappa.parts, tuple(r), m, beta, inverse_arg, n_samples, seed)
@@ -575,7 +489,7 @@ def verify_beta2_jack(
     def draw(rng, count):
         x = _matrix_beta2(m, algebra, a1, a2, rng, count)
         cvals = _jack_values(kappa, algebra, x, r, inverse=variant == "r1")
-        logw = (a - a1) * _logdet_h(x) + ((a1 + a2) - (a + b)) * _logdet_h(eye + x)
+        logw = (a - a1) * _mat2.logdet(x) + ((a1 + a2) - (a + b)) * _mat2.logdet(eye + x)
         return np.exp(log_w0 + logw) * cvals
 
     params = ("beta2_jack", variant, a, b, kappa.parts, tuple(r), m, beta, n_samples, seed)
@@ -646,7 +560,7 @@ def verify_incomplete(
         def draw(rng, count):
             u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
             y = root[None, :, None] * u * root[None, None, :]
-            return np.exp(log_w0 + (b - c - 1) * _logdet_h(eye - y))
+            return np.exp(log_w0 + (b - c - 1) * _mat2.logdet(eye - y))
 
         identity = f"incbeta-m{m}-b{beta}-a{a:g}-b{b:g}"
         params = (kind, a, b, tuple(xi), m, beta, n_samples, seed)
@@ -676,7 +590,7 @@ def verify_incomplete(
 
         def draw(rng, count):
             xr, _ = sampler.sample(rng, count)
-            return np.exp(log_w0 + r * _logdet_h(eye + xr))
+            return np.exp(log_w0 + r * _mat2.logdet(eye + xr))
 
         identity = f"incgamma-upper-m{m}-b{beta}-a{a:g}"
         params = (kind, a, tuple(lam), tuple(om), m, beta, n_samples, seed)
@@ -768,7 +682,7 @@ def verify_laplace_hypergeom(
 
     def draw(rng, count):
         x, _ = sampler.sample(rng, count)
-        spectra = _eigs_times_diag(_inv_h(x) if inverse_arg else x, u)
+        spectra = _eigs_times_diag(_mat2.inv(x) if inverse_arg else x, u)
         if not upper and not lower and not two_arg:
             fvals = np.exp(spectra.sum(axis=1))
         else:
@@ -862,7 +776,7 @@ def verify_two_matrix_0f0(
     analytic = pfq_two(HypergeomSpec((), (), algebra, m), x, y).value
 
     def draw(rng, count):
-        e, x2, y2 = _complex_form(algebra, _haar_batch(m, algebra, rng, count), x, y)
+        e, x2, y2 = _mat2.complex_form(algebra, _haar_batch(m, algebra, rng, count), x, y)
         tr = np.einsum("i,bij,j,bij->b", x2, e, y2, e.conj()).real
         # the embedding counts each quaternion trace twice
         return np.exp(0.5 * tr if algebra.beta == 4 else tr)

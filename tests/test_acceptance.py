@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from jackdiv import _mat2
 from jackdiv.core import DivisionAlgebra, Partition, enumerate_partitions
 from jackdiv.hypergeom import (
     HypergeomSpec,
@@ -28,7 +29,6 @@ from jackdiv.special import (
     mv_gamma_weighted,
 )
 from jackdiv.verify import (
-    _conjugated_spectra,
     _haar_batch,
     _mean_se,
     _rng,
@@ -207,7 +207,7 @@ def test_criterion_08_splitting_integral():
             for x_eigs, y_eigs in xy[m]:
                 rng = _rng(800 + 10 * m + beta)
                 h = _haar_batch(m, alg, rng, n_samples)
-                spectra = _conjugated_spectra(x_eigs, y_eigs, alg, h)
+                spectra = _mat2.conjugated_spectra(x_eigs, y_eigs, alg, h)
                 for parts in kappas:
                     p = Partition(parts)
                     if p.length > m or len(results) >= 60:

@@ -2,8 +2,10 @@
 and the environment its runs get."""
 
 import importlib.util
+import io
 import json
 import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -71,20 +73,44 @@ def test_traced_medians_are_per_side_and_per_metric():
     assert medians["change"] == {"cold_s": 0.21, "hits": 0.21}
 
 
-def test_both_sides_share_one_bytecode_cache_outside_their_roots(tmp_path, monkeypatch):
-    calls = []
+def _tar_of(files: dict[str, bytes]) -> bytes:
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for name, data in files.items():
+            info = tarfile.TarInfo(name)
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    return buf.getvalue()
 
-    def fake_run(cmd, cwd, env, **kwargs):
-        calls.append((Path(cwd), env))
+
+def test_both_sides_run_from_fresh_exports_with_no_bytecode_prefix(tmp_path, monkeypatch):
+    # git is faked: the parent is one archived file, the change two files of
+    # the working tree; each perfbench run records where it ran, what it found
+    # there and the environment it was given
+    runs = []
+
+    def fake_run(cmd, cwd=None, env=None, **kwargs):
+        if cmd[:2] == ["git", "archive"]:
+            return subprocess.CompletedProcess(cmd, 0, stdout=_tar_of({"README.md": b"parent\n"}))
+        if cmd[:2] == ["git", "ls-files"]:
+            return subprocess.CompletedProcess(cmd, 0, stdout=b"README.md\0tools/bench_pairs.py\0")
+        if cmd[:2] == ["git", "rev-parse"]:
+            return subprocess.CompletedProcess(cmd, 0, stdout="abc1234\n")
+        root = Path(cwd)
+        runs.append((root, sorted(str(p.relative_to(root)) for p in root.rglob("*")), env))
         return subprocess.CompletedProcess(cmd, 0, stdout=_line(1.0, 1) + "\n", stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    roots = [tmp_path / "parent", bench_pairs.ROOT]
-    env = bench_pairs.perfbench_env(tmp_path)
+    monkeypatch.setattr(bench_pairs, "summarize", lambda pairs, end_to_end: {})
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--parent", "HEAD", "--first-seed", "1",
+                                     "--traced", "figures", "--workdir", str(tmp_path),
+                                     "--out", str(tmp_path / "BENCH.json")])
+    assert bench_pairs.main() == 0
+    roots = {root for root, _, _ in runs}
+    assert len(roots) == 2 and bench_pairs.ROOT not in roots
     for root in roots:
-        assert json.loads(bench_pairs.summary_line(root, "figures", 1, 0, env))["failed"] == 0
-    prefixes = {run_env["PYTHONPYCACHEPREFIX"] for _, run_env in calls}
-    assert [cwd for cwd, _ in calls] == roots and len(prefixes) == 1
-    prefix = Path(prefixes.pop())
-    assert prefix.parent == tmp_path
-    assert not any(prefix.is_relative_to(root) for root in roots)
+        # a fresh directory of the temporary directory made under --workdir
+        assert root.parent.parent == tmp_path and not root.exists()
+    found = {root.name: files for root, files, _ in runs}
+    assert found == {"parent": ["README.md"], "change": ["README.md", "tools", "tools/bench_pairs.py"]}
+    assert all(env is None for _, _, env in runs)

@@ -133,6 +133,28 @@ class TestDiagnostics:
         assert code == 2 and out == ""
         assert err == f"error: series terms of degree {degree} leave the float range\n"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command, message", [
+        (["jack", "--kappa", "[2]", "--eigs", "1e200,1"],
+         "the Jack polynomial of weight 2 leaves the float range at this argument"),
+        (["jack", "--kappa", "[2]", "--eigs", "1e200,1", "--normalization", "J"],
+         "the Jack polynomial of weight 2 leaves the float range at this argument"),
+        (["gamma", "--m", "2", "--a", "200"],
+         "multivariate gamma at a = 200.0 leaves the float range; "
+         "use mv_gamma_ln or jackdiv gamma --log for its logarithm"),
+        (["gamma", "--m", "2", "--a", "200", "--kappa", "[1]"],
+         "weighted multivariate gamma at a = 200.0 leaves the float range; "
+         "use mv_gamma_weighted_ln or jackdiv gamma --log for its logarithm"),
+    ], ids=["jack-C", "jack-J", "gamma", "gamma-weighted"])
+    def test_value_past_the_float_range_in_one_line(self, capsys, command, message):
+        code, out, err = run(capsys, *command)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+        if command[0] == "gamma":
+            # the log form the message points to stays in range
+            code, out, _ = run(capsys, *command, "--log")
+            assert code == 0 and math.isfinite(float(out))
+
     @pytest.mark.parametrize("command, flags, name", [
         ("cdf-max", ["--sigma", "1,nan", "--x", "3"], "sigma_eigs must be positive and"),
         ("cdf-max", ["--n", "inf", "--x", "3"], "n must be"),
@@ -310,6 +332,19 @@ class TestVerifyCommand:
         run(capsys, "verify", "two-matrix-0f0/b1", "--quick", "--threads", "8",
             "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_threads_is_a_verify_flag_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gamma", "--a", "2", "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_threads_config_key_does_not_apply_to_gamma(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=2\nthreads=2\n")
+        code, out, err = run(capsys, "gamma", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: {cfg}:2: config key 'threads' does not apply to gamma\n"
 
     def test_threads_environment_variable_is_not_read(self, capsys, monkeypatch):
         monkeypatch.setenv("JACKDIV_THREADS", "abc")

@@ -76,6 +76,23 @@ class TestExamples:
         assert jack_C(p, (1.0,), alg) == pytest.approx(1.0, rel=1e-13)
         assert jack_C_batch(p, np.ones((2, 1)), alg) == pytest.approx([1.0, 1.0], rel=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_jack_C_past_the_float_range_is_domain_error(self):
+        with pytest.raises(DomainError, match="weight 2 leaves the float range"):
+            jack_C(Partition((2,)), (1e200, 1.0), DivisionAlgebra(1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_jack_J_past_the_float_range_is_domain_error(self):
+        with pytest.raises(DomainError, match="weight 2 leaves the float range"):
+            jack_J(Partition((2,)), (1e200, 1.0), DivisionAlgebra(1))
+
+    @pytest.mark.filterwarnings("error")
+    def test_jack_C_batch_past_the_float_range_is_domain_error(self):
+        # one overflowing row refuses the batch, with no numpy warning
+        X = np.array([[1.0, 2.0], [1e200, 1.0]])
+        with pytest.raises(DomainError, match="weight 2 leaves the float range"):
+            jack_C_batch(Partition((2,)), X, DivisionAlgebra(1))
+
     def test_k2_linear_system_value(self):
         # beta=1 value forced by the defining conditions at weight 2
         x = (1.3, 0.4)

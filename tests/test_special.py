@@ -42,6 +42,12 @@ class TestMvGamma:
         with pytest.raises(DomainError, match=r"\(m-1\)\*beta/2"):
             mv_gamma(3, DivisionAlgebra(2), 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_past_the_float_range_is_domain_error(self):
+        assert math.isfinite(mv_gamma_ln(2, DivisionAlgebra(1), 200.0))
+        with pytest.raises(DomainError, match=r"a = 200\.0 leaves the float range; use mv_gamma_ln"):
+            mv_gamma(2, DivisionAlgebra(1), 200.0)
+
     def test_product_orderings_bit_identical(self):
         # both gamma-shift orderings produce the same multiset of summands
         for alg in ALGEBRAS:
@@ -128,6 +134,13 @@ class TestWeightedGamma:
         q = WeightedGammaQuery(0.5, 2, alg, Partition((2, 2)), +1)
         assert math.isfinite(mv_gamma_weighted_ln(q))
 
+    @pytest.mark.filterwarnings("error")
+    def test_past_the_float_range_is_domain_error(self):
+        q = WeightedGammaQuery(200.0, 2, DivisionAlgebra(1), Partition((1,)), +1)
+        assert math.isfinite(mv_gamma_weighted_ln(q))
+        with pytest.raises(DomainError, match=r"a = 200\.0 leaves the float range; use mv_gamma_weighted_ln"):
+            mv_gamma_weighted(q)
+
 
 class TestMvBeta:
     def test_scalar_cases(self):
@@ -149,6 +162,12 @@ class TestMvBeta:
     def test_domain(self):
         with pytest.raises(DomainError):
             mv_beta(3, DivisionAlgebra(4), 1.0, 9.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_past_the_float_range_is_domain_error(self):
+        # B(a, a) ~ 2/a near 0: past the float range at a = 1e-310
+        with pytest.raises(DomainError, match=r"a = 1e-310, b = 1e-310 leaves the float range; use mv_beta_ln"):
+            mv_beta(1, DivisionAlgebra(1), 1e-310, 1e-310)
 
 
 class TestSignedLogGamma:

@@ -11,10 +11,8 @@ from jackdiv.core import DivisionAlgebra, DomainError, Partition, UnsupportedPar
 from jackdiv.special import mv_beta, mv_gamma
 from jackdiv.verify import (
     VerificationReport,
-    _conjugated_spectra,
     _eigs_times_diag,
     _haar_batch,
-    _logdet_h,
     _matrix_beta1,
     _matrix_beta2,
     _mean_se,
@@ -110,17 +108,18 @@ class TestConeSampler:
 EPS = np.finfo(float).eps
 
 
-def _hermitian_batch(beta, max_cond, count, seed):
-    """Positive-definite (count, 2, 2) batch, real at beta = 1 and complex at
+def _hermitian_batch(beta, max_cond, count, seed, m=2):
+    """Positive-definite (count, m, m) batch, real at beta = 1 and complex at
     beta = 2, with norms spread over 1e-3..1e3 and condition numbers
-    log-uniform on [1, max_cond]."""
+    log-uniform on [1, max_cond], the eigenvalues geometric between."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((count, 2, 2))
+    g = rng.standard_normal((count, m, m))
     if beta == 2:
-        g = g + 1j * rng.standard_normal((count, 2, 2))
+        g = g + 1j * rng.standard_normal((count, m, m))
     q = np.linalg.qr(g)[0]
     lam_min = 10.0 ** -rng.uniform(0.0, math.log10(max_cond), count)
-    lam = np.stack([np.ones(count), lam_min], axis=1) * 10.0 ** rng.uniform(-3, 3, count)[:, None]
+    inner = [lam_min ** (k / (m - 1)) for k in range(1, m - 1)]
+    lam = np.stack([np.ones(count), *inner, lam_min], axis=1) * 10.0 ** rng.uniform(-3, 3, count)[:, None]
     a = np.einsum("bij,bj,bkj->bik", q, lam, q.conj())
     return 0.5 * (a + _herm(a))
 
@@ -133,47 +132,102 @@ def _rows_max(a):
     return np.abs(a).max(axis=(1, 2))
 
 
-# Each closed form against the LAPACK call it replaces, at beta = 1 and 2, on
-# well-conditioned batches and on condition numbers up to 1e12.  Both sides
-# are backward stable, so they agree to a few ulps of the size of their
-# forward error: |A| for eigenvalues and determinants, cond(A) |A^-1| for
-# inverses and cond |result| for the factorizations.
-KERNEL_CASES = [(beta, cond) for beta in (1, 2) for cond in (10.0, 1e12)]
+# Each kernel of _mat2 at m = 2 and m = 3, at beta = 1 and 2, on
+# well-conditioned batches and on condition numbers up to 1e12.  At m = 3 a
+# kernel is the numpy expression it stands for, bit for bit.  At m = 2 it is
+# a closed form, checked against the LAPACK call it replaces: both sides are
+# backward stable, so they agree to a few ulps of the size of their forward
+# error: |A| for eigenvalues and determinants, cond(A) |A^-1| for inverses
+# and cond |result| for the factorizations.
+M2_CASES = [(2, beta, cond) for beta in (1, 2) for cond in (10.0, 1e12)]
+KERNEL_CASES = M2_CASES + [(3, beta, cond) for beta in (1, 2) for cond in (10.0, 1e12)]
+
+
+def _case_id(case):
+    m, beta, cond = case
+    return ("" if m == 2 else f"m{m}-") + f"b{beta}-cond{cond:g}"
+
+
+def _kernel_batch(case):
+    m, beta, cond = case
+    return _hermitian_batch(beta, cond, 4000, 7 * beta + int(math.log10(cond)), m)
+
+
+def _second_batch(a):
+    """A positive-definite batch of a's shape and kind, condition <= 1e3."""
+    return _hermitian_batch(1 if a.dtype == float else 2, 1e3, len(a), 99, a.shape[-1])
 
 
 class TestM2Kernels:
-    @pytest.fixture(params=KERNEL_CASES, ids=lambda c: f"b{c[0]}-cond{c[1]:g}")
+    @pytest.fixture(params=M2_CASES, ids=_case_id)
     def batch(self, request):
-        beta, cond = request.param
-        return _hermitian_batch(beta, cond, 4000, 7 * beta + int(math.log10(cond)))
+        return _kernel_batch(request.param)
 
-    def test_eigvalsh(self, batch):
-        ref = np.linalg.eigvalsh(batch)
-        got = _mat2.eigvalsh(batch)
+    @pytest.fixture(params=KERNEL_CASES, ids=_case_id)
+    def any_batch(self, request):
+        return _kernel_batch(request.param)
+
+    def test_eigvalsh(self, any_batch):
+        ref = np.linalg.eigvalsh(any_batch)
+        got = _mat2.eigvalsh(any_batch)
+        if any_batch.shape[-1] != 2:
+            assert np.array_equal(got, ref)
+            return
         assert np.all(np.abs(got - ref) <= 16 * EPS * ref[:, 1:])
 
-    def test_det_against_slogdet(self, batch):
-        sign, logdet = np.linalg.slogdet(batch)
-        w = np.linalg.eigvalsh(batch)
-        assert np.all(np.abs(_mat2.det(batch) - sign.real * np.exp(logdet)) <= 16 * EPS * w[:, 1] ** 2)
-        assert np.all(np.abs(_logdet_h(batch) - logdet) <= 16 * EPS * w[:, 1] / w[:, 0])
+    def test_det_against_slogdet(self, any_batch):
+        sign, logdet = np.linalg.slogdet(any_batch)
+        if any_batch.shape[-1] != 2:
+            assert np.array_equal(_mat2.logdet(any_batch), np.real(logdet))
+            return
+        w = np.linalg.eigvalsh(any_batch)
+        assert np.all(np.abs(_mat2.det(any_batch) - sign.real * np.exp(logdet)) <= 16 * EPS * w[:, 1] ** 2)
+        assert np.all(np.abs(_mat2.logdet(any_batch) - logdet) <= 16 * EPS * w[:, 1] / w[:, 0])
 
-    def test_inv(self, batch):
-        w = np.linalg.eigvalsh(batch)
-        got = _mat2.inv(batch)
-        assert np.all(_rows_max(got - np.linalg.inv(batch)) <= 16 * EPS * w[:, 1] / w[:, 0] ** 2)
+    def test_inv(self, any_batch):
+        got = _mat2.inv(any_batch)
+        if any_batch.shape[-1] != 2:
+            assert np.array_equal(got, np.linalg.inv(any_batch))
+            return
+        w = np.linalg.eigvalsh(any_batch)
+        assert np.all(_rows_max(got - np.linalg.inv(any_batch)) <= 16 * EPS * w[:, 1] / w[:, 0] ** 2)
         assert np.array_equal(got, _herm(got))
 
-    def test_cholesky_whiten_against_cholesky_and_solve(self, batch):
-        beta = 1 if batch.dtype == float else 2
-        a, s = batch, batch + _hermitian_batch(beta, 1e3, len(batch), 99)
+    def test_cholesky_whiten_against_cholesky_and_solve(self, any_batch):
+        a, s = any_batch, any_batch + _second_batch(any_batch)
         ell = np.linalg.cholesky(s)
         w = np.linalg.solve(ell, a)
         ref = np.linalg.solve(ell, _herm(w))
         ref = 0.5 * (ref + _herm(ref))
-        ws = np.linalg.eigvalsh(s)
         got = _mat2.cholesky_whiten(a, s)
+        if any_batch.shape[-1] != 2:
+            assert np.array_equal(got, ref)
+            return
+        ws = np.linalg.eigvalsh(s)
         assert np.all(_rows_max(got - ref) <= 16 * EPS * ws[:, 1] / ws[:, 0] * _rows_max(ref))
+
+    def test_inv_sqrt_whiten_against_eigh(self, any_batch):
+        a, b = any_batch, any_batch + _second_batch(any_batch)
+        w, q = np.linalg.eigh(b)
+        root = np.einsum("bik,bk,bjk->bij", q, w ** -0.5, q.conj())
+        ref = root @ a @ root
+        ref = 0.5 * (ref + _herm(ref))
+        got = _mat2.inv_sqrt_whiten(a, b)
+        if any_batch.shape[-1] != 2:
+            assert np.array_equal(got, ref)
+            return
+        assert np.all(_rows_max(got - ref) <= 16 * EPS * w[:, 1] / w[:, 0] * _rows_max(ref))
+
+    def test_unitary_factor_against_qr(self, any_batch):
+        q, r = np.linalg.qr(any_batch)
+        d = np.einsum("bii->bi", r)
+        ref = q * (d / np.abs(d))[:, None, :]
+        got = _mat2.unitary_factor(any_batch)
+        if any_batch.shape[-1] != 2:
+            assert np.array_equal(got, ref)
+            return
+        sv = np.linalg.svd(any_batch, compute_uv=False)
+        assert np.all(_rows_max(got - ref) <= 16 * EPS * sv[:, 0] / sv[:, 1])
 
     def test_inv_sqrt_against_eigh(self, batch):
         w, q = np.linalg.eigh(batch)
@@ -204,7 +258,7 @@ class TestM2Kernels:
 
     def test_logdet_rejects_indefinite_with_positive_diagonal(self):
         with pytest.raises(DomainError, match="positive definite"):
-            _logdet_h(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
+            _mat2.logdet(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
 
 
 def _numpy_cone_draw(sampler, rng, count):
@@ -337,7 +391,7 @@ def test_m2_split_spectra_match_embedding_eigvalsh(beta):
     inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
     vals = np.linalg.eigvalsh(np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :])
     ref = _quat.dedupe_pairs(vals) if beta == 4 else vals[:, ::-1]
-    got = _conjugated_spectra(x_eigs, y_eigs, alg, h)
+    got = _mat2.conjugated_spectra(x_eigs, y_eigs, alg, h)
     assert np.all(np.abs(got - ref) <= 16 * EPS * ref[:, :1])
 
 
@@ -588,10 +642,10 @@ class TestDomainEnforcement:
             verify_beta_jack(2.0, 3.0, Partition((1,)), (1.0,), 1, B4, False, 100, 1)
 
     def test_logdet_rejects_non_positive_definite(self):
-        assert _logdet_h(np.array([np.diag([2.0, 3.0])])) == pytest.approx([math.log(6.0)])
+        assert _mat2.logdet(np.array([np.diag([2.0, 3.0])])) == pytest.approx([math.log(6.0)])
         batch = np.array([np.eye(2), np.diag([1.0, -2.0])])
         with pytest.raises(DomainError, match="positive definite"):
-            _logdet_h(batch)
+            _mat2.logdet(batch)
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_nonpositive_sample_count(self, n_samples):

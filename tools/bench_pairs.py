@@ -3,17 +3,16 @@
 
     python3 tools/bench_pairs.py --parent HEAD~1 --first-seed 1701 --traced cdf_m3 --out BENCH_17.json
 
-Run it from the repository root.  The parent's committed files are exported
-with ``git archive`` into a temporary directory (under ``--workdir`` if
-given), so nothing is registered in the repository and an interrupted run
-leaves nothing behind in it.  The change is the working tree as it is.  Every
-run of both sides reads and writes its bytecode under one fresh
-``PYTHONPYCACHEPREFIX`` in that temporary directory, so a ``__pycache__`` left
-in the working tree gives the change no head start.  Under
-``PYTHONDONTWRITEBYTECODE`` nothing is written there, so both sides compile
-every module they import, numpy's too, on every run, and ``setup_s`` counts
-that compilation.  For
-each workload of ``BENCHMARK.json`` the script runs ten pairs of
+Run it from the repository root.  Both sides are exported into one
+temporary directory (under ``--workdir`` if given), so nothing is registered
+in the repository and an interrupted run leaves nothing behind in it: the
+parent's committed files with ``git archive``, and the change as the working
+tree's tracked files as they are plus its untracked files that git does not
+ignore.  Neither side therefore finds a ``__pycache__`` of its own left by an
+earlier run, and both run with this process's environment, so each reads the
+installed bytecode of numpy and the standard library as a user's run does
+and ``setup_s`` measures the start-up a user pays.  For each workload of
+``BENCHMARK.json`` the script runs ten pairs of
 ``perfbench/run.py --seconds 10 --trace 0``, pair i at seed
 ``first_seed + i``: even pairs run the parent first, odd pairs the change
 first, so a drift in host speed falls on both sides.  It then runs three
@@ -34,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -111,23 +111,29 @@ def export(ref: str, into: Path) -> Path:
     return into
 
 
+def export_working_tree(into: Path) -> Path:
+    """The working tree's tracked files as they are, plus its untracked files
+    that git does not ignore, copied under ``into``; a tracked file deleted
+    from the working tree is left out."""
+    listing = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                             cwd=ROOT, capture_output=True, check=True).stdout
+    for name in filter(None, os.fsdecode(listing).split("\0")):
+        if (ROOT / name).is_file():
+            (into / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, into / name)
+    return into
+
+
 def commit_of(ref: str) -> str:
     return subprocess.run(["git", "rev-parse", "--short", ref], cwd=ROOT, capture_output=True,
                           text=True, check=True).stdout.strip()
 
 
-def perfbench_env(tmp: Path) -> dict[str, str]:
-    """The environment of every perfbench run of both sides: this process's,
-    with the bytecode cache in one fresh directory under ``tmp``, so both
-    sides start from the same cache state."""
-    return {**os.environ, "PYTHONPYCACHEPREFIX": str(tmp / "pycache")}
-
-
-def summary_line(root: Path, workload: str, seed: int, trace: int, env: dict[str, str]) -> str:
+def summary_line(root: Path, workload: str, seed: int, trace: int) -> str:
     """The last line of standard output of one perfbench run in ``root``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(trace)]
-    run = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True)
+    run = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if run.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited with {run.returncode}:\n{run.stderr[-3000:]}")
     line = run.stdout.strip().splitlines()[-1]
@@ -146,27 +152,28 @@ def main() -> int:
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
-        roots = {"parent": export(args.parent, Path(tmp) / "parent"), "change": ROOT}
-        env = perfbench_env(Path(tmp))
+        roots = {"parent": export(args.parent, Path(tmp) / "parent"),
+                 "change": export_working_tree(Path(tmp) / "change")}
         seeds = range(args.first_seed, args.first_seed + PAIRS)
         workloads = {}
         for name in (w["name"] for w in bench["workloads"]):
             pairs = []
             for seed, order in zip(seeds, alternating(PAIRS)):
-                lines = {side: summary_line(roots[side], name, seed, 0, env) for side in order}
+                lines = {side: summary_line(roots[side], name, seed, 0) for side in order}
                 pairs.append({"seed": seed, "first": order[0], "parent": lines["parent"], "change": lines["change"]})
             workloads[name] = {"pairs": pairs, "summary": summarize(pairs, bench["end_to_end"]),
                                "failed_parent_change": failed_counts(pairs)}
         traced = []
         for order in alternating(TRACED_PAIRS):
-            lines = {side: summary_line(roots[side], args.traced, args.first_seed, 1, env) for side in order}
+            lines = {side: summary_line(roots[side], args.traced, args.first_seed, 1) for side in order}
             traced.append({"first": order[0], "parent": lines["parent"], "change": lines["change"]})
     record = {
         "description": (
             f"perfbench/run.py summary lines (the last line of standard output, kept as printed) of "
             f"{PAIRS} alternating parent/change pairs per workload, --seconds {SECONDS} "
             f"--trace 0, seeds {seeds[0]}-{seeds[-1]}, on a {os.cpu_count()}-CPU host, written by "
-            f"tools/bench_pairs.py; even pairs ran the parent first, odd pairs the change first. "
+            f"tools/bench_pairs.py from fresh exports of both sides, with the caller's environment; "
+            f"even pairs ran the parent first, odd pairs the change first. "
             f"traced: {TRACED_PAIRS} alternating --trace 1 {args.traced} pairs at seed {seeds[0]}, "
             f"and traced_medians each side's median of every traced metric. summary: per metric, "
             f"each side's quartiles (linear interpolation), the number of pairs the change won and "
