@@ -491,8 +491,10 @@ def _log_nu(p: Partition, algebra: DivisionAlgebra) -> float:
 
 def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, scale=None):
     """chat_p at the spectrum ``x``, or at each row of a (batch, m) array,
-    times ``scale()`` when that is given and a value is not zero; zero when p
-    has more parts than the spectrum.
+    times each factor ``scale()`` returns, applied in turn, when that is
+    given and a value is not zero; zero when p has more parts than the
+    spectrum.  A constant above 1 given as two equal factors h, h overflows
+    no intermediate where value * h^2 fits.
 
     DomainError naming the weight when a value leaves the float range, by an
     overflow of the recurrence's powers or of the scale.
@@ -501,7 +503,8 @@ def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, sc
         with np.errstate(over="ignore", invalid="ignore"):
             value = ChatEvaluator(x, table or get_table(algebra), within=p.parts).value(p.parts)
             if scale is not None and np.any(value):
-                value = value * scale()
+                for factor in scale():
+                    value = value * factor
     except OverflowError:
         value = math.inf
     if not np.all(np.isfinite(value)):
@@ -536,7 +539,7 @@ def jack_C(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = 
     :class:`DomainError`.
     """
     kfact = _factorial_of(p)
-    return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: kfact)
+    return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: (kfact,))
 
 
 def jack_C_batch(p: Partition, X: np.ndarray, algebra: DivisionAlgebra, table: JackTable | None = None) -> np.ndarray:
@@ -546,15 +549,18 @@ def jack_C_batch(p: Partition, X: np.ndarray, algebra: DivisionAlgebra, table: J
     if X.ndim != 2:
         raise DomainError("jack_C_batch expects a (batch, m) array")
     kfact = _factorial_of(p)
-    return _chat(p, X, algebra, table, lambda: kfact)
+    return _chat(p, X, algebra, table, lambda: (kfact,))
 
 
 def jack_J(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = None) -> float:
     """Jack polynomial in the monic normalization (coefficient k! on the
     bottom monomial); related to :func:`jack_C` by the hook-product constant.
-    A value past the float range raises :class:`DomainError`."""
-    log_scale = _log_nu(p, algebra) - p.weight * math.log(float(algebra.alpha))
-    return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: math.exp(log_scale))
+    The constant is applied as two half factors, since past weight ~90 it
+    leaves the float range where chat * constant does not (J_(k) = (2k - 1)!!
+    at x = 1, beta = 1).  A value past the float range raises
+    :class:`DomainError`."""
+    log_half = (_log_nu(p, algebra) - p.weight * math.log(float(algebra.alpha))) / 2
+    return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: (math.exp(log_half),) * 2)
 
 
 @lru_cache(maxsize=None)

@@ -21,7 +21,8 @@ spectrum of Omega Sigma^{-1}, on :func:`hypergeom.pfq_positive_m2` at m = 2
 and elsewhere on the memoized :func:`hypergeom.ray_series` of a direction
 fixed by the model.  Both memoize the series' degree sums along the ray of t,
 so every x of one model shares one table (at m = 2) or one Jack recurrence
-(elsewhere).  The
+(elsewhere).  Where a Chernoff bound on the trace shows that the value rounds
+to 1.0, neither runs.  The
 smallest-eigenvalue law adds the exponential series past first part r and an
 incomplete gamma tail; the joint density shifts its coupling 0F0 to a
 nonnegative argument.
@@ -308,10 +309,65 @@ def _cdf_prefactor(model: WishartModel, t: np.ndarray) -> tuple[float, float, fl
     return c1, q, log_pref
 
 
-def _cdf_positive_series(model: WishartModel, t: np.ndarray, direction,
-                         trunc: SeriesTruncation | None) -> float:
-    """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, which lies on the
-    ray of ``direction`` (see :func:`_log_1f1_positive`)."""
+# log 2^-54: a CDF within 2^-54 of 1 rounds to exactly 1.0 (ties go to even)
+_LOG_ROUNDS_TO_ONE = -54.0 * math.log(2.0)
+
+
+def _log_gamma_tail_bound(a: float, u: float) -> float:
+    """An upper bound on log P(G >= a u) for G ~ Gamma(a): the Chernoff bound
+    -a (u - 1 - log u) for u > 1, and 0 otherwise.
+
+    The bound is taken 8 epsilons of a (|u - 1| + |u - 1 - log u|) above the
+    computed exponent, more than the few roundings of ``a``, of ``u`` and of
+    the exponent itself can move it, so the float returned is itself a bound.
+    """
+    if u == math.inf:
+        return -math.inf
+    if not u > 1.0:
+        return 0.0
+    d = u - 1.0
+    excess = d - math.log1p(d)
+    return -a * (excess - 8.0 * sys.float_info.epsilon * (d + excess))
+
+
+def _rounds_to_one(model: WishartModel, t_min: float) -> bool:
+    """True when a proven bound puts 1 - P(S < Omega) at or below 2^-54, so
+    that the correctly rounded P(S < Omega) is 1.0; t_min is the smallest
+    eigenvalue of Omega Sigma^{-1}.
+
+    The bound is exp(-a (u - 1 - log u)), a = beta m n / 2 and u = beta t_min
+    / (2a) > 1.  Proof:
+
+    - S < Omega fails only if Omega^(-1/2) S Omega^(-1/2), a Wishart matrix
+      of scale eigenvalues 1/t_i, has an eigenvalue >= 1, so only if its
+      trace is >= 1.
+    - The Laplace transform |I + (2/beta) Z Sigma|^(-beta n/2) makes the trace
+      of a Wishart matrix a sum of independent Gamma(beta n/2) variables of
+      scales 2 sigma_i/beta.  Here every scale is at most 2/(beta t_min), so
+      the trace lies below 2/(beta t_min) times a Gamma(a) variable G, at any
+      real n > m - 1.  Hence 1 - P(S < Omega) <= P(G >= a u).
+    - The Chernoff bound on Gamma(a) (:func:`_log_gamma_tail_bound`) gives
+      the exponential.
+
+    Python floats only, so an evaluation the bound does not answer pays a few
+    float operations for it.
+    """
+    a = model.beta * model.m * model.n / 2
+    return _log_gamma_tail_bound(a, model.beta * t_min / (2 * a)) <= _LOG_ROUNDS_TO_ONE
+
+
+def _cdf_positive_series(model: WishartModel, t, direction, trunc: SeriesTruncation | None) -> float:
+    """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, a sequence of
+    floats on the ray of ``direction`` (see :func:`_log_1f1_positive`).
+
+    Where the Chernoff bound 1 - P(S < Omega) <= exp(-a (u - 1 - log u)), a =
+    beta m n / 2, u = beta min(t) / (2a), is at most 2^-54
+    (:func:`_rounds_to_one`), this returns 1.0, the correctly rounded value,
+    before any prefactor or series, whatever ``trunc``.
+    """
+    if _rounds_to_one(model, min(t)):
+        return 1.0
+    t = np.asarray(t, dtype=float)
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
     log_series = _log_1f1_positive(c1, q, arg, direction, model.algebra, trunc)
@@ -332,7 +388,10 @@ def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation 
 
     ``omega_eigs[i] / sigma_eigs[i]`` form the spectrum of Omega Sigma^{-1};
     for a non-commuting pair pass that product's spectrum directly with a
-    model whose scale eigenvalues are ones.
+    model whose scale eigenvalues are ones.  Where 1 - P(S < Omega) <=
+    exp(-a (u - 1 - log u)), a = beta m n / 2, u = beta t_min / (2a) and
+    t_min the smallest omega_eigs[i] / sigma_eigs[i], is at most 2^-54, the
+    value is 1.0 with no series summed (:func:`_rounds_to_one`).
     """
     omega = np.asarray(omega_eigs, dtype=float)
     if omega.shape != (model.m,):
@@ -340,16 +399,22 @@ def cdf_wishart_region(model: WishartModel, omega_eigs, trunc: SeriesTruncation 
     if not np.all((omega > 0) & (omega < math.inf)):
         raise DomainError("region boundary omega_eigs must be positive definite and finite")
     t = omega / np.asarray(model.sigma_eigs)
-    return _cdf_positive_series(model, t, t, trunc)
+    return _cdf_positive_series(model, t.tolist(), t, trunc)
 
 
 def cdf_lambda_max(model: WishartModel, x: float, trunc: SeriesTruncation | None = None) -> float:
     """P(largest eigenvalue < x): a decaying exponential prefactor times a
-    confluent series of positive terms (the Kummer form)."""
+    confluent series of positive terms (the Kummer form).
+
+    In the far upper tail, where the Chernoff bound 1 - P <= exp(-a (u - 1 -
+    log u)), a = beta m n / 2 and u = beta x / (2 a sigma_max), is at most
+    2^-54, the value is 1.0 with no series summed (:func:`_rounds_to_one`),
+    at every m and any x however large.
+    """
     if not 0 < x < math.inf:
         raise DomainError("x must be positive and finite")
-    t = x / np.asarray(model.sigma_eigs)
-    return _cdf_positive_series(model, t, 1.0 / np.asarray(model.sigma_eigs), trunc)
+    t = [x / s for s in model.sigma_eigs]
+    return _cdf_positive_series(model, t, [1.0 / s for s in model.sigma_eigs], trunc)
 
 
 def min_eig_sum_bound(model: WishartModel) -> int:

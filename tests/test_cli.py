@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from jackdiv import cli
+from jackdiv import cli, hypergeom
 from jackdiv.cli import main
 from jackdiv.core import DivisionAlgebra, Partition
 from jackdiv.hypergeom import SeriesTruncation
@@ -196,6 +196,14 @@ class TestDiagnostics:
                              "--sigma", "1,2", "--x", x)
         assert code == 0 and "error" not in err
         assert 1.0 - 1e-10 <= float(out.strip()) <= 1.0
+
+    @pytest.mark.parametrize("x", ["1e300", "100000"])
+    def test_far_tail_answered_by_the_bound_builds_no_table(self, capsys, x):
+        # the m = 2 table would grow like x; the Chernoff bound answers first
+        clear_memos()
+        code, out, err = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--x", x)
+        assert (code, err) == (0, "") and float(out) == 1.0
+        assert hypergeom._m2_series.cache_info().currsize == 0
 
     @pytest.mark.parametrize("beta, x", [("8", "200"), ("4", "400")])
     def test_far_tail_refused_in_one_line(self, capsys, monkeypatch, beta, x):

@@ -87,6 +87,20 @@ class TestExamples:
             jack_J(Partition((2,)), (1e200, 1.0), DivisionAlgebra(1))
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [100, 110, 120])
+    def test_jack_J_past_weight_90_stays_in_range(self, k):
+        # J_(k)(1) = (2k - 1)!! at beta = 1, about 1e187 at k = 100, though
+        # the constant J/chat alone leaves the float range near weight 90
+        want = float(math.prod(range(1, 2 * k, 2)))
+        assert jack_J(Partition((k,)), (1.0,), DivisionAlgebra(1)) == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.filterwarnings("error")
+    def test_jack_J_out_of_range_at_weight_155_is_domain_error(self):
+        # 309!! is about 1e323
+        with pytest.raises(DomainError, match="weight 155 leaves the float range"):
+            jack_J(Partition((155,)), (1.0,), DivisionAlgebra(1))
+
+    @pytest.mark.filterwarnings("error")
     def test_jack_C_batch_past_the_float_range_is_domain_error(self):
         # one overflowing row refuses the batch, with no numpy warning
         X = np.array([[1.0, 2.0], [1e200, 1.0]])

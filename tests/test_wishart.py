@@ -286,11 +286,25 @@ class TestLambdaMax:
             cdf_lambda_max(WishartModel(1, 2, (1.0,), B1), 0.0)
 
     @pytest.mark.parametrize("beta, x", [(8, 60.0), (4, 120.0), (2, 200.0)])
-    def test_generic_series_overflow_is_domain_error(self, beta, x):
-        # m = 1 takes the generic series, whose raw powers of the trace
-        # (beta/2) x / sigma overflow before the terms decay
+    def test_generic_series_far_tail_rounds_to_one(self, beta, x):
+        # once refused by the generic series; the Chernoff bound now answers
+        # them, and the 30-digit incomplete gamma rounds to 1.0 as well
         model = WishartModel(1, 1, (2.0,), DivisionAlgebra(beta))
-        with pytest.raises(DomainError, match=f"trace {beta * x / 4:g} .*not scale-safe"):
+        with mpmath.workdps(30):
+            want = float(mpmath.gammainc(beta / 2, 0, beta * x / 4, regularized=True))
+        assert cdf_lambda_max(model, x) == want == 1.0
+
+    @pytest.mark.parametrize("m, n, beta, sigma, x", [
+        (1, 20, 8, (2.0,), 72.0),
+        (3, 1e5, 2, (1.0, 2.0, 3.0), 5e5),
+    ], ids=["m1", "m3"])
+    def test_generic_series_overflow_is_domain_error(self, m, n, beta, sigma, x):
+        # the generic series needs a degree whose coefficient underflows
+        # before its terms decay, at points the Chernoff bound cannot answer
+        model = WishartModel(m, n, sigma, DivisionAlgebra(beta))
+        assert not wishart._rounds_to_one(model, x / max(sigma))
+        trace = math.fsum(beta / 2 * x / s for s in sigma)
+        with pytest.raises(DomainError, match=f"trace {trace:g} .*not scale-safe"):
             cdf_lambda_max(model, x)
 
     def test_stall_window_reaches_m2_engine(self, monkeypatch):
@@ -313,13 +327,14 @@ class TestLambdaMax:
     @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     def test_far_tail_finite_bounded_monotone(self, beta):
         # every value finite and in [0, 1], no drop beyond rounding, out to
-        # x = 1000 (about 7000 degrees at beta = 8)
+        # x = 1000; past where the Chernoff bound fires, exactly 1.0
         model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta))
         grid = np.concatenate([np.geomspace(0.05, 20.0, 24), np.geomspace(25.0, 1000.0, 24)])
         vals = [cdf_lambda_max(model, float(x)) for x in grid]
         assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in vals)
-        assert all(b >= a - 1e-11 for a, b in zip(vals, vals[1:]))
-        assert vals[-1] >= 1.0 - 1e-10
+        assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        fired = [v for x, v in zip(grid, vals) if wishart._rounds_to_one(model, x / 2.0)]
+        assert len(fired) >= 10 and set(fired) == {1.0}
 
     @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     @pytest.mark.parametrize("n", [1, 3.5, 7])
@@ -386,6 +401,78 @@ class TestLambdaMax:
                 cdf_lambda_max(model, 1.0)
         else:
             assert cdf_lambda_max(model, 1.0) == outcome
+
+
+class TestChernoffTail:
+    """Where exp(-a (u - 1 - log u)), a = beta m n / 2, u = beta t_min / (2a),
+    bounds 1 - P(S < Omega) by 2^-54, the distribution functions return 1.0
+    and sum no series."""
+
+    @pytest.mark.parametrize("a", [0.5, 2.0, 12.0, 60.0])
+    def test_bound_holds_against_the_incomplete_gamma(self, a):
+        for u in np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 12), np.geomspace(2.0, 50.0, 24)]):
+            with mpmath.workdps(30):
+                tail = mpmath.gammainc(a, a * float(u), mpmath.inf, regularized=True)
+                assert wishart._log_gamma_tail_bound(a, float(u)) >= float(mpmath.log(tail))
+        assert wishart._log_gamma_tail_bound(a, 1.0) == wishart._log_gamma_tail_bound(a, 0.3) == 0.0
+        assert wishart._log_gamma_tail_bound(a, math.inf) == -math.inf
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("n", [1, 3.5, 20])
+    def test_m1_fires_only_where_the_cdf_rounds_to_one(self, beta, n):
+        # at m = 1 the largest eigenvalue is (2 sigma / beta) Gamma(beta n / 2)
+        model = WishartModel(1, n, (2.0,), DivisionAlgebra(beta))
+        fired = [x for x in np.geomspace(1.0, 4000.0, 80) if wishart._rounds_to_one(model, x / 2.0)]
+        assert len(fired) >= 10
+        for x in fired:
+            with mpmath.workdps(30):
+                want = float(mpmath.gammainc(beta * n / 2, 0, beta * x / 4, regularized=True))
+            assert want == cdf_lambda_max(model, float(x)) == 1.0
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        for name in ("pfq_positive_m2", "ray_series"):
+            def spy(*args, engine=getattr(wishart, name), name=name):
+                calls.append(name)
+                return engine(*args)
+
+            monkeypatch.setattr(wishart, name, spy)
+        return calls
+
+    def test_far_tail_points_reach_no_series(self, monkeypatch):
+        # the perfbench tail points at m = 2, n = 4, sigma = (1, 2): 7 of 8
+        # answered by the bound; tail/b1/x200 (bound e^-35.9) keeps its bits
+        calls = self._spy(monkeypatch)
+        for beta in (1, 2, 4, 8):
+            model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta))
+            for x in (200.0, 400.0):
+                if (beta, x) != (1, 200.0):
+                    assert cdf_lambda_max(model, x) == 1.0
+        assert calls == []
+        assert repr(cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), B1), 200.0)) == "0.9999999999996305"
+        assert calls == ["pfq_positive_m2"]
+
+    def test_fig1_grid_keeps_its_series_and_bits(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        models = [WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta)) for beta in (1, 2, 4, 8)]
+        grid = [float(x) for x in np.linspace(0.0, 24.0, 96)[1:]]
+        vals = [cdf_lambda_max(model, x) for model in models for x in grid]
+        assert calls == ["pfq_positive_m2"] * len(vals)
+        monkeypatch.setattr(wishart, "_rounds_to_one", lambda model, t_min: False)
+        assert vals == [cdf_lambda_max(model, x) for model in models for x in grid]
+
+    def test_m3_huge_region_and_tail_reach_no_series(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        model = WishartModel(3, 6, (1.0, 2.0, 3.0), B2)
+        assert cdf_wishart_region(model, (1e4, 2e4, 3e4)) == 1.0
+        assert cdf_wishart_region(model, (1e300, 1e300, 1e300)) == 1.0
+        assert cdf_lambda_max(model, 1e300) == 1.0
+        assert cdf_lambda_max(WishartModel(3, 6, (1e-300,) * 3, B2), 1e300) == 1.0  # t = inf
+        assert calls == []
+        # a region the bound cannot answer still runs the series
+        cdf_wishart_region(model, (8.0, 12.0, 20.0))
+        assert calls == ["ray_series"]
 
 
 class TestKhatriDeterminant:

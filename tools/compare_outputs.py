@@ -10,6 +10,8 @@ script runs, each in a fresh process:
 - ``jackdiv figures fig1`` and ``jackdiv figures fig2``;
 - ``jackdiv cdf-min`` on a grid at m = 3 (``M3_CDF_MIN``), the smallest-
   eigenvalue path that neither figure nor perfbench reaches;
+- ``jackdiv cdf-max`` on a far-tail grid at m = 2 (``FAR_TAIL_CDF_MAX``),
+  where the Chernoff bound answers most points;
 - ``jackdiv verify all --quick --seed S`` at each of perfbench's
   ``VERIFY_SUITE_SEEDS``;
 - every operation of perfbench's ``figures`` and ``cdf_m3`` workloads at
@@ -55,6 +57,8 @@ for workload in ("figures", "cdf_m3"):
 
 # the m >= 3 smallest-eigenvalue law, 9 points
 M3_CDF_MIN = ["cdf-min", "--beta", "2", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--grid", "0:8:9"]
+# the far upper tail of the largest eigenvalue, 40 points out to x = 1000
+FAR_TAIL_CDF_MAX = ["cdf-max", "--beta", "8", "--m", "2", "--n", "4", "--sigma", "1,2", "--grid", "25:1000:40"]
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|[-+]?(?:inf|nan)")
 
@@ -122,6 +126,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     cli = ["-m", "jackdiv.cli"]
     runs = {f"figures {fig}": cli + ["figures", fig] for fig in ("fig1", "fig2")}
     runs["cdf-min m3"] = cli + M3_CDF_MIN
+    runs["cdf-max far tail"] = cli + FAR_TAIL_CDF_MAX
     runs.update({f"verify seed {s}": cli + ["verify", "all", "--quick", "--seed", str(s)] for s in seeds})
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
     return runs
