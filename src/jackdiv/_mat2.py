@@ -3,8 +3,10 @@
 A batch is a (count, m, m) array, real or complex.  Each public kernel
 serves every m: at m = 2 it runs a closed form on the three entries a11,
 a22 (real) and a12 of each matrix, and at any other m the numpy expression
-it stands for, so the choice between the two is made here alone.  The
-closed forms return what the LAPACK call returns, to rounding:
+it stands for, so the choice between the two is made here alone, for the
+Wishart and cone draws of :mod:`jackdiv.wishart` as for the checks of
+:mod:`jackdiv.verify`.  The closed forms return what the LAPACK call
+returns, to rounding:
 
 - :func:`eigvalsh`: lambda_max = mean + sqrt(half_gap^2 + |a12|^2) adds two
   nonnegative terms, and lambda_min = det / lambda_max avoids the
@@ -20,7 +22,15 @@ closed forms return what the LAPACK call returns, to rounding:
   q2^H g2 > 0;
 - :func:`conjugated_spectra`: the spectra of X H* Y H over group elements H,
   from the entries of X^(1/2) H* Y H X^(1/2), the beta = 4 quaternion pair
-  included.
+  included;
+- :func:`factor_gram`: X = Z^(-1/2) T* T Z^(-1/2) from a batch of
+  triangular factors T, from X's three entries at beta = 1, 2;
+- :func:`factor_spectra`: the spectra of that X, from the entries of T at
+  every beta (t11^2/z1 at m = 1).
+
+The two factor kernels take T as ``(diag, off, off_j)``, the layout of
+:meth:`jackdiv.wishart.ConeSampler.bartlett`, with ``off_j`` not None at
+beta = 4 only.
 
 No closed form takes a square root or a logarithm of a value that rounding
 can push below zero, so none emits a RuntimeWarning; a matrix that must be
@@ -221,8 +231,15 @@ def conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
     e, x, y = complex_form(algebra, h, x, y)
     inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
     a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
+    return _descending_spectra(a, algebra.beta == 4)
+
+
+def _descending_spectra(a: np.ndarray, quaternion: bool) -> np.ndarray:
+    """Spectra (descending) of a Hermitian batch by ``np.linalg.eigvalsh``;
+    for the complex embedding of a quaternion batch its doubled spectrum
+    deduplicated."""
     vals = np.linalg.eigvalsh(a)
-    return _quat.dedupe_pairs(vals) if algebra.beta == 4 else vals[:, ::-1]
+    return _quat.dedupe_pairs(vals) if quaternion else vals[:, ::-1]
 
 
 def _conjugated_spectra_m2(x, y, algebra, h) -> np.ndarray:
@@ -244,4 +261,56 @@ def _conjugated_spectra_m2(x, y, algebra, h) -> np.ndarray:
     a11, a22 = x[0] * col_sq[0], x[1] * col_sq[1]
     off_sq = x[0] * x[1] * inner_sq
     lam_max, lam_min = spectra(a11, a22, off_sq, a11 * a22 - off_sq)
+    return np.stack([lam_max, lam_min], axis=1)
+
+
+def factor_gram(diag, off, off_j, scale_eigs) -> np.ndarray:
+    """X = Z^(-1/2) T* T Z^(-1/2), Z = diag(scale_eigs), for a batch of upper
+    triangular factors T given as ``(diag, off, off_j)`` (the layout of
+    :meth:`jackdiv.wishart.ConeSampler.bartlett`): (count, m, m), or at
+    beta = 4 (``off_j`` not None) the (count, 2m, 2m) complex embedding.
+
+    At m = 2 without ``off_j``, X is built from its three entries X11 =
+    t11^2/z1, X22 = (|t12|^2 + t22^2)/z2 and X12 = t11 t12/sqrt(z1 z2), with
+    no product of factors formed.
+    """
+    count, m = diag.shape
+    inv_root = 1.0 / np.sqrt(np.asarray(scale_eigs))
+    if m == 2 and off_j is None:
+        (t11, t22), t12, (r1, r2) = diag.T, off[:, 0], inv_root
+        return assemble(t11 * t11 * r1 * r1, (abs_sq(t12) + t22 * t22) * r2 * r2, t11 * t12 * r1 * r2)
+    iu = np.triu_indices(m, k=1)
+    t = np.zeros((count, m, m), dtype=off.dtype)
+    t[:, iu[0], iu[1]] = off
+    t[:, np.arange(m), np.arange(m)] = diag
+    if off_j is not None:
+        t_j = np.zeros_like(t)
+        t_j[:, iu[0], iu[1]] = off_j
+        t = _quat.embed(t, t_j)
+        inv_root = np.tile(inv_root, 2)
+    x = np.einsum("bji,bjk->bik", t.conj(), t)
+    return x * inv_root[None, :, None] * inv_root[None, None, :]
+
+
+def factor_spectra(diag, off, off_j, scale_eigs) -> np.ndarray:
+    """Spectra (count, m), each row descending, of :func:`factor_gram` of the
+    same factors, over the algebra (each quaternion eigenvalue once).
+
+    At m = 1 the spectrum is t11^2/z1.  At m = 2 it is closed form, with no X
+    formed and, at beta = 4, no complex embedding: X11 = t11^2/z1, X22 =
+    (|t12|^2 + t22^2)/z2, |X12|^2 = t11^2 |t12|^2/(z1 z2) (|t12|^2 summed
+    over both quaternion components) and :func:`spectra` with det X = (t11
+    t22)^2/(z1 z2) exact to rounding, so both eigenvalues keep their relative
+    accuracy at any conditioning.  At any other m, ``eigvalsh`` of X.
+    """
+    m = diag.shape[1]
+    if m == 1:
+        return diag ** 2 / scale_eigs[0]
+    if m != 2:
+        return _descending_spectra(factor_gram(diag, off, off_j, scale_eigs), off_j is not None)
+    z1, z2 = scale_eigs
+    t12_sq = sum(abs_sq(c) for c in (off, off_j) if c is not None)[:, 0]
+    t11_sq, t22_sq = diag[:, 0] ** 2, diag[:, 1] ** 2
+    lam_max, lam_min = spectra(t11_sq / z1, (t12_sq + t22_sq) / z2,
+                               t11_sq * t12_sq / (z1 * z2), t11_sq * t22_sq / (z1 * z2))
     return np.stack([lam_max, lam_min], axis=1)

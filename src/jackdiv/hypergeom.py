@@ -558,29 +558,6 @@ class RaySeries:
 _M2_BLOCK = 64
 
 
-class _Scratch:
-    """Working arrays that every m = 2 table fills a block at a time: a float
-    and a bool array of at least the cells asked for, regrown by doubling.
-    One pair serves the whole process, under ``lock``, so that a block reuses
-    memory already touched instead of mapping fresh pages (a new array per
-    block took 775 to 1,230 minor page faults in one far-tail evaluation)."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self._values = np.empty(0)
-        self._mask = np.empty(0, dtype=bool)
-
-    def arrays(self, cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first ``cells`` entries of each array; hold ``lock`` while using them."""
-        if len(self._values) < cells:
-            grown = max(cells, 2 * len(self._values))
-            self._values, self._mask = np.empty(grown), np.empty(grown, dtype=bool)
-        return self._values[:cells], self._mask[:cells]
-
-
-_M2_SCRATCH = _Scratch()
-
-
 def _lgamma_at(starts, size: int) -> list[np.ndarray]:
     """log Gamma(s + i), i = 0..size, for each s of ``starts``: starts with
     the same fractional part, a whole number apart, read one
@@ -637,8 +614,7 @@ def _m2_series(upper, lower, r: float, beta: int) -> RaySeries:
         """log D_k for k = k0..k0 + _M2_BLOCK - 1: a (degree, k2) array of the
         rows' sums, k2 = 0..h, read through strided views.  row1 and rows_n
         carry _M2_BLOCK leading -inf, so a k2 past floor(k/2) (n < 0) adds
-        -inf and contributes 0.  The array and its mask of normal terms are
-        the process-wide :data:`_M2_SCRATCH`."""
+        -inf and contributes 0."""
         nonlocal rows
         b = _M2_BLOCK
         if rows is None or len(rows[1]) < k0 + b:
@@ -648,16 +624,14 @@ def _m2_series(upper, lower, r: float, beta: int) -> RaySeries:
         row1, row2, rows_n = rows
         h = (k0 + b - 1) // 2
         s1, sn = b + k0 - h, b + k0 - 2 * h  # where k1 = k0 - h and n = k0 - 2h sit
-        with _M2_SCRATCH.lock:
-            logs, normal = (a.reshape(b, h + 1) for a in _M2_SCRATCH.arrays(b * (h + 1)))
-            np.add(sliding_window_view(row1, h + 1)[s1 : s1 + b, ::-1], row2[: h + 1], out=logs)
-            logs += sliding_window_view(rows_n, 2 * h + 1)[sn : sn + b, ::-2]
-            top = logs.max(axis=1)
-            logs -= top[:, None]
-            # a term below the normal range adds nothing to a sum whose largest
-            # term is 1, and exp is slowest there
-            np.greater(logs, _LOG_FLOAT_MIN, out=normal)
-            return (top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))).tolist()
+        logs = np.add(sliding_window_view(row1, h + 1)[s1 : s1 + b, ::-1], row2[: h + 1])
+        logs += sliding_window_view(rows_n, 2 * h + 1)[sn : sn + b, ::-2]
+        top = logs.max(axis=1)
+        logs -= top[:, None]
+        # a term below the normal range adds nothing to a sum whose largest
+        # term is 1, and exp is slowest there
+        normal = logs > _LOG_FLOAT_MIN
+        return (top + np.log(np.exp(logs, out=logs, where=normal).sum(axis=1, where=normal))).tolist()
 
     return RaySeries(block)
 

@@ -493,11 +493,14 @@ def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, sc
     """chat_p at the spectrum ``x``, or at each row of a (batch, m) array,
     times each factor ``scale()`` returns, applied in turn, when that is
     given and a value is not zero; zero when p has more parts than the
-    spectrum.  A constant above 1 given as two equal factors h, h overflows
-    no intermediate where value * h^2 fits.
+    spectrum's nonzero entries.  A constant above 1 given as two equal
+    factors h, h overflows no intermediate where value * h^2 fits.
 
     DomainError naming the weight when a value leaves the float range, by an
-    overflow of the recurrence's powers or of the scale.
+    overflow of the recurrence's powers or of the scale, or underflows to
+    0.0 where it cannot vanish: at a spectrum (or row) with at least len(p)
+    nonzero entries, all of one sign, since C_p has nonnegative monomial
+    coefficients and its monomial of p itself is then nonzero.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -510,6 +513,12 @@ def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, sc
     if not np.all(np.isfinite(value)):
         raise DomainError(f"the Jack polynomial of weight {p.weight} leaves the float range "
                           "at this argument")
+    if not np.all(value):
+        x = np.asarray(x, dtype=float)
+        one_sign = np.all(x >= 0, axis=-1) | np.all(x <= 0, axis=-1)
+        if np.any((value == 0) & one_sign & (np.count_nonzero(x, axis=-1) >= p.length)):
+            raise DomainError(f"the Jack polynomial of weight {p.weight} underflows to 0 at this "
+                              "argument, where it cannot vanish")
     return value
 
 
@@ -533,10 +542,12 @@ def jack_C(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = 
     Returns 0 when the partition is longer than the spectrum.  Homogeneous of
     degree ``p.weight``; invariant (bit-identical) under permutations of the
     eigenvalues.  The value is chat * k!, so a weight above 170 raises
-    :class:`DomainError`; up to 170, chat can still underflow to 0.0 (for
-    example (170,) at x = 0.5, whose C is 0.5^170), until the recurrence
-    carries the C normalization itself.  A value past the float range raises
-    :class:`DomainError`.
+    :class:`DomainError`.  Up to 170, chat can underflow to 0.0 where C
+    cannot vanish (for example (170,) at x = 0.5, whose C is 0.5^170 ~
+    6.7e-52), and that raises :class:`DomainError` too, until the recurrence
+    carries the C normalization itself; so does a value past the float
+    range.  A C that is truly 0 at a spectrum of mixed signs (as (1,) at
+    (1, -1)) is returned as 0.0.
     """
     kfact = _factorial_of(p)
     return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: (kfact,))

@@ -10,10 +10,11 @@ Sampling draws S by the triangular (Bartlett) construction of
 :class:`ConeSampler` with a0 = beta n / 2 and Z0 = (beta/2) Sigma^{-1}: a
 chi diagonal and Gaussian off-diagonals, as Dumitriu and Edelman build the
 beta-Laguerre ensembles.  It covers beta in {1, 2, 4}; beta = 8 is
-supported on the analytic paths only.  At m = 1 and 2 the spectra come in
-closed form from that factor, with no matrix formed and no quaternion
-embedding; at any other m from ``eigvalsh`` of S (at beta = 4 of its complex
-embedding).
+supported on the analytic paths only.  The spectra come from that factor
+through one :func:`jackdiv._mat2.factor_spectra` call per chunk, and
+:mod:`jackdiv._mat2` alone chooses the path: closed forms at m = 1 and 2,
+with no matrix formed and no quaternion embedding, and ``eigvalsh`` of S (at
+beta = 4 of its complex embedding) at any other m.
 
 Every series summed here has nonnegative terms.  The largest-eigenvalue and
 region distribution functions are confluent series at (beta/2) t, t the
@@ -118,11 +119,11 @@ class ConeSampler:
     Draws X with density etr(-X Z0) |X|^(a0 - (m-1)beta/2 - 1) |Z0|^a0 /
     Gamma_m[a0] via the triangular-factor construction: X = Z0^(-1/2) T* T
     Z0^(-1/2) with chi-squared diagonal and Gaussian off-diagonal entries.
-    At beta = 4, X is returned as its (2m, 2m) complex embedding.  At m = 2
-    (beta = 1, 2) X is built from its three entries, X11 = t11^2/z1, X22 =
-    (|t12|^2 + t22^2)/z2 and X12 = t11 t12/sqrt(z1 z2), with no product of
-    factors formed.  :meth:`bartlett` draws the factor T alone, for callers
-    that need no X.
+    At beta = 4, X is returned as its (2m, 2m) complex embedding.
+    :meth:`bartlett` draws the factor T, and :meth:`sample` forms X from it
+    with one :func:`jackdiv._mat2.factor_gram`, which alone chooses how (at
+    m = 2, beta = 1, 2 from X's three entries); callers that need no X take
+    the factor alone.
     """
 
     m: int
@@ -168,28 +169,9 @@ class ConeSampler:
     def sample(self, rng: np.random.Generator, count: int):
         """Returns (X, logdet_X) with X of shape (count, m, m), or (count, 2m,
         2m) at beta = 4; logdet_X is the determinant over the algebra."""
-        m, beta = self.m, self.algebra.beta
         diag, off, off_j = self.bartlett(rng, count)
-        z = np.asarray(self.scale_eigs)
-        inv_root = 1.0 / np.sqrt(z)
-        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in z)
-        if m == 2 and beta != 4:
-            (t11, t22), t12, (r1, r2) = diag.T, off[:, 0], inv_root
-            x = _mat2.assemble(t11 * t11 * r1 * r1, (_mat2.abs_sq(t12) + t22 * t22) * r2 * r2,
-                               t11 * t12 * r1 * r2)
-            return x, logdet
-        iu = np.triu_indices(m, k=1)
-        t = np.zeros((count, m, m), dtype=off.dtype)
-        t[:, iu[0], iu[1]] = off
-        t[:, np.arange(m), np.arange(m)] = diag
-        if beta == 4:
-            t_j = np.zeros_like(t)
-            t_j[:, iu[0], iu[1]] = off_j
-            t = _quat.embed(t, t_j)
-            inv_root = np.tile(inv_root, 2)
-        x = np.einsum("bji,bjk->bik", t.conj(), t)
-        x = x * inv_root[None, :, None] * inv_root[None, None, :]
-        return x, logdet
+        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in self.scale_eigs)
+        return _mat2.factor_gram(diag, off, off_j, self.scale_eigs), logdet
 
     def log_norm(self) -> float:
         """log of Gamma_m[a0] |Z0|^{-a0}, the proposal's inverse density scale."""
@@ -217,32 +199,14 @@ def _sample_values(n_samples: int, draw) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _m2_spectra(diag: np.ndarray, t12_sq: np.ndarray, scale_eigs) -> np.ndarray:
-    """Spectra (count, 2), each row descending, of X = Z^(-1/2) T* T Z^(-1/2)
-    for T = [[t11, t12], [0, t22]] given as ``diag`` (count, 2) and |t12|^2,
-    with Z = diag(scale_eigs).
-
-    Closed form, with no X formed: X11 = t11^2/z1, X22 = (|t12|^2 + t22^2)/z2,
-    |X12|^2 = t11^2 |t12|^2/(z1 z2), and :func:`jackdiv._mat2.spectra` with
-    det X = (t11 t22)^2/(z1 z2) exact to rounding, so both eigenvalues keep
-    their relative accuracy at any conditioning.
-    """
-    z1, z2 = scale_eigs
-    t11_sq, t22_sq = diag[:, 0] ** 2, diag[:, 1] ** 2
-    lam_max, lam_min = _mat2.spectra(t11_sq / z1, (t12_sq + t22_sq) / z2,
-                                     t11_sq * t12_sq / (z1 * z2), t11_sq * t22_sq / (z1 * z2))
-    return np.stack([lam_max, lam_min], axis=1)
-
-
 def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarray:
     """Eigenvalue spectra of ``count`` Wishart draws, shape (count, m), each
     row sorted descending.  Reproducible given the seed.
 
-    At m = 1 the spectrum is t11^2/z1 and at m = 2 it comes in closed form
-    from the triangular factor (:func:`_m2_spectra`), with no matrix formed
-    and, at beta = 4, no complex embedding; at any other m from ``eigvalsh``
-    of the drawn X (its doubled spectrum deduplicated at beta = 4).  Every
-    path consumes the same random stream.
+    Each chunk is one :func:`jackdiv._mat2.factor_spectra` of the
+    triangular factors :meth:`ConeSampler.bartlett` draws, which chooses
+    between the closed forms at m = 1, 2 and ``eigvalsh`` of X at any other
+    m; every path consumes the same random stream.
     """
     n = model.n
     if abs(n - round(n)) > 1e-12:
@@ -251,18 +215,8 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
     sampler = ConeSampler(model.m, model.algebra, beta * round(n) / 2,
                           tuple(beta / (2 * s) for s in model.sigma_eigs))
     rng = _rng(seed)
-
-    def draw(chunk):
-        if model.m == 1:
-            return sampler.bartlett(rng, chunk)[0] ** 2 / sampler.scale_eigs[0]
-        if model.m == 2:
-            diag, off, off_j = sampler.bartlett(rng, chunk)
-            t12_sq = sum(_mat2.abs_sq(c) for c in (off, off_j) if c is not None)
-            return _m2_spectra(diag, t12_sq[:, 0], sampler.scale_eigs)
-        eigs = np.linalg.eigvalsh(sampler.sample(rng, chunk)[0])
-        return _quat.dedupe_pairs(eigs) if beta == 4 else eigs[:, ::-1]
-
-    return _sample_values(count, draw)
+    return _sample_values(count, lambda chunk: _mat2.factor_spectra(*sampler.bartlett(rng, chunk),
+                                                                    sampler.scale_eigs))
 
 
 def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebra: DivisionAlgebra,

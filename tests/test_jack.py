@@ -107,6 +107,32 @@ class TestExamples:
         with pytest.raises(DomainError, match="weight 2 leaves the float range"):
             jack_C_batch(Partition((2,)), X, DivisionAlgebra(1))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("evaluate, k, x", [
+        (jack_C, 170, (0.5,)),     # C = 0.5^170, about 6.7e-52
+        (jack_C, 170, (-0.5,)),
+        (jack_J, 171, (0.5,)),     # J = 341!! 0.5^171, about 5e307
+        (jack_J, 200, (0.01,)),    # J = 399!! 0.01^200, about 5e33
+        (jack_J, 100, (1e-3,)),    # J = 199!! 1e-300, about 1e-113
+    ], ids=["C-170", "C-170-negative", "J-171", "J-200", "J-100"])
+    def test_underflow_to_zero_is_domain_error(self, evaluate, k, x):
+        # chat = C/k! underflows though the value cannot vanish: one sign and
+        # at least len(kappa) nonzero entries
+        with pytest.raises(DomainError, match=f"weight {k} underflows"):
+            evaluate(Partition((k,)), x, DivisionAlgebra(1))
+
+    def test_batch_row_underflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="weight 170 underflows"):
+            jack_C_batch(Partition((170,)), np.array([[0.5], [1.0]]), DivisionAlgebra(1))
+
+    def test_true_zeros_are_returned(self):
+        alg = DivisionAlgebra(1)
+        assert jack_C(Partition((1,)), (1.0, -1.0), alg) == 0.0
+        assert jack_C(Partition((1, 1)), (1.0, 0.0), alg) == 0.0
+        X = np.array([[1.0, -1.0], [0.5, 0.0], [1.0, 2.0]])
+        assert jack_C_batch(Partition((1,)), X, alg).tolist() == [0.0, 0.5, 3.0]
+        assert jack_C_batch(Partition((1, 1)), X[1:], alg)[0] == 0.0
+
     def test_k2_linear_system_value(self):
         # beta=1 value forced by the defining conditions at weight 2
         x = (1.3, 0.4)

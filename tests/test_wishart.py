@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from jackdiv import _quat, hypergeom, jack, wishart
+from jackdiv import _mat2, _quat, hypergeom, jack, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
 from jackdiv.hypergeom import HypergeomSpec, RaySeries, SeriesTruncation
 from jackdiv.jack import ChatEvaluator
@@ -119,7 +119,7 @@ class TestSampling:
         assert t11 ** 2 / z1 == t22 ** 2 / z2
         root = t11 ** 2 / z1
         assert t11 ** 2 * t22 ** 2 / (z1 * z2) / root > root
-        eigs = wishart._m2_spectra(np.array([[t11, t22]]), np.array([0.0]), (z1, z2))
+        eigs = _mat2.factor_spectra(np.array([[t11, t22]]), np.array([[0.0]]), None, (z1, z2))
         assert eigs[0, 0] == root
         assert root >= eigs[0, 1] > 0
 
@@ -161,6 +161,39 @@ def _wishart_factor_stream(model, seed):
     sampler = wishart.ConeSampler(model.m, model.algebra, beta * model.n / 2,
                                   tuple(beta / (2 * s) for s in model.sigma_eigs))
     return sampler, np.random.default_rng(np.random.PCG64(seed))
+
+
+class TestFactorGram:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_matches_plain_matrix_products(self, m, beta):
+        # Z^(-1/2) T* T Z^(-1/2) by matrix products of T written out entry by
+        # entry (at beta = 4 its complex embedding [[A, B], [-conj B, conj A]]
+        # of T = A + B j); every entry is a sum of the same products, so the
+        # two agree to a few ulps of sqrt(X_ii X_jj)
+        z = (0.5, 1.5, 2.5)[:m]
+        sampler = wishart.ConeSampler(m, DivisionAlgebra(beta), m + 2.5, z)
+        diag, off, off_j = sampler.bartlett(np.random.default_rng(71), 500)
+        got = _mat2.factor_gram(diag, off, off_j, z)
+        a = np.zeros((500, m, m), dtype=complex)
+        b = np.zeros_like(a)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        for col, (i, j) in enumerate(pairs):
+            a[:, i, j] = off[:, col]
+            if off_j is not None:
+                b[:, i, j] = off_j[:, col]
+        for i in range(m):
+            a[:, i, i] = diag[:, i]
+        t, w = a, 1.0 / np.sqrt(np.array(z))
+        if beta == 4:
+            t = np.block([[a, b], [-b.conj(), a.conj()]])
+            w = np.concatenate([w, w])
+        ref = w[:, None] * (np.conj(np.transpose(t, (0, 2, 1))) @ t) * w[None, :]
+        size = 2 * m if beta == 4 else m
+        assert got.shape == ref.shape == (500, size, size)
+        assert got.dtype == (float if beta == 1 else complex)
+        d = np.sqrt(np.diagonal(ref, axis1=1, axis2=2).real)
+        assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * d[:, :, None] * d[:, None, :])
 
 
 class TestM1ClosedForm:

@@ -15,7 +15,11 @@ script runs, each in a fresh process:
 - ``jackdiv verify all --quick --seed S`` at each of perfbench's
   ``VERIFY_SUITE_SEEDS``;
 - every operation of perfbench's ``figures`` and ``cdf_m3`` workloads at
-  seed 1, one ``key repr(value)`` line each.
+  seed 1, one ``key repr(value)`` line each;
+- Wishart and cone draws (``WISHART_DRAWS``): ``sample_wishart_eigs`` and
+  the X and log-determinant of ``ConeSampler.sample`` at m = 1, 2, 3 and
+  beta = 1, 2, 4, the m = 1 and m = 3 paths and the beta = 4 embedding that
+  no figure and no quick verify run reaches.
 
 Standard output and standard error are compared apart.  For each output it
 prints ``identical``, or the largest relative difference between the numbers
@@ -53,6 +57,32 @@ for workload in ("figures", "cdf_m3"):
         except Exception as exc:
             value = f"{type(exc).__name__}: {exc}"
         print(workload, op.key, value)
+"""
+
+# Wishart spectra and cone draws at m = 1, 2, 3 and beta = 1, 2, 4 (at m = 2
+# also an ill-conditioned scale), run in a side's root: for each case the
+# first rows in full and a sha256 of the bytes of every draw
+WISHART_DRAWS = """
+import hashlib
+import numpy as np
+from jackdiv.core import DivisionAlgebra
+from jackdiv.wishart import ConeSampler, WishartModel, sample_wishart_eigs
+
+def show(case, arrays, rows=4):
+    digest = hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+    print(case, "sha256", digest)
+    for i in range(rows):
+        print(case, "row", i, " ".join(repr(v) for a in arrays for v in np.ravel(a[i]).tolist()))
+
+models = [(1, 3, (2.0,)), (2, 4, (1.0, 2.0)), (2, 5, (1.0, 1e-8)), (3, 6, (1.0, 2.0, 3.0))]
+for beta in (1, 2, 4):
+    alg = DivisionAlgebra(beta)
+    for m, n, sigma in models:
+        show(f"eigs b{beta} m{m} n{n} sigma{sigma}", [sample_wishart_eigs(WishartModel(m, n, sigma, alg), 61, 5000)])
+    for m in (1, 2, 3):
+        sampler = ConeSampler(m, alg, 2 * m + 1.5, (0.5, 1.5, 2.5)[:m])
+        rng = np.random.default_rng(np.random.PCG64(67))
+        show(f"cone b{beta} m{m}", list(sampler.sample(rng, 2000)))
 """
 
 # the m >= 3 smallest-eigenvalue law, 9 points
@@ -129,6 +159,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs["cdf-max far tail"] = cli + FAR_TAIL_CDF_MAX
     runs.update({f"verify seed {s}": cli + ["verify", "all", "--quick", "--seed", str(s)] for s in seeds})
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
+    runs["wishart draws"] = ["-c", WISHART_DRAWS]
     return runs
 
 
