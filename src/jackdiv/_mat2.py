@@ -6,7 +6,8 @@ a22 (real) and a12 of each matrix, and at any other m the numpy expression
 it stands for, so the choice between the two is made here alone, for the
 Wishart and cone draws of :mod:`jackdiv.wishart` as for the checks of
 :mod:`jackdiv.verify`.  The closed forms return what the LAPACK call
-returns, to rounding:
+returns, to rounding; :func:`unitary_factor` alone is one algorithm at
+every size:
 
 - :func:`eigvalsh`: lambda_max = mean + sqrt(half_gap^2 + |a12|^2) adds two
   nonnegative terms, and lambda_min = det / lambda_max avoids the
@@ -17,9 +18,9 @@ returns, to rounding:
 - :func:`inv_sqrt_whiten`: B^(-1/2) A B^(-1/2), the congruence
   (:func:`congruence`) by the Hermitian root B^(-1/2) = (adj B + s I) / (s t),
   s = sqrt(det B), t = sqrt(tr B + 2 s) (:func:`inv_sqrt`);
-- :func:`unitary_factor`: the Q of G = QR with R's diagonal positive, as
-  q1 = g1 / |g1| and q2 the unit vector orthogonal to q1, phased so that
-  q2^H g2 > 0;
+- :func:`unitary_factor`: the Q of G = QR with R's diagonal positive, by
+  two-pass modified Gram-Schmidt over the columns of a (count, n, k) batch
+  at every n and k <= n, with no LAPACK call;
 - :func:`conjugated_spectra`: the spectra of X H* Y H over group elements H,
   from the entries of X^(1/2) H* Y H X^(1/2), the beta = 4 quaternion pair
   included;
@@ -186,30 +187,25 @@ def inv_sqrt_whiten(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def unitary_factor(g: np.ndarray) -> np.ndarray:
-    """Q of the QR factorization G = QR whose R has a positive diagonal, for
-    a batch of full-rank G; at m != 2 numpy's QR with each column's phase
-    moved into R.
+    """Q of the QR factorization G = QR whose R has a real, positive
+    diagonal, for a real or complex (count, n, k) batch of full-rank G, k <=
+    n; DomainError when a column projects to zero.
 
-    At m = 2, q1 = g1 / |g1|; in two dimensions the unit vectors orthogonal
-    to q1 are the phases of w = (-conj q1[1], conj q1[0]), and the one with
-    w^H g2 > 0 is q2 = w (w^H g2) / |w^H g2|.  Q is unitary to rounding
-    however close g1 and g2 are to parallel.
+    Modified Gram-Schmidt over the columns, each projected off the ones
+    before it twice, so that Q is unitary to rounding however close the
+    columns are to parallel (one pass leaves errors of order eps cond(G)).
+    Column j of Q reads only columns 0..j of G, so the first k columns of an
+    n x n batch come out the same bits from G[:, :, :k].
     """
-    if g.shape[-1] != 2:
-        qm, r = np.linalg.qr(g)
-        d = np.einsum("bii->bi", r)
-        d = np.where(d == 0, 1.0, d)  # phase d/|d|: exactly +-1 for real d
-        return qm * (d / np.abs(d))[:, None, :]
-    g1, g2 = g[:, :, 0], g[:, :, 1]
-    q1 = g1 / np.sqrt(abs_sq(g1[:, 0]) + abs_sq(g1[:, 1]))[:, None]
-    w0, w1 = -q1[:, 1].conj(), q1[:, 0].conj()
-    r22 = w0.conj() * g2[:, 0] + w1.conj() * g2[:, 1]
-    mag = np.abs(r22)
-    phase = np.divide(r22, mag, out=np.ones_like(r22), where=mag > 0)
     q = np.empty_like(g)
-    q[:, :, 0] = q1
-    q[:, 0, 1] = w0 * phase
-    q[:, 1, 1] = w1 * phase
+    for j in range(g.shape[-1]):
+        v = g[:, :, j]
+        for i in [*range(j)] * 2:  # two passes over the columns before j
+            v = v - q[:, :, i] * np.einsum("bi,bi->b", q[:, :, i].conj(), v)[:, None]
+        norm = np.sqrt(abs_sq(v).sum(axis=1))
+        if not np.all(norm > 0):
+            raise DomainError("unitary factor of a matrix whose columns are not independent")
+        q[:, :, j] = v / norm[:, None]
     return q
 
 

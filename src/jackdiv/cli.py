@@ -127,8 +127,9 @@ _TRUNCATION_FLAGS = ("max_degree", "rel_tol", "stall_window")
 
 
 def _truncation(args) -> SeriesTruncation | None:
-    """The truncation flags given, with SeriesTruncation defaults for the rest;
-    None when no flag is given, so the library picks its own degree budget."""
+    """The truncation flags given, with SeriesTruncation defaults for the rest
+    (no ``max_degree``: the function summing the series sizes its own); None
+    when no flag is given."""
     given = {name: getattr(args, name) for name in _TRUNCATION_FLAGS if getattr(args, name) is not None}
     return SeriesTruncation(**given) if given else None
 
@@ -140,7 +141,7 @@ def _add_common(sp, trunc=False, model=False, beta=True):
     sp.add_argument("--config", help="key=value file setting this subcommand's valued flags")
     sp.add_argument("--output", help="write output to this path instead of stdout")
     if trunc:
-        sp.add_argument("--max-degree", type=int, help=f"default {SeriesTruncation.max_degree}")
+        sp.add_argument("--max-degree", type=int, help="default 40 for pfq; sized by the distribution functions")
         sp.add_argument("--rel-tol", type=float, help=f"default {SeriesTruncation.rel_tol:g}")
         sp.add_argument("--stall-window", type=int, help=f"default {SeriesTruncation.stall_window}")
     if model:

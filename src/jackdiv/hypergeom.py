@@ -46,21 +46,38 @@ from .jack import ChatEvaluator, _rank, as_spectrum, get_table, log_chat_identit
 from .special import lgamma_run
 
 
+# the degree cap of pfq, pfq_two and pfq_batch when a truncation leaves it unset
+_DEFAULT_MAX_DEGREE = 40
+
+
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Total-degree cutoff and early-stop policy for the partition series."""
+    """Total-degree cutoff and early-stop policy for the partition series.
 
-    max_degree: int = 40
+    ``max_degree=None`` leaves the cap to the function summing the series:
+    40 for :func:`pfq`, :func:`pfq_two` and :func:`pfq_batch`, and a budget
+    from the trace for the distribution functions of :mod:`jackdiv.wishart`,
+    which keep the ``rel_tol`` and ``stall_window`` given.
+    """
+
+    max_degree: int | None = None
     rel_tol: float = 1e-10
     stall_window: int = 3
 
     def __post_init__(self):
-        if self.max_degree < 0:
+        if self.max_degree is not None and self.max_degree < 0:
             raise DomainError(f"max_degree must be >= 0, got {self.max_degree}")
         if not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
         if self.stall_window < 1:
             raise DomainError(f"stall_window must be >= 1, got {self.stall_window}")
+
+    def degree_cap(self, default: int | None = None) -> int:
+        """``max_degree``, or ``default`` where it is None; DomainError when
+        both are, for a series that sizes no degree budget of its own."""
+        if self.max_degree is None and default is None:
+            raise DomainError("this series needs a truncation with max_degree set")
+        return default if self.max_degree is None else self.max_degree
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
@@ -258,7 +275,7 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     if norm == 0.0:
         return SeriesResult(np.ones(len(x_eigs)) if batched else 1.0, 0, 0.0, True, None if batched else 0.0)
     exact_finite = r_cap is not None
-    hard_cap = spec.m * r_cap if exact_finite else trunc.max_degree
+    hard_cap = spec.m * r_cap if exact_finite else trunc.degree_cap(_DEFAULT_MAX_DEGREE)
 
     table = get_table(spec.algebra)
     within = (r_cap,) * spec.m if exact_finite else None
@@ -499,8 +516,8 @@ class RaySeries:
         Every term is scaled by exp(-tr) and the sum scaled back, so
         ``log_value`` is finite and exact to rounding, and ``value`` is
         ``inf`` once the function itself leaves the float range.  Raises
-        DomainError when a degree the stop rule needs has log D_k = -inf, or
-        when every term summed underflows."""
+        DomainError when ``trunc.max_degree`` is None, when a degree the stop
+        rule needs has log D_k = -inf, or when every term summed underflows."""
         log_lead, log_d = math.log(lead), self._log_d
 
         def term_of_degree(k: int) -> float:
@@ -512,7 +529,7 @@ class RaySeries:
                                   f"underflows: the generic series is not scale-safe there")
             return term
 
-        res = _run_series(trunc, term_of_degree, trunc.max_degree)
+        res = _run_series(trunc, term_of_degree, trunc.degree_cap())
         if res.log_value is None:
             raise DomainError(f"every term up to degree {res.degrees_used} underflows after scaling by "
                               f"exp(-{tr:g}); max_degree is far below the trace")
@@ -663,9 +680,11 @@ def pfq_positive_m2(
     :class:`RaySeries` (see the comment blocks above), and each t1 is one exp
     per degree, evaluated by :meth:`RaySeries.evaluate` with lead t1 and
     trace t1 + t2.  ``trunc`` sets the stop rule and the degree cap, applied
-    by :func:`_run_series` as for every other series.  Raises when a shifted
-    parameter is not positive (use :func:`pfq` there instead).
+    by :func:`_run_series` as for every other series; its ``max_degree``
+    must be set.  Raises when a shifted parameter is not positive (use
+    :func:`pfq` there instead).
     """
+    trunc.degree_cap()
     upper, lower = tuple(upper), tuple(lower)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:

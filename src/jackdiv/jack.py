@@ -331,13 +331,15 @@ class ChatEvaluator:
 
     Stage n holds the values on the first n variables.  For one spectrum,
     stages 1 and 2 below the top stage m are dense float arrays indexed by
-    parts: axis i has size ``within[i] + 1`` (1 past a ``within`` shorter
-    than the stage), or without a bound ``cap // (i + 1) + 1`` for a weight
-    capacity ``cap`` that doubles as degrees outgrow it.  Entries that are
-    not partitions are never read.  Such a box holds about two cells per
-    partition inside the bound, or, unbounded, at most about 2! 2^2 = 8 per
-    partition up to the degree reached (the parts in any order, then the
-    doubling): 64 bytes at most, below a dict entry.  On n variables the box grows like n! 2^n,
+    parts: axis i has size ``cap // (i + 1) + 1`` for a weight capacity
+    ``cap`` that doubles as degrees outgrow it, with or without a bound
+    (``within`` bounds the shapes filled and the powers formed, not the
+    box).  Entries that are not partitions, or lie outside the bound, are
+    never read.  Unbounded, such a box holds at most about 2! 2^2 = 8 cells
+    per partition up to the degree reached (the parts in any order, then
+    the doubling): 64 bytes at most, below a dict entry; under a narrow
+    bound it holds more cells than partitions, at most about 2 k^2 at
+    weight k.  On n variables the box grows like n! 2^n,
     and a batch would multiply every cell by its rows, so the other stages,
     and every stage of a batch, are dicts keyed by partition.
     """
@@ -370,16 +372,12 @@ class ChatEvaluator:
         self._done = 0
 
     def _reserve(self, k: int):
-        """Size the dense stages to hold every partition of weight k: once for
-        a bound, else by doubling the capacity when k outgrows it."""
-        if not self._dense or (self._cap is not None and (self.within is not None or k <= self._cap)):
+        """Size the dense stages to hold every partition of weight k, doubling
+        the capacity when k outgrows it."""
+        if not self._dense or (self._cap is not None and k <= self._cap):
             return
-        if self.within is None:
-            self._cap = max(k, 2 * (self._cap or 0))
-            sizes = [self._cap // (i + 1) + 1 for i in range(self._dense)]
-        else:
-            self._cap = sum(self.within)
-            sizes = [self.within[i] + 1 if i < len(self.within) else 1 for i in range(self._dense)]
+        self._cap = max(k, 2 * (self._cap or 0))
+        sizes = [self._cap // (i + 1) + 1 for i in range(self._dense)]
         for n in range(1, self._dense + 1):
             stage, old = np.zeros(sizes[:n]), self._stage[n]
             if isinstance(old, dict):
@@ -401,15 +399,6 @@ class ChatEvaluator:
             self._advance()
         top = self._stage[self.m]
         return {kappa: top[kappa] for kappa in self._shapes(k, self.m)}
-
-    def value(self, kappa: tuple[int, ...]):
-        """chat_kappa for kappa inside ``within``; zero when kappa has more
-        parts than the rank of x."""
-        if len(kappa) > self.parts:
-            return np.zeros_like(self._x[0]) if self._batched else 0.0
-        while self._done < sum(kappa):
-            self._advance()
-        return self._stage[self.m][kappa]
 
     def _advance(self):
         """Fill degree done + 1 on every number of variables.
@@ -500,11 +489,17 @@ def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, sc
     overflow of the recurrence's powers or of the scale, or underflows to
     0.0 where it cannot vanish: at a spectrum (or row) with at least len(p)
     nonzero entries, all of one sign, since C_p has nonnegative monomial
-    coefficients and its monomial of p itself is then nonzero.
+    coefficients and its monomial of p itself is then nonzero.  A 0.0 at
+    such a spectrum of mixed signs is evaluated again at |x|: the same
+    coefficients give |C_p(x)| <= C_p(|x|), so where that underflows too,
+    the value is below the float range, and it raises; otherwise the 0.0 is
+    returned as a true zero.
     """
+    x = np.asarray(x, dtype=float)
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = ChatEvaluator(x, table or get_table(algebra), within=p.parts).value(p.parts)
+            values = ChatEvaluator(x, table or get_table(algebra), within=p.parts).degree_values(p.weight)
+            value = values.get(p.parts, np.zeros(len(x)) if x.ndim == 2 else 0.0)
             if scale is not None and np.any(value):
                 for factor in scale():
                     value = value * factor
@@ -514,11 +509,13 @@ def _chat(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None, sc
         raise DomainError(f"the Jack polynomial of weight {p.weight} leaves the float range "
                           "at this argument")
     if not np.all(value):
-        x = np.asarray(x, dtype=float)
-        one_sign = np.all(x >= 0, axis=-1) | np.all(x <= 0, axis=-1)
-        if np.any((value == 0) & one_sign & (np.count_nonzero(x, axis=-1) >= p.length)):
+        suspect = (value == 0) & (np.count_nonzero(x, axis=-1) >= p.length)
+        mixed = np.any(x > 0, axis=-1) & np.any(x < 0, axis=-1)
+        if np.any(suspect & ~mixed):
             raise DomainError(f"the Jack polynomial of weight {p.weight} underflows to 0 at this "
                               "argument, where it cannot vanish")
+        if np.any(suspect & mixed):  # raises, as above, where C_p(|x|) underflows too
+            _chat(p, np.abs(x if x.ndim == 1 else x[suspect & mixed]), algebra, table, scale)
     return value
 
 
@@ -547,7 +544,8 @@ def jack_C(p: Partition, x, algebra: DivisionAlgebra, table: JackTable | None = 
     6.7e-52), and that raises :class:`DomainError` too, until the recurrence
     carries the C normalization itself; so does a value past the float
     range.  A C that is truly 0 at a spectrum of mixed signs (as (1,) at
-    (1, -1)) is returned as 0.0.
+    (1, -1)) is returned as 0.0; a 0.0 there whose bound C(|x|) underflows
+    too raises (as (170,) at (0.5, -0.25), whose C is ~5.45e-52).
     """
     kfact = _factorial_of(p)
     return _chat(p, as_spectrum(x).eigenvalues, algebra, table, lambda: (kfact,))

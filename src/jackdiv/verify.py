@@ -26,7 +26,8 @@ Every matrix step (the Q of a Gaussian QR for Haar draws, eigenvalues,
 inverses, log-determinants and the matrix-beta conjugations by a Cholesky
 factor or a Hermitian inverse root) is one kernel of :mod:`jackdiv._mat2`,
 which runs a closed form on the three entries of each matrix at m = 2 and
-numpy's LAPACK path at every other m.
+numpy's LAPACK path at every other m, except the Haar Q: one Gram-Schmidt
+at every m, which for the Stiefel check factors only the columns it reads.
 """
 
 from __future__ import annotations
@@ -136,6 +137,13 @@ def _report(identity_id, params, analytic, n_samples, seed, draw) -> Verificatio
 # ---------------------------------------------------------------------------
 
 
+def _gaussian(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, count: int) -> np.ndarray:
+    """A (count, m, m) batch of standard Gaussian matrices, real at beta = 1
+    and complex at beta = 2."""
+    g = rng.standard_normal((count, m, m))
+    return g + 1j * rng.standard_normal((count, m, m)) if algebra.beta == 2 else g
+
+
 def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, count: int):
     """Haar-distributed group elements (count, m, m): the Q of a Gaussian
     matrix's QR factorization with R's diagonal made positive
@@ -146,10 +154,7 @@ def _haar_batch(m: int, algebra: DivisionAlgebra, rng: np.random.Generator, coun
         return _quat.haar_batch(rng, count, m)
     if beta not in (1, 2):
         raise UnsupportedParameterError("Haar sampling supports beta in {1, 2, 4}")
-    g = rng.standard_normal((count, m, m))
-    if beta == 2:
-        g = g + 1j * rng.standard_normal((count, m, m))
-    return _mat2.unitary_factor(g)
+    return _mat2.unitary_factor(_gaussian(m, algebra, rng, count))
 
 
 def verify_split_integral(
@@ -751,8 +756,10 @@ def verify_stiefel_0f1(
     root = np.sqrt(xx)
 
     def draw(rng, count):
-        h = _haar_batch(n, algebra, rng, count)
-        diag = np.einsum("bii->bi", h[:, :m, :m])
+        # the first m columns of an n x n Haar draw, from the same Gaussian:
+        # Gram-Schmidt reads no later column
+        h = _mat2.unitary_factor(_gaussian(n, algebra, rng, count)[:, :, :m])
+        diag = np.einsum("bii->bi", h[:, :m])
         # trace in the algebra means the real part for the complex case
         tr = (root[None, :] * diag).sum(axis=1).real
         return np.exp(beta * tr)

@@ -34,14 +34,14 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import PCG64, default_rng
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from .hypergeom import (DEFAULT_TRUNCATION, HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split,
+from .hypergeom import (_DEFAULT_MAX_DEGREE, HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split,
                         pfq_positive_m2, pfq_two, ray_series)
 from .jack import as_spectrum
 from .special import gamma_lower_regularized, mv_gamma_ln
@@ -219,6 +219,12 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
                                                                     sampler.scale_eigs))
 
 
+def _with_budget(trunc: SeriesTruncation | None, budget: int, rel_tol: float) -> SeriesTruncation:
+    """``trunc`` with the degree cap ``budget`` where it leaves the cap unset;
+    with no truncation, ``budget`` at ``rel_tol``."""
+    return SeriesTruncation(budget, rel_tol) if trunc is None else replace(trunc, max_degree=trunc.degree_cap(budget))
+
+
 def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebra: DivisionAlgebra,
                       trunc: SeriesTruncation | None) -> float:
     """log of 1F1(a_up; c_lo; t) for t >= 0.
@@ -231,14 +237,15 @@ def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebr
     t, so every point of one model shares one Jack recurrence.  A degree the
     series needs past weight ~170 raises DomainError.
 
-    With ``trunc=None`` the degree budget is set from the trace so far tails
-    converge; a user truncation is honored as given.
+    With ``trunc=None``, or a truncation whose ``max_degree`` is None, the
+    degree budget is set from the trace so far tails converge (with
+    ``rel_tol`` 1e-12 when no truncation is given); a given cap, ``rel_tol``
+    or ``stall_window`` is honored as given.
     """
     m = len(t)
     tr = float(np.sum(t))
-    if trunc is None:
-        floor, pad = (400, 60) if m == 2 else (DEFAULT_TRUNCATION.max_degree, 40)
-        trunc = SeriesTruncation(max(floor, int(tr + 14 * math.sqrt(tr + 1) + pad)), rel_tol=1e-12)
+    floor, pad = (400, 60) if m == 2 else (_DEFAULT_MAX_DEGREE, 40)
+    trunc = _with_budget(trunc, max(floor, int(tr + 14 * math.sqrt(tr + 1) + pad)), 1e-12)
     if m == 2:
         res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
     else:
@@ -456,7 +463,7 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
         return 0.0
     sigma = np.asarray(model.sigma_eigs)
     shift = (beta / 2.0) / sigma.min()
-    use = trunc or SeriesTruncation(max_degree=max(60, int(4 * shift * lam.sum())), rel_tol=1e-11)
-    res = pfq_two(HypergeomSpec((), (), model.algebra, m), shift - (beta / 2.0) / sigma, lam, use)
+    trunc = _with_budget(trunc, max(60, int(4 * shift * lam.sum())), 1e-11)
+    res = pfq_two(HypergeomSpec((), (), model.algebra, m), shift - (beta / 2.0) / sigma, lam, trunc)
     _warn_unconverged(res, "eigenvalue coupling", stacklevel=2)
     return math.exp(_log_eigen_prefactor(model, lam) - shift * float(lam.sum()) + res.log_value)

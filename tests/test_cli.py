@@ -112,6 +112,21 @@ class TestTruncationFlags:
         assert code == 0
         assert float(cut) != float(full)
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("cdf-max", "--m", "2", "--n", "4", "--sigma", "1,2", "--x", "30"), ("--rel-tol", "1e-12")),
+        (("density", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--eigs", "30,20,10"), ("--rel-tol", "1e-11")),
+    ], ids=["cdf-max", "density"])
+    def test_a_flag_without_max_degree_keeps_the_sized_budget(self, capsys, argv, flag):
+        # a truncation with no --max-degree leaves the degree budget to the
+        # distribution function, as no flag at all does
+        code, full, _ = run(capsys, *argv)
+        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, given, err = run(capsys, *argv, *flag)
+        assert (code, err) == (0, "")
+        assert float(given) == pytest.approx(float(full), rel=1e-12, abs=0.0)
+
 
 class TestDiagnostics:
     def test_cdf_min_integer_condition_message(self, capsys):

@@ -310,6 +310,24 @@ class TestSeriesBehavior:
         assert res.converged
         assert res.last_term_ratio <= 1e-10
 
+    def test_unset_max_degree_caps_at_40(self):
+        # a truncation that leaves max_degree unset sums to degree 40, the
+        # cap of pfq, pfq_two and pfq_batch
+        assert SeriesTruncation().max_degree is None
+        spec = HypergeomSpec((), (), B1, 2)
+        unset = SeriesTruncation(rel_tol=1e-30)
+        for res in (pfq(spec, (4.0, 2.0), unset), pfq_two(spec, (4.0, 2.0), (1.0, 0.5), unset)):
+            assert res.degrees_used == 40 and not res.converged
+        assert pfq(spec, (4.0, 2.0), unset).value == pfq(spec, (4.0, 2.0), SeriesTruncation(40, 1e-30)).value
+
+    def test_ray_series_need_a_max_degree(self, empty_memos):
+        unset = SeriesTruncation(rel_tol=1e-12)
+        with pytest.raises(DomainError, match="max_degree"):
+            pfq_positive_m2((1.5,), (3.5,), (0.0, 0.0), B1, unset)
+        ray = ray_series(HypergeomSpec((1.5,), (3.5,), B1, 2), (2.0, 1.0))
+        with pytest.raises(DomainError, match="max_degree"):
+            ray.evaluate(3.0, 3.0, unset)
+
     def test_adaptive_degree_tracks_argument_size(self):
         small = pfq(HypergeomSpec((), (), B1, 1), (0.1,))
         large = pfq(HypergeomSpec((), (), B1, 1), (4.0,), SeriesTruncation(max_degree=60))

@@ -114,21 +114,29 @@ class TestExamples:
         (jack_J, 171, (0.5,)),     # J = 341!! 0.5^171, about 5e307
         (jack_J, 200, (0.01,)),    # J = 399!! 0.01^200, about 5e33
         (jack_J, 100, (1e-3,)),    # J = 199!! 1e-300, about 1e-113
-    ], ids=["C-170", "C-170-negative", "J-171", "J-200", "J-100"])
+        (jack_C, 170, (0.5, -0.25)),  # C about 5.45e-52, and C at |x| underflows too
+    ], ids=["C-170", "C-170-negative", "J-171", "J-200", "J-100", "C-170-mixed"])
     def test_underflow_to_zero_is_domain_error(self, evaluate, k, x):
         # chat = C/k! underflows though the value cannot vanish: one sign and
-        # at least len(kappa) nonzero entries
+        # at least len(kappa) nonzero entries, or mixed signs where the value
+        # at |x|, which bounds it, underflows as well
         with pytest.raises(DomainError, match=f"weight {k} underflows"):
             evaluate(Partition((k,)), x, DivisionAlgebra(1))
 
     def test_batch_row_underflow_is_domain_error(self):
         with pytest.raises(DomainError, match="weight 170 underflows"):
             jack_C_batch(Partition((170,)), np.array([[0.5], [1.0]]), DivisionAlgebra(1))
+        with pytest.raises(DomainError, match="weight 170 underflows"):
+            jack_C_batch(Partition((170,)), np.array([[0.5, -0.25], [1.0, 0.5]]), DivisionAlgebra(1))
 
     def test_true_zeros_are_returned(self):
         alg = DivisionAlgebra(1)
         assert jack_C(Partition((1,)), (1.0, -1.0), alg) == 0.0
         assert jack_C(Partition((1, 1)), (1.0, 0.0), alg) == 0.0
+        # mixed signs: a 0.0 whose bound at |x| is in range is a true zero,
+        # and a value that cancels only partly is kept
+        assert jack_C(Partition((1,)), (1.0, -1.0, 0.0), alg) == 0.0
+        assert jack_C(Partition((2, 1)), (1.0, -1.0, 0.5), alg) == pytest.approx(0.6, rel=1e-13)
         X = np.array([[1.0, -1.0], [0.5, 0.0], [1.0, 2.0]])
         assert jack_C_batch(Partition((1,)), X, alg).tolist() == [0.0, 0.5, 3.0]
         assert jack_C_batch(Partition((1, 1)), X[1:], alg)[0] == 0.0
@@ -444,9 +452,10 @@ class TestBatchAndTable:
         (4, 24, [(24, 12, 8, 6), (9, 7, 3, 2), (5, 5, 5, 5), (10, 4, 1), (2,)]),
     ], ids=["m3", "m4"])
     def test_bound_never_changes_a_value_as_capacity_grows(self, m, degree, bounds):
-        # one spectrum's unbounded dense stages double their capacity
-        # several times on the way; a bound, shorter than m or not, sizes
-        # them once, and both must give the same bits, scalar and batched
+        # one spectrum's dense stages double their capacity several times
+        # on the way, bounded or not; a bound, shorter than m or not, only
+        # narrows the shapes filled, and both must give the same bits,
+        # scalar and batched
         alg = DivisionAlgebra(2)
         table = JackTable(alg)
         rng = np.random.default_rng(43)

@@ -63,6 +63,32 @@ class TestHaar:
         se = stat.std(ddof=1) / math.sqrt(len(stat))
         assert abs(stat.mean() - 1.0) <= 5 * se
 
+    @pytest.mark.parametrize("alg", [B1, B2], ids=["b1", "b2"])
+    def test_stiefel_frame_is_the_first_columns_of_a_haar_draw(self, alg):
+        # the Stiefel check factors only m of n columns; Gram-Schmidt reads
+        # no later column, so they are the Haar matrix's bits, drawn from the
+        # same stream
+        m, n, count, seed = 2, 4, 3000, 21
+        r1, r2 = _rng(seed), _rng(seed)
+        frame = _mat2.unitary_factor(verify._gaussian(n, alg, r1, count)[:, :, :m])
+        full = _haar_batch(n, alg, r2, count)
+        assert np.array_equal(frame, full[:, :, :m])
+        assert _same_state(r1, r2)
+        xx = (1.0, 0.25)
+        rep = verify_stiefel_0f1(xx, m, n, alg, n_samples=count, seed=seed)
+        tr = (np.sqrt(xx)[None, :] * np.einsum("bii->bi", full[:, :m, :m])).sum(axis=1).real
+        assert (rep.estimate, rep.std_error) == _mean_se(np.exp(alg.beta * tr))
+
+    @pytest.mark.parametrize("alg", [B1, B2], ids=["b1", "b2"])
+    def test_unitary_factor_is_unitary_on_tall_and_near_parallel_columns(self, alg):
+        g = verify._gaussian(4, alg, _rng(23), 20_000)[:, :, :2]
+        near = g.copy()
+        near[:, :, 1] = g[:, :, 0] + 1e-9 * g[:, :, 1]
+        for batch in (g, near):
+            q = _mat2.unitary_factor(batch)
+            assert q.shape == batch.shape
+            assert _rows_max(np.einsum("bji,bjk->bik", q.conj(), q) - np.eye(2)).max() <= 8 * EPS
+
     def test_left_invariance(self):
         # distribution of an entry functional is unchanged by a fixed rotation
         rng = _rng(35)
@@ -138,7 +164,8 @@ def _rows_max(a):
 # a closed form, checked against the LAPACK call it replaces: both sides are
 # backward stable, so they agree to a few ulps of the size of their forward
 # error: |A| for eigenvalues and determinants, cond(A) |A^-1| for inverses
-# and cond |result| for the factorizations.
+# and cond |result| for the factorizations.  unitary_factor is Gram-Schmidt
+# at every m, held to that bound against LAPACK's QR at both.
 M2_CASES = [(2, beta, cond) for beta in (1, 2) for cond in (10.0, 1e12)]
 KERNEL_CASES = M2_CASES + [(3, beta, cond) for beta in (1, 2) for cond in (10.0, 1e12)]
 
@@ -219,15 +246,13 @@ class TestM2Kernels:
         assert np.all(_rows_max(got - ref) <= 16 * EPS * w[:, 1] / w[:, 0] * _rows_max(ref))
 
     def test_unitary_factor_against_qr(self, any_batch):
+        # Gram-Schmidt at every m against LAPACK's QR, phases moved into R
         q, r = np.linalg.qr(any_batch)
         d = np.einsum("bii->bi", r)
         ref = q * (d / np.abs(d))[:, None, :]
         got = _mat2.unitary_factor(any_batch)
-        if any_batch.shape[-1] != 2:
-            assert np.array_equal(got, ref)
-            return
         sv = np.linalg.svd(any_batch, compute_uv=False)
-        assert np.all(_rows_max(got - ref) <= 16 * EPS * sv[:, 0] / sv[:, 1])
+        assert np.all(_rows_max(got - ref) <= 16 * EPS * sv[:, 0] / sv[:, -1])
 
     def test_inv_sqrt_against_eigh(self, batch):
         w, q = np.linalg.eigh(batch)
@@ -247,9 +272,8 @@ class TestM2Kernels:
         zero = np.zeros((1, 2, 2))
         assert np.array_equal(_mat2.eigvalsh(zero), [[0.0, 0.0]])
         assert np.array_equal(_eigs_times_diag(np.eye(2)[None], (0.0, 0.0)), [[0.0, 0.0]])
-        parallel = np.array([[[1.0, 2.0], [0.0, 0.0]]])
-        q = _mat2.unitary_factor(parallel)
-        assert np.abs(q[0].T @ q[0] - np.eye(2)).max() <= 2 * EPS
+        with pytest.raises(DomainError, match="not independent"):
+            _mat2.unitary_factor(np.array([[[1.0, 2.0], [0.0, 0.0]]]))
         for kernel in (_mat2.inv_sqrt, lambda b: _mat2.cholesky_whiten(b, b)):
             with pytest.raises(DomainError, match="positive definite"):
                 kernel(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
@@ -331,9 +355,8 @@ class TestM2Samplers:
 
 @pytest.mark.parametrize("alg", [B1, B2], ids=["b1", "b2"])
 def test_haar_m3_is_the_q_of_a_positive_diagonal_qr(alg):
-    # at m != 2 H comes from numpy's QR with each column's phase moved into
-    # R: redrawn from the same seed, G = H R with R upper triangular and its
-    # diagonal real and positive
+    # H is the Gram-Schmidt Q of a Gaussian G: redrawn from the same seed,
+    # G = H R with R upper triangular and its diagonal real and positive
     r1, r2 = _rng(16), _rng(16)
     h = _haar_batch(3, alg, r1, 3000)
     g = r2.standard_normal((3000, 3, 3))
