@@ -21,9 +21,10 @@ every size:
 - :func:`unitary_factor`: the Q of G = QR with R's diagonal positive, by
   two-pass modified Gram-Schmidt over the columns of a (count, n, k) batch
   at every n and k <= n, with no LAPACK call;
-- :func:`conjugated_spectra`: the spectra of X H* Y H over group elements H,
-  from the entries of X^(1/2) H* Y H X^(1/2), the beta = 4 quaternion pair
-  included;
+- :func:`conjugated_spectra`: the spectra of X H* Y H over unitary group
+  elements H, the beta = 4 quaternion pair included; at m = 2 from the
+  squared moduli |h_ij|^2 alone (:func:`moduli_sq`), with det = det X det Y
+  exact;
 - :func:`factor_gram`: X = Z^(-1/2) T* T Z^(-1/2) from a batch of
   triangular factors T, from X's three entries at beta = 1, 2;
 - :func:`factor_spectra`: the spectra of that X, from the entries of T at
@@ -209,25 +210,26 @@ def unitary_factor(g: np.ndarray) -> np.ndarray:
     return q
 
 
-def complex_form(algebra, h, x, y):
-    """A group batch and two diagonals as complex matrices: for beta = 4 the
-    complex embedding of the quaternion pair ``h``, with each diagonal entry
-    doubled to match; otherwise the inputs unchanged."""
-    if algebra.beta != 4:
-        return h, x, y
-    return _quat.embed(*h), np.concatenate([x, x]), np.concatenate([y, y])
+def moduli_sq(h) -> np.ndarray:
+    """|h_ij|^2 in the algebra over a group batch: |Z1|^2 + |Z2|^2 for a
+    quaternion pair (Z1, Z2), |h|^2 elementwise otherwise."""
+    return abs_sq(h[0]) + abs_sq(h[1]) if isinstance(h, tuple) else abs_sq(h)
 
 
 def conjugated_spectra(x_eigs, y_eigs, algebra, h) -> np.ndarray:
     """Spectra (descending) of X H* Y H for nonnegative diagonal X, Y over a
-    batch of group elements (quaternion pairs at beta = 4)."""
+    batch of unitary group elements H (quaternion pairs at beta = 4); at m
+    >= 3 from ``eigvalsh`` of X^(1/2) H* Y H X^(1/2), at beta = 4 of its
+    complex embedding."""
     x, y = np.asarray(x_eigs, dtype=float), np.asarray(y_eigs, dtype=float)
     if len(x) == 2:
-        return _conjugated_spectra_m2(x, y, algebra, h)
-    e, x, y = complex_form(algebra, h, x, y)
-    inner = np.einsum("bji,j,bjk->bik", e.conj(), y, e)
+        return _conjugated_spectra_m2(x, y, moduli_sq(h))
+    quaternion = algebra.beta == 4
+    if quaternion:  # each diagonal entry doubled to match the embedding
+        h, x, y = _quat.embed(*h), np.tile(x, 2), np.tile(y, 2)
+    inner = np.einsum("bji,j,bjk->bik", h.conj(), y, h)
     a = np.sqrt(x)[None, :, None] * inner * np.sqrt(x)[None, None, :]
-    return _descending_spectra(a, algebra.beta == 4)
+    return _descending_spectra(a, quaternion)
 
 
 def _descending_spectra(a: np.ndarray, quaternion: bool) -> np.ndarray:
@@ -238,25 +240,17 @@ def _descending_spectra(a: np.ndarray, quaternion: bool) -> np.ndarray:
     return _quat.dedupe_pairs(vals) if quaternion else vals[:, ::-1]
 
 
-def _conjugated_spectra_m2(x, y, algebra, h) -> np.ndarray:
-    """:func:`conjugated_spectra` at m = 2 from the entries of the Hermitian
-    X^(1/2) H* Y H X^(1/2): its diagonal is x_i sum_j y_j |h_ji|^2 and its
-    off-diagonal sqrt(x_1 x_2) sum_j y_j conj(h_j1) h_j2, a quaternion at beta
-    = 4, whose spectrum is that of a complex matrix with the same diagonal
-    and |off-diagonal|."""
-    if algebra.beta == 4:
-        v1, v2 = h
-        col_sq = [y[0] * (abs_sq(v1[:, 0, k]) + abs_sq(v2[:, 0, k]))
-                  + y[1] * (abs_sq(v1[:, 1, k]) + abs_sq(v2[:, 1, k])) for k in (0, 1)]
-        p1, p2 = _quat._qdot(v1[:, :, 0], v2[:, :, 0], y * v1[:, :, 1], y * v2[:, :, 1])
-        inner_sq = abs_sq(p1) + abs_sq(p2)
-    else:
-        col_sq = [y[0] * abs_sq(h[:, 0, k]) + y[1] * abs_sq(h[:, 1, k]) for k in (0, 1)]
-        inner_sq = abs_sq(y[0] * h[:, 0, 0].conj() * h[:, 0, 1]
-                          + y[1] * h[:, 1, 0].conj() * h[:, 1, 1])
-    a11, a22 = x[0] * col_sq[0], x[1] * col_sq[1]
-    off_sq = x[0] * x[1] * inner_sq
-    lam_max, lam_min = spectra(a11, a22, off_sq, a11 * a22 - off_sq)
+def _conjugated_spectra_m2(x, y, w) -> np.ndarray:
+    """:func:`conjugated_spectra` at m = 2 from w = |h_ij|^2 of a unitary H,
+    at every beta.  X^(1/2) H* Y H X^(1/2) has diagonal x_k sum_j y_j w_jk;
+    its off-diagonal sqrt(x_1 x_2) sum_j y_j conj(h_j1) h_j2 is sqrt(x_1 x_2)
+    (y_1 - y_2) conj(h_11) h_12, since the columns of H are orthogonal, of
+    squared modulus x_1 x_2 (y_1 - y_2)^2 w_11 w_12; and its determinant is
+    x_1 x_2 y_1 y_2, exact to rounding, so lambda_min keeps its relative
+    accuracy at any conditioning."""
+    diag = x * np.einsum("j,bjk->bk", y, w)
+    off_sq = x[0] * x[1] * (y[0] - y[1]) ** 2 * w[:, 0, 0] * w[:, 0, 1]
+    lam_max, lam_min = spectra(diag[:, 0], diag[:, 1], off_sq, x[0] * x[1] * y[0] * y[1])
     return np.stack([lam_max, lam_min], axis=1)
 
 

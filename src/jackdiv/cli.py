@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -54,9 +55,12 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
         raise DomainError(f"grid must be start:stop:points, got {text!r}")
-    start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
-    if points < 2 or stop <= start:
-        raise DomainError(f"grid needs stop > start and points >= 2, got {text!r}")
+    try:
+        start, stop, points = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise DomainError(f"cannot parse grid start:stop:points (two numbers, an integer) from {text!r}") from exc
+    if not (math.isfinite(start) and math.isfinite(stop)) or points < 2 or stop <= start:
+        raise DomainError(f"grid needs finite start < stop and points >= 2, got {text!r}")
     return np.linspace(start, stop, points)
 
 
@@ -274,13 +278,13 @@ def _model(args) -> WishartModel:
     return WishartModel(args.m, args.n, sigma, DivisionAlgebra(args.beta))
 
 
-def _curve(args, evaluate, label: str) -> int:
-    grid = _parse_grid(args.grid)
-    lines = [f"x,{label}"]
-    for x in grid:
-        v = 0.0 if x <= 0 else evaluate(float(x))
-        lines.append(f"{_fmt(float(x))},{_fmt(v)}")
-    _emit(lines, args.output)
+def _curve(grid, columns, output) -> int:
+    """A CSV of x and one column per (label, function) over the grid, each
+    function read as 0 at x <= 0."""
+    lines = ["x," + ",".join(label for label, _ in columns)]
+    for x in map(float, grid):
+        lines.append(",".join([_fmt(x), *(_fmt(0.0 if x <= 0 else f(x)) for _, f in columns)]))
+    _emit(lines, output)
     return 0
 
 
@@ -288,7 +292,8 @@ def _cmd_cdf_max(args) -> int:
     model = _model(args)
     trunc = _truncation(args)
     if args.grid:
-        return _curve(args, lambda x: cdf_lambda_max(model, x, trunc), "cdf_lambda_max")
+        return _curve(_parse_grid(args.grid), [("cdf_lambda_max", lambda x: cdf_lambda_max(model, x, trunc))],
+                      args.output)
     if args.x is None:
         raise DomainError("provide --x or --grid")
     _emit([_fmt(cdf_lambda_max(model, args.x, trunc))], args.output)
@@ -298,7 +303,7 @@ def _cmd_cdf_max(args) -> int:
 def _cmd_cdf_min(args) -> int:
     model = _model(args)
     if args.grid:
-        return _curve(args, lambda y: cdf_lambda_min(model, y), "cdf_lambda_min")
+        return _curve(_parse_grid(args.grid), [("cdf_lambda_min", partial(cdf_lambda_min, model))], args.output)
     if args.y is None:
         raise DomainError("provide --y or --grid")
     _emit([_fmt(cdf_lambda_min(model, args.y))], args.output)
@@ -338,21 +343,9 @@ def _cmd_verify(args) -> int:
 def _cmd_figures(args) -> int:
     n, sigma, which, default_grid = _FIGURES[args.figure]
     grid = _parse_grid(args.grid) if args.grid else np.linspace(*default_grid)
-    betas = (1, 2, 4, 8)
-    models = {b: WishartModel(2, n, sigma, DivisionAlgebra(b)) for b in betas}
-    lines = ["x," + ",".join(f"cdf_beta{b}" for b in betas)]
-    for x in grid:
-        row = [_fmt(float(x))]
-        for b in betas:
-            if x <= 0:
-                row.append(_fmt(0.0))
-            elif which == "max":
-                row.append(_fmt(cdf_lambda_max(models[b], float(x))))
-            else:
-                row.append(_fmt(cdf_lambda_min(models[b], float(x))))
-        lines.append(",".join(row))
-    _emit(lines, args.output)
-    return 0
+    cdf = cdf_lambda_max if which == "max" else cdf_lambda_min
+    return _curve(grid, [(f"cdf_beta{b}", partial(cdf, WishartModel(2, n, sigma, DivisionAlgebra(b))))
+                         for b in (1, 2, 4, 8)], args.output)
 
 
 _COMMANDS = {

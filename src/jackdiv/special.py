@@ -22,9 +22,13 @@ from .core import DivisionAlgebra, DomainError, Partition
 
 def _signed_loggamma(a: float) -> tuple[float, float]:
     """(log |Gamma(a)|, sign of Gamma(a)); off the poles Gamma(a) has the sign
-    (-1)^floor(a) for a < 0."""
+    (-1)^floor(a) for a < 0.  DomainError at a pole, and where log Gamma(a)
+    itself leaves the float range (from a = 2.6e305 on)."""
     if a > 0:
-        return math.lgamma(a), 1.0
+        try:
+            return math.lgamma(a), 1.0
+        except OverflowError:
+            raise DomainError(f"log-gamma at a = {a!r} leaves the float range") from None
     if a == math.floor(a):
         raise DomainError(f"gamma pole at {a}")
     return math.lgamma(a), -1.0 if math.floor(a) % 2 else 1.0
@@ -114,10 +118,19 @@ def gamma_lower_regularized(order: int, x: float) -> float:
     return 1.0 - math.exp(a * log_ratio - h + _log_poisson_mode(order)) * z * s
 
 
+def _log_gamma_sum(terms: list[float], a: float) -> float:
+    """``math.fsum`` of the log-gamma terms of a multivariate gamma at ``a``;
+    DomainError naming ``a`` when the sum leaves the float range."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        raise DomainError(f"log of the multivariate gamma at a = {a!r} leaves the float range") from None
+
+
 def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float) -> float:
     """log of the multivariate gamma for an m-dimensional argument.
 
-    Requires ``a > (m - 1) * beta / 2``; the two equivalent product orderings
+    Requires ``(m - 1) * beta / 2 < a < inf``; the two equivalent product orderings
     (ascending and descending shifts) agree bit for bit because the summands
     are identical multisets accumulated with ``math.fsum``.
     """
@@ -125,14 +138,14 @@ def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float) -> float:
         raise DomainError(f"m must be >= 1, got {m}")
     beta = algebra.beta
     bound = (m - 1) * beta / 2
-    if not a > bound:
+    if not bound < a < math.inf:
         raise DomainError(
-            f"multivariate gamma requires a > (m-1)*beta/2 = {bound}, got a = {a}"
+            f"multivariate gamma requires a > (m-1)*beta/2 = {bound}, a finite, got a = {a}"
         )
     terms = [m * (m - 1) * beta / 4 * math.log(math.pi)]
     for i in range(1, m + 1):
         terms.append(_signed_loggamma(a - (i - 1) * beta / 2)[0])
-    return math.fsum(terms)
+    return _log_gamma_sum(terms, a)
 
 
 def _exp_in_range(log_value: float, what: str, log_form: str) -> float:
@@ -199,11 +212,11 @@ class WeightedGammaQuery:
         return c + self.weight.part(1)
 
     def check(self):
-        if not self.a > self.domain_bound:
+        if not self.domain_bound < self.a < math.inf:
             side = "- k_m" if self.sign > 0 else "+ k_1"
             raise DomainError(
                 f"weighted gamma requires a > (m-1)*beta/2 {side} = "
-                f"{self.domain_bound}, got a = {self.a}"
+                f"{self.domain_bound}, a finite, got a = {self.a}"
             )
 
 
@@ -225,7 +238,7 @@ def mv_gamma_weighted_ln(q: WeightedGammaQuery) -> float:
                 f"(argument {arg}); outside the supported domain"
             )
         terms.append(value)
-    return math.fsum(terms)
+    return _log_gamma_sum(terms, q.a)
 
 
 def mv_gamma_weighted(q: WeightedGammaQuery) -> float:
@@ -243,10 +256,10 @@ def mv_gamma_weighted(q: WeightedGammaQuery) -> float:
 def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
     """log multivariate beta: log Gamma_m[a] + log Gamma_m[b] - log Gamma_m[a+b]."""
     bound = (m - 1) * algebra.beta / 2
-    if not a > bound:
-        raise DomainError(f"multivariate beta requires a > (m-1)*beta/2 = {bound}, got a = {a}")
-    if not b > bound:
-        raise DomainError(f"multivariate beta requires b > (m-1)*beta/2 = {bound}, got b = {b}")
+    if not bound < a < math.inf:
+        raise DomainError(f"multivariate beta requires a > (m-1)*beta/2 = {bound}, a finite, got a = {a}")
+    if not bound < b < math.inf:
+        raise DomainError(f"multivariate beta requires b > (m-1)*beta/2 = {bound}, b finite, got b = {b}")
     return mv_gamma_ln(m, algebra, a) + mv_gamma_ln(m, algebra, b) - mv_gamma_ln(m, algebra, a + b)
 
 

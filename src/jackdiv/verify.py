@@ -27,7 +27,12 @@ inverses, log-determinants and the matrix-beta conjugations by a Cholesky
 factor or a Hermitian inverse root) is one kernel of :mod:`jackdiv._mat2`,
 which runs a closed form on the three entries of each matrix at m = 2 and
 numpy's LAPACK path at every other m, except the Haar Q: one Gram-Schmidt
-at every m, which for the Stiefel check factors only the columns it reads.
+at every m, which for the Stiefel check factors only the columns it reads
+(at beta = 4 the one-pass quaternion loop of :func:`jackdiv._quat.haar_batch`).
+The two-matrix check, and the splitting check at m = 2, read a Haar draw H
+only through its squared moduli |h_ij|^2 in the algebra
+(:func:`jackdiv._mat2.moduli_sq`), with no quaternion product and no complex
+embedding.
 """
 
 from __future__ import annotations
@@ -777,16 +782,16 @@ def verify_two_matrix_0f0(
     seed: int = 0,
 ) -> VerificationReport:
     """Haar average of etr(X H Y H*) against the two-argument exponential
-    series; beta in {1, 2, 4}."""
+    series; beta in {1, 2, 4}.  The integrand reads H only through its
+    squared moduli |h_ij|^2 in the algebra."""
     x = np.asarray(x_eigs, dtype=float)
     y = np.asarray(y_eigs, dtype=float)
     analytic = pfq_two(HypergeomSpec((), (), algebra, m), x, y).value
 
     def draw(rng, count):
-        e, x2, y2 = _mat2.complex_form(algebra, _haar_batch(m, algebra, rng, count), x, y)
-        tr = np.einsum("i,bij,j,bij->b", x2, e, y2, e.conj()).real
-        # the embedding counts each quaternion trace twice
-        return np.exp(0.5 * tr if algebra.beta == 4 else tr)
+        # Re tr(X H Y H*) = sum_ij x_i y_j |h_ij|^2 in the algebra
+        w = _mat2.moduli_sq(_haar_batch(m, algebra, rng, count))
+        return np.exp(np.einsum("i,bij,j->b", x, w, y))
 
     params = ("two_matrix_0f0", tuple(x), tuple(y), m, algebra.beta, n_samples, seed)
     return _report(f"two-matrix-0f0-m{m}-b{algebra.beta}", params, analytic, n_samples, seed, draw)

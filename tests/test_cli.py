@@ -170,6 +170,42 @@ class TestDiagnostics:
             code, out, _ = run(capsys, *command, "--log")
             assert code == 0 and math.isfinite(float(out))
 
+    @pytest.mark.parametrize("argv", [
+        ["cdf-max", "--m", "2", "--n", "4", "--grid", "0:8:abc"],
+        ["cdf-max", "--m", "2", "--n", "4", "--grid", "a:8:5"],
+        ["cdf-max", "--m", "2", "--n", "4", "--grid", "0:8:5.5"],
+        ["cdf-min", "--m", "2", "--n", "4", "--grid", "0:8:abc"],
+        ["figures", "fig1", "--grid", "0:8:abc"],
+    ], ids=["points-text", "start-text", "points-fraction", "cdf-min", "figures"])
+    def test_malformed_grid_in_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse grid start:stop:points (two numbers, an integer) from {argv[-1]!r}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("grid", ["nan:8:5", "0:inf:5", "0:nan:5", "8:0:5", "0:8:1"])
+    def test_grid_out_of_range_in_one_line(self, capsys, grid):
+        code, out, err = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: grid needs finite start < stop and points >= 2, got {grid!r}\n"
+
+    @pytest.mark.parametrize("value", ["0:8:abc", "a:8:5", "0:8:5.5"])
+    def test_malformed_grid_in_a_config_file_in_one_line(self, tmp_path, capsys, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid={value}\n")
+        code, out, err = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse grid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("a", ["1e306", "inf"])
+    @pytest.mark.parametrize("extra", [[], ["--log"], ["--kappa", "[1]"], ["--kappa", "[1]", "--log"]],
+                             ids=["plain", "log", "weighted", "weighted-log"])
+    def test_gamma_argument_past_the_float_range_in_one_line(self, capsys, a, extra):
+        code, out, err = run(capsys, "gamma", "--m", "1", "--a", a, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"a = {float(a)!r}" in err  # the library's DomainError, not the CSV writer's
+
     @pytest.mark.parametrize("command, flags, name", [
         ("cdf-max", ["--sigma", "1,nan", "--x", "3"], "sigma_eigs must be positive and"),
         ("cdf-max", ["--n", "inf", "--x", "3"], "n must be"),

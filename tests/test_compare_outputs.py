@@ -56,7 +56,7 @@ def test_nan_on_both_sides_is_no_difference():
 def test_outputs_cover_both_figures_every_seed_and_the_perfbench_values():
     runs = compare_outputs.outputs((7, 8))
     assert list(runs) == ["figures fig1", "figures fig2", "cdf-min m3", "cdf-max far tail", "verify seed 7",
-                          "verify seed 8", "perfbench values", "wishart draws"]
+                          "verify seed 8", "perfbench values", "wishart draws", "haar draws"]
     assert runs["cdf-min m3"] == ["-m", "jackdiv.cli", "cdf-min", "--beta", "2", "--m", "3", "--n", "6",
                                   "--sigma", "1,2,3", "--grid", "0:8:9"]
     assert runs["cdf-max far tail"] == ["-m", "jackdiv.cli", "cdf-max", "--beta", "8", "--m", "2", "--n", "4",

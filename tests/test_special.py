@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from jackdiv.special import (
     gen_pochhammer,
     lgamma_run,
     mv_beta,
+    mv_beta_ln,
     mv_gamma,
     mv_gamma_ln,
     mv_gamma_weighted,
@@ -168,6 +170,46 @@ class TestMvBeta:
         # B(a, a) ~ 2/a near 0: past the float range at a = 1e-310
         with pytest.raises(DomainError, match=r"a = 1e-310, b = 1e-310 leaves the float range; use mv_beta_ln"):
             mv_beta(1, DivisionAlgebra(1), 1e-310, 1e-310)
+
+
+REAL = DivisionAlgebra(1)
+# every gamma and beta, called with the argument ``a``
+_GAMMAS = {
+    "mv_gamma": lambda a: mv_gamma(2, REAL, a),
+    "mv_gamma_ln": lambda a: mv_gamma_ln(2, REAL, a),
+    "mv_gamma_weighted": lambda a: mv_gamma_weighted(WeightedGammaQuery(a, 2, REAL, Partition((1,)))),
+    "mv_gamma_weighted_ln": lambda a: mv_gamma_weighted_ln(WeightedGammaQuery(a, 2, REAL, Partition((1,)), -1)),
+    "mv_beta": lambda a: mv_beta(2, REAL, a, 1.0),
+    "mv_beta_ln": lambda a: mv_beta_ln(2, REAL, a, 1.0),
+    "mv_beta_ln-b": lambda a: mv_beta_ln(2, REAL, 1.0, a),
+}
+
+
+class TestArgumentPastTheFloatRange:
+    # math.lgamma overflows from a = 2.6e305 on; at a = inf the gammas once
+    # returned inf and the betas nan
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [1e306, math.inf])
+    @pytest.mark.parametrize("name", list(_GAMMAS))
+    def test_is_domain_error(self, name, a):
+        with pytest.raises(DomainError, match=re.escape(f" = {a!r}")):
+            _GAMMAS[name](a)
+
+    def test_log_gamma_sum_past_the_float_range_is_domain_error(self):
+        # each log-gamma term is finite at a = 1.3e305, their sum at m = 2 is not
+        assert math.isfinite(mv_gamma_ln(1, REAL, 1.3e305))
+        with pytest.raises(DomainError, match=r"a = 1\.3e\+305 leaves the float range"):
+            mv_gamma_ln(2, REAL, 1.3e305)
+
+    def test_signed_loggamma_overflow_names_a(self):
+        with pytest.raises(DomainError, match=r"log-gamma at a = 1e\+306 leaves the float range"):
+            _signed_loggamma(1e306)
+        assert _signed_loggamma(2.5e305) == (math.lgamma(2.5e305), 1.0)
+
+    def test_finite_values_keep_their_bits(self):
+        for a in (0.7, 3.0, 171.5, 1e300):
+            assert mv_gamma_ln(2, REAL, a) == math.fsum([0.5 * math.log(math.pi), math.lgamma(a),
+                                                         math.lgamma(a - 0.5)])
 
 
 class TestSignedLogGamma:

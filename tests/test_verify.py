@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -416,6 +417,46 @@ def test_m2_split_spectra_match_embedding_eigvalsh(beta):
     ref = _quat.dedupe_pairs(vals) if beta == 4 else vals[:, ::-1]
     got = _mat2.conjugated_spectra(x_eigs, y_eigs, alg, h)
     assert np.all(np.abs(got - ref) <= 16 * EPS * ref[:, :1])
+
+
+def _embedded(h, *diagonals):
+    """A Haar batch as complex matrices (the embedding of a quaternion pair)
+    and each diagonal doubled to match."""
+    if not isinstance(h, tuple):
+        return (h, *(np.asarray(d, dtype=float) for d in diagonals))
+    return (_quat.embed(*h), *(np.tile(np.asarray(d, dtype=float), 2) for d in diagonals))
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+def test_m2_split_lambda_min_keeps_relative_accuracy(beta):
+    # y nearly singular: lambda_min from a11 a22 - |a12|^2 once lost 1e-4 of
+    # its relative accuracy; from det X det Y it keeps all of it
+    alg = DivisionAlgebra(beta)
+    x_eigs, y_eigs = (1.0, 2.0), (3.0, 3e-12)
+    h = _haar_batch(2, alg, _rng(16), 50)
+    got = _mat2.conjugated_spectra(x_eigs, y_eigs, alg, h)
+    e, x, y = _embedded(h, x_eigs, y_eigs)
+    with mpmath.workdps(40):
+        root_x = mpmath.diag([mpmath.sqrt(v) for v in x.tolist()])
+        for b in range(len(e)):
+            hb = mpmath.matrix(e[b].tolist())
+            a = root_x * hb.H * mpmath.diag(y.tolist()) * hb * root_x
+            lam_min = min(mpmath.re(v) for v in mpmath.eighe(a, eigvals_only=True))
+            assert abs(got[b, 1] - lam_min) <= 1e-14 * lam_min
+
+
+@pytest.mark.parametrize("beta", [1, 2, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_moduli_sum_matches_embedding_trace(m, beta):
+    # Re tr(X H Y H*) = sum_ij x_i y_j |h_ij|^2; the embedding counts each
+    # quaternion trace twice
+    alg = DivisionAlgebra(beta)
+    x_eigs, y_eigs = np.linspace(0.4, 2.0, m), np.linspace(1.5, 0.3, m)
+    h = _haar_batch(m, alg, _rng(17), 2000)
+    got = np.einsum("i,bij,j->b", x_eigs, _mat2.moduli_sq(h), y_eigs)
+    e, x, y = _embedded(h, x_eigs, y_eigs)
+    ref = np.einsum("i,bij,j,bij->b", x, e, y, e.conj()).real / (2 if beta == 4 else 1)
+    assert np.all(np.abs(got - ref) <= 8 * EPS * np.abs(ref).max())
 
 
 class TestReport:

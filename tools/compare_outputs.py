@@ -19,7 +19,11 @@ script runs, each in a fresh process:
 - Wishart and cone draws (``WISHART_DRAWS``): ``sample_wishart_eigs`` and
   the X and log-determinant of ``ConeSampler.sample`` at m = 1, 2, 3 and
   beta = 1, 2, 4, the m = 1 and m = 3 paths and the beta = 4 embedding that
-  no figure and no quick verify run reaches.
+  no figure and no quick verify run reaches;
+- Haar draws (``HAAR_DRAWS``) at m = 2, 3 and beta = 1, 2, 4: Q, the
+  spectra of X H* Y H at a well-conditioned and an ill-conditioned Y, and
+  the splitting and two-matrix checks, the m = 3 and beta = 4 Haar paths
+  that no other output reaches draw by draw.
 
 Standard output and standard error are compared apart.  For each output it
 prints ``identical``, or the largest relative difference between the numbers
@@ -83,6 +87,37 @@ for beta in (1, 2, 4):
         sampler = ConeSampler(m, alg, 2 * m + 1.5, (0.5, 1.5, 2.5)[:m])
         rng = np.random.default_rng(np.random.PCG64(67))
         show(f"cone b{beta} m{m}", list(sampler.sample(rng, 2000)))
+"""
+
+# Haar draws at m = 2, 3 and beta = 1, 2, 4, run in a side's root: for each
+# case a sha256 of Q (of the quaternion pair at beta = 4) and its first rows,
+# the spectra of X H* Y H at a well-conditioned and an ill-conditioned y, and
+# the report lines of the two checks that read H
+HAAR_DRAWS = """
+import hashlib
+import numpy as np
+from jackdiv import _mat2, verify
+from jackdiv.core import DivisionAlgebra, Partition
+
+def rows(case, arrays, count=4):
+    for i in range(count):
+        print(case, "row", i, " ".join(repr(v) for a in arrays for v in np.ravel(a[i]).tolist()))
+
+xs = {2: (1.0, 2.0), 3: (1.0, 2.0, 0.5)}
+ys = {2: [(3.0, 0.5), (3.0, 3e-12)], 3: [(2.0, 1.0, 0.8), (3.0, 1.0, 3e-12)]}
+kappa = Partition((2, 1))
+for beta in (1, 2, 4):
+    alg = DivisionAlgebra(beta)
+    for m in (2, 3):
+        case = f"haar b{beta} m{m}"
+        h = verify._haar_batch(m, alg, np.random.default_rng(np.random.PCG64(71)), 2000)
+        q = list(h) if beta == 4 else [h]
+        print(case, "sha256", hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in q)).hexdigest())
+        rows(case + " Q", q)
+        for y in ys[m]:
+            rows(f"{case} spectra y{y}", [_mat2.conjugated_spectra(xs[m], y, alg, h)])
+        print(verify.verify_split_integral(kappa, xs[m], ys[m][0], m, alg, 5000, 73).to_line())
+        print(verify.verify_two_matrix_0f0(xs[m], ys[m][0], m, alg, 5000, 79).to_line())
 """
 
 # the m >= 3 smallest-eigenvalue law, 9 points
@@ -160,6 +195,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs.update({f"verify seed {s}": cli + ["verify", "all", "--quick", "--seed", str(s)] for s in seeds})
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
     runs["wishart draws"] = ["-c", WISHART_DRAWS]
+    runs["haar draws"] = ["-c", HAAR_DRAWS]
     return runs
 
 
