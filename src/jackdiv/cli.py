@@ -51,6 +51,10 @@ def _parse_floats(text: str) -> tuple[float, ...]:
         raise DomainError(f"cannot parse number list from {text!r}") from exc
 
 
+# Most points a grid may hold: every point is one evaluation and one CSV row.
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(text: str) -> np.ndarray:
     parts = str(text).split(":")
     if len(parts) != 3:
@@ -61,6 +65,8 @@ def _parse_grid(text: str) -> np.ndarray:
         raise DomainError(f"cannot parse grid start:stop:points (two numbers, an integer) from {text!r}") from exc
     if not (math.isfinite(start) and math.isfinite(stop)) or points < 2 or stop <= start:
         raise DomainError(f"grid needs finite start < stop and points >= 2, got {text!r}")
+    if points > _MAX_GRID_POINTS:
+        raise DomainError(f"grid has more than {_MAX_GRID_POINTS} points, got {text!r}")
     return np.linspace(start, stop, points)
 
 
@@ -132,8 +138,9 @@ _TRUNCATION_FLAGS = ("max_degree", "rel_tol", "stall_window")
 
 def _truncation(args) -> SeriesTruncation | None:
     """The truncation flags given, with SeriesTruncation defaults for the rest
-    (no ``max_degree``: the function summing the series sizes its own); None
-    when no flag is given."""
+    (no ``max_degree``: the series sizes its own cap, 40 for ``pfq``, from the
+    trace for ``cdf-max`` and ``cdf-region``, from the eigenvalues for
+    ``density``); None when no flag is given."""
     given = {name: getattr(args, name) for name in _TRUNCATION_FLAGS if getattr(args, name) is not None}
     return SeriesTruncation(**given) if given else None
 
@@ -145,7 +152,8 @@ def _add_common(sp, trunc=False, model=False, beta=True):
     sp.add_argument("--config", help="key=value file setting this subcommand's valued flags")
     sp.add_argument("--output", help="write output to this path instead of stdout")
     if trunc:
-        sp.add_argument("--max-degree", type=int, help="default 40 for pfq; sized by the distribution functions")
+        sp.add_argument("--max-degree", type=int, help="default 40 for pfq; sized from the argument by "
+                        "cdf-max, cdf-region and density")
         sp.add_argument("--rel-tol", type=float, help=f"default {SeriesTruncation.rel_tol:g}")
         sp.add_argument("--stall-window", type=int, help=f"default {SeriesTruncation.stall_window}")
     if model:

@@ -20,12 +20,14 @@ under the same stop rule.
 it keeps the log degree sums log D_k at one base point, extended in order by
 a source function, and sums every point of the ray from them with each term
 scaled by exp(-trace), so that nothing overflows and each further point
-costs one exp per degree.  It has two sources, each with its own bounded
-process-wide ``lru_cache``, so one kind never evicts the other:
-:func:`ray_series` (``_ray``) runs the Jack recurrence once per (spec,
-unit-trace direction) at any m, and :func:`pfq_positive_m2` (``_m2_series``),
-the m = 2 engine for far tails, fills closed-form tables with O(1) work per
-partition once per (parameters, beta, t2/t1).
+costs one exp per degree.  It sizes its own degree budget from that trace.
+It has two sources, each with its own bounded process-wide ``lru_cache``, so
+one kind never evicts the other: :func:`ray_series` (``_ray``) runs the Jack
+recurrence once per (spec, unit-trace direction) at any m, and
+:func:`pfq_positive_m2` (``_m2_series``), the m = 2 engine for far tails,
+fills closed-form tables with O(1) work per partition once per (parameters,
+beta, t2/t1).  :func:`_positive_1f1`, the positive 1F1 of the Wishart
+distribution functions, picks between them by the number of eigenvalues.
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -46,18 +48,22 @@ from .jack import ChatEvaluator, _rank, as_spectrum, get_table, log_chat_identit
 from .special import lgamma_run
 
 
-# the degree cap of pfq, pfq_two and pfq_batch when a truncation leaves it unset
+# the degree cap of pfq, pfq_two and pfq_batch when a truncation leaves it
+# unset, and the least cap of a RaySeries
 _DEFAULT_MAX_DEGREE = 40
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class SeriesTruncation:
     """Total-degree cutoff and early-stop policy for the partition series.
 
-    ``max_degree=None`` leaves the cap to the function summing the series:
-    40 for :func:`pfq`, :func:`pfq_two` and :func:`pfq_batch`, and a budget
-    from the trace for the distribution functions of :mod:`jackdiv.wishart`,
-    which keep the ``rel_tol`` and ``stall_window`` given.
+    ``max_degree=None`` leaves the cap to the series: 40 for :func:`pfq`,
+    :func:`pfq_two` and :func:`pfq_batch`, and the trace budget of
+    :meth:`RaySeries.evaluate` for every :class:`RaySeries`, so for the
+    largest-eigenvalue and region laws of :mod:`jackdiv.wishart`; its joint
+    density sizes its own.  The ``rel_tol`` and ``stall_window`` given are
+    kept either way.
     """
 
     max_degree: int | None = None
@@ -72,11 +78,8 @@ class SeriesTruncation:
         if self.stall_window < 1:
             raise DomainError(f"stall_window must be >= 1, got {self.stall_window}")
 
-    def degree_cap(self, default: int | None = None) -> int:
-        """``max_degree``, or ``default`` where it is None; DomainError when
-        both are, for a series that sizes no degree budget of its own."""
-        if self.max_degree is None and default is None:
-            raise DomainError("this series needs a truncation with max_degree set")
+    def degree_cap(self, default: int) -> int:
+        """``max_degree``, or ``default`` where it is None."""
         return default if self.max_degree is None else self.max_degree
 
 
@@ -390,11 +393,17 @@ def _exp_split(algebra: DivisionAlgebra, r: int, v: tuple[float, ...], above: bo
     return tuple(math.fsum(evaluator.degree_values(k).values()) for k in range(len(v) * r + 1))
 
 
-def _scaled(res: SeriesResult, scale: float) -> SeriesResult:
-    """``res`` with its value multiplied by ``scale``; truncation metadata kept."""
-    value = scale * res.value
-    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged,
-                        math.log(value) if value > 0 else None)
+def _scaled(res: SeriesResult, log_scale: float) -> SeriesResult:
+    """``res`` with its value multiplied by exp(``log_scale``); truncation
+    metadata kept.  ``value`` is +-inf once it leaves the float range, while
+    the ``log_value`` of a positive value stays finite."""
+    log_value = None if res.log_value is None else res.log_value + log_scale
+    if log_scale < _LOG_FLOAT_MAX or not res.value:  # a zero stays 0 at any scale
+        value = res.value * math.exp(min(log_scale, _LOG_FLOAT_MAX))
+    else:  # exp(log_scale) alone leaves the float range
+        log_abs = math.log(abs(res.value)) + log_scale
+        value = math.copysign(math.exp(log_abs) if log_abs < _LOG_FLOAT_MAX else math.inf, res.value)
+    return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)
 
 
 def kummer_1f1(
@@ -415,7 +424,7 @@ def kummer_1f1(
     rhs_spec = HypergeomSpec((c - a,), (c,), algebra, sx.m)
     lhs = pfq(lhs_spec, sx, trunc)
     inner = pfq(rhs_spec, sx.scaled(-1.0), trunc)
-    return lhs, _scaled(inner, math.exp(sx.trace))
+    return lhs, _scaled(inner, sx.trace)
 
 
 def euler_2f1(
@@ -445,10 +454,8 @@ def euler_2f1(
             "Pfaff-transformed series does not converge here"
         )
     logdet = math.fsum(math.log1p(-lam) for lam in sx.eigenvalues)
-    pfaff = _scaled(pfq(HypergeomSpec((c - a, b), (c,), algebra, sx.m), u, trunc),
-                    math.exp(-b * logdet))
-    euler = _scaled(pfq(HypergeomSpec((c - a, c - b), (c,), algebra, sx.m), sx, trunc),
-                    math.exp((c - a - b) * logdet))
+    pfaff = _scaled(pfq(HypergeomSpec((c - a, b), (c,), algebra, sx.m), u, trunc), -b * logdet)
+    euler = _scaled(pfq(HypergeomSpec((c - a, c - b), (c,), algebra, sx.m), sx, trunc), (c - a - b) * logdet)
     return direct, pfaff, euler
 
 
@@ -478,7 +485,6 @@ def euler_2f1(
 
 # Entries kept by each process-wide series memo, _ray and _m2_series.
 _RAY_CAPACITY = 32
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 
 
@@ -509,15 +515,24 @@ class RaySeries:
                     self._log_d.extend(self._source(len(self._log_d)))
         return self._log_d[k]
 
-    def evaluate(self, lead: float, tr: float, trunc: SeriesTruncation) -> SeriesResult:
+    def evaluate(self, lead: float, tr: float, trunc: SeriesTruncation | None = None) -> SeriesResult:
         """The series at ``lead`` times the base point, whose trace is ``tr``,
         under ``trunc``'s stop rule and degree cap, as :func:`pfq` there.
+
+        Where ``trunc`` or its ``max_degree`` is None, the cap is max(40, tr +
+        14 sqrt(tr + 1) + 60): for 0 < a <= c every degree sum is at most
+        tr^k / k!, so the scaled terms lie under the Poisson(tr) weights, and
+        the cap sits more than 14 of that law's standard deviations, plus 60
+        degrees, past its mean.  On fig1's grid and the far tail the stall
+        rule ends every series below 70% of this cap.
 
         Every term is scaled by exp(-tr) and the sum scaled back, so
         ``log_value`` is finite and exact to rounding, and ``value`` is
         ``inf`` once the function itself leaves the float range.  Raises
-        DomainError when ``trunc.max_degree`` is None, when a degree the stop
-        rule needs has log D_k = -inf, or when every term summed underflows."""
+        DomainError when a degree the stop rule needs has log D_k = -inf, or
+        when every term summed underflows."""
+        trunc = trunc or DEFAULT_TRUNCATION
+        cap = trunc.degree_cap(max(_DEFAULT_MAX_DEGREE, int(tr + 14 * math.sqrt(tr + 1) + 60)))
         log_lead, log_d = math.log(lead), self._log_d
 
         def term_of_degree(k: int) -> float:
@@ -529,16 +544,11 @@ class RaySeries:
                                   f"underflows: the generic series is not scale-safe there")
             return term
 
-        res = _run_series(trunc, term_of_degree, trunc.degree_cap())
+        res = _run_series(trunc, term_of_degree, cap)
         if res.log_value is None:
             raise DomainError(f"every term up to degree {res.degrees_used} underflows after scaling by "
                               f"exp(-{tr:g}); max_degree is far below the trace")
-        log_value = res.log_value + tr
-        if tr < _LOG_FLOAT_MAX:
-            value = res.value * math.exp(tr)
-        else:
-            value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
-        return SeriesResult(value, res.degrees_used, res.last_term_ratio, res.converged, log_value)
+        return _scaled(res, tr)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +680,7 @@ def pfq_positive_m2(
     lower: tuple[float, ...],
     t,
     algebra: DivisionAlgebra,
-    trunc: SeriesTruncation,
+    trunc: SeriesTruncation | None = None,
 ) -> SeriesResult:
     """One-argument series for m = 2 with nonnegative eigenvalues and positive
     shifted parameters, stable to very high degree.
@@ -679,12 +689,10 @@ def pfq_positive_m2(
     degree sums at t = (1, t2/t1) are kept in a bounded memo of
     :class:`RaySeries` (see the comment blocks above), and each t1 is one exp
     per degree, evaluated by :meth:`RaySeries.evaluate` with lead t1 and
-    trace t1 + t2.  ``trunc`` sets the stop rule and the degree cap, applied
-    by :func:`_run_series` as for every other series; its ``max_degree``
-    must be set.  Raises when a shifted parameter is not positive (use
-    :func:`pfq` there instead).
+    trace t1 + t2, which applies ``trunc``'s stop rule and, where it leaves
+    ``max_degree`` unset, its trace budget.  Raises when a shifted parameter
+    is not positive (use :func:`pfq` there instead).
     """
-    trunc.degree_cap()
     upper, lower = tuple(upper), tuple(lower)
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
@@ -735,3 +743,21 @@ def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
                           f"not all zero; got {s}")
     tr = math.fsum(s)
     return _ray(spec, tuple(v / tr for v in s))
+
+
+def _positive_1f1(a: float, c: float, t, direction, algebra: DivisionAlgebra,
+                  trunc: SeriesTruncation | None) -> SeriesResult:
+    """1F1(a; c; t), 0 < a <= c, for a spectrum t >= 0 on the ray of
+    ``direction``, a vector the caller fixes from its model, not from t.
+
+    At m = 2 this is :func:`pfq_positive_m2` on t itself, whose table is
+    kept per t2/t1; at any other m the memoized :func:`ray_series` of the
+    direction at the trace of t, which raises DomainError where the series
+    needs a degree past weight ~170.  Either way every t of one ray shares
+    one series, and :meth:`RaySeries.evaluate` applies ``trunc``'s stop rule
+    and, where it leaves ``max_degree`` unset, the trace budget.
+    """
+    if len(t) == 2:
+        return pfq_positive_m2((a,), (c,), t, algebra, trunc)
+    tr = float(np.sum(t))
+    return ray_series(HypergeomSpec((a,), (c,), algebra, len(t)), direction).evaluate(tr, tr, trunc)

@@ -410,9 +410,9 @@ class ChatEvaluator:
         """
         k = self._done + 1
         self._reserve(k)
-        # one spectrum's products overflow to inf without a warning, as the
-        # Python floats its terms were formed from always did
-        with np.errstate(**({} if self._batched else {"over": "ignore", "invalid": "ignore"})):
+        # products overflow to inf without a warning, as the Python floats of
+        # one spectrum's terms always did; the caller judges the values
+        with np.errstate(over="ignore", invalid="ignore"):
             for n in range(1, self.m + 1):
                 self._fill(k, n)
         self._done = k

@@ -18,15 +18,15 @@ beta = 4 of its complex embedding) at any other m.
 
 Every series summed here has nonnegative terms.  The largest-eigenvalue and
 region distribution functions are confluent series at (beta/2) t, t the
-spectrum of Omega Sigma^{-1}, on :func:`hypergeom.pfq_positive_m2` at m = 2
-and elsewhere on the memoized :func:`hypergeom.ray_series` of a direction
-fixed by the model.  Both memoize the series' degree sums along the ray of t,
-so every x of one model shares one table (at m = 2) or one Jack recurrence
-(elsewhere).  Where a Chernoff bound on the trace shows that the value rounds
-to 1.0, neither runs.  The
-smallest-eigenvalue law adds the exponential series past first part r and an
-incomplete gamma tail; the joint density shifts its coupling 0F0 to a
-nonnegative argument.
+spectrum of Omega Sigma^{-1}, on :func:`hypergeom._positive_1f1` along a
+direction fixed by the model: it chooses the engine (the m = 2 tables or the
+Jack recurrence) and sizes the degree budget from the trace, and memoizes
+the series' degree sums along the ray of t, so every x of one model shares
+one table or one recurrence.  Where a Chernoff bound on the trace shows that
+the value rounds to 1.0, no series runs.  The smallest-eigenvalue law adds
+the exponential series past first part r and an incomplete gamma tail; the
+joint density shifts its coupling 0F0 to a nonnegative argument and sizes
+its own degree budget.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ from numpy.random import PCG64, default_rng
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from .hypergeom import (_DEFAULT_MAX_DEGREE, HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split,
-                        pfq_positive_m2, pfq_two, ray_series)
+from .hypergeom import HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split, _positive_1f1, pfq_two
+# unused here, but perfbench's tracer test reads wishart.pfq_positive_m2
+from .hypergeom import pfq_positive_m2  # noqa: F401
 from .jack import as_spectrum
 from .special import gamma_lower_regularized, mv_gamma_ln
 
@@ -219,41 +220,6 @@ def sample_wishart_eigs(model: WishartModel, seed: int, count: int) -> np.ndarra
                                                                     sampler.scale_eigs))
 
 
-def _with_budget(trunc: SeriesTruncation | None, budget: int, rel_tol: float) -> SeriesTruncation:
-    """``trunc`` with the degree cap ``budget`` where it leaves the cap unset;
-    with no truncation, ``budget`` at ``rel_tol``."""
-    return SeriesTruncation(budget, rel_tol) if trunc is None else replace(trunc, max_degree=trunc.degree_cap(budget))
-
-
-def _log_1f1_positive(a_up: float, c_lo: float, t: np.ndarray, direction, algebra: DivisionAlgebra,
-                      trunc: SeriesTruncation | None) -> float:
-    """log of 1F1(a_up; c_lo; t) for t >= 0.
-
-    At m = 2 this is :func:`pfq_positive_m2` on t itself (every Wishart
-    model's parameters lie in its domain), whose table is kept per t2/t1, so
-    the points of one model share it.  Otherwise t must lie on the ray of
-    ``direction``, a vector the caller computes from the model alone, and the
-    value is the memoized :func:`ray_series` of that direction at the trace of
-    t, so every point of one model shares one Jack recurrence.  A degree the
-    series needs past weight ~170 raises DomainError.
-
-    With ``trunc=None``, or a truncation whose ``max_degree`` is None, the
-    degree budget is set from the trace so far tails converge (with
-    ``rel_tol`` 1e-12 when no truncation is given); a given cap, ``rel_tol``
-    or ``stall_window`` is honored as given.
-    """
-    m = len(t)
-    tr = float(np.sum(t))
-    floor, pad = (400, 60) if m == 2 else (_DEFAULT_MAX_DEGREE, 40)
-    trunc = _with_budget(trunc, max(floor, int(tr + 14 * math.sqrt(tr + 1) + pad)), 1e-12)
-    if m == 2:
-        res = pfq_positive_m2((a_up,), (c_lo,), tuple(t), algebra, trunc)
-    else:
-        res = ray_series(HypergeomSpec((a_up,), (c_lo,), algebra, m), direction).evaluate(tr, tr, trunc)
-    _warn_unconverged(res, "confluent")
-    return res.log_value
-
-
 def _cdf_prefactor(model: WishartModel, t: np.ndarray) -> tuple[float, float, float]:
     """(c1, q, log prefactor) of P(S < Omega) = prefactor * 1F1(beta n / 2; q;
     -(beta/2) t) for the spectrum t of Omega Sigma^{-1}, with c1 = q - beta n / 2."""
@@ -319,7 +285,11 @@ def _rounds_to_one(model: WishartModel, t_min: float) -> bool:
 
 def _cdf_positive_series(model: WishartModel, t, direction, trunc: SeriesTruncation | None) -> float:
     """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, a sequence of
-    floats on the ray of ``direction`` (see :func:`_log_1f1_positive`).
+    floats on the ray of ``direction``, a vector computed from the model
+    alone, so every point of one model shares one series
+    (:func:`hypergeom._positive_1f1`).  With ``trunc=None`` the series stops
+    at ``rel_tol`` 1e-12; a given truncation is honored as given, and the
+    series sizes the degree cap wherever none is given.
 
     Where the Chernoff bound 1 - P(S < Omega) <= exp(-a (u - 1 - log u)), a =
     beta m n / 2, u = beta min(t) / (2a), is at most 2^-54
@@ -331,8 +301,9 @@ def _cdf_positive_series(model: WishartModel, t, direction, trunc: SeriesTruncat
     t = np.asarray(t, dtype=float)
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
-    log_series = _log_1f1_positive(c1, q, arg, direction, model.algebra, trunc)
-    log_cdf = log_pref - float(arg.sum()) + log_series
+    res = _positive_1f1(c1, q, arg, direction, model.algebra, trunc or SeriesTruncation(rel_tol=1e-12))
+    _warn_unconverged(res, "confluent")
+    log_cdf = log_pref - float(arg.sum()) + res.log_value
     return _at_most_one(math.exp(min(log_cdf, 0.0)), log_cdf)
 
 
@@ -463,7 +434,12 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
         return 0.0
     sigma = np.asarray(model.sigma_eigs)
     shift = (beta / 2.0) / sigma.min()
-    trunc = _with_budget(trunc, max(60, int(4 * shift * lam.sum())), 1e-11)
+    budget = max(60, int(4 * shift * lam.sum()))
+    trunc = SeriesTruncation(budget, 1e-11) if trunc is None else replace(trunc, max_degree=trunc.degree_cap(budget))
     res = pfq_two(HypergeomSpec((), (), model.algebra, m), shift - (beta / 2.0) / sigma, lam, trunc)
     _warn_unconverged(res, "eigenvalue coupling", stacklevel=2)
-    return math.exp(_log_eigen_prefactor(model, lam) - shift * float(lam.sum()) + res.log_value)
+    log_density = _log_eigen_prefactor(model, lam) - shift * float(lam.sum()) + res.log_value
+    try:
+        return math.exp(log_density)
+    except OverflowError:
+        raise DomainError(f"the joint density exp({log_density:.6g}) leaves the float range") from None

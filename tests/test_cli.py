@@ -197,6 +197,21 @@ class TestDiagnostics:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot parse grid") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("points", ["1000001", "100000000000"])
+    def test_grid_past_a_million_points_in_one_line(self, tmp_path, capsys, points):
+        grid = f"0:8:{points}"
+        code, out, err = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--grid", grid)
+        assert (code, out, err) == (2, "", f"error: grid has more than 1000000 points, got {grid!r}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"grid={grid}\n")
+        code, out, err = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--config", str(cfg))
+        assert (code, out, err) == (2, "", f"error: grid has more than 1000000 points, got {grid!r}\n")
+
+    def test_density_past_the_float_range_in_one_line(self, capsys):
+        code, out, err = run(capsys, "density", "--m", "1", "--n", "0.001", "--eigs", "1e-320")
+        assert code == 2 and out == ""
+        assert err.startswith("error: the joint density exp(") and err.count("\n") == 1
+
     @pytest.mark.parametrize("a", ["1e306", "inf"])
     @pytest.mark.parametrize("extra", [[], ["--log"], ["--kappa", "[1]"], ["--kappa", "[1]", "--log"]],
                              ids=["plain", "log", "weighted", "weighted-log"])

@@ -12,7 +12,9 @@ from jackdiv.hypergeom import (
     HypergeomSpec,
     _exp_split,
     _run_series,
+    _scaled,
     _series,
+    SeriesResult,
     SeriesTruncation,
     euler_2f1,
     kummer_1f1,
@@ -227,6 +229,29 @@ class TestKummerEuler:
         with pytest.raises(DomainError, match="unit ball"):
             euler_2f1(1.0, 1.0, 2.0, (0.5,), B1)
 
+    def test_scale_past_the_float_range_keeps_a_finite_log(self):
+        # exp(720), and the Pfaff and Euler determinant powers exp(1232) and
+        # exp(1231), leave the float range: each value is +-inf, the log of a
+        # positive one is finite, and nothing raises
+        _, rhs = kummer_1f1(0.5, 1.5, (720.0,), B1, SeriesTruncation(max_degree=3))
+        assert rhs.value == -math.inf and rhs.log_value is None
+        _, pfaff, euler = euler_2f1(0.5, 2000.0, 1.5, (0.4, 0.1), B1)
+        inner = pfq(HypergeomSpec((1.0, 2000.0), (1.5,), B1, 2), (-0.4 / 0.6, -0.1 / 0.9))
+        log_scale = -2000.0 * math.fsum((math.log1p(-0.4), math.log1p(-0.1)))
+        assert pfaff.value == euler.value == math.inf
+        assert pfaff.log_value == pytest.approx(inner.log_value + log_scale, rel=1e-14, abs=0)
+        assert math.isfinite(euler.log_value)
+
+    def test_scale_past_the_float_range_of_a_small_value(self):
+        # exp(720) alone overflows, 1e-10 exp(720) does not
+        small = SeriesResult(1e-10, 5, 1e-12, True, math.log(1e-10))
+        got = _scaled(small, 720.0)
+        assert got.value == pytest.approx(math.exp(720.0 + math.log(1e-10)), rel=1e-13, abs=0)
+        assert got.log_value == math.log(1e-10) + 720.0
+        assert (got.degrees_used, got.last_term_ratio, got.converged) == (5, 1e-12, True)
+        # in range: the product of the value and the scale, as before
+        assert _scaled(small, 1.5).value == 1e-10 * math.exp(1.5)
+
     def test_nonpositive_values_have_no_log(self):
         # 1F1(5/2; 2; -6) < 0 because Gamma(c - a) < 0 there
         lhs, rhs = kummer_1f1(2.5, 2.0, (-6.0,), B1)
@@ -320,13 +345,23 @@ class TestSeriesBehavior:
             assert res.degrees_used == 40 and not res.converged
         assert pfq(spec, (4.0, 2.0), unset).value == pfq(spec, (4.0, 2.0), SeriesTruncation(40, 1e-30)).value
 
-    def test_ray_series_need_a_max_degree(self, empty_memos):
-        unset = SeriesTruncation(rel_tol=1e-12)
-        with pytest.raises(DomainError, match="max_degree"):
-            pfq_positive_m2((1.5,), (3.5,), (0.0, 0.0), B1, unset)
+    @pytest.mark.parametrize("tr", [0.75, 3.0, 24.0])
+    def test_ray_series_unset_cap_is_the_trace_budget(self, empty_memos, tr):
+        # a RaySeries left without max_degree, from either source, sums as
+        # under the cap max(40, tr + 14 sqrt(tr + 1) + 60); t1 + t2 == tr exactly
+        budget = max(40, int(tr + 14 * math.sqrt(tr + 1) + 60))
         ray = ray_series(HypergeomSpec((1.5,), (3.5,), B1, 2), (2.0, 1.0))
-        with pytest.raises(DomainError, match="max_degree"):
-            ray.evaluate(3.0, 3.0, unset)
+        runs = (lambda trunc: pfq_positive_m2((1.5,), (3.5,), (2 * tr / 3, tr / 3), B1, trunc),
+                lambda trunc: ray.evaluate(tr, tr, trunc))
+        # a stall window no degree sum can close runs every series to its cap
+        for window in (3, 10**6):
+            for run in runs:
+                got, want = run(SeriesTruncation(None, 1e-12, window)), run(SeriesTruncation(budget, 1e-12, window))
+                assert (got.value, got.degrees_used) == (want.value, want.degrees_used)
+                assert (got.degrees_used == budget) == (window > 3)
+        for run in runs:
+            got, want = run(None), run(SeriesTruncation(budget))
+            assert (got.value, got.degrees_used) == (want.value, want.degrees_used)
 
     def test_adaptive_degree_tracks_argument_size(self):
         small = pfq(HypergeomSpec((), (), B1, 1), (0.1,))
@@ -606,6 +641,13 @@ class TestBatch:
         batch = pfq_batch(spec, np.array([x]))
         assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
         assert batch.value[0] == pytest.approx(ref.value, rel=1e-14, abs=0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("y", [None, (1.0, 0.5)], ids=["one-argument", "two-argument"])
+    def test_overflow_is_refused_without_a_numpy_warning(self, y):
+        # 1e200 squared overflows in the batched recurrence at degree 2
+        with pytest.raises(DomainError, match="degree 2 leave the float range"):
+            pfq_batch(HypergeomSpec((), (), B1, 2), [[1e200, 1.0], [2.0, 1.0]], y)
 
     def test_batch_loop_keeps_a_custom_truncation(self):
         spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)

@@ -10,7 +10,7 @@ from scipy import integrate, special, stats
 
 from jackdiv import _mat2, _quat, hypergeom, jack, wishart
 from jackdiv.core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from jackdiv.hypergeom import HypergeomSpec, RaySeries, SeriesTruncation
+from jackdiv.hypergeom import HypergeomSpec, RaySeries, SeriesResult, SeriesTruncation
 from jackdiv.jack import ChatEvaluator
 from jackdiv.wishart import (
     ConvergenceWarning,
@@ -344,14 +344,14 @@ class TestLambdaMax:
         # the user's truncation reaches the m = 2 engine whole, so a longer
         # stall window sums more degrees
         seen = []
-        engine = wishart.pfq_positive_m2
+        engine = hypergeom.pfq_positive_m2
 
         def spy(*args):
             res = engine(*args)
             seen.append(res.degrees_used)
             return res
 
-        monkeypatch.setattr(wishart, "pfq_positive_m2", spy)
+        monkeypatch.setattr(hypergeom, "pfq_positive_m2", spy)
         model = WishartModel(2, 4, (1.0, 2.0), B1)
         for s in (1, 3, 12):
             cdf_lambda_max(model, 10.0, SeriesTruncation(400, 1e-12, stall_window=s))
@@ -409,7 +409,7 @@ class TestLambdaMax:
         seen = []
         evaluate = RaySeries.evaluate
 
-        def spy(self, lead, tr, trunc):
+        def spy(self, lead, tr, trunc=None):
             res = evaluate(self, lead, tr, trunc)
             seen.append(res.degrees_used)
             return res
@@ -420,6 +420,28 @@ class TestLambdaMax:
             cdf_lambda_max(model, 10.0, SeriesTruncation(400, 1e-12, stall_window=s))
         assert seen == [32, 34, 43]
 
+    def test_no_degree_cap_decides_a_value(self, monkeypatch):
+        # over fig1's grid and the far tail, out to where the Chernoff bound
+        # answers, every series stops by the stall rule below 70% of its
+        # trace budget max(40, tr + 14 sqrt(tr + 1) + 60)
+        used = []
+        evaluate = RaySeries.evaluate
+
+        def spy(self, lead, tr, trunc=None):
+            res = evaluate(self, lead, tr, trunc)
+            used.append((res.converged, res.degrees_used / max(40, int(tr + 14 * math.sqrt(tr + 1) + 60))))
+            return res
+
+        monkeypatch.setattr(RaySeries, "evaluate", spy)
+        grid = np.concatenate([np.linspace(0.0, 24.0, 96)[1:], np.linspace(25.0, 1000.0, 40), [200.0, 400.0]])
+        for beta in (1, 2, 4, 8):
+            model = WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta))
+            for x in grid:
+                cdf_lambda_max(model, float(x))
+        assert len(used) > 4 * 95
+        assert all(converged for converged, _ in used)
+        assert max(share for _, share in used) < 0.7
+
     @pytest.mark.parametrize("excess, outcome", [
         (0.0, 1.0), (5e-11, 1.0), (1e-9, DomainError), (800.0, DomainError),
     ])
@@ -428,7 +450,8 @@ class TestLambdaMax:
         model = WishartModel(2, 4, (1.0, 2.0), B1)
         trace = 0.5 * (1.0 + 0.5)
         monkeypatch.setattr(wishart, "_cdf_prefactor", lambda model, t: (0.0, 0.0, trace))
-        monkeypatch.setattr(wishart, "_log_1f1_positive", lambda *args: excess)
+        # the distribution function reads the series' log_value alone
+        monkeypatch.setattr(wishart, "_positive_1f1", lambda *args: SeriesResult(None, 0, 0.0, True, excess))
         if outcome is DomainError:
             with pytest.raises(DomainError, match="above 1"):
                 cdf_lambda_max(model, 1.0)
@@ -466,11 +489,11 @@ class TestChernoffTail:
     def _spy(monkeypatch):
         calls = []
         for name in ("pfq_positive_m2", "ray_series"):
-            def spy(*args, engine=getattr(wishart, name), name=name):
+            def spy(*args, engine=getattr(hypergeom, name), name=name):
                 calls.append(name)
                 return engine(*args)
 
-            monkeypatch.setattr(wishart, name, spy)
+            monkeypatch.setattr(hypergeom, name, spy)
         return calls
 
     def test_far_tail_points_reach_no_series(self, monkeypatch):
@@ -724,6 +747,11 @@ class TestJointDensity:
         model = WishartModel(2, 6, (1.0, 2.0), B1)
         with pytest.raises(DomainError, match="degree 111 leave the float range"):
             joint_eigen_density(model, (600.0, 100.0))
+
+    def test_density_past_the_float_range_is_a_domain_error(self):
+        # lambda^(beta n / 2 - 1) = (1e-320)^-0.9995 puts the density near e^729
+        with pytest.raises(DomainError, match=r"joint density exp\(728\.858\) leaves the float range"):
+            joint_eigen_density(WishartModel(1, 0.001, (1.0,), B1), (1e-320,))
 
     def test_underflowing_jack_values_are_a_domain_error(self):
         # chat_(k)(3.996, 0) underflows to 0 from k = 178, while the degree
