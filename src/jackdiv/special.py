@@ -67,16 +67,35 @@ def lgamma_run(start: float, size: int) -> np.ndarray:
 _GAMMA_TERM_TINY = 2.0 ** -54
 
 
+# From here on Stirling's series of log Gamma, to the four terms of
+# _stirling_mu, is within 3e-17 of its value.
+_STIRLING_FROM = 32
+
+
+def _stirling_mu(x: float) -> float:
+    """mu(x) = log Gamma(x) - (x - 1/2) log x + x - log(2 pi)/2 by Stirling's
+    series, whose first term left out is below 1/(1188 x^9)."""
+    r = 1.0 / x
+    r2 = r * r
+    return r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
+
+
 def _log_poisson_mode(a: int) -> float:
     """log(a^a e^-a / a!) to about one rounding: from the exact ratio a^a / a!
-    below 32, else Stirling's series -log(2 pi a)/2 - mu(a), whose first term
-    left out is below 1/(1188 a^9) < 3e-17."""
-    if a < 32:
+    below 32, else Stirling's series -log(2 pi a)/2 - mu(a)."""
+    if a < _STIRLING_FROM:
         return math.log(a**a / math.factorial(a) * math.exp(-a))
-    r = 1.0 / a
-    r2 = r * r
-    mu = r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
-    return -0.5 * math.log(2.0 * math.pi * a) - mu
+    return -0.5 * math.log(2.0 * math.pi * a) - _stirling_mu(a)
+
+
+def _log_gamma_ratio(x: float, s: float) -> float:
+    """log Gamma(x) - log Gamma(x + s) for x > 0, s > 0; from x = 32 on the
+    Stirling difference -(x - 1/2) log1p(s/x) - s log(x + s) + s + mu(x) -
+    mu(x + s), whose terms are of the size of the result, where the two
+    log-gammas, of size x log x, cancel."""
+    if x < _STIRLING_FROM:
+        return math.lgamma(x) - math.lgamma(x + s)
+    return (s - (x - 0.5) * math.log1p(s / x)) - s * math.log(x + s) + (_stirling_mu(x) - _stirling_mu(x + s))
 
 
 def gamma_lower_regularized(order: int, x: float) -> float:
@@ -150,11 +169,15 @@ def mv_gamma_ln(m: int, algebra: DivisionAlgebra, a: float) -> float:
 
 def _exp_in_range(log_value: float, what: str, log_form: str) -> float:
     """exp(log_value); DomainError naming ``what`` and the log form to use
-    instead when the value leaves the float range."""
+    instead when the value leaves the float range, above it or, for a beta
+    at a large argument, below it to 0."""
     try:
-        return math.exp(log_value)
+        value = math.exp(log_value)
     except OverflowError:
-        raise DomainError(f"{what} leaves the float range; use {log_form} for its logarithm") from None
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{what} leaves the float range; use {log_form} for its logarithm")
+    return value
 
 
 def mv_gamma(m: int, algebra: DivisionAlgebra, a: float) -> float:
@@ -254,13 +277,27 @@ def mv_gamma_weighted(q: WeightedGammaQuery) -> float:
 
 
 def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
-    """log multivariate beta: log Gamma_m[a] + log Gamma_m[b] - log Gamma_m[a+b]."""
+    """log multivariate beta: log Gamma_m[a] + log Gamma_m[b] - log Gamma_m[a+b].
+
+    With x = max(a, b) >= 32 and s = min(a, b), it is the sum over the rows
+    i = 0..m-1 of log Gamma(s - i beta/2) + log Gamma(x_i) - log Gamma(x_i +
+    s), x_i = x - i beta/2, each ratio from :func:`_log_gamma_ratio`, so the
+    value keeps its relative accuracy at any x where the three multivariate
+    gammas, of size x log x, would cancel.
+    """
     bound = (m - 1) * algebra.beta / 2
     if not bound < a < math.inf:
         raise DomainError(f"multivariate beta requires a > (m-1)*beta/2 = {bound}, a finite, got a = {a}")
     if not bound < b < math.inf:
         raise DomainError(f"multivariate beta requires b > (m-1)*beta/2 = {bound}, b finite, got b = {b}")
-    return mv_gamma_ln(m, algebra, a) + mv_gamma_ln(m, algebra, b) - mv_gamma_ln(m, algebra, a + b)
+    x, s = max(a, b), min(a, b)
+    if x < _STIRLING_FROM:
+        return mv_gamma_ln(m, algebra, a) + mv_gamma_ln(m, algebra, b) - mv_gamma_ln(m, algebra, a + b)
+    half = algebra.beta / 2
+    terms = [m * (m - 1) * half / 2 * math.log(math.pi)]
+    for i in range(m):
+        terms += [_signed_loggamma(s - i * half)[0], _log_gamma_ratio(x - i * half, s)]
+    return math.fsum(terms)
 
 
 def mv_beta(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:

@@ -25,10 +25,15 @@ draws come from :class:`jackdiv.wishart.ConeSampler`.
 Every matrix step (the Q of a Gaussian QR for Haar draws, eigenvalues,
 inverses, log-determinants and the matrix-beta conjugations by a Cholesky
 factor or a Hermitian inverse root) is one kernel of :mod:`jackdiv._mat2`,
-which runs a closed form on the three entries of each matrix at m = 2 and
-numpy's LAPACK path at every other m, except the Haar Q: one Gram-Schmidt
-at every m, which for the Stiefel check factors only the columns it reads
-(at beta = 4 the one-pass quaternion loop of :func:`jackdiv._quat.haar_batch`).
+which runs a closed form on a :class:`jackdiv._mat2.Entries` and numpy's
+LAPACK path on an array, except the Haar Q: one Gram-Schmidt at every m,
+which for the Stiefel check factors only the columns it reads (at beta = 4
+the one-pass quaternion loop of :func:`jackdiv._quat.haar_batch`).  At m =
+2 a cone draw is the :class:`jackdiv._mat2.Entries` of its three entry
+columns from :meth:`jackdiv.wishart.ConeSampler.sample` on, and so is every
+batch a check forms from it: the sums, I +- X, the diagonal scalings and the
+traces between the steps are :mod:`jackdiv._mat2` operations too, so no
+check branches on m and no step writes a (count, 2, 2) array.
 The two-matrix check, and the splitting check at m = 2, read a Haar draw H
 only through its squared moduli |h_ij|^2 in the algebra
 (:func:`jackdiv._mat2.moduli_sq`), with no quaternion product and no complex
@@ -209,7 +214,7 @@ def _matrix_beta1(m, algebra, a1, a2, rng, count):
     (a1, a2), for cone draws A, B and the Cholesky factor L of A + B."""
     a, _ = ConeSampler(m, algebra, a1, (1.0,) * m).sample(rng, count)
     b, _ = ConeSampler(m, algebra, a2, (1.0,) * m).sample(rng, count)
-    return _mat2.cholesky_whiten(a, a + b)
+    return _mat2.cholesky_whiten(a, _mat2.add(a, b))
 
 
 def _matrix_beta2(m, algebra, a1, a2, rng, count):
@@ -225,9 +230,9 @@ def _matrix_beta2(m, algebra, a1, a2, rng, count):
     return _mat2.inv_sqrt_whiten(a, b)
 
 
-def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None = None) -> np.ndarray:
-    """Spectra (descending) of X diag(d) for Hermitian positive X and
-    sign-definite d, batched.
+def _eigs_times_diag(x, d: np.ndarray, logdet_x: np.ndarray | None = None) -> np.ndarray:
+    """Spectra (descending) of X diag(d) for a batch of Hermitian positive X
+    (at m = 2 a :class:`jackdiv._mat2.Entries`) and sign-definite d.
 
     With ``logdet_x`` supplied (known exactly from a triangular construction),
     the smallest eigenvalue is rebuilt from the determinant so that extreme
@@ -235,18 +240,14 @@ def _eigs_times_diag(x: np.ndarray, d: np.ndarray, logdet_x: np.ndarray | None =
     """
     d = np.asarray(d, dtype=float)
     if np.all(d >= 0):
-        root = np.sqrt(d)
-        a = root[None, :, None] * x * root[None, None, :]
-        vals = _mat2.eigvalsh(a)[:, ::-1]
+        vals = _mat2.eigvalsh(_mat2.diag_congruence(x, np.sqrt(d)))[:, ::-1]
         if logdet_x is not None and np.all(d > 0):
             total = logdet_x + math.fsum(math.log(v) for v in d)
             lead = np.log(vals[:, :-1]).sum(axis=1)
             vals[:, -1] = np.exp(total - lead)
         return vals
     if np.all(d <= 0):
-        root = np.sqrt(-d)
-        a = root[None, :, None] * x * root[None, None, :]
-        return -_mat2.eigvalsh(a)
+        return -_mat2.eigvalsh(_mat2.diag_congruence(x, np.sqrt(-d)))
     raise DomainError("diagonal factor must not mix signs")
 
 
@@ -341,7 +342,7 @@ def verify_beta_jack(
     def draw(rng, count):
         u = _matrix_beta1(m, algebra, a1, a2, rng, count)
         cvals = _jack_values(kappa, algebra, u, r, inverse=inverse_arg)
-        logw = (a - a1) * _mat2.logdet(u) + (b - a2) * _mat2.logdet(np.eye(m)[None] - u)
+        logw = (a - a1) * _mat2.logdet(u) + (b - a2) * _mat2.logdet(_mat2.identity_plus(u, -1))
         return np.exp(log_w0 + logw) * cvals
 
     params = ("beta_jack", a, b, kappa.parts, tuple(r), m, beta, inverse_arg, n_samples, seed)
@@ -443,7 +444,7 @@ def verify_radial_kernel(
             s, _ = sampler.sample(rng, count)
             g = rng.gamma(q0, size=count)
             scale = eta / (2.0 * g)
-            x = s * scale[:, None, None] / np.sqrt(np.outer(z, z))[None]
+            x = _mat2.rescale(s, scale, z)
             return math.exp(-log_c0) * _jack_values(kappa, algebra, x, u, inverse=inverse_arg)
     else:
         sampler = ConeSampler(m, algebra, a, tuple(z))
@@ -454,7 +455,7 @@ def verify_radial_kernel(
             cvals = _jack_values(kappa, algebra, x, u, inverse=inverse_arg)
             w = np.exp(log_w0)
             if f_id == "exp_power":
-                tr_xz = np.einsum("bii->b", x * z[None, None, :]).real
+                tr_xz = _mat2.trace_diag(x, z)
                 w = w * tr_xz**j_power
             return w * cvals
 
@@ -494,12 +495,11 @@ def verify_beta2_jack(
     a1 = a if a > c + 0.25 else c + 0.75
     a2 = b if b > c + 0.25 else c + 0.75
     log_w0 = mv_beta_ln(m, algebra, a1, a2)
-    eye = np.eye(m)[None]
 
     def draw(rng, count):
         x = _matrix_beta2(m, algebra, a1, a2, rng, count)
         cvals = _jack_values(kappa, algebra, x, r, inverse=variant == "r1")
-        logw = (a - a1) * _mat2.logdet(x) + ((a1 + a2) - (a + b)) * _mat2.logdet(eye + x)
+        logw = (a - a1) * _mat2.logdet(x) + ((a1 + a2) - (a + b)) * _mat2.logdet(_mat2.identity_plus(x))
         return np.exp(log_w0 + logw) * cvals
 
     params = ("beta2_jack", variant, a, b, kappa.parts, tuple(r), m, beta, n_samples, seed)
@@ -545,8 +545,7 @@ def verify_incomplete(
 
         def draw(rng, count):
             u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
-            tr = np.einsum("bii->b", u * marg[None, None, :]).real
-            return np.exp(log_w0) * np.exp(-tr)
+            return np.exp(log_w0) * np.exp(-_mat2.trace_diag(u, marg))
 
         identity = f"incgamma-lower-m{m}-b{beta}-a{a:g}"
         params = (kind, a, tuple(lam), tuple(om), m, beta, n_samples, seed)
@@ -565,12 +564,10 @@ def verify_incomplete(
         log_w0 = mv_beta_ln(m, algebra, a, c + 1) + a * float(np.log(xi).sum())
         analytic = math.exp(log_w0) * series.value
         root = np.sqrt(xi)
-        eye = np.eye(m)[None]
 
         def draw(rng, count):
-            u = _matrix_beta1(m, algebra, a, c + 1, rng, count)
-            y = root[None, :, None] * u * root[None, None, :]
-            return np.exp(log_w0 + (b - c - 1) * _mat2.logdet(eye - y))
+            y = _mat2.diag_congruence(_matrix_beta1(m, algebra, a, c + 1, rng, count), root)
+            return np.exp(log_w0 + (b - c - 1) * _mat2.logdet(_mat2.identity_plus(y, -1)))
 
         identity = f"incbeta-m{m}-b{beta}-a{a:g}-b{b:g}"
         params = (kind, a, b, tuple(xi), m, beta, n_samples, seed)
@@ -596,11 +593,10 @@ def verify_incomplete(
             - (c + 1) * float(np.log(marg).sum())
         )
         sampler = ConeSampler(m, algebra, c + 1, tuple(marg))
-        eye = np.eye(m)[None]
 
         def draw(rng, count):
             xr, _ = sampler.sample(rng, count)
-            return np.exp(log_w0 + r * _mat2.logdet(eye + xr))
+            return np.exp(log_w0 + r * _mat2.logdet(_mat2.identity_plus(xr)))
 
         identity = f"incgamma-upper-m{m}-b{beta}-a{a:g}"
         params = (kind, a, tuple(lam), tuple(om), m, beta, n_samples, seed)
@@ -694,7 +690,7 @@ def verify_laplace_hypergeom(
         x, _ = sampler.sample(rng, count)
         spectra = _eigs_times_diag(_mat2.inv(x) if inverse_arg else x, u)
         if not upper and not lower and not two_arg:
-            fvals = np.exp(spectra.sum(axis=1))
+            fvals = np.exp(_mat2.row_sums(spectra))
         else:
             fvals = _converged(pfq_batch(int_spec, spectra, y_eigs=y_eigs), "integrand")
         return np.exp(log_w0) * fvals
@@ -726,7 +722,7 @@ def verify_euler_1f1_integral(
 
     def draw(rng, count):
         u = _matrix_beta1(m, algebra, a, cpar - a, rng, count)
-        return np.exp(np.einsum("bii->b", u * x[None, None, :]).real)
+        return np.exp(_mat2.trace_diag(u, x))
 
     params = ("euler_1f1", a, cpar, tuple(x), m, beta, n_samples, seed)
     return _report(f"euler-1f1-m{m}-b{beta}", params, analytic, n_samples, seed, draw)
@@ -766,7 +762,7 @@ def verify_stiefel_0f1(
         h = _mat2.unitary_factor(_gaussian(n, algebra, rng, count)[:, :, :m])
         diag = np.einsum("bii->bi", h[:, :m])
         # trace in the algebra means the real part for the complex case
-        tr = (root[None, :] * diag).sum(axis=1).real
+        tr = _mat2.row_sums(root[None, :] * diag).real
         return np.exp(beta * tr)
 
     params = ("stiefel", tuple(xx), m, n, algebra.beta, n_samples, seed)

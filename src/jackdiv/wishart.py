@@ -123,8 +123,8 @@ class ConeSampler:
     At beta = 4, X is returned as its (2m, 2m) complex embedding.
     :meth:`bartlett` draws the factor T, and :meth:`sample` forms X from it
     with one :func:`jackdiv._mat2.factor_gram`, which alone chooses how (at
-    m = 2, beta = 1, 2 from X's three entries); callers that need no X take
-    the factor alone.
+    m = 2, beta = 1, 2 X's three entry columns, with no (count, 2, 2) array);
+    callers that need no X take the factor alone.
     """
 
     m: int
@@ -168,10 +168,14 @@ class ConeSampler:
         return diag, off, None
 
     def sample(self, rng: np.random.Generator, count: int):
-        """Returns (X, logdet_X) with X of shape (count, m, m), or (count, 2m,
-        2m) at beta = 4; logdet_X is the determinant over the algebra."""
+        """Returns (X, logdet_X): at m = 2 and beta = 1, 2 X is the
+        :class:`jackdiv._mat2.Entries` (X11, X22, X12) of the draws, which
+        every kernel of :mod:`jackdiv._mat2` takes (``_mat2.assemble(*X)``
+        is the (count, 2, 2) array), and otherwise an array of shape (count,
+        m, m), or (count, 2m, 2m) at beta = 4; logdet_X is the determinant
+        over the algebra."""
         diag, off, off_j = self.bartlett(rng, count)
-        logdet = 2.0 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in self.scale_eigs)
+        logdet = 2.0 * _mat2.row_sums(np.log(diag)) - math.fsum(math.log(v) for v in self.scale_eigs)
         return _mat2.factor_gram(diag, off, off_j, self.scale_eigs), logdet
 
     def log_norm(self) -> float:

@@ -73,6 +73,34 @@ def test_traced_medians_are_per_side_and_per_metric():
     assert medians["change"] == {"cold_s": 0.21, "hits": 0.21}
 
 
+def _traced_line(cold_s, warm_s, shares):
+    """A --trace 1 summary line: the pass times and each layer's (cold, warm) share."""
+    metrics = {"trace.cold_s": {"value": cold_s, "unit": "s"}, "trace.warm_s": {"value": warm_s, "unit": "s"}}
+    for layer, (cold, warm) in shares.items():
+        metrics[f"cold_share.{layer}"] = {"value": cold, "unit": "ratio"}
+        metrics[f"warm_share.{layer}"] = {"value": warm, "unit": "ratio"}
+    return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": metrics})
+
+
+def test_layer_times_are_medians_of_share_times_pass_time():
+    # per run share x pass time, then the median over the runs: the change's
+    # slow second run moves neither side's median; a layer below 1% of both
+    # passes on both sides is left out, one at 1% of one pass is kept
+    parent = [(1.0, 0.5, {"a.f": (0.5, 0.2), "b.g": (0.004, 0.0), "c.h": (0.0, 0.01)}),
+              (1.2, 0.6, {"a.f": (0.5, 0.25), "b.g": (0.006, 0.009), "c.h": (0.0, 0.01)}),
+              (0.8, 0.4, {"a.f": (0.4, 0.2), "b.g": (0.005, 0.0), "c.h": (0.0, 0.01)})]
+    change = [(0.9, 0.5, {"a.f": (0.25, 0.1), "b.g": (0.0, 0.0), "c.h": (0.0, 0.0)}),
+              (2.0, 1.5, {"a.f": (0.3, 0.1), "b.g": (0.0, 0.0), "c.h": (0.0, 0.0)}),
+              (1.0, 0.4, {"a.f": (0.2, 0.1), "b.g": (0.0, 0.0), "c.h": (0.0, 0.0)})]
+    pairs = [{"first": "parent", "parent": _traced_line(*p), "change": _traced_line(*c)}
+             for p, c in zip(parent, change)]
+    times = bench_pairs.layer_times(pairs)
+    assert list(times) == ["a.f", "c.h"]
+    assert times["a.f"]["parent"] == pytest.approx({"cold_s": 0.5, "warm_s": 0.1})
+    assert times["a.f"]["change"] == pytest.approx({"cold_s": 0.225, "warm_s": 0.05})
+    assert times["c.h"]["parent"] == pytest.approx({"cold_s": 0.0, "warm_s": 0.005})
+
+
 def _tar_of(files: dict[str, bytes]) -> bytes:
     buf = io.BytesIO()
     with tarfile.open(fileobj=buf, mode="w") as tar:

@@ -171,6 +171,41 @@ class TestMvBeta:
         with pytest.raises(DomainError, match=r"a = 1e-310, b = 1e-310 leaves the float range; use mv_beta_ln"):
             mv_beta(1, DivisionAlgebra(1), 1e-310, 1e-310)
 
+    @pytest.mark.parametrize("a", [1e3, 1e6, 1e10, 1e15, 1e20, 1e306])
+    def test_large_a_keeps_relative_accuracy(self, a):
+        # B_2(a, 1) = pi / (a (a - 1/2)) at beta = 1; the three log Gamma_2,
+        # of size a log a, once cancelled to 3.9 of error at a = 1e15
+        with mpmath.workdps(60):
+            want = mpmath.log(mpmath.pi) - mpmath.log(mpmath.mpf(a) * (mpmath.mpf(a) - 0.5))
+            for got in (mv_beta_ln(2, REAL, a, 1.0), mv_beta_ln(2, REAL, 1.0, a)):
+                assert abs(got - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda alg: f"b{alg.beta}")
+    def test_large_arguments_against_mpmath(self, alg, m):
+        c = (m - 1) * alg.beta / 2
+        for a, b in [(40.0, c + 0.7), (1e5, c + 3.1), (50.0, 1e4), (c + 0.01, 1e12), (1e8, 1e8)]:
+            with mpmath.workdps(60):
+                def log_gamma_m(x):
+                    return m * (m - 1) * alg.beta / 4 * mpmath.log(mpmath.pi) + sum(
+                        mpmath.loggamma(x - i * mpmath.mpf(alg.beta) / 2) for i in range(m))
+                x, y = mpmath.mpf(a), mpmath.mpf(b)
+                want = log_gamma_m(x) + log_gamma_m(y) - log_gamma_m(x + y)
+                assert abs(mv_beta_ln(m, alg, a, b) - want) <= 1e-14 * abs(want), (a, b)
+
+    def test_small_arguments_keep_the_gamma_sum(self):
+        # below 32 the value is the three multivariate gammas as before, bit for bit
+        for m, alg, a, b in [(2, REAL, 1.7, 2.75), (2, DivisionAlgebra(2), 2.0, 3.0), (2, REAL, 5.6, 1.8),
+                             (2, REAL, 1.5, 1.5), (3, DivisionAlgebra(4), 31.9, 9.0)]:
+            assert mv_beta_ln(m, alg, a, b) == (mv_gamma_ln(m, alg, a) + mv_gamma_ln(m, alg, b)
+                                                - mv_gamma_ln(m, alg, a + b))
+
+    def test_underflow_is_domain_error(self):
+        # log B is finite at a = 1e200, B itself is 3e-400
+        assert math.isfinite(mv_beta_ln(2, REAL, 1e200, 1.0))
+        with pytest.raises(DomainError, match=r"a = 1e\+200, b = 1.0 leaves the float range; use mv_beta_ln"):
+            mv_beta(2, REAL, 1e200, 1.0)
+
 
 REAL = DivisionAlgebra(1)
 # every gamma and beta, called with the argument ``a``
@@ -187,10 +222,11 @@ _GAMMAS = {
 
 class TestArgumentPastTheFloatRange:
     # math.lgamma overflows from a = 2.6e305 on; at a = inf the gammas once
-    # returned inf and the betas nan
+    # returned inf and the betas nan.  log B(a, 1) is finite at a = 1e306
+    # (TestMvBeta), and B(a, 1) = 3e-612 leaves the float range below.
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("a", [1e306, math.inf])
-    @pytest.mark.parametrize("name", list(_GAMMAS))
+    @pytest.mark.parametrize("name, a", [(name, a) for name in _GAMMAS for a in (1e306, math.inf)
+                                         if not (name.startswith("mv_beta_ln") and a == 1e306)])
     def test_is_domain_error(self, name, a):
         with pytest.raises(DomainError, match=re.escape(f" = {a!r}")):
             _GAMMAS[name](a)

@@ -32,6 +32,7 @@ from jackdiv.verify import (
 )
 from jackdiv.wishart import _CHUNK, ConeSampler, _sample_values
 
+import mat2_arrays
 from oracles import radial_kernel, scalar_moment, scalar_pfq
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
@@ -117,7 +118,7 @@ class TestConeSampler:
         a = 2.3
         sampler = ConeSampler(2, alg, a, (1.0, 1.0))
         x, logdet = sampler.sample(_rng(3), 200_000)
-        tr = np.einsum("bii->b", x).real / (2 if beta == 4 else 1)
+        tr = np.einsum("bii->b", _matrices(x)).real / (2 if beta == 4 else 1)
         assert tr.mean() == pytest.approx(2 * a, rel=0.01)
         # E |X|^s = Gamma_m(a+s)/Gamma_m(a)
         ds = np.exp(logdet)
@@ -133,6 +134,17 @@ class TestConeSampler:
 
 
 EPS = np.finfo(float).eps
+
+
+def _matrices(x):
+    """A batch as its (count, m, m) array: an m = 2 ``_mat2.Entries`` assembled."""
+    return _mat2.assemble(*x) if isinstance(x, _mat2.Entries) else x
+
+
+def _form(a):
+    """A (count, m, m) batch in the form the _mat2 kernels take it: its
+    ``_mat2.Entries`` at m = 2, the array itself otherwise."""
+    return _mat2.entries(a) if a.shape[-1] == 2 else a
 
 
 def _hermitian_batch(beta, max_cond, count, seed, m=2):
@@ -162,7 +174,9 @@ def _rows_max(a):
 # Each kernel of _mat2 at m = 2 and m = 3, at beta = 1 and 2, on
 # well-conditioned batches and on condition numbers up to 1e12.  At m = 3 a
 # kernel is the numpy expression it stands for, bit for bit.  At m = 2 it is
-# a closed form, checked against the LAPACK call it replaces: both sides are
+# a closed form on the batch's _mat2.Entries, checked against the LAPACK
+# call it replaces, and bit for bit against the same closed form as it ran
+# on (count, 2, 2) arrays (tests/mat2_arrays.py).  Against LAPACK both sides are
 # backward stable, so they agree to a few ulps of the size of their forward
 # error: |A| for eigenvalues and determinants, cond(A) |A^-1| for inverses
 # and cond |result| for the factorizations.  unitary_factor is Gram-Schmidt
@@ -197,7 +211,7 @@ class TestM2Kernels:
 
     def test_eigvalsh(self, any_batch):
         ref = np.linalg.eigvalsh(any_batch)
-        got = _mat2.eigvalsh(any_batch)
+        got = _mat2.eigvalsh(_form(any_batch))
         if any_batch.shape[-1] != 2:
             assert np.array_equal(got, ref)
             return
@@ -209,11 +223,12 @@ class TestM2Kernels:
             assert np.array_equal(_mat2.logdet(any_batch), np.real(logdet))
             return
         w = np.linalg.eigvalsh(any_batch)
-        assert np.all(np.abs(_mat2.det(any_batch) - sign.real * np.exp(logdet)) <= 16 * EPS * w[:, 1] ** 2)
-        assert np.all(np.abs(_mat2.logdet(any_batch) - logdet) <= 16 * EPS * w[:, 1] / w[:, 0])
+        e = _mat2.entries(any_batch)
+        assert np.all(np.abs(_mat2.det(e) - sign.real * np.exp(logdet)) <= 16 * EPS * w[:, 1] ** 2)
+        assert np.all(np.abs(_mat2.logdet(e) - logdet) <= 16 * EPS * w[:, 1] / w[:, 0])
 
     def test_inv(self, any_batch):
-        got = _mat2.inv(any_batch)
+        got = _matrices(_mat2.inv(_form(any_batch)))
         if any_batch.shape[-1] != 2:
             assert np.array_equal(got, np.linalg.inv(any_batch))
             return
@@ -227,7 +242,7 @@ class TestM2Kernels:
         w = np.linalg.solve(ell, a)
         ref = np.linalg.solve(ell, _herm(w))
         ref = 0.5 * (ref + _herm(ref))
-        got = _mat2.cholesky_whiten(a, s)
+        got = _matrices(_mat2.cholesky_whiten(_form(a), _form(s)))
         if any_batch.shape[-1] != 2:
             assert np.array_equal(got, ref)
             return
@@ -240,7 +255,7 @@ class TestM2Kernels:
         root = np.einsum("bik,bk,bjk->bij", q, w ** -0.5, q.conj())
         ref = root @ a @ root
         ref = 0.5 * (ref + _herm(ref))
-        got = _mat2.inv_sqrt_whiten(a, b)
+        got = _matrices(_mat2.inv_sqrt_whiten(_form(a), _form(b)))
         if any_batch.shape[-1] != 2:
             assert np.array_equal(got, ref)
             return
@@ -258,7 +273,7 @@ class TestM2Kernels:
     def test_inv_sqrt_against_eigh(self, batch):
         w, q = np.linalg.eigh(batch)
         ref = np.einsum("bik,bk,bjk->bij", q, w ** -0.5, q.conj())
-        got = _mat2.inv_sqrt(batch)
+        got = _mat2.assemble(*_mat2.inv_sqrt(_mat2.entries(batch)))
         assert np.all(_rows_max(got - ref) <= 16 * EPS * w[:, 1] / w[:, 0] * w[:, 0] ** -0.5)
         assert np.array_equal(got, _herm(got))
 
@@ -266,24 +281,62 @@ class TestM2Kernels:
         m = _hermitian_batch(1, 1e3, len(batch), 5) + 0.5j * np.eye(2)
         ref = m @ batch @ _herm(m)
         scale = np.linalg.norm(m, 2, axis=(1, 2)) ** 2 * np.linalg.norm(batch, 2, axis=(1, 2))
-        assert np.all(_rows_max(_mat2.congruence(m, batch) - ref) <= 16 * EPS * scale)
+        got = _mat2._congruence(m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1], _mat2.entries(batch))
+        assert np.all(_rows_max(_mat2.assemble(*got) - ref) <= 16 * EPS * scale)
+
+    def test_entries_kernels_are_the_bits_of_the_array_route(self, batch):
+        # each kernel on Entries against the m = 2 closed form as it ran on
+        # (count, 2, 2) arrays, bit for bit
+        a, b = batch, batch + _second_batch(batch)
+        ea, eb = _mat2.entries(a), _mat2.entries(b)
+        for kernel in ("det", "eigvalsh", "logdet"):
+            assert np.array_equal(getattr(_mat2, kernel)(ea), getattr(mat2_arrays, kernel)(a)), kernel
+        pairs = [(_mat2.inv(ea), mat2_arrays.inv(a)), (_mat2.inv_sqrt(eb), mat2_arrays.inv_sqrt(b)),
+                 (_mat2.cholesky_whiten(ea, eb), mat2_arrays.cholesky_whiten(a, b)),
+                 (_mat2.inv_sqrt_whiten(ea, eb), mat2_arrays.inv_sqrt_whiten(a, b))]
+        for got, ref in pairs:
+            assert isinstance(got, _mat2.Entries)
+            assert all(map(np.array_equal, got, _mat2.entries(ref)))
+
+    def test_entries_operations_are_the_bits_of_the_array_expression(self, batch):
+        # A + B, I +- A, diag(r) A diag(r), the Pareto rescale and Re tr(A
+        # diag(x)) on the three columns against the same on full matrices
+        a, b = batch, _second_batch(batch)
+        ea, eb = _mat2.entries(a), _mat2.entries(b)
+        r, c = np.array([0.7, 1.9]), np.linspace(0.5, 3.0, len(a))
+        pairs = [(_mat2.add(ea, eb), a + b), (_mat2.identity_plus(ea), np.eye(2)[None] + a),
+                 (_mat2.identity_plus(ea, -1), np.eye(2)[None] - a),
+                 (_mat2.diag_congruence(ea, r), r[None, :, None] * a * r[None, None, :]),
+                 (_mat2.rescale(ea, c, r), a * c[:, None, None] / np.sqrt(np.outer(r, r))[None])]
+        for got, ref in pairs:
+            assert isinstance(got, _mat2.Entries)
+            assert all(map(np.array_equal, got, _mat2.entries(ref)))
+        trace = np.einsum("bii->b", a * r[None, None, :]).real
+        assert np.array_equal(_mat2.trace_diag(ea, r), trace)
+        # on an array each operation is the expression itself
+        for got, ref in [(_mat2.add(a, b), a + b), (_mat2.identity_plus(a, -1), np.eye(2)[None] - a),
+                         (_mat2.diag_congruence(a, r), pairs[3][1]), (_mat2.rescale(a, c, r), pairs[4][1]),
+                         (_mat2.trace_diag(a, r), trace)]:
+            assert np.array_equal(got, ref)
 
     def test_degenerate_inputs_raise_no_warning(self):
         # RuntimeWarning is an error under the test configuration
-        zero = np.zeros((1, 2, 2))
+        zero = _mat2.entries(np.zeros((1, 2, 2)))
         assert np.array_equal(_mat2.eigvalsh(zero), [[0.0, 0.0]])
-        assert np.array_equal(_eigs_times_diag(np.eye(2)[None], (0.0, 0.0)), [[0.0, 0.0]])
+        assert np.array_equal(_eigs_times_diag(_mat2.entries(np.eye(2)[None]), (0.0, 0.0)), [[0.0, 0.0]])
         with pytest.raises(DomainError, match="not independent"):
             _mat2.unitary_factor(np.array([[[1.0, 2.0], [0.0, 0.0]]]))
-        for kernel in (_mat2.inv_sqrt, lambda b: _mat2.cholesky_whiten(b, b)):
+        indefinite = _mat2.entries(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+        for kernel in (_mat2.inv_sqrt, lambda b: _mat2.cholesky_whiten(b, b),
+                       lambda b: _mat2.inv_sqrt_whiten(b, b), _mat2.logdet):
             with pytest.raises(DomainError, match="positive definite"):
-                kernel(np.array([[[1.0, 2.0], [2.0, 1.0]]]))
+                kernel(indefinite)
         with pytest.raises(DomainError, match="singular"):
-            _mat2.inv(np.array([[[1.0, 1.0], [1.0, 1.0]]]))
+            _mat2.inv(_mat2.entries(np.array([[[1.0, 1.0], [1.0, 1.0]]])))
 
     def test_logdet_rejects_indefinite_with_positive_diagonal(self):
         with pytest.raises(DomainError, match="positive definite"):
-            _mat2.logdet(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]]))
+            _mat2.logdet(_mat2.entries(np.array([np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])))
 
 
 def _numpy_cone_draw(sampler, rng, count):
@@ -310,17 +363,31 @@ class TestM2Samplers:
         sampler = ConeSampler(2, alg, 1.7, (1.0, 1.3))
         r1, r2 = _rng(11), _rng(11)
         x, logdet = sampler.sample(r1, 3000)
+        x = _mat2.assemble(*x)
         ref = _numpy_cone_draw(sampler, r2, 3000)
         assert _same_state(r1, r2)
         assert x.dtype == ref.dtype
         assert np.all(_rows_max(x - ref) <= 4 * EPS * _rows_max(ref))
         assert np.allclose(logdet, np.linalg.slogdet(ref)[1], rtol=0.0, atol=1e-9)
 
+    def test_cone_sample_is_the_entries_of_factor_gram(self, alg):
+        # the Entries of factor_gram of the same Bartlett factors, and the
+        # log-determinant as the row sum of their logs, bit for bit
+        z = (1.0, 1.3)
+        sampler = ConeSampler(2, alg, 1.7, z)
+        r1, r2 = _rng(11), _rng(11)
+        x, logdet = sampler.sample(r1, 3000)
+        diag, off, off_j = sampler.bartlett(r2, 3000)
+        assert isinstance(x, _mat2.Entries)
+        assert all(map(np.array_equal, x, _mat2.factor_gram(diag, off, off_j, z)))
+        assert np.array_equal(logdet, 2 * np.log(diag).sum(axis=1) - math.fsum(math.log(v) for v in z))
+
     def test_matrix_beta1(self, alg):
         r1, r2 = _rng(12), _rng(12)
-        u = _matrix_beta1(2, alg, 1.4, 2.1, r1, 3000)
+        u = _mat2.assemble(*_matrix_beta1(2, alg, 1.4, 2.1, r1, 3000))
         a, _ = ConeSampler(2, alg, 1.4, (1.0, 1.0)).sample(r2, 3000)
         b, _ = ConeSampler(2, alg, 2.1, (1.0, 1.0)).sample(r2, 3000)
+        a, b = _mat2.assemble(*a), _mat2.assemble(*b)
         assert _same_state(r1, r2)
         ell = np.linalg.cholesky(a + b)
         ref = np.linalg.solve(ell, _herm(np.linalg.solve(ell, a)))
@@ -329,9 +396,10 @@ class TestM2Samplers:
 
     def test_matrix_beta2(self, alg):
         r1, r2 = _rng(13), _rng(13)
-        x = _matrix_beta2(2, alg, 1.4, 2.1, r1, 3000)
+        x = _mat2.assemble(*_matrix_beta2(2, alg, 1.4, 2.1, r1, 3000))
         a, _ = ConeSampler(2, alg, 1.4, (1.0, 1.0)).sample(r2, 3000)
         b, _ = ConeSampler(2, alg, 2.1, (1.0, 1.0)).sample(r2, 3000)
+        a, b = _mat2.assemble(*a), _mat2.assemble(*b)
         assert _same_state(r1, r2)
         w, q = np.linalg.eigh(b)
         root = np.einsum("bik,bk,bjk->bij", q, w ** -0.5, q.conj())
@@ -706,10 +774,12 @@ class TestDomainEnforcement:
             verify_beta_jack(2.0, 3.0, Partition((1,)), (1.0,), 1, B4, False, 100, 1)
 
     def test_logdet_rejects_non_positive_definite(self):
-        assert _mat2.logdet(np.array([np.diag([2.0, 3.0])])) == pytest.approx([math.log(6.0)])
+        # on the array and on its Entries alike
         batch = np.array([np.eye(2), np.diag([1.0, -2.0])])
-        with pytest.raises(DomainError, match="positive definite"):
-            _mat2.logdet(batch)
+        for form in (np.asarray, _mat2.entries):
+            assert _mat2.logdet(form(np.array([np.diag([2.0, 3.0])]))) == pytest.approx([math.log(6.0)])
+            with pytest.raises(DomainError, match="positive definite"):
+                _mat2.logdet(form(batch))
 
     @pytest.mark.parametrize("n_samples", [0, -5])
     def test_nonpositive_sample_count(self, n_samples):

@@ -23,8 +23,12 @@ the per-layer story.
 The file keeps every run's summary line (the last line of standard output)
 as printed and, per end-to-end metric of ``BENCHMARK.json``, each side's
 quartiles (linear interpolation), the number of pairs the change won and
-the ratio of the medians, change over parent; and, per metric of the traced
-runs, each side's median.
+the ratio of the medians, change over parent; per metric of the traced
+runs, each side's median; and, per layer that takes at least 1% of a pass,
+each side's median time in it on perfbench's reference-speed scale:
+``cold_share.<layer>`` times ``trace.cold_s`` and ``warm_share.<layer>``
+times ``trace.warm_s``, where ``<layer>.self_s`` is span wall time that a
+phase of host speed can move.  Those layers are printed too.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 TRACED_PAIRS = 3
 SECONDS = 10
+# a layer's share of a cold or warm pass from which layer_times reports it
+LAYER_SHARE_MIN = 0.01
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -89,6 +95,24 @@ def traced_medians(pairs: list[dict]) -> dict:
         runs = [json.loads(p[side])["metrics"] for p in pairs]
         medians[side] = {name: statistics.median(m[name]["value"] for m in runs) for name in runs[0]}
     return medians
+
+
+def layer_times(pairs: list[dict]) -> dict:
+    """Per layer whose median cold or warm share is at least
+    ``LAYER_SHARE_MIN`` on either side, and per side, the median over the
+    traced runs of ``pairs`` of cold_share.<layer> x trace.cold_s
+    (``cold_s``) and of warm_share.<layer> x trace.warm_s (``warm_s``)."""
+    runs = {side: [json.loads(p[side])["metrics"] for p in pairs] for side in ("parent", "change")}
+    layers = [name.removeprefix("cold_share.") for name in runs["parent"][0] if name.startswith("cold_share.")]
+    times = {}
+    for layer in layers:
+        shares = [statistics.median(m[f"{phase}_share.{layer}"]["value"] for m in side)
+                  for side in runs.values() for phase in ("cold", "warm")]
+        if max(shares) >= LAYER_SHARE_MIN:
+            times[layer] = {name: {f"{phase}_s": statistics.median(
+                m[f"{phase}_share.{layer}"]["value"] * m[f"trace.{phase}_s"]["value"] for m in side)
+                for phase in ("cold", "warm")} for name, side in runs.items()}
+    return times
 
 
 def alternating(count: int) -> list[tuple[str, str]]:
@@ -175,7 +199,10 @@ def main() -> int:
             f"tools/bench_pairs.py from fresh exports of both sides, with the caller's environment; "
             f"even pairs ran the parent first, odd pairs the change first. "
             f"traced: {TRACED_PAIRS} alternating --trace 1 {args.traced} pairs at seed {seeds[0]}, "
-            f"and traced_medians each side's median of every traced metric. summary: per metric, "
+            f"and traced_medians each side's median of every traced metric; traced_layer_times, per "
+            f"layer with a median share of at least {LAYER_SHARE_MIN:g} of a pass on either side, each "
+            f"side's median of cold_share x trace.cold_s and warm_share x trace.warm_s (reference-speed "
+            f"seconds). summary: per metric, "
             f"each side's quartiles (linear interpolation), the number of pairs the change won and "
             f"the ratio of the medians, change over parent."),
         "parent": commit_of(args.parent),
@@ -184,12 +211,17 @@ def main() -> int:
         "workloads": workloads,
         "traced": traced,
         "traced_medians": traced_medians(traced),
+        "traced_layer_times": layer_times(traced),
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, data in workloads.items():
         for metric, s in data["summary"].items():
             print(f"{name:<13} {metric:<12} wins {s['change_wins']:>2}/{PAIRS}  "
                   f"median ratio {s['median_ratio']:.3f}")
+    for layer, sides in record["traced_layer_times"].items():
+        parent, change = sides["parent"], sides["change"]
+        print(f"{args.traced} {layer:<40} cold {parent['cold_s']:.4f} -> {change['cold_s']:.4f} s  "
+              f"warm {parent['warm_s']:.4f} -> {change['warm_s']:.4f} s")
     return 0
 
 

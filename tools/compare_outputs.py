@@ -16,10 +16,14 @@ script runs, each in a fresh process:
   ``VERIFY_SUITE_SEEDS``;
 - every operation of perfbench's ``figures`` and ``cdf_m3`` workloads at
   seed 1, one ``key repr(value)`` line each;
+- the bits of every quick-suite report (``VERIFY_BITS``): ``repr`` of the
+  estimate and the standard error of each case at the first suite seed,
+  which the report lines print rounded;
 - Wishart and cone draws (``WISHART_DRAWS``): ``sample_wishart_eigs`` and
   the X and log-determinant of ``ConeSampler.sample`` at m = 1, 2, 3 and
   beta = 1, 2, 4, the m = 1 and m = 3 paths and the beta = 4 embedding that
-  no figure and no quick verify run reaches;
+  no figure and no quick verify run reaches; X as its (count, m, m) array
+  on both sides, an m = 2 ``_mat2.Entries`` assembled;
 - Haar draws (``HAAR_DRAWS``) at m = 2, 3 and beta = 1, 2, 4: Q, the
   spectra of X H* Y H at a well-conditioned and an ill-conditioned Y, and
   the splitting and two-matrix checks, the m = 3 and beta = 4 Haar paths
@@ -63,12 +67,24 @@ for workload in ("figures", "cdf_m3"):
         print(workload, op.key, value)
 """
 
+# repr of the estimate and the standard error of every quick-suite case at
+# one suite seed, run in a side's root
+VERIFY_BITS = """
+import sys
+from jackdiv.verify import default_suite
+for label, thunk in default_suite(quick=True, seed=int(sys.argv[1])):
+    report = thunk()
+    print(label, repr(report.estimate), repr(report.std_error))
+"""
+
 # Wishart spectra and cone draws at m = 1, 2, 3 and beta = 1, 2, 4 (at m = 2
 # also an ill-conditioned scale), run in a side's root: for each case the
-# first rows in full and a sha256 of the bytes of every draw
+# first rows in full and a sha256 of the bytes of every draw; a cone draw's X
+# as its (count, m, m) array whichever form the sampler returns
 WISHART_DRAWS = """
 import hashlib
 import numpy as np
+from jackdiv import _mat2
 from jackdiv.core import DivisionAlgebra
 from jackdiv.wishart import ConeSampler, WishartModel, sample_wishart_eigs
 
@@ -86,7 +102,9 @@ for beta in (1, 2, 4):
     for m in (1, 2, 3):
         sampler = ConeSampler(m, alg, 2 * m + 1.5, (0.5, 1.5, 2.5)[:m])
         rng = np.random.default_rng(np.random.PCG64(67))
-        show(f"cone b{beta} m{m}", list(sampler.sample(rng, 2000)))
+        x, logdet = sampler.sample(rng, 2000)
+        x = _mat2.assemble(*x) if isinstance(x, tuple) else x
+        show(f"cone b{beta} m{m}", [x, logdet])
 """
 
 # Haar draws at m = 2, 3 and beta = 1, 2, 4, run in a side's root: for each
@@ -193,6 +211,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs["cdf-min m3"] = cli + M3_CDF_MIN
     runs["cdf-max far tail"] = cli + FAR_TAIL_CDF_MAX
     runs.update({f"verify seed {s}": cli + ["verify", "all", "--quick", "--seed", str(s)] for s in seeds})
+    runs[f"verify bits seed {seeds[0]}"] = ["-c", VERIFY_BITS, str(seeds[0])]
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
     runs["wishart draws"] = ["-c", WISHART_DRAWS]
     runs["haar draws"] = ["-c", HAAR_DRAWS]
