@@ -44,7 +44,6 @@ from .jack import (
     jack_J,
 )
 from .special import (
-    WeightedGammaQuery,
     gen_pochhammer,
     mv_beta,
     mv_gamma,

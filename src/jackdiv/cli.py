@@ -25,7 +25,7 @@ import numpy as np
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError, parse_partition
 from .hypergeom import HypergeomSpec, SeriesTruncation, pfq, pfq_two
 from .jack import SpectralArgument, jack_C, jack_J
-from .special import WeightedGammaQuery, mv_gamma, mv_gamma_ln, mv_gamma_weighted
+from .special import mv_gamma, mv_gamma_ln, mv_gamma_weighted, mv_gamma_weighted_ln
 from .verify import DEFAULT_REL_MAX, DEFAULT_Z_MAX, run_suite
 from .wishart import (
     WishartModel,
@@ -266,11 +266,8 @@ def _cmd_gamma(args) -> int:
     _require(args, "a")
     alg = DivisionAlgebra(args.beta)
     if args.kappa:
-        q = WeightedGammaQuery(args.a, args.m, alg, parse_partition(args.kappa),
-                               +1 if args.sign == "+" else -1)
-        from .special import mv_gamma_weighted_ln
-
-        value = mv_gamma_weighted_ln(q) if args.log else mv_gamma_weighted(q)
+        gamma = mv_gamma_weighted_ln if args.log else mv_gamma_weighted
+        value = gamma(args.m, alg, args.a, parse_partition(args.kappa), +1 if args.sign == "+" else -1)
     else:
         value = mv_gamma_ln(args.m, alg, args.a) if args.log else mv_gamma(args.m, alg, args.a)
     _emit([_fmt(value)], args.output)

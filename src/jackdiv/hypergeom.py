@@ -26,8 +26,12 @@ one kind never evicts the other: :func:`ray_series` (``_ray``) runs the Jack
 recurrence once per (spec, unit-trace direction) at any m, and
 :func:`pfq_positive_m2` (``_m2_series``), the m = 2 engine for far tails,
 fills closed-form tables with O(1) work per partition once per (parameters,
-beta, t2/t1).  :func:`_positive_1f1`, the positive 1F1 of the Wishart
-distribution functions, picks between them by the number of eigenvalues.
+beta, t2/t1).  That key is each point's t2/t1, not its model's: the points
+t = x/sigma of one model share a table only where x/sigma1 and x/sigma2
+round alike, as at sigma = (1, 2) (4 tables over fig1's grid and four
+betas), not at sigma = (1.3, 2.9) (16).  :func:`_positive_1f1`, the
+positive 1F1 of the Wishart distribution functions, picks between them by
+the number of eigenvalues.
 
 Matrix arguments are accepted only as eigenvalue vectors.
 """
@@ -751,11 +755,12 @@ def _positive_1f1(a: float, c: float, t, direction, algebra: DivisionAlgebra,
     ``direction``, a vector the caller fixes from its model, not from t.
 
     At m = 2 this is :func:`pfq_positive_m2` on t itself, whose table is
-    kept per t2/t1; at any other m the memoized :func:`ray_series` of the
-    direction at the trace of t, which raises DomainError where the series
-    needs a degree past weight ~170.  Either way every t of one ray shares
-    one series, and :meth:`RaySeries.evaluate` applies ``trunc``'s stop rule
-    and, where it leaves ``max_degree`` unset, the trace budget.
+    kept per t2/t1 of each t, so two points of one ray share it only where
+    their ratios round alike; at any other m the memoized :func:`ray_series`
+    of the direction at the trace of t, which every t of the ray shares and
+    which raises DomainError where the series needs a degree past weight
+    ~170.  Either way :meth:`RaySeries.evaluate` applies ``trunc``'s stop
+    rule and, where it leaves ``max_degree`` unset, the trace budget.
     """
     if len(t) == 2:
         return pfq_positive_m2((a,), (c,), t, algebra, trunc)

@@ -3,17 +3,19 @@ and the scalar gamma helpers the series need: runs of log-gammas at unit steps
 (:func:`lgamma_run`) and the regularized lower incomplete gamma at integer
 order (:func:`gamma_lower_regularized`).
 
-All gammas are computed in log space from products of scalar log-gammas and
-exponentiated at the end; ratios that appear in series coefficients should be
-assembled from the ``*_ln`` variants.  Domain conditions are enforced exactly
-as stated (the tight ones, shifted by the extreme parts of the weight
-partition).
+Every gamma and beta takes the dimension and the algebra first, then its
+arguments: ``mv_gamma_ln(m, algebra, a)``, ``mv_gamma_weighted_ln(m,
+algebra, a, kappa, sign=+1)`` and ``mv_beta_ln(m, algebra, a, b)``, each with
+its exponentiated form of the same arguments.  All are computed in log space
+from sums of scalar log-gammas and exponentiated at the end; ratios that
+appear in series coefficients should be assembled from the ``*_ln`` variants.
+Domain conditions are enforced exactly as stated (the tight ones, shifted by
+the extreme parts of the weight partition).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +98,19 @@ def _log_gamma_ratio(x: float, s: float) -> float:
     if x < _STIRLING_FROM:
         return math.lgamma(x) - math.lgamma(x + s)
     return (s - (x - 0.5) * math.log1p(s / x)) - s * math.log(x + s) + (_stirling_mu(x) - _stirling_mu(x + s))
+
+
+def _log_beta_row(s: float, x: float, c: float) -> float:
+    """log Gamma(u) + log Gamma(v) - log Gamma(v + s), u = s - c, v = x - c,
+    for x >= s, c >= 0 and u >= 32; with l = log1p(s/v) and (v + s)/u =
+    1 + x/u, Stirling's series makes it -(u - 1/2) log1p(x/u) - (v - 1/2) l
+    - (c + 1/2)(log v + l) + c + log(2 pi)/2 + mu(u) + mu(v) - mu(v + s),
+    whose large terms have one sign, and which no log-gamma past the
+    float range of ``math.lgamma`` enters."""
+    u, v = s - c, x - c
+    l = math.log1p(s / v)
+    return (-(u - 0.5) * math.log1p(x / u) - (v - 0.5) * l - (c + 0.5) * (math.log(v) + l) + c
+            + 0.5 * math.log(2.0 * math.pi) + (_stirling_mu(u) + _stirling_mu(v) - _stirling_mu(v + s)))
 
 
 def gamma_lower_regularized(order: int, x: float) -> float:
@@ -202,77 +217,50 @@ def gen_pochhammer(a: float, p: Partition, algebra: DivisionAlgebra) -> float:
     return acc
 
 
-@dataclass(frozen=True)
-class WeightedGammaQuery:
-    """Arguments of a weighted multivariate gamma.
+def mv_gamma_weighted_ln(m: int, algebra: DivisionAlgebra, a: float, kappa: Partition, sign: int = +1) -> float:
+    """log of the weighted multivariate gamma Gamma_m[a, kappa], the
+    log-gamma sum m(m-1)(beta/4) log pi + sum_i log Gamma(a_i) with
 
-    ``sign=+1`` selects the weight-kappa variant (domain
-    ``a > (m-1)*beta/2 - k_m``); ``sign=-1`` the inverse-weight variant
-    (domain ``a > (m-1)*beta/2 + k_1``).
+        a_i = a + k_i - (i-1)*beta/2   (sign = +1, the weight kappa),
+        a_i = a - k_i - (m-i)*beta/2   (sign = -1, the inverse weight).
+
+    Requires ``a > (m-1)*beta/2 - k_m`` for sign +1 and ``a > (m-1)*beta/2 +
+    k_1`` for sign -1, a finite.  There every a_i is positive, so no factor
+    is negative: k_i - (i-1)*beta/2 falls with i, so for sign +1 the least
+    a_i is a_m = a + k_m - (m-1)*beta/2 > 0, and -k_i - (m-i)*beta/2 rises
+    with i, so for sign -1 it is a_1 = a - k_1 - (m-1)*beta/2 > 0.
     """
-
-    a: float
-    m: int
-    algebra: DivisionAlgebra
-    weight: Partition
-    sign: int = +1
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise DomainError(f"m must be >= 1, got {self.m}")
-        if self.sign not in (+1, -1):
-            raise DomainError(f"sign must be +1 or -1, got {self.sign}")
-        if self.weight.length > self.m:
-            raise DomainError(
-                f"weight partition has {self.weight.length} parts but m = {self.m}"
-            )
-
-    @property
-    def domain_bound(self) -> float:
-        c = (self.m - 1) * self.algebra.beta / 2
-        if self.sign > 0:
-            return c - self.weight.part(self.m)
-        return c + self.weight.part(1)
-
-    def check(self):
-        if not self.domain_bound < self.a < math.inf:
-            side = "- k_m" if self.sign > 0 else "+ k_1"
-            raise DomainError(
-                f"weighted gamma requires a > (m-1)*beta/2 {side} = "
-                f"{self.domain_bound}, a finite, got a = {self.a}"
-            )
+    if m < 1:
+        raise DomainError(f"m must be >= 1, got {m}")
+    if sign not in (+1, -1):
+        raise DomainError(f"sign must be +1 or -1, got {sign}")
+    if kappa.length > m:
+        raise DomainError(f"weight partition has {kappa.length} parts but m = {m}")
+    beta = algebra.beta
+    c = (m - 1) * beta / 2
+    bound = c - kappa.part(m) if sign > 0 else c + kappa.part(1)
+    if not bound < a < math.inf:
+        side = "- k_m" if sign > 0 else "+ k_1"
+        raise DomainError(f"weighted gamma requires a > (m-1)*beta/2 {side} = {bound}, a finite, got a = {a}")
+    terms = [m * (m - 1) * beta / 4 * math.log(math.pi)]
+    for i in range(1, m + 1):
+        ki = kappa.part(i)
+        arg = a + ki - (i - 1) * beta / 2 if sign > 0 else a - ki - (m - i) * beta / 2
+        terms.append(_signed_loggamma(arg)[0])
+    return _log_gamma_sum(terms, a)
 
 
-def mv_gamma_weighted_ln(q: WeightedGammaQuery) -> float:
-    """log of the weighted multivariate gamma, via the gamma-product form."""
-    q.check()
-    beta = q.algebra.beta
-    terms = [q.m * (q.m - 1) * beta / 4 * math.log(math.pi)]
-    for i in range(1, q.m + 1):
-        ki = q.weight.part(i)
-        if q.sign > 0:
-            arg = q.a + ki - (i - 1) * beta / 2
-        else:
-            arg = q.a - ki - (q.m - i) * beta / 2
-        value, sgn = _signed_loggamma(arg)
-        if sgn < 0:
-            raise DomainError(
-                f"weighted gamma product hit a negative gamma factor at i={i} "
-                f"(argument {arg}); outside the supported domain"
-            )
-        terms.append(value)
-    return _log_gamma_sum(terms, q.a)
-
-
-def mv_gamma_weighted(q: WeightedGammaQuery) -> float:
-    """Weighted multivariate gamma.
+def mv_gamma_weighted(m: int, algebra: DivisionAlgebra, a: float, kappa: Partition, sign: int = +1) -> float:
+    """Weighted multivariate gamma; see :func:`mv_gamma_weighted_ln` for the
+    domain condition.
 
     For ``sign=+1`` this equals ``[a]_kappa * Gamma_m[a]``; for ``sign=-1`` it
     equals ``(-1)^k Gamma_m[a] / [-a + (m-1)*beta/2 + 1]_kappa`` on the stated
     domain, both to machine precision.  DomainError when the value leaves the
     float range.
     """
-    return _exp_in_range(mv_gamma_weighted_ln(q), f"weighted multivariate gamma at a = {q.a!r}",
+    return _exp_in_range(mv_gamma_weighted_ln(m, algebra, a, kappa, sign),
+                         f"weighted multivariate gamma at a = {a!r}",
                          "mv_gamma_weighted_ln or jackdiv gamma --log")
 
 
@@ -280,10 +268,13 @@ def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
     """log multivariate beta: log Gamma_m[a] + log Gamma_m[b] - log Gamma_m[a+b].
 
     With x = max(a, b) >= 32 and s = min(a, b), it is the sum over the rows
-    i = 0..m-1 of log Gamma(s - i beta/2) + log Gamma(x_i) - log Gamma(x_i +
-    s), x_i = x - i beta/2, each ratio from :func:`_log_gamma_ratio`, so the
-    value keeps its relative accuracy at any x where the three multivariate
-    gammas, of size x log x, would cancel.
+    i = 0..m-1 of log Gamma(s_i) + log Gamma(x_i) - log Gamma(x_i + s), s_i
+    = s - i beta/2, x_i = x - i beta/2: below s_i = 32 log Gamma(s_i) plus
+    the ratio of :func:`_log_gamma_ratio`, from there on the row in one
+    Stirling expression (:func:`_log_beta_row`).  So the value keeps its
+    relative accuracy at any x where the three multivariate gammas, of size
+    x log x, would cancel, and needs no log-gamma past the float range.
+    DomainError when log B itself leaves it.
     """
     bound = (m - 1) * algebra.beta / 2
     if not bound < a < math.inf:
@@ -296,8 +287,17 @@ def mv_beta_ln(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:
     half = algebra.beta / 2
     terms = [m * (m - 1) * half / 2 * math.log(math.pi)]
     for i in range(m):
-        terms += [_signed_loggamma(s - i * half)[0], _log_gamma_ratio(x - i * half, s)]
-    return math.fsum(terms)
+        if s - i * half < _STIRLING_FROM:
+            terms += [_signed_loggamma(s - i * half)[0], _log_gamma_ratio(x - i * half, s)]
+        else:
+            terms.append(_log_beta_row(s, x, i * half))
+    try:
+        value = math.fsum(terms)
+    except OverflowError:
+        value = -math.inf
+    if value == -math.inf:
+        raise DomainError(f"log of the multivariate beta at a = {a!r}, b = {b!r} leaves the float range")
+    return value
 
 
 def mv_beta(m: int, algebra: DivisionAlgebra, a: float, b: float) -> float:

@@ -53,12 +53,7 @@ from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, Partition, UnsupportedParameterError
 from .hypergeom import HypergeomSpec, SeriesResult, _exp_split, _termination_bound, pfq, pfq_batch, pfq_two
 from .jack import as_spectrum, jack_C, jack_C_at_identity, jack_C_batch
-from .special import (
-    WeightedGammaQuery,
-    mv_beta_ln,
-    mv_gamma_ln,
-    mv_gamma_weighted_ln,
-)
+from .special import mv_beta_ln, mv_gamma_ln, mv_gamma_weighted_ln
 from .wishart import ConeSampler, _rng, _sample_values
 
 DEFAULT_Z_MAX = 3.0
@@ -296,7 +291,7 @@ def verify_laplace_jack(
     if np.any(r < 0) or np.any(z <= 0):
         raise DomainError("r_eigs must be nonnegative and z_eigs positive")
 
-    log_gamma_w = mv_gamma_weighted_ln(WeightedGammaQuery(a, m, algebra, kappa, +1))
+    log_gamma_w = mv_gamma_weighted_ln(m, algebra, a, kappa, +1)
     analytic = math.exp(log_gamma_w - a * float(np.log(z).sum())) * jack_C(kappa, r / z, algebra)
 
     a0 = _auto_proposal_shape(a, c, k_m)
@@ -331,8 +326,8 @@ def verify_beta_jack(
     r = np.asarray(r_eigs, dtype=float)
 
     sign = -1 if inverse_arg else +1
-    log_num = mv_gamma_weighted_ln(WeightedGammaQuery(a, m, algebra, kappa, sign))
-    log_den = mv_gamma_weighted_ln(WeightedGammaQuery(a + b, m, algebra, kappa, sign))
+    log_num = mv_gamma_weighted_ln(m, algebra, a, kappa, sign)
+    log_den = mv_gamma_weighted_ln(m, algebra, a + b, kappa, sign)
     analytic = math.exp(log_num + mv_gamma_ln(m, algebra, b) - log_den) * jack_C(kappa, r, algebra)
 
     a1 = _auto_proposal_shape(a, c, k_m)
@@ -416,7 +411,7 @@ def verify_radial_kernel(
         raise DomainError("u_eigs must be nonnegative and z_eigs positive")
 
     log_moment = _log_radial_moment(f_id, beta, a, m, eta, j_power, moment_power)
-    log_gw = mv_gamma_weighted_ln(WeightedGammaQuery(a, m, algebra, kappa, sign))
+    log_gw = mv_gamma_weighted_ln(m, algebra, a, kappa, sign)
     arg = u * z if inverse_arg else u / z
     analytic = (
         math.exp(log_gw - math.lgamma(moment_power) + log_moment - a * float(np.log(z).sum()))
@@ -488,8 +483,8 @@ def verify_beta2_jack(
         raise UnsupportedParameterError(f"variant must be r1 or r2, got {variant!r}")
     r = np.asarray(r_eigs, dtype=float)
 
-    log_ga = mv_gamma_weighted_ln(WeightedGammaQuery(a, m, algebra, kappa, sign_a))
-    log_gb = mv_gamma_weighted_ln(WeightedGammaQuery(b, m, algebra, kappa, sign_b))
+    log_ga = mv_gamma_weighted_ln(m, algebra, a, kappa, sign_a)
+    log_gb = mv_gamma_weighted_ln(m, algebra, b, kappa, sign_b)
     analytic = math.exp(log_ga + log_gb - mv_gamma_ln(m, algebra, a + b)) * jack_C(kappa, r, algebra)
 
     a1 = a if a > c + 0.25 else c + 0.75

@@ -22,7 +22,8 @@ spectrum of Omega Sigma^{-1}, on :func:`hypergeom._positive_1f1` along a
 direction fixed by the model: it chooses the engine (the m = 2 tables or the
 Jack recurrence) and sizes the degree budget from the trace, and memoizes
 the series' degree sums along the ray of t, so every x of one model shares
-one table or one recurrence.  Where a Chernoff bound on the trace shows that
+one recurrence, and at m = 2 one table wherever the ratios t2/t1 of its
+points round alike.  Where a Chernoff bound on the trace shows that
 the value rounds to 1.0, no series runs.  The smallest-eigenvalue law adds
 the exponential series past first part r and an incomplete gamma tail; the
 joint density shifts its coupling 0F0 to a nonnegative argument and sizes
@@ -290,10 +291,11 @@ def _rounds_to_one(model: WishartModel, t_min: float) -> bool:
 def _cdf_positive_series(model: WishartModel, t, direction, trunc: SeriesTruncation | None) -> float:
     """P(S < Omega) from the spectrum t of Omega Sigma^{-1}, a sequence of
     floats on the ray of ``direction``, a vector computed from the model
-    alone, so every point of one model shares one series
-    (:func:`hypergeom._positive_1f1`).  With ``trunc=None`` the series stops
-    at ``rel_tol`` 1e-12; a given truncation is honored as given, and the
-    series sizes the degree cap wherever none is given.
+    alone, so the points of one model share one series
+    (:func:`hypergeom._positive_1f1`; at m = 2 one per rounded t2/t1).
+    With ``trunc=None`` the series stops at ``rel_tol`` 1e-12; a given
+    truncation is honored as given, and the series sizes the degree cap
+    wherever none is given.
 
     Where the Chernoff bound 1 - P(S < Omega) <= exp(-a (u - 1 - log u)), a =
     beta m n / 2, u = beta min(t) / (2a), is at most 2^-54

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
 from jackdiv import wishart
 from jackdiv.core import DivisionAlgebra, Partition, conjugate, dominance_leq, hook_product
@@ -432,6 +432,41 @@ def m2_lambda_min_cdf(n: int, sigma_eigs, beta: int, y: float) -> float:
         tau = y * trace
         terms = mpmath.fsum(e * y ** k for k, e in enumerate(coefs, r + 1))
         return float(mpmath.exp(-tau) * terms + mpmath.gammainc(2 * r + 1, 0, tau, regularized=True))
+
+
+def m2_lambda_max_cdf_cone(n: float, sigma_eigs, beta: int, x: float, sphere: float | None = None) -> float:
+    """P(lambda_max < x) of the beta-scaled 2 x 2 Wishart law of
+    :func:`m2_eigen_density`, integrated over the cone's own coordinates
+    (Faraut & Koranyi, *Analysis on Symmetric Cones*, 1994): S = [[p, w],
+    [w*, q]] with w in R^beta, whose Lebesgue measure is dp dq pi^(beta/2) /
+    Gamma(beta/2) s^(g - 1) ds, s = |w|^2 and g = beta/2, and det S = pq - s.
+
+    The event is p, q < x and s < (x - p)(x - q), beside s < pq.  With s =
+    pq t the s integral is B(g, a - beta/2) (pq)^(A - 1) I_u(g, a - beta/2),
+    so, with a = beta n/2, r_i = beta / (2 sigma_i) and A = a - beta/2 + g,
+
+        (r1 r2)^A / Gamma(A)^2 int int_{0<p,q<x} (pq)^(A-1) e^(-r1 p - r2 q) I_u(g, a - beta/2) dp dq,
+
+    u = min(1, (x - p)(x - q) / (pq)); I_u is 1 below the line p + q = x, so
+    the square is two ``dblquad`` regions split on that line.  ``sphere``
+    replaces g, the sphere exponent, with the law normalized again: a wrong
+    measure, for a control.  No library code is used."""
+    a = beta * n / 2
+    g = beta / 2 if sphere is None else sphere
+    b = a - beta / 2
+    big_a = b + g
+    r1, r2 = (beta / (2 * s) for s in sigma_eigs)
+    log_norm = big_a * math.log(r1 * r2) - 2 * math.lgamma(big_a)
+
+    def weight(q, p):
+        return math.exp((big_a - 1) * math.log(p * q) - r1 * p - r2 * q + log_norm)
+
+    def cut(q, p):
+        return weight(q, p) * betainc(g, b, (x - p) * (x - q) / (p * q))
+
+    below, _ = integrate.dblquad(weight, 0, x, 0, lambda p: x - p, epsabs=0, epsrel=1e-13)
+    above, _ = integrate.dblquad(cut, 0, x, lambda p: x - p, x, epsabs=0, epsrel=1e-13)
+    return below + above
 
 
 def hciz_0f0(x, y):

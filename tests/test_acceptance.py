@@ -23,7 +23,6 @@ from jackdiv.hypergeom import (
 )
 from jackdiv.jack import ChatEvaluator, get_table, jack_C, jack_C_at_identity, jack_C_batch
 from jackdiv.special import (
-    WeightedGammaQuery,
     gen_pochhammer,
     mv_gamma,
     mv_gamma_weighted,
@@ -116,11 +115,11 @@ def test_criterion_04_weighted_gamma_grid():
             for p in kappas:
                 for da in (0.35, 1.2, 3.7):
                     a = c + da
-                    plus = mv_gamma_weighted(WeightedGammaQuery(a, m, alg, p, +1))
+                    plus = mv_gamma_weighted(m, alg, a, p, +1)
                     want = gen_pochhammer(a, p, alg) * mv_gamma(m, alg, a)
                     assert plus == pytest.approx(want, rel=1e-12)
                     a2 = c + p.part(1) + da
-                    minus = mv_gamma_weighted(WeightedGammaQuery(a2, m, alg, p, -1))
+                    minus = mv_gamma_weighted(m, alg, a2, p, -1)
                     refl = (-1) ** p.weight * mv_gamma(m, alg, a2) / gen_pochhammer(
                         -a2 + c + 1, p, alg
                     )

@@ -8,7 +8,6 @@ from scipy.special import gammainc, gammaln, gammasgn
 
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
 from jackdiv.special import (
-    WeightedGammaQuery,
     _signed_loggamma,
     gamma_lower_regularized,
     gen_pochhammer,
@@ -87,15 +86,13 @@ class TestWeightedGamma:
     def test_empty_weight_reduces_to_plain(self):
         for alg in ALGEBRAS:
             a = (3 - 1) * alg.beta / 2 + 0.9
-            q = WeightedGammaQuery(a, 3, alg, Partition(()), +1)
-            assert mv_gamma_weighted(q) == pytest.approx(mv_gamma(3, alg, a), rel=1e-14)
+            got = mv_gamma_weighted(3, alg, a, Partition(()), +1)
+            assert got == pytest.approx(mv_gamma(3, alg, a), rel=1e-14)
 
     def test_scalar_plus_weights(self):
         alg = DivisionAlgebra(1)
-        q = WeightedGammaQuery(3.0, 1, alg, Partition((2,)), +1)
-        assert mv_gamma_weighted(q) == pytest.approx(24.0, rel=1e-13)  # Gamma(5)
-        q = WeightedGammaQuery(5.0, 1, alg, Partition((2,)), -1)
-        assert mv_gamma_weighted(q) == pytest.approx(2.0, rel=1e-13)  # Gamma(3)
+        assert mv_gamma_weighted(1, alg, 3.0, Partition((2,)), +1) == pytest.approx(24.0, rel=1e-13)  # Gamma(5)
+        assert mv_gamma_weighted(1, alg, 5.0, Partition((2,)), -1) == pytest.approx(2.0, rel=1e-13)  # Gamma(3)
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_plus_weight_is_pochhammer_times_gamma(self, alg):
@@ -104,8 +101,7 @@ class TestWeightedGamma:
                 for p in enumerate_partitions(k, m):
                     for da in (0.4, 1.1, 2.6):
                         a = (m - 1) * alg.beta / 2 + da
-                        q = WeightedGammaQuery(a, m, alg, p, +1)
-                        lhs = mv_gamma_weighted_ln(q)
+                        lhs = mv_gamma_weighted_ln(m, alg, a, p, +1)
                         rhs = math.log(gen_pochhammer(a, p, alg)) + mv_gamma_ln(m, alg, a)
                         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
@@ -117,8 +113,7 @@ class TestWeightedGamma:
                 if p.length > m:
                     continue
                 a = (m - 1) * alg.beta / 2 + p.part(1) + 0.7
-                q = WeightedGammaQuery(a, m, alg, p, -1)
-                lhs = mv_gamma_weighted(q)
+                lhs = mv_gamma_weighted(m, alg, a, p, -1)
                 refl = (-1) ** p.weight * mv_gamma(m, alg, a) / gen_pochhammer(
                     -a + (m - 1) * alg.beta / 2 + 1, p, alg
                 )
@@ -129,19 +124,43 @@ class TestWeightedGamma:
         p = Partition((3, 1))
         # sign=+ bound is c - k_m; sign=- bound is c + k_1
         with pytest.raises(DomainError, match="k_m"):
-            mv_gamma_weighted(WeightedGammaQuery(-0.2, 2, alg, p, +1))
+            mv_gamma_weighted(2, alg, -0.2, p, +1)
         with pytest.raises(DomainError, match="k_1"):
-            mv_gamma_weighted(WeightedGammaQuery(3.5, 2, alg, p, -1))
+            mv_gamma_weighted(2, alg, 3.5, p, -1)
         # inside the shifted domain even below the classical bound
-        q = WeightedGammaQuery(0.5, 2, alg, Partition((2, 2)), +1)
-        assert math.isfinite(mv_gamma_weighted_ln(q))
+        assert math.isfinite(mv_gamma_weighted_ln(2, alg, 0.5, Partition((2, 2)), +1))
 
     @pytest.mark.filterwarnings("error")
     def test_past_the_float_range_is_domain_error(self):
-        q = WeightedGammaQuery(200.0, 2, DivisionAlgebra(1), Partition((1,)), +1)
-        assert math.isfinite(mv_gamma_weighted_ln(q))
+        q = (2, DivisionAlgebra(1), 200.0, Partition((1,)), +1)
+        assert math.isfinite(mv_gamma_weighted_ln(*q))
         with pytest.raises(DomainError, match=r"a = 200\.0 leaves the float range; use mv_gamma_weighted_ln"):
-            mv_gamma_weighted(q)
+            mv_gamma_weighted(*q)
+
+
+# each refusal of the gammas and its full text
+_REFUSALS = [
+    (lambda: mv_gamma_ln(2, DivisionAlgebra(1), 0.3),
+     "multivariate gamma requires a > (m-1)*beta/2 = 0.5, a finite, got a = 0.3"),
+    (lambda: mv_gamma_weighted_ln(2, DivisionAlgebra(2), -0.2, Partition((3, 1)), +1),
+     "weighted gamma requires a > (m-1)*beta/2 - k_m = 0.0, a finite, got a = -0.2"),
+    (lambda: mv_gamma_weighted(2, DivisionAlgebra(2), 3.5, Partition((3, 1)), -1),
+     "weighted gamma requires a > (m-1)*beta/2 + k_1 = 4.0, a finite, got a = 3.5"),
+    (lambda: mv_gamma_weighted_ln(0, DivisionAlgebra(2), 3.5, Partition((3, 1)), -1), "m must be >= 1, got 0"),
+    (lambda: mv_gamma_ln(0, DivisionAlgebra(1), 1.0), "m must be >= 1, got 0"),
+    (lambda: mv_gamma_weighted_ln(2, DivisionAlgebra(2), 3.5, Partition((3, 1)), 0),
+     "sign must be +1 or -1, got 0"),
+    (lambda: mv_gamma_weighted(2, DivisionAlgebra(1), 3.5, Partition((3, 2, 1))),
+     "weight partition has 3 parts but m = 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", _REFUSALS, ids=["plain", "weighted-plus", "weighted-minus", "weighted-m",
+                                                          "plain-m", "sign", "weight-length"])
+def test_refusal_messages_in_full(call, message):
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 class TestMvBeta:
@@ -193,6 +212,23 @@ class TestMvBeta:
                 want = log_gamma_m(x) + log_gamma_m(y) - log_gamma_m(x + y)
                 assert abs(mv_beta_ln(m, alg, a, b) - want) <= 1e-14 * abs(want), (a, b)
 
+    @pytest.mark.parametrize("a, b", [(1e306, 1e306), (3e305, 2.6e305), (1e5, 1e5), (40.0, 35.0), (32.0, 32.0)])
+    def test_both_arguments_large_against_mpmath(self, a, b):
+        # from min(a, b) = 32 on each row is one Stirling expression, finite
+        # where log Gamma(min(a, b)) leaves the float range (2.6e305)
+        with mpmath.workdps(60 + int(math.log10(a))):
+            x, y = mpmath.mpf(a), mpmath.mpf(b)
+            want = sum(mpmath.loggamma(v) + mpmath.loggamma(v - 0.5) for v in (x, y))
+            want += 0.5 * mpmath.log(mpmath.pi) - mpmath.loggamma(x + y) - mpmath.loggamma(x + y - 0.5)
+            # measured: at most 1.7e-16
+            assert abs(mv_beta_ln(2, REAL, a, b) - want) <= 1e-15 * abs(want)
+
+    def test_past_the_float_range_of_its_log_is_domain_error(self):
+        # log B_1(a, a) is -2a log 2 to 1e-305 relative, log B_2(a, a) twice that
+        assert mv_beta_ln(1, REAL, 1e308, 1e308) == pytest.approx(-1e308 * (2 * math.log(2)), rel=1e-15)
+        with pytest.raises(DomainError, match=r"log of the multivariate beta at a = 1e\+308, b = 1e\+308 leaves"):
+            mv_beta_ln(2, REAL, 1e308, 1e308)
+
     def test_small_arguments_keep_the_gamma_sum(self):
         # below 32 the value is the three multivariate gammas as before, bit for bit
         for m, alg, a, b in [(2, REAL, 1.7, 2.75), (2, DivisionAlgebra(2), 2.0, 3.0), (2, REAL, 5.6, 1.8),
@@ -212,8 +248,8 @@ REAL = DivisionAlgebra(1)
 _GAMMAS = {
     "mv_gamma": lambda a: mv_gamma(2, REAL, a),
     "mv_gamma_ln": lambda a: mv_gamma_ln(2, REAL, a),
-    "mv_gamma_weighted": lambda a: mv_gamma_weighted(WeightedGammaQuery(a, 2, REAL, Partition((1,)))),
-    "mv_gamma_weighted_ln": lambda a: mv_gamma_weighted_ln(WeightedGammaQuery(a, 2, REAL, Partition((1,)), -1)),
+    "mv_gamma_weighted": lambda a: mv_gamma_weighted(2, REAL, a, Partition((1,))),
+    "mv_gamma_weighted_ln": lambda a: mv_gamma_weighted_ln(2, REAL, a, Partition((1,)), -1),
     "mv_beta": lambda a: mv_beta(2, REAL, a, 1.0),
     "mv_beta_ln": lambda a: mv_beta_ln(2, REAL, a, 1.0),
     "mv_beta_ln-b": lambda a: mv_beta_ln(2, REAL, 1.0, a),

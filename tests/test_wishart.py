@@ -25,7 +25,8 @@ from jackdiv.wishart import (
 
 from memos import clear_memos
 from oracles import (complex_wishart_eigen_density, gaussian_wishart_eigs, khatri_lambda_max_cdf,
-                     khatri_lambda_min_cdf, lambda_max_cdf_alternating, m2_eigen_density, m2_lambda_min_cdf)
+                     khatri_lambda_min_cdf, lambda_max_cdf_alternating, m2_eigen_density, m2_lambda_max_cdf_cone,
+                     m2_lambda_min_cdf)
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
@@ -572,6 +573,26 @@ class TestKhatriDeterminant:
         for y in (0.01, 0.1, 0.5, 1, 2, 5, 10, 20):
             want = khatri_lambda_min_cdf(m, n, y)
             assert abs(cdf_lambda_min(model, float(y)) - want) <= 1e-13 * want
+
+
+class TestConeCoordinates:
+    """fig1's model, m = 2, n = 4, sigma = (1, 2), at every beta against the
+    Wishart density integrated over the cone's coordinates, which shares no
+    code with the series."""
+
+    @pytest.mark.parametrize("beta, x", [(b, x) for b in (2, 4, 8) for x in (2.0, 6.0, 12.0)] + [(1, 6.0)])
+    def test_lambda_max_is_the_density_integrated(self, beta, x):
+        want = m2_lambda_max_cdf_cone(4, (1.0, 2.0), beta, x)
+        got = cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta)), x)
+        # measured: at most 2.5e-13 (beta = 8, x = 12)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("beta", [2, 4, 8])
+    def test_a_wrong_measure_fails(self, beta):
+        # the sphere exponent off by 1/2 moves the value by 44-53% at x = 6
+        want = m2_lambda_max_cdf_cone(4, (1.0, 2.0), beta, 6.0, sphere=beta / 2 + 0.5)
+        got = cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta)), 6.0)
+        assert abs(got - want) > 0.1 * want
 
 
 class TestLambdaMin:

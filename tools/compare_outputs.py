@@ -27,7 +27,12 @@ script runs, each in a fresh process:
 - Haar draws (``HAAR_DRAWS``) at m = 2, 3 and beta = 1, 2, 4: Q, the
   spectra of X H* Y H at a well-conditioned and an ill-conditioned Y, and
   the splitting and two-matrix checks, the m = 3 and beta = 4 Haar paths
-  that no other output reaches draw by draw.
+  that no other output reaches draw by draw;
+- ``jackdiv gamma`` over a grid (``GAMMA_VALUES``), in one process: m = 1,
+  2, 3, beta = 1, 2, 4, 8, plain and weighted by (2, 1) and (3) at both
+  signs, the value and its log, at a below the domain, inside it and at
+  1e306, so that every weighted-gamma path and its ``error:`` lines are
+  compared through the command line, the same interface on both sides.
 
 Standard output and standard error are compared apart.  For each output it
 prints ``identical``, or the largest relative difference between the numbers
@@ -138,6 +143,24 @@ for beta in (1, 2, 4):
         print(verify.verify_two_matrix_0f0(xs[m], ys[m][0], m, alg, 5000, 79).to_line())
 """
 
+# jackdiv gamma over m, beta, weight, sign, --log and a, run in a side's root:
+# each argument list, then what the command printed, errors included
+GAMMA_VALUES = """
+import contextlib, sys
+from jackdiv.cli import main
+for m in (1, 2, 3):
+    for beta in (1, 2, 4, 8):
+        c = (m - 1) * beta / 2
+        for weight in ([], ["--kappa", "2,1", "--sign", "+"], ["--kappa", "2,1", "--sign", "-"],
+                       ["--kappa", "3", "--sign", "+"], ["--kappa", "3", "--sign", "-"]):
+            for log in ([], ["--log"]):
+                for a in (c - 2.5, c - 0.25, c + 0.5, c + 3.25, 1e306):
+                    argv = ["gamma", "--m", str(m), "--beta", str(beta), f"--a={a!r}", *weight, *log]
+                    print(" ".join(argv), end=": ", flush=True)
+                    with contextlib.redirect_stderr(sys.stdout):
+                        main(argv)
+"""
+
 # the m >= 3 smallest-eigenvalue law, 9 points
 M3_CDF_MIN = ["cdf-min", "--beta", "2", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--grid", "0:8:9"]
 # the far upper tail of the largest eigenvalue, 40 points out to x = 1000
@@ -215,6 +238,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
     runs["wishart draws"] = ["-c", WISHART_DRAWS]
     runs["haar draws"] = ["-c", HAAR_DRAWS]
+    runs["gamma values"] = ["-c", GAMMA_VALUES]
     return runs
 
 
