@@ -9,8 +9,11 @@ significant digits, and is byte-stable for a fixed configuration and seed.
 A config file of key=value lines (via --config) sets the subcommand's flags
 that take a value: the key is the flag's name without the leading dashes,
 with '-' or '_' between words, and the value is converted as the flag
-converts it.  Explicit command-line flags win over the file.  verify accepts
---threads, which never changes computed values: evaluation order is fixed.
+converts it.  The file's values become the subcommand's defaults, so a flag
+on the command line wins over the file in either form (``--sigma 1,2`` or
+``--sigma=1,2``).  Flags are spelled in full: an abbreviation such as
+``--sig`` is refused.  verify accepts --threads, which never changes
+computed values: evaluation order is fixed.
 """
 
 from __future__ import annotations
@@ -76,27 +79,25 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]):
-    """Overlay key=value config entries under explicit command-line flags.
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` parsed again with the config file's key=value entries as the
+    subcommand's defaults, so that a flag on the command line wins; ``args``
+    when no file is given.
 
     The keys are the dests of the subcommands' flags that take a value (not
     --config, not a switch); each value is converted by its flag's ``type``.
     """
-    path = getattr(args, "config", None)
+    path = args.config
     if not path:
-        return
+        return args
+
+    def valued(sp):
+        return {a.dest: a for a in sp._actions if a.option_strings and a.nargs != 0 and a.dest != "config"}
+
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    known, own = set(), {}
-    for name, sp in sub.choices.items():
-        for action in sp._actions:
-            if action.option_strings and action.nargs != 0 and action.dest != "config":
-                known.add(action.dest)
-                if name == args.command:
-                    own[action.dest] = action
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    known, own = set().union(*map(valued, sub.choices.values())), valued(sub.choices[args.command])
+    defaults = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -111,8 +112,6 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
             if key not in own:
                 raise DomainError(
                     f"{path}:{lineno}: config key {key!r} does not apply to {args.command}")
-            if key in explicit:
-                continue
             action, value = own[key], value.strip()
             try:
                 converted = (action.type or str)(value)
@@ -121,7 +120,9 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace, arg
             except ValueError:
                 raise DomainError(
                     f"{path}:{lineno}: invalid value {value!r} for config key {key!r}") from None
-            setattr(args, key, converted)
+            defaults[key] = converted
+    sub.choices[args.command].set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _emit(lines: list[str], output: str | None):
@@ -145,7 +146,12 @@ def _truncation(args) -> SeriesTruncation | None:
     return SeriesTruncation(**given) if given else None
 
 
-def _add_common(sp, trunc=False, model=False, beta=True):
+def _command(sub, name: str, run, summary: str, trunc=False, model=False, beta=True):
+    """The subparser ``name``, whose parse stores ``run`` for :func:`main` to
+    call, with the shared flags: --beta unless ``beta`` is false, --config
+    and --output, and the truncation and model flags when asked for."""
+    sp = sub.add_parser(name, help=summary, allow_abbrev=False)
+    sp.set_defaults(run=run)
     if beta:
         sp.add_argument("--beta", type=int, default=1,
                         help="division algebra dimension (1, 2, 4 or 8)")
@@ -160,6 +166,7 @@ def _add_common(sp, trunc=False, model=False, beta=True):
         sp.add_argument("--m", type=int, default=2)
         sp.add_argument("--n", type=float, required=False)
         sp.add_argument("--sigma", default="1", help="scale eigenvalues, comma separated")
+    return sp
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,47 +179,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("jack", help="evaluate a Jack polynomial")
-    _add_common(p)
+    p = _command(sub, "jack", _cmd_jack, "evaluate a Jack polynomial")
     p.add_argument("--kappa", help="partition, e.g. [2,1]")
     p.add_argument("--eigs", help="eigenvalues, comma separated")
     p.add_argument("--normalization", choices=("C", "J"), default="C")
 
-    p = sub.add_parser("pfq", help="evaluate a hypergeometric series")
-    _add_common(p, trunc=True)
+    p = _command(sub, "pfq", _cmd_pfq, "evaluate a hypergeometric series", trunc=True)
     p.add_argument("--upper", default="", help="upper parameters, comma separated")
     p.add_argument("--lower", default="", help="lower parameters, comma separated")
     p.add_argument("--eigs")
     p.add_argument("--eigs2", help="second spectrum (two-argument series)")
 
-    p = sub.add_parser("gamma", help="multivariate gamma, plain or weighted")
-    _add_common(p)
+    p = _command(sub, "gamma", _cmd_gamma, "multivariate gamma, plain or weighted")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--a", type=float)
     p.add_argument("--kappa", help="weight partition for the weighted variant")
     p.add_argument("--sign", choices=("+", "-"), default="+")
     p.add_argument("--log", action="store_true", help="print the log value")
 
-    p = sub.add_parser("cdf-max", help="distribution function of the largest eigenvalue")
-    _add_common(p, trunc=True, model=True)
+    p = _command(sub, "cdf-max", _cmd_cdf, "distribution function of the largest eigenvalue",
+                 trunc=True, model=True)
     p.add_argument("--x", type=float, help="single evaluation point")
     p.add_argument("--grid", help="start:stop:points for a CSV curve")
 
-    p = sub.add_parser("cdf-min", help="distribution function of the smallest eigenvalue")
-    _add_common(p, model=True)
+    p = _command(sub, "cdf-min", _cmd_cdf, "distribution function of the smallest eigenvalue", model=True)
     p.add_argument("--y", type=float)
     p.add_argument("--grid")
 
-    p = sub.add_parser("cdf-region", help="P(S < Omega) for eigenvalue-aligned Omega")
-    _add_common(p, trunc=True, model=True)
+    p = _command(sub, "cdf-region", _cmd_cdf_region, "P(S < Omega) for eigenvalue-aligned Omega",
+                 trunc=True, model=True)
     p.add_argument("--omega", help="eigenvalues of the region boundary")
 
-    p = sub.add_parser("density", help="joint eigenvalue density")
-    _add_common(p, trunc=True, model=True)
+    p = _command(sub, "density", _cmd_density, "joint eigenvalue density", trunc=True, model=True)
     p.add_argument("--eigs", help="ordered eigenvalues, descending")
 
-    p = sub.add_parser("verify", help="run Monte Carlo identity checks")
-    _add_common(p, beta=False)
+    p = _command(sub, "verify", _cmd_verify, "run Monte Carlo identity checks", beta=False)
     p.add_argument("identity", nargs="?", default="all",
                    help="'all' or a substring filter on case labels")
     p.add_argument("--quick", action="store_true", help="reduced sample budgets")
@@ -222,8 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1,
                    help="accepted for interface parity; never changes values")
 
-    p = sub.add_parser("figures", help="emit the distribution-function CSVs")
-    _add_common(p, beta=False)
+    p = _command(sub, "figures", _cmd_figures, "emit the distribution-function CSVs", beta=False)
     p.add_argument("figure", choices=sorted(_FIGURES))
     p.add_argument("--grid", help="start:stop:points (default per figure)")
 
@@ -293,25 +293,19 @@ def _curve(grid, columns, output) -> int:
     return 0
 
 
-def _cmd_cdf_max(args) -> int:
+def _cmd_cdf(args) -> int:
+    """cdf-max at --x or cdf-min at --y, or either over a --grid curve."""
     model = _model(args)
-    trunc = _truncation(args)
+    if args.command == "cdf-max":
+        label, flag, law = "cdf_lambda_max", "x", partial(cdf_lambda_max, trunc=_truncation(args))
+    else:
+        label, flag, law = "cdf_lambda_min", "y", cdf_lambda_min
     if args.grid:
-        return _curve(_parse_grid(args.grid), [("cdf_lambda_max", lambda x: cdf_lambda_max(model, x, trunc))],
-                      args.output)
-    if args.x is None:
-        raise DomainError("provide --x or --grid")
-    _emit([_fmt(cdf_lambda_max(model, args.x, trunc))], args.output)
-    return 0
-
-
-def _cmd_cdf_min(args) -> int:
-    model = _model(args)
-    if args.grid:
-        return _curve(_parse_grid(args.grid), [("cdf_lambda_min", partial(cdf_lambda_min, model))], args.output)
-    if args.y is None:
-        raise DomainError("provide --y or --grid")
-    _emit([_fmt(cdf_lambda_min(model, args.y))], args.output)
+        return _curve(_parse_grid(args.grid), [(label, partial(law, model))], args.output)
+    point = getattr(args, flag)
+    if point is None:
+        raise DomainError(f"provide --{flag} or --grid")
+    _emit([_fmt(law(model, point))], args.output)
     return 0
 
 
@@ -353,26 +347,12 @@ def _cmd_figures(args) -> int:
                          for b in (1, 2, 4, 8)], args.output)
 
 
-_COMMANDS = {
-    "jack": _cmd_jack,
-    "pfq": _cmd_pfq,
-    "gamma": _cmd_gamma,
-    "cdf-max": _cmd_cdf_max,
-    "cdf-min": _cmd_cdf_min,
-    "cdf-region": _cmd_cdf_region,
-    "density": _cmd_density,
-    "verify": _cmd_verify,
-    "figures": _cmd_figures,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
-        return _COMMANDS[args.command](args)
+        args = _apply_config(parser, args, argv)
+        return args.run(args)
     except (DomainError, UnsupportedParameterError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

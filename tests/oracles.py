@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, gammaln, roots_genlaguerre, roots_sh_jacobi
 
 from jackdiv import wishart
 from jackdiv.core import DivisionAlgebra, Partition, conjugate, dominance_leq, hook_product
@@ -434,6 +434,24 @@ def m2_lambda_min_cdf(n: int, sigma_eigs, beta: int, y: float) -> float:
         return float(mpmath.exp(-tau) * terms + mpmath.gammainc(2 * r + 1, 0, tau, regularized=True))
 
 
+def _m2_cone_weight(n: float, sigma_eigs, beta: int, sphere: float | None):
+    """(weight(q, p), b, g) of the cone oracles: with a = beta n/2, b = a -
+    beta/2, g = beta/2 (or ``sphere``), A = b + g and r_i = beta / (2 sigma_i),
+    the normalized weight (r1 r2)^A / Gamma(A)^2 (pq)^(A-1) e^(-r1 p - r2 q)
+    that the s integral, a regularized incomplete beta in (g, b), multiplies."""
+    a = beta * n / 2
+    g = beta / 2 if sphere is None else sphere
+    b = a - beta / 2
+    big_a = b + g
+    r1, r2 = (beta / (2 * s) for s in sigma_eigs)
+    log_norm = big_a * math.log(r1 * r2) - 2 * math.lgamma(big_a)
+
+    def weight(q, p):
+        return math.exp((big_a - 1) * math.log(p * q) - r1 * p - r2 * q + log_norm)
+
+    return weight, b, g
+
+
 def m2_lambda_max_cdf_cone(n: float, sigma_eigs, beta: int, x: float, sphere: float | None = None) -> float:
     """P(lambda_max < x) of the beta-scaled 2 x 2 Wishart law of
     :func:`m2_eigen_density`, integrated over the cone's own coordinates
@@ -451,15 +469,7 @@ def m2_lambda_max_cdf_cone(n: float, sigma_eigs, beta: int, x: float, sphere: fl
     the square is two ``dblquad`` regions split on that line.  ``sphere``
     replaces g, the sphere exponent, with the law normalized again: a wrong
     measure, for a control.  No library code is used."""
-    a = beta * n / 2
-    g = beta / 2 if sphere is None else sphere
-    b = a - beta / 2
-    big_a = b + g
-    r1, r2 = (beta / (2 * s) for s in sigma_eigs)
-    log_norm = big_a * math.log(r1 * r2) - 2 * math.lgamma(big_a)
-
-    def weight(q, p):
-        return math.exp((big_a - 1) * math.log(p * q) - r1 * p - r2 * q + log_norm)
+    weight, b, g = _m2_cone_weight(n, sigma_eigs, beta, sphere)
 
     def cut(q, p):
         return weight(q, p) * betainc(g, b, (x - p) * (x - q) / (p * q))
@@ -467,6 +477,64 @@ def m2_lambda_max_cdf_cone(n: float, sigma_eigs, beta: int, x: float, sphere: fl
     below, _ = integrate.dblquad(weight, 0, x, 0, lambda p: x - p, epsabs=0, epsrel=1e-13)
     above, _ = integrate.dblquad(cut, 0, x, lambda p: x - p, x, epsabs=0, epsrel=1e-13)
     return below + above
+
+
+def m2_lambda_min_cdf_cone(n: float, sigma_eigs, beta: int, y: float, sphere: float | None = None,
+                           survival: bool = False) -> float:
+    """P(lambda_min < y) of the law of :func:`m2_lambda_max_cdf_cone`, in the
+    same coordinates, or P(lambda_min > y) with ``survival``.  lambda_min > y
+    is p, q > y and s < (p - y)(q - y), so with U = (p - y)(q - y) / (pq) the
+    survival is the weight over p, q > y times I_U(g, a - beta/2), and the CDF
+    the weight over p < y, over p >= y > q, and over p, q > y times
+    I_{1-U}(a - beta/2, g), each region its own ``dblquad``: neither value is
+    1 minus the other, so a small one keeps its digits.  1 - U = y (p + q - y)
+    / (pq) is formed without cancellation.  ``sphere`` as there.  No library
+    code is used."""
+    weight, b, g = _m2_cone_weight(n, sigma_eigs, beta, sphere)
+    if survival:
+        def tail(q, p):
+            return weight(q, p) * betainc(g, b, (p - y) * (q - y) / (p * q))
+
+        return integrate.dblquad(tail, y, math.inf, y, math.inf, epsabs=0, epsrel=1e-13)[0]
+
+    def cut(q, p):
+        return weight(q, p) * betainc(b, g, y * (p + q - y) / (p * q))
+
+    low_p, _ = integrate.dblquad(weight, 0, y, 0, math.inf, epsabs=0, epsrel=1e-13)
+    low_q, _ = integrate.dblquad(weight, y, math.inf, 0, y, epsabs=0, epsrel=1e-13)
+    both, _ = integrate.dblquad(cut, y, math.inf, y, math.inf, epsabs=0, epsrel=1e-13)
+    return low_p + low_q + both
+
+
+def m2_laplace_jack_cone(a: float, kappa: tuple[int, int], r, z, beta: int, sphere: float | None = None) -> float:
+    """The cone integral of etr(-XZ) |X|^(a - beta/2 - 1) C_kappa(XR) over
+    2 x 2 X > 0, R = diag(r) and Z = diag(z), in the coordinates of
+    :func:`m2_lambda_max_cdf_cone`.  With s = pq u and g = beta/2 the integrand is
+
+        pi^g / Gamma(g) (pq)^(a-1) e^(-z1 p - z2 q) u^(g-1) (1 - u)^(a - g - 1) C_kappa(XR)
+
+    and C_kappa(XR) is a polynomial of degree k = |kappa| in p, q and u (XR has
+    trace r1 p + r2 q and determinant r1 r2 pq (1 - u)), so a tensor rule of
+    k + 4 nodes in each, generalized Gauss-Laguerre in p and q and Gauss-Jacobi
+    in u, is exact.  C_kappa = k! chat_kappa from :func:`m2_chat` on the
+    eigenvalues of XR.  ``sphere`` replaces g in the measure s^(g-1) ds, and so
+    in the powers of pq and u, the constant kept: a wrong measure, for a
+    control.  Needs a > beta/2.  No library code is used."""
+    g = beta / 2
+    sg = g if sphere is None else sphere
+    big_a = a - g + sg  # the power of pq is big_a - 1
+    nodes = sum(kappa) + 4
+    t, wt = roots_genlaguerre(nodes, big_a - 1)
+    u, wu = roots_sh_jacobi(nodes, a - g - 1 + sg, sg)
+    total = []
+    for p, wp in zip(t / z[0], wt):
+        for q, wq in zip(t / z[1], wt):
+            for uu, wuu in zip(u, wu):
+                trace, det = r[0] * p + r[1] * q, r[0] * r[1] * p * q * (1 - uu)
+                lead = (trace + math.sqrt(max(trace * trace - 4 * det, 0.0))) / 2
+                total.append(wp * wq * wuu * m2_chat(*kappa, lead, det / lead, beta))
+    scale = math.pi ** g / math.gamma(g) * math.factorial(sum(kappa)) * (z[0] * z[1]) ** -big_a
+    return float(scale * mpmath.fsum(total))
 
 
 def hciz_0f0(x, y):

@@ -207,6 +207,30 @@ class TestDiagnostics:
         code, out, err = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--config", str(cfg))
         assert (code, out, err) == (2, "", f"error: grid has more than 1000000 points, got {grid!r}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["jack", "--kappa", "[2,1]", "--eigs", "1,x"], "cannot parse number list from '1,x'"),
+        (["cdf-max", "--m", "2", "--n", "4", "--grid", "0:8"], "grid must be start:stop:points, got '0:8'"),
+        (["jack", "--eigs", "1,2"], "--kappa is required (flag or config file)"),
+        (["cdf-max", "--m", "2", "--x", "5"], "--n (degrees of freedom) is required"),
+        (["cdf-max", "--m", "2", "--n", "4"], "provide --x or --grid"),
+        (["cdf-min", "--m", "2", "--n", "4"], "provide --y or --grid"),
+    ], ids=["number-list", "grid-fields", "kappa", "n", "x-or-grid", "y-or-grid"])
+    def test_missing_or_malformed_input_in_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, given", [
+        (["cdf-max", "--m", "2", "--n", "4", "--sig", "1,2", "--x", "5"], "--sig 1,2"),
+        (["gamma", "--a", "2", "--lo"], "--lo"),
+        (["cdf-min", "--m", "2", "--n", "4", "--y", "1", "--be", "2"], "--be 2"),
+    ], ids=["sigma", "log", "beta"])
+    def test_abbreviated_flag_refused(self, capsys, argv, given):
+        # an abbreviation accepted for its flag would escape the config
+        # file's rule that a flag on the command line wins
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {given}\n" in capsys.readouterr().err
+
     def test_density_past_the_float_range_in_one_line(self, capsys):
         code, out, err = run(capsys, "density", "--m", "1", "--n", "0.001", "--eigs", "1e-320")
         assert code == 2 and out == ""
@@ -312,6 +336,8 @@ class TestDiagnostics:
     @pytest.mark.parametrize("command, line", [
         (["gamma", "--a", "2.0"], "m=abc"),
         (["jack", "--kappa", "[1]", "--eigs", "1,2"], "normalization=c"),
+        # the whole file is checked, a key the command line also gives too
+        (["gamma", "--a", "2.0", "--m", "2"], "m=abc"),
     ])
     def test_invalid_config_value_rejected_in_one_line(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "run.cfg"
@@ -320,6 +346,12 @@ class TestDiagnostics:
         key, value = line.split("=")
         assert code == 2 and out == "" and err.count("\n") == 1
         assert f"invalid value {value!r} for config key {key!r}" in err
+
+    def test_config_line_without_equals_in_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("a=2\nbeta 2\n")
+        assert run(capsys, "gamma", "--config", str(cfg)) == (
+            2, "", f"error: {cfg}:2: expected key=value, got 'beta 2'\n")
 
     def test_config_key_of_another_subcommand_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -373,6 +405,21 @@ class TestConfigFile:
         assert code == 0
         assert float(out.strip()) == pytest.approx(math.pi * 2.0, rel=1e-13)
 
+
+    @pytest.mark.parametrize("flag", [["--sigma", "1,2"], ["--sigma=1,2"]], ids=["separate", "joined"])
+    def test_flag_wins_over_config_in_either_form(self, tmp_path, capsys, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=1,1\n")
+        code, out, _ = run(capsys, "cdf-max", "--m", "2", "--n", "4", *flag, "--x", "5", "--config", str(cfg))
+        assert (code, out) == (0, "0.18416312617746133\n")
+        code, out, _ = run(capsys, "cdf-max", "--m", "2", "--n", "4", "--x", "5", "--config", str(cfg))
+        assert (code, out) == (0, "0.39904262110260141\n")
+
+    def test_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# fig1's model\n\nm=2\n   # n below\nn=4\nsigma=1,2\n")
+        code, out, _ = run(capsys, "cdf-max", "--x", "5", "--config", str(cfg))
+        assert (code, out) == (0, "0.18416312617746133\n")
 
     def test_pfq_config_matches_flags(self, tmp_path, capsys):
         flags = ["--beta", "2", "--upper", "0.7", "--lower", "2.5,1.5",

@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammainc, gammaln, gammasgn
 
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions
+from jackdiv.jack import jack_C
 from jackdiv.special import (
     _signed_loggamma,
     gamma_lower_regularized,
@@ -19,6 +20,8 @@ from jackdiv.special import (
     mv_gamma_weighted,
     mv_gamma_weighted_ln,
 )
+
+from oracles import m2_laplace_jack_cone
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 
@@ -161,6 +164,37 @@ def test_refusal_messages_in_full(call, message):
     with pytest.raises(DomainError) as refused:
         call()
     assert str(refused.value) == message
+
+
+class TestConeLaplaceJack:
+    """The Laplace-Jack identity at m = 2, beta = 4 and 8: Gamma_2[a, kappa]
+    |Z|^-a C_kappa(R Z^-1) against the cone integral summed by an exact Gauss
+    rule, which shares no code with the gammas or the Jack recurrence."""
+
+    R, Z = (1.0, 0.5), (1.0, 1.1)
+
+    @staticmethod
+    def closed_form(a, kappa, r, z, alg):
+        weight = Partition(tuple(k for k in kappa if k))
+        log_gamma = mv_gamma_weighted_ln(2, alg, a, weight) - a * math.log(z[0] * z[1])
+        return math.exp(log_gamma) * jack_C(weight, (r[0] / z[0], r[1] / z[1]), alg)
+
+    @pytest.mark.parametrize("beta", [4, 8])
+    @pytest.mark.parametrize("kappa", [(2, 1), (3, 0), (2, 2)], ids=["21", "3", "22"])
+    def test_identity(self, beta, kappa):
+        a = beta / 2 + 1.3
+        want = m2_laplace_jack_cone(a, kappa, self.R, self.Z, beta)
+        got = self.closed_form(a, kappa, self.R, self.Z, DivisionAlgebra(beta))
+        # measured: at most 2.6e-15
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("beta", [4, 8])
+    def test_a_wrong_measure_fails(self, beta):
+        # the sphere exponent off by 1/2 misses by 185-434%
+        a = beta / 2 + 1.3
+        want = m2_laplace_jack_cone(a, (2, 1), self.R, self.Z, beta, sphere=beta / 2 + 0.5)
+        got = self.closed_form(a, (2, 1), self.R, self.Z, DivisionAlgebra(beta))
+        assert abs(got - want) > 0.5 * got
 
 
 class TestMvBeta:

@@ -21,6 +21,7 @@ from jackdiv.verify import (
     default_suite,
     run_suite,
     verify_beta_jack,
+    verify_euler_1f1_integral,
     verify_incomplete,
     verify_laplace_hypergeom,
     verify_laplace_jack,
@@ -745,7 +746,100 @@ class TestScalarQuadratureOracles:
         assert rep.analytic == pytest.approx(quad, rel=1e-4)
 
 
+_KW = dict(n_samples=10, seed=1)
+# every refusal of the checks, each raised before a draw: (call, error, message)
+REFUSALS = {
+    "split-negative": (lambda: verify_split_integral(Partition((1,)), (-1.0, 2.0), (1.0, 2.0), 2, B1, 10, 1),
+                       DomainError, "x_eigs and y_eigs must be nonnegative"),
+    "laplace-jack-r": (lambda: verify_laplace_jack(1.3, Partition((1,)), (-1.0, 0.5), (1.0, 1.0), 2, B1, 10, 1),
+                       DomainError, "r_eigs must be nonnegative and z_eigs positive"),
+    "laplace-jack-z": (lambda: verify_laplace_jack(1.3, Partition((1,)), (1.0, 0.5), (1.0, 0.0), 2, B1, 10, 1),
+                       DomainError, "r_eigs must be nonnegative and z_eigs positive"),
+    # inside a > c - k_m = -0.5, but no proposal shape keeps the variance finite
+    "laplace-jack-proposal": (
+        lambda: verify_laplace_jack(-0.48, Partition((1, 1)), (1.0, 0.5), (1.0, 1.0), 2, B1, 10, 1),
+        DomainError, "no finite-variance proposal shape: a = -0.48 is within 0.05 of its lower bound -0.5"),
+    "radial-inverse-domain": (
+        lambda: verify_radial_kernel("exp", 2.5, Partition((2,)), (1.0, 0.5), (1.0, 1.0), 2, B1, **_KW),
+        DomainError, "requires a > (m-1)*beta/2 + k_1 = 2.5"),
+    "radial-forward-domain": (
+        lambda: verify_radial_kernel("exp", -0.5, Partition((1, 1)), (1.0, 0.5), (1.0, 1.0), 2, B1,
+                                     inverse_arg=False, **_KW),
+        DomainError, "requires a > (m-1)*beta/2 - k_m = -0.5"),
+    "radial-u": (lambda: verify_radial_kernel("exp", 3.0, Partition((1,)), (-1.0, 0.5), (1.0, 1.0), 2, B1, **_KW),
+                 DomainError, "u_eigs must be nonnegative and z_eigs positive"),
+    "radial-z": (lambda: verify_radial_kernel("exp", 3.0, Partition((1,)), (1.0, 0.5), (1.0, -1.0), 2, B1, **_KW),
+                 DomainError, "u_eigs must be nonnegative and z_eigs positive"),
+    "radial-sampler": (
+        lambda: verify_radial_kernel("exp", 0.3, Partition((1, 1)), (1.0, 0.5), (1.0, 1.0), 2, B1,
+                                     inverse_arg=False, **_KW),
+        DomainError, "the sampler needs a > (m-1)*beta/2; tighter domains are exercised by verify_laplace_jack"),
+    "radial-pareto": (
+        lambda: verify_radial_kernel("pareto", 2.0, Partition(()), (1.0, 0.5), (1.0, 1.0), 2, B1,
+                                     inverse_arg=False, eta=0.25, **_KW),
+        DomainError, "pareto kernel needs beta*(a*m + eta) - a*m > 0.25, got 0.25"),
+    "incgamma-omega": (lambda: verify_incomplete("gamma_lower", 2, B1, 2.0, (1.0, 1.0), (1.0, 0.0), **_KW),
+                       DomainError, "region boundary must be positive definite"),
+    "incgamma-a": (lambda: verify_incomplete("gamma_lower", 2, B1, 0.5, (1.0, 1.0), (1.0, 0.5), **_KW),
+                   DomainError, "sampler requires a > (m-1)*beta/2 = 0.5"),
+    "incbeta-missing": (lambda: verify_incomplete("beta", 2, B1, 2.0, xi_eigs=(0.5, 0.3), **_KW),
+                        DomainError, "kind='beta' needs b and xi_eigs"),
+    "incbeta-xi": (lambda: verify_incomplete("beta", 2, B1, 2.0, b=2.0, xi_eigs=(0.5, 1.0), **_KW),
+                   DomainError, "xi_eigs must lie strictly inside (0, 1)"),
+    "incbeta-a": (lambda: verify_incomplete("beta", 2, B1, 0.5, b=2.0, xi_eigs=(0.5, 0.3), **_KW),
+                  DomainError, "sampler requires a > (m-1)*beta/2 = 0.5"),
+    "incbeta-b": (lambda: verify_incomplete("beta", 2, B1, 2.0, b=0.5, xi_eigs=(0.5, 0.3), **_KW),
+                  DomainError, "requires b > (m-1)*beta/2 = 0.5"),
+    "incgamma-upper-lambda": (
+        lambda: verify_incomplete("gamma_upper", 2, B1, 2.5, (1.0, 0.0), (1.0, 0.5), **_KW),
+        DomainError, "gamma_upper needs positive lambda_eigs and omega_eigs"),
+    "incgamma-upper-omega": (
+        lambda: verify_incomplete("gamma_upper", 2, B1, 2.5, (1.0, 0.5), (-1.0, 0.5), **_KW),
+        DomainError, "gamma_upper needs positive lambda_eigs and omega_eigs"),
+    "incomplete-kind": (lambda: verify_incomplete("gamma", 2, B1, 2.0, (1.0, 1.0), (1.0, 0.5), **_KW),
+                        UnsupportedParameterError, "kind must be gamma_lower, beta or gamma_upper, got 'gamma'"),
+    "laplace-pfq-p-q": (lambda: verify_laplace_hypergeom((1.0, 2.0), (3.0,), 2.0, (0.3, 0.2), (2.0, 2.0), 2, B1,
+                                                         **_KW),
+                        DomainError, "integrand needs p <= q"),
+    "laplace-pfq-z": (lambda: verify_laplace_hypergeom((1.0,), (3.0,), 2.0, (0.3, 0.2), (2.0, 0.0), 2, B1, **_KW),
+                      DomainError, "z_eigs must be positive"),
+    "laplace-pfq-a": (lambda: verify_laplace_hypergeom((1.0,), (3.0,), 0.5, (0.3, 0.2), (2.0, 2.0), 2, B1, **_KW),
+                      DomainError, "requires a > (m-1)*beta/2 = 0.5"),
+    "laplace-pfq-p-eq-q": (
+        lambda: verify_laplace_hypergeom((1.0,), (3.0,), 2.0, (0.3, 0.2), (2.0, 1.0), 2, B1, **_KW),
+        DomainError, "p = q forward-argument integrands need all z eigenvalues > 1"),
+    "laplace-pfq-u": (lambda: verify_laplace_hypergeom((-2.0,), (3.0,), 2.0, (0.3, -0.2), (2.0, 2.0), 2, B1,
+                                                       inverse_arg=True, **_KW),
+                      DomainError, "inverse-argument transforms need U <= 0"),
+    "euler-domain": (lambda: verify_euler_1f1_integral(2.0, 2.4, (0.3, 0.2), 2, B1, **_KW),
+                     DomainError, "requires c > a + (m-1)*beta/2 and a > (m-1)*beta/2 = 0.5"),
+    "stiefel-beta": (lambda: verify_stiefel_0f1((0.5,), 1, 2, B4, **_KW),
+                     UnsupportedParameterError, "Stiefel check supports beta in {1, 2}"),
+    "stiefel-n": (lambda: verify_stiefel_0f1((0.5, 0.2), 2, 1, B1, **_KW),
+                  DomainError, "requires n >= m, got n = 1 < m = 2"),
+    "stiefel-xx": (lambda: verify_stiefel_0f1((0.5, -0.2), 2, 3, B1, **_KW),
+                   DomainError, "xx_eigs are eigenvalues of X X* and must be nonnegative"),
+    "mixed-signs": (lambda: _eigs_times_diag(np.eye(2)[None], np.array([1.0, -1.0])),
+                    DomainError, "diagonal factor must not mix signs"),
+}
+
+
 class TestDomainEnforcement:
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refusal_message(self, case):
+        call, error, message = REFUSALS[case]
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_one_sample_has_no_standard_error(self):
+        assert _mean_se(np.array([2.5])) == (2.5, 0.0)
+
+    def test_exact_zero_estimate_passes_with_zero_z(self):
+        # zero variance at a zero analytic value: nothing to floor the error at
+        report = VerificationReport("exact", 0.0, 0.0, 0.0, 10)
+        assert (report.z_score, report.rel_error, report.passed) == (0.0, 0.0, True)
+
     def test_laplace_jack_tight_bound(self):
         # a > c - k_m: at m=2, beta=1, kappa=(1,1): bound is -0.5
         with pytest.raises(DomainError):

@@ -26,7 +26,7 @@ from jackdiv.wishart import (
 from memos import clear_memos
 from oracles import (complex_wishart_eigen_density, gaussian_wishart_eigs, khatri_lambda_max_cdf,
                      khatri_lambda_min_cdf, lambda_max_cdf_alternating, m2_eigen_density, m2_lambda_max_cdf_cone,
-                     m2_lambda_min_cdf)
+                     m2_lambda_min_cdf, m2_lambda_min_cdf_cone)
 
 B1, B2, B4, B8 = (DivisionAlgebra(b) for b in (1, 2, 4, 8))
 
@@ -576,9 +576,10 @@ class TestKhatriDeterminant:
 
 
 class TestConeCoordinates:
-    """fig1's model, m = 2, n = 4, sigma = (1, 2), at every beta against the
-    Wishart density integrated over the cone's coordinates, which shares no
-    code with the series."""
+    """fig1's model, m = 2, n = 4, sigma = (1, 2), for lambda_max and fig2's,
+    n = 7, for lambda_min, at every beta against the Wishart density
+    integrated over the cone's coordinates, which shares no code with the
+    series."""
 
     @pytest.mark.parametrize("beta, x", [(b, x) for b in (2, 4, 8) for x in (2.0, 6.0, 12.0)] + [(1, 6.0)])
     def test_lambda_max_is_the_density_integrated(self, beta, x):
@@ -593,6 +594,28 @@ class TestConeCoordinates:
         want = m2_lambda_max_cdf_cone(4, (1.0, 2.0), beta, 6.0, sphere=beta / 2 + 0.5)
         got = cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta)), 6.0)
         assert abs(got - want) > 0.1 * want
+
+    @pytest.mark.parametrize("beta, y", [(1, 0.3), (2, 0.3), (4, 0.3), (8, 0.33)])
+    def test_small_lambda_min_cdf_is_the_density_integrated(self, beta, y):
+        # fig2's model, down to the README's 3.25e-21 at beta = 8
+        want = m2_lambda_min_cdf_cone(7, (1.0, 2.0), beta, y)
+        got = cdf_lambda_min(WishartModel(2, 7, (1.0, 2.0), DivisionAlgebra(beta)), y)
+        # measured: at most 3.1e-14 (beta = 8)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_lambda_min_survival_is_the_density_integrated(self, beta):
+        want = m2_lambda_min_cdf_cone(7, (1.0, 2.0), beta, 8.0, survival=True)
+        got = 1.0 - cdf_lambda_min(WishartModel(2, 7, (1.0, 2.0), DivisionAlgebra(beta)), 8.0)
+        # measured: at most 1.9e-13 (beta = 8, survival 0.012)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("beta", [4, 8])
+    def test_a_wrong_measure_fails_for_lambda_min(self, beta):
+        # the sphere exponent off by 1/2 moves the survival by 14-15% at y = 8
+        want = m2_lambda_min_cdf_cone(7, (1.0, 2.0), beta, 8.0, sphere=beta / 2 + 0.5, survival=True)
+        got = 1.0 - cdf_lambda_min(WishartModel(2, 7, (1.0, 2.0), DivisionAlgebra(beta)), 8.0)
+        assert abs(got - want) > 0.05 * want
 
 
 class TestLambdaMin:

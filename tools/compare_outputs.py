@@ -32,7 +32,13 @@ script runs, each in a fresh process:
   2, 3, beta = 1, 2, 4, 8, plain and weighted by (2, 1) and (3) at both
   signs, the value and its log, at a below the domain, inside it and at
   1e306, so that every weighted-gamma path and its ``error:`` lines are
-  compared through the command line, the same interface on both sides.
+  compared through the command line, the same interface on both sides;
+- ``jackdiv.cli.main`` over argument lists (``CLI_ARGV``), in one process
+  in a fresh working directory: every subcommand once, a flag as
+  ``--flag value`` and as ``--flag=value``, config files (a key the command
+  line also gives and one it does not, and each refusal of a config line)
+  and the abbreviated flags ``--sig``, ``--lo`` and ``--be``, each with its
+  output, its ``error:`` line and its exit status.
 
 Standard output and standard error are compared apart.  For each output it
 prints ``identical``, or the largest relative difference between the numbers
@@ -161,6 +167,61 @@ for m in (1, 2, 3):
                         main(argv)
 """
 
+# jackdiv.cli.main over argument lists, run in a side's root: each argument
+# list, then its stdout, the error: line and the exit status (argparse's
+# refusals included).  The config files are written to a fresh working
+# directory under relative names, so that both sides print the same text.
+CLI_ARGV = """
+import contextlib, io, os, sys, tempfile
+from jackdiv.cli import main
+configs = {"sigma.cfg": "sigma=1,1", "model.cfg": "# fig1's model\\n\\nm=2\\nn=4\\nsigma=1,2",
+           "no-equals.cfg": "beta 2", "unknown.cfg": "b=1", "other.cfg": "threads=2", "type.cfg": "m=abc",
+           "choice.cfg": "normalization=c"}
+model = ["--m", "2", "--n", "4"]
+runs = [
+    ["jack", "--kappa", "[2,1]", "--beta", "2", "--eigs", "1,2,3"],
+    ["pfq", "--beta", "4", "--upper", "0.7", "--lower", "2.5", "--eigs", "0.3,-0.1"],
+    ["gamma", "--m", "2", "--a", "1.5"],
+    ["cdf-max", *model, "--sigma", "1,2", "--x", "5"],
+    ["cdf-min", "--beta", "2", *model, "--sigma", "1,2", "--y", "1"],
+    ["cdf-region", *model, "--sigma", "1,2", "--omega", "3,5"],
+    ["density", *model, "--sigma", "1,2", "--eigs", "3,1"],
+    ["verify", "two-matrix-0f0/b1", "--quick"],
+    ["figures", "fig1", "--grid", "0:8:5"],
+    ["cdf-max", "--m=2", "--n=4", "--sigma=1,2", "--x=5"],
+    ["cdf-max", *model, "--sigma", "1,2", "--x", "5", "--config", "sigma.cfg"],
+    ["cdf-max", *model, "--sigma=1,2", "--x", "5", "--config", "sigma.cfg"],
+    ["cdf-max", *model, "--x", "5", "--config", "sigma.cfg"],
+    ["cdf-max", "--x", "5", "--config", "model.cfg"],
+    ["gamma", "--a", "2", "--config", "no-equals.cfg"],
+    ["gamma", "--a", "2", "--config", "unknown.cfg"],
+    ["gamma", "--a", "2", "--config", "other.cfg"],
+    ["gamma", "--a", "2", "--config", "type.cfg"],
+    ["jack", "--kappa", "[1]", "--eigs", "1,2", "--config", "choice.cfg"],
+    ["cdf-max", *model, "--sig", "1,2", "--x", "5", "--config", "sigma.cfg"],
+    ["gamma", "--a", "2", "--lo"],
+    ["cdf-min", *model, "--y", "1", "--be", "2"],
+]
+with tempfile.TemporaryDirectory() as tmp:
+    os.chdir(tmp)
+    for name, text in configs.items():
+        with open(name, "w") as fh:
+            fh.write(text + "\\n")
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        print("argv:", " ".join(argv))
+        print(out.getvalue(), end="")
+        for line in err.getvalue().splitlines():
+            if "error:" in line:
+                print(line)
+        print("exit:", status)
+"""
+
 # the m >= 3 smallest-eigenvalue law, 9 points
 M3_CDF_MIN = ["cdf-min", "--beta", "2", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--grid", "0:8:9"]
 # the far upper tail of the largest eigenvalue, 40 points out to x = 1000
@@ -239,6 +300,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs["wishart draws"] = ["-c", WISHART_DRAWS]
     runs["haar draws"] = ["-c", HAAR_DRAWS]
     runs["gamma values"] = ["-c", GAMMA_VALUES]
+    runs["cli argv"] = ["-c", CLI_ARGV]
     return runs
 
 
