@@ -134,22 +134,21 @@ def _emit(lines: list[str], output: str | None):
         sys.stdout.write(text)
 
 
-_TRUNCATION_FLAGS = ("max_degree", "rel_tol", "stall_window")
+# the (max_degree, rel_tol) defaults of cdf-max and cdf-region, for their help
+_CDF_TRUNCATION = ("max(40, tr + 14 sqrt(tr + 1) + 60), tr the trace of the series' argument", "1e-12")
 
 
-def _truncation(args) -> SeriesTruncation | None:
-    """The truncation flags given, with SeriesTruncation defaults for the rest
-    (no ``max_degree``: the series sizes its own cap, 40 for ``pfq``, from the
-    trace for ``cdf-max`` and ``cdf-region``, from the eigenvalues for
-    ``density``); None when no flag is given."""
-    given = {name: getattr(args, name) for name in _TRUNCATION_FLAGS if getattr(args, name) is not None}
-    return SeriesTruncation(**given) if given else None
+def _truncation(args) -> SeriesTruncation:
+    """The truncation flags; a flag not given leaves its field to the series."""
+    return SeriesTruncation(args.max_degree, args.rel_tol)
 
 
-def _command(sub, name: str, run, summary: str, trunc=False, model=False, beta=True):
+def _command(sub, name: str, run, summary: str, trunc=None, model=False, beta=True):
     """The subparser ``name``, whose parse stores ``run`` for :func:`main` to
     call, with the shared flags: --beta unless ``beta`` is false, --config
-    and --output, and the truncation and model flags when asked for."""
+    and --output, the model flags when asked for, and the truncation flags
+    when ``trunc`` gives the (max_degree, rel_tol) defaults their help
+    names."""
     sp = sub.add_parser(name, help=summary, allow_abbrev=False)
     sp.set_defaults(run=run)
     if beta:
@@ -158,10 +157,8 @@ def _command(sub, name: str, run, summary: str, trunc=False, model=False, beta=T
     sp.add_argument("--config", help="key=value file setting this subcommand's valued flags")
     sp.add_argument("--output", help="write output to this path instead of stdout")
     if trunc:
-        sp.add_argument("--max-degree", type=int, help="default 40 for pfq; sized from the argument by "
-                        "cdf-max, cdf-region and density")
-        sp.add_argument("--rel-tol", type=float, help=f"default {SeriesTruncation.rel_tol:g}")
-        sp.add_argument("--stall-window", type=int, help=f"default {SeriesTruncation.stall_window}")
+        sp.add_argument("--max-degree", type=int, help=f"default {trunc[0]}")
+        sp.add_argument("--rel-tol", type=float, help=f"default {trunc[1]}")
     if model:
         sp.add_argument("--m", type=int, default=2)
         sp.add_argument("--n", type=float, required=False)
@@ -184,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigs", help="eigenvalues, comma separated")
     p.add_argument("--normalization", choices=("C", "J"), default="C")
 
-    p = _command(sub, "pfq", _cmd_pfq, "evaluate a hypergeometric series", trunc=True)
+    p = _command(sub, "pfq", _cmd_pfq, "evaluate a hypergeometric series", trunc=("40", "1e-10"))
     p.add_argument("--upper", default="", help="upper parameters, comma separated")
     p.add_argument("--lower", default="", help="lower parameters, comma separated")
     p.add_argument("--eigs")
@@ -198,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="print the log value")
 
     p = _command(sub, "cdf-max", _cmd_cdf, "distribution function of the largest eigenvalue",
-                 trunc=True, model=True)
+                 trunc=_CDF_TRUNCATION, model=True)
     p.add_argument("--x", type=float, help="single evaluation point")
     p.add_argument("--grid", help="start:stop:points for a CSV curve")
 
@@ -207,10 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid")
 
     p = _command(sub, "cdf-region", _cmd_cdf_region, "P(S < Omega) for eigenvalue-aligned Omega",
-                 trunc=True, model=True)
+                 trunc=_CDF_TRUNCATION, model=True)
     p.add_argument("--omega", help="eigenvalues of the region boundary")
 
-    p = _command(sub, "density", _cmd_density, "joint eigenvalue density", trunc=True, model=True)
+    p = _command(sub, "density", _cmd_density, "joint eigenvalue density",
+                 trunc=("max(60, 4 c sum(eigs)), c = (beta/2)/min(sigma)", "1e-11"), model=True)
     p.add_argument("--eigs", help="ordered eigenvalues, descending")
 
     p = _command(sub, "verify", _cmd_verify, "run Monte Carlo identity checks", beta=False)
@@ -294,17 +292,18 @@ def _curve(grid, columns, output) -> int:
 
 
 def _cmd_cdf(args) -> int:
-    """cdf-max at --x or cdf-min at --y, or either over a --grid curve."""
+    """cdf-max at --x or cdf-min at --y, or either over a --grid curve: one
+    of the two, from the command line or the config file alike."""
     model = _model(args)
     if args.command == "cdf-max":
         label, flag, law = "cdf_lambda_max", "x", partial(cdf_lambda_max, trunc=_truncation(args))
     else:
         label, flag, law = "cdf_lambda_min", "y", cdf_lambda_min
+    point = getattr(args, flag)
+    if (point is None) == (not args.grid):
+        raise DomainError(f"provide --{flag} or --grid" + (", not both" if args.grid else ""))
     if args.grid:
         return _curve(_parse_grid(args.grid), [(label, partial(law, model))], args.output)
-    point = getattr(args, flag)
-    if point is None:
-        raise DomainError(f"provide --{flag} or --grid")
     _emit([_fmt(law(model, point))], args.output)
     return 0
 

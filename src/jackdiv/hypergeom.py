@@ -2,9 +2,11 @@
 
 The series are sums over partitions, degree by degree, of generalized
 Pochhammer ratios times Jack polynomials of the eigenvalue argument(s).
-Truncation policy: stop once ``stall_window`` consecutive degree sums are each
-below ``rel_tol`` times the accumulated value; non-convergence within
-``max_degree`` is reported, never silently ignored.
+Truncation policy: stop once _STALL_WINDOW (3) consecutive degree sums are
+each below ``rel_tol`` times the accumulated value; non-convergence within
+``max_degree`` is reported, never silently ignored.  A
+:class:`SeriesTruncation` field left None takes the default of the series
+that receives it (:func:`with_defaults`).
 
 :func:`_series` is the one driver of :func:`pfq`, :func:`pfq_two` and
 :func:`pfq_batch`, and :func:`_degree_terms` the one term formula.
@@ -52,42 +54,47 @@ from .jack import ChatEvaluator, _rank, as_spectrum, get_table, log_chat_identit
 from .special import lgamma_run
 
 
-# the degree cap of pfq, pfq_two and pfq_batch when a truncation leaves it
-# unset, and the least cap of a RaySeries
+# the degree cap and relative tolerance of pfq, pfq_two and pfq_batch where a
+# truncation leaves them unset; a RaySeries takes the same tolerance, and this
+# cap as the least of its trace budget
 _DEFAULT_MAX_DEGREE = 40
+_DEFAULT_REL_TOL = 1e-10
+# consecutive degree sums below rel_tol times the running total that end a series
+_STALL_WINDOW = 3
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Total-degree cutoff and early-stop policy for the partition series.
+    """Total-degree cap and stop tolerance of a partition series.
 
-    ``max_degree=None`` leaves the cap to the series: 40 for :func:`pfq`,
-    :func:`pfq_two` and :func:`pfq_batch`, and the trace budget of
-    :meth:`RaySeries.evaluate` for every :class:`RaySeries`, so for the
-    largest-eigenvalue and region laws of :mod:`jackdiv.wishart`; its joint
-    density sizes its own.  The ``rel_tol`` and ``stall_window`` given are
-    kept either way.
+    A field left None takes the default of the series that receives it
+    (:func:`with_defaults`): for :func:`pfq`, :func:`pfq_two` and
+    :func:`pfq_batch` a cap of 40 and ``rel_tol`` 1e-10; for every
+    :class:`RaySeries` the trace budget of :meth:`RaySeries.evaluate` and
+    1e-10; the largest-eigenvalue and region laws of :mod:`jackdiv.wishart`
+    set ``rel_tol`` 1e-12 and leave the cap to their ray, and the joint
+    density sets its own cap and 1e-11.  A field given is kept as given.
     """
 
     max_degree: int | None = None
-    rel_tol: float = 1e-10
-    stall_window: int = 3
+    rel_tol: float | None = None
 
     def __post_init__(self):
         if self.max_degree is not None and self.max_degree < 0:
             raise DomainError(f"max_degree must be >= 0, got {self.max_degree}")
-        if not 0 < self.rel_tol < 1:
+        if self.rel_tol is not None and not 0 < self.rel_tol < 1:
             raise DomainError(f"rel_tol must be in (0, 1), got {self.rel_tol}")
-        if self.stall_window < 1:
-            raise DomainError(f"stall_window must be >= 1, got {self.stall_window}")
-
-    def degree_cap(self, default: int) -> int:
-        """``max_degree``, or ``default`` where it is None."""
-        return default if self.max_degree is None else self.max_degree
 
 
-DEFAULT_TRUNCATION = SeriesTruncation()
+def with_defaults(trunc: SeriesTruncation | None, max_degree: int | None,
+                  rel_tol: float) -> tuple[int | None, float]:
+    """(max_degree, rel_tol) of ``trunc``, each the default given where
+    ``trunc`` or its field is None."""
+    if trunc is None:
+        return max_degree, rel_tol
+    return (max_degree if trunc.max_degree is None else trunc.max_degree,
+            rel_tol if trunc.rel_tol is None else trunc.rel_tol)
 
 
 @dataclass
@@ -201,8 +208,10 @@ def _convergence_check(spec: HypergeomSpec, norm: float, terminating: int | None
         )
 
 
-def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False, nonnegative=False):
-    """Shared degree loop: term_of_degree(k) -> float sum of that degree.
+def _run_series(rel_tol, term_of_degree, hard_cap, exact_finite=False, nonnegative=False):
+    """Shared degree loop: term_of_degree(k) -> float sum of that degree,
+    summed to degree ``hard_cap`` at most, stopped by the stall rule at
+    ``rel_tol``.
 
     The stop rule reads a plain float running total; the returned total is
     ``math.fsum`` of the degree sums.  When ``exact_finite`` the series is a
@@ -216,15 +225,15 @@ def _run_series(trunc, term_of_degree, hard_cap, exact_finite=False, nonnegative
     converged = exact_finite
     for k in range(hard_cap + 1):
         dsum = term_of_degree(k)
-        if nonnegative and dsum == 0.0 and k > 0 and sums[-1] > trunc.rel_tol * running:
+        if nonnegative and dsum == 0.0 and k > 0 and sums[-1] > rel_tol * running:
             raise DomainError(f"series terms of degree {k} underflow to 0 after a degree sum of "
                               f"{sums[-1]:g}: the series is not scale-safe there")
         sums.append(dsum)
         running += dsum
-        if not exact_finite and k + 1 > trunc.stall_window and running != 0.0:
+        if not exact_finite and k + 1 > _STALL_WINDOW and running != 0.0:
             # the newest sum first: the window passes only if it does
-            small = trunc.rel_tol * abs(running)
-            if abs(dsum) <= small and all(abs(s) <= small for s in sums[-trunc.stall_window:]):
+            small = rel_tol * abs(running)
+            if abs(dsum) <= small and all(abs(s) <= small for s in sums[-_STALL_WINDOW:]):
                 converged = True
                 break
     total = math.fsum(sums)
@@ -247,7 +256,7 @@ def _degree_terms(spec: HypergeomSpec, xvals: dict, yvals: dict | None = None):
         yield coef * v
 
 
-def _run_batch(trunc, sum_of_degree, hard_cap, exact_finite, rows):
+def _run_batch(rel_tol, sum_of_degree, hard_cap, exact_finite, rows):
     """The stop rule of :func:`_run_series` on a batch of ``rows`` series:
     sum_of_degree(k) is an array, and the loop stops once every row meets
     the rule.  Degree sums are added as arrays, which ``math.fsum`` cannot."""
@@ -257,9 +266,9 @@ def _run_batch(trunc, sum_of_degree, hard_cap, exact_finite, rows):
     for k in range(hard_cap + 1):
         dsum = sum_of_degree(k)
         total += dsum
-        recent = (recent + [dsum])[-trunc.stall_window:]
-        if not exact_finite and k + 1 > trunc.stall_window:
-            small = np.abs(recent) <= trunc.rel_tol * np.abs(total)
+        recent = (recent + [dsum])[-_STALL_WINDOW:]
+        if not exact_finite and k + 1 > _STALL_WINDOW:
+            small = np.abs(recent) <= rel_tol * np.abs(total)
             if np.all(small.all(axis=0) & (total != 0.0)):
                 converged = True
                 break
@@ -275,14 +284,14 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     whose degree sums are ``math.fsum``-ed for :func:`_run_series`, or a
     (batch, m) array, whose value is an array with one entry per row
     (:func:`_run_batch`).  A degree sum outside the float range raises."""
-    trunc = trunc or DEFAULT_TRUNCATION
+    max_degree, rel_tol = with_defaults(trunc, _DEFAULT_MAX_DEGREE, _DEFAULT_REL_TOL)
     r_cap = _termination_bound(spec)
     _convergence_check(spec, norm, r_cap)
     batched = np.ndim(x_eigs) == 2
     if norm == 0.0:
         return SeriesResult(np.ones(len(x_eigs)) if batched else 1.0, 0, 0.0, True, None if batched else 0.0)
     exact_finite = r_cap is not None
-    hard_cap = spec.m * r_cap if exact_finite else trunc.degree_cap(_DEFAULT_MAX_DEGREE)
+    hard_cap = spec.m * r_cap if exact_finite else max_degree
 
     table = get_table(spec.algebra)
     within = (r_cap,) * spec.m if exact_finite else None
@@ -305,11 +314,11 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
         return dsum
 
     if batched:
-        return _run_batch(trunc, sum_of_degree, hard_cap, exact_finite, len(x_eigs))
+        return _run_batch(rel_tol, sum_of_degree, hard_cap, exact_finite, len(x_eigs))
     # nonnegative arguments and positive shifted parameters: every term is >= 0
     nonnegative = (not exact_finite and min(x_eigs) >= 0.0 and (y_eigs is None or min(y_eigs) >= 0.0)
                    and _positive_shifts(spec.upper + spec.lower, spec.algebra.beta, spec.m))
-    return _run_series(trunc, sum_of_degree, hard_cap, exact_finite, nonnegative)
+    return _run_series(rel_tol, sum_of_degree, hard_cap, exact_finite, nonnegative)
 
 
 def pfq(spec: HypergeomSpec, x, trunc: SeriesTruncation | None = None) -> SeriesResult:
@@ -523,8 +532,9 @@ class RaySeries:
         """The series at ``lead`` times the base point, whose trace is ``tr``,
         under ``trunc``'s stop rule and degree cap, as :func:`pfq` there.
 
-        Where ``trunc`` or its ``max_degree`` is None, the cap is max(40, tr +
-        14 sqrt(tr + 1) + 60): for 0 < a <= c every degree sum is at most
+        Where ``trunc`` or its ``rel_tol`` is None, ``rel_tol`` is 1e-10, and
+        where it or its ``max_degree`` is None, the cap is max(40, tr + 14
+        sqrt(tr + 1) + 60): for 0 < a <= c every degree sum is at most
         tr^k / k!, so the scaled terms lie under the Poisson(tr) weights, and
         the cap sits more than 14 of that law's standard deviations, plus 60
         degrees, past its mean.  On fig1's grid and the far tail the stall
@@ -535,8 +545,8 @@ class RaySeries:
         ``inf`` once the function itself leaves the float range.  Raises
         DomainError when a degree the stop rule needs has log D_k = -inf, or
         when every term summed underflows."""
-        trunc = trunc or DEFAULT_TRUNCATION
-        cap = trunc.degree_cap(max(_DEFAULT_MAX_DEGREE, int(tr + 14 * math.sqrt(tr + 1) + 60)))
+        cap, rel_tol = with_defaults(trunc, max(_DEFAULT_MAX_DEGREE, int(tr + 14 * math.sqrt(tr + 1) + 60)),
+                                     _DEFAULT_REL_TOL)
         log_lead, log_d = math.log(lead), self._log_d
 
         def term_of_degree(k: int) -> float:
@@ -548,7 +558,7 @@ class RaySeries:
                                   f"underflows: the generic series is not scale-safe there")
             return term
 
-        res = _run_series(trunc, term_of_degree, cap)
+        res = _run_series(rel_tol, term_of_degree, cap)
         if res.log_value is None:
             raise DomainError(f"every term up to degree {res.degrees_used} underflows after scaling by "
                               f"exp(-{tr:g}); max_degree is far below the trace")
@@ -608,37 +618,33 @@ def _lgamma_at(starts, size: int) -> list[np.ndarray]:
     return out
 
 
-def _m2_log_tables(upper, lower, r: float, beta: int, size: int):
-    """(row1, row2, rows_n) for degrees 0..size at t = (1, r): the logs of the
-    three factors of a term of D_k, the parts of log chat and of the
-    Pochhammer ratio that depend on k1 only, on k2 only, and on n = k1 - k2
-    only."""
+def _m2_log_tables(a: float, c: float, r: float, beta: int, size: int):
+    """(row1, row2, rows_n) for degrees 0..size of 1F1(a; c) at t = (1, r):
+    the logs of the three factors of a term of D_k, the parts of log chat and
+    of the Pochhammer ratio that depend on k1 only, on k2 only, and on n = k1
+    - k2 only."""
     g = beta / 2.0
     i = np.arange(size + 1, dtype=float)
-    params = [(a, 1.0) for a in upper] + [(b, -1.0) for b in lower]
-    # log Gamma(start + i) of each parameter on rows 1 and 2, of g and of 1
-    runs = _lgamma_at([par for par, _ in params] + [par - g for par, _ in params] + [g, 1.0], size + 1)
-    poch1 = np.zeros(size + 1)
-    poch2 = np.zeros(size + 1)
-    for (_, sign), run1, run2 in zip(params, runs, runs[len(params):]):
-        poch1 += sign * (run1[:-1] - run1[0])
-        poch2 += sign * (run2[:-1] - run2[0])
-    log_gamma_g, log_fact = runs[-2], runs[-1][:-1]
+    # log Gamma(start + i) of a and c on rows 1 and 2, of g and of 1
+    a1, c1, a2, c2, log_gamma_g, log_fact = _lgamma_at([a, c, a - g, c - g, g, 1.0], size + 1)
+    poch1 = (a1[:-1] - a1[0]) - (c1[:-1] - c1[0])
+    poch2 = (a2[:-1] - a2[0]) - (c2[:-1] - c2[0])
+    log_fact = log_fact[:-1]
     row1 = poch1 + log_gamma_g[0] - log_gamma_g[1:]
     if r > 0.0:
         row2 = i * math.log(r) + poch2 - log_fact
     else:  # only k2 = 0 survives
         row2 = np.full(size + 1, -math.inf)
         row2[0] = 0.0
-    a = np.exp(log_gamma_g[:-1] - log_gamma_g[0] - log_fact)
-    c = np.convolve(a, a * r ** i)[: size + 1]
-    return row1, row2, np.log(g + i) + np.log(c)
+    coef = np.exp(log_gamma_g[:-1] - log_gamma_g[0] - log_fact)
+    poly = np.convolve(coef, coef * r ** i)[: size + 1]
+    return row1, row2, np.log(g + i) + np.log(poly)
 
 
 @lru_cache(maxsize=_RAY_CAPACITY)
-def _m2_series(upper, lower, r: float, beta: int) -> RaySeries:
-    """The RaySeries of the m = 2 positive series of (upper; lower) at
-    (1, r), filled from the m = 2 tables one block of degrees at a time."""
+def _m2_series(a: float, c: float, r: float, beta: int) -> RaySeries:
+    """The RaySeries of the m = 2 positive series 1F1(a; c) at (1, r), filled
+    from the m = 2 tables one block of degrees at a time."""
     rows = None
 
     def block(k0: int) -> list[float]:
@@ -649,7 +655,7 @@ def _m2_series(upper, lower, r: float, beta: int) -> RaySeries:
         nonlocal rows
         b = _M2_BLOCK
         if rows is None or len(rows[1]) < k0 + b:
-            row1, row2, rows_n = _m2_log_tables(upper, lower, r, beta, 2 * (k0 + b))
+            row1, row2, rows_n = _m2_log_tables(a, c, r, beta, 2 * (k0 + b))
             pad = np.full(b, -math.inf)
             rows = np.concatenate([pad, row1]), row2, np.concatenate([pad, rows_n])
         row1, row2, rows_n = rows
@@ -667,16 +673,28 @@ def _m2_series(upper, lower, r: float, beta: int) -> RaySeries:
     return RaySeries(block)
 
 
-def _positive_shifts(params, beta: int, m: int, engine: str | None = None) -> bool:
+def _positive_shifts(params, beta: int, m: int) -> bool:
     """Whether every shifted parameter par - (i-1) beta/2, rows i <= m, is
     positive (the last row's is the smallest), so that every Pochhammer
-    ratio, hence every term of a series at a nonnegative argument, is.  With
-    ``engine`` a parameter that fails raises DomainError naming it."""
-    failing = [par for par in params if not par - (m - 1) * beta / 2 > 0]
-    if failing and engine is not None:
-        raise DomainError(f"parameter {failing[0]} has nonpositive shift at row {m}; "
+    ratio, hence every term of a series at a nonnegative argument, is."""
+    return all(par - (m - 1) * beta / 2 > 0 for par in params)
+
+
+def _ray_parameters(upper, lower, beta: int, m: int, engine: str) -> tuple[float, float]:
+    """(a, c) of the series (upper; lower) at m eigenvalues, refused with
+    DomainError unless it is 1F1(a; c) with finite a <= c and a - (m-1)
+    beta/2 > 0: the domain of both :class:`RaySeries` sources, where every
+    Pochhammer ratio lies in (0, 1], as the trace budget and the exp(-trace)
+    scaling of :meth:`RaySeries.evaluate` need."""
+    if len(upper) != 1 or len(lower) != 1:
+        raise DomainError(f"{engine} is confluent: one upper and one lower parameter")
+    (a,), (c,) = upper, lower
+    if not a <= c < math.inf:
+        raise DomainError(f"{engine} needs finite a <= c, got a = {a}, c = {c}")
+    if not _positive_shifts((a,), beta, m):
+        raise DomainError(f"parameter {a} has nonpositive shift at row {m}; "
                           f"outside the positive-series domain of {engine}")
-    return not failing
+    return a, c
 
 
 def pfq_positive_m2(
@@ -686,25 +704,25 @@ def pfq_positive_m2(
     algebra: DivisionAlgebra,
     trunc: SeriesTruncation | None = None,
 ) -> SeriesResult:
-    """One-argument series for m = 2 with nonnegative eigenvalues and positive
-    shifted parameters, stable to very high degree.
+    """1F1(a; c; t) for m = 2, upper = (a,) and lower = (c,), with 0 < a <= c,
+    positive shifted parameters and nonnegative eigenvalues, stable to very
+    high degree.
 
-    Costs O(1) per partition, once per (upper, lower, beta, t2/t1): the log
+    Costs O(1) per partition, once per (a, c, beta, t2/t1): the log
     degree sums at t = (1, t2/t1) are kept in a bounded memo of
     :class:`RaySeries` (see the comment blocks above), and each t1 is one exp
     per degree, evaluated by :meth:`RaySeries.evaluate` with lead t1 and
-    trace t1 + t2, which applies ``trunc``'s stop rule and, where it leaves
-    ``max_degree`` unset, its trace budget.  Raises when a shifted parameter
-    is not positive (use :func:`pfq` there instead).
+    trace t1 + t2, which applies ``trunc``, each field it leaves unset
+    taken from the ray's defaults.  Raises DomainError outside that
+    domain, before any table is built (use :func:`pfq` there instead).
     """
-    upper, lower = tuple(upper), tuple(lower)
+    a, c = _ray_parameters(upper, lower, algebra.beta, 2, "the high-degree engine")
     t1, t2 = sorted((float(t[0]), float(t[1])), reverse=True)
     if t2 < 0:
         raise DomainError("the high-degree engine requires nonnegative eigenvalues")
-    _positive_shifts(upper + lower, algebra.beta, 2, "the high-degree engine")
     if t1 == 0.0:
         return SeriesResult(1.0, 0, 0.0, True, 0.0)
-    return _m2_series(upper, lower, t2 / t1, algebra.beta).evaluate(t1, t1 + t2, trunc)
+    return _m2_series(a, c, t2 / t1, algebra.beta).evaluate(t1, t1 + t2, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -714,16 +732,11 @@ def pfq_positive_m2(
 
 @lru_cache(maxsize=_RAY_CAPACITY)
 def _ray(spec: HypergeomSpec, direction: tuple[float, ...]) -> RaySeries:
-    """The RaySeries of ``spec`` = (a; c), 0 < a <= c, on the ray of one
-    unit-trace direction s (nonnegative, sorted descending): log D_k is the
-    log of the ``math.fsum`` of the degree-k terms of the Jack recurrence on
-    s, run once per series, and -inf below ``sys.float_info.min``."""
-    if spec.p != 1 or spec.q != 1:
-        raise DomainError("a ray series is confluent: one upper and one lower parameter")
-    (a,), (c,) = spec.upper, spec.lower
-    if not a <= c:
-        raise DomainError(f"a ray series needs a <= c, got a = {a}, c = {c}")
-    _positive_shifts((a, c), spec.algebra.beta, spec.m, "the ray series")
+    """The RaySeries of ``spec`` = (a; c), checked by :func:`ray_series`, on
+    the ray of one unit-trace direction s (nonnegative, sorted descending):
+    log D_k is the log of the ``math.fsum`` of the degree-k terms of the Jack
+    recurrence on s, run once per series, and -inf below
+    ``sys.float_info.min``."""
     evaluator = ChatEvaluator(direction, get_table(spec.algebra))
 
     def log_degree_sums(k: int) -> list[float]:
@@ -739,8 +752,11 @@ def ray_series(spec: HypergeomSpec, direction) -> RaySeries:
 
     ``direction`` is scaled to unit trace and sorted here, so every call with
     the same vector (bit for bit, in any order) shares one series; pass one
-    computed from the model alone, not from the point on the ray.
+    computed from the model alone, not from the point on the ray.  Raises
+    DomainError unless ``spec`` is 1F1(a; c), 0 < a <= c, with positive
+    shifted parameters.
     """
+    _ray_parameters(spec.upper, spec.lower, spec.algebra.beta, spec.m, "the ray series")
     s = as_spectrum(direction).eigenvalues
     if len(s) != spec.m or s[-1] < 0.0 or s[0] == 0.0:
         raise DomainError(f"a ray direction needs {spec.m} nonnegative entries, "
@@ -759,8 +775,8 @@ def _positive_1f1(a: float, c: float, t, direction, algebra: DivisionAlgebra,
     their ratios round alike; at any other m the memoized :func:`ray_series`
     of the direction at the trace of t, which every t of the ray shares and
     which raises DomainError where the series needs a degree past weight
-    ~170.  Either way :meth:`RaySeries.evaluate` applies ``trunc``'s stop
-    rule and, where it leaves ``max_degree`` unset, the trace budget.
+    ~170.  Either way :meth:`RaySeries.evaluate` applies ``trunc``, each
+    field it leaves unset taken from the ray's defaults.
     """
     if len(t) == 2:
         return pfq_positive_m2((a,), (c,), t, algebra, trunc)

@@ -35,14 +35,14 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import PCG64, default_rng
 
 from . import _mat2, _quat
 from .core import DivisionAlgebra, DomainError, UnsupportedParameterError
-from .hypergeom import HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split, _positive_1f1, pfq_two
+from .hypergeom import HypergeomSpec, SeriesResult, SeriesTruncation, _exp_split, _positive_1f1, pfq_two, with_defaults
 # unused here, but perfbench's tracer test reads wishart.pfq_positive_m2
 from .hypergeom import pfq_positive_m2  # noqa: F401
 from .jack import as_spectrum
@@ -293,9 +293,9 @@ def _cdf_positive_series(model: WishartModel, t, direction, trunc: SeriesTruncat
     floats on the ray of ``direction``, a vector computed from the model
     alone, so the points of one model share one series
     (:func:`hypergeom._positive_1f1`; at m = 2 one per rounded t2/t1).
-    With ``trunc=None`` the series stops at ``rel_tol`` 1e-12; a given
-    truncation is honored as given, and the series sizes the degree cap
-    wherever none is given.
+    Where ``trunc`` or its ``rel_tol`` is None the series stops at
+    ``rel_tol`` 1e-12, and where its ``max_degree`` is None the ray sizes the
+    degree cap (:meth:`hypergeom.RaySeries.evaluate`).
 
     Where the Chernoff bound 1 - P(S < Omega) <= exp(-a (u - 1 - log u)), a =
     beta m n / 2, u = beta min(t) / (2a), is at most 2^-54
@@ -307,7 +307,8 @@ def _cdf_positive_series(model: WishartModel, t, direction, trunc: SeriesTruncat
     t = np.asarray(t, dtype=float)
     c1, q, log_pref = _cdf_prefactor(model, t)
     arg = (model.beta / 2.0) * t
-    res = _positive_1f1(c1, q, arg, direction, model.algebra, trunc or SeriesTruncation(rel_tol=1e-12))
+    trunc = SeriesTruncation(*with_defaults(trunc, None, 1e-12))
+    res = _positive_1f1(c1, q, arg, direction, model.algebra, trunc)
     _warn_unconverged(res, "confluent")
     log_cdf = log_pref - float(arg.sum()) + res.log_value
     return _at_most_one(math.exp(min(log_cdf, 0.0)), log_cdf)
@@ -426,7 +427,9 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
     density zero through the vanishing spread factor.  The coupling 0F0(X,
     Lambda), X = -(beta/2) Sigma^{-1}, is etr(-c Lambda) 0F0(X + cI, Lambda) at
     c = (beta/2) / min(sigma) (the Haar-integral form of 0F0): a series of
-    nonnegative terms, which is 1 at Sigma proportional to I.
+    nonnegative terms, which is 1 at Sigma proportional to I.  Its degree cap
+    is max(60, 4 c tr(Lambda)) and its ``rel_tol`` 1e-11 wherever ``trunc``
+    leaves them unset.
     """
     lam = np.asarray(lambdas, dtype=float)
     m, beta = model.m, model.beta
@@ -440,8 +443,7 @@ def joint_eigen_density(model: WishartModel, lambdas, trunc: SeriesTruncation | 
         return 0.0
     sigma = np.asarray(model.sigma_eigs)
     shift = (beta / 2.0) / sigma.min()
-    budget = max(60, int(4 * shift * lam.sum()))
-    trunc = SeriesTruncation(budget, 1e-11) if trunc is None else replace(trunc, max_degree=trunc.degree_cap(budget))
+    trunc = SeriesTruncation(*with_defaults(trunc, max(60, int(4 * shift * lam.sum())), 1e-11))
     res = pfq_two(HypergeomSpec((), (), model.algebra, m), shift - (beta / 2.0) / sigma, lam, trunc)
     _warn_unconverged(res, "eigenvalue coupling", stacklevel=2)
     log_density = _log_eigen_prefactor(model, lam) - shift * float(lam.sum()) + res.log_value

@@ -374,9 +374,17 @@ def _m2_row_poly(n: int, r, beta: int, prec: int):
     """c_n(r) of :func:`m2_chat` at ``prec`` bits, kept so that a sum over
     many partitions of one (r, beta) pays O(n) once per n."""
     with mpmath.workprec(prec):
-        g = mpmath.mpf(beta) / 2
-        a = [mpmath.rf(g, i) / mpmath.factorial(i) for i in range(n + 1)]
+        a = _m2_row_coefficients(n, beta, prec)
         return mpmath.fsum(a[n - i] * a[i] * r ** i for i in range(n + 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _m2_row_coefficients(n: int, beta: int, prec: int):
+    """a_i = (g)_i / i!, i = 0..n, of :func:`m2_chat` at ``prec`` bits, kept
+    so that the rows of many r share them."""
+    with mpmath.workprec(prec):
+        g = mpmath.mpf(beta) / 2
+        return [mpmath.rf(g, i) / mpmath.factorial(i) for i in range(n + 1)]
 
 
 def m2_confluent(a: float, c: float, t, beta: int) -> float:
@@ -506,24 +514,25 @@ def m2_lambda_min_cdf_cone(n: float, sigma_eigs, beta: int, y: float, sphere: fl
     return low_p + low_q + both
 
 
-def m2_laplace_jack_cone(a: float, kappa: tuple[int, int], r, z, beta: int, sphere: float | None = None) -> float:
-    """The cone integral of etr(-XZ) |X|^(a - beta/2 - 1) C_kappa(XR) over
-    2 x 2 X > 0, R = diag(r) and Z = diag(z), in the coordinates of
-    :func:`m2_lambda_max_cdf_cone`.  With s = pq u and g = beta/2 the integrand is
+def _m2_cone_rule(a: float, degree: int, r, z, beta: int, sphere: float | None, integrand):
+    """The cone integral of etr(-XZ) |X|^(a - beta/2 - 1) f(XR) over 2 x 2 X > 0,
+    R = diag(r) and Z = diag(z), for f a polynomial of degree ``degree`` in the
+    entries of XR given as ``integrand(t1, t2)`` of its eigenvalues, in the
+    coordinates of :func:`m2_lambda_max_cdf_cone`.  With s = pq u and g =
+    beta/2 the integrand is
 
-        pi^g / Gamma(g) (pq)^(a-1) e^(-z1 p - z2 q) u^(g-1) (1 - u)^(a - g - 1) C_kappa(XR)
+        pi^g / Gamma(g) (pq)^(a-1) e^(-z1 p - z2 q) u^(g-1) (1 - u)^(a - g - 1) f(XR)
 
-    and C_kappa(XR) is a polynomial of degree k = |kappa| in p, q and u (XR has
-    trace r1 p + r2 q and determinant r1 r2 pq (1 - u)), so a tensor rule of
-    k + 4 nodes in each, generalized Gauss-Laguerre in p and q and Gauss-Jacobi
-    in u, is exact.  C_kappa = k! chat_kappa from :func:`m2_chat` on the
-    eigenvalues of XR.  ``sphere`` replaces g in the measure s^(g-1) ds, and so
+    and f(XR) is a polynomial of degree ``degree`` in p, q and u (XR has trace
+    r1 p + r2 q and determinant r1 r2 pq (1 - u)), so a tensor rule of degree
+    + 4 nodes in each, generalized Gauss-Laguerre in p and q and Gauss-Jacobi
+    in u, is exact.  ``sphere`` replaces g in the measure s^(g-1) ds, and so
     in the powers of pq and u, the constant kept: a wrong measure, for a
-    control.  Needs a > beta/2.  No library code is used."""
+    control.  Needs a > beta/2.  Returns an mpmath number."""
     g = beta / 2
     sg = g if sphere is None else sphere
     big_a = a - g + sg  # the power of pq is big_a - 1
-    nodes = sum(kappa) + 4
+    nodes = degree + 4
     t, wt = roots_genlaguerre(nodes, big_a - 1)
     u, wu = roots_sh_jacobi(nodes, a - g - 1 + sg, sg)
     total = []
@@ -532,9 +541,41 @@ def m2_laplace_jack_cone(a: float, kappa: tuple[int, int], r, z, beta: int, sphe
             for uu, wuu in zip(u, wu):
                 trace, det = r[0] * p + r[1] * q, r[0] * r[1] * p * q * (1 - uu)
                 lead = (trace + math.sqrt(max(trace * trace - 4 * det, 0.0))) / 2
-                total.append(wp * wq * wuu * m2_chat(*kappa, lead, det / lead, beta))
-    scale = math.pi ** g / math.gamma(g) * math.factorial(sum(kappa)) * (z[0] * z[1]) ** -big_a
-    return float(scale * mpmath.fsum(total))
+                total.append(wp * wq * wuu * integrand(lead, det / lead))
+    return math.pi ** g / math.gamma(g) * (z[0] * z[1]) ** -big_a * mpmath.fsum(total)
+
+
+def m2_laplace_jack_cone(a: float, kappa: tuple[int, int], r, z, beta: int, sphere: float | None = None) -> float:
+    """The cone integral of etr(-XZ) |X|^(a - beta/2 - 1) C_kappa(XR) by the
+    exact rule of :func:`_m2_cone_rule`, with C_kappa = k! chat_kappa from
+    :func:`m2_chat` on the eigenvalues of XR, k = |kappa|.  ``sphere`` as
+    there.  No library code is used."""
+    k = sum(kappa)
+    return float(_m2_cone_rule(a, k, r, z, beta, sphere,
+                               lambda t1, t2: math.factorial(k) * m2_chat(*kappa, t1, t2, beta)))
+
+
+def m2_laplace_pfq_cone(a: float, upper, lower, degree: int, r, z, beta: int,
+                        sphere: float | None = None) -> float:
+    """The cone integral of etr(-XZ) |X|^(a - beta/2 - 1) times the series
+    pFq(upper; lower; XR) truncated at total degree ``degree``, by the exact
+    rule of :func:`_m2_cone_rule`: the integrand is the polynomial
+
+        sum_{|kappa| <= degree} prod_i [upper_i]_kappa / prod_j [lower_j]_kappa chat_kappa(XR)
+
+    over kappa = (k1, k2), with chat from :func:`m2_chat` and [c]_kappa = (c)_k1
+    (c - beta/2)_k2 from mpmath's rising factorial.  ``sphere`` as there.  No
+    library code is used."""
+    g = mpmath.mpf(beta) / 2
+    kappas = [(k - k2, k2) for k in range(degree + 1) for k2 in range(k // 2 + 1)]
+
+    def poch(c, kappa):
+        return mpmath.rf(c, kappa[0]) * mpmath.rf(c - g, kappa[1])
+
+    coefs = [mpmath.fprod(poch(c, kap) for c in upper) / mpmath.fprod(poch(c, kap) for c in lower)
+             for kap in kappas]
+    return float(_m2_cone_rule(a, degree, r, z, beta, sphere, lambda t1, t2: mpmath.fsum(
+        coef * m2_chat(*kap, t1, t2, beta) for coef, kap in zip(coefs, kappas))))
 
 
 def hciz_0f0(x, y):

@@ -128,7 +128,43 @@ class TestTruncationFlags:
         assert float(given) == pytest.approx(float(full), rel=1e-12, abs=0.0)
 
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["cdf-max", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--x", "9"], "400", "0.021095114888351137\n"),
+        (["cdf-region", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--omega", "8,12,20"], "300",
+         "0.12270828867012117\n"),
+        (["density", "--m", "3", "--n", "6", "--sigma", "1,2,3", "--eigs", "6,3,1"], "100",
+         "0.0003301304713300048\n"),
+    ], ids=["cdf-max", "cdf-region", "density"])
+    def test_max_degree_changes_only_the_cap(self, capsys, argv, flag, value):
+        # a cap past where the series stops prints the bytes of no flag: the
+        # tolerance stays the distribution function's own
+        assert run(capsys, *argv) == (0, value, "")
+        assert run(capsys, *argv, "--max-degree", flag) == (0, value, "")
+
+    @pytest.mark.parametrize("command", sorted(TRUNCATED_COMMANDS))
+    def test_stall_window_is_not_a_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *TRUNCATED_COMMANDS[command], "--stall-window", "3"])
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: --stall-window 3\n" in capsys.readouterr().err
+
+
 class TestDiagnostics:
+    @pytest.mark.parametrize("source", ["flags", "grid-in-config", "point-in-config"])
+    @pytest.mark.parametrize("command, point", [("cdf-max", "x"), ("cdf-min", "y")])
+    def test_point_and_grid_refused_in_one_line(self, tmp_path, monkeypatch, capsys, command, point, source):
+        # a curve would drop the point, from whichever source either comes
+        argv = [command, "--m", "2", "--n", "7", "--sigma", "1,2"]
+        given = {"flags": [f"--{point}", "5", "--grid", "0:8:3"],
+                 "grid-in-config": [f"--{point}", "5", "--config", "run.cfg"],
+                 "point-in-config": ["--grid", "0:8:3", "--config", "run.cfg"]}[source]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("grid=0:8:3\n" if source == "grid-in-config" else f"{point}=5\n")
+        assert run(capsys, *argv, *given) == (2, "", f"error: provide --{point} or --grid, not both\n")
+        # either alone still runs
+        assert run(capsys, *argv, f"--{point}", "5")[0] == 0
+        assert run(capsys, *argv, "--grid", "0:8:3")[0] == 0
+
     def test_cdf_min_integer_condition_message(self, capsys):
         code, _, err = run(capsys, "cdf-min", "--beta", "1", "--m", "2", "--n", "6",
                            "--sigma", "1,2", "--y", "1.0")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import sys
@@ -24,9 +25,11 @@ from jackdiv.hypergeom import (
     pfq_two,
     ray_series,
 )
+from jackdiv.special import mv_gamma_ln
 
 from memos import clear_memos
-from oracles import hciz_0f0, m2_0f0, m2_confluent, pfq_positive_m2_per_pair, poch_ratio_by_cells, scalar_pfq
+from oracles import (hciz_0f0, m2_0f0, m2_confluent, m2_laplace_pfq_cone, pfq_positive_m2_per_pair,
+                     poch_ratio_by_cells, scalar_pfq)
 
 ALGEBRAS = [DivisionAlgebra(b) for b in (1, 2, 4, 8)]
 B1 = DivisionAlgebra(1)
@@ -44,8 +47,7 @@ class TestSpecValidation:
         HypergeomSpec((), (2.0,), DivisionAlgebra(2), 2)  # fine with m = 2
 
     def test_truncation_validation(self):
-        for name, value in [("stall_window", 0), ("rel_tol", 0.0), ("rel_tol", 1.0), ("rel_tol", math.inf),
-                            ("max_degree", -1)]:
+        for name, value in [("rel_tol", 0.0), ("rel_tol", 1.0), ("rel_tol", math.inf), ("max_degree", -1)]:
             with pytest.raises(DomainError, match=name):
                 SeriesTruncation(**{name: value})
 
@@ -314,6 +316,39 @@ class TestRestricted:
         assert _exp_split.cache_info().currsize <= capacity == 32
 
 
+class TestConeLaplacePfq:
+    """The Laplace transform of a series at m = 2, beta = 4 and 8: the cone
+    integral of etr(-XZ) |X|^(a - beta/2 - 1) 1F1(0.7; 2.3; XU), both sides
+    truncated at degree K, is Gamma_2[a] |Z|^-a 2F1(0.7, a; 2.3; U Z^-1).
+    The integral's integrand is then a polynomial, which the (K + 4)^3 Gauss
+    rule of the oracle sums exactly with no library code."""
+
+    U, Z, K = (0.8, 0.4), (1.0, 1.1), 6
+
+    def closed_form(self, a, alg):
+        # a tolerance no degree sum meets sums exactly K degrees
+        res = pfq(HypergeomSpec((0.7, a), (2.3,), alg, 2), (self.U[0] / self.Z[0], self.U[1] / self.Z[1]),
+                  SeriesTruncation(self.K, 1e-30))
+        assert res.degrees_used == self.K
+        return math.exp(mv_gamma_ln(2, alg, a) - a * math.log(self.Z[0] * self.Z[1])) * res.value
+
+    @pytest.mark.parametrize("beta", [4, 8])
+    def test_identity(self, beta):
+        a = beta / 2 + 1.3
+        want = m2_laplace_pfq_cone(a, (0.7,), (2.3,), self.K, self.U, self.Z, beta)
+        got = self.closed_form(a, DivisionAlgebra(beta))
+        # measured: 0 and 6.0e-16
+        assert abs(got - want) <= 2e-15 * want
+
+    @pytest.mark.parametrize("beta", [4, 8])
+    def test_a_wrong_measure_fails(self, beta):
+        # the sphere exponent off by 1/2 misses by 209-477%
+        a = beta / 2 + 1.3
+        want = m2_laplace_pfq_cone(a, (0.7,), (2.3,), self.K, self.U, self.Z, beta, sphere=beta / 2 + 0.5)
+        got = self.closed_form(a, DivisionAlgebra(beta))
+        assert abs(got - want) > 0.5 * got
+
+
 class TestSeriesBehavior:
     def test_partial_sums_nondecreasing_for_positive_data(self):
         alg = DivisionAlgebra(2)
@@ -345,23 +380,38 @@ class TestSeriesBehavior:
             assert res.degrees_used == 40 and not res.converged
         assert pfq(spec, (4.0, 2.0), unset).value == pfq(spec, (4.0, 2.0), SeriesTruncation(40, 1e-30)).value
 
+    def test_unset_rel_tol_stops_at_1e_10(self):
+        # the two fields are the cap and the tolerance, and a truncation that
+        # leaves rel_tol unset stops pfq, pfq_two and pfq_batch at 1e-10
+        assert [f.name for f in dataclasses.fields(SeriesTruncation)] == ["max_degree", "rel_tol"]
+        assert SeriesTruncation().rel_tol is None
+        spec = HypergeomSpec((), (), B1, 2)
+        for run in (lambda trunc: pfq(spec, (4.0, 2.0), trunc),
+                    lambda trunc: pfq_two(spec, (4.0, 2.0), (1.0, 0.5), trunc),
+                    lambda trunc: _series(spec, np.array([[4.0, 2.0]]), None, 4.0, trunc)):
+            got, want = run(SeriesTruncation(60)), run(SeriesTruncation(60, 1e-10))
+            assert got.converged and got.degrees_used == want.degrees_used < 60
+            assert np.array_equal(got.value, want.value)
+
     @pytest.mark.parametrize("tr", [0.75, 3.0, 24.0])
     def test_ray_series_unset_cap_is_the_trace_budget(self, empty_memos, tr):
         # a RaySeries left without max_degree, from either source, sums as
-        # under the cap max(40, tr + 14 sqrt(tr + 1) + 60); t1 + t2 == tr exactly
+        # under the cap max(40, tr + 14 sqrt(tr + 1) + 60), and one left
+        # without rel_tol as under 1e-10; t1 + t2 == tr exactly
         budget = max(40, int(tr + 14 * math.sqrt(tr + 1) + 60))
         ray = ray_series(HypergeomSpec((1.5,), (3.5,), B1, 2), (2.0, 1.0))
         runs = (lambda trunc: pfq_positive_m2((1.5,), (3.5,), (2 * tr / 3, tr / 3), B1, trunc),
                 lambda trunc: ray.evaluate(tr, tr, trunc))
-        # a stall window no degree sum can close runs every series to its cap
-        for window in (3, 10**6):
+        # a tolerance no degree sum up to the budget meets runs every series to its cap
+        for rel_tol in (1e-12, 1e-300):
             for run in runs:
-                got, want = run(SeriesTruncation(None, 1e-12, window)), run(SeriesTruncation(budget, 1e-12, window))
+                got, want = run(SeriesTruncation(None, rel_tol)), run(SeriesTruncation(budget, rel_tol))
                 assert (got.value, got.degrees_used) == (want.value, want.degrees_used)
-                assert (got.degrees_used == budget) == (window > 3)
+                assert (got.degrees_used == budget) == (rel_tol < 1e-12)
         for run in runs:
-            got, want = run(None), run(SeriesTruncation(budget))
-            assert (got.value, got.degrees_used) == (want.value, want.degrees_used)
+            got = run(None)
+            for want in (run(SeriesTruncation(budget)), run(SeriesTruncation(rel_tol=1e-10))):
+                assert (got.value, got.degrees_used) == (want.value, want.degrees_used)
 
     def test_adaptive_degree_tracks_argument_size(self):
         small = pfq(HypergeomSpec((), (), B1, 1), (0.1,))
@@ -432,6 +482,27 @@ class TestHighDegreeEngine:
         with pytest.raises(DomainError):
             pfq_positive_m2((1.5,), (13.0,), (10.0, 5.0), DivisionAlgebra(8), DEEP)
 
+    @pytest.mark.parametrize("upper, lower, t, message", [
+        # once an OverflowError from the tables
+        ((1.0, 1.0, 1.0), (), (5.0, 2.0), "is confluent: one upper and one lower"),
+        # once 4.36e43, unconverged, where pfq refuses p = q + 1 at max |x| >= 1
+        ((1.0, 1.0), (2.0,), (3.0, 1.0), "is confluent: one upper and one lower"),
+        ((2.0,), (), (3.0, 1.0), "is confluent: one upper and one lower"),
+        ((3.0,), (2.0,), (3.0, 1.0), "needs finite a <= c, got a = 3.0, c = 2.0"),
+        ((1.0,), (math.inf,), (3.0, 1.0), "needs finite a <= c"),
+        ((math.nan,), (2.0,), (3.0, 1.0), "needs finite a <= c"),
+    ], ids=["3f0", "2f1", "1f0", "a-above-c", "c-inf", "a-nan"])
+    def test_refuses_what_the_ray_series_refuses(self, empty_memos, monkeypatch, upper, lower, t, message):
+        # one domain for both RaySeries sources, checked before any table
+        monkeypatch.setattr(hypergeom, "_m2_log_tables", None)
+        with pytest.raises(DomainError, match=f"the high-degree engine {re.escape(message)}"):
+            pfq_positive_m2(upper, lower, t, B1, DEEP)
+        spec = HypergeomSpec(upper, lower, B1, 2) if all(map(math.isfinite, upper + lower)) else None
+        if spec is not None:
+            with pytest.raises(DomainError, match=f"the ray series {re.escape(message)}"):
+                ray_series(spec, t)
+        assert hypergeom._m2_series.cache_info().currsize == hypergeom._ray.cache_info().currsize == 0
+
 
 def _cancelling(rng, n):
     """n floats over 40 decades whose pairs nearly cancel."""
@@ -462,7 +533,7 @@ class TestRunningSum:
     def test_series_total_is_fsum_of_degree_sums(self):
         rng = np.random.default_rng(12)
         seq = _cancelling(rng, 30)
-        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
+        res = _run_series(1e-10, lambda k: seq[k], len(seq) - 1, exact_finite=True)
         assert res.value == math.fsum(seq) and res.degrees_used == len(seq) - 1
         # with the stop rule: three sums below rel_tol end it; the total is
         # fsum of exactly the sums read
@@ -473,21 +544,22 @@ class TestRunningSum:
             seen.append(decaying[k])
             return decaying[k]
 
-        res = _run_series(SeriesTruncation(max_degree=6), term, 6)
+        res = _run_series(1e-10, term, 6)
         assert res.converged and res.degrees_used == 5 and seen == decaying[:6]
         assert res.value == math.fsum(seen)
 
     @staticmethod
-    def _window_rule(trunc, seq):
+    def _window_rule(rel_tol, seq):
         """(stop degree, total, converged) under the stop rule as first
         written: every sum of the last window, in order, against rel_tol
         times the running total."""
+        window = hypergeom._STALL_WINDOW
         sums, running = [], 0.0
         for k, dsum in enumerate(seq):
             sums.append(dsum)
             running += dsum
-            if k + 1 > trunc.stall_window and running != 0.0:
-                if all(abs(s) <= trunc.rel_tol * abs(running) for s in sums[-trunc.stall_window:]):
+            if k + 1 > window and running != 0.0:
+                if all(abs(s) <= rel_tol * abs(running) for s in sums[-window:]):
                     return k, math.fsum(sums), True
         return len(seq) - 1, math.fsum(sums), False
 
@@ -508,10 +580,9 @@ class TestRunningSum:
                 seq = rng.standard_normal(n) * 10.0 ** rng.integers(-18, 3, n)
                 seq[rng.random(n) < 0.5] = 0.0
             seq = [float(v) for v in seq]
-            trunc = SeriesTruncation(len(seq) - 1, float(rng.choice([1e-12, 1e-6, 1e-2, 0.5])),
-                                     int(rng.choice([1, 2, 3, 5])))
-            res = _run_series(trunc, lambda k: seq[k], len(seq) - 1)
-            k, total, converged = self._window_rule(trunc, seq)
+            rel_tol = float(rng.choice([1e-12, 1e-6, 1e-2, 0.5]))
+            res = _run_series(rel_tol, lambda k: seq[k], len(seq) - 1)
+            k, total, converged = self._window_rule(rel_tol, seq)
             assert (res.degrees_used, res.converged) == (k, converged)
             assert res.value == total or (math.isnan(total) and math.isnan(res.value))
             stops.add((converged, k < len(seq) - 1))
@@ -524,7 +595,7 @@ class TestRunningSum:
         [1e-300, math.nan],
     ], ids=["inf", "-inf", "nan"])
     def test_non_finite_like_fsum(self, seq):
-        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
+        res = _run_series(1e-10, lambda k: seq[k], len(seq) - 1, exact_finite=True)
         want = math.fsum(seq)
         assert res.value == want or (math.isnan(want) and math.isnan(res.value))
 
@@ -537,7 +608,7 @@ class TestRunningSum:
         with pytest.raises(error) as want:
             math.fsum(seq)
         with pytest.raises(error, match=re.escape(str(want.value))):
-            _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, exact_finite=True)
+            _run_series(1e-10, lambda k: seq[k], len(seq) - 1, exact_finite=True)
 
 
 class TestUnderflowIsNotConvergence:
@@ -548,14 +619,14 @@ class TestUnderflowIsNotConvergence:
     def test_zero_after_a_significant_sum_raises(self):
         seq = [1.0, 0.5, 0.25, 0.0, 0.0, 0.0]
         with pytest.raises(DomainError, match="degree 3 underflow to 0 after a degree sum of 0.25"):
-            _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, nonnegative=True)
+            _run_series(1e-10, lambda k: seq[k], len(seq) - 1, nonnegative=True)
         # the same sums without the promise of nonnegative terms stop as before
-        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1)
+        res = _run_series(1e-10, lambda k: seq[k], len(seq) - 1)
         assert res.converged and res.degrees_used == 5 and res.value == 1.75
 
     def test_zero_after_a_negligible_sum_is_convergence(self):
         seq = [1.0, 1e-200, 0.0, 0.0, 0.0]
-        res = _run_series(SeriesTruncation(), lambda k: seq[k], len(seq) - 1, nonnegative=True)
+        res = _run_series(1e-10, lambda k: seq[k], len(seq) - 1, nonnegative=True)
         assert res.converged and res.value == 1.0
 
     def test_tiny_argument_underflows_harmlessly(self):
@@ -651,7 +722,7 @@ class TestBatch:
 
     def test_batch_loop_keeps_a_custom_truncation(self):
         spec = HypergeomSpec((1.3,), (2.9,), DivisionAlgebra(2), 2)
-        trunc = SeriesTruncation(max_degree=60, rel_tol=1e-13, stall_window=2)
+        trunc = SeriesTruncation(max_degree=60, rel_tol=1e-13)
         ref = pfq(spec, (1.5, 0.5), trunc)
         batch = _series(spec, np.array([[1.5, 0.5]]), None, 1.5, trunc)
         assert (batch.degrees_used, batch.converged) == (ref.degrees_used, ref.converged)
@@ -744,7 +815,7 @@ class TestRaySeries:
                 assert got.converged
                 assert got.value == pytest.approx(want, rel=1e-13, abs=0)
         assert isinstance(ray, hypergeom.RaySeries)
-        assert isinstance(hypergeom._m2_series((1.5,), (3.5,), 0.5, 1), hypergeom.RaySeries)
+        assert isinstance(hypergeom._m2_series(1.5, 3.5, 0.5, 1), hypergeom.RaySeries)
         assert hypergeom._m2_series.cache_info().currsize == hypergeom._ray.cache_info().currsize == 1
 
     def test_underflowing_degree_raises(self, empty_memos):

@@ -345,9 +345,10 @@ class TestLambdaMax:
         with pytest.raises(DomainError, match=f"trace {trace:g} .*not scale-safe"):
             cdf_lambda_max(model, x)
 
-    def test_stall_window_reaches_m2_engine(self, monkeypatch):
-        # the user's truncation reaches the m = 2 engine whole, so a longer
-        # stall window sums more degrees
+    def test_rel_tol_reaches_m2_engine(self, monkeypatch):
+        # the user's rel_tol reaches the m = 2 engine whole, so a smaller one
+        # sums more degrees; a truncation that leaves it unset, or none, stops
+        # at the distribution function's 1e-12 whatever the cap
         seen = []
         engine = hypergeom.pfq_positive_m2
 
@@ -358,9 +359,10 @@ class TestLambdaMax:
 
         monkeypatch.setattr(hypergeom, "pfq_positive_m2", spy)
         model = WishartModel(2, 4, (1.0, 2.0), B1)
-        for s in (1, 3, 12):
-            cdf_lambda_max(model, 10.0, SeriesTruncation(400, 1e-12, stall_window=s))
-        assert seen == [31, 33, 42]
+        for trunc in (SeriesTruncation(400, 1e-6), SeriesTruncation(400, 1e-12), SeriesTruncation(400, 1e-15),
+                      SeriesTruncation(400), SeriesTruncation(), None):
+            cdf_lambda_max(model, 10.0, trunc)
+        assert seen == [23, 33, 37, 33, 33, 33]
 
     @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     def test_far_tail_finite_bounded_monotone(self, beta):
@@ -409,8 +411,9 @@ class TestLambdaMax:
         with pytest.warns(ConvergenceWarning, match="degree 10"):
             cdf_lambda_max(model, 10.0, SeriesTruncation(max_degree=10))
 
-    def test_stall_window_reaches_ray_series(self, monkeypatch):
-        # as at m = 2, a longer stall window sums more degrees at m = 3
+    def test_rel_tol_reaches_ray_series(self, monkeypatch):
+        # as at m = 2, a smaller rel_tol sums more degrees at m = 3, and an
+        # unset one is 1e-12
         seen = []
         evaluate = RaySeries.evaluate
 
@@ -421,9 +424,10 @@ class TestLambdaMax:
 
         monkeypatch.setattr(RaySeries, "evaluate", spy)
         model = WishartModel(3, 6, (1.0, 2.0, 3.0), B1)
-        for s in (1, 3, 12):
-            cdf_lambda_max(model, 10.0, SeriesTruncation(400, 1e-12, stall_window=s))
-        assert seen == [32, 34, 43]
+        for trunc in (SeriesTruncation(400, 1e-6), SeriesTruncation(400, 1e-12), SeriesTruncation(400, 1e-15),
+                      SeriesTruncation(400), SeriesTruncation(), None):
+            cdf_lambda_max(model, 10.0, trunc)
+        assert seen == [23, 34, 38, 34, 34, 34]
 
     def test_no_degree_cap_decides_a_value(self, monkeypatch):
         # over fig1's grid and the far tail, out to where the Chernoff bound

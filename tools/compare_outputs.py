@@ -36,9 +36,11 @@ script runs, each in a fresh process:
 - ``jackdiv.cli.main`` over argument lists (``CLI_ARGV``), in one process
   in a fresh working directory: every subcommand once, a flag as
   ``--flag value`` and as ``--flag=value``, config files (a key the command
-  line also gives and one it does not, and each refusal of a config line)
-  and the abbreviated flags ``--sig``, ``--lo`` and ``--be``, each with its
-  output, its ``error:`` line and its exit status.
+  line also gives and one it does not, and each refusal of a config line),
+  the abbreviated flags ``--sig``, ``--lo`` and ``--be``, a truncation flag
+  alone on each command that has them, the removed ``--stall-window``, and a
+  point with a grid from the command line and from a config file, each with
+  its output, its ``error:`` line and its exit status.
 
 Standard output and standard error are compared apart.  For each output it
 prints ``identical``, or the largest relative difference between the numbers
@@ -176,8 +178,9 @@ import contextlib, io, os, sys, tempfile
 from jackdiv.cli import main
 configs = {"sigma.cfg": "sigma=1,1", "model.cfg": "# fig1's model\\n\\nm=2\\nn=4\\nsigma=1,2",
            "no-equals.cfg": "beta 2", "unknown.cfg": "b=1", "other.cfg": "threads=2", "type.cfg": "m=abc",
-           "choice.cfg": "normalization=c"}
+           "choice.cfg": "normalization=c", "grid.cfg": "grid=0:8:3"}
 model = ["--m", "2", "--n", "4"]
+model3 = ["--m", "3", "--n", "6", "--sigma", "1,2,3"]
 runs = [
     ["jack", "--kappa", "[2,1]", "--beta", "2", "--eigs", "1,2,3"],
     ["pfq", "--beta", "4", "--upper", "0.7", "--lower", "2.5", "--eigs", "0.3,-0.1"],
@@ -201,6 +204,13 @@ runs = [
     ["cdf-max", *model, "--sig", "1,2", "--x", "5", "--config", "sigma.cfg"],
     ["gamma", "--a", "2", "--lo"],
     ["cdf-min", *model, "--y", "1", "--be", "2"],
+    ["cdf-max", *model3, "--x", "9", "--max-degree", "400"],
+    ["cdf-region", *model3, "--omega", "8,12,20", "--max-degree", "300"],
+    ["density", *model3, "--eigs", "6,3,1", "--max-degree", "100"],
+    ["pfq", "--upper", "0.7", "--lower", "2.3", "--eigs", "0.6,0.2", "--rel-tol", "1e-10"],
+    ["cdf-max", *model3, "--x", "9", "--stall-window", "3"],
+    ["cdf-max", *model, "--x", "5", "--grid", "0:8:3"],
+    ["cdf-max", *model, "--x", "5", "--config", "grid.cfg"],
 ]
 with tempfile.TemporaryDirectory() as tmp:
     os.chdir(tmp)
