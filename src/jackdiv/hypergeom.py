@@ -382,28 +382,19 @@ def pfq_batch(spec: HypergeomSpec, X, y_eigs=None) -> SeriesResult:
     return _series(spec, X, y, norm, None)
 
 
-class _BeyondFirstPart(ChatEvaluator):
-    """An unbounded :class:`ChatEvaluator` whose last stage, which no other
-    stage reads, fills only the partitions with first part above ``r``."""
-
-    def __init__(self, x, table, r: int):
-        super().__init__(x, table)
-        self._r = r
-
-    def _shapes(self, k: int, n: int):
-        shapes = super()._shapes(k, n)
-        return shapes if n < self.m else tuple(kap for kap in shapes if sum(kap[:1]) > self._r)
-
-
 @lru_cache(maxsize=32)
 def _exp_split(algebra: DivisionAlgebra, r: int, v: tuple[float, ...], above: bool):
     """One side of etr(v) = sum_kappa chat_kappa(v) split at first part r: over
     k = 0..m r, ``math.fsum`` of chat_kappa(v) over |kappa| = k, kappa_1 > r if
     ``above``, else kappa_1 <= r.  For v > 0 both are positive and add up to
-    (tr v)^k / k!.  ``v`` is sorted descending; the last 32 sides are kept."""
-    table = get_table(algebra)
-    evaluator = _BeyondFirstPart(v, table, r) if above else ChatEvaluator(v, table, (r,) * len(v))
-    return tuple(math.fsum(evaluator.degree_values(k).values()) for k in range(len(v) * r + 1))
+    (tr v)^k / k!.  ``v`` is sorted descending; the last 32 sides are kept.
+
+    The above side runs unbounded and keeps kappa_1 > r as it reads each
+    degree out: its shapes of length m read kappa - 1^m, whose first part can
+    be r or below.  The below side is bounded by (r,) * m."""
+    evaluator = ChatEvaluator(v, get_table(algebra), None if above else (r,) * len(v))
+    return tuple(math.fsum(c for kappa, c in evaluator.degree_values(k).items() if (sum(kappa[:1]) > r) == above)
+                 for k in range(len(v) * r + 1))
 
 
 def _scaled(res: SeriesResult, log_scale: float) -> SeriesResult:

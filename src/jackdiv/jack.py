@@ -12,14 +12,16 @@ same holds for length: chat_kappa(x) = 0 when kappa has more parts than x
 has nonzero entries (Muirhead 1982, ch. 7), so for one spectrum no stage
 fills a partition longer than that rank.
 
-A shape kappa of length exactly ``n`` can only come from predecessors mu with
-mu_n = 0, since the other n - 1 variables carry at most n - 1 parts; these are
-kappa's *closed* strips.  A stage on more variables than len(kappa) also reads
-the *open* strips (mu_n > 0).  Coefficients depend only on (partition,
-predecessor, alpha).  Each is a product over the cells of kappa of hook
-ratios that pair a cell of mu with the same cell of kappa, so every factor
-is at most one and no weight overflows.  Grouped by rows, that product
-factors over pairs of rows r <= i of kappa,
+A shape kappa of length exactly ``n`` reads no strips: on n variables
+P_kappa = x_1 ... x_n P_{kappa - 1^n}, so its value is that of kappa minus its
+first column, on the same stage, times one product
+(:meth:`ChatEvaluator._fill`).  Only the shapes shorter than n read strips,
+and a stage that holds no such shape (stage 1) forms no power of its
+variable.  Coefficients depend only on (partition, predecessor, alpha).  Each
+is a product over the cells of kappa of hook ratios that pair a cell of mu
+with the same cell of kappa, so every factor is at most one and no weight
+overflows.  Grouped by rows, that product factors over pairs of rows r <= i
+of kappa,
 
     g(kappa, mu) = prod_{r <= i} H_{r,i}(mu_r, mu_i),
 
@@ -33,25 +35,29 @@ Storage.  The strips of kappa fill a box, mu_i from kappa_i down to
 kappa_{i+1}, so mu and s = |kappa| - |mu| are given by a position in the box
 and only g is stored: one read-only float array per shape, raveled in the
 reverse-lexicographic order of mu, 8 bytes per strip.  A :class:`JackTable`
-memoizes these arrays, split into closed and full entries, so a whole series
-evaluation prices each coefficient once and never prices a strip no stage
-reads.  For one spectrum, :class:`ChatEvaluator` keeps the stages on one
-and two variables as dense arrays indexed by parts, so the predecessors of
-kappa there are one block of the previous stage, taken by reversed slices
-in the same order as g; its other stages, and a batch's, are dicts keyed by
-partition, read mu by mu in that order.
+memoizes these arrays, one per shape, so a whole series evaluation prices
+each coefficient once and never prices the strips of a shape that no stage
+on more variables than its length fills.  For one spectrum,
+:class:`ChatEvaluator` keeps the stages on one and two variables as dense
+arrays indexed by parts, so the predecessors of kappa there are one block of
+the previous stage, taken by reversed slices in the same order as g; its
+other stages, and a batch's, are dicts keyed by partition, read mu by mu in
+that order.
 
 Internally everything is carried in the normalization ``chat = C / k!``; the
 public functions convert to the ``C`` (trace-power) and ``J`` (monic-monomial)
-normalizations.  chat is carried with raw powers ``x_n**s``, which is not
-scale-safe past weight ~170: strip coefficients below the normal range
-underflow to zero and large ``x_n**s`` overflow.
+normalizations.  On the first variable chat_(k) = x_1^k / k! is one product
+per degree, so it leaves the float range only where the value itself does.
+The later stages still carry raw powers ``x_n**s``, which are not scale-safe
+past weight ~170: strip coefficients below the normal range underflow to zero
+and large ``x_n**s`` overflow.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -113,16 +119,11 @@ def _rank(x) -> int:
     return sum(v != 0.0 for v in x)
 
 
-def _interlacing_predecessors(parts: tuple[int, ...], closed: bool = False):
-    """All mu with kappa_{i+1} <= mu_i <= kappa_i (horizontal strips kappa/mu).
-
-    With ``closed``, only those with mu_n = 0 (n = len(kappa)).  Either way
-    the order is reverse-lexicographic, so the closed list is a subsequence of
-    the full one: the order of :meth:`JackTable.strips`' entries.
-    """
+def _interlacing_predecessors(parts: tuple[int, ...]):
+    """All mu with kappa_{i+1} <= mu_i <= kappa_i (horizontal strips kappa/mu),
+    in reverse-lexicographic order: the order of :meth:`JackTable.strips`'
+    entries."""
     ranges = [range(k, lo - 1, -1) for k, lo in zip(parts, parts[1:] + (0,))]
-    if closed:
-        return list(itertools.product(*ranges[:-1]))
     # mu_i >= kappa_{i+1} > 0 above the last row, so only mu_n can be zero
     return [mu if mu[-1] else mu[:-1] for mu in itertools.product(*ranges)]
 
@@ -174,13 +175,12 @@ def _row_pair_factor(alpha: float, d: int, top: int, w: int) -> np.ndarray:
 class JackTable:
     """Memoized recurrence coefficients for one division algebra.
 
-    Each partition kappa has up to two entries: its closed strips (mu_n = 0,
-    n = len(kappa)), all that the stage on exactly len(kappa) variables reads,
-    and its full strips, read by every later stage.  An entry is one
-    read-only float64 array of g over the strips, raveled in
-    reverse-lexicographic order of mu: mu_i runs from kappa_i down to
-    kappa_{i+1} (to 0 alone for i = n in a closed entry), with the last part
-    fastest.  mu and s are that position, so neither is stored.  Lookups
+    Each partition kappa has one entry, its strips, read by every stage on
+    more variables than len(kappa) (the stage on exactly len(kappa) reads
+    none; see :meth:`ChatEvaluator._fill`).  An entry is one read-only
+    float64 array of g over the strips, raveled in reverse-lexicographic
+    order of mu: mu_i runs from kappa_i down to kappa_{i+1}, with the last
+    part fastest.  mu and s are that position, so neither is stored.  Lookups
     after the first return the identical array, and insertion is
     lock-protected so concurrent evaluations from several threads see a
     consistent cache.
@@ -213,51 +213,43 @@ class JackTable:
 
     So a shape's strips are the broadcast product of n(n + 1)/2 small tables
     over the ranges of (mu_r, mu_i), raveled in reverse-lexicographic order
-    (:meth:`_coefficients`); the closed strips take the mu_n = 0 slice
-    of the same tables, so they are the full entry's mu_n = 0 values bit for
-    bit.  In mu_i, H_{r,i} for r < i is a prefix product of the lower factors
-    times a suffix product of the upper ones, O(1) per entry.  Built for mu_r
-    from kappa_r down to kappa_i, of which a shape reads the rows down to
-    kappa_{r+1}, it depends on kappa only through d and the parts kappa_r and
-    kappa_i relative to kappa_{i+1}, and the diagonal H_{i,i} (O(w) per
-    entry) only on the width w = kappa_i - kappa_{i+1}, so many shapes share
-    them: the table keeps both (:func:`_row_pair_factor`,
-    :func:`_diagonal_factor`) as read-only arrays in bounded LRU memos of its
-    own.  Every running product only falls towards the value it ends at, so
+    (:meth:`_coefficients`).  In mu_i, H_{r,i} for r < i is a prefix
+    product of the lower factors times a suffix product of the upper ones,
+    O(1) per entry.  Built for mu_r from kappa_r down to kappa_i, of which a
+    shape reads the rows down to kappa_{r+1}, it depends on kappa only
+    through d and the parts kappa_r and kappa_i relative to kappa_{i+1}, and
+    the diagonal H_{i,i} (O(w) per entry) only on the width w = kappa_i -
+    kappa_{i+1}, so many shapes share them: the table keeps both
+    (:func:`_row_pair_factor`, :func:`_diagonal_factor`) as read-only arrays
+    in bounded LRU memos of its own.  Every running product only falls towards the value it ends at, so
     relative error stays near rounding level, nothing overflows, and nothing
     underflows unless g itself leaves the normal range.
     """
 
     def __init__(self, algebra: DivisionAlgebra):
         self.algebra = algebra
-        self._closed: dict[tuple[int, ...], np.ndarray] = {}
         self._full: dict[tuple[int, ...], np.ndarray] = {}
         self._lock = threading.Lock()
         alpha = 2.0 / algebra.beta
         self._diagonal = lru_cache(maxsize=1024)(partial(_diagonal_factor, alpha))
         self._row_pair = lru_cache(maxsize=4096)(partial(_row_pair_factor, alpha))
 
-    def strips(self, kappa: tuple[int, ...], closed: bool = False) -> np.ndarray:
+    def strips(self, kappa: tuple[int, ...]) -> np.ndarray:
         """Read-only array of g over the horizontal-strip predecessors of
-        kappa, in reverse-lexicographic order of mu; with ``closed``, over
-        those with mu_n = 0 (n = len(kappa)) only."""
-        cache = self._closed if closed else self._full
-        hit = cache.get(kappa)
+        kappa, in reverse-lexicographic order of mu."""
+        hit = self._full.get(kappa)
         if hit is not None:
             return hit
-        g = self._coefficients(kappa, closed)
+        g = self._coefficients(kappa)
         with self._lock:
-            return cache.setdefault(kappa, g)
+            return self._full.setdefault(kappa, g)
 
-    def _coefficients(self, kappa: tuple[int, ...], closed: bool) -> np.ndarray:
-        """g over the box of strips of kappa (mu_n = 0 alone when ``closed``),
-        raveled: the broadcast product of the row-pair factors
-        H_{r,i}(mu_r, mu_i) over r <= i."""
+    def _coefficients(self, kappa: tuple[int, ...]) -> np.ndarray:
+        """g over the box of strips of kappa, raveled: the broadcast product
+        of the row-pair factors H_{r,i}(mu_r, mu_i) over r <= i."""
         n = len(kappa)
         below = kappa[1:] + (0,)
         sizes = [k - lo + 1 for k, lo in zip(kappa, below)]
-        if closed:
-            sizes[-1] = 1
         g = np.ones(math.prod(sizes))
         box = g.reshape(sizes)
         # row by row, columns ascending: the order of the cell-by-cell
@@ -267,15 +259,13 @@ class JackTable:
                 w = kappa[i] - below[i]
                 if not w:
                     continue
-                # mu_i runs down from kappa_i; the closed strips keep mu_n = 0 alone
-                pick = slice(-1, None) if closed and i == n - 1 else slice(None)
                 shape = [1] * n
                 shape[i] = sizes[i]
                 if i == r:
-                    table = self._diagonal(w)[pick]
+                    table = self._diagonal(w)
                 else:
                     shape[r] = sizes[r]
-                    table = self._row_pair(i - r, kappa[r] - below[i], w)[: sizes[r], pick]
+                    table = self._row_pair(i - r, kappa[r] - below[i], w)[: sizes[r]]
                 box *= table.reshape(shape)
         return _read_only(g)
 
@@ -294,17 +284,13 @@ def get_table(algebra: DivisionAlgebra) -> JackTable:
 
 
 @lru_cache(maxsize=4096)
-def _strip_block(kappa: tuple[int, ...], closed: bool, depth: int):
+def _strip_block(kappa: tuple[int, ...], depth: int):
     """Where the strips of kappa sit in a dense stage on ``depth`` variables:
-    (index, s0).  ``index`` takes mu_i from kappa_i down to kappa_{i+1} by a
-    reversed slice on axis i (no axis for mu_n = 0 when ``closed``) and
+    mu_i from kappa_i down to kappa_{i+1} by a reversed slice on axis i, and
     part 0 on the axes beyond, so the block it picks is in the order of the
-    table's entry; s is s0 plus the sum of the positions along the block's
-    axes."""
+    table's entry, and s is the sum of the positions along its axes."""
     index = [slice(hi, lo - 1 if lo else None, -1) for hi, lo in zip(kappa, kappa[1:] + (0,))]
-    if closed:
-        index.pop()
-    return tuple(index) + (0,) * (depth - len(index)), kappa[-1] if closed else 0
+    return tuple(index) + (0,) * (depth - len(index))
 
 
 # the most variables a dense stage of one spectrum holds (see ChatEvaluator)
@@ -318,8 +304,9 @@ class ChatEvaluator:
     (one value per row, vectorized).  ``within`` bounds the partitions
     evaluated to those inside that shape (part i at most ``within[i]``); with
     no bound every partition with at most m parts is.  Degrees are filled in
-    increasing order and each degree's values are cached.  Values are not
-    scale-safe past weight ~170 (see the module docstring).
+    increasing order and each degree's values are cached.  Past weight ~170
+    the values on two or more variables are not scale-safe (see the module
+    docstring).
 
     Partitions longer than the rank of x are never filled, at any stage:
     chat_kappa(x) = 0 when kappa has more parts than x has nonzero entries,
@@ -359,6 +346,9 @@ class ChatEvaluator:
             raise DomainError("spectrum must be a vector or a (batch, m) array")
         self.m = len(self._x)
         self.table = table
+        self._alpha = 2.0 / table.algebra.beta
+        # e_n = x_1 ... x_n, read by the shapes of length n on stage n
+        self._e = list(itertools.accumulate(self._x, operator.mul, initial=one))
         self.within = within
         # the most parts a partition with a nonzero value has
         self.parts = _parts if _parts is not None else self.m if self._batched else _rank(self._x)
@@ -404,9 +394,10 @@ class ChatEvaluator:
         """Fill degree done + 1 on every number of variables.
 
         chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g over the
-        strips of kappa; a shape of length n reads its closed strips only.
-        For one spectrum the terms of a shape are summed by ``math.fsum``; a
-        batch adds them row by row, in the order of the strips.
+        strips of kappa, for a shape shorter than n; a shape of length n is
+        one product (:meth:`_fill`).  For one spectrum the terms of a shape
+        are summed by ``math.fsum``; a batch adds them row by row, in the
+        order of the strips.
         """
         k = self._done + 1
         self._reserve(k)
@@ -418,38 +409,60 @@ class ChatEvaluator:
         self._done = k
 
     def _fill(self, k: int, n: int):
-        """Degree k on the first n variables, from stage n - 1."""
+        """Degree k on the first n variables: a shape shorter than n from its
+        strips on stage n - 1, one of length n from its first column.
+
+        The latter is chat_kappa = chat_{kappa - 1^n} e_n rho_kappa, with
+        e_n = x_1 ... x_n and rho_kappa = prod_{i < n} alpha /
+        (alpha kappa_i + n - 1 - i) (0-based i).  Proof: on n variables
+        P_kappa = e_n P_{kappa - 1^n} (Macdonald, Symmetric Functions and
+        Hall Polynomials, 1995, VI (4.17)), and chat_kappa = alpha^k P_kappa /
+        c'_kappa, c'_kappa the product of the upper hooks alpha (a + 1) + l.
+        Taking off the first column (length n) leaves every other cell's arm
+        and leg, and removes the upper hooks alpha kappa_i + n - 1 - i of the
+        column's cells.  So stage n reads its own value at kappa - 1^n,
+        filled at degree k - n: that shape has at most n parts, lies inside
+        kappa, and so inside ``within`` and the rank.
+        """
         prev, cur, xn = self._stage[n - 1], self._stage[n], self._x[n - 1]
-        if isinstance(prev, dict):
-            powers = {}  # xn**s, shared by every strip of this stage and degree
-        else:
-            # Python powers, up to the most boxes a strip holds (kappa_1)
-            reach = min(k, self.within[0]) if self.within else k
-            powers = np.array([xn**s for s in range(reach + 1)])
+        # a dense stage is indexed by all n parts, zeros included
+        pad = (lambda mu: mu) if isinstance(cur, dict) else (lambda mu: mu + (0,) * (n - len(mu)))
+        # xn**s, shared by every strip of this stage and degree; a dense
+        # stage's table is formed by the first shape that reads strips
+        powers = {} if isinstance(prev, dict) else None
         for kappa in self._shapes(k, n):
-            closed = len(kappa) == n
-            g = self.table.strips(kappa, closed)
-            if isinstance(prev, dict):
-                value = _strip_sum(prev, k, kappa, closed, g, xn, powers)
+            if len(kappa) == n:
+                base = tuple(p - 1 for p in kappa if p > 1)
+                value = cur[pad(base)] * (self._e[n] * _first_column(kappa, self._alpha))
+            elif isinstance(prev, dict):
+                value = _strip_sum(prev, k, kappa, self.table.strips(kappa), xn, powers)
             else:
+                if powers is None:
+                    # Python powers, up to the most boxes a strip holds (kappa_1)
+                    reach = min(k, self.within[0]) if self.within else k
+                    powers = np.array([xn**s for s in range(reach + 1)])
                 # the block of stage n - 1 that holds the strips, against x_n^s:
-                # s = s0 + the sum of the positions, so every axis steps one power
-                index, s0 = _strip_block(kappa, closed, n - 1)
-                block = prev[index]
-                pw = np.ndarray(block.shape, float, powers, s0 * powers.itemsize,
-                                (powers.itemsize,) * block.ndim)
-                value = math.fsum((block * (pw * g.reshape(block.shape))).ravel().tolist())
-            if isinstance(cur, dict):
-                cur[kappa] = value
-            else:
-                cur[kappa + (0,) * (n - len(kappa))] = value
+                # s = the sum of the positions, so every axis steps one power
+                block = prev[_strip_block(kappa, n - 1)]
+                pw = np.ndarray(block.shape, float, powers, 0, (powers.itemsize,) * block.ndim)
+                g = self.table.strips(kappa).reshape(block.shape)
+                value = math.fsum((block * (pw * g)).ravel().tolist())
+            cur[pad(kappa)] = value
 
 
-def _strip_sum(prev: dict, k: int, kappa: tuple[int, ...], closed: bool, g: np.ndarray, xn, powers: dict):
+def _first_column(kappa: tuple[int, ...], alpha: float) -> float:
+    """rho_kappa = prod_{i < n} alpha / (alpha kappa_i + n - 1 - i), n =
+    len(kappa): on n variables chat_kappa = chat_{kappa - 1^n} e_n rho_kappa
+    (:meth:`ChatEvaluator._fill`)."""
+    n = len(kappa)
+    return math.prod(alpha / (alpha * p + (n - 1 - i)) for i, p in enumerate(kappa))
+
+
+def _strip_sum(prev: dict, k: int, kappa: tuple[int, ...], g: np.ndarray, xn, powers: dict):
     """sum_mu prev[mu] x_n^s g over the strips of kappa, s = k - |mu|: by
     ``math.fsum`` for one spectrum, row by row in the order of the strips
     for a batch."""
-    mus = _interlacing_predecessors(kappa, closed)
+    mus = _interlacing_predecessors(kappa)
     strips = zip(mus, [k - sum(mu) for mu in mus], g.tolist())
     if not isinstance(xn, np.ndarray):
         return math.fsum([prev[mu] * (xn**s * gt) if s else prev[mu] * gt for mu, s, gt in strips])

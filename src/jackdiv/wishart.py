@@ -158,7 +158,7 @@ class ConeSampler:
         """
         m, beta = self.m, self.algebra.beta
         shapes = self.shape_a0 - np.arange(m) * beta / 2.0
-        diag = np.sqrt(rng.gamma(shapes, size=(count, m)))
+        diag = np.sqrt(rng.standard_gamma(shapes, size=(count, m)))
         shape = (count, m * (m - 1) // 2)  # at m = 1 an empty draw, which takes nothing
         if beta == 4:
             off, off_j = _quat.gaussian_pair(rng, shape, math.sqrt(0.5))

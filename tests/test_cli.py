@@ -174,8 +174,8 @@ class TestDiagnostics:
         assert err.count("\n") == 1  # single-line diagnostic
 
     @pytest.mark.parametrize("command, degree", [
-        # the power 600^s overflows inside the recurrence
-        (["density", "--beta", "1", "--m", "2", "--n", "6", "--sigma", "1,2", "--eigs", "600,100"], 111),
+        # chat_(112)(600, 100) / chat_(112)(I) overflows in the coupling's terms
+        (["density", "--beta", "1", "--m", "2", "--n", "6", "--sigma", "1,2", "--eigs", "600,100"], 112),
         # chat_kappa(I) underflows to 0 at weight 181
         (["pfq", "--beta", "8", "--eigs", "3.996,0.5", "--eigs2", "45,40", "--max-degree", "800"], 181),
     ], ids=["power-overflow", "identity-underflow"])

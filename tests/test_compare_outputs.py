@@ -25,8 +25,27 @@ def test_largest_relative_difference_and_its_line():
     worst, line = compare_outputs.compare(CSV, change)
     assert line == 3 and worst == pytest.approx(2e-7, rel=1e-6)
     text = compare_outputs.report("fig1 stdout", CSV, change)
-    assert text.splitlines() == ["fig1 stdout: largest relative difference 2e-07 at line 3",
-                                 "  parent: 1.0,0.25,-0.5", "  change: 1.0,0.25,-0.5000001"]
+    assert text.splitlines() == ["fig1 stdout: 2 differing lines, largest relative difference 2e-07 at line 3",
+                                 "  line 2: relative difference 1e-08",
+                                 "    parent: 0.5,0.012345678901234567,1e-05",
+                                 "    change: 0.5,0.012345678901234567,1.00000001e-05",
+                                 "  line 3: relative difference 2e-07",
+                                 "    parent: 1.0,0.25,-0.5", "    change: 1.0,0.25,-0.5000001"]
+
+
+def test_every_differing_line_is_named():
+    # three lines move, one of them by text, and the change is one line longer
+    parent = "a,1.0\nb,2.0\nc,3.0\nd,4.0\n"
+    change = "a,1.0\nb,2.5\nc,3.0\nD,4.0\ne,5.0\n"
+    assert compare_outputs.differing_lines(parent, change) == [(2, 0.2), (4, math.inf), (5, math.inf)]
+    assert compare_outputs.compare(parent, change) == (math.inf, 4)
+    text = compare_outputs.report("cli argv stdout", parent, change).splitlines()
+    assert text[0] == "cli argv stdout: 3 differing lines, largest relative difference inf at line 4"
+    assert text[1::3] == ["  line 2: relative difference 0.2", "  line 4: relative difference inf",
+                          "  line 5: relative difference inf"]
+    assert text[-2:] == ["    parent: <no line>", "    change: e,5.0"]
+    # equal numbers in different text (-0.0 against 0.0) are a line that differs by 0
+    assert compare_outputs.differing_lines("z,0.0\n", "z,-0.0\n") == [(1, 0.0)]
 
 
 def test_numbers_inside_labels_are_compared_as_numbers():

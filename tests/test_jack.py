@@ -4,9 +4,11 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from jackdiv import jack
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions, hook_product
 from jackdiv.jack import (
     ChatEvaluator,
@@ -24,6 +26,7 @@ from jackdiv.jack import (
 from oracles import (
     jack_C_oracle,
     laplace_beltrami_fd,
+    m2_chat,
     schur_value,
     strip_coefficient_fraction,
     strip_coefficients_per_cell,
@@ -229,10 +232,12 @@ class TestInvariants:
 class TestOracle:
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_small_weight_linear_system(self, alg):
+        # every shape with at most 4 parts to weight 12, at m = len(kappa)..4:
+        # the shapes of length m are filled from their first column
         rng = np.random.default_rng(23)
         for m in (1, 2, 3, 4):
             x = rng.uniform(0.2, 1.8, size=m)
-            for k in range(1, 9):
+            for k in range(1, 13):
                 for p in enumerate_partitions(k, m):
                     got = jack_C(p, x, alg)
                     want = jack_C_oracle(p, x, alg)
@@ -321,13 +326,11 @@ class TestStripCoefficient:
         table = JackTable(alg)
         for k in range(1, 21):
             for p in enumerate_partitions(k, 4):
-                for closed in (False, True):
-                    got = table.strips(p.parts, closed)
-                    want = strip_coefficients_per_cell(
-                        p.parts, _interlacing_predecessors(p.parts, closed), alg)
-                    assert len(got) == len(want)
-                    for g, (_, _, ref) in zip(got.tolist(), want):
-                        assert abs(g - ref) <= 4e-15 * ref
+                got = table.strips(p.parts)
+                want = strip_coefficients_per_cell(p.parts, _interlacing_predecessors(p.parts), alg)
+                assert len(got) == len(want)
+                for g, (_, _, ref) in zip(got.tolist(), want):
+                    assert abs(g - ref) <= 4e-15 * ref
 
     @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
     def test_every_high_weight_strip_matches_per_cell_formula(self, alg):
@@ -335,27 +338,23 @@ class TestStripCoefficient:
         # round differently, but only a reference below it may be zero
         table = JackTable(alg)
         for kappa in [(300,), (290, 6, 4)]:
-            for closed in (False, True):
-                got = table.strips(kappa, closed)
-                want = strip_coefficients_per_cell(
-                    kappa, _interlacing_predecessors(kappa, closed), alg)
-                assert len(got) == len(want)
-                for g, (_, _, ref) in zip(got.tolist(), want):
-                    if ref >= sys.float_info.min:
-                        assert abs(g - ref) <= 1e-14 * ref
-                    else:
-                        assert abs(g - ref) <= sys.float_info.min
+            got = table.strips(kappa)
+            want = strip_coefficients_per_cell(kappa, _interlacing_predecessors(kappa), alg)
+            assert len(got) == len(want)
+            for g, (_, _, ref) in zip(got.tolist(), want):
+                if ref >= sys.float_info.min:
+                    assert abs(g - ref) <= 1e-14 * ref
+                else:
+                    assert abs(g - ref) <= sys.float_info.min
 
     def test_threads_sharing_a_fresh_table_get_the_serial_bits(self):
         alg = DivisionAlgebra(4)
         shapes = [p.parts for p in enumerate_partitions(40, 4)]
-        serial = {(kappa, closed): JackTable(alg).strips(kappa, closed)
-                  for kappa in shapes for closed in (True, False)}
+        serial = {kappa: JackTable(alg).strips(kappa) for kappa in shapes}
         table = JackTable(alg)
 
         def run(order):
-            return {(kappa, closed): table.strips(kappa, closed)
-                    for kappa in order for closed in (True, False)}
+            return {kappa: table.strips(kappa) for kappa in order}
 
         orders = [shapes, shapes[::-1], shapes[::2] + shapes[1::2], shapes[1::2] + shapes[::2]]
         interval = sys.getswitchinterval()
@@ -376,11 +375,51 @@ class TestStripCoefficient:
         assert math.fsum(chat.values()) == pytest.approx(want, rel=1e-13)
 
 
+class TestFirstColumn:
+    """On n variables a shape kappa of length n is filled as
+    chat_{kappa - 1^n} e_n rho_kappa (``ChatEvaluator._fill``)."""
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_m2_matches_the_closed_form_at_40_digits(self, beta):
+        # worst measured: 6.0e-15 (3.1e-15 when length-2 shapes read strips)
+        evaluator = ChatEvaluator((1.3, 0.7), JackTable(DivisionAlgebra(beta)))
+        with mpmath.workdps(40):
+            t1, t2 = mpmath.mpf(1.3), mpmath.mpf(0.7)
+            for k in range(1, 121):
+                for kappa, value in evaluator.degree_values(k).items():
+                    want = m2_chat(*(kappa + (0,) * (2 - len(kappa))), t1, t2, beta)
+                    assert abs(value - want) <= 1e-14 * want, kappa
+
+    def test_a_shifted_hook_misses(self, monkeypatch):
+        # the control: n - i in place of n - 1 - i in rho moves every value
+        # of degree 2 and above far from the linear system
+        def shifted(kappa, alpha):
+            return math.prod(alpha / (alpha * p + (len(kappa) - i)) for i, p in enumerate(kappa))
+
+        alg = DivisionAlgebra(2)
+        x = (1.4, 0.9, 0.6)
+        monkeypatch.setattr(jack, "_first_column", shifted)
+        for k in range(2, 9):
+            for p in enumerate_partitions(k, 3):
+                want = jack_C_oracle(p, x, alg)
+                assert abs(jack_C(p, x, alg) - want) > 1e-3 * want, p.parts
+
+    @pytest.mark.parametrize("x", [(10.0, 5.0), (14.0, 0.5), (20.0, 10.0)])
+    def test_weight_250_sums_to_trace_power(self, x):
+        # x_1^k / k! is one product per degree on the first variable, so
+        # neither x_1^250 (past the float range at 20) nor 1/250! (below it)
+        # is formed; raw powers there were 7.1% low at (10, 5), 45 orders
+        # low at (14, 0.5) and overflowed at (20, 10)
+        chat = ChatEvaluator(x, JackTable(DivisionAlgebra(1))).degree_values(250)
+        want = float(Fraction(sum(x)) ** 250 / math.factorial(250))
+        assert math.fsum(chat.values()) == pytest.approx(want, rel=1e-12)
+
+
 class TestStripSplit:
     def test_predecessors_match_brute_force(self):
         # every mu inside kappa (weight >= |kappa| - kappa_1, since the strip
         # kappa/mu has at most kappa_1 boxes) with kappa_{i+1} <= mu_i <= kappa_i,
-        # sorted reverse-lexicographically; closed keeps those with mu_n = 0
+        # sorted reverse-lexicographically
         for k in range(1, 21):
             for p in enumerate_partitions(k, 4):
                 kappa = p.parts
@@ -396,26 +435,6 @@ class TestStripSplit:
                             in zip(kappa[1:] + (0,), padded(q.parts), kappa))),
                     key=padded, reverse=True)
                 assert _interlacing_predecessors(kappa) == want
-                closed = [mu for mu in want if len(mu) < n]
-                assert _interlacing_predecessors(kappa, closed=True) == closed
-
-    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
-    def test_closed_strips_are_the_last_part_zero_subset(self, alg):
-        table = get_table(alg)
-        for k in range(1, 31):
-            for p in enumerate_partitions(k, 4):
-                kappa = p.parts
-                preds = _interlacing_predecessors(kappa)
-                every = table.strips(kappa)
-                assert len(every) == len(preds)
-                closed = table.strips(kappa, closed=True)
-                assert closed.tolist() == [g for mu, g in zip(preds, every.tolist())
-                                           if len(mu) < len(kappa)]
-                # the mu_n = 0 slice of the row-pair tables gives the same
-                # bits as the full product, cold or memoized, in either order
-                fresh = JackTable(alg)
-                assert np.array_equal(fresh.strips(kappa, closed=True), closed)
-                assert np.array_equal(fresh.strips(kappa), every)
 
 
 class TestBatchAndTable:

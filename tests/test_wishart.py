@@ -200,6 +200,21 @@ class TestFactorGram:
         assert np.all(np.abs(got - ref) <= 8 * np.finfo(float).eps * d[:, :, None] * d[:, None, :])
 
 
+class TestBartlett:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    def test_diagonal_is_the_scale_one_gamma_draw(self, m, beta):
+        # numpy's gamma is scale * standard_gamma, so at scale 1 the two give
+        # the same bits and leave the stream in the same place: the
+        # off-diagonal draws that follow are the same too
+        sampler = wishart.ConeSampler(m, DivisionAlgebra(beta), m + 2.5, (0.5, 1.5, 2.5)[:m])
+        diag, off, _ = sampler.bartlett(np.random.default_rng(73), 1000)
+        rng = np.random.default_rng(73)
+        shapes = sampler.shape_a0 - np.arange(m) * beta / 2.0
+        assert np.array_equal(diag, np.sqrt(rng.gamma(shapes, size=(1000, m))))
+        assert np.array_equal(np.real(off), rng.standard_normal(off.shape) * math.sqrt(0.5))
+
+
 class TestM1ClosedForm:
     @pytest.mark.parametrize("beta", [1, 2, 4])
     def test_matches_eigvalsh_of_the_same_draws(self, beta):
@@ -565,11 +580,12 @@ class TestKhatriDeterminant:
             assert abs(cdf_lambda_max(model, float(x)) - want) <= 1e-12 * want
 
     def test_table_keeps_eight_bytes_a_strip(self):
-        # the x = 20 point at m = 3 reaches degree ~115: about 17M strips,
-        # each one float in the beta = 2 table
+        # the x = 20 point at m = 3 reaches degree ~115: about 2.1M strips of
+        # the shapes shorter than 3 (16 MB), each one float in the beta = 2
+        # table
         cdf_lambda_max(WishartModel(3, 3, (1.0,) * 3, B2), 20.0)
         table = jack.get_table(B2)
-        assert sum(g.nbytes for g in [*table._closed.values(), *table._full.values()]) < 200e6
+        assert sum(g.nbytes for g in table._full.values()) < 200e6
 
     @pytest.mark.parametrize("m, n", [(2, 4), (3, 4), (3, 6), (4, 7)])
     def test_lambda_min_is_khatris_determinant(self, m, n):
@@ -794,10 +810,10 @@ class TestJointDensity:
         assert joint_eigen_density(model, lam) == pytest.approx(want, rel=1e-11, abs=0)
 
     def test_past_the_float_range_is_a_domain_error(self):
-        # the power 600^s inside the recurrence overflows at s = 111, a degree
-        # the series needs
+        # at degree 112, a degree the series needs, the coupling's ratio
+        # chat_(112)(600, 100) / chat_(112)(I) ~ 8e310 leaves the float range
         model = WishartModel(2, 6, (1.0, 2.0), B1)
-        with pytest.raises(DomainError, match="degree 111 leave the float range"):
+        with pytest.raises(DomainError, match=r"^series terms of degree 112 leave the float range$"):
             joint_eigen_density(model, (600.0, 100.0))
 
     def test_density_past_the_float_range_is_a_domain_error(self):
@@ -806,12 +822,13 @@ class TestJointDensity:
             joint_eigen_density(WishartModel(1, 0.001, (1.0,), B1), (1e-320,))
 
     def test_underflowing_jack_values_are_a_domain_error(self):
-        # chat_(k)(3.996, 0) underflows to 0 from k = 178, while the degree
-        # sums are still about 1e74: summing zeros from there returned
-        # 2.73e-88 where the 40-digit closed form gives 5.08e-88
+        # chat_kappa(I) underflows to 0 at weight 181, while the degree sums
+        # are still large: summing zeros from there would return a wrong
+        # value (2.73e-88 where the 40-digit closed form gives 5.08e-88 when
+        # chat_(k)(3.996, 0) underflowed from k = 178)
         model = WishartModel(2, 5, (1.0, 1000.0), DivisionAlgebra(8))
         assert m2_eigen_density(5, (1.0, 1000.0), (45.0, 40.0), 8) == pytest.approx(5.0787e-88, rel=1e-4)
-        with pytest.raises(DomainError, match="degree 178 underflow to 0"):
+        with pytest.raises(DomainError, match=r"^series terms of degree 181 leave the float range$"):
             joint_eigen_density(model, (45.0, 40.0))
         # a point of the same model whose series ends in the float range
         want = m2_eigen_density(5, (1.0, 1000.0), (4.0, 3.0), 8)

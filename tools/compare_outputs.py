@@ -43,10 +43,12 @@ script runs, each in a fresh process:
   its output, its ``error:`` line and its exit status.
 
 Standard output and standard error are compared apart.  For each output it
-prints ``identical``, or the largest relative difference between the numbers
-of corresponding lines and the first line where it occurs (``inf`` when the
-text around the numbers, or the number of lines, differs).  The exit status
-is 0 when every output is identical and 1 otherwise.
+prints ``identical``, or the number of differing lines and the largest
+relative difference between the numbers of corresponding lines, with the
+first line where it occurs (``inf`` when the text around the numbers, or the
+number of lines, differs); then every differing line, its relative
+difference and its text on both sides.  The exit status is 0 when every
+output is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -264,31 +266,43 @@ def line_difference(a: str, b: str) -> float:
     return worst
 
 
+def differing_lines(parent: str, change: str) -> list[tuple[int, float]]:
+    """(1-based number, relative difference) of every line whose text
+    differs.  Lines past the end of the shorter text differ by ``inf``."""
+    a, b = parent.splitlines(), change.splitlines()
+    found = [(i, line_difference(x, y)) for i, (x, y) in enumerate(zip(a, b), 1) if x != y]
+    found += [(i, math.inf) for i in range(min(len(a), len(b)) + 1, max(len(a), len(b)) + 1)]
+    if len(a) == len(b) and parent.endswith("\n") != change.endswith("\n"):
+        found.append((len(a) + 1, math.inf))
+    return found
+
+
 def compare(parent: str, change: str) -> tuple[float, int] | None:
     """None when the texts are identical, else (largest relative difference,
-    1-based number of the first line where it occurs).  Lines past the end
-    of the shorter text differ by ``inf``."""
+    1-based number of the first line where it occurs)."""
     if parent == change:
         return None
-    a, b = parent.splitlines(), change.splitlines()
-    diffs = [line_difference(x, y) for x, y in zip(a, b)]
-    diffs += [math.inf] * abs(len(a) - len(b))
-    if len(a) == len(b) and parent.endswith("\n") != change.endswith("\n"):
-        diffs.append(math.inf)
-    worst = max(diffs)
-    return worst, diffs.index(worst) + 1
+    found = differing_lines(parent, change)
+    worst = max(d for _, d in found)
+    return worst, next(i for i, d in found if d == worst)
 
 
 def report(name: str, parent: str, change: str) -> str:
-    """One line for the output ``name``, and the two differing lines."""
+    """One line for the output ``name``: ``identical``, or the count of
+    differing lines and the largest difference; then each differing line on
+    both sides."""
     found = compare(parent, change)
     if found is None:
         return f"{name}: identical"
     worst, line = found
     a, b = parent.splitlines(), change.splitlines()
-    shown = [f"  parent: {a[line - 1] if line <= len(a) else '<no line>'}",
-             f"  change: {b[line - 1] if line <= len(b) else '<no line>'}"]
-    return "\n".join([f"{name}: largest relative difference {worst:.3g} at line {line}"] + shown)
+    every = differing_lines(parent, change)
+    shown = [f"{name}: {len(every)} differing lines, largest relative difference {worst:.3g} at line {line}"]
+    for i, d in every:
+        shown += [f"  line {i}: relative difference {d:.3g}",
+                  f"    parent: {a[i - 1] if i <= len(a) else '<no line>'}",
+                  f"    change: {b[i - 1] if i <= len(b) else '<no line>'}"]
+    return "\n".join(shown)
 
 
 def run(root: Path, args: list[str]) -> tuple[str, str]:
