@@ -344,9 +344,15 @@ def pfq_two(
 
     Each term carries the product of Jack values of both spectra divided by
     the value at the identity (computed by closed form, never by recurrence).
+
     Neither spectrum's Jack values are filled past the partitions with as
     many parts as the smaller rank of x and y, since C_kappa of either
-    argument is 0 past its own rank.
+    argument is 0 past its own rank.  Both arguments are sorted descending,
+    so a nonnegative one's zeros trail it, and its evaluator builds no
+    stage for them (:class:`jack.ChatEvaluator`): the density's shifted
+    argument (beta/2)(1/sigma_min - 1/sigma) has one such zero per smallest
+    scale, so at m = 3 with distinct scales its values come from a
+    two-variable recurrence.  Neither changes a bit of any term.
     """
     sx = as_spectrum(x)
     sy = as_spectrum(y)

@@ -44,6 +44,14 @@ the previous stage, taken by reversed slices in the same order as g; its
 other stages, and a batch's, are dicts keyed by partition, read mu by mu in
 that order.
 
+What each stage keeps.  A stage below the top one keeps every degree, since
+the strips of a shape on the next stage reach down to any lower degree.  The
+top stage m keeps only its m most recent degrees: a degree is read out once,
+at the step that fills it, and the shapes of length m of degree k + 1 read
+degree k + 1 - m; so asking for an older degree raises ValueError.  A
+spectrum's trailing zero entries build no stage at all, since each would
+repeat the stage before it bit for bit (:func:`_without_trailing_zeros`).
+
 Internally everything is carried in the normalization ``chat = C / k!``; the
 public functions convert to the ``C`` (trace-power) and ``J`` (monic-monomial)
 normalizations.  On the first variable chat_(k) = x_1^k / k! is one product
@@ -304,9 +312,14 @@ class ChatEvaluator:
     (one value per row, vectorized).  ``within`` bounds the partitions
     evaluated to those inside that shape (part i at most ``within[i]``); with
     no bound every partition with at most m parts is.  Degrees are filled in
-    increasing order and each degree's values are cached.  Past weight ~170
-    the values on two or more variables are not scale-safe (see the module
-    docstring).
+    increasing order, and :meth:`degree_values` reads any degree up to the
+    last m filled; older degrees of the top stage are dropped as each new
+    one is filled, because nothing reads them again (the module docstring
+    says what each stage keeps).  Past weight ~170 the values on two or
+    more variables are not scale-safe (see the module docstring).
+
+    For one spectrum, ``m`` counts the entries up to the last nonzero one
+    (at least one): trailing zeros build no stage.
 
     Partitions longer than the rank of x are never filled, at any stage:
     chat_kappa(x) = 0 when kappa has more parts than x has nonzero entries,
@@ -328,7 +341,8 @@ class ChatEvaluator:
     bound it holds more cells than partitions, at most about 2 k^2 at
     weight k.  On n variables the box grows like n! 2^n,
     and a batch would multiply every cell by its rows, so the other stages,
-    and every stage of a batch, are dicts keyed by partition.
+    and every stage of a batch, are dicts keyed by partition.  The top stage
+    is always one of these dicts, so its spent degrees go key by key.
     """
 
     def __init__(self, x, table: JackTable, within: tuple[int, ...] | None = None,
@@ -336,7 +350,7 @@ class ChatEvaluator:
         arr = np.asarray(x, dtype=float)
         if arr.ndim == 1:
             self._batched = False
-            self._x = [float(v) for v in arr]
+            self._x = _without_trailing_zeros([float(v) for v in arr])
             one = 1.0
         elif arr.ndim == 2:
             self._batched = True
@@ -384,7 +398,12 @@ class ChatEvaluator:
 
     def degree_values(self, k: int) -> dict:
         """chat values for every partition of weight k inside ``within``
-        with at most as many parts as the rank of x; the longer ones are 0."""
+        with at most as many parts as the rank of x; the longer ones are 0.
+        ValueError for a degree the top stage has dropped: below the m most
+        recent degrees filled."""
+        if k <= self._done - self.m:
+            raise ValueError(f"degree {k} is no longer held: the top stage keeps degrees "
+                             f"{self._done - self.m + 1}..{self._done} once degree {self._done} is filled")
         while self._done < k:
             self._advance()
         top = self._stage[self.m]
@@ -407,6 +426,12 @@ class ChatEvaluator:
             for n in range(1, self.m + 1):
                 self._fill(k, n)
         self._done = k
+        # degree k - m is spent: the next degree's shapes of length m read
+        # k + 1 - m, and degree_values reads k
+        if k >= self.m:
+            top = self._stage[self.m]
+            for kappa in self._shapes(k - self.m, self.m):
+                del top[kappa]
 
     def _fill(self, k: int, n: int):
         """Degree k on the first n variables: a shape shorter than n from its
@@ -448,6 +473,20 @@ class ChatEvaluator:
                 g = self.table.strips(kappa).reshape(block.shape)
                 value = math.fsum((block * (pw * g)).ravel().tolist())
             cur[pad(kappa)] = value
+
+
+def _without_trailing_zeros(x: list) -> list:
+    """``x`` without its trailing zero entries, keeping at least one.
+
+    On a zero variable x_n the only strip with s = 0 is mu = kappa, whose g
+    is 1, and no shape of length n is filled (it is longer than the rank),
+    so stage n repeats stage n - 1 bit for bit.  Interior zeros stay: taking
+    one out would fill the shapes as long as the stage from their first
+    column rather than from their strips, which moves their bits."""
+    end = len(x)
+    while end > 1 and x[end - 1] == 0.0:
+        end -= 1
+    return x[:end]
 
 
 def _first_column(kappa: tuple[int, ...], alpha: float) -> float:

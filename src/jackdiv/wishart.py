@@ -27,7 +27,9 @@ points round alike.  Where a Chernoff bound on the trace shows that
 the value rounds to 1.0, no series runs.  The smallest-eigenvalue law adds
 the exponential series past first part r and an incomplete gamma tail; the
 joint density shifts its coupling 0F0 to a nonnegative argument and sizes
-its own degree budget.
+its own degree budget.  Its constant is the Laguerre form of Selberg's
+integral, which holds at every beta, beta = 8 included
+(:func:`_log_eigen_prefactor`).
 """
 
 from __future__ import annotations
@@ -69,10 +71,6 @@ def _warn_unconverged(res: SeriesResult, what: str, stacklevel: int = 3):
         warnings.warn(f"{what} series not converged at degree {res.degrees_used} "
                       f"(last term ratio {res.last_term_ratio:.2e})",
                       ConvergenceWarning, stacklevel=stacklevel + 1)
-
-
-# Constant of the spectral-decomposition volume element, per algebra.
-_SPECTRAL_RHO = {1: 0, 2: -1, 4: -2, 8: -4}  # multiplied by m
 
 
 @dataclass(frozen=True)
@@ -406,14 +404,29 @@ def cdf_lambda_min(model: WishartModel, y: float) -> float:
 
 def _log_eigen_prefactor(model: WishartModel, lam: np.ndarray) -> float:
     """log of the joint eigenvalue density over its coupling 0F0(-(beta/2)
-    Sigma^{-1}, Lambda), for distinct eigenvalues ``lam``."""
+    Sigma^{-1}, Lambda), for distinct eigenvalues ``lam``.
+
+    The constant is the Laguerre form of Selberg's integral (Mehta, Random
+    Matrices, 3rd ed., 2004, eq. 17.6.5) over the m! orderings: with a =
+    beta n / 2,
+
+        int_{l > 0} prod_i l_i^(a - (m-1) beta/2 - 1) e^(-l_i) |Delta(l)|^beta dl
+            = prod_{j<m} Gamma(1 + (j+1) beta/2) Gamma(a - j beta/2) / Gamma(1 + beta/2),
+
+    so K = m! ((beta/2)^m / det Sigma)^a prod_{j<m} Gamma(1 + beta/2) /
+    (Gamma(1 + (j+1) beta/2) Gamma(a - j beta/2)); the Gamma(a - j beta/2)
+    are taken as Gamma_m(a) / pi^(m (m-1) beta/4), whose log raises
+    DomainError naming a where it leaves the float range.  It holds at every
+    beta: at m = 2, K is V ((beta/2)^2 / det Sigma)^a / Gamma_2(a) with V =
+    2^(1-beta) pi^((beta+1)/2) / Gamma((beta+1)/2), the volume factor of the
+    spectral decomposition, at beta = 8 (the spin factor) as at 1, 2, 4.
+    """
     m, n, beta = model.m, model.n, model.beta
+    a = beta * n / 2
     log_const = (
-        (m * m * beta / 2 + _SPECTRAL_RHO[beta] * m) * math.log(math.pi)
-        - (beta * m * n / 2) * math.log(2.0 / beta)
-        - mv_gamma_ln(m, model.algebra, beta * n / 2)
-        - mv_gamma_ln(m, model.algebra, beta * m / 2)
-        - (beta * n / 2) * float(np.log(model.sigma_eigs).sum())
+        m * a * math.log(beta / 2) - a * float(np.log(model.sigma_eigs).sum())
+        + math.lgamma(m + 1) + m * (m - 1) * beta / 4 * math.log(math.pi) - mv_gamma_ln(m, model.algebra, a)
+        + math.fsum(math.lgamma(1 + beta / 2) - math.lgamma(1 + (j + 1) * beta / 2) for j in range(m))
     )
     upper, lower = np.triu_indices(m, k=1)
     return (log_const + (beta * (n - m + 1) / 2 - 1) * float(np.log(lam).sum())

@@ -639,18 +639,26 @@ def m2_eigen_density(n: float, sigma_eigs, lam, beta: int) -> float:
     |S|^(beta n/2 - beta/2 - 1), in mpmath at 40 digits:
 
         K (l1 l2)^(beta (n-1)/2 - 1) (l1 - l2)^beta 0F0(-(beta/2) Sigma^{-1}, Lambda),
-        K = pi^[beta = 1] (beta/2)^(beta n)
-            / (Gamma(beta n/2) Gamma(beta (n-1)/2) Gamma(beta) Gamma(beta/2) (s1 s2)^(beta n/2)),
+        K = V (beta/2)^(beta n) / (Gamma_2(beta n/2) (s1 s2)^(beta n/2)),
 
-    with the coupling from :func:`m2_0f0`.  At beta = 1 and 2, K is the
-    constant of the real (Muirhead 1982, Thm 3.2.18) and complex (James 1964)
-    laws."""
+    with the coupling from :func:`m2_0f0`.  Gamma_2(a) = pi^(beta/2)
+    Gamma(a) Gamma(a - beta/2) is the cone's gamma integral in the
+    coordinates of :func:`m2_lambda_max_cdf_cone`, and V = 2^(1-beta)
+    pi^((beta+1)/2) / Gamma((beta+1)/2) the volume factor of the spectral
+    decomposition of the rank-2 spin factor (Faraut & Koranyi, *Analysis on
+    Symmetric Cones*, 1994).  There S = (l1 + l2)/2 + (l1 - l2)/2 u, with u
+    on the unit sphere of R^(beta+1) ((p - q)/2 and w its coordinates), so
+    dp dq dw = (l1 - l2)^beta / 2^beta dl1 dl2 du and V is the sphere's area
+    2 pi^((beta+1)/2) / Gamma((beta+1)/2) over 2^beta.  V is pi, pi, pi^2/6
+    and pi^4/840 at beta = 1, 2, 4 and 8; at beta = 1 and 2, K is the
+    constant of the real (Muirhead 1982, Thm 3.2.18) and complex (James
+    1964) laws."""
     with mpmath.workdps(40):
         b, n = mpmath.mpf(beta), mpmath.mpf(n)
         (s1, s2), (l1, l2) = ([mpmath.mpf(v) for v in p] for p in (sigma_eigs, lam))
-        k = ((mpmath.pi if beta == 1 else 1) * (b / 2) ** (b * n)
-             / (mpmath.gamma(b * n / 2) * mpmath.gamma(b * (n - 1) / 2) * mpmath.gamma(b)
-                * mpmath.gamma(b / 2) * (s1 * s2) ** (b * n / 2)))
+        volume = 2 ** (1 - b) * mpmath.pi ** ((b + 1) / 2) / mpmath.gamma((b + 1) / 2)
+        gamma2 = mpmath.pi ** (b / 2) * mpmath.gamma(b * n / 2) * mpmath.gamma(b * (n - 1) / 2)
+        k = volume * (b / 2) ** (b * n) / (gamma2 * (s1 * s2) ** (b * n / 2))
         coupling = m2_0f0((-b / (2 * s1), -b / (2 * s2)), (l1, l2), beta)
         return float(k * (l1 * l2) ** (b * (n - 1) / 2 - 1) * (l1 - l2) ** b * coupling)
 

@@ -76,7 +76,7 @@ def test_outputs_cover_both_figures_every_seed_and_the_perfbench_values():
     runs = compare_outputs.outputs((7, 8))
     assert list(runs) == ["figures fig1", "figures fig2", "cdf-min m3", "cdf-max far tail", "verify seed 7",
                           "verify seed 8", "verify bits seed 7", "perfbench values", "wishart draws",
-                          "haar draws", "gamma values", "cli argv"]
+                          "haar draws", "density values", "gamma values", "cli argv"]
     assert runs["verify bits seed 7"][-1] == "7"
     assert runs["cdf-min m3"] == ["-m", "jackdiv.cli", "cdf-min", "--beta", "2", "--m", "3", "--n", "6",
                                   "--sigma", "1,2,3", "--grid", "0:8:9"]
@@ -84,3 +84,19 @@ def test_outputs_cover_both_figures_every_seed_and_the_perfbench_values():
                                         "--sigma", "1,2", "--grid", "25:1000:40"]
     assert runs["verify seed 8"][-4:] == ["all", "--quick", "--seed", "8"]
     assert len(compare_outputs.suite_seeds()) == 20
+
+
+def test_density_values_reach_a_trailing_zero_on_every_call():
+    out, err = compare_outputs.run(compare_outputs.ROOT, ["-c", compare_outputs.DENSITY_VALUES])
+    assert err == ""
+    lines = out.splitlines()
+    assert len(lines) == 3 * 4 * 2 * 2
+    for line in lines:
+        fields = line.split()
+        density, coupling = float(fields[fields.index("density") + 1]), float(fields[fields.index("coupling") + 1])
+        zeros = int(fields[fields.index("zeros") + 1])
+        # the coupling's first argument ends in one zero, two where the
+        # smallest scale repeats (sigma = (0.7, 0.7, 1.9))
+        assert zeros == (2 if "0.7, 0.7" in line else 1), line
+        assert density > 0.0 and coupling >= 1.0, line
+    assert lines[0].startswith("m1 b1 sigma(1.0,) lam(1.3,) density ")

@@ -4,6 +4,7 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -113,6 +114,36 @@ class TestScalarReduction:
         for upper, lower, z in cases:
             res = pfq(HypergeomSpec(upper, lower, alg, 1), (z,), SeriesTruncation(max_degree=80))
             assert res.value == pytest.approx(scalar_pfq(upper, lower, z), rel=1e-10)
+
+
+class TestScalarAgainstMpmath:
+    """m = 1 against mpmath at 30 digits, which shares no code with the
+    series; at one variable the series is the same at every beta.  The
+    digits reached (-log10 of the worst relative difference) are 12.0 for
+    1F1 at the default truncation and 9.2 for 2F1 at x = 0.9 under the
+    default rel_tol (10.4 up to x = 0.6)."""
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_1f1(self, alg):
+        with mpmath.workdps(30):
+            for a, c in ((0.5, 1.5), (2.0, 3.5), (-1.5, 2.25)):
+                for x in (-6.0, -1.0, 0.3, 2.0, 7.0):
+                    got = pfq(HypergeomSpec((a,), (c,), alg, 1), (x,)).value
+                    want = mpmath.hyp1f1(a, c, x)
+                    # measured: at most 9.4e-13 (a = 0.5, c = 1.5, x = 7)
+                    assert abs(got - want) <= 1e-12 * abs(want), (a, c, x)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_2f1(self, alg):
+        deep = SeriesTruncation(max_degree=400)
+        with mpmath.workdps(30):
+            for a, b, c in ((0.5, 1.0, 1.5), (1.25, -0.75, 2.5), (2.0, 1.5, 4.0)):
+                for x, bound in ((-0.5, 1e-11), (0.3, 3e-12), (0.6, 5e-11), (0.9, 1e-9)):
+                    res = pfq(HypergeomSpec((a, b), (c,), alg, 1), (x,), deep)
+                    want = mpmath.hyp2f1(a, b, c, x)
+                    # measured: at most 7.1e-12, 2.3e-12, 4.1e-11 and 6.6e-10 at
+                    # x = -0.5, 0.3, 0.6 and 0.9 (the series' stop rule at 1e-10)
+                    assert res.converged and abs(res.value - want) <= bound * abs(want), (a, b, c, x)
 
 
 class TestTwoArguments:

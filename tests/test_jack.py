@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from jackdiv import jack
+from jackdiv import hypergeom, jack
 from jackdiv.core import DivisionAlgebra, DomainError, Partition, enumerate_partitions, hook_product
 from jackdiv.jack import (
     ChatEvaluator,
@@ -435,6 +435,93 @@ class TestStripSplit:
                             in zip(kappa[1:] + (0,), padded(q.parts), kappa))),
                     key=padded, reverse=True)
                 assert _interlacing_predecessors(kappa) == want
+
+
+class TestWhatStagesKeep:
+    """The top stage keeps the m most recent degrees, and a spectrum's
+    trailing zeros add no stage; neither changes a value."""
+
+    @staticmethod
+    def _every_stage(monkeypatch, *args):
+        """The evaluator with a stage for every entry, zeros included, as
+        it was built before trailing zeros were dropped."""
+        with monkeypatch.context() as patch:
+            patch.setattr(jack, "_without_trailing_zeros", lambda x: x)
+            return ChatEvaluator(*args)
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"b{a.beta}")
+    def test_trailing_zeros_add_no_stage(self, alg, monkeypatch):
+        rng = np.random.default_rng(53)
+        table = JackTable(alg)
+        for m in range(1, 6):
+            for zeros in range(1, m + 1):
+                head = tuple(sorted(rng.uniform(0.1, 1.5, size=m - zeros), reverse=True))
+                x = head + (0.0,) * zeros
+                for within in (None, (5, 3, 2, 1, 1)[:m]):
+                    ev = ChatEvaluator(x, table, within)
+                    assert ev.m == max(len(head), 1) and len(ev._stage) == ev.m + 1
+                    short = ChatEvaluator(head or (0.0,), table, within)
+                    full = self._every_stage(monkeypatch, x, table, within)
+                    assert full.m == m
+                    for k in range(13):
+                        got = ev.degree_values(k)
+                        want = full.degree_values(k)
+                        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+                        assert list(got) == list(want)
+                        assert got == short.degree_values(k)
+
+    @pytest.mark.parametrize("x", [(1.2, 0.0, -0.7), (0.9, 0.0, 0.0, -0.3), (0.6, 0.0, -0.2, -0.5)])
+    def test_interior_zeros_keep_every_stage(self, x, monkeypatch):
+        alg = DivisionAlgebra(2)
+        table = JackTable(alg)
+        ev = ChatEvaluator(x, table)
+        assert ev.m == len(x) and len(ev._stage) == len(x) + 1
+        full = self._every_stage(monkeypatch, x, table)
+        for k in range(13):
+            got, want = ev.degree_values(k), full.degree_values(k)
+            assert list(got) == list(want)
+            assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("rows", [0, 4], ids=["spectrum", "batch"])
+    @pytest.mark.parametrize("within", [None, (6, 4, 2)], ids=["free", "bounded"])
+    def test_top_stage_keeps_the_last_m_degrees(self, m, rows, within):
+        rng = np.random.default_rng(59)
+        x = rng.uniform(0.1, 1.5, size=(rows, m) if rows else m)
+        bound = within[:m] if within else None
+        ev = ChatEvaluator(x, JackTable(DivisionAlgebra(1)), bound)
+        for top_degree in range(16):
+            ev.degree_values(top_degree)
+            held = {sum(kappa) for kappa in ev._stage[m]}
+            want = {k for k in range(max(top_degree - m + 1, 0), top_degree + 1) if ev._shapes(k, m)}
+            assert held == want, top_degree
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reading_a_spent_degree_raises(self, m):
+        ev = ChatEvaluator((1.3, 0.7, 0.2)[:m], JackTable(DivisionAlgebra(2)))
+        ev.degree_values(10)
+        assert ev.degree_values(11 - m)  # still held
+        with pytest.raises(ValueError, match=f"^degree {10 - m} is no longer held"):
+            ev.degree_values(10 - m)
+
+    def test_batch_keeps_a_few_degrees_of_arrays(self, monkeypatch):
+        # a 20,000-row m = 2 batch to degree K: stage 1 holds K + 1 arrays and
+        # the top stage two degrees, where it held every degree's
+        made = []
+
+        class Recorded(ChatEvaluator):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(hypergeom, "ChatEvaluator", Recorded)
+        X = np.random.default_rng(61).uniform(0.2, 1.1, size=(20_000, 2))
+        res = hypergeom.pfq_batch(hypergeom.HypergeomSpec((), (), DivisionAlgebra(1), 2), X)
+        k = res.degrees_used
+        assert res.converged and k >= 20
+        (ev,) = made
+        arrays = [v for stage in ev._stage for v in stage.values() if np.size(v) == 20_000]
+        assert len(arrays) <= (k + 1) + 2 * (k // 2 + 2)
 
 
 class TestBatchAndTable:

@@ -229,6 +229,20 @@ class TestM1ClosedForm:
         assert np.all(np.abs(eigs - ref) <= 4 * np.finfo(float).eps * ref)
 
 
+class TestM1AgainstMpmath:
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    def test_lambda_max_is_the_regularized_gamma(self, beta):
+        # at m = 1 the law is Gamma(beta n/2, 2 sigma/beta): P(lambda < x) is
+        # the regularized lower incomplete gamma, by mpmath at 30 digits;
+        # measured: at most 2.9e-13 (12.5 digits; beta = 4, n = 12, x = 30)
+        with mpmath.workdps(30):
+            for n, s in ((3, 1.0), (5.5, 2.0), (12, 0.7)):
+                model = WishartModel(1, n, (s,), DivisionAlgebra(beta))
+                for x in (0.2, 1.0, 4.0, 10.0, 30.0):
+                    want = mpmath.gammainc(beta * n / 2, 0, beta * x / (2 * s), regularized=True)
+                    assert abs(cdf_lambda_max(model, x) - want) <= 5e-13 * want, (n, s, x)
+
+
 class TestM2ClosedForm:
     EPS = np.finfo(float).eps
 
@@ -615,6 +629,25 @@ class TestConeCoordinates:
         got = cdf_lambda_max(WishartModel(2, 4, (1.0, 2.0), DivisionAlgebra(beta)), 6.0)
         assert abs(got - want) > 0.1 * want
 
+    # P(S < diag(omega)) is the lambda_max law at x = 1 of the scales sigma / omega
+    REGIONS = [((1.0, 2.0), (3.0, 1.5)), ((0.7, 1.9), (2.5, 6.0))]
+
+    @pytest.mark.parametrize("beta, bound", [(1, 2e-15), (2, 1e-14), (4, 3e-14), (8, 1e-13)])
+    @pytest.mark.parametrize("sigma, omega", REGIONS)
+    def test_region_is_the_density_integrated(self, beta, bound, sigma, omega):
+        want = m2_lambda_max_cdf_cone(4, tuple(s / w for s, w in zip(sigma, omega)), beta, 1.0)
+        got = cdf_wishart_region(WishartModel(2, 4, sigma, DivisionAlgebra(beta)), omega)
+        # measured: at most 7.9e-16, 5.7e-15, 1.4e-14 and 5.7e-14 at beta = 1, 2, 4, 8
+        assert abs(got - want) <= bound * want
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("sigma, omega", REGIONS)
+    def test_a_swapped_region_fails(self, beta, sigma, omega):
+        # omega against the other scale moves the value by 16-11,900%
+        want = m2_lambda_max_cdf_cone(4, tuple(s / w for s, w in zip(sigma, omega[::-1])), beta, 1.0)
+        got = cdf_wishart_region(WishartModel(2, 4, sigma, DivisionAlgebra(beta)), omega)
+        assert abs(got - want) > 0.1 * want
+
     @pytest.mark.parametrize("beta, y", [(1, 0.3), (2, 0.3), (4, 0.3), (8, 0.33)])
     def test_small_lambda_min_cdf_is_the_density_integrated(self, beta, y):
         # fig2's model, down to the README's 3.25e-21 at beta = 8
@@ -711,8 +744,43 @@ class TestLambdaMin:
             assert cdf_lambda_min(model, y) >= cdf_lambda_max(model, y) - 1e-9
 
 
+def _selberg_density(m: int, n: float, beta: int, s: float, lam) -> mpmath.mpf:
+    """The joint density of ordered eigenvalues at Sigma = s I, in mpmath at
+    40 digits: K prod l^(a - (m-1) beta/2 - 1) |Delta|^beta e^(-beta tr / (2 s)),
+    a = beta n / 2, with K from the Laguerre form of Selberg's integral over
+    the m! orderings, m! (beta / (2 s))^(m a) prod_{j<m} Gamma(1 + beta/2) /
+    (Gamma(1 + (j+1) beta/2) Gamma(a - j beta/2)).  At m = 1 it is the
+    Gamma(a, 2 s / beta) density.  No library code is used."""
+    with mpmath.workdps(40):
+        b, n, s = mpmath.mpf(beta), mpmath.mpf(n), mpmath.mpf(s)
+        lam = [mpmath.mpf(v) for v in lam]
+        a = b * n / 2
+        const = mpmath.factorial(m) * (b / (2 * s)) ** (m * a) * mpmath.fprod(
+            mpmath.gamma(1 + b / 2) / (mpmath.gamma(1 + (j + 1) * b / 2) * mpmath.gamma(a - j * b / 2))
+            for j in range(m))
+        shape = mpmath.fprod(v ** (a - (m - 1) * b / 2 - 1) for v in lam)
+        spread = mpmath.fprod((lam[i] - lam[j]) ** b for i in range(m) for j in range(i + 1, m))
+        return const * shape * spread * mpmath.exp(-b * mpmath.fsum(lam) / (2 * s))
+
+
+def _old_log_constant(m: int, n: float, beta: int, s: float) -> float:
+    """log of the spectral constant the library used before it was written
+    as the Selberg product: pi^(m^2 beta/2 + rho m) / Gamma_m(beta m/2), rho =
+    0, -1, -2, -4 at beta = 1, 2, 4, 8, times (beta/2)^(m a) / (Gamma_m(a)
+    s^(m a)), a = beta n / 2.  It is 6^m too small at beta = 8."""
+    rho = {1: 0, 2: -1, 4: -2, 8: -4}[beta]
+
+    def log_mv_gamma(a):
+        return m * (m - 1) * beta / 4 * math.log(math.pi) + math.fsum(
+            math.lgamma(a - i * beta / 2) for i in range(m))
+
+    a = beta * n / 2
+    return ((m * m * beta / 2 + rho * m) * math.log(math.pi) - log_mv_gamma(beta * m / 2)
+            + m * a * math.log(beta / (2 * s)) - log_mv_gamma(a))
+
+
 class TestJointDensity:
-    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     def test_scalar_reduction(self, beta):
         alg = DivisionAlgebra(beta)
         n = 3 if beta == 1 else 2
@@ -735,7 +803,7 @@ class TestJointDensity:
         with pytest.raises(DomainError):
             joint_eigen_density(model, (2.0, -1.0))
 
-    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
     def test_normalizes_scalar_scale(self, beta):
         model = WishartModel(2, 4, (1.5, 1.5), DivisionAlgebra(beta))
         val, err = integrate.dblquad(
@@ -758,14 +826,53 @@ class TestJointDensity:
         assert abs(est - 1.0) <= max(3 * se, 0.03)
 
     @pytest.mark.parametrize("beta", [1, 2, 4, 8])
-    @pytest.mark.parametrize("m, n, lam", [(2, 5, (3.0, 1.0)), (3, 6, (20.0, 8.0, 2.0))])
+    @pytest.mark.parametrize("m, n, lam", [(2, 5, (3.0, 1.0)), (3, 6, (20.0, 8.0, 2.0)), (1, 3, (2.0,))])
     def test_scalar_scale_is_the_closed_form(self, beta, m, n, lam):
         # at Sigma = s I the shifted coupling argument is 0: the series is 1 at
-        # degree 0 and the density the prefactor times exp(-beta tr(Lambda) / (2 s))
+        # degree 0 and the density the prefactor times exp(-beta tr(Lambda) / (2 s)),
+        # which is Selberg's closed form; at m = 1 the Gamma(beta n/2, 2 s/beta)
+        # density
         for s in (0.3, 1.5):
             model = WishartModel(m, n, (s,) * m, DivisionAlgebra(beta))
-            want = math.exp(wishart._log_eigen_prefactor(model, np.asarray(lam)) - beta * sum(lam) / (2 * s))
-            assert joint_eigen_density(model, lam) == pytest.approx(want, rel=1e-15, abs=0)
+            got = joint_eigen_density(model, lam)
+            prefactor = math.exp(wishart._log_eigen_prefactor(model, np.asarray(lam)) - beta * sum(lam) / (2 * s))
+            assert got == pytest.approx(prefactor, rel=1e-15, abs=0)
+            # measured: at most 4.4e-14 (beta = 8, m = 3, s = 0.3, a density of 2.5e-92)
+            assert abs(got / _selberg_density(m, n, beta, s, lam) - 1) <= 1e-13
+            if m == 1:
+                gamma = stats.gamma.pdf(lam[0], beta * n / 2, scale=2 * s / beta)
+                assert got == pytest.approx(gamma, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("beta", [1, 2, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_old_constant_misses_only_at_beta_8(self, beta, m):
+        # control: the constant before the Selberg product matches it at
+        # beta <= 4 and is 6^m too small at beta = 8
+        n, s = m + 2.5, 1.5
+        with mpmath.workdps(40):
+            lam = [mpmath.mpf(m + 1 - i) for i in range(m)]
+            selberg = _selberg_density(m, n, beta, s, lam)
+            shape = (mpmath.fprod(v ** (beta * (n - m + 1) / 2 - 1) for v in lam)
+                     * mpmath.fprod((lam[i] - lam[j]) ** beta for i in range(m) for j in range(i + 1, m))
+                     * mpmath.exp(-beta * mpmath.fsum(lam) / (2 * s)))
+            ratio = float(mpmath.exp(_old_log_constant(m, n, beta, s)) * shape / selberg)
+        if beta == 8:
+            assert ratio == pytest.approx(6.0 ** -m, rel=1e-12)
+        else:
+            assert ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_the_old_constant_does_not_normalize_at_beta_8(self, monkeypatch):
+        # control: with the constant before the Selberg product the beta = 8
+        # density of test_normalizes_scalar_scale integrates to 1/36
+        def old_prefactor(model, lam):
+            return (_old_log_constant(2, 4, 8, 1.5) + (8 * 3 / 2 - 1) * math.log(lam[0] * lam[1])
+                    + 8 * math.log(lam[0] - lam[1]))
+
+        monkeypatch.setattr(wishart, "_log_eigen_prefactor", old_prefactor)
+        model = WishartModel(2, 4, (1.5, 1.5), B8)
+        val, _ = integrate.dblquad(lambda l2, l1: joint_eigen_density(model, (l1, l2)),
+                                   0, 90.0, 0, lambda l1: l1, epsabs=1e-7, epsrel=1e-6)
+        assert val == pytest.approx(1 / 36, rel=1e-4)
 
     def test_matches_hciz_on_its_own_draws(self):
         # beta = 2: the density against James's formula with the HCIZ
@@ -824,10 +931,10 @@ class TestJointDensity:
     def test_underflowing_jack_values_are_a_domain_error(self):
         # chat_kappa(I) underflows to 0 at weight 181, while the degree sums
         # are still large: summing zeros from there would return a wrong
-        # value (2.73e-88 where the 40-digit closed form gives 5.08e-88 when
+        # value (9.8e-87 where the 40-digit closed form gives 1.83e-86 when
         # chat_(k)(3.996, 0) underflowed from k = 178)
         model = WishartModel(2, 5, (1.0, 1000.0), DivisionAlgebra(8))
-        assert m2_eigen_density(5, (1.0, 1000.0), (45.0, 40.0), 8) == pytest.approx(5.0787e-88, rel=1e-4)
+        assert m2_eigen_density(5, (1.0, 1000.0), (45.0, 40.0), 8) == pytest.approx(1.8283e-86, rel=1e-4)
         with pytest.raises(DomainError, match=r"^series terms of degree 181 leave the float range$"):
             joint_eigen_density(model, (45.0, 40.0))
         # a point of the same model whose series ends in the float range

@@ -28,6 +28,12 @@ script runs, each in a fresh process:
   spectra of X H* Y H at a well-conditioned and an ill-conditioned Y, and
   the splitting and two-matrix checks, the m = 3 and beta = 4 Haar paths
   that no other output reaches draw by draw;
+- ``joint_eigen_density`` (``DENSITY_VALUES``) at m = 1, 2, 3 and beta =
+  1, 2, 4, 8, two scales and two spectra each, one ``repr`` line each with
+  the value and degrees of its coupling series: that series' first argument
+  (beta/2)(1/sigma_min - 1/sigma) ends in a zero on every call, two where
+  the smallest scale repeats, so each line checks the evaluator's dropping
+  of trailing zeros apart from the density's constant;
 - ``jackdiv gamma`` over a grid (``GAMMA_VALUES``), in one process: m = 1,
   2, 3, beta = 1, 2, 4, 8, plain and weighted by (2, 1) and (3) at both
   signs, the value and its log, at a below the domain, inside it and at
@@ -151,6 +157,37 @@ for beta in (1, 2, 4):
             rows(f"{case} spectra y{y}", [_mat2.conjugated_spectra(xs[m], y, alg, h)])
         print(verify.verify_split_integral(kappa, xs[m], ys[m][0], m, alg, 5000, 73).to_line())
         print(verify.verify_two_matrix_0f0(xs[m], ys[m][0], m, alg, 5000, 79).to_line())
+"""
+
+# joint_eigen_density over m = 1, 2, 3, beta = 1, 2, 4, 8, two scales and two
+# spectra each, run in a side's root: repr of the density, and of the value
+# and degrees of its coupling series pfq_two(X + cI, Lambda), whose first
+# argument ends in as many zeros as sigma has entries at its minimum
+DENSITY_VALUES = """
+from jackdiv import wishart
+from jackdiv.core import DivisionAlgebra
+from jackdiv.wishart import WishartModel, joint_eigen_density
+
+couplings = []
+
+def pfq_two(spec, x, y, trunc=None):
+    res = real(spec, x, y, trunc)
+    couplings.append((sum(v == 0.0 for v in x), res))
+    return res
+
+real, wishart.pfq_two = wishart.pfq_two, pfq_two
+cases = {1: [[(1.0,), (2.5,)], [(1.3,), (4.0,)]],
+         2: [[(1.0, 2.0), (0.5, 3.0)], [(3.0, 1.0), (10.0, 2.0)]],
+         3: [[(1.0, 2.0, 3.0), (0.7, 0.7, 1.9)], [(6.0, 3.0, 1.0), (9.0, 4.0, 0.5)]]}
+for m, (sigmas, lams) in cases.items():
+    for beta in (1, 2, 4, 8):
+        for sigma in sigmas:
+            model = WishartModel(m, m + 3, sigma, DivisionAlgebra(beta))
+            for lam in lams:
+                density = joint_eigen_density(model, lam)
+                zeros, res = couplings.pop()
+                print(f"m{m} b{beta} sigma{sigma} lam{lam} density {density!r} coupling {res.value!r} "
+                      f"degrees {res.degrees_used} zeros {zeros}")
 """
 
 # jackdiv gamma over m, beta, weight, sign, --log and a, run in a side's root:
@@ -323,6 +360,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs["perfbench values"] = ["-c", PERFBENCH_VALUES]
     runs["wishart draws"] = ["-c", WISHART_DRAWS]
     runs["haar draws"] = ["-c", HAAR_DRAWS]
+    runs["density values"] = ["-c", DENSITY_VALUES]
     runs["gamma values"] = ["-c", GAMMA_VALUES]
     runs["cli argv"] = ["-c", CLI_ARGV]
     return runs
