@@ -28,7 +28,6 @@ from .core import (
     Partition,
     UnsupportedParameterError,
     conjugate,
-    dominance_leq,
     enumerate_partitions,
     format_partition,
     hook_product,

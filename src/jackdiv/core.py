@@ -171,25 +171,6 @@ def conjugate(p: Partition) -> Partition:
     return Partition(tuple(cols))
 
 
-def dominance_leq(tau: Partition, kappa: Partition) -> bool:
-    """Dominance order on partitions of equal weight.
-
-    True iff every prefix sum of ``tau`` is <= the matching prefix sum of
-    ``kappa``.  Partitions of different weight are not comparable.
-    """
-    if tau.weight != kappa.weight:
-        raise DomainError(
-            f"dominance compares partitions of equal weight, got {tau.weight} != {kappa.weight}"
-        )
-    run_t = run_k = 0
-    for i in range(1, max(tau.length, kappa.length) + 1):
-        run_t += tau.part(i)
-        run_k += kappa.part(i)
-        if run_t > run_k:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class HookData:
     """Per-cell upper/lower hook lengths of a partition and their product.

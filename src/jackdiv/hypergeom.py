@@ -50,7 +50,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import DivisionAlgebra, DomainError
-from .jack import ChatEvaluator, _rank, as_spectrum, get_table, log_chat_identity
+from .jack import ChatEvaluator, _fsum, _rank, as_spectrum, get_table, log_chat_identity
 from .special import lgamma_run
 
 
@@ -306,7 +306,7 @@ def _series(spec, x_eigs, y_eigs, norm, trunc) -> SeriesResult:
     def sum_of_degree(k: int):
         try:  # a power x^s overflows, or chat_kappa(I) underflows to 0
             terms = _degree_terms(spec, dpx.degree_values(k), None if dpy is None else dpy.degree_values(k))
-            dsum = sum(terms, np.zeros(len(x_eigs))) if batched else math.fsum(terms)
+            dsum = sum(terms, np.zeros(len(x_eigs))) if batched else _fsum(list(terms))
         except (OverflowError, ZeroDivisionError):
             dsum = math.inf
         if not np.all(np.isfinite(dsum)):

@@ -42,9 +42,12 @@ on more variables than its length fills.  For one spectrum,
 arrays indexed by parts, so the predecessors of kappa there are one block of
 the previous stage, taken by reversed slices in the same order as g; its
 other stages, and a batch's, are dicts keyed by partition, read mu by mu in
-that order.
+that order.  Every strip sum of one stage and degree reads one table of
+x_n^s, formed once by the first shape there that reads strips.
 
-What each stage keeps.  A stage below the top one keeps every degree, since
+What each stage keeps.  Stage 0 holds nothing: every shape on stage 1 has
+length 1 and is filled from its first column.  Any other stage below the top
+one keeps every degree, since
 the strips of a shape on the next stage reach down to any lower degree.  The
 top stage m keeps only its m most recent degrees: a degree is read out once,
 at the step that fills it, and the shapes of length m of degree k + 1 read
@@ -68,7 +71,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -334,8 +337,9 @@ class ChatEvaluator:
     parts: axis i has size ``cap // (i + 1) + 1`` for a weight capacity
     ``cap`` that doubles as degrees outgrow it, with or without a bound
     (``within`` bounds the shapes filled and the powers formed, not the
-    box).  Entries that are not partitions, or lie outside the bound, are
-    never read.  Unbounded, such a box holds at most about 2! 2^2 = 8 cells
+    box).  They start as one-cell boxes holding the empty partition, at
+    capacity 0.  Entries that are not partitions, or lie outside the bound,
+    are never read.  Unbounded, such a box holds at most about 2! 2^2 = 8 cells
     per partition up to the degree reached (the parts in any order, then
     the doubling): 64 bytes at most, below a dict entry; under a narrow
     bound it holds more cells than partitions, at most about 2 k^2 at
@@ -361,33 +365,31 @@ class ChatEvaluator:
         self.m = len(self._x)
         self.table = table
         self._alpha = 2.0 / table.algebra.beta
-        # e_n = x_1 ... x_n, read by the shapes of length n on stage n
-        self._e = list(itertools.accumulate(self._x, operator.mul, initial=one))
+        # e_n = x_1 ... x_n, read by the shapes of length n on stage n; it
+        # overflows to inf without a warning, as the products of _advance do
+        with np.errstate(over="ignore"):
+            self._e = list(itertools.accumulate(self._x, operator.mul, initial=one))
         self.within = within
         # the most parts a partition with a nonzero value has
         self.parts = _parts if _parts is not None else self.m if self._batched else _rank(self._x)
-        # degree 0 is done: the empty partition is one on every stage
-        self._stage: list = [{(): one} for _ in range(self.m + 1)]
+        # degree 0 is done: the empty partition is one on every stage but 0,
+        # which no stage reads (stage 1's shapes have length 1)
         self._dense = 0 if self._batched else min(self.m - 1, _DENSE_DEPTH)
-        if not self._batched:
-            self._stage[0] = np.ones(())
-        self._cap = None  # weight that the dense stages hold; None before they exist
-        self._reserve(0)
+        self._stage: list = [{}] + [np.ones((1,) * n) if n <= self._dense else {(): one}
+                                    for n in range(1, self.m + 1)]
+        self._cap = 0  # the weight that the dense stages hold
         self._done = 0
 
     def _reserve(self, k: int):
         """Size the dense stages to hold every partition of weight k, doubling
         the capacity when k outgrows it."""
-        if not self._dense or (self._cap is not None and k <= self._cap):
+        if not self._dense or k <= self._cap:
             return
-        self._cap = max(k, 2 * (self._cap or 0))
+        self._cap = max(k, 2 * self._cap)
         sizes = [self._cap // (i + 1) + 1 for i in range(self._dense)]
         for n in range(1, self._dense + 1):
             stage, old = np.zeros(sizes[:n]), self._stage[n]
-            if isinstance(old, dict):
-                stage[(0,) * n] = 1.0  # the empty partition
-            else:
-                stage[tuple(map(slice, old.shape))] = old
+            stage[tuple(map(slice, old.shape))] = old
             self._stage[n] = stage
 
     def _shapes(self, k: int, n: int):
@@ -415,8 +417,9 @@ class ChatEvaluator:
         chat_kappa(x_1..x_n) = sum_mu chat_mu(x_1..x_{n-1}) x_n^s g over the
         strips of kappa, for a shape shorter than n; a shape of length n is
         one product (:meth:`_fill`).  For one spectrum the terms of a shape
-        are summed by ``math.fsum``; a batch adds them row by row, in the
-        order of the strips.
+        are summed by ``math.fsum`` (nan where they hold inf of both signs:
+        :func:`_fsum`); a batch adds them row by row, in the order of the
+        strips.
         """
         k = self._done + 1
         self._reserve(k)
@@ -427,11 +430,9 @@ class ChatEvaluator:
                 self._fill(k, n)
         self._done = k
         # degree k - m is spent: the next degree's shapes of length m read
-        # k + 1 - m, and degree_values reads k
-        if k >= self.m:
-            top = self._stage[self.m]
-            for kappa in self._shapes(k - self.m, self.m):
-                del top[kappa]
+        # k + 1 - m, and degree_values reads k (a negative degree has no shape)
+        for kappa in self._shapes(k - self.m, self.m):
+            del self._stage[self.m][kappa]
 
     def _fill(self, k: int, n: int):
         """Degree k on the first n variables: a shape shorter than n from its
@@ -452,27 +453,31 @@ class ChatEvaluator:
         prev, cur, xn = self._stage[n - 1], self._stage[n], self._x[n - 1]
         # a dense stage is indexed by all n parts, zeros included
         pad = (lambda mu: mu) if isinstance(cur, dict) else (lambda mu: mu + (0,) * (n - len(mu)))
-        # xn**s, shared by every strip of this stage and degree; a dense
-        # stage's table is formed by the first shape that reads strips
-        powers = {} if isinstance(prev, dict) else None
+        powers = None
         for kappa in self._shapes(k, n):
             if len(kappa) == n:
                 base = tuple(p - 1 for p in kappa if p > 1)
-                value = cur[pad(base)] * (self._e[n] * _first_column(kappa, self._alpha))
-            elif isinstance(prev, dict):
-                value = _strip_sum(prev, k, kappa, self.table.strips(kappa), xn, powers)
+                cur[pad(kappa)] = cur[pad(base)] * (self._e[n] * _first_column(kappa, self._alpha))
+                continue
+            if powers is None:
+                # x_n^s for every s that a strip of this degree has (at most
+                # kappa_1), formed by the first shape that reads strips and
+                # shared by every shape of this stage and degree
+                reach = min(k, self.within[0]) if self.within else k
+                powers = [xn**s for s in range(reach + 1)]
+                if not isinstance(prev, dict):
+                    powers = np.array(powers)
+            if isinstance(prev, dict):
+                terms = (prev[mu] * (powers[k - sum(mu)] * g)
+                         for mu, g in zip(_interlacing_predecessors(kappa), self.table.strips(kappa).tolist()))
             else:
-                if powers is None:
-                    # Python powers, up to the most boxes a strip holds (kappa_1)
-                    reach = min(k, self.within[0]) if self.within else k
-                    powers = np.array([xn**s for s in range(reach + 1)])
                 # the block of stage n - 1 that holds the strips, against x_n^s:
                 # s = the sum of the positions, so every axis steps one power
                 block = prev[_strip_block(kappa, n - 1)]
                 pw = np.ndarray(block.shape, float, powers, 0, (powers.itemsize,) * block.ndim)
-                g = self.table.strips(kappa).reshape(block.shape)
-                value = math.fsum((block * (pw * g)).ravel().tolist())
-            cur[pad(kappa)] = value
+                terms = (block * (pw * self.table.strips(kappa).reshape(block.shape))).ravel().tolist()
+            # a batch adds its terms in place, in the order of the strips
+            cur[pad(kappa)] = reduce(operator.iadd, terms, np.zeros_like(xn)) if self._batched else _fsum(terms)
 
 
 def _without_trailing_zeros(x: list) -> list:
@@ -489,31 +494,22 @@ def _without_trailing_zeros(x: list) -> list:
     return x[:end]
 
 
+def _fsum(terms: list) -> float:
+    """``math.fsum`` of ``terms``, or nan where they hold inf of both signs
+    or their sum overflows: the caller refuses it as any value outside the
+    float range."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def _first_column(kappa: tuple[int, ...], alpha: float) -> float:
     """rho_kappa = prod_{i < n} alpha / (alpha kappa_i + n - 1 - i), n =
     len(kappa): on n variables chat_kappa = chat_{kappa - 1^n} e_n rho_kappa
     (:meth:`ChatEvaluator._fill`)."""
     n = len(kappa)
     return math.prod(alpha / (alpha * p + (n - 1 - i)) for i, p in enumerate(kappa))
-
-
-def _strip_sum(prev: dict, k: int, kappa: tuple[int, ...], g: np.ndarray, xn, powers: dict):
-    """sum_mu prev[mu] x_n^s g over the strips of kappa, s = k - |mu|: by
-    ``math.fsum`` for one spectrum, row by row in the order of the strips
-    for a batch."""
-    mus = _interlacing_predecessors(kappa)
-    strips = zip(mus, [k - sum(mu) for mu in mus], g.tolist())
-    if not isinstance(xn, np.ndarray):
-        return math.fsum([prev[mu] * (xn**s * gt) if s else prev[mu] * gt for mu, s, gt in strips])
-    acc = np.zeros_like(xn)
-    for mu, s, gt in strips:
-        if s:
-            if s not in powers:
-                powers[s] = xn**s
-            acc += prev[mu] * (powers[s] * gt)
-        else:
-            acc += prev[mu] * gt
-    return acc
 
 
 def _log_nu(p: Partition, algebra: DivisionAlgebra) -> float:

@@ -20,8 +20,27 @@ from scipy import integrate
 from scipy.special import betainc, gammaln, roots_genlaguerre, roots_sh_jacobi
 
 from jackdiv import wishart
-from jackdiv.core import DivisionAlgebra, Partition, conjugate, dominance_leq, hook_product
+from jackdiv.core import DivisionAlgebra, DomainError, Partition, conjugate, hook_product
 from jackdiv.hypergeom import HypergeomSpec, SeriesTruncation, pfq
+
+
+def dominance_leq(tau: Partition, kappa: Partition) -> bool:
+    """Dominance order on partitions of equal weight.
+
+    True iff every prefix sum of ``tau`` is <= the matching prefix sum of
+    ``kappa``.  Partitions of different weight are not comparable.
+    """
+    if tau.weight != kappa.weight:
+        raise DomainError(
+            f"dominance compares partitions of equal weight, got {tau.weight} != {kappa.weight}"
+        )
+    run_t = run_k = 0
+    for i in range(1, max(tau.length, kappa.length) + 1):
+        run_t += tau.part(i)
+        run_k += kappa.part(i)
+        if run_t > run_k:
+            return False
+    return True
 
 
 def brute_force_partitions(k: int, max_parts: int, max_first_part: int | None = None):

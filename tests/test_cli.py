@@ -507,3 +507,13 @@ class TestVerifyCommand:
         monkeypatch.setenv("JACKDIV_THREADS", "abc")
         code, out, _ = run(capsys, "gamma", "--a", "2")
         assert code == 0 and float(out) == 1.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["jack", "--kappa", "2", "--eigs", "1e200,-1e150"],
+    ["pfq", "--upper", "", "--lower", "", "--eigs", "1e200,-1e150"],
+], ids=["jack", "pfq"])
+def test_infinities_of_both_signs_are_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "leave" in err and err.count("\n") == 1

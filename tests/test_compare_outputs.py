@@ -76,7 +76,7 @@ def test_outputs_cover_both_figures_every_seed_and_the_perfbench_values():
     runs = compare_outputs.outputs((7, 8))
     assert list(runs) == ["figures fig1", "figures fig2", "cdf-min m3", "cdf-max far tail", "verify seed 7",
                           "verify seed 8", "verify bits seed 7", "perfbench values", "wishart draws",
-                          "haar draws", "density values", "gamma values", "cli argv"]
+                          "haar draws", "density values", "jack values", "gamma values", "cli argv"]
     assert runs["verify bits seed 7"][-1] == "7"
     assert runs["cdf-min m3"] == ["-m", "jackdiv.cli", "cdf-min", "--beta", "2", "--m", "3", "--n", "6",
                                   "--sigma", "1,2,3", "--grid", "0:8:9"]

@@ -11,14 +11,13 @@ from jackdiv.core import (
     UnsupportedParameterError,
     _partition_tuples,
     conjugate,
-    dominance_leq,
     enumerate_partitions,
     format_partition,
     hook_product,
     parse_partition,
 )
 
-from oracles import brute_force_partitions
+from oracles import brute_force_partitions, dominance_leq
 
 
 partitions_st = st.lists(st.integers(min_value=0, max_value=6), min_size=0, max_size=5).map(

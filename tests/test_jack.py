@@ -625,3 +625,25 @@ class TestBatchAndTable:
         for t in threads:
             t.join()
         assert results == expected
+
+
+class TestInfinitiesOfBothSigns:
+    """At (1e200, -1e150) no x_n^s overflows, but the strip products do with
+    both signs, where ``math.fsum`` raises on inf - inf: every caller refuses
+    that as it refuses any value outside the float range."""
+
+    X = (1e200, -1e150)
+
+    @pytest.mark.parametrize("call", [
+        lambda x: jack_C(Partition((2,)), x, DivisionAlgebra(1)),
+        lambda x: jack_J(Partition((2,)), x, DivisionAlgebra(1)),
+        lambda x: jack_C_batch(Partition((2,)), np.array([x]), DivisionAlgebra(1)),
+        lambda x: jack_C(Partition((2, 1)), (x[0], 1.0, x[1]), DivisionAlgebra(2)),
+        lambda x: hypergeom.pfq(hypergeom.HypergeomSpec((), (), DivisionAlgebra(1), 2), x),
+        lambda x: hypergeom.pfq_two(hypergeom.HypergeomSpec((), (), DivisionAlgebra(1), 2), x, (1.0, 0.5)),
+        lambda x: hypergeom.pfq_batch(hypergeom.HypergeomSpec((), (), DivisionAlgebra(1), 2), [x]),
+    ], ids=["jack_C", "jack_J", "jack_C_batch", "jack_C-m3-complex", "pfq", "pfq_two", "pfq_batch"])
+    def test_is_a_domain_error(self, call):
+        # pytest turns a numpy RuntimeWarning into an error (pyproject.toml)
+        with pytest.raises(DomainError, match="leave"):
+            call(self.X)

@@ -810,7 +810,7 @@ class TestJointDensity:
             lambda l2, l1: joint_eigen_density(model, (l1, l2)),
             0, 90.0, 0, lambda l1: l1, epsabs=1e-7, epsrel=1e-6,
         )
-        assert val == pytest.approx(1.0, abs=0.02)
+        assert val == pytest.approx(1.0, abs=1e-8)
 
     def test_general_scale_normalizes_by_mc(self):
         # importance sample the ordered cone with independent gamma proposals
@@ -940,3 +940,57 @@ class TestJointDensity:
         # a point of the same model whose series ends in the float range
         want = m2_eigen_density(5, (1.0, 1000.0), (4.0, 3.0), 8)
         assert joint_eigen_density(model, (4.0, 3.0)) == pytest.approx(want, rel=1e-11, abs=0)
+
+
+class TestDensityAgainstTheCdfM2:
+    """The m = 2 joint density tied to the lambda_max CDF through an oracle
+    that shares no library code: the Selberg constant by ``math.lgamma``, the
+    coupling 0F0(X, Lambda) = e^(x1 y2 + x2 y1) 1F1(beta/2; beta; (x1 - x2)
+    (y1 - y2)) by scipy's ``hyp1f1`` (the m = 2 Haar average, |h11|^2 ~
+    Beta(beta/2, beta/2)), and a 40 x 40 tensor Gauss-Jacobi rule in
+    l1 = x rho, l2 = x rho t, with weights rho^(2a - 1) and
+    t^(a - beta/2 - 1) (1 - t)^beta, a = beta n / 2."""
+
+    N, SIGMA = 4, (1.0, 2.0)
+    GRID = np.linspace(0.0, 24.0, 96)[1:]  # fig1's 95 points
+
+    @staticmethod
+    def _selberg_log_constant(n, sigma, beta):
+        """log of the density's constant for the ordered pair l1 > l2:
+        2 ((beta/2)^2 / (s1 s2))^a Gamma(1 + beta/2) / (Gamma(1 + beta)
+        Gamma(a) Gamma(a - beta/2))."""
+        a = beta * n / 2
+        return (math.log(2.0) + a * (2 * math.log(beta / 2) - math.log(sigma[0] * sigma[1]))
+                + math.lgamma(1 + beta / 2) - math.lgamma(1 + beta) - math.lgamma(a) - math.lgamma(a - beta / 2))
+
+    @staticmethod
+    def _jacobi01(size, p, q):
+        """Nodes and weights on (0, 1) for the weight u^p (1 - u)^q."""
+        u, w = special.roots_jacobi(size, q, p)
+        return (1 + u) / 2, w / 2 ** (p + q + 1)
+
+    @classmethod
+    def _cdf(cls, beta, x, log_constant, size=40):
+        a = beta * cls.N / 2
+        rho, w_rho = cls._jacobi01(size, 2 * a - 1, 0.0)
+        t, w_t = cls._jacobi01(size, a - beta / 2 - 1, beta)
+        l1 = x * rho[:, None]
+        l2 = l1 * t[None, :]
+        x1, x2 = (-beta / (2 * s) for s in cls.SIGMA)
+        coupling = np.exp(x1 * l2 + x2 * l1) * special.hyp1f1(beta / 2, beta, (x1 - x2) * (l1 - l2))
+        return math.exp(log_constant) * x ** (2 * a) * float(w_rho @ coupling @ w_t)
+
+    # the agreement measured over the grid: 4.6e-14, 1.19e-13, 2.70e-13, 6.86e-13
+    @pytest.mark.parametrize("beta, bound", [(1, 5e-14), (2, 1.3e-13), (4, 3e-13), (8, 7.5e-13)])
+    def test_density_integrates_to_the_cdf(self, beta, bound):
+        model = WishartModel(2, self.N, self.SIGMA, DivisionAlgebra(beta))
+        constant = self._selberg_log_constant(self.N, self.SIGMA, beta)
+        worst = max(abs(self._cdf(beta, x, constant) - cdf_lambda_max(model, float(x))) for x in self.GRID)
+        assert worst <= bound
+
+    def test_the_old_constant_misses_at_beta_8(self):
+        # s^(m a) with s = sqrt(2) is (s1 s2)^a at sigma = (1, 2)
+        model = WishartModel(2, self.N, self.SIGMA, DivisionAlgebra(8))
+        old = _old_log_constant(2, self.N, 8, math.sqrt(2.0))
+        ratios = [self._cdf(8, x, old) / cdf_lambda_max(model, float(x)) for x in self.GRID[40:]]
+        assert max(abs(r - 1 / 36) for r in ratios) < 1e-9

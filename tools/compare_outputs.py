@@ -34,6 +34,11 @@ script runs, each in a fresh process:
   (beta/2)(1/sigma_min - 1/sigma) ends in a zero on every call, two where
   the smallest scale repeats, so each line checks the evaluator's dropping
   of trailing zeros apart from the density's constant;
+- ``ChatEvaluator.degree_values`` (``JACK_VALUES``) at beta = 1, 2, 4, 8
+  and m = 1..5 to degree 12, unbounded and bounded: spectra positive, of
+  mixed signs, with trailing and with interior zeros, and batches, one
+  sha256 line per case, so that the one-spectrum dict stages (m >= 4) and
+  the batched recurrence are compared bit for bit;
 - ``jackdiv gamma`` over a grid (``GAMMA_VALUES``), in one process: m = 1,
   2, 3, beta = 1, 2, 4, 8, plain and weighted by (2, 1) and (3) at both
   signs, the value and its log, at a below the domain, inside it and at
@@ -188,6 +193,44 @@ for m, (sigmas, lams) in cases.items():
                 zeros, res = couplings.pop()
                 print(f"m{m} b{beta} sigma{sigma} lam{lam} density {density!r} coupling {res.value!r} "
                       f"degrees {res.degrees_used} zeros {zeros}")
+"""
+
+# ChatEvaluator.degree_values over beta = 1, 2, 4, 8 and m = 1..5, run in a
+# side's root: spectra positive, of mixed signs, with trailing zeros and with
+# interior zeros, and batches of both signs, each unbounded and bounded by a
+# shape, to degree 12; per case the count of dicts and values and a sha256 of
+# the bytes of every key and value in the order read
+JACK_VALUES = """
+import hashlib
+import numpy as np
+from jackdiv.core import DivisionAlgebra
+from jackdiv.jack import ChatEvaluator, JackTable
+
+def spectra(m, rng):
+    yield "positive", tuple(sorted(rng.uniform(0.1, 1.5, size=m), reverse=True))
+    yield "mixed", tuple(sorted(rng.uniform(-1.0, 1.5, size=m), reverse=True))
+    if m > 1:
+        head = tuple(sorted(rng.uniform(0.1, 1.5, size=(m + 1) // 2), reverse=True))
+        yield "trailing-zeros", head + (0.0,) * (m - len(head))
+    if m > 2:
+        yield "interior-zeros", (1.2,) + (0.0,) * (m - 2) + (-0.7,)
+    yield "batch-positive", rng.uniform(0.1, 1.5, size=(3, m))
+    yield "batch-mixed", rng.uniform(-1.0, 1.5, size=(3, m))
+
+for beta in (1, 2, 4, 8):
+    table = JackTable(DivisionAlgebra(beta))
+    rng = np.random.default_rng(83)
+    for m in range(1, 6):
+        for kind, x in spectra(m, rng):
+            for within in (None, (6, 3, 2, 1, 1)[:m]):
+                evaluator = ChatEvaluator(x, table, within)
+                digest, dicts, values = hashlib.sha256(), 0, 0
+                for k in range(13):
+                    chat = evaluator.degree_values(k)
+                    dicts, values = dicts + 1, values + len(chat)
+                    for kappa, value in chat.items():
+                        digest.update(repr(kappa).encode() + np.asarray(value, dtype=float).tobytes())
+                print(f"b{beta} m{m} {kind} within{within} dicts {dicts} values {values} sha256 {digest.hexdigest()}")
 """
 
 # jackdiv gamma over m, beta, weight, sign, --log and a, run in a side's root:
@@ -361,6 +404,7 @@ def outputs(seeds) -> dict[str, list[str]]:
     runs["wishart draws"] = ["-c", WISHART_DRAWS]
     runs["haar draws"] = ["-c", HAAR_DRAWS]
     runs["density values"] = ["-c", DENSITY_VALUES]
+    runs["jack values"] = ["-c", JACK_VALUES]
     runs["gamma values"] = ["-c", GAMMA_VALUES]
     runs["cli argv"] = ["-c", CLI_ARGV]
     return runs
